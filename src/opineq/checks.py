@@ -352,22 +352,11 @@ def _resolve_unit_window(lam_lo, lam_hi, m_user, M_user):
     hypothesis fails when the spectrum dips below one or when the user
     forces m above one.
     """
-    m = min(float(lam_lo), 1.0)
-    M = max(float(lam_hi), 1.0)
-    if m_user is not None:
-        if m_user <= 0.0:
-            raise InvalidSpec("lower bound m must be positive")
-        if m_user > lam_lo + HYP_TOL:
-            raise InvalidSpec(
-                f"m={m_user:.6g} is not a lower bound: smallest eigenvalue is {lam_lo:.6g}"
-            )
-        m = float(m_user)
-    if M_user is not None:
-        if M_user < lam_hi - HYP_TOL:
-            raise InvalidSpec(
-                f"M={M_user:.6g} is not an upper bound: largest eigenvalue is {lam_hi:.6g}"
-            )
-        M = float(M_user)
+    m, M = _resolve_outer_window(lam_lo, lam_hi, m_user, M_user)
+    if m_user is None:
+        m = min(m, 1.0)
+    if M_user is None:
+        M = max(M, 1.0)
     hyp_ok, note = True, ""
     if lam_lo < 1.0 - HYP_TOL:
         hyp_ok = False
@@ -414,6 +403,49 @@ def _inner_spectrum(a, b):
     _, inv_half = linalg.sqrt_factors(a)
     w = linalg.symmetrize(inv_half @ b @ inv_half)
     return linalg.eigvals_sym(w)
+
+
+def _guarded(build, hyp_ok, note):
+    """(build(), note); an OpineqError from build() propagates under valid
+    hypotheses and otherwise leaves the sides unevaluated, said in the note.
+    """
+    try:
+        return build(), note
+    except OpineqError:
+        if hyp_ok:
+            raise
+        return [], note + "; sides not evaluated"
+
+
+def _norm_dominance(a, b, tol_rel):
+    """(||A||, ||B||, hyp_ok, note) for ||A|| I <= B, with A >= 0 and B symmetric."""
+    lam_a = _require_psd(a, "A")
+    linalg.require_symmetric(b, "B")
+    na = float(max(abs(lam_a[0]), abs(lam_a[-1])))
+    lam_b = linalg.eigvals_sym(b)
+    nb = float(max(abs(lam_b[0]), abs(lam_b[-1])))
+    dominance = linalg.loewner_compare(na * np.eye(a.shape[0]), b, tol_rel=tol_rel)
+    if dominance.is_le:
+        return na, nb, True, ""
+    return na, nb, False, (f"||A|| I is not below B "
+                           f"(min eig of B - ||A|| I is {dominance.gap_min_eig:.6g})")
+
+
+def _converse_parts(prefix, p, inner, outer, diff, m, M):
+    """(part_specs, term_norm) of the three-branch additive converse: with
+    term = p (m^{p-1} - M^{p-1}) diff, outer <= inner + term on [0, 1], the
+    reverse on [-1, 0], and inner <= outer - term for p >= 1.
+    """
+    term = p * (m ** (p - 1.0) - M ** (p - 1.0)) * diff
+    term_rev = p * (M ** (p - 1.0) - m ** (p - 1.0)) * diff
+    part_specs = []
+    if 0.0 <= p <= 1.0:
+        part_specs.append((f"{prefix}_upper", outer, inner + term))
+    if -1.0 <= p <= 0.0:
+        part_specs.append((f"{prefix}_lower", inner + term, outer))
+    if 1.0 <= p:
+        part_specs.append((f"{prefix}_upper_reversed", inner, outer + term_rev))
+    return part_specs, linalg.norm_op(term if p <= 1.0 else term_rev)
 
 
 # ----------------------------------------------------------------------
@@ -502,17 +534,8 @@ def check_ando_converse(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
     mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p).value)
     mean_out = means.weighted_mean(maps.apply_map(phi, a), maps.apply_map(phi, b), p).value
-    phi_diff = maps.apply_map(phi, b - a)
-    term = p * (m ** (p - 1.0) - M ** (p - 1.0)) * phi_diff
-    term_rev = p * (M ** (p - 1.0) - m ** (p - 1.0)) * phi_diff
-    part_specs = []
-    if 0.0 <= p <= 1.0:
-        part_specs.append(("mean_additive_upper", mean_out, mean_in + term))
-    if -1.0 <= p <= 0.0:
-        part_specs.append(("mean_additive_lower", mean_in + term, mean_out))
-    if 1.0 <= p:
-        part_specs.append(("mean_additive_upper_reversed", mean_in, mean_out + term_rev))
-    term_norm = linalg.norm_op(term if p <= 1.0 else term_rev)
+    part_specs, term_norm = _converse_parts(
+        "mean_additive", p, mean_in, mean_out, maps.apply_map(phi, b - a), m, M)
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
               "additive_term_norm": term_norm}
     return _finish("ando_converse", part_specs,
@@ -540,18 +563,15 @@ def check_density_trace(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
             raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
     lam = _inner_spectrum(a, b)
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
-    part_specs = []
-    try:
+    def sides():
         trace_mean = float(np.trace(means.weighted_mean(a, b, p).value))
+        part_specs = []
         if 0.0 <= p <= 1.0:
             part_specs.append(("unit_trace_lower", _scal(1.0), _scal(trace_mean)))
         if p <= 0.0 or p >= 1.0:
             part_specs.append(("unit_trace_upper", _scal(trace_mean), _scal(1.0)))
-    except OpineqError:
-        if hyp_ok:
-            raise
-        note = note + "; sides not evaluated"
-        part_specs = []
+        return part_specs
+    part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": m, "M": M, "map": None}
     return _finish("density_trace", part_specs,
                    hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
@@ -669,17 +689,8 @@ def check_power_corollary(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
     pa = maps.apply_map(phi, a)
     pa_pow = linalg.power(pa, p)
     phi_pow = maps.apply_map(phi, linalg.power(a, p))
-    eye_out = np.eye(pa.shape[0])
-    corr = p * (m ** (p - 1.0) - M ** (p - 1.0)) * (pa - eye_out)
-    corr_rev = p * (M ** (p - 1.0) - m ** (p - 1.0)) * (pa - eye_out)
-    part_specs = []
-    if 0.0 <= p <= 1.0:
-        part_specs.append(("image_power_upper", pa_pow, phi_pow + corr))
-    if -1.0 <= p <= 0.0:
-        part_specs.append(("image_power_lower", phi_pow + corr, pa_pow))
-    if 1.0 <= p:
-        part_specs.append(("image_power_upper_reversed", phi_pow, pa_pow + corr_rev))
-    term_norm = linalg.norm_op(corr if p <= 1.0 else corr_rev)
+    part_specs, term_norm = _converse_parts(
+        "image_power", p, phi_pow, pa_pow, pa - np.eye(pa.shape[0]), m, M)
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
               "additive_term_norm": term_norm}
     return _finish("power_corollary", part_specs,
@@ -753,32 +764,19 @@ def check_lh_extension(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     """
     a, b = inst.A, _require_b(inst)
     p = inst.p
-    lam_a = _require_psd(a, "A")
-    linalg.require_symmetric(b, "B")
-    na = float(max(abs(lam_a[0]), abs(lam_a[-1])))
-    lam_b = linalg.eigvals_sym(b)
-    nb = float(max(abs(lam_b[0]), abs(lam_b[-1])))
+    na, nb, hyp_ok, note = _norm_dominance(a, b, tol_rel)
     if nb == 0.0:
         raise ZeroMatrix("B is zero; the linear term needs a positive norm")
-    hyp_ok, note = True, ""
-    dominance = linalg.loewner_compare(na * np.eye(a.shape[0]), b, tol_rel=tol_rel)
-    if not dominance.is_le:
-        hyp_ok = False
-        note = (f"||A|| I is not below B "
-                f"(min eig of B - ||A|| I is {dominance.gap_min_eig:.6g})")
-    part_specs = []
-    try:
+    def sides():
         diff = linalg.power(b, p) - linalg.power(a, p)
         lin = p * (nb ** (p - 1.0)) * (b - a)
+        part_specs = []
         if 0.0 <= p <= 1.0:
             part_specs.append(("linear_lower", lin, diff))
         if p >= 1.0 or p <= 0.0:
             part_specs.append(("linear_upper", diff, lin))
-    except OpineqError:
-        if hyp_ok:
-            raise
-        note = note + "; sides not evaluated"
-        part_specs = []
+        return part_specs
+    part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_A": na, "norm_B": nb}
     return _finish("lh_extension", part_specs,
@@ -794,47 +792,40 @@ def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Check
     ||B||^p - (||B|| - lam_min(B - A))^p also sits below B^p - A^p; and
     with s = ||B|| / lam_min(B - A) the dimensionless comparison
     p s^{p-1} <= s^p - (s-1)^p shows the second floor is always at least
-    the first.
+    the first.  A negative lam_min(B - A) violates the hypothesis and
+    leaves the sides unevaluated.
     """
     a, b = inst.A, _require_b(inst)
     p = inst.p
     _require_p_range(p, 0.0, 1.0, "mn2012")
-    lam_a = _require_psd(a, "A")
-    linalg.require_symmetric(b, "B")
-    na = float(max(abs(lam_a[0]), abs(lam_a[-1])))
+    _, nb, hyp_ok, note = _norm_dominance(a, b, tol_rel)
     lam_diff = linalg.eigvals_sym(b - a)
     scale_diff = max(1.0, float(abs(lam_diff[0])), float(abs(lam_diff[-1])))
     if float(np.min(np.abs(lam_diff))) <= 1e-12 * scale_diff:
         raise SingularDifference("B - A is numerically singular")
-    lam_b = linalg.eigvals_sym(b)
-    nb = float(max(abs(lam_b[0]), abs(lam_b[-1])))
-    hyp_ok, note = True, ""
-    dominance = linalg.loewner_compare(na * np.eye(a.shape[0]), b, tol_rel=tol_rel)
-    if not dominance.is_le:
+    gap = float(lam_diff[0])
+    if hyp_ok and gap < 0.0:
+        # A >= 0 and ||A|| I <= B force B - A >= 0; a negative gap means
+        # the dominance holds only within tolerance
         hyp_ok = False
-        note = (f"||A|| I is not below B "
-                f"(min eig of B - ||A|| I is {dominance.gap_min_eig:.6g})")
-    part_specs = []
-    try:
-        gap = float(lam_diff[0])
+        note = f"B - A is not positive (min eig of B - A is {gap:.6g})"
+    def sides():
+        if gap < 0.0:
+            raise DomainError("the floors need B - A positive definite")
         diff = linalg.power(b, p) - linalg.power(a, p)
         eye = np.eye(a.shape[0])
         floor_lin = p * (nb ** (p - 1.0)) * gap
         floor_shift = nb ** p - (nb - gap) ** p
         s = nb / gap
-        part_specs = [
+        return [
             ("floor_nonnegative", _scal(0.0), _scal(floor_lin)),
             ("linear_floor", floor_lin * eye, diff),
             ("shift_floor", floor_shift * eye, diff),
             ("floor_comparison", _scal(p * s ** (p - 1.0)), _scal(s ** p - (s - 1.0) ** p)),
         ]
-    except (OpineqError, ValueError):
-        if hyp_ok:
-            raise
-        note = note + "; sides not evaluated"
-        part_specs = []
+    part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": None, "M": None, "map": None,
-              "norm_B": nb, "lam_min_diff": float(lam_diff[0])}
+              "norm_B": nb, "lam_min_diff": gap}
     return _finish("mn2012", part_specs,
                    hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
 
@@ -903,8 +894,7 @@ def check_mond_pecaric(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
         note = (f"<Bx, x> = {qb:.6g} exceeds the smallest eigenvalue of A "
                 f"carrying weight in x ({lam_floor:.6g}); the scalar "
                 f"substitution is not valid there")
-    part_specs = []
-    try:
+    def sides():
         if inst.f == "power":
             fn = lambda t: np.power(t, p)
             dfn = lambda t: p * np.power(t, p - 1.0)
@@ -919,15 +909,11 @@ def check_mond_pecaric(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
         fa = dec_a.apply(fn)
         mid = float(x @ fa @ x) - float(fn(qb))
         diff = float(x @ (a - b) @ x)
-        part_specs = [
+        return [
             ("derivative_lower", _scal(alpha * diff), _scal(mid)),
             ("derivative_upper", _scal(mid), _scal(beta * diff)),
         ]
-    except OpineqError:
-        if hyp_ok:
-            raise
-        note = note + "; sides not evaluated"
-        part_specs = []
+    part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": m, "M": M, "map": None, "f": inst.f}
     return _finish("mond_pecaric", part_specs,
                    hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
@@ -957,25 +943,17 @@ def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
     m, M = _resolve_outer_window(lam[0], lam[-1], inst.m, inst.M)
     q1 = float(x @ a @ x)
     qp = float(x @ linalg.power(a, p) @ x)
-    part_specs = []
     if 0.0 < p < 1.0:
-        part_specs.append(("expectation_power", _scal(qp), _scal(q1 ** p)))
-        dd = q1 - qp ** (1.0 / p)
-        mid = q1 ** p - qp
-        part_specs.append(("reverse_lower", _scal((p / M ** (1.0 - p)) * dd), _scal(mid)))
-        part_specs.append(("reverse_upper", _scal(mid), _scal((p / m ** (1.0 - p)) * dd)))
-    elif p >= 1.0:
-        part_specs.append(("expectation_power", _scal(q1 ** p), _scal(qp)))
-        dd = qp ** (1.0 / p) - q1
-        mid = qp - q1 ** p
-        part_specs.append(("reverse_lower", _scal((p / m ** (1.0 - p)) * dd), _scal(mid)))
-        part_specs.append(("reverse_upper", _scal(mid), _scal((p / M ** (1.0 - p)) * dd)))
+        below, above, dd = qp, q1 ** p, q1 - qp ** (1.0 / p)
     else:
-        part_specs.append(("expectation_power", _scal(q1 ** p), _scal(qp)))
-        dd = qp ** (1.0 / p) - q1
-        mid = qp - q1 ** p
-        part_specs.append(("reverse_lower", _scal((p / M ** (1.0 - p)) * dd), _scal(mid)))
-        part_specs.append(("reverse_upper", _scal(mid), _scal((p / m ** (1.0 - p)) * dd)))
+        below, above, dd = q1 ** p, qp, qp ** (1.0 / p) - q1
+    mid = above - below
+    lo_end, hi_end = (m, M) if p >= 1.0 else (M, m)
+    part_specs = [
+        ("expectation_power", _scal(below), _scal(above)),
+        ("reverse_lower", _scal((p / lo_end ** (1.0 - p)) * dd), _scal(mid)),
+        ("reverse_upper", _scal(mid), _scal((p / hi_end ** (1.0 - p)) * dd)),
+    ]
     params = {"p": p, "m": m, "M": M, "map": None}
     return _finish("holder_mccarthy", part_specs,
                    hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
@@ -984,6 +962,36 @@ def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
 # ----------------------------------------------------------------------
 # norm and radius chains
 # ----------------------------------------------------------------------
+
+def _refined_chain(names, lo, mid, hi, d, p):
+    """Parts refining lo <= mid <= hi (labelled by names) with the shifts
+    r1 = (mid^p - lo^p)/d and r2 = (hi^p - mid^p)/d; see check_norm_chain.
+    """
+    n_lo, n_mid, n_hi = names
+    r1 = (mid ** p - lo ** p) / d
+    r2 = (hi ** p - mid ** p) / d
+    part_specs = []
+    if p >= 1.0:
+        part_specs += [
+            (f"{n_lo}_shift_nonnegative", _scal(lo), _scal(lo + r1)),
+            (f"{n_lo}_shift_below_{n_mid}", _scal(lo + r1), _scal(mid)),
+            (f"{n_mid}_shift_nonnegative", _scal(mid), _scal(mid + r2)),
+            (f"{n_mid}_shift_below_{n_hi}", _scal(mid + r2), _scal(hi)),
+        ]
+    if 0.0 < p <= 1.0:
+        part_specs += [
+            (f"{n_hi}_shift_below_{n_mid}", _scal(hi - r2), _scal(mid)),
+            (f"{n_mid}_below_{n_lo}_shift", _scal(mid), _scal(lo + r1)),
+        ]
+    if p < 0.0:
+        part_specs += [
+            ("ratio1_nonnegative", _scal(0.0), _scal(r1)),
+            ("ratio2_nonnegative", _scal(0.0), _scal(r2)),
+            (f"{n_mid}_below_{n_lo}_shift", _scal(mid), _scal(lo + r1)),
+            (f"{n_hi}_below_{n_mid}_shift", _scal(hi), _scal(mid + r2)),
+        ]
+    return part_specs
+
 
 def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
     """Refined links between operator, Frobenius and trace norms.
@@ -996,7 +1004,7 @@ def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     instead: both ratios stay nonnegative and bound hs - op and tr - hs
     from above, so the chain runs hs <= op + r1 and tr <= hs + r2.
     """
-    a = linalg.as_square(inst.A)
+    a = inst.A
     p = inst.p
     if p == 0.0:
         raise ZeroParameter("norm_chain is undefined at p=0")
@@ -1005,31 +1013,7 @@ def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     tr = linalg.norm_tr(a)
     if tr == 0.0:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
-    d = p * tr ** (p - 1.0)
-    part_specs = []
-    if p >= 1.0:
-        r1 = (hs ** p - op ** p) / d
-        r2 = (tr ** p - hs ** p) / d
-        part_specs += [
-            ("op_shift_nonnegative", _scal(op), _scal(op + r1)),
-            ("op_shift_below_hs", _scal(op + r1), _scal(hs)),
-            ("hs_shift_nonnegative", _scal(hs), _scal(hs + r2)),
-            ("hs_shift_below_tr", _scal(hs + r2), _scal(tr)),
-        ]
-    if 0.0 < p <= 1.0:
-        part_specs += [
-            ("tr_shift_below_hs", _scal(tr + (hs ** p - tr ** p) / d), _scal(hs)),
-            ("hs_below_op_shift", _scal(hs), _scal(op + (hs ** p - op ** p) / d)),
-        ]
-    if p < 0.0:
-        r1 = (hs ** p - op ** p) / d
-        r2 = (tr ** p - hs ** p) / d
-        part_specs += [
-            ("ratio1_nonnegative", _scal(0.0), _scal(r1)),
-            ("ratio2_nonnegative", _scal(0.0), _scal(r2)),
-            ("hs_below_op_shift", _scal(hs), _scal(op + r1)),
-            ("tr_below_hs_shift", _scal(tr), _scal(hs + r2)),
-        ]
+    part_specs = _refined_chain(("op", "hs", "tr"), op, hs, tr, p * tr ** (p - 1.0), p)
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_op": op, "norm_hs": hs, "norm_tr": tr}
     return _finish("norm_chain", part_specs,
@@ -1044,7 +1028,7 @@ def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     need a positive spectral radius; a vanishing one (nilpotent A) makes
     r^p undefined and is reported as a violated hypothesis.
     """
-    a = linalg.as_square(inst.A)
+    a = inst.A
     p = inst.p
     if p == 0.0:
         raise ZeroParameter("radius_chain is undefined at p=0")
@@ -1059,30 +1043,7 @@ def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
         note = "spectral radius vanishes; negative powers of it are undefined"
     part_specs = []
     if hyp_ok:
-        d = p * op ** (p - 1.0)
-        if p >= 1.0:
-            r1 = (w ** p - sr ** p) / d
-            r2 = (op ** p - w ** p) / d
-            part_specs += [
-                ("radius_shift_nonnegative", _scal(sr), _scal(sr + r1)),
-                ("radius_shift_below_w", _scal(sr + r1), _scal(w)),
-                ("w_shift_nonnegative", _scal(w), _scal(w + r2)),
-                ("w_shift_below_op", _scal(w + r2), _scal(op)),
-            ]
-        if 0.0 < p <= 1.0:
-            part_specs += [
-                ("op_shift_below_w", _scal(op + (w ** p - op ** p) / d), _scal(w)),
-                ("w_below_radius_shift", _scal(w), _scal(sr + (w ** p - sr ** p) / d)),
-            ]
-        if p < 0.0:
-            r1 = (w ** p - sr ** p) / d
-            r2 = (op ** p - w ** p) / d
-            part_specs += [
-                ("ratio1_nonnegative", _scal(0.0), _scal(r1)),
-                ("ratio2_nonnegative", _scal(0.0), _scal(r2)),
-                ("w_below_radius_shift", _scal(w), _scal(sr + r1)),
-                ("op_below_w_shift", _scal(op), _scal(w + r2)),
-            ]
+        part_specs = _refined_chain(("radius", "w", "op"), sr, w, op, p * op ** (p - 1.0), p)
     params = {"p": p, "m": None, "M": None, "map": None,
               "spectral_radius": sr, "numerical_radius": w, "norm_op": op}
     return _finish("radius_chain", part_specs,

@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"relative tolerance (default {fuzz_mod.FUZZ_TOL_REL:g}, "
                          "or OPINEQ_TOL)")
     fz.add_argument("--jobs", type=int, default=1,
-                    help="worker threads; output is identical to serial")
+                    help="worker threads; output is identical to serial, "
+                         "which is usually as fast or faster")
     fz.add_argument("--json", metavar="PATH", help="write all reports as JSON")
     fz.add_argument("--csv", metavar="PATH", help="write a summary CSV")
     fz.add_argument("--stop-on-fail", action="store_true",

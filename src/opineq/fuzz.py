@@ -52,12 +52,6 @@ def _cfg(dim, seed, window) -> sampling.SamplerConfig:
     )
 
 
-def _isometry(rng, n: int, k: int) -> np.ndarray:
-    g = rng.normal(size=(n, k))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
-
-
 def _random_map(seed: int, trial: int, dim: int) -> maps.MapSpec:
     """One of the four map families, chosen and built deterministically."""
     rng = sampling.rng_for(seed, trial + _S_MAP)
@@ -66,7 +60,7 @@ def _random_map(seed: int, trial: int, dim: int) -> maps.MapSpec:
         return maps.MapSpec.normalized_trace(dim)
     if kind == maps.COMPRESSION:
         k = 1 + int(rng.integers(dim))
-        return maps.MapSpec.compression(_isometry(rng, dim, k))
+        return maps.MapSpec.compression(sampling._isometry(rng, dim, k))
     if kind == maps.PINCHING:
         nblocks = 1 + int(rng.integers(dim))
         labels = rng.integers(nblocks, size=dim)
@@ -78,13 +72,6 @@ def _random_map(seed: int, trial: int, dim: int) -> maps.MapSpec:
     weights = weights / weights.sum()
     unitaries = [sampling.random_orthogonal(dim, rng) for _ in range(count)]
     return maps.MapSpec.mixed_unitary(weights, unitaries)
-
-
-def _unit_vector(rng, n: int) -> np.ndarray:
-    v = rng.normal(size=n)
-    while float(np.linalg.norm(v)) == 0.0:  # pragma: no cover
-        v = rng.normal(size=n)
-    return v / float(np.linalg.norm(v))
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +137,6 @@ def _sample_norm_dominated_gap(dim, seed, p, trial):
     return checks.InstanceSpec(A=a, B=b, p=p)
 
 
-_F_KINDS = ("power", "exp", "log")
-
-
 def _sample_mond_pecaric(dim, seed, p, trial):
     # spectra separated around a split point: B <= split I <= A makes the
     # order hypothesis and the vector-expectation gate hold automatically
@@ -166,15 +150,15 @@ def _sample_mond_pecaric(dim, seed, p, trial):
     a = sampling.random_spd(
         sampling.SamplerConfig(dim=dim, seed=seed, spectrum_lo=split, spectrum_hi=a_hi),
         trial)
-    f = _F_KINDS[int(rng.integers(len(_F_KINDS)))]
-    x = _unit_vector(rng, dim)
+    f = checks._F_KINDS[int(rng.integers(len(checks._F_KINDS)))]
+    x = sampling._unit_vector(rng, dim)
     return checks.InstanceSpec(A=a, B=b, p=p, x=x, f=f)
 
 
 def _sample_holder_mccarthy(dim, seed, p, trial):
     rng = _aux_rng(seed, trial)
     a = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial)
-    return checks.InstanceSpec(A=a, p=p, x=_unit_vector(rng, dim))
+    return checks.InstanceSpec(A=a, p=p, x=sampling._unit_vector(rng, dim))
 
 
 def _sample_square(dim, seed, p, trial):
@@ -264,10 +248,11 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     Trial t uses p = p_values[t mod len(p_values)] and cycles dims with
     period len(p_values) * len(dims); reports come back ordered by t and
     carry seed/trial/dim in their params.  With jobs > 1 the trials run
-    on a thread pool (the work is numpy-bound, so threads help); output
-    is identical to the serial run, but stop_on_fail is honored only in
-    serial mode since an early stop under concurrency would make the
-    report list depend on scheduling.
+    on a thread pool.  Output is identical to the serial run, but at
+    these matrix sizes the pool is usually no faster than serial, and
+    often slower.  stop_on_fail is honored only in serial mode since an
+    early stop under concurrency would make the report list depend on
+    scheduling.
     """
     info = checks.REGISTRY.get(check_id)
     if info is None:

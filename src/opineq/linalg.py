@@ -77,10 +77,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return symmetrize(q @ np.diag(self.eigenvalues) @ q.T)
-
     def apply(self, fn) -> np.ndarray:
         """Functional calculus: Q diag(fn(lambda)) Q^T, symmetrized."""
         q = self.eigenvectors

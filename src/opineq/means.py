@@ -52,15 +52,16 @@ class SandwichBounds(NamedTuple):
     hypothesis_ok: bool
 
 
-def _inner_operator(a, b) -> np.ndarray:
+def _inner_operator(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(A^{1/2}, A^{-1/2} B A^{-1/2}) from one decomposition of A."""
     am = linalg.as_square(a)
     bm = linalg.require_symmetric(b, "second operand")
     if am.shape != bm.shape:
         raise DimensionMismatch(
             f"operands must share a dimension, got {am.shape} and {bm.shape}"
         )
-    _, inv_half = linalg.sqrt_factors(am)
-    return linalg.symmetrize(inv_half @ bm @ inv_half)
+    half, inv_half = linalg.sqrt_factors(am)
+    return half, linalg.symmetrize(inv_half @ bm @ inv_half)
 
 
 def weighted_mean(a, b, p: float) -> MeanResult:
@@ -70,8 +71,7 @@ def weighted_mean(a, b, p: float) -> MeanResult:
     strictly positive definite for p < 0 (otherwise W^p blows up).
     """
     p = float(p)
-    am = linalg.as_square(a)
-    w = _inner_operator(am, b)
+    half, w = _inner_operator(a, b)
     dec = linalg.spectral_decompose(w)
     lam = dec.eigenvalues
     floor = 1e-10 * max(1.0, float(np.abs(lam).max()))
@@ -80,7 +80,6 @@ def weighted_mean(a, b, p: float) -> MeanResult:
             f"negative weight {p} needs B positive definite relative to A, "
             f"inner spectrum reaches {lam[0]:.3e}"
         )
-    half, _ = linalg.sqrt_factors(am)
     wp = linalg.power(w, p)
     value = linalg.symmetrize(half @ wp @ half)
     return MeanResult(value=value, p=p, inner_spectrum=(float(lam[0]), float(lam[-1])))
@@ -119,7 +118,7 @@ def compute_sandwich(a, b) -> SandwichBounds:
     bounds; hypothesis_ok is True exactly when lam_min >= 1 - 1e-12,
     i.e. the order hypothesis A <= B holds on the nose.
     """
-    w = _inner_operator(a, b)
+    _, w = _inner_operator(a, b)
     lam = linalg.eigvals_sym(w)
     lam_min = float(lam[0])
     lam_max = float(lam[-1])

@@ -30,10 +30,9 @@ MAX_DIM = 64
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Dimension, seed, spectrum window and trial budget for the generators.
+    """Dimension, seed and spectrum window for the generators.
 
-    trials is carried for drivers that batch generation; the generators
-    themselves take an explicit trial index so any single draw can be
+    The generators take an explicit trial index so any single draw can be
     regenerated without replaying the ones before it.
     """
 
@@ -41,7 +40,6 @@ class SamplerConfig:
     seed: int = 0
     spectrum_lo: float = 0.5
     spectrum_hi: float = 2.0
-    trials: int = 1
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
@@ -51,8 +49,6 @@ class SamplerConfig:
                 f"need 0 < spectrum_lo <= spectrum_hi, got "
                 f"[{self.spectrum_lo}, {self.spectrum_hi}]"
             )
-        if self.trials < 1:
-            raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
 
 
 def rng_for(seed: int, index: int) -> np.random.Generator:
@@ -61,11 +57,24 @@ def rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish orthogonal matrix from the QR of a Gaussian sample."""
-    g = rng.normal(size=(n, n))
+def _isometry(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """n x k orthonormal columns from the sign-fixed QR of a Gaussian sample."""
+    g = rng.normal(size=(n, k))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
+
+
+def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Gaussian sample of length n scaled to unit norm."""
+    v = rng.normal(size=n)
+    while float(np.linalg.norm(v)) == 0.0:  # pragma: no cover
+        v = rng.normal(size=n)
+    return v / float(np.linalg.norm(v))
+
+
+def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish orthogonal matrix from the QR of a Gaussian sample."""
+    return _isometry(rng, n, n)
 
 
 def spd_from_spectrum(spectrum, rng: np.random.Generator) -> np.ndarray:
@@ -139,18 +148,11 @@ def random_density(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
 
 
 def random_unit_vector(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
-    rng = rng_for(cfg.seed, trial)
-    v = rng.normal(size=cfg.dim)
-    while float(np.linalg.norm(v)) == 0.0:  # pragma: no cover
-        v = rng.normal(size=cfg.dim)
-    return v / float(np.linalg.norm(v))
+    return _unit_vector(rng_for(cfg.seed, trial), cfg.dim)
 
 
 def random_isometry(cfg: SamplerConfig, k: int, trial: int = 0) -> np.ndarray:
     """n x k matrix with orthonormal columns, 1 <= k <= n."""
     if not 1 <= k <= cfg.dim:
         raise InvalidSpec(f"isometry width must lie in [1, {cfg.dim}], got {k}")
-    rng = rng_for(cfg.seed, trial)
-    g = rng.normal(size=(cfg.dim, k))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return _isometry(rng_for(cfg.seed, trial), cfg.dim, k)

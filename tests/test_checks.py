@@ -186,6 +186,20 @@ def test_mn2012_rejects_singular_difference():
         checks.run_check("mn2012", _inst(np.eye(2), np.diag([1.0, 2.0]), p=0.5))
 
 
+@pytest.mark.parametrize("a, b", [
+    # ||A|| I <= B fails outright and B - A has a negative eigenvalue
+    (np.eye(2), np.diag([2.0, 0.5])),
+    # ||A|| I <= B holds only within tolerance: B - A dips to -5e-10
+    (np.diag([1.0, 0.5]), np.diag([1.0 - 5e-10, 3.0])),
+])
+def test_mn2012_negative_difference_is_hypothesis_violated(a, b):
+    rep = checks.run_check("mn2012", _inst(a, b, p=0.5))
+    assert rep.verdict == checks.HYPOTHESIS_VIOLATED
+    assert rep.hypothesis_note.endswith("; sides not evaluated")
+    assert rep.parts == ()
+    assert rep.params["lam_min_diff"] < 0.0
+
+
 # ----------------------------------------------------------------------
 # density trace
 # ----------------------------------------------------------------------
@@ -307,6 +321,45 @@ def test_ando_branch_parts():
         rep = checks.run_check("ando_converse", _inst(a, b, p=p, map=TR2))
         assert {part.name for part in rep.parts} == want, p
         assert rep.verdict == checks.HOLDS
+
+
+_NORM_ABOVE = ("op_shift_nonnegative", "op_shift_below_hs",
+               "hs_shift_nonnegative", "hs_shift_below_tr")
+_NORM_BETWEEN = ("tr_shift_below_hs", "hs_below_op_shift")
+_RADIUS_ABOVE = ("radius_shift_nonnegative", "radius_shift_below_w",
+                 "w_shift_nonnegative", "w_shift_below_op")
+_RADIUS_BETWEEN = ("op_shift_below_w", "w_below_radius_shift")
+_HOLDER_PARTS = ("expectation_power", "reverse_lower", "reverse_upper")
+_PART_NAME_CASES = [
+    ("norm_chain", -1.0, ("ratio1_nonnegative", "ratio2_nonnegative",
+                          "hs_below_op_shift", "tr_below_hs_shift")),
+    ("norm_chain", 0.5, _NORM_BETWEEN),
+    ("norm_chain", 1.0, _NORM_ABOVE + _NORM_BETWEEN),
+    ("norm_chain", 3.0, _NORM_ABOVE),
+    ("radius_chain", -1.0, ("ratio1_nonnegative", "ratio2_nonnegative",
+                            "w_below_radius_shift", "op_below_w_shift")),
+    ("radius_chain", 0.5, _RADIUS_BETWEEN),
+    ("radius_chain", 1.0, _RADIUS_ABOVE + _RADIUS_BETWEEN),
+    ("radius_chain", 3.0, _RADIUS_ABOVE),
+    *[("holder_mccarthy", p, _HOLDER_PARTS) for p in (-1.0, 0.5, 1.0, 2.0)],
+    ("power_corollary", -1.0, ("image_power_lower",)),
+    ("power_corollary", 0.0, ("image_power_upper", "image_power_lower")),
+    ("power_corollary", 0.5, ("image_power_upper",)),
+    ("power_corollary", 1.0, ("image_power_upper", "image_power_upper_reversed")),
+    ("power_corollary", 2.0, ("image_power_upper_reversed",)),
+]
+_PART_NAME_MATRICES = {
+    "norm_chain": np.array([[2.0, 1.0], [0.0, 1.0]]),
+    "radius_chain": np.array([[2.0, 1.0], [0.0, 1.0]]),
+    "holder_mccarthy": np.diag([1.0, 2.0]),
+    "power_corollary": np.diag([1.5, 3.0]),
+}
+
+
+@pytest.mark.parametrize("check_id, p, want", _PART_NAME_CASES)
+def test_branch_part_names_in_order(check_id, p, want):
+    rep = checks.run_check(check_id, _inst(_PART_NAME_MATRICES[check_id], p=p))
+    assert tuple(part.name for part in rep.parts) == want
 
 
 def test_ando_rejects_out_of_range_exponent():

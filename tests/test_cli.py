@@ -20,6 +20,10 @@ FAILS_INST = {"A": [[2.0, 1.0], [1.0, 1.0]],
               "B": [[3.0, 2.0], [2.0, 2.0]], "p": 2.0}
 UNORDERED_INST = {"A": [[1.0, 0.0], [0.0, 2.0]],
                   "B": [[2.0, 0.0], [0.0, 1.0]], "p": 0.5}
+MN2012_NEGATIVE_DIFF_INSTS = [
+    {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[2.0, 0.0], [0.0, 0.5]], "p": 0.5},
+    {"A": [[1.0, 0.0], [0.0, 0.5]], "B": [[1.0 - 5e-10, 0.0], [0.0, 3.0]], "p": 0.5},
+]
 DIP_INST = {"A": [[1.0, 0.0], [0.0, 1.0]],
             "B": [[1.0 - 1e-6, 0.0], [0.0, 1.0 - 1e-6]], "p": 0.5}
 
@@ -118,6 +122,16 @@ def test_eval_hypothesis_violated(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "HYPOTHESIS_VIOLATED"
     assert report["hypothesis_note"]
+
+
+@pytest.mark.parametrize("inst", MN2012_NEGATIVE_DIFF_INSTS)
+def test_eval_mn2012_negative_difference_is_hypothesis_violated(inst, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", "mn2012", "--input", path]) == \
+        cli.EXIT_HYPOTHESIS
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "HYPOTHESIS_VIOLATED"
+    assert report["hypothesis_note"].endswith("; sides not evaluated")
 
 
 def test_eval_missing_file(tmp_path, capsys):

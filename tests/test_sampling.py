@@ -35,12 +35,6 @@ def test_config_rejects_bad_window():
         sampling.SamplerConfig(dim=2, spectrum_lo=0.0)
 
 
-def test_config_rejects_bad_trials():
-    with pytest.raises(InvalidSpec):
-        sampling.SamplerConfig(dim=2, trials=0)
-    assert sampling.SamplerConfig(dim=2, trials=500).trials == 500
-
-
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
