@@ -178,8 +178,13 @@ def _finish(check_id, part_specs, *, hypotheses_ok, note, params, tol_rel):
     for name, lhs, rhs in part_specs:
         l2 = np.atleast_2d(np.asarray(lhs, dtype=np.float64))
         r2 = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
-        gap = float(np.linalg.eigvalsh(linalg.symmetrize(r2 - l2))[0])
-        scale = max(scale, linalg.norm_op(l2), linalg.norm_op(r2))
+        if l2.shape == r2.shape == (1, 1):
+            lv, rv = float(l2[0, 0]), float(r2[0, 0])
+            gap = rv - lv
+            scale = max(scale, abs(lv), abs(rv))
+        else:
+            gap = float(np.linalg.eigvalsh(linalg.symmetrize(r2 - l2))[0])
+            scale = max(scale, linalg.norm_op(l2), linalg.norm_op(r2))
         parts.append(CheckPart(name, l2, r2, gap))
     tol_used = tol_rel * scale
     if parts:
@@ -1008,9 +1013,7 @@ def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     p = inst.p
     if p == 0.0:
         raise ZeroParameter("norm_chain is undefined at p=0")
-    op = linalg.norm_op(a)
-    hs = linalg.norm_hs(a)
-    tr = linalg.norm_tr(a)
+    op, hs, tr = linalg.norms(a)
     if tr == 0.0:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
     part_specs = _refined_chain(("op", "hs", "tr"), op, hs, tr, p * tr ** (p - 1.0), p)

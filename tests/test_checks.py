@@ -143,6 +143,37 @@ def test_radius_chain_shift_block():
     assert abs(rep.params["numerical_radius"] - 0.5) < 1e-9
 
 
+def test_lowner_heinz_tolerance_scales_with_huge_operands():
+    # B^2 = 1e200 [[5, 3], [3, 2]] has norm 1e200 (7 + sqrt(45)) / 2; squaring
+    # its entries again for the norm used to overflow and drop that scale
+    a = 1e100 * np.diag([1.0, 0.0])
+    b = 1e100 * np.array([[2.0, 1.0], [1.0, 1.0]])
+    rep = checks.run_check("lowner_heinz", _inst(a, b, p=2.0))
+    want = 1e-9 * 1e200 * (7.0 + math.sqrt(45.0)) / 2.0
+    assert abs(rep.tol_used - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("check_id", ["radius_chain", "norm_chain"])
+def test_chains_accept_tiny_operands(check_id):
+    m = np.array([[1.0, 2.0], [0.5, -1.0]])
+    ref = checks.run_check(check_id, _inst(m, p=0.5))
+    rep = checks.run_check(check_id, _inst(1e-170 * m, p=0.5))
+    assert rep.verdict == checks.HOLDS
+    for key in ("norm_op", "norm_hs", "norm_tr", "spectral_radius", "numerical_radius"):
+        if key in ref.params:
+            assert abs(rep.params[key] - 1e-170 * ref.params[key]) <= 1e-14 * 1e-170 * ref.params[key]
+
+
+def test_norm_chain_decomposes_once(monkeypatch):
+    # one eigensolve gives all three norms; the scalar parts need none
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    rep = checks.run_check("norm_chain", _inst(np.diag([1.0, -2.0, 0.5, 3.0]), p=3.0))
+    assert rep.verdict == checks.HOLDS
+    assert len(calls) == 1
+
+
 def test_radius_chain_nilpotent_negative_exponent():
     j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
     rep = checks.run_check("radius_chain", _inst(j2, p=-1.0))

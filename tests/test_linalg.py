@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opineq import linalg, sampling
+from opineq import fuzz, linalg, sampling
 from opineq.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -192,6 +192,134 @@ def test_radius_chain_order(trial, dim):
     assert r <= w + 1e-9
     assert w <= op + 1e-9
     assert op <= 2.0 * w + 1e-9
+
+
+def _radius_brute_force(a, grid: int = 720, refine_iters: int = 40) -> float:
+    """The numerical radius kernel numerical_radius replaced, kept as its
+    reference: a 720-angle grid on the real 2n x 2n embedding of
+    Re(e^{i theta} A), then 40 golden-section steps around the best angle.
+    """
+    m = linalg.as_square(a)
+    n = m.shape[0]
+    s = 0.5 * (m + m.T)
+    k = 0.5 * (m - m.T)
+
+    # Real embedding of cos(t) S + i sin(t) K: X = cos(t) S, Y = sin(t) K.
+    def embed(theta: float) -> np.ndarray:
+        x = np.cos(theta) * s
+        y = np.sin(theta) * k
+        return np.block([[x, -y], [y, x]])
+
+    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
+    stack = np.empty((grid, 2 * n, 2 * n))
+    cos_t = np.cos(thetas)
+    sin_t = np.sin(thetas)
+    stack[:, :n, :n] = cos_t[:, None, None] * s
+    stack[:, n:, n:] = stack[:, :n, :n]
+    stack[:, :n, n:] = -sin_t[:, None, None] * k
+    stack[:, n:, :n] = -stack[:, :n, n:]
+    tops = np.linalg.eigvalsh(stack)[:, -1]
+
+    def g(theta: float) -> float:
+        return float(np.linalg.eigvalsh(embed(theta))[-1])
+
+    best = int(np.argmax(tops))
+    step = np.pi / grid
+    lo = thetas[best] - step
+    hi = thetas[best] + step
+
+    # Golden-section ascent on [lo, hi]; g extends smoothly past the
+    # grid endpoints so the bracket never needs clipping.
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = g(x1), g(x2)
+    for _ in range(refine_iters):
+        if f1 < f2:
+            lo = x1
+            x1, f1 = x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = g(x2)
+        else:
+            hi = x2
+            x2, f2 = x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = g(x1)
+    return max(float(tops[best]), f1, f2)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, -1.0])
+@pytest.mark.parametrize("dim,trials", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (16, 2), (32, 1)])
+def test_numerical_radius_matches_brute_force(dim, trials, p):
+    for trial in range(trials):
+        a = fuzz.FUZZ_SAMPLERS["radius_chain"](dim, 7, p, trial).A
+        ref = _radius_brute_force(a)
+        assert abs(linalg.numerical_radius(a) - ref) <= 1e-12 * ref
+
+
+def test_numerical_radius_matches_brute_force_dim_64():
+    a = fuzz.FUZZ_SAMPLERS["radius_chain"](64, 7, 0.5, 0).A
+    ref = _radius_brute_force(a)
+    assert abs(linalg.numerical_radius(a) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_numerical_radius_two_peaks(ratio):
+    # A = [r1] (+) r2 R(phi) has g(theta) = max(r1 cos theta, r2 cos(theta -+ phi)):
+    # peaks r1 at theta = 0 and r2 at theta = phi, so w = max(r1, r2).  The
+    # 300 angles put phi at every offset from the coarse grid, midway
+    # included; a polish of the best grid angle alone misses r2 > r1
+    # whenever phi sits off the grid.  Peaks closer than about 1.5 grid
+    # steps (phi below ~0.15) share one grid peak, so the sweep starts at 0.25.
+    r1 = 1.0
+    r2 = r1 * ratio
+    for phi in np.linspace(0.25, np.pi, 300):
+        a = np.zeros((3, 3))
+        a[0, 0] = r1
+        a[1:, 1:] = r2 * np.array([[math.cos(phi), -math.sin(phi)],
+                                   [math.sin(phi), math.cos(phi)]])
+        assert abs(linalg.numerical_radius(a) - max(r1, r2)) <= 1e-12, phi
+
+
+def test_numerical_radius_maximum_at_pi():
+    # near theta = pi, g = 2 - (1 - 1e-6 / 3) t^2 + O(t^4), so w = 2 is
+    # attained only at the grid's closing angle
+    a = np.diag([-2.0, 1.0]) + 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert abs(linalg.numerical_radius(a) - 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("a,want", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),  # J2: g is 1/2 at every angle
+    (np.zeros((3, 3)), 0.0),
+    (np.eye(4), 1.0),  # the top eigenvalue of H(theta) is 4-fold
+])
+def test_numerical_radius_flat_profiles_stop_at_once(monkeypatch, a, want):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, _solver=solver: calls.append(1) or _solver(m))
+    assert abs(linalg.numerical_radius(a) - want) <= 1e-15
+    # the grid, one polish step and, for a multiple top eigenvalue, its slopes
+    assert len(calls) <= 3
+
+
+def test_norms_survive_extreme_scales():
+    m = np.array([[1.0, 2.0], [0.5, -1.0]])
+    op, hs, tr = linalg.norms(m)
+    for scale in (1e200, 1e-170):
+        got = linalg.norms(scale * m)
+        for x, want in zip(got, (op, hs, tr)):
+            assert abs(x - scale * want) <= 1e-14 * scale * want
+        assert abs(linalg.norm_op(scale * m) - scale * op) <= 1e-14 * scale * op
+    assert linalg.norm_op(3e-170 * np.eye(1)) == 3e-170
+
+
+def test_singular_values_keep_bits_in_range():
+    for trial in range(5):
+        a = sampling.random_square(sampling.SamplerConfig(dim=4, seed=2), trial)
+        want = np.sqrt(np.clip(np.linalg.eigvalsh(linalg.symmetrize(a.T @ a)), 0.0, None))[::-1]
+        assert np.array_equal(linalg.singular_values(a), want)
 
 
 # ----------------------------------------------------------------------
