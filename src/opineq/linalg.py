@@ -33,10 +33,14 @@ DEFAULT_TOL_REL = 1e-9
 # _gram_spectrum rescales A when max |a_ij| leaves this range
 _SV_SAFE_LO, _SV_SAFE_HI = 2.0 ** -480, 2.0 ** 480
 # numerical_radius: grid intervals on [0, pi], rounding slack relative to
-# max g, and the cap on polish steps per peak
-_RADIUS_GRID = 32
+# max g, the cap on polish steps per start, the cap on level-set tests, and
+# the largest |Re sigma| / (1 + |sigma|) a level-set root may have to count
+# as imaginary
+_RADIUS_GRID = 8
 _RADIUS_RTOL = 1e-12
 _RADIUS_STEPS = 50
+_RADIUS_ROUNDS = 8
+_RADIUS_IMAG = 1e-4
 
 LE = "LE"
 GE = "GE"
@@ -242,16 +246,21 @@ def _gram_spectrum(a) -> tuple[np.ndarray, int]:
     return np.linalg.eigvalsh(symmetrize(m.T @ m)), e
 
 
+def _scaled_singular_values(a) -> tuple[np.ndarray, int]:
+    """Singular values of B = A / 2**e, descending, and e (see _gram_spectrum)."""
+    w, e = _gram_spectrum(a)
+    return np.sqrt(np.clip(w, 0.0, None))[::-1], e
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, via the eigenvalues of A^T A."""
-    w, e = _gram_spectrum(a)
-    return np.ldexp(np.sqrt(np.clip(w, 0.0, None))[::-1], e)
+    s, e = _scaled_singular_values(a)
+    return np.ldexp(s, e)
 
 
 def norms(a) -> tuple[float, float, float]:
     """(operator, Hilbert-Schmidt, trace) norms from one set of singular values."""
-    w, e = _gram_spectrum(a)
-    s = np.sqrt(np.clip(w, 0.0, None))[::-1]
+    s, e = _scaled_singular_values(a)
     return (math.ldexp(float(s[0]), e),
             math.ldexp(float(np.sqrt(np.sum(s * s))), e),
             math.ldexp(float(np.sum(s)), e))
@@ -283,60 +292,102 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def _radius_tops(s, k, thetas) -> np.ndarray:
+    """g(theta) = lambda_max(cos(theta) S + i sin(theta) K) at each angle."""
+    return np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * s
+                              + np.sin(thetas)[:, None, None] * k)[:, -1]
+
+
+def _radius_polish(s, k, t: float, h: float, slack: float) -> float:
+    """Largest g(theta) seen on a safeguarded Newton ascent from t inside
+    [t - 2h, t + 2h]."""
+    edge = (t - 2.0 * h, t + 2.0 * h)
+    (lo, hi), best = edge, -np.inf
+    for _ in range(_RADIUS_STEPS):
+        lam, vec = np.linalg.eigh(np.cos(t) * s + np.sin(t) * k)
+        g = lam[-1]
+        best = max(best, float(g))
+        top = np.count_nonzero(lam >= g - slack)  # size of the top cluster
+        c = vec.conj().T @ ((np.cos(t) * k - np.sin(t) * s) @ vec[:, -top:])
+        if top > 1:  # crossing branches: one-sided slopes g'(t+), g'(t-)
+            right, left = np.linalg.eigvalsh(c[-top:])[[-1, 0]]
+            d2 = np.inf
+        else:
+            right = left = c[-1, 0].real
+            cj = np.abs(c[:-1, 0])
+            d2 = -g + 2.0 * np.sum(cj * (cj / (g - lam[:-1])))
+        level = right <= slack and left >= -slack
+        if level and (top > 1 or d2 <= slack):  # a peak, or flat
+            break
+        lo, hi = (t, hi) if right > slack or level else (lo, t)  # a dip moves right
+        nt = t - right / d2 if d2 < 0.0 else 0.5 * (lo + hi)
+        nt = min(max(nt, edge[0]), edge[1])  # an ascent out of the bracket stops at its end
+        if not lo <= nt <= hi:
+            nt = 0.5 * (lo + hi)
+        if nt == t:
+            break
+        t = nt
+    return best
+
+
+def _radius_arcs(m, s, k, level: float, c: float) -> np.ndarray:
+    """One angle inside each arc where g(theta) > level; none when g < level
+    at every angle.  c = cos(t0) = +-1 for t0 = 0 or pi with g(t0) < level.
+
+    H(t0) = c S is real.  With theta = t0 + pi + 2 arctan(tau) and
+    tau = i sigma, (1 + tau^2)(level - H(theta)) is the real quadratic
+    (level + c S) - 2 c sigma K_a - sigma^2 (level - c S), K_a = (A - A^T)/2,
+    whose leading coefficient is positive definite.  The angles where level
+    is an eigenvalue of H(theta) are its imaginary eigenvalues sigma, the
+    eigenvalues of a real 2n x 2n companion matrix (Mengi & Overton, IMA J.
+    Numer. Anal. 25, 2005).  Roots near the imaginary axis count too: they
+    only add cuts, and g at the midpoints between the cuts decides.
+    """
+    n = m.shape[0]
+    comp = np.zeros((2 * n, 2 * n))
+    comp[:n, n:] = np.eye(n)
+    comp[n:] = np.linalg.solve(level * np.eye(n) - c * s,
+                               np.hstack((level * np.eye(n) + c * s, -c * (m - m.T))))
+    sigma = np.linalg.eigvals(comp)
+    tau = -sigma[np.abs(sigma.real) <= _RADIUS_IMAG * (1.0 + np.abs(sigma))].imag
+    if not tau.size:
+        return tau
+    cuts = np.sort((1.0 - c) * np.pi / 2.0 + np.pi + 2.0 * np.arctan(tau))
+    mids = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2.0 * np.pi))
+    return mids[_radius_tops(s, k, mids) > level]
+
+
 def numerical_radius(a) -> float:
     """Numerical radius w(A) = max_x |<Ax, x>| over unit vectors.
 
     w(A) = max over theta of g(theta), the top eigenvalue of the Hermitian
     n x n matrix H(theta) = Re(e^{i theta} A) = cos(theta) S + i sin(theta) K,
     S and K the symmetric and antisymmetric parts of A (C. R. Johnson,
-    SIAM J. Numer. Anal. 15, 1978).  A is real, so g is even and [0, pi]
-    suffices.  One stacked eigensolve samples g at G + 1 angles, both ends
-    included, spacing h = pi / G.  A maximizer lies within h/2 of a grid
-    angle, where g >= w cos(h/2), so each discrete local peak with
-    g >= cos(h/2) max g, less a rounding slack, is polished; a run of tied
-    neighbours is one peak.  The polish is Newton on g' = v^H H' v with
-    g'' = -g + 2 sum_j |v_j^H H' v|^2 / (g - lambda_j) from the same eigh,
-    within +-h of its start, bisecting on the sign of g' where g'' >= 0
-    (eigenvalue crossings) or a step leaves the bracket.  The largest g
-    seen is returned: within 5e-15 relative of a 720-angle golden-section
-    search on fuzz instances, and never below w cos(h/2).  Two peaks less
-    than ~1.5 h apart can share one grid peak; only one is then polished.
+    SIAM J. Numer. Anal. 15, 1978).  A is real, so g is even and one stacked
+    eigensolve samples it at G + 1 angles on [0, pi], both ends included,
+    spacing h = pi / G.  The best grid angle is polished by Newton steps on
+    g' = v^H H' v with g'' = -g + 2 sum_j |v_j^H H' v|^2 / (g - lambda_j)
+    from the same eigh, within +-2h of the start, bisecting on the sign of
+    g' where g'' >= 0 (eigenvalue crossings) or a step leaves the bracket.
+    Then a level-set test (_radius_arcs) looks for angles where g exceeds
+    the largest value seen by more than a rounding slack of 1e-12 relative;
+    each one found is polished in turn and the test repeats.  So the result
+    is w(A) to within that slack, whatever the grid saw: peaks closer than
+    a grid step, or a bump between two angles where other branches peak.
     """
     m = as_square(a)
     s, k = 0.5 * (m + m.T), 0.5j * (m - m.T)
-    h = np.pi / _RADIUS_GRID
     thetas = np.linspace(0.0, np.pi, _RADIUS_GRID + 1)
-    tops = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * s
-                              + np.sin(thetas)[:, None, None] * k)[:, -1]
+    tops = _radius_tops(s, k, thetas)
     best = float(tops.max())
     slack = _RADIUS_RTOL * best
-    nbrs = np.concatenate(([tops[1]], tops, [tops[-2]]))  # g mirrors at 0 and pi
-    idx = np.flatnonzero((tops >= np.cos(h / 2.0) * best - slack)
-                         & (tops >= nbrs[:-2] - slack) & (tops >= nbrs[2:] - slack))
-    for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
-        t = thetas[run[np.argmax(tops[run])]]
-        lo, hi = t - h, t + h
-        for _ in range(_RADIUS_STEPS):
-            lam, vec = np.linalg.eigh(np.cos(t) * s + np.sin(t) * k)
-            g = lam[-1]
-            best = max(best, float(g))
-            top = np.count_nonzero(lam >= g - slack)  # size of the top cluster
-            c = vec.conj().T @ ((np.cos(t) * k - np.sin(t) * s) @ vec[:, -top:])
-            if top > 1:  # crossing branches: one-sided slopes g'(t+), g'(t-)
-                right, left = np.linalg.eigvalsh(c[-top:])[[-1, 0]]
-                d2 = np.inf
-            else:
-                right = left = c[-1, 0].real
-                cj = np.abs(c[:-1, 0])
-                d2 = -g + 2.0 * np.sum(cj * (cj / (g - lam[:-1])))
-            level = right <= slack and left >= -slack
-            if level and (top > 1 or d2 <= slack):  # a peak, or flat
-                break
-            lo, hi = (t, hi) if right > slack or level else (lo, t)  # a dip moves right
-            nt = t - right / d2 if d2 < 0.0 else 0.5 * (lo + hi)
-            if not lo <= nt <= hi:
-                nt = 0.5 * (lo + hi)
-            if nt == t:
-                break
-            t = nt
+    starts = thetas[[np.argmax(tops)]]
+    for _ in range(_RADIUS_ROUNDS):
+        for t in starts:
+            best = max(best, _radius_polish(s, k, t, np.pi / _RADIUS_GRID, slack))
+        if best == 0.0:  # A = 0, where level - c S would be singular
+            break
+        starts = _radius_arcs(m, s, k, best + slack, 1.0 if tops[0] <= tops[-1] else -1.0)
+        if not starts.size:
+            break
     return best

@@ -164,6 +164,19 @@ def test_chains_accept_tiny_operands(check_id):
             assert abs(rep.params[key] - 1e-170 * ref.params[key]) <= 1e-14 * 1e-170 * ref.params[key]
 
 
+def test_radius_chain_close_peaks_holds():
+    # w([1] (+) 1.0005 R(0.05)) = 1.0005 = r, so at p = 2 the shift term
+    # vanishes; taking w = 1, the local peak at theta = 0, made r > w and the
+    # chain fail by about 5e-4
+    a = np.zeros((3, 3))
+    a[0, 0] = 1.0
+    a[1:, 1:] = 1.0005 * np.array([[math.cos(0.05), -math.sin(0.05)],
+                                   [math.sin(0.05), math.cos(0.05)]])
+    rep = checks.run_check("radius_chain", _inst(a, p=2.0))
+    assert rep.verdict == checks.HOLDS
+    assert abs(rep.params["numerical_radius"] - 1.0005) <= 1e-12
+
+
 def test_norm_chain_decomposes_once(monkeypatch):
     # one eigensolve gives all three norms; the scalar parts need none
     calls = []

@@ -263,22 +263,60 @@ def test_numerical_radius_matches_brute_force_dim_64():
     assert abs(linalg.numerical_radius(a) - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.0 - 1e-6])
+def _rotation(r, phi):
+    return r * np.array([[math.cos(phi), -math.sin(phi)],
+                         [math.sin(phi), math.cos(phi)]])
+
+
+def _block_diag(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        out[i:i + b.shape[0], i:i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 5e-4])
 def test_numerical_radius_two_peaks(ratio):
-    # A = [r1] (+) r2 R(phi) has g(theta) = max(r1 cos theta, r2 cos(theta -+ phi)):
-    # peaks r1 at theta = 0 and r2 at theta = phi, so w = max(r1, r2).  The
-    # 300 angles put phi at every offset from the coarse grid, midway
-    # included; a polish of the best grid angle alone misses r2 > r1
-    # whenever phi sits off the grid.  Peaks closer than about 1.5 grid
-    # steps (phi below ~0.15) share one grid peak, so the sweep starts at 0.25.
-    r1 = 1.0
-    r2 = r1 * ratio
-    for phi in np.linspace(0.25, np.pi, 300):
-        a = np.zeros((3, 3))
-        a[0, 0] = r1
-        a[1:, 1:] = r2 * np.array([[math.cos(phi), -math.sin(phi)],
-                                   [math.sin(phi), math.cos(phi)]])
-        assert abs(linalg.numerical_radius(a) - max(r1, r2)) <= 1e-12, phi
+    # A = [1] (+) r R(phi) is normal, so w = max(1, r), and
+    # g(theta) = max(cos theta, r cos(theta -+ phi)) peaks at 0 and at phi.
+    # The 400 angles put phi at every offset from the grid, midway included,
+    # and down to 1e-3, far closer to the peak at 0 than a grid step.
+    for phi in np.linspace(1e-3, np.pi, 400):
+        a = _block_diag(np.eye(1), _rotation(ratio, phi))
+        assert abs(linalg.numerical_radius(a) - max(1.0, ratio)) <= 1e-12, phi
+
+
+@pytest.mark.parametrize("phi", [0.01, 0.035, 0.05, 0.1, 0.15])
+def test_numerical_radius_close_peaks(phi):
+    # [1] (+) 1.0005 R(phi): g has a local maximum 1 at theta = 0 on the [1]
+    # branch and w = 1.0005 at theta = phi on the other branch
+    a = _block_diag(np.eye(1), _rotation(1.0005, phi))
+    assert abs(linalg.numerical_radius(a) - 1.0005) <= 1e-12 * 1.0005
+
+
+@pytest.mark.parametrize("other", [1.0, 0.9995])
+@pytest.mark.parametrize("j", range(8))
+def test_numerical_radius_bump_between_grid_peaks(j, other):
+    # With h = pi / 8, the spacing of numerical_radius's grid, two blocks
+    # peak exactly at the grid angles j h and (j + 1) h and a third,
+    # 1.01 R((j + 1/2) h), midway between them.  It is the top branch at no
+    # grid angle, since 1.01 cos(h / 2) < 0.9995, yet the matrix is normal
+    # and w = 1.01.
+    h = np.pi / 8
+    a = _block_diag(_rotation(1.0, j * h), _rotation(other, (j + 1) * h),
+                    _rotation(1.01, (j + 0.5) * h))
+    assert abs(linalg.numerical_radius(a) - 1.01) <= 1e-12 * 1.01
+
+
+@pytest.mark.parametrize("phi", np.linspace(0.05, 3.0, 13))
+def test_numerical_radius_narrow_bump_on_flat_profile(phi):
+    # 2 J_2 has W = the unit disc, so g = 1 at every angle; the block
+    # (1 + 1e-7) R(phi) pokes out of the disc only within ~4.5e-4 of phi
+    a = _block_diag(np.array([[0.0, 2.0], [0.0, 0.0]]), _rotation(1.0 + 1e-7, phi))
+    assert abs(linalg.numerical_radius(a) - (1.0 + 1e-7)) <= 1e-12
 
 
 def test_numerical_radius_maximum_at_pi():
@@ -295,13 +333,21 @@ def test_numerical_radius_maximum_at_pi():
 ])
 def test_numerical_radius_flat_profiles_stop_at_once(monkeypatch, a, want):
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "eigvals"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda m, _solver=solver: calls.append(1) or _solver(m))
     assert abs(linalg.numerical_radius(a) - want) <= 1e-15
-    # the grid, one polish step and, for a multiple top eigenvalue, its slopes
-    assert len(calls) <= 3
+    # the grid, one polish step, the slopes of a multiple top eigenvalue,
+    # one level-set test and g at its cuts' midpoints
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_numerical_radius_scales(scale):
+    a = fuzz.FUZZ_SAMPLERS["radius_chain"](4, 7, 0.5, 0).A
+    want = linalg.numerical_radius(a)
+    assert abs(linalg.numerical_radius(scale * a) - scale * want) <= 1e-13 * scale * want
 
 
 def test_norms_survive_extreme_scales():
