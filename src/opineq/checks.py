@@ -166,12 +166,14 @@ def _scal(value) -> np.ndarray:
     return np.array([[float(value)]])
 
 
-def _finish(check_id, part_specs, *, hypotheses_ok, note, params, tol_rel):
+def _finish(check_id, part_specs, *, hypotheses_ok, note, params, tol_rel, spectra):
     """Assemble a CheckReport from (name, lhs, rhs) part triples.
 
     The shared tolerance is tol_rel times the largest operand scale across
     all parts (never below tol_rel itself), so one loose part does not get
-    judged with a tighter yardstick than another.
+    judged with a tighter yardstick than another.  spectra is the check's
+    linalg.Spectra, so a side that several parts share, or that the check
+    already took the norm of, is not decomposed again.
     """
     parts = []
     scale = 1.0
@@ -183,8 +185,8 @@ def _finish(check_id, part_specs, *, hypotheses_ok, note, params, tol_rel):
             gap = rv - lv
             scale = max(scale, abs(lv), abs(rv))
         else:
-            gap = float(np.linalg.eigvalsh(linalg.symmetrize(r2 - l2))[0])
-            scale = max(scale, linalg.norm_op(l2), linalg.norm_op(r2))
+            gap = float(spectra.eigvals(r2 - l2)[0])
+            scale = max(scale, spectra.norm_op(l2), spectra.norm_op(r2))
         parts.append(CheckPart(name, l2, r2, gap))
     tol_used = tol_rel * scale
     if parts:
@@ -392,9 +394,9 @@ def _resolve_outer_window(lam_lo, lam_hi, m_user, M_user):
     return m, M
 
 
-def _require_psd(a: np.ndarray, label: str, tol_rel=linalg.POS_EIG_RTOL) -> np.ndarray:
+def _require_psd(sp, a: np.ndarray, label: str, tol_rel=linalg.POS_EIG_RTOL) -> np.ndarray:
     linalg.require_symmetric(a, label)
-    lam = linalg.eigvals_sym(a)
+    lam = sp.eigvals(a)
     floor = tol_rel * max(1.0, float(abs(lam[-1])), float(abs(lam[0])))
     if lam[0] < -floor:
         raise NotPositiveDefinite(
@@ -403,11 +405,10 @@ def _require_psd(a: np.ndarray, label: str, tol_rel=linalg.POS_EIG_RTOL) -> np.n
     return lam
 
 
-def _inner_spectrum(a, b):
+def _inner_spectrum(sp, a, b):
     """Eigenvalues of A^{-1/2} B A^{-1/2}, ascending."""
-    _, inv_half = linalg.sqrt_factors(a)
-    w = linalg.symmetrize(inv_half @ b @ inv_half)
-    return linalg.eigvals_sym(w)
+    _, inv_half = sp.sqrt_factors(a)
+    return sp.eigvals(linalg.symmetrize(inv_half @ b @ inv_half))
 
 
 def _guarded(build, hyp_ok, note):
@@ -422,21 +423,21 @@ def _guarded(build, hyp_ok, note):
         return [], note + "; sides not evaluated"
 
 
-def _norm_dominance(a, b, tol_rel):
+def _norm_dominance(sp, a, b, tol_rel):
     """(||A||, ||B||, hyp_ok, note) for ||A|| I <= B, with A >= 0 and B symmetric."""
-    lam_a = _require_psd(a, "A")
+    lam_a = _require_psd(sp, a, "A")
     linalg.require_symmetric(b, "B")
     na = float(max(abs(lam_a[0]), abs(lam_a[-1])))
-    lam_b = linalg.eigvals_sym(b)
+    lam_b = sp.eigvals(b)
     nb = float(max(abs(lam_b[0]), abs(lam_b[-1])))
-    dominance = linalg.loewner_compare(na * np.eye(a.shape[0]), b, tol_rel=tol_rel)
+    dominance = sp.compare(na * np.eye(a.shape[0]), b, tol_rel)
     if dominance.is_le:
         return na, nb, True, ""
     return na, nb, False, (f"||A|| I is not below B "
                            f"(min eig of B - ||A|| I is {dominance.gap_min_eig:.6g})")
 
 
-def _converse_parts(prefix, p, inner, outer, diff, m, M):
+def _converse_parts(sp, prefix, p, inner, outer, diff, m, M):
     """(part_specs, term_norm) of the three-branch additive converse: with
     term = p (m^{p-1} - M^{p-1}) diff, outer <= inner + term on [0, 1], the
     reverse on [-1, 0], and inner <= outer - term for p >= 1.
@@ -450,7 +451,7 @@ def _converse_parts(prefix, p, inner, outer, diff, m, M):
         part_specs.append((f"{prefix}_lower", inner + term, outer))
     if 1.0 <= p:
         part_specs.append((f"{prefix}_upper_reversed", inner, outer + term_rev))
-    return part_specs, linalg.norm_op(term if p <= 1.0 else term_rev)
+    return part_specs, sp.norm_op(term if p <= 1.0 else term_rev)
 
 
 # ----------------------------------------------------------------------
@@ -471,17 +472,21 @@ def check_info_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_RE
     if p == 0.0:
         raise ZeroParameter("info_monotonicity is undefined at p=0")
     phi = _resolve_map(inst, a.shape[0])
-    t_in = means.tsallis_entropy(a, b, p)
+    linalg.require_symmetric(b, "B")
+    linalg.require_symmetric(a, "A")
+    sp = linalg.Spectra()
+    t_in = means.tsallis_entropy(a, b, p, spectra=sp)
     mapped = maps.apply_map(phi, t_in)
-    t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p)
+    t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
+                                  spectra=sp)
     part_specs = []
     if p <= 1.0:
         part_specs.append(("entropy_monotone", mapped, t_out))
     if p >= 1.0:
         part_specs.append(("entropy_reversed", t_out, mapped))
     params = {"p": p, "m": None, "M": None, "map": phi.to_json_dict()}
-    return _finish("info_monotonicity", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("info_monotonicity", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_reverse_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -499,26 +504,30 @@ def check_reverse_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL
     if p == 0.0:
         raise ZeroParameter("reverse_monotonicity is undefined at p=0")
     phi = _resolve_map(inst, a.shape[0])
-    lam = _inner_spectrum(a, b)
+    linalg.require_symmetric(a, "A")
+    sp = linalg.Spectra()
+    lam = _inner_spectrum(sp, a, b)
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
-    mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p))
-    t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p)
+    linalg.require_symmetric(b, "B")
+    mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p, spectra=sp))
+    t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
+                                  spectra=sp)
     phi_diff = maps.apply_map(phi, b - a)
     part_specs = []
     term_norm = None
     if p <= 1.0:
         term = (m ** (p - 1.0) - M ** (p - 1.0)) * phi_diff
-        term_norm = linalg.norm_op(term)
+        term_norm = sp.norm_op(term)
         part_specs.append(("additive_upper", t_out, mapped + term))
     if p >= 1.0:
         term = (M ** (p - 1.0) - m ** (p - 1.0)) * phi_diff
         if term_norm is None:
-            term_norm = linalg.norm_op(term)
+            term_norm = sp.norm_op(term)
         part_specs.append(("additive_upper_reversed", mapped, t_out + term))
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
               "additive_term_norm": term_norm}
-    return _finish("reverse_monotonicity", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("reverse_monotonicity", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_ando_converse(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -535,16 +544,20 @@ def check_ando_converse(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     p = inst.p
     _require_p_range(p, -1.0, 2.0, "ando_converse")
     phi = _resolve_map(inst, a.shape[0])
-    lam = _inner_spectrum(a, b)
+    linalg.require_symmetric(a, "A")
+    sp = linalg.Spectra()
+    lam = _inner_spectrum(sp, a, b)
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
-    mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p).value)
-    mean_out = means.weighted_mean(maps.apply_map(phi, a), maps.apply_map(phi, b), p).value
+    linalg.require_symmetric(b, "B")
+    mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p, spectra=sp).value)
+    mean_out = means.weighted_mean(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
+                                   spectra=sp).value
     part_specs, term_norm = _converse_parts(
-        "mean_additive", p, mean_in, mean_out, maps.apply_map(phi, b - a), m, M)
+        sp, "mean_additive", p, mean_in, mean_out, maps.apply_map(phi, b - a), m, M)
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
               "additive_term_norm": term_norm}
-    return _finish("ando_converse", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("ando_converse", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_density_trace(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -561,15 +574,16 @@ def check_density_trace(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     a, b = inst.A, _require_b(inst)
     p = inst.p
     _require_p_range(p, -1.0, 2.0, "density_trace")
+    sp = linalg.Spectra()
     for mat, label in ((a, "A"), (b, "B")):
-        _require_psd(mat, label)
+        _require_psd(sp, mat, label)
         trace = float(np.trace(mat))
         if abs(trace - 1.0) > 1e-10:
             raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
-    lam = _inner_spectrum(a, b)
+    lam = _inner_spectrum(sp, a, b)
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
     def sides():
-        trace_mean = float(np.trace(means.weighted_mean(a, b, p).value))
+        trace_mean = float(np.trace(means.weighted_mean(a, b, p, spectra=sp).value))
         part_specs = []
         if 0.0 <= p <= 1.0:
             part_specs.append(("unit_trace_lower", _scal(1.0), _scal(trace_mean)))
@@ -578,8 +592,8 @@ def check_density_trace(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": m, "M": M, "map": None}
-    return _finish("density_trace", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("density_trace", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_furuta_bounds(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -599,8 +613,9 @@ def check_furuta_bounds(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     if p <= 0.0 or p > 1.0 + _P_EPS:
         raise DomainError(f"furuta_bounds requires p in (0, 1], got p={p}")
     phi = _resolve_map(inst, a.shape[0])
-    lam_a = linalg.eigvals_sym(a)
-    lam_b = linalg.eigvals_sym(b)
+    sp = linalg.Spectra()
+    lam_a = sp.eigvals(linalg.require_symmetric(a, "A"))
+    lam_b = sp.eigvals(linalg.require_symmetric(b, "B"))
     if lam_a[0] <= 0.0 or lam_b[0] <= 0.0:
         raise NotPositiveDefinite("furuta_bounds needs positive definite matrices")
     fm = float(lam_b[0] / lam_a[-1])
@@ -610,29 +625,29 @@ def check_furuta_bounds(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     fconst = 0.0 if p >= 1.0 - _P_EPS else constants.furuta_F(fm, h, p)
     pa = maps.apply_map(phi, a)
     pb = maps.apply_map(phi, b)
-    mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p))
-    t_out = means.tsallis_entropy(pa, pb, p)
-    k_term = ((1.0 - kconst) / p) * means.weighted_mean(pa, pb, p).value
+    mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p, spectra=sp))
+    t_out = means.tsallis_entropy(pa, pb, p, spectra=sp)
+    k_term = ((1.0 - kconst) / p) * means.weighted_mean(pa, pb, p, spectra=sp).value
     f_term = fconst * pa
     part_specs = [
         ("kantorovich_upper", t_out, mapped + k_term),
         ("linear_upper", t_out, mapped + f_term),
     ]
-    lam_w = _inner_spectrum(a, b)
+    lam_w = _inner_spectrum(sp, a, b)
     sandwich_term_norm = None
     if lam_w[0] >= 1.0 - HYP_TOL and fm <= 1.0 + _P_EPS:
         s_term = (fm ** (p - 1.0) - fM ** (p - 1.0)) * maps.apply_map(phi, b - a)
-        sandwich_term_norm = linalg.norm_op(s_term)
+        sandwich_term_norm = sp.norm_op(s_term)
         part_specs.append(("windowed_upper", t_out, mapped + s_term))
     params = {
         "p": p, "m": fm, "M": fM, "map": phi.to_json_dict(),
         "h": h, "kantorovich_K": kconst, "furuta_F": fconst,
-        "kantorovich_term_norm": linalg.norm_op(k_term),
-        "linear_term_norm": linalg.norm_op(f_term),
+        "kantorovich_term_norm": sp.norm_op(k_term),
+        "linear_term_norm": sp.norm_op(f_term),
         "windowed_term_norm": sandwich_term_norm,
     }
-    return _finish("furuta_bounds", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("furuta_bounds", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_seo_bound(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -650,26 +665,29 @@ def check_seo_bound(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Ch
     if p <= 0.0 or p >= 1.0:
         raise DomainError(f"seo_bound requires p in (0, 1), got p={p}")
     phi = _resolve_map(inst, a.shape[0])
-    lam = _inner_spectrum(a, b)
+    linalg.require_symmetric(a, "A")
+    sp = linalg.Spectra()
+    lam = _inner_spectrum(sp, a, b)
     m, M = _resolve_outer_window(lam[0], lam[-1], inst.m, inst.M)
     cconst = constants.seo_C(m, M, p)
     pa = maps.apply_map(phi, a)
-    mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p).value)
-    mean_out = means.weighted_mean(pa, maps.apply_map(phi, b), p).value
+    linalg.require_symmetric(b, "B")
+    mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p, spectra=sp).value)
+    mean_out = means.weighted_mean(pa, maps.apply_map(phi, b), p, spectra=sp).value
     seo_term = -cconst * pa
     part_specs = [("seo_upper", mean_out, mean_in + seo_term)]
     windowed_term_norm = None
     if lam[0] >= 1.0 - HYP_TOL and m <= 1.0 + _P_EPS:
         w_term = p * (m ** (p - 1.0) - M ** (p - 1.0)) * maps.apply_map(phi, b - a)
-        windowed_term_norm = linalg.norm_op(w_term)
+        windowed_term_norm = sp.norm_op(w_term)
     params = {
         "p": p, "m": m, "M": M, "map": phi.to_json_dict(),
         "seo_C": cconst,
-        "seo_term_norm": linalg.norm_op(seo_term),
+        "seo_term_norm": sp.norm_op(seo_term),
         "windowed_term_norm": windowed_term_norm,
     }
-    return _finish("seo_bound", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("seo_bound", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_power_corollary(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -686,20 +704,20 @@ def check_power_corollary(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
     p = inst.p
     _require_p_range(p, -1.0, 2.0, "power_corollary")
     phi = _resolve_map(inst, a.shape[0])
-    linalg.require_symmetric(a, "A")
-    lam = linalg.eigvals_sym(a)
+    sp = linalg.Spectra()
+    lam = sp.eigvals(linalg.require_symmetric(a, "A"))
     if lam[0] <= 0.0:
         raise NotPositiveDefinite("power_corollary needs a positive definite matrix")
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
     pa = maps.apply_map(phi, a)
-    pa_pow = linalg.power(pa, p)
-    phi_pow = maps.apply_map(phi, linalg.power(a, p))
+    pa_pow = sp.power(pa, p)
+    phi_pow = maps.apply_map(phi, sp.power(a, p))
     part_specs, term_norm = _converse_parts(
-        "image_power", p, phi_pow, pa_pow, pa - np.eye(pa.shape[0]), m, M)
+        sp, "image_power", p, phi_pow, pa_pow, pa - np.eye(pa.shape[0]), m, M)
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
               "additive_term_norm": term_norm}
-    return _finish("power_corollary", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("power_corollary", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 # ----------------------------------------------------------------------
@@ -718,18 +736,19 @@ def check_lowner_heinz(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     p = inst.p
     if p < -_P_EPS:
         raise DomainError(f"lowner_heinz requires p >= 0, got p={p}")
-    _require_psd(a, "A")
-    _require_psd(b, "B")
+    sp = linalg.Spectra()
+    _require_psd(sp, a, "A")
+    _require_psd(sp, b, "B")
     hyp_ok, note = True, ""
-    order = linalg.loewner_compare(a, b, tol_rel=tol_rel)
+    order = sp.compare(a, b, tol_rel)
     if not order.is_le:
         hyp_ok = False
         note = f"A is not below B (min eig of B - A is {order.gap_min_eig:.6g})"
-    part_specs = [("power_monotone", linalg.power(a, p), linalg.power(b, p))]
+    part_specs = [("power_monotone", sp.power(a, p), sp.power(b, p))]
     params = {"p": p, "m": None, "M": None, "map": None,
               "p_in_monotone_range": bool(0.0 <= p <= 1.0)}
-    return _finish("lowner_heinz", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("lowner_heinz", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_norm_power_lemma(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -742,13 +761,14 @@ def check_norm_power_lemma(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL
     """
     a = inst.A
     p = inst.p
-    lam = _require_psd(a, "A")
+    sp = linalg.Spectra()
+    lam = _require_psd(sp, a, "A")
     na = float(max(abs(lam[0]), abs(lam[-1])))
     if na == 0.0:
         raise ZeroMatrix("A is zero; the tangent construction needs a positive norm")
     if p < 0.0 and lam[0] <= 0.0:
         raise NotPositiveDefinite("negative exponents need a positive definite matrix")
-    a_pow = linalg.power(a, p)
+    a_pow = sp.power(a, p)
     tangent = (na ** p) * np.eye(a.shape[0]) - p * (na ** (p - 1.0)) * (na * np.eye(a.shape[0]) - a)
     part_specs = []
     if 0.0 <= p <= 1.0:
@@ -756,8 +776,8 @@ def check_norm_power_lemma(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL
     if p >= 1.0 or p <= 0.0:
         part_specs.append(("tangent_lower", tangent, a_pow))
     params = {"p": p, "m": None, "M": None, "map": None, "norm_A": na}
-    return _finish("norm_power_lemma", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("norm_power_lemma", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_lh_extension(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -769,11 +789,12 @@ def check_lh_extension(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     """
     a, b = inst.A, _require_b(inst)
     p = inst.p
-    na, nb, hyp_ok, note = _norm_dominance(a, b, tol_rel)
+    sp = linalg.Spectra()
+    na, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
     if nb == 0.0:
         raise ZeroMatrix("B is zero; the linear term needs a positive norm")
     def sides():
-        diff = linalg.power(b, p) - linalg.power(a, p)
+        diff = sp.power(b, p) - sp.power(a, p)
         lin = p * (nb ** (p - 1.0)) * (b - a)
         part_specs = []
         if 0.0 <= p <= 1.0:
@@ -784,8 +805,8 @@ def check_lh_extension(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_A": na, "norm_B": nb}
-    return _finish("lh_extension", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("lh_extension", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -803,8 +824,9 @@ def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Check
     a, b = inst.A, _require_b(inst)
     p = inst.p
     _require_p_range(p, 0.0, 1.0, "mn2012")
-    _, nb, hyp_ok, note = _norm_dominance(a, b, tol_rel)
-    lam_diff = linalg.eigvals_sym(b - a)
+    sp = linalg.Spectra()
+    _, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
+    lam_diff = sp.eigvals(linalg.require_symmetric(b - a))
     scale_diff = max(1.0, float(abs(lam_diff[0])), float(abs(lam_diff[-1])))
     if float(np.min(np.abs(lam_diff))) <= 1e-12 * scale_diff:
         raise SingularDifference("B - A is numerically singular")
@@ -817,7 +839,7 @@ def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Check
     def sides():
         if gap < 0.0:
             raise DomainError("the floors need B - A positive definite")
-        diff = linalg.power(b, p) - linalg.power(a, p)
+        diff = sp.power(b, p) - sp.power(a, p)
         eye = np.eye(a.shape[0])
         floor_lin = p * (nb ** (p - 1.0)) * gap
         floor_shift = nb ** p - (nb - gap) ** p
@@ -831,8 +853,8 @@ def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Check
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_B": nb, "lam_min_diff": gap}
-    return _finish("mn2012", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("mn2012", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 # ----------------------------------------------------------------------
@@ -876,16 +898,17 @@ def check_mond_pecaric(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     p = inst.p
     linalg.require_symmetric(a, "A")
     linalg.require_symmetric(b, "B")
-    lam_b = linalg.eigvals_sym(b)
+    sp = linalg.Spectra()
+    lam_b = sp.eigvals(b)
     if lam_b[0] <= 0.0:
         raise NotPositiveDefinite("mond_pecaric needs positive definite B")
-    dec_a = linalg.spectral_decompose(a)
+    dec_a = sp.decompose(a)
     lam_a = dec_a.eigenvalues
     x = _resolve_unit_vector(inst, a.shape[0])
     m, M = _resolve_outer_window(min(lam_b[0], lam_a[0]), max(lam_a[-1], lam_b[-1]),
                                  inst.m, inst.M)
     hyp_ok, note = True, ""
-    order = linalg.loewner_compare(b, a, tol_rel=tol_rel)
+    order = sp.compare(b, a, tol_rel)
     if not order.is_le:
         hyp_ok = False
         note = f"B is not below A (min eig of A - B is {order.gap_min_eig:.6g})"
@@ -920,8 +943,8 @@ def check_mond_pecaric(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
         ]
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = {"p": p, "m": m, "M": M, "map": None, "f": inst.f}
-    return _finish("mond_pecaric", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("mond_pecaric", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -940,14 +963,14 @@ def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
     p = inst.p
     if p == 0.0:
         raise ZeroParameter("holder_mccarthy is undefined at p=0")
-    linalg.require_symmetric(a, "A")
-    lam = linalg.eigvals_sym(a)
+    sp = linalg.Spectra()
+    lam = sp.eigvals(linalg.require_symmetric(a, "A"))
     if lam[0] <= 0.0:
         raise NotPositiveDefinite("holder_mccarthy needs a positive definite matrix")
     x = _resolve_unit_vector(inst, a.shape[0])
     m, M = _resolve_outer_window(lam[0], lam[-1], inst.m, inst.M)
     q1 = float(x @ a @ x)
-    qp = float(x @ linalg.power(a, p) @ x)
+    qp = float(x @ sp.power(a, p) @ x)
     if 0.0 < p < 1.0:
         below, above, dd = qp, q1 ** p, q1 - qp ** (1.0 / p)
     else:
@@ -960,8 +983,8 @@ def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
         ("reverse_upper", _scal(mid), _scal((p / hi_end ** (1.0 - p)) * dd)),
     ]
     params = {"p": p, "m": m, "M": M, "map": None}
-    return _finish("holder_mccarthy", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("holder_mccarthy", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 # ----------------------------------------------------------------------
@@ -1013,14 +1036,15 @@ def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     p = inst.p
     if p == 0.0:
         raise ZeroParameter("norm_chain is undefined at p=0")
-    op, hs, tr = linalg.norms(a)
+    sp = linalg.Spectra()
+    op, hs, tr = sp.norms(a)
     if tr == 0.0:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
     part_specs = _refined_chain(("op", "hs", "tr"), op, hs, tr, p * tr ** (p - 1.0), p)
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_op": op, "norm_hs": hs, "norm_tr": tr}
-    return _finish("norm_chain", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("norm_chain", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -1035,7 +1059,8 @@ def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     p = inst.p
     if p == 0.0:
         raise ZeroParameter("radius_chain is undefined at p=0")
-    op = linalg.norm_op(a)
+    sp = linalg.Spectra()
+    op = sp.norm_op(a)
     if op == 0.0:
         raise ZeroMatrix("A is zero; the radius chain needs a positive norm")
     sr = linalg.spectral_radius(a)
@@ -1049,8 +1074,8 @@ def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
         part_specs = _refined_chain(("radius", "w", "op"), sr, w, op, p * op ** (p - 1.0), p)
     params = {"p": p, "m": None, "M": None, "map": None,
               "spectral_radius": sr, "numerical_radius": w, "norm_op": op}
-    return _finish("radius_chain", part_specs,
-                   hypotheses_ok=hyp_ok, note=note, params=params, tol_rel=tol_rel)
+    return _finish("radius_chain", part_specs, hypotheses_ok=hyp_ok, note=note,
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_power_norm(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -1064,10 +1089,11 @@ def check_power_norm(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     p = inst.p
     if p < -_P_EPS:
         raise DomainError(f"power_norm requires p >= 0, got p={p}")
-    _require_psd(a, "A")
-    _require_psd(b, "B")
-    nab = linalg.norm_op(a @ b)
-    napb = linalg.norm_op(linalg.power(a, p) @ linalg.power(b, p))
+    sp = linalg.Spectra()
+    _require_psd(sp, a, "A")
+    _require_psd(sp, b, "B")
+    nab = sp.norm_op(a @ b)
+    napb = sp.norm_op(sp.power(a, p) @ sp.power(b, p))
     part_specs = []
     if p <= 1.0:
         part_specs.append(("power_norm_upper", _scal(napb), _scal(nab ** p)))
@@ -1075,8 +1101,8 @@ def check_power_norm(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
         part_specs.append(("power_norm_lower", _scal(nab ** p), _scal(napb)))
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_AB": nab, "norm_ApBp": napb}
-    return _finish("power_norm", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("power_norm", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 def check_norm_refinement(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -1097,16 +1123,17 @@ def check_norm_refinement(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
         raise DomainError(f"norm_refinement requires p > 0, got p={p}")
     linalg.require_symmetric(a, "A")
     linalg.require_symmetric(b, "B")
-    lam_a = linalg.eigvals_sym(a)
-    lam_b = linalg.eigvals_sym(b)
+    sp = linalg.Spectra()
+    lam_a = sp.eigvals(a)
+    lam_b = sp.eigvals(b)
     lo = float(min(lam_a[0], lam_b[0]))
     hi = float(max(lam_a[-1], lam_b[-1]))
     if lo <= 0.0:
         raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
     m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
     m2, M2 = m * m, M * M
-    nab = linalg.norm_op(a @ b)
-    napb = linalg.norm_op(linalg.power(a, p) @ linalg.power(b, p))
+    nab = sp.norm_op(a @ b)
+    napb = sp.norm_op(sp.power(a, p) @ sp.power(b, p))
     part_specs = []
     if p <= 1.0:
         dd = nab - napb ** (1.0 / p)
@@ -1124,8 +1151,8 @@ def check_norm_refinement(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
         ]
     params = {"p": p, "m": m, "M": M, "map": None,
               "norm_AB": nab, "norm_ApBp": napb}
-    return _finish("norm_refinement", part_specs,
-                   hypotheses_ok=True, note="", params=params, tol_rel=tol_rel)
+    return _finish("norm_refinement", part_specs, hypotheses_ok=True, note="",
+                   params=params, tol_rel=tol_rel, spectra=sp)
 
 
 # ----------------------------------------------------------------------
@@ -1224,6 +1251,14 @@ _register(CheckInfo(
     (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False, uses_map=True))
 
 
+def _require_tol(tol_rel) -> float:
+    """tol_rel as a float; InvalidSpec unless it is finite and nonnegative."""
+    tol = float(tol_rel)
+    if not np.isfinite(tol) or tol < 0.0:
+        raise InvalidSpec(f"tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def run_check(check_id: str, inst: InstanceSpec, *,
               tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
     """Dispatch an instance to the named check."""
@@ -1232,4 +1267,4 @@ def run_check(check_id: str, inst: InstanceSpec, *,
     if info is None:
         raise UnknownCheck(
             f"unknown check {check_id!r}; available: {', '.join(sorted(REGISTRY))}")
-    return info.runner(inst, tol_rel=tol_rel)
+    return info.runner(inst, tol_rel=_require_tol(tol_rel))

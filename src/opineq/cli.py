@@ -53,10 +53,10 @@ _VERDICT_EXITS = {
 
 def _resolve_tol(explicit, default: float) -> float:
     if explicit is not None:
-        return float(explicit)
+        return checks._require_tol(explicit)
     env = os.environ.get("OPINEQ_TOL")
     if env is not None and env.strip():
-        return float(env)
+        return checks._require_tol(float(env))
     return default
 
 
@@ -156,7 +156,7 @@ def cmd_fuzz(args) -> int:
         tol = _resolve_tol(args.tol, fuzz_mod.FUZZ_TOL_REL)
         dims = _parse_dims(args.dim)
         p_values = _parse_p(args.p)
-    except ValueError as exc:
+    except (ValueError, OpineqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
@@ -191,7 +191,7 @@ def cmd_fuzz(args) -> int:
 def cmd_eval(args) -> int:
     try:
         tol = _resolve_tol(args.tol, linalg.DEFAULT_TOL_REL)
-    except ValueError as exc:
+    except (ValueError, OpineqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

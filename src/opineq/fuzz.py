@@ -262,6 +262,7 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
     if not dims:
         raise InvalidSpec("need at least one dimension")
+    tol_rel = checks._require_tol(tol_rel)
     dims = tuple(int(d) for d in dims)
     if p_values is None or not len(p_values):
         p_values = info.default_p

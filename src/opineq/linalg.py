@@ -1,10 +1,25 @@
 """Dense symmetric linear algebra used by every check.
 
-All public operations work on real float64 arrays.  Symmetry is
-enforced up front (relative tolerance SYM_RTOL) and eigensystems come
-from one place, spectral_decompose, so every matrix function in the
-package shares a single numerical contract: eigenvalues ascending,
-orthonormal eigenvectors, reconstruction residual at rounding level.
+All operations work on real float64 arrays, and every eigensystem is
+taken of the symmetrized matrix: eigenvalues ascending, orthonormal
+eigenvectors, reconstruction residual at rounding level.
+
+Two layers share that contract:
+
+* The public functions (as_square, require_symmetric, spectral_decompose,
+  eigvals_sym, power, sqrt_factors, conjugate_by_sqrt, loewner_compare,
+  the norms and radii) validate their arguments on every call: shape,
+  finiteness and, where the operation needs it, symmetry within SYM_RTOL.
+  They are for callers outside the package.
+* Spectra is the trusted core behind them.  It checks nothing but the
+  finiteness of what it is about to decompose, and it solves each
+  (eigensolver routine, input bits) pair once for as long as it lives.
+  A check validates its operands once, on entry (InstanceSpec checks
+  shape and finiteness, the check itself the symmetry of its symmetric
+  operands), and then runs every decomposition, power, square root and
+  norm of that call through one Spectra.  means.weighted_mean and
+  means.tsallis_entropy take it as `spectra=`; maps.apply_map and
+  checks._finish never re-validate.
 
 Loewner comparisons never return a bare bool.  loewner_compare reports
 the signed gap (the smallest eigenvalue of R - L) together with the
@@ -60,16 +75,22 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
-    """True when max |a_ij - a_ji| <= rtol * max(1, max |a_ij|)."""
-    m = as_square(a)
+def _is_symmetric(m: np.ndarray, rtol: float = SYM_RTOL) -> bool:
+    """is_symmetric for a trusted (square, finite) matrix."""
+    if (m == m.T).all():
+        return True
     scale = max(1.0, float(np.max(np.abs(m))))
     return float(np.max(np.abs(m - m.T))) <= rtol * scale
 
 
+def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
+    """True when max |a_ij - a_ji| <= rtol * max(1, max |a_ij|)."""
+    return _is_symmetric(as_square(a), rtol)
+
+
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     m = as_square(a)
-    if not is_symmetric(m):
+    if not _is_symmetric(m):
         raise NotSymmetric(f"{what} is not symmetric within tolerance")
     return m
 
@@ -97,28 +118,158 @@ class SpectralDecomposition:
         return symmetrize((q * vals) @ q.T)
 
 
+def _positivity_floor(eigenvalues: np.ndarray) -> float:
+    """POS_EIG_RTOL * max(1, max |lambda|) for ascending eigenvalues."""
+    return POS_EIG_RTOL * max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
+
+
+class Spectra:
+    """Per-call spectral context: the trusted core of this module.
+
+    Every eigensolve made through one Spectra is kept, keyed by routine
+    and by the bits of the symmetrized input, so within its lifetime no
+    matrix is decomposed twice by the same routine.  eigh and eigvalsh
+    results are never substituted for each other: their eigenvalues
+    differ in the last bits.  Powers, square-root factors and norms are
+    derived from the kept solves.
+
+    Arguments are trusted: square and symmetric within SYM_RTOL, as the
+    caller has checked.  Only finiteness is checked, once per new solve,
+    because LAPACK decomposes a matrix holding inf or nan into finite
+    garbage.  Make one per check call and share it with nothing else, so
+    threads never share one.
+    """
+
+    def __init__(self):
+        self._solved = {}
+
+    def _solve(self, routine: str, a: np.ndarray):
+        s = symmetrize(a)
+        key = (routine, s.shape, s.tobytes())
+        out = self._solved.get(key)
+        if out is None:
+            if not np.isfinite(s).all():
+                raise ValueError("matrix entries must be finite")
+            try:
+                if routine == "eigh":
+                    out = SpectralDecomposition(*np.linalg.eigh(s))
+                else:
+                    out = np.linalg.eigvalsh(s)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
+                raise NoConvergence(f"eigensolver failed: {exc}") from exc
+            self._solved[key] = out
+        return out
+
+    def decompose(self, a: np.ndarray) -> SpectralDecomposition:
+        """Full eigensystem (eigh)."""
+        return self._solve("eigh", a)
+
+    def eigvals(self, a: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues (eigvalsh)."""
+        return self._solve("eigvalsh", a)
+
+    def power(self, a: np.ndarray, p: float) -> np.ndarray:
+        """A^p; see power.  p = 0 and p = 1 need no decomposition."""
+        p = float(p)
+        if p == 1.0:
+            return np.array(a, dtype=float)
+        if p == 0.0:
+            return np.eye(a.shape[0])
+        dec = self.decompose(a)
+        w = dec.eigenvalues
+        floor = _positivity_floor(w)
+        fractional = p != int(p)
+        if p < 0.0:
+            if np.any(w <= floor):
+                raise NotPositiveDefinite(
+                    f"negative power {p} needs eigenvalues bounded away from zero, "
+                    f"min is {w.min():.3e}"
+                )
+        elif fractional:
+            if np.any(w < -floor):
+                raise NotPositiveDefinite(
+                    f"fractional power {p} needs a PSD matrix, min eigenvalue {w.min():.3e}"
+                )
+            w = np.clip(w, 0.0, None)
+        return SpectralDecomposition(w, dec.eigenvectors).apply(lambda lam: np.power(lam, p))
+
+    def sqrt_factors(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A^{1/2}, A^{-1/2}); A must be SPD."""
+        dec = self.decompose(a)
+        w = dec.eigenvalues
+        floor = _positivity_floor(w)
+        if np.any(w <= floor):
+            raise NotPositiveDefinite(
+                f"square-root factors need an SPD matrix, min eigenvalue {w.min():.3e}"
+            )
+        half = dec.apply(np.sqrt)
+        inv_half = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
+        return half, inv_half
+
+    def compare(self, l: np.ndarray, r: np.ndarray, tol_rel: float) -> LoewnerVerdict:
+        """loewner_compare for trusted operands of one shape."""
+        d = r - l
+        # two operands accepted one by one can still differ by a matrix
+        # that is not symmetric relative to its own, smaller, scale
+        if not _is_symmetric(d):
+            raise NotSymmetric("matrix is not symmetric within tolerance")
+        diff = self.eigvals(d)
+        tol = tol_rel * max(1.0, self.norm_op(l), self.norm_op(r))
+        le = diff[0] >= -tol
+        ge = diff[-1] <= tol
+        if le and ge:
+            relation = EQ
+        elif le:
+            relation = LE
+        elif ge:
+            relation = GE
+        else:
+            relation = INCOMPARABLE
+        return LoewnerVerdict(relation=relation, gap_min_eig=float(diff[0]), tol_used=tol)
+
+    def gram_spectrum(self, a: np.ndarray) -> tuple[np.ndarray, int]:
+        """Ascending eigenvalues of B^T B for B = A / 2**e, and e.
+
+        A^T A squares the entries, so A is divided by an exact power of two
+        when max |a_ij| lies outside [2^-480, 2^480], where the squares would
+        overflow or underflow.  In-range inputs get e = 0 and keep every bit.
+        The input may be any square matrix; it is read as float64, as
+        as_square reads it.
+        """
+        a = np.asarray(a, dtype=float)
+        peak = np.abs(a).max()
+        e = 0
+        if peak > 0.0 and not _SV_SAFE_LO <= peak <= _SV_SAFE_HI:
+            e = math.frexp(peak)[1]
+            a = np.ldexp(a, -e)
+        return self.eigvals(a.T @ a), e
+
+    def scaled_singular_values(self, a: np.ndarray) -> tuple[np.ndarray, int]:
+        """Singular values of B = A / 2**e, descending, and e (see gram_spectrum)."""
+        w, e = self.gram_spectrum(a)
+        return np.sqrt(np.clip(w, 0.0, None))[::-1], e
+
+    def norms(self, a: np.ndarray) -> tuple[float, float, float]:
+        """(operator, Hilbert-Schmidt, trace) norms of any square matrix."""
+        s, e = self.scaled_singular_values(a)
+        return (math.ldexp(float(s[0]), e),
+                math.ldexp(float(np.sqrt(np.sum(s * s))), e),
+                math.ldexp(float(np.sum(s)), e))
+
+    def norm_op(self, a: np.ndarray) -> float:
+        """Operator norm of any square matrix, the largest singular value."""
+        w, e = self.gram_spectrum(a)
+        return math.ldexp(math.sqrt(max(float(w[-1]), 0.0)), e)
+
+
 def spectral_decompose(a) -> SpectralDecomposition:
     """Full eigensystem of a symmetric matrix via the QR-type LAPACK path."""
-    m = require_symmetric(a)
-    try:
-        w, q = np.linalg.eigh(symmetrize(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+    return Spectra().decompose(require_symmetric(a))
 
 
 def eigvals_sym(a) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix (no vectors)."""
-    m = require_symmetric(a)
-    try:
-        return np.linalg.eigvalsh(symmetrize(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-
-
-def _positivity_floor(eigenvalues: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0)
-    return POS_EIG_RTOL * scale
+    return Spectra().eigvals(require_symmetric(a))
 
 
 def power(a, p: float) -> np.ndarray:
@@ -128,45 +279,14 @@ def power(a, p: float) -> np.ndarray:
     count as zero.  Fractional powers clamp those to exactly zero;
     negative or fractional powers of a matrix with a genuinely negative
     or (for p < 0) vanishing eigenvalue raise NotPositiveDefinite.
+    p = 0 and p = 1 return I and a copy of A without an eigensolve.
     """
-    p = float(p)
-    dec = spectral_decompose(a)
-    if p == 1.0:
-        return np.array(as_square(a), dtype=float)
-    if p == 0.0:
-        return np.eye(dec.eigenvalues.size)
-    w = dec.eigenvalues.copy()
-    floor = _positivity_floor(w)
-    fractional = p != int(p)
-    if p < 0.0:
-        if np.any(w <= floor):
-            raise NotPositiveDefinite(
-                f"negative power {p} needs eigenvalues bounded away from zero, "
-                f"min is {w.min():.3e}"
-            )
-    elif fractional:
-        if np.any(w < -floor):
-            raise NotPositiveDefinite(
-                f"fractional power {p} needs a PSD matrix, min eigenvalue {w.min():.3e}"
-            )
-        w = np.clip(w, 0.0, None)
-    return SpectralDecomposition(w, dec.eigenvectors).apply(lambda lam: np.power(lam, p))
+    return Spectra().power(require_symmetric(a), p)
 
 
 def sqrt_factors(a) -> tuple[np.ndarray, np.ndarray]:
     """(A^{1/2}, A^{-1/2}) from one decomposition.  A must be SPD."""
-    dec = spectral_decompose(a)
-    w = dec.eigenvalues
-    floor = _positivity_floor(w)
-    if np.any(w <= floor):
-        raise NotPositiveDefinite(
-            f"square-root factors need an SPD matrix, min eigenvalue {w.min():.3e}"
-        )
-    half = SpectralDecomposition(w, dec.eigenvectors).apply(np.sqrt)
-    inv_half = SpectralDecomposition(w, dec.eigenvectors).apply(
-        lambda lam: 1.0 / np.sqrt(lam)
-    )
-    return half, inv_half
+    return Spectra().sqrt_factors(require_symmetric(a))
 
 
 def conjugate_by_sqrt(a, x) -> np.ndarray:
@@ -215,61 +335,23 @@ def loewner_compare(l, r, tol_rel: float = DEFAULT_TOL_REL) -> LoewnerVerdict:
         raise DimensionMismatch(
             f"cannot compare shapes {lm.shape} and {rm.shape}"
         )
-    diff = eigvals_sym(rm - lm)
-    tol = tol_rel * max(1.0, norm_op(lm), norm_op(rm))
-    le = diff[0] >= -tol
-    ge = diff[-1] <= tol
-    if le and ge:
-        relation = EQ
-    elif le:
-        relation = LE
-    elif ge:
-        relation = GE
-    else:
-        relation = INCOMPARABLE
-    return LoewnerVerdict(relation=relation, gap_min_eig=float(diff[0]), tol_used=tol)
-
-
-def _gram_spectrum(a) -> tuple[np.ndarray, int]:
-    """Ascending eigenvalues of B^T B for B = A / 2**e, and e.
-
-    A^T A squares the entries, so A is divided by an exact power of two
-    when max |a_ij| lies outside [2^-480, 2^480], where the squares would
-    overflow or underflow.  In-range inputs get e = 0 and keep every bit.
-    """
-    m = as_square(a)
-    peak = np.abs(m).max()
-    e = 0
-    if peak > 0.0 and not _SV_SAFE_LO <= peak <= _SV_SAFE_HI:
-        e = math.frexp(peak)[1]
-        m = np.ldexp(m, -e)
-    return np.linalg.eigvalsh(symmetrize(m.T @ m)), e
-
-
-def _scaled_singular_values(a) -> tuple[np.ndarray, int]:
-    """Singular values of B = A / 2**e, descending, and e (see _gram_spectrum)."""
-    w, e = _gram_spectrum(a)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1], e
+    return Spectra().compare(lm, rm, tol_rel)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, via the eigenvalues of A^T A."""
-    s, e = _scaled_singular_values(a)
+    s, e = Spectra().scaled_singular_values(as_square(a))
     return np.ldexp(s, e)
 
 
 def norms(a) -> tuple[float, float, float]:
     """(operator, Hilbert-Schmidt, trace) norms from one set of singular values."""
-    s, e = _scaled_singular_values(a)
-    return (math.ldexp(float(s[0]), e),
-            math.ldexp(float(np.sqrt(np.sum(s * s))), e),
-            math.ldexp(float(np.sum(s)), e))
+    return Spectra().norms(as_square(a))
 
 
 def norm_op(a) -> float:
     """Operator (spectral) norm, the largest singular value."""
-    w, e = _gram_spectrum(a)
-    return math.ldexp(math.sqrt(max(float(w[-1]), 0.0)), e)
+    return Spectra().norm_op(as_square(a))
 
 
 def norm_hs(a) -> float:

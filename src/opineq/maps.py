@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +58,8 @@ class MapSpec:
         v = np.asarray(isometry, dtype=float)
         if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] < 1:
             raise InvalidSpec(f"isometry must be n x k with 1 <= k <= n, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise InvalidSpec("isometry entries must be finite")
         gram = v.T @ v
         if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > _ORTHO_TOL:
             raise InvalidSpec("isometry columns are not orthonormal")
@@ -83,12 +85,16 @@ class MapSpec:
         us = tuple(np.asarray(u, dtype=float) for u in unitaries)
         if w.ndim != 1 or len(us) != w.size or w.size < 1:
             raise InvalidSpec("need one weight per unitary")
+        if not np.isfinite(w).all():
+            raise InvalidSpec("weights must be finite")
         if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _ORTHO_TOL:
             raise InvalidSpec("weights must be positive and sum to 1")
         n = us[0].shape[0]
         for u in us:
             if u.shape != (n, n):
                 raise InvalidSpec("unitaries must share one square shape")
+            if not np.isfinite(u).all():
+                raise InvalidSpec("unitary entries must be finite")
             if float(np.max(np.abs(u.T @ u - np.eye(n)))) > _ORTHO_TOL:
                 raise InvalidSpec("matrix is not orthogonal")
         return cls(
@@ -114,6 +120,8 @@ class MapSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MapSpec":
+        if not isinstance(obj, dict):
+            raise SchemaError("map must be a JSON object")
         kind = obj.get("kind")
         try:
             if kind == NORMALIZED_TRACE:
@@ -130,12 +138,20 @@ class MapSpec:
 
 
 def apply_map(spec: MapSpec, x) -> np.ndarray:
-    """Evaluate Phi(X).  X must be square with the map's input dimension."""
-    m = linalg.as_square(x)
-    if m.shape[0] != spec.in_dim:
+    """Evaluate Phi(X).  X must be square with the map's input dimension.
+
+    X must be finite: inside a check it may be a computed matrix that
+    overflowed, which would otherwise reach a verdict through a 1x1 image.
+    Its symmetry is not validated; it only decides whether the image is
+    symmetrized.
+    """
+    m = np.asarray(x, dtype=float)
+    if m.shape != (spec.in_dim, spec.in_dim):
         raise DimensionMismatch(
-            f"map expects dimension {spec.in_dim}, got {m.shape[0]}"
+            f"map expects a {spec.in_dim}x{spec.in_dim} matrix, got shape {m.shape}"
         )
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if spec.kind == NORMALIZED_TRACE:
         return np.array([[float(np.trace(m)) / spec.in_dim]])
     if spec.kind == COMPRESSION:
@@ -151,7 +167,7 @@ def apply_map(spec: MapSpec, x) -> np.ndarray:
             out += w * (u.T @ m @ u)
     # a symmetric input must map to an exactly symmetric output so the
     # Loewner comparisons downstream never trip on rounding asymmetry
-    return linalg.symmetrize(out) if linalg.is_symmetric(m) else out
+    return linalg.symmetrize(out) if linalg._is_symmetric(m) else out
 
 
 def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:

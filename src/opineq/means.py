@@ -52,52 +52,68 @@ class SandwichBounds(NamedTuple):
     hypothesis_ok: bool
 
 
-def _inner_operator(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(A^{1/2}, A^{-1/2} B A^{-1/2}) from one decomposition of A."""
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Validate (A, B) for the public entry points: square, finite, one
+    shape, both symmetric."""
     am = linalg.as_square(a)
     bm = linalg.require_symmetric(b, "second operand")
     if am.shape != bm.shape:
         raise DimensionMismatch(
             f"operands must share a dimension, got {am.shape} and {bm.shape}"
         )
-    half, inv_half = linalg.sqrt_factors(am)
-    return half, linalg.symmetrize(inv_half @ bm @ inv_half)
+    return linalg.require_symmetric(am), bm
 
 
-def weighted_mean(a, b, p: float) -> MeanResult:
+def _inner_operator(a, b, spectra) -> tuple[np.ndarray, np.ndarray]:
+    """(A^{1/2}, A^{-1/2} B A^{-1/2}) from one decomposition of A."""
+    half, inv_half = spectra.sqrt_factors(a)
+    return half, linalg.symmetrize(inv_half @ b @ inv_half)
+
+
+def weighted_mean(a, b, p: float, *, spectra=None) -> MeanResult:
     """A natural_p B by functional calculus on W = A^{-1/2} B A^{-1/2}.
 
     A must be SPD.  B must be positive semidefinite for p >= 0 and
     strictly positive definite for p < 0 (otherwise W^p blows up).
+
+    Without `spectra` the operands are validated.  A check passes the
+    linalg.Spectra of its call instead: then A and B are trusted, as the
+    check has validated them, and A, W and their powers are decomposed
+    once across the whole call.
     """
     p = float(p)
-    half, w = _inner_operator(a, b)
-    dec = linalg.spectral_decompose(w)
-    lam = dec.eigenvalues
-    floor = 1e-10 * max(1.0, float(np.abs(lam).max()))
+    if spectra is None:
+        a, b = _operands(a, b)
+        spectra = linalg.Spectra()
+    half, w = _inner_operator(a, b, spectra)
+    lam = spectra.decompose(w).eigenvalues
+    floor = 1e-10 * max(1.0, abs(float(lam[0])), abs(float(lam[-1])))
     if p < 0.0 and lam[0] <= floor:
         raise NotPositiveDefinite(
             f"negative weight {p} needs B positive definite relative to A, "
             f"inner spectrum reaches {lam[0]:.3e}"
         )
-    wp = linalg.power(w, p)
+    wp = spectra.power(w, p)
     value = linalg.symmetrize(half @ wp @ half)
     return MeanResult(value=value, p=p, inner_spectrum=(float(lam[0]), float(lam[-1])))
 
 
-def tsallis_entropy(a, b, p: float) -> np.ndarray:
+def tsallis_entropy(a, b, p: float, *, spectra=None) -> np.ndarray:
     """T_p(A|B) = (A natural_p B - A) / p for p != 0.
 
     p = 1 short-circuits to B - A, which is the exact value there.
+    `spectra` works as in weighted_mean.
     """
     p = float(p)
     if p == 0.0:
         raise ZeroParameter("tsallis_entropy requires p != 0")
-    am = linalg.as_square(a)
+    if spectra is None:
+        a, b = _operands(a, b)
+        spectra = linalg.Spectra()
     if p == 1.0:
-        return linalg.require_symmetric(b, "second operand") - am
-    mean = weighted_mean(am, b, p)
-    return (mean.value - am) / p
+        return b - a
+    mean = weighted_mean(a, b, p, spectra=spectra)
+    return (mean.value - a) / p
 
 
 def tsallis_from_mean(a: np.ndarray, mean: MeanResult) -> np.ndarray:
@@ -118,8 +134,9 @@ def compute_sandwich(a, b) -> SandwichBounds:
     bounds; hypothesis_ok is True exactly when lam_min >= 1 - 1e-12,
     i.e. the order hypothesis A <= B holds on the nose.
     """
-    _, w = _inner_operator(a, b)
-    lam = linalg.eigvals_sym(w)
+    am, bm = _operands(a, b)
+    spectra = linalg.Spectra()
+    lam = spectra.eigvals(_inner_operator(am, bm, spectra)[1])
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
     if lam_min <= 0.0:

@@ -1,0 +1,100 @@
+"""Digests of the fuzz JSON, the reference for byte-identity checks.
+
+Each digest is the first 16 hex digits of the sha256 of
+json.dumps([report.to_json_dict() ...], indent=2, sort_keys=True) for
+one run_fuzz call with seed 7 and FUZZ_TOL_REL.  Every check is run four
+ways: its registry exponents and a boundary set that reaches every
+branch, each at dims 2-6 x 120 trials and at dim 16 x 12 trials.  The
+`repro --json` output of run_all is digested the same way.
+
+The bytes depend on numpy and on the BLAS/LAPACK build (and the CPU
+kernel it picks), so a digest is only comparable on the platform it was
+recorded on; see PLATFORM.  Run with one BLAS thread:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/fuzz_digests.py
+
+prints the digest table in the layout CHANGES.md uses.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from opineq import checks, fuzz, repro
+
+SEED = 7
+
+# exponent sets that reach every branch of each check
+BOUNDARY_P = {
+    "ando_converse": (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
+    "density_trace": (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
+    "power_corollary": (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
+    "info_monotonicity": (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0),
+    "reverse_monotonicity": (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0),
+    "furuta_bounds": (0.1, 0.5, 1.0),
+    "seo_bound": (0.1, 0.5, 0.9),
+    "lowner_heinz": (0.0, 0.5, 1.0, 1.5, 2.0),
+    "norm_power_lemma": (-1.0, 0.0, 0.5, 1.0, 2.0),
+    "lh_extension": (-1.0, 0.0, 0.5, 1.0, 2.0),
+    "mond_pecaric": (-1.0, 0.0, 0.5, 1.0, 2.0),
+    "mn2012": (0.0, 0.5, 1.0),
+    "holder_mccarthy": (-1.0, 0.5, 1.0, 2.0),
+    "norm_chain": (-1.0, 0.5, 1.0, 3.0),
+    "radius_chain": (-1.0, 0.5, 1.0, 3.0),
+    "power_norm": (0.0, 0.5, 1.0, 2.0),
+    "norm_refinement": (0.5, 1.0, 2.0),
+}
+
+# (column label, exponent set, dims, trials)
+COLUMNS = (
+    ("registry p, dims 2-6", "registry", (2, 3, 4, 5, 6), 120),
+    ("registry p, dim 16", "registry", (16,), 12),
+    ("boundary p, dims 2-6", "boundary", (2, 3, 4, 5, 6), 120),
+    ("boundary p, dim 16", "boundary", (16,), 12),
+)
+
+
+def platform() -> dict:
+    """The numpy version and BLAS/LAPACK builds the bytes depend on."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {
+        "numpy": np.__version__,
+        "blas": (deps["blas"]["name"], deps["blas"].get("version")),
+        "lapack": (deps["lapack"]["name"], deps["lapack"].get("version")),
+    }
+
+
+def _sha16(obj) -> str:
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def fuzz_digest(check_id: str, p_set: str, dims, trials: int) -> str:
+    p_values = None if p_set == "registry" else BOUNDARY_P[check_id]
+    result = fuzz.run_fuzz(check_id, trials=trials, dims=dims, p_values=p_values,
+                           seed=SEED, tol_rel=fuzz.FUZZ_TOL_REL)
+    return _sha16([report.to_json_dict() for report in result.reports])
+
+
+def repro_digest() -> str:
+    return _sha16([result.to_json_dict() for result in repro.run_all()])
+
+
+def table() -> str:
+    lines = ["| check | " + " | ".join(label for label, *_ in COLUMNS) + " |",
+             "|---|" + "---|" * len(COLUMNS)]
+    for check_id in sorted(checks.REGISTRY):
+        cells = [f"`{fuzz_digest(check_id, p_set, dims, trials)}`"
+                 for _, p_set, dims, trials in COLUMNS]
+        lines.append(f"| `{check_id}` | " + " | ".join(cells) + " |")
+    lines.append(f"| `repro --json` (`run_all`) | `{repro_digest()}` |"
+                 + " |" * (len(COLUMNS) - 1))
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(f"platform: {platform()}")
+    print(table())

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+import fuzz_digests
 import scalar_oracle
-from opineq import checks, maps, sampling
+from opineq import checks, fuzz, maps, sampling
 from opineq.errors import (
     DomainError,
     InvalidSpec,
     NotDensity,
     NotPositiveDefinite,
+    NotSymmetric,
     SchemaError,
     SingularDifference,
     UnknownCheck,
@@ -185,6 +187,85 @@ def test_norm_chain_decomposes_once(monkeypatch):
     rep = checks.run_check("norm_chain", _inst(np.diag([1.0, -2.0, 0.5, 3.0]), p=3.0))
     assert rep.verdict == checks.HOLDS
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
+def test_no_eigensolve_repeats_within_a_check(check_id, monkeypatch):
+    # one runner call solves each (routine, input bits) pair at most once
+    calls = []
+
+    def counted(name):
+        solve = getattr(np.linalg, name)
+
+        def wrapper(m, *args, **kwargs):
+            m = np.ascontiguousarray(m)
+            calls.append((name, m.shape, m.dtype.str, m.tobytes()))
+            return solve(m, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    info = checks.REGISTRY[check_id]
+    p_values = sorted(set(info.default_p) | set(fuzz_digests.BOUNDARY_P[check_id]))
+    solved = 0
+    for dim in (2, 3, 5):
+        for trial, p in enumerate(p_values):
+            inst = fuzz.sample_instance(check_id, dim, 7, p, trial)
+            calls.clear()
+            info.runner(inst, tol_rel=fuzz.FUZZ_TOL_REL)
+            assert len(set(calls)) == len(calls), (dim, p)
+            solved += len(calls)
+    assert solved > 0
+
+
+@pytest.mark.parametrize("p", [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
+def test_info_monotonicity_rejects_nonsymmetric_a(p):
+    # p = 1 used to short-cut to B - A without looking at A
+    a = np.array([[2.0, 0.5], [0.0, 2.0]])
+    with pytest.raises(NotSymmetric):
+        checks.run_check("info_monotonicity", _inst(a, 5.0 * np.eye(2), p=p))
+
+
+@pytest.mark.parametrize("check_id", ["norm_chain", "radius_chain"])
+def test_chains_accept_nonsymmetric_a(check_id):
+    a = np.array([[2.0, 0.5], [0.0, 2.0]])
+    assert checks.run_check(check_id, _inst(a, p=2.0)).verdict == checks.HOLDS
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_run_check_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidSpec):
+        checks.run_check("lowner_heinz", _inst(np.eye(2), 2.0 * np.eye(2), p=0.5),
+                         tol_rel=tol)
+
+
+def test_run_check_accepts_zero_tolerance():
+    rep = checks.run_check("lowner_heinz", _inst(np.eye(2), 2.0 * np.eye(2), p=0.5),
+                           tol_rel=0.0)
+    assert rep.verdict == checks.HOLDS and rep.tol_used == 0.0
+
+
+def test_first_error_wins_when_an_instance_is_bad_twice():
+    asym = np.array([[2.0, 1.0 + 1e-3], [1.0, 3.0]])
+    # the window override is checked before B's symmetry
+    with pytest.raises(InvalidSpec):
+        checks.run_check("reverse_monotonicity",
+                         _inst(np.eye(2), asym, p=0.5, m=5.0, map=TR2))
+    # A's positivity is checked before B's symmetry
+    with pytest.raises(NotPositiveDefinite):
+        checks.run_check("seo_bound", _inst(np.diag([1.0, -1.0]), asym, p=0.5, map=TR2))
+    # density: A's trace is checked before B's symmetry
+    with pytest.raises(NotDensity):
+        checks.run_check("density_trace", _inst(np.eye(2), asym, p=0.5))
+
+
+def test_compared_difference_must_be_symmetric():
+    # A and B are each symmetric within tolerance at their own scale, but
+    # B - A is not at its much smaller one
+    a = 1e6 * np.eye(2) + np.array([[0.0, 1e-7], [0.0, 0.0]])
+    b = a + np.array([[1.0, -1e-7], [0.0, 1.0]])
+    with pytest.raises(NotSymmetric):
+        checks.run_check("lowner_heinz", _inst(a, b, p=0.5))
 
 
 def test_radius_chain_nilpotent_negative_exponent():

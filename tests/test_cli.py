@@ -182,6 +182,55 @@ def test_eval_rejects_garbage_env_tolerance(tmp_path, monkeypatch, capsys):
         cli.EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_eval_rejects_bad_tolerance_flag(tol, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", HOLDS_INST)
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path,
+                     "--tol", tol]) == cli.EXIT_SCHEMA
+    assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+def test_eval_rejects_bad_env_tolerance(tol, tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "inst.json", HOLDS_INST)
+    monkeypatch.setenv("OPINEQ_TOL", tol)
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_eval_accepts_zero_tolerance(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", HOLDS_INST)
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path,
+                     "--tol", "0"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["tol_used"] == 0.0
+
+
+@pytest.mark.parametrize("bad_map", [
+    "x",
+    [1, 2],
+    {"kind": "compression", "isometry": [[1.0, 0.0], [0.0, float("nan")]]},
+    {"kind": "mixed_unitary", "weights": [float("nan"), 0.5],
+     "unitaries": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]},
+    {"kind": "mixed_unitary", "weights": [0.5, 0.5],
+     "unitaries": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, float("nan")]]]},
+])
+def test_eval_rejects_malformed_map(bad_map, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", dict(HOLDS_INST, map=bad_map))
+    assert cli.main(["eval", "--check", "info_monotonicity", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_info_monotonicity_rejects_nonsymmetric_a_at_p1(tmp_path, capsys):
+    # p = 1 short-cuts to B - A; A must still be symmetric
+    inst = {"A": [[2.0, 0.5], [0.0, 2.0]], "B": [[5.0, 0.0], [0.0, 5.0]], "p": 1.0}
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", "info_monotonicity", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    assert "A is not symmetric" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # fuzz
 # ----------------------------------------------------------------------
@@ -265,6 +314,13 @@ def test_fuzz_bad_dim_spec(capsys):
     assert cli.main(["fuzz", "--check", "power_norm", "--trials", "1",
                      "--dim", "6-2"]) == cli.EXIT_SCHEMA
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_fuzz_rejects_bad_tolerance(tol, capsys):
+    assert cli.main(["fuzz", "--check", "lowner_heinz", "--p", "2", "--trials", "20",
+                     "--tol", tol]) == cli.EXIT_SCHEMA
+    assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_fuzz_dim_list_spec(capsys):

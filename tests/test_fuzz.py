@@ -35,6 +35,12 @@ def test_sampled_instances_satisfy_hypotheses(check_id):
         assert report.params["dim"] in (2, 3, 4, 5, 6)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_run_fuzz_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidSpec):
+        fuzz.run_fuzz("lowner_heinz", trials=4, p_values=(2.0,), tol_rel=tol)
+
+
 def test_rerun_is_deterministic():
     a = fuzz.run_fuzz("info_monotonicity", trials=24, seed=3)
     b = fuzz.run_fuzz("info_monotonicity", trials=24, seed=3)

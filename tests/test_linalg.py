@@ -72,6 +72,45 @@ def test_power_special_exponents():
     assert np.allclose(half @ half, a, atol=1e-12)
 
 
+def _count_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, *args, _s=solve, _n=name: calls.append(_n) or _s(m, *args))
+    return calls
+
+
+def test_power_zero_and_one_need_no_eigensolve(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    a = _spd(3, 1)
+    assert np.array_equal(linalg.power(a, 1.0), a)
+    assert np.array_equal(linalg.power(a, 0.0), np.eye(3))
+    assert calls == []
+    with pytest.raises(NotSymmetric):
+        linalg.power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.0)
+
+
+def test_spectra_solves_each_input_once(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    sp = linalg.Spectra()
+    a = _spd(3, 2)
+    half, _ = sp.sqrt_factors(a)
+    assert np.allclose(sp.power(a, 0.5), half, atol=1e-14)
+    assert np.array_equal(half, linalg.sqrt_factors(a)[0])
+    sp.eigvals(a)
+    sp.eigvals(a.copy())
+    sp.norm_op(a)
+    # the public call solves again; eigh(a), eigvalsh(a) and eigvalsh(a^T a)
+    # are kept apart
+    assert calls == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
+
+
+def test_spectra_rejects_non_finite_input():
+    with pytest.raises(ValueError):
+        linalg.Spectra().eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_power_negative_rejects_singular():
     with pytest.raises(NotPositiveDefinite):
         linalg.power(np.diag([1.0, 0.0]), -1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opineq import linalg, maps, sampling
-from opineq.errors import DimensionMismatch, InvalidSpec
+from opineq.errors import DimensionMismatch, InvalidSpec, SchemaError
 
 
 def _spd(dim, trial=0):
@@ -143,3 +143,28 @@ def test_apply_map_dimension_mismatch():
     spec = maps.MapSpec.normalized_trace(3)
     with pytest.raises(DimensionMismatch):
         maps.apply_map(spec, np.eye(2))
+
+
+@pytest.mark.parametrize("obj", ["x", [1, 2], 3.0, None])
+def test_from_json_rejects_non_object(obj):
+    with pytest.raises(SchemaError):
+        maps.MapSpec.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_constructors_reject_non_finite_entries(bad):
+    iso = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, bad]])
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.compression(iso)
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.mixed_unitary([bad, 0.5], [np.eye(2), np.eye(2)[::-1]])
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.mixed_unitary([0.5, 0.5], [np.eye(2), np.array([[0.0, 1.0], [1.0, bad]])])
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.from_json_dict({"kind": "compression", "isometry": iso.tolist()})
+
+
+def test_apply_map_rejects_non_finite_input():
+    spec = maps.MapSpec.normalized_trace(2)
+    with pytest.raises(ValueError):
+        maps.apply_map(spec, np.array([[np.inf, 0.0], [0.0, 1.0]]))
