@@ -35,6 +35,7 @@ from .errors import (
     OpineqError,
     SchemaError,
     SingularDifference,
+    UnknownCheck,
     UnnormalizedVector,
     ZeroMatrix,
     ZeroParameter,
@@ -49,6 +50,7 @@ __all__ = [
     "InstanceSpec",
     "CheckInfo",
     "REGISTRY",
+    "resolve_check",
     "run_check",
     "compute_sandwich",
     "check_info_monotonicity",
@@ -394,11 +396,10 @@ def _resolve_outer_window(lam_lo, lam_hi, m_user, M_user):
     return m, M
 
 
-def _require_psd(sp, a: np.ndarray, label: str, tol_rel=linalg.POS_EIG_RTOL) -> np.ndarray:
+def _require_psd(sp, a: np.ndarray, label: str) -> np.ndarray:
     linalg.require_symmetric(a, label)
     lam = sp.eigvals(a)
-    floor = tol_rel * max(1.0, float(abs(lam[-1])), float(abs(lam[0])))
-    if lam[0] < -floor:
+    if lam[0] < -linalg._positivity_floor(lam):
         raise NotPositiveDefinite(
             f"{label} must be positive semidefinite; smallest eigenvalue is {lam[0]:.6g}"
         )
@@ -509,23 +510,26 @@ def check_reverse_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL
     lam = _inner_spectrum(sp, a, b)
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
     linalg.require_symmetric(b, "B")
-    mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p, spectra=sp))
-    t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
-                                  spectra=sp)
-    phi_diff = maps.apply_map(phi, b - a)
-    part_specs = []
-    term_norm = None
-    if p <= 1.0:
-        term = (m ** (p - 1.0) - M ** (p - 1.0)) * phi_diff
-        term_norm = sp.norm_op(term)
-        part_specs.append(("additive_upper", t_out, mapped + term))
-    if p >= 1.0:
-        term = (M ** (p - 1.0) - m ** (p - 1.0)) * phi_diff
-        if term_norm is None:
-            term_norm = sp.norm_op(term)
-        part_specs.append(("additive_upper_reversed", mapped, t_out + term))
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-              "additive_term_norm": term_norm}
+              "additive_term_norm": None}
+
+    def sides():  # m <= 0 only when W is singular or indefinite: hyp_ok is False
+        if m <= 0.0:
+            raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
+        mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p, spectra=sp))
+        t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
+                                      spectra=sp)
+        phi_diff = maps.apply_map(phi, b - a)
+        term = (m ** (p - 1.0) - M ** (p - 1.0)) * phi_diff
+        term_rev = (M ** (p - 1.0) - m ** (p - 1.0)) * phi_diff
+        part_specs = []
+        if p <= 1.0:
+            part_specs.append(("additive_upper", t_out, mapped + term))
+        if p >= 1.0:
+            part_specs.append(("additive_upper_reversed", mapped, t_out + term_rev))
+        params["additive_term_norm"] = sp.norm_op(term if p <= 1.0 else term_rev)
+        return part_specs
+    part_specs, note = _guarded(sides, hyp_ok, note)
     return _finish("reverse_monotonicity", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
@@ -549,13 +553,19 @@ def check_ando_converse(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     lam = _inner_spectrum(sp, a, b)
     m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
     linalg.require_symmetric(b, "B")
-    mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p, spectra=sp).value)
-    mean_out = means.weighted_mean(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
-                                   spectra=sp).value
-    part_specs, term_norm = _converse_parts(
-        sp, "mean_additive", p, mean_in, mean_out, maps.apply_map(phi, b - a), m, M)
     params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-              "additive_term_norm": term_norm}
+              "additive_term_norm": None}
+
+    def sides():  # m <= 0 only when W is singular or indefinite: hyp_ok is False
+        if m <= 0.0:
+            raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
+        mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p, spectra=sp).value)
+        mean_out = means.weighted_mean(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
+                                       spectra=sp).value
+        part_specs, params["additive_term_norm"] = _converse_parts(
+            sp, "mean_additive", p, mean_in, mean_out, maps.apply_map(phi, b - a), m, M)
+        return part_specs
+    part_specs, note = _guarded(sides, hyp_ok, note)
     return _finish("ando_converse", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
@@ -1168,8 +1178,6 @@ class CheckInfo:
     description: str
     default_p: tuple[float, ...]
     needs_b: bool = True
-    uses_map: bool = False
-    uses_x: bool = False
 
 
 REGISTRY: dict[str, CheckInfo] = {}
@@ -1183,15 +1191,15 @@ _register(CheckInfo(
     "info_monotonicity", check_info_monotonicity,
     "deformed relative entropy shrinks under positive unital maps "
     "(grows for exponents above one)",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), uses_map=True))
+    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)))
 _register(CheckInfo(
     "reverse_monotonicity", check_reverse_monotonicity,
     "additive reverse of the entropy monotonicity on a unit spectral window",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), uses_map=True))
+    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)))
 _register(CheckInfo(
     "ando_converse", check_ando_converse,
     "additive converse of the weighted-mean map inequality on a unit window",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), uses_map=True))
+    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)))
 _register(CheckInfo(
     "density_trace", check_density_trace,
     "unit-trace bounds for weighted means of density matrices under the "
@@ -1200,11 +1208,11 @@ _register(CheckInfo(
 _register(CheckInfo(
     "furuta_bounds", check_furuta_bounds,
     "Kantorovich-constant and linear upper bounds for the output-side entropy",
-    (0.25, 0.5, 0.75, 1.0), uses_map=True))
+    (0.25, 0.5, 0.75, 1.0)))
 _register(CheckInfo(
     "seo_bound", check_seo_bound,
     "ratio-window reverse of the weighted-mean map inequality",
-    (0.25, 0.5, 0.75), uses_map=True))
+    (0.25, 0.5, 0.75)))
 _register(CheckInfo(
     "lowner_heinz", check_lowner_heinz,
     "A <= B implies A^p <= B^p for p in [0, 1] (fails above 1 by design)",
@@ -1224,11 +1232,11 @@ _register(CheckInfo(
 _register(CheckInfo(
     "mond_pecaric", check_mond_pecaric,
     "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
-    (0.5, 2.0, -1.0), uses_x=True))
+    (0.5, 2.0, -1.0)))
 _register(CheckInfo(
     "holder_mccarthy", check_holder_mccarthy,
     "power expectation inequality and its two-sided reverse on a window",
-    (0.5, 2.0, -1.0), needs_b=False, uses_x=True))
+    (0.5, 2.0, -1.0), needs_b=False))
 _register(CheckInfo(
     "norm_chain", check_norm_chain,
     "refined links between operator, Frobenius and trace norms",
@@ -1248,7 +1256,7 @@ _register(CheckInfo(
 _register(CheckInfo(
     "power_corollary", check_power_corollary,
     "windowed bounds between Phi(A)^p and Phi(A^p)",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False, uses_map=True))
+    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False))
 
 
 def _require_tol(tol_rel) -> float:
@@ -1259,12 +1267,16 @@ def _require_tol(tol_rel) -> float:
     return tol
 
 
-def run_check(check_id: str, inst: InstanceSpec, *,
-              tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
-    """Dispatch an instance to the named check."""
-    from .errors import UnknownCheck
+def resolve_check(check_id: str) -> CheckInfo:
+    """The registry entry of a check id; UnknownCheck when there is none."""
     info = REGISTRY.get(check_id)
     if info is None:
         raise UnknownCheck(
             f"unknown check {check_id!r}; available: {', '.join(sorted(REGISTRY))}")
-    return info.runner(inst, tol_rel=_require_tol(tol_rel))
+    return info
+
+
+def run_check(check_id: str, inst: InstanceSpec, *,
+              tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+    """Dispatch an instance to the named check."""
+    return resolve_check(check_id).runner(inst, tol_rel=_require_tol(tol_rel))

@@ -162,8 +162,7 @@ def cmd_fuzz(args) -> int:
     try:
         result = fuzz_mod.run_fuzz(
             args.check, trials=args.trials, dims=dims, p_values=p_values,
-            seed=args.seed, tol_rel=tol, jobs=args.jobs,
-            stop_on_fail=args.stop_on_fail)
+            seed=args.seed, tol_rel=tol, stop_on_fail=args.stop_on_fail)
     except OpineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -251,13 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--tol", type=float, default=None,
                     help=f"relative tolerance (default {fuzz_mod.FUZZ_TOL_REL:g}, "
                          "or OPINEQ_TOL)")
-    fz.add_argument("--jobs", type=int, default=1,
-                    help="worker threads; output is identical to serial, "
-                         "which is usually as fast or faster")
     fz.add_argument("--json", metavar="PATH", help="write all reports as JSON")
     fz.add_argument("--csv", metavar="PATH", help="write a summary CSV")
     fz.add_argument("--stop-on-fail", action="store_true",
-                    help="stop at the first FAILS (serial mode only)")
+                    help="stop at the first FAILS")
     fz.set_defaults(func=cmd_fuzz)
 
     ev = sub.add_parser("eval", help="evaluate one check on an instance file")

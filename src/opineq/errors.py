@@ -15,6 +15,11 @@ class NotSymmetric(OpineqError):
     """Input matrix is not symmetric within tolerance."""
 
 
+class NotFinite(OpineqError, ValueError):
+    """A matrix holds inf or nan: in the input, or where a power or
+    product of finite operands overflowed."""
+
+
 class NotPositiveDefinite(OpineqError):
     """A positive (semi)definite matrix was required and not supplied."""
 

@@ -5,15 +5,13 @@ hypotheses by construction, so a FAILS verdict points at the inequality
 (or the engine), never at a sloppy instance.  Sampling is counter-based:
 trial t of a run with seed s draws from Philox streams keyed by (s, t)
 plus fixed sub-stream offsets, so any trial can be regenerated in
-isolation and the full run is reproducible byte for byte regardless of
-how many worker threads executed it.
+isolation and the full run is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -234,30 +232,17 @@ class FuzzResult:
         return self.counts.get(checks.FAILS, 0)
 
 
-def _schedule(trial, p_values, dims):
-    p = p_values[trial % len(p_values)]
-    dim = dims[(trial // len(p_values)) % len(dims)]
-    return p, dim
-
-
 def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
              p_values=None, seed: int = 0, tol_rel: float = FUZZ_TOL_REL,
-             jobs: int = 1, stop_on_fail: bool = False) -> FuzzResult:
+             stop_on_fail: bool = False) -> FuzzResult:
     """Run one check against `trials` sampled instances.
 
     Trial t uses p = p_values[t mod len(p_values)] and cycles dims with
     period len(p_values) * len(dims); reports come back ordered by t and
-    carry seed/trial/dim in their params.  With jobs > 1 the trials run
-    on a thread pool.  Output is identical to the serial run, but at
-    these matrix sizes the pool is usually no faster than serial, and
-    often slower.  stop_on_fail is honored only in serial mode since an
-    early stop under concurrency would make the report list depend on
-    scheduling.
+    carry seed/trial/dim in their params.  Every FAILS yields a witness
+    holding the instance that failed; stop_on_fail ends the run there.
     """
-    info = checks.REGISTRY.get(check_id)
-    if info is None:
-        raise UnknownCheck(
-            f"unknown check {check_id!r}; available: {', '.join(sorted(checks.REGISTRY))}")
+    info = checks.resolve_check(check_id)
     if trials < 0:
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
     if not dims:
@@ -270,34 +255,22 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     sampler = FUZZ_SAMPLERS[check_id]
     start = time.perf_counter()
 
-    def one(trial: int) -> checks.CheckReport:
-        p, dim = _schedule(trial, p_values, dims)
+    counts = {checks.HOLDS: 0, checks.FAILS: 0, checks.HYPOTHESIS_VIOLATED: 0}
+    reports: list[checks.CheckReport] = []
+    witnesses = []
+    for trial in range(trials):
+        p = p_values[trial % len(p_values)]
+        dim = dims[(trial // len(p_values)) % len(dims)]
         inst = sampler(dim, seed, p, trial)
         report = info.runner(inst, tol_rel=tol_rel)
-        return dataclasses.replace(
+        report = dataclasses.replace(
             report,
             params={**report.params, "seed": int(seed), "trial": int(trial),
                     "dim": int(dim)},
         )
-
-    reports: list[checks.CheckReport] = []
-    if jobs > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, range(trials)))
-    else:
-        for trial in range(trials):
-            report = one(trial)
-            reports.append(report)
-            if stop_on_fail and report.verdict == checks.FAILS:
-                break
-
-    counts = {checks.HOLDS: 0, checks.FAILS: 0, checks.HYPOTHESIS_VIOLATED: 0}
-    witnesses = []
-    for report in reports:
+        reports.append(report)
         counts[report.verdict] += 1
         if report.verdict == checks.FAILS:
-            trial = report.params["trial"]
-            p, dim = _schedule(trial, p_values, dims)
             witnesses.append({
                 "check_id": check_id,
                 "seed": int(seed),
@@ -306,8 +279,10 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
                 "p": float(p),
                 "gap_min_eig": report.gap_min_eig,
                 "tol_used": report.tol_used,
-                "instance": sampler(dim, seed, p, trial).to_json_dict(),
+                "instance": inst.to_json_dict(),
             })
+            if stop_on_fail:
+                break
     return FuzzResult(
         check_id=check_id,
         trials=len(reports),

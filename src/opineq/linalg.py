@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NotFinite,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -71,7 +72,7 @@ def as_square(a) -> np.ndarray:
     if m.shape[0] < 1:
         raise DimensionMismatch("matrix must have dimension at least 1")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     return m
 
 
@@ -136,8 +137,7 @@ class Spectra:
     Arguments are trusted: square and symmetric within SYM_RTOL, as the
     caller has checked.  Only finiteness is checked, once per new solve,
     because LAPACK decomposes a matrix holding inf or nan into finite
-    garbage.  Make one per check call and share it with nothing else, so
-    threads never share one.
+    garbage.  Make one per check call and share it with nothing else.
     """
 
     def __init__(self):
@@ -149,7 +149,7 @@ class Spectra:
         out = self._solved.get(key)
         if out is None:
             if not np.isfinite(s).all():
-                raise ValueError("matrix entries must be finite")
+                raise NotFinite("matrix entries must be finite")
             try:
                 if routine == "eigh":
                     out = SpectralDecomposition(*np.linalg.eigh(s))
@@ -191,7 +191,12 @@ class Spectra:
                     f"fractional power {p} needs a PSD matrix, min eigenvalue {w.min():.3e}"
                 )
             w = np.clip(w, 0.0, None)
-        return SpectralDecomposition(w, dec.eigenvectors).apply(lambda lam: np.power(lam, p))
+        with np.errstate(over="ignore"):
+            vals = np.power(w, p)
+        if not np.isfinite(vals).all():
+            raise NotFinite(f"power {p:g} of eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}] overflows")
+        q = dec.eigenvectors
+        return symmetrize((q * vals) @ q.T)
 
     def sqrt_factors(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A^{1/2}, A^{-1/2}); A must be SPD."""
@@ -279,7 +284,8 @@ def power(a, p: float) -> np.ndarray:
     count as zero.  Fractional powers clamp those to exactly zero;
     negative or fractional powers of a matrix with a genuinely negative
     or (for p < 0) vanishing eigenvalue raise NotPositiveDefinite.
-    p = 0 and p = 1 return I and a copy of A without an eigensolve.
+    p = 0 and p = 1 return I and a copy of A without an eigensolve.  A power
+    that overflows raises NotFinite.
     """
     return Spectra().power(require_symmetric(a), p)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidSpec, SchemaError
+from .errors import DimensionMismatch, InvalidSpec, NotFinite, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -151,7 +151,7 @@ def apply_map(spec: MapSpec, x) -> np.ndarray:
             f"map expects a {spec.in_dim}x{spec.in_dim} matrix, got shape {m.shape}"
         )
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     if spec.kind == NORMALIZED_TRACE:
         return np.array([[float(np.trace(m)) / spec.in_dim]])
     if spec.kind == COMPRESSION:

@@ -13,9 +13,10 @@ mean).  The Tsallis relative operator entropy is its normalized chord,
 which converges to the relative operator entropy as p -> 0.
 
 Every mean evaluation decomposes W = A^{-1/2} B A^{-1/2} once and
-reports the extreme eigenvalues of W alongside the result, because the
-inequality checks need exactly those numbers (the sandwich constants)
-and should not repeat the work.
+reports the extreme eigenvalues of that eigh alongside the result.  The
+checks do not read them: each takes the spectrum of W by its own
+eigvalsh, whose eigenvalues can differ from eigh's in the last bits, and
+those are the ones the checks' reports and verdicts are built on.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def weighted_mean(a, b, p: float, *, spectra=None) -> MeanResult:
         spectra = linalg.Spectra()
     half, w = _inner_operator(a, b, spectra)
     lam = spectra.decompose(w).eigenvalues
-    floor = 1e-10 * max(1.0, abs(float(lam[0])), abs(float(lam[-1])))
-    if p < 0.0 and lam[0] <= floor:
+    if p < 0.0 and lam[0] <= linalg._positivity_floor(lam):
         raise NotPositiveDefinite(
             f"negative weight {p} needs B positive definite relative to A, "
             f"inner spectrum reaches {lam[0]:.3e}"

@@ -2,9 +2,9 @@
 
 Streams come from the Philox counter-based generator keyed by
 (seed, trial): rng_for(seed, k) is an independent stream for every k,
-identical across runs, platforms and thread schedules.  That is what
-makes parallel fuzzing reproduce byte-for-byte: trial k draws from its
-own stream no matter which worker executes it.
+identical across runs and platforms.  That is what lets any fuzz trial
+be regenerated on its own, byte for byte: trial k draws from its own
+stream, whatever ran before it.
 
 Every sampler is constructive.  Hypotheses like "A <= B in the Loewner
 order" or "||A|| I <= B" are built into the recipe (conjugations of a

@@ -146,15 +146,16 @@ def test_acceptance_8_diagonal_oracle_equivalence():
     assert seen == set(scalar_oracle.CHECK_IDS)
 
 
-def test_acceptance_9_fuzz_json_byte_determinism(tmp_path):
+def test_acceptance_9_fuzz_json_byte_determinism(tmp_path, fresh_python):
+    # two runs in this process and one in a fresh interpreter
     paths = [tmp_path / name for name in
-             ("serial_a.json", "serial_b.json", "threads.json")]
+             ("serial_a.json", "serial_b.json", "fresh.json")]
     base = ["fuzz", "--check", "reverse_monotonicity", "--trials", "50",
             "--seed", "123"]
     assert cli.main(base + ["--json", str(paths[0])]) == cli.EXIT_OK
     assert cli.main(base + ["--json", str(paths[1])]) == cli.EXIT_OK
-    assert cli.main(base + ["--json", str(paths[2]), "--jobs", "4"]) == \
-        cli.EXIT_OK
+    proc = fresh_python("-m", "opineq.cli", *base, "--json", str(paths[2]))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
     blob = paths[0].read_bytes()
     assert blob == paths[1].read_bytes()
     assert blob == paths[2].read_bytes()

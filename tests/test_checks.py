@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,19 @@ def test_reverse_monotonicity_below_window_is_hypothesis_violated():
     rep = checks.run_check("reverse_monotonicity",
                            _inst(np.eye(2), 0.5 * np.eye(2), p=0.5, map=TR2))
     assert rep.verdict == checks.HYPOTHESIS_VIOLATED
+
+
+@pytest.mark.parametrize("check_id", ["reverse_monotonicity", "ando_converse"])
+@pytest.mark.parametrize("b00", [0.0, -1e-17])
+def test_singular_window_leaves_sides_unevaluated(check_id, b00):
+    # B singular, or indefinite within rounding, relative to A: the derived
+    # m = min(lambda_min(W), 1) is not positive, so m^(p-1) is undefined
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = checks.run_check(check_id, _inst(np.eye(2), np.diag([b00, 1.0]), p=0.5))
+    assert rep.verdict == checks.HYPOTHESIS_VIOLATED
+    assert rep.hypothesis_note.endswith("; sides not evaluated")
+    assert rep.parts == () and rep.params["additive_term_norm"] is None
 
 
 def test_ando_branch_parts():

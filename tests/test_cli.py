@@ -1,17 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-import os
 import re
 import shutil
 import subprocess
-import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
-import opineq
 from opineq import cli
 
 HOLDS_INST = {"A": [[1.0, 0.0], [0.0, 2.0]],
@@ -26,6 +23,11 @@ MN2012_NEGATIVE_DIFF_INSTS = [
 ]
 DIP_INST = {"A": [[1.0, 0.0], [0.0, 1.0]],
             "B": [[1.0 - 1e-6, 0.0], [0.0, 1.0 - 1e-6]], "p": 0.5}
+# B singular, or indefinite by a rounding-level eigenvalue, relative to A
+SINGULAR_WINDOW_INSTS = [
+    {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 1.0]], "p": 0.5},
+    {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[-1e-17, 0.0], [0.0, 1.0]], "p": 0.5},
+]
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +60,7 @@ def test_list_prints_registry(capsys):
     assert offsets  # ids are padded, so the separator exists on each line
 
 
-def test_console_script_is_wired():
+def test_console_script_is_wired(fresh_python):
     # Checks the entry point declared in pyproject.toml without needing an
     # install: resolve it, then run it in a fresh interpreter the way the
     # generated script does, against the same source tree this process
@@ -76,12 +78,7 @@ def test_console_script_is_wired():
               "from importlib.metadata import EntryPoint\n"
               f"sys.exit(EntryPoint('opineq', {value!r}, 'console_scripts')"
               ".load()())\n")
-    src_root = str(Path(opineq.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", script, "list"],
-                          capture_output=True, text=True, env=env)
+    proc = fresh_python("-c", script, "list")
     assert proc.returncode == 0, proc.stderr
     assert "info_monotonicity" in proc.stdout
 
@@ -132,6 +129,39 @@ def test_eval_mn2012_negative_difference_is_hypothesis_violated(inst, tmp_path, 
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "HYPOTHESIS_VIOLATED"
     assert report["hypothesis_note"].endswith("; sides not evaluated")
+
+
+@pytest.mark.parametrize("check_id", ["reverse_monotonicity", "ando_converse"])
+@pytest.mark.parametrize("inst", SINGULAR_WINDOW_INSTS)
+def test_eval_singular_window_is_hypothesis_violated(check_id, inst, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", check_id, "--input", path]) == \
+        cli.EXIT_HYPOTHESIS
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["verdict"] == "HYPOTHESIS_VIOLATED"
+    assert report["hypothesis_note"].endswith("; sides not evaluated")
+    assert err == ""
+
+
+def test_eval_overflowing_sides_is_an_error(tmp_path, capsys):
+    # a valid instance whose B^2 overflows: one error line, no traceback
+    inst = {"A": [[2.0, 0.0], [0.0, 2.0]], "B": [[1e200, 0.0], [0.0, 1e200]], "p": 2.0}
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_nan_entry_is_an_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"A": [[1.0, 0.0], [0.0, NaN]], "B": [[1.0, 0.0], [0.0, 1.0]], '
+                    '"p": 0.5}', encoding="utf-8")
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", str(path)]) == \
+        cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: matrix entries must be finite\n"
 
 
 def test_eval_missing_file(tmp_path, capsys):
@@ -246,19 +276,19 @@ def test_fuzz_summary_line(capsys):
         out)
 
 
-def test_fuzz_json_runs_are_byte_identical(tmp_path, capsys):
+def test_fuzz_json_runs_are_byte_identical(tmp_path, capsys, fresh_python):
     first = tmp_path / "run1.json"
     second = tmp_path / "run2.json"
-    threaded = tmp_path / "run3.json"
+    fresh = tmp_path / "run3.json"
     base = ["fuzz", "--check", "info_monotonicity", "--trials", "20",
             "--seed", "5"]
     assert cli.main(base + ["--json", str(first)]) == cli.EXIT_OK
     assert cli.main(base + ["--json", str(second)]) == cli.EXIT_OK
-    assert cli.main(base + ["--json", str(threaded), "--jobs", "2"]) == \
-        cli.EXIT_OK
+    proc = fresh_python("-m", "opineq.cli", *base, "--json", str(fresh))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
-    assert first.read_bytes() == threaded.read_bytes()
+    assert first.read_bytes() == fresh.read_bytes()
     reports = json.loads(first.read_text())
     assert len(reports) == 20
     assert all(r["verdict"] == "HOLDS" for r in reports)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from opineq import fuzz, linalg, sampling
 from opineq.errors import (
     DimensionMismatch,
+    NotFinite,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -109,6 +110,18 @@ def test_spectra_solves_each_input_once(monkeypatch):
 def test_spectra_rejects_non_finite_input():
     with pytest.raises(ValueError):
         linalg.Spectra().eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_non_finite_errors_are_opineq_errors():
+    # inf or nan in an input, or a power that overflows from finite input
+    with pytest.raises(NotFinite):
+        linalg.as_square([[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(NotFinite):
+        linalg.Spectra().decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotFinite):
+        linalg.power(np.diag([1e200, 1.0]), 2.0)
+    with pytest.raises(NotFinite):
+        linalg.power(np.diag([1e-9, 1.0]), -40.0)
 
 
 def test_power_negative_rejects_singular():
