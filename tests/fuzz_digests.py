@@ -2,9 +2,12 @@
 
 Each digest is the first 16 hex digits of the sha256 of
 json.dumps([report.to_json_dict() ...], indent=2, sort_keys=True) for
-one run_fuzz call with seed 7 and FUZZ_TOL_REL.  Every check is run four
+one run_fuzz call with seed 7 and FUZZ_TOL_REL.  Every check is run five
 ways: its registry exponents and a boundary set that reaches every
-branch, each at dims 2-6 x 120 trials and at dim 16 x 12 trials.  The
+branch, each at dims 2-6 x 120 trials and at dim 16 x 12 trials, and its
+registry exponents at dims 32 and 64 x 12 trials.  Twelve trials is the
+least that reaches dim 64 for the checks with six registry exponents
+(the dim advances once per cycle through the exponents).  The
 `repro --json` output of run_all is digested the same way.
 
 The bytes depend on numpy and on the BLAS/LAPACK build (and the CPU
@@ -54,6 +57,7 @@ COLUMNS = (
     ("registry p, dim 16", "registry", (16,), 12),
     ("boundary p, dims 2-6", "boundary", (2, 3, 4, 5, 6), 120),
     ("boundary p, dim 16", "boundary", (16,), 12),
+    ("registry p, dims 32-64", "registry", (32, 64), 12),
 )
 
 

@@ -19,23 +19,23 @@ RECORDED_PLATFORM = {
 
 # check -> digests in fuzz_digests.COLUMNS order
 DIGESTS = {
-    "ando_converse": ("0801ae81c21c7737", "d9bfb8b7723a9460", "42c048717fea3499", "e5cbd02ef6787503"),
-    "density_trace": ("afbf3b72ff040ef2", "34aa0b3dcbb540eb", "7ce13932c8ae935f", "0224b5869ae5f8c5"),
-    "furuta_bounds": ("1594584fccbb8b04", "e56bfad3a3a084b5", "921fedc406ab241e", "5f78d0ccbbd73690"),
-    "holder_mccarthy": ("88426821e1b92247", "7930a9108522b9a1", "6fe360d788b4e591", "ebcc07d8064d024c"),
-    "info_monotonicity": ("c0678b267f10e15f", "b23f8fd3d4e5662e", "c0678b267f10e15f", "b23f8fd3d4e5662e"),
-    "lh_extension": ("005c4e5f4ed52c3f", "def87e66a2f876a7", "9c1f29157860682a", "e2fbd22257e26ea2"),
-    "lowner_heinz": ("ce04977a44dea2e2", "5eb2144c38bd73ac", "11ffaeb1ab3d27ed", "d71ac4f1f01cd1da"),
-    "mn2012": ("b1558e806bea3a02", "ea945dd7d47e7a99", "1052f64635a463af", "1364f37ca472f0fa"),
-    "mond_pecaric": ("728dd147edca8d87", "ecfb1368800be188", "172989c5cf8c13f7", "1c004f0dbb3b45b3"),
-    "norm_chain": ("de27e8da18799930", "2332a5caec65a471", "65e1cf03efb55426", "e4844e6462fb479a"),
-    "norm_power_lemma": ("2b2e2c4325389a63", "ac2648109984b2cc", "2d5f9c7e153983a4", "eee26771fb82c06e"),
-    "norm_refinement": ("29d15ba521363c95", "3a04c7f5110017f4", "50e53f68a5fc57fa", "7cdf88ec8287b012"),
-    "power_corollary": ("4e90b9134ccd60ee", "95d0c6be87065e75", "f4d40ff8cb11866a", "01fdb15cf773d280"),
-    "power_norm": ("fc3d4d4e0262dd96", "f798b5c3a1de5d53", "f436971c3e7b3817", "7cf7c585c235820f"),
-    "radius_chain": ("0f105708fb80ced8", "15cfc42ea10a260a", "671675ddb3e2d2d9", "d53b088868e7e4a1"),
-    "reverse_monotonicity": ("ba84219c641f270f", "b7eecec41e61ebb5", "ba84219c641f270f", "b7eecec41e61ebb5"),
-    "seo_bound": ("4f7897b58a05e815", "5ffa3fb7635eb11c", "43c76a9055720431", "9d0e528b61489dc7"),
+    "ando_converse": ("0801ae81c21c7737", "d9bfb8b7723a9460", "42c048717fea3499", "e5cbd02ef6787503", "ac41bc9ef00d8fc6"),
+    "density_trace": ("afbf3b72ff040ef2", "34aa0b3dcbb540eb", "7ce13932c8ae935f", "0224b5869ae5f8c5", "b7a6571261e10811"),
+    "furuta_bounds": ("1594584fccbb8b04", "e56bfad3a3a084b5", "921fedc406ab241e", "5f78d0ccbbd73690", "f5aeeff4a791f12a"),
+    "holder_mccarthy": ("88426821e1b92247", "7930a9108522b9a1", "6fe360d788b4e591", "ebcc07d8064d024c", "57159010dfcdfa42"),
+    "info_monotonicity": ("c0678b267f10e15f", "b23f8fd3d4e5662e", "c0678b267f10e15f", "b23f8fd3d4e5662e", "3f44a6a1723e2615"),
+    "lh_extension": ("005c4e5f4ed52c3f", "def87e66a2f876a7", "9c1f29157860682a", "e2fbd22257e26ea2", "19d0b42651674562"),
+    "lowner_heinz": ("ce04977a44dea2e2", "5eb2144c38bd73ac", "11ffaeb1ab3d27ed", "d71ac4f1f01cd1da", "9e5956dd1f69aaaf"),
+    "mn2012": ("b1558e806bea3a02", "ea945dd7d47e7a99", "1052f64635a463af", "1364f37ca472f0fa", "781b7641f0c50ac4"),
+    "mond_pecaric": ("728dd147edca8d87", "ecfb1368800be188", "172989c5cf8c13f7", "1c004f0dbb3b45b3", "4d9135035159b16c"),
+    "norm_chain": ("de27e8da18799930", "2332a5caec65a471", "65e1cf03efb55426", "e4844e6462fb479a", "9f9ee9ec3a607cb7"),
+    "norm_power_lemma": ("2b2e2c4325389a63", "ac2648109984b2cc", "2d5f9c7e153983a4", "eee26771fb82c06e", "ca5d6c63325b9acc"),
+    "norm_refinement": ("29d15ba521363c95", "3a04c7f5110017f4", "50e53f68a5fc57fa", "7cdf88ec8287b012", "256d946f5b5d28fd"),
+    "power_corollary": ("4e90b9134ccd60ee", "95d0c6be87065e75", "f4d40ff8cb11866a", "01fdb15cf773d280", "2ae96632cf446194"),
+    "power_norm": ("fc3d4d4e0262dd96", "f798b5c3a1de5d53", "f436971c3e7b3817", "7cf7c585c235820f", "3b2c009311193801"),
+    "radius_chain": ("0f105708fb80ced8", "15cfc42ea10a260a", "671675ddb3e2d2d9", "d53b088868e7e4a1", "9e30160acf49a987"),
+    "reverse_monotonicity": ("ba84219c641f270f", "b7eecec41e61ebb5", "ba84219c641f270f", "b7eecec41e61ebb5", "c5ddd4ac4ac06761"),
+    "seo_bound": ("4f7897b58a05e815", "5ffa3fb7635eb11c", "43c76a9055720431", "9d0e528b61489dc7", "288226fa66d60c9a"),
 }
 REPRO_DIGEST = "7599ba759ff7704a"
 
