@@ -21,6 +21,7 @@ Verdict semantics:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import (
     DomainError,
     InvalidSpec,
     NotDensity,
+    NotFinite,
     NotPositiveDefinite,
     OpineqError,
     SchemaError,
@@ -1001,13 +1003,21 @@ def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
 # norm and radius chains
 # ----------------------------------------------------------------------
 
-def _refined_chain(names, lo, mid, hi, d, p):
+def _refined_chain(names, lo, mid, hi, p):
     """Parts refining lo <= mid <= hi (labelled by names) with the shifts
-    r1 = (mid^p - lo^p)/d and r2 = (hi^p - mid^p)/d; see check_norm_chain.
+    r1 = (mid^p - lo^p)/d and r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see
+    check_norm_chain.  Raises NotFinite when a power leaves the float range.
     """
     n_lo, n_mid, n_hi = names
-    r1 = (mid ** p - lo ** p) / d
-    r2 = (hi ** p - mid ** p) / d
+    try:
+        d = p * hi ** (p - 1.0)
+        r1 = (mid ** p - lo ** p) / d
+        r2 = (hi ** p - mid ** p) / d
+    except (OverflowError, ZeroDivisionError):
+        r1 = r2 = math.inf
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise NotFinite(f"the chain's powers at p={p:g} of norms in "
+                        f"[{lo:.3e}, {hi:.3e}] leave the float range")
     part_specs = []
     if p >= 1.0:
         part_specs += [
@@ -1050,7 +1060,7 @@ def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     op, hs, tr = sp.norms(a)
     if tr == 0.0:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
-    part_specs = _refined_chain(("op", "hs", "tr"), op, hs, tr, p * tr ** (p - 1.0), p)
+    part_specs = _refined_chain(("op", "hs", "tr"), op, hs, tr, p)
     params = {"p": p, "m": None, "M": None, "map": None,
               "norm_op": op, "norm_hs": hs, "norm_tr": tr}
     return _finish("norm_chain", part_specs, hypotheses_ok=True, note="",
@@ -1081,11 +1091,20 @@ def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
         note = "spectral radius vanishes; negative powers of it are undefined"
     part_specs = []
     if hyp_ok:
-        part_specs = _refined_chain(("radius", "w", "op"), sr, w, op, p * op ** (p - 1.0), p)
+        part_specs = _refined_chain(("radius", "w", "op"), sr, w, op, p)
     params = {"p": p, "m": None, "M": None, "map": None,
               "spectral_radius": sr, "numerical_radius": w, "norm_op": op}
     return _finish("radius_chain", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
+
+
+def _product(a, b):
+    """A @ B; NotFinite, without a numpy warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = a @ b
+    if not np.isfinite(ab).all():
+        raise NotFinite("the matrix product overflows")
+    return ab
 
 
 def check_power_norm(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
@@ -1102,8 +1121,8 @@ def check_power_norm(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     sp = linalg.Spectra()
     _require_psd(sp, a, "A")
     _require_psd(sp, b, "B")
-    nab = sp.norm_op(a @ b)
-    napb = sp.norm_op(sp.power(a, p) @ sp.power(b, p))
+    nab = sp.norm_op(_product(a, b))
+    napb = sp.norm_op(_product(sp.power(a, p), sp.power(b, p)))
     part_specs = []
     if p <= 1.0:
         part_specs.append(("power_norm_upper", _scal(napb), _scal(nab ** p)))
@@ -1142,8 +1161,8 @@ def check_norm_refinement(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
         raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
     m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
     m2, M2 = m * m, M * M
-    nab = sp.norm_op(a @ b)
-    napb = sp.norm_op(sp.power(a, p) @ sp.power(b, p))
+    nab = sp.norm_op(_product(a, b))
+    napb = sp.norm_op(_product(sp.power(a, p), sp.power(b, p)))
     part_specs = []
     if p <= 1.0:
         dd = nab - napb ** (1.0 / p)

@@ -6,11 +6,19 @@ hypotheses by construction, so a FAILS verdict points at the inequality
 trial t of a run with seed s draws from Philox streams keyed by (s, t)
 plus fixed sub-stream offsets, so any trial can be regenerated in
 isolation and the full run is reproducible byte for byte.
+
+A sampler takes a seed and a plan, a list of (trial, dim, p), and returns
+the plan's instances in order.  It draws every trial's numbers first and
+then runs the plan's linear algebra stacked (sampling._Batch); a trial's
+instance is the same bits whatever plan it is part of.  run_fuzz samples
+its schedule in plans of _CHUNK trials and checks the trials in order;
+sample_instance is a plan of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -32,9 +40,9 @@ _S_B = 1 << 50
 _S_MAP = 1 << 48
 _S_AUX = 1 << 49
 
-
-def _aux_rng(seed: int, trial: int) -> np.random.Generator:
-    return sampling.rng_for(seed, trial + _S_AUX)
+# trials run_fuzz samples per batch; at MAX_DIM a chunk's matrices take
+# about 10 MB
+_CHUNK = 64
 
 
 def _window(rng) -> tuple[float, float]:
@@ -44,140 +52,174 @@ def _window(rng) -> tuple[float, float]:
     return lo, hi
 
 
-def _cfg(dim, seed, window) -> sampling.SamplerConfig:
-    return sampling.SamplerConfig(
-        dim=dim, seed=seed, spectrum_lo=window[0], spectrum_hi=window[1]
-    )
+def _cfg(dim, window=(0.5, 2.0)) -> sampling.SamplerConfig:
+    return sampling.SamplerConfig(dim=dim, spectrum_lo=window[0], spectrum_hi=window[1])
 
 
-def _random_map(seed: int, trial: int, dim: int) -> maps.MapSpec:
-    """One of the four map families, chosen and built deterministically."""
-    rng = sampling.rng_for(seed, trial + _S_MAP)
+def _random_map(batch, rng, dim: int):
+    """One of the four map families, drawn from rng; a cell of the batch."""
     kind = maps.KINDS[int(rng.integers(len(maps.KINDS)))]
     if kind == maps.NORMALIZED_TRACE:
-        return maps.MapSpec.normalized_trace(dim)
+        return batch.derive(lambda: maps.MapSpec.normalized_trace(dim))
     if kind == maps.COMPRESSION:
         k = 1 + int(rng.integers(dim))
-        return maps.MapSpec.compression(sampling._isometry(rng, dim, k))
+        v = batch.isometry(rng, dim, k)
+        return batch.derive(lambda: maps.MapSpec.compression(v.value))
     if kind == maps.PINCHING:
         nblocks = 1 + int(rng.integers(dim))
         labels = rng.integers(nblocks, size=dim)
         blocks = [tuple(int(i) for i in np.flatnonzero(labels == b))
                   for b in range(nblocks)]
-        return maps.MapSpec.pinching([b for b in blocks if b], dim)
+        return batch.derive(lambda: maps.MapSpec.pinching([b for b in blocks if b], dim))
     count = 2 + int(rng.integers(2))
     weights = rng.uniform(0.5, 1.5, size=count)
     weights = weights / weights.sum()
-    unitaries = [sampling.random_orthogonal(dim, rng) for _ in range(count)]
-    return maps.MapSpec.mixed_unitary(weights, unitaries)
+    unitaries = [batch.isometry(rng, dim, dim) for _ in range(count)]
+    return batch.derive(
+        lambda: maps.MapSpec.mixed_unitary(weights, [u.value for u in unitaries]))
 
 
 # ----------------------------------------------------------------------
-# per-check samplers: (dim, seed, p, trial) -> InstanceSpec
+# per-check samplers: (seed, plan of (trial, dim, p)) -> [InstanceSpec]
 # ----------------------------------------------------------------------
 
-def _sample_spd_pair_map(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    a = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial)
-    b = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial + _S_B)
-    return checks.InstanceSpec(A=a, B=b, p=p, map=_random_map(seed, trial, dim))
+def _planned(draw):
+    """The sampler over plans for one trial's `draw(batch, trial, dim, p)`.
+
+    draw takes all of the trial's numbers from the batch's streams and
+    returns the cell that holds its InstanceSpec once the batch resolves.
+    Trial t's streams are keyed (seed, t + offset) with the offsets
+    below, so its instance does not depend on the rest of the plan.
+    """
+    @functools.wraps(draw)
+    def sampler(seed: int, plan) -> list:
+        batch = sampling._Batch(seed)
+        cells = [draw(batch, trial, dim, p) for trial, dim, p in plan]
+        batch.resolve()
+        return [cell.value for cell in cells]
+    return sampler
 
 
-def _sample_sandwich_map(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    m_target = 1.0 + float(10.0 ** rng.uniform(-2.0, 0.8))
-    a, b = sampling.random_sandwich_pair(_cfg(dim, seed, _window(rng)), m_target, trial)
-    return checks.InstanceSpec(A=a, B=b, p=p, map=_random_map(seed, trial, dim))
+@_planned
+def _sample_spd_pair_map(batch, trial, dim, p):
+    aux, first, second, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_B,
+                                             trial + _S_MAP)
+    a = batch.spd(first, _cfg(dim, _window(aux)))
+    b = batch.spd(second, _cfg(dim, _window(aux)))
+    m = _random_map(batch, mrng, dim)
+    return batch.derive(
+        lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, map=m.value))
 
 
-def _sample_density(dim, seed, p, trial):
+@_planned
+def _sample_sandwich_map(batch, trial, dim, p):
+    aux, first, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_MAP)
+    m_target = 1.0 + float(10.0 ** aux.uniform(-2.0, 0.8))
+    a, b = batch.sandwich_pair(first, _cfg(dim, _window(aux)), m_target)
+    m = _random_map(batch, mrng, dim)
+    return batch.derive(
+        lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, map=m.value))
+
+
+@_planned
+def _sample_density(batch, trial, dim, p):
     # unit trace plus the unit window forces B = A, so the only valid
     # instances sit at the equality point; gate behavior is unit-tested
-    a = sampling.random_density(sampling.SamplerConfig(dim=dim, seed=seed), trial)
-    return checks.InstanceSpec(A=a, B=a.copy(), p=p)
+    (first,) = batch.streams(trial)
+    a = batch.density(first, _cfg(dim))
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=a.value.copy(), p=p))
 
 
-def _sample_power_corollary(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    hi = 1.0 + float(10.0 ** rng.uniform(-1.5, 0.9))
-    cfg = sampling.SamplerConfig(dim=dim, seed=seed,
-                                 spectrum_lo=1.0 + 1e-6, spectrum_hi=hi)
-    a = sampling.random_spd(cfg, trial)
-    return checks.InstanceSpec(A=a, p=p, map=_random_map(seed, trial, dim))
+@_planned
+def _sample_power_corollary(batch, trial, dim, p):
+    aux, first, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_MAP)
+    hi = 1.0 + float(10.0 ** aux.uniform(-1.5, 0.9))
+    a = batch.spd(first, _cfg(dim, (1.0 + 1e-6, hi)))
+    m = _random_map(batch, mrng, dim)
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p, map=m.value))
 
 
-def _sample_lowner_heinz(dim, seed, p, trial):
+@_planned
+def _sample_lowner_heinz(batch, trial, dim, p):
     # the bump spans three orders of magnitude on purpose: a nearly
     # isotropic bump commutes too well with A to ever break A^2 <= B^2,
     # and the p > 1 counterexample hunt needs that anisotropy
-    a = sampling.random_spd(_cfg(dim, seed, (0.5, 2.0)), trial)
-    bump = sampling.random_spd(_cfg(dim, seed, (1e-3, 1.0)), trial + _S_B)
-    return checks.InstanceSpec(A=a, B=a + bump, p=p)
+    first, second = batch.streams(trial, trial + _S_B)
+    a = batch.spd(first, _cfg(dim, (0.5, 2.0)))
+    bump = batch.spd(second, _cfg(dim, (1e-3, 1.0)))
+    return batch.derive(
+        lambda: checks.InstanceSpec(A=a.value, B=a.value + bump.value, p=p))
 
 
-def _sample_single_spd(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    a = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial)
-    return checks.InstanceSpec(A=a, p=p)
+@_planned
+def _sample_single_spd(batch, trial, dim, p):
+    aux, first = batch.streams(trial + _S_AUX, trial)
+    a = batch.spd(first, _cfg(dim, _window(aux)))
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p))
 
 
-def _sample_norm_dominated(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    a, b = sampling.random_norm_dominated_pair(_cfg(dim, seed, _window(rng)), trial)
-    return checks.InstanceSpec(A=a, B=b, p=p)
+@_planned
+def _sample_norm_dominated(batch, trial, dim, p):
+    aux, first = batch.streams(trial + _S_AUX, trial)
+    a, b = batch.norm_dominated_pair(first, _cfg(dim, _window(aux)), 0.0)
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
 
 
-def _sample_norm_dominated_gap(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    gap = float(10.0 ** rng.uniform(-3.0, 0.0))
-    a, b = sampling.random_norm_dominated_pair(
-        _cfg(dim, seed, _window(rng)), trial, gap=gap)
-    return checks.InstanceSpec(A=a, B=b, p=p)
+@_planned
+def _sample_norm_dominated_gap(batch, trial, dim, p):
+    aux, first = batch.streams(trial + _S_AUX, trial)
+    gap = float(10.0 ** aux.uniform(-3.0, 0.0))
+    a, b = batch.norm_dominated_pair(first, _cfg(dim, _window(aux)), gap)
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
 
 
-def _sample_mond_pecaric(dim, seed, p, trial):
+@_planned
+def _sample_mond_pecaric(batch, trial, dim, p):
     # spectra separated around a split point: B <= split I <= A makes the
     # order hypothesis and the vector-expectation gate hold automatically
-    rng = _aux_rng(seed, trial)
-    split = float(10.0 ** rng.uniform(-0.3, 0.5))
-    b_lo = split / float(10.0 ** rng.uniform(0.2, 1.0))
-    a_hi = split * float(10.0 ** rng.uniform(0.2, 0.8))
-    b = sampling.random_spd(
-        sampling.SamplerConfig(dim=dim, seed=seed, spectrum_lo=b_lo, spectrum_hi=split),
-        trial + _S_B)
-    a = sampling.random_spd(
-        sampling.SamplerConfig(dim=dim, seed=seed, spectrum_lo=split, spectrum_hi=a_hi),
-        trial)
-    f = checks._F_KINDS[int(rng.integers(len(checks._F_KINDS)))]
-    x = sampling._unit_vector(rng, dim)
-    return checks.InstanceSpec(A=a, B=b, p=p, x=x, f=f)
+    aux, first, second = batch.streams(trial + _S_AUX, trial, trial + _S_B)
+    split = float(10.0 ** aux.uniform(-0.3, 0.5))
+    b_lo = split / float(10.0 ** aux.uniform(0.2, 1.0))
+    a_hi = split * float(10.0 ** aux.uniform(0.2, 0.8))
+    b = batch.spd(second, _cfg(dim, (b_lo, split)))
+    a = batch.spd(first, _cfg(dim, (split, a_hi)))
+    f = checks._F_KINDS[int(aux.integers(len(checks._F_KINDS)))]
+    x = sampling._unit_vector(aux, dim)
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, x=x, f=f))
 
 
-def _sample_holder_mccarthy(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    a = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial)
-    return checks.InstanceSpec(A=a, p=p, x=sampling._unit_vector(rng, dim))
+@_planned
+def _sample_holder_mccarthy(batch, trial, dim, p):
+    aux, first = batch.streams(trial + _S_AUX, trial)
+    a = batch.spd(first, _cfg(dim, _window(aux)))
+    x = sampling._unit_vector(aux, dim)
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p, x=x))
 
 
-def _sample_square(dim, seed, p, trial):
-    a = sampling.random_square(sampling.SamplerConfig(dim=dim, seed=seed), trial)
-    return checks.InstanceSpec(A=a, p=p)
+@_planned
+def _sample_square(batch, trial, dim, p):
+    (first,) = batch.streams(trial)
+    a = sampling._square(first, _cfg(dim))
+    return batch.derive(lambda: checks.InstanceSpec(A=a, p=p))
 
 
-def _sample_radius_chain(dim, seed, p, trial):
-    a = sampling.random_square(sampling.SamplerConfig(dim=dim, seed=seed), trial)
+@_planned
+def _sample_radius_chain(batch, trial, dim, p):
+    (first,) = batch.streams(trial)
+    a = sampling._square(first, _cfg(dim))
     if p < 0.0:
         # negative powers need a positive spectral radius; shifting by
         # 1.5 ||A|| puts every eigenvalue's real part above 0.5 ||A||
         a = a + 1.5 * linalg.norm_op(a) * np.eye(dim)
-    return checks.InstanceSpec(A=a, p=p)
+    return batch.derive(lambda: checks.InstanceSpec(A=a, p=p))
 
 
-def _sample_spd_pair(dim, seed, p, trial):
-    rng = _aux_rng(seed, trial)
-    a = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial)
-    b = sampling.random_spd(_cfg(dim, seed, _window(rng)), trial + _S_B)
-    return checks.InstanceSpec(A=a, B=b, p=p)
+@_planned
+def _sample_spd_pair(batch, trial, dim, p):
+    aux, first, second = batch.streams(trial + _S_AUX, trial, trial + _S_B)
+    a = batch.spd(first, _cfg(dim, _window(aux)))
+    b = batch.spd(second, _cfg(dim, _window(aux)))
+    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
 
 
 FUZZ_SAMPLERS = {
@@ -207,7 +249,7 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
     sampler = FUZZ_SAMPLERS.get(check_id)
     if sampler is None:
         raise UnknownCheck(f"no sampler for check {check_id!r}")
-    return sampler(dim, seed, p, trial)
+    return sampler(seed, [(trial, dim, p)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +282,8 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     Trial t uses p = p_values[t mod len(p_values)] and cycles dims with
     period len(p_values) * len(dims); reports come back ordered by t and
     carry seed/trial/dim in their params.  Every FAILS yields a witness
-    holding the instance that failed; stop_on_fail ends the run there.
+    holding the instance that failed; stop_on_fail ends the run there,
+    and the rest of that chunk's instances go unchecked.
     """
     info = checks.resolve_check(check_id)
     if trials < 0:
@@ -258,10 +301,11 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     counts = {checks.HOLDS: 0, checks.FAILS: 0, checks.HYPOTHESIS_VIOLATED: 0}
     reports: list[checks.CheckReport] = []
     witnesses = []
-    for trial in range(trials):
-        p = p_values[trial % len(p_values)]
-        dim = dims[(trial // len(p_values)) % len(dims)]
-        inst = sampler(dim, seed, p, trial)
+    plans = ([(t, dims[(t // len(p_values)) % len(dims)], p_values[t % len(p_values)])
+              for t in range(c, min(c + _CHUNK, trials))]
+             for c in range(0, trials, _CHUNK))
+    sampled = (item for plan in plans for item in zip(plan, sampler(seed, plan)))
+    for (trial, dim, p), inst in sampled:
         report = info.runner(inst, tol_rel=tol_rel)
         report = dataclasses.replace(
             report,

@@ -97,8 +97,11 @@ def require_symmetric(a, what: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2.  Used to strip rounding-level asymmetry after products."""
-    return 0.5 * (a + a.T)
+    """(A + A^T)/2, matrix by matrix over any leading stack axes.
+
+    Used to strip rounding-level asymmetry after products.
+    """
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,21 @@
 """Deterministic random instance generators.
 
 Streams come from the Philox counter-based generator keyed by
-(seed, trial): rng_for(seed, k) is an independent stream for every k,
+(seed, index): rng_for(seed, k) is an independent stream for every k,
 identical across runs and platforms.  That is what lets any fuzz trial
 be regenerated on its own, byte for byte: trial k draws from its own
-stream, whatever ran before it.
+streams, whatever ran before it.
+
+Sampling runs in two phases, in a batch (_Batch).  First every instance
+of the batch draws all of its numbers from its own streams, in the same
+order as when it is sampled alone: spectra, Gaussian blocks, scalars.
+Then the batch's linear algebra runs stacked, one call per matrix shape:
+the QR of every Gaussian block, the reconstruction Q diag(lam) Q^T, and
+the eigendecomposition behind each sandwich conjugation.  Stacked LAPACK
+and BLAS calls work matrix by matrix, so an instance comes out
+bit-identical whatever else shares its batch.  The public generators
+below are batches of one; fuzz.run_fuzz samples a run in chunks of
+trials.
 
 Every sampler is constructive.  Hypotheses like "A <= B in the Loewner
 order" or "||A|| I <= B" are built into the recipe (conjugations of a
@@ -20,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidSpec
+from .errors import InvalidSpec, NotPositiveDefinite
 
 _MASK64 = (1 << 64) - 1
+_ZEROS4 = (0, 0, 0, 0)
 
 
 MAX_DIM = 64
@@ -51,17 +63,19 @@ class SamplerConfig:
             )
 
 
+def _key(seed: int, index: int) -> tuple[int, int]:
+    return int(seed) & _MASK64, int(index) & _MASK64
+
+
 def rng_for(seed: int, index: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, trial index) pair."""
-    key = [int(seed) & _MASK64, int(index) & _MASK64]
+    """Independent Philox stream for one (seed, trial index) pair.
+
+    The Philox key is (seed mod 2**64, index mod 2**64), counter 0.
+    """
+    # a uint64 array: numpy reads a list that mixes words above and below
+    # 2**63 as float64, which merged seed -1 into seed 0
+    key = np.array(_key(seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _isometry(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """n x k orthonormal columns from the sign-fixed QR of a Gaussian sample."""
-    g = rng.normal(size=(n, k))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
 
 
 def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -72,32 +86,175 @@ def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / float(np.linalg.norm(v))
 
 
+def _square(rng: np.random.Generator, cfg: SamplerConfig) -> np.ndarray:
+    """Nonzero dim x dim Gaussian sample."""
+    n = cfg.dim
+    m = rng.normal(size=(n, n))
+    while float(np.max(np.abs(m))) == 0.0:  # pragma: no cover
+        m = rng.normal(size=(n, n))
+    return m
+
+
+class _Cell:
+    """A value that _Batch.resolve fills in."""
+
+    __slots__ = ("value",)
+
+
+class _Batch:
+    """Draw now, run the linear algebra stacked at resolve().
+
+    streams() hands out the streams rng_for(seed, index) by re-keying a
+    few reused Philox generators, which costs a fifth of building new
+    ones.  The draw methods take every number they need from the stream
+    they are given, at once and in the order the public generators use,
+    and return _Cells.  resolve() runs one sign-fixed QR per (n, k) stack
+    of Gaussian blocks, one Q diag(lam) Q^T per n, one eigh per n for the
+    sandwich conjugations, then the derive() callbacks in the order they
+    were registered, and fills every cell.
+    """
+
+    def __init__(self, seed: int = 0):
+        self._seed = int(seed)
+        self._slots: list[np.random.Generator] = []
+        self._blocks: dict[tuple[int, int], list] = {}   # (n, k) -> [(gaussian, cell)]
+        self._spectral: dict[int, list] = {}              # n -> [(lam, q, cell)]
+        self._sandwich: dict[int, list] = {}              # n -> [(a, w, cell)]
+        self._derived: list = []                          # [(fn, cell)]
+
+    def streams(self, *indices: int) -> list[np.random.Generator]:
+        """rng_for(seed, index) for each index, in order.
+
+        The generators are reused: the next call re-keys them, so take
+        everything from them before asking for more.
+        """
+        while len(self._slots) < len(indices):
+            self._slots.append(np.random.Generator(np.random.Philox(key=0)))
+        for gen, index in zip(self._slots, indices):
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZEROS4, "key": _key(self._seed, index)},
+                "buffer": _ZEROS4,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        return self._slots[:len(indices)]
+
+    def derive(self, fn) -> _Cell:
+        """A cell holding fn(), called once every stacked stage has run."""
+        cell = _Cell()
+        self._derived.append((fn, cell))
+        return cell
+
+    def isometry(self, rng: np.random.Generator, n: int, k: int) -> _Cell:
+        """n x k orthonormal columns from the sign-fixed QR of a Gaussian block."""
+        cell = _Cell()
+        self._blocks.setdefault((n, k), []).append((rng.normal(size=(n, k)), cell))
+        return cell
+
+    def spectral(self, rng: np.random.Generator, spectrum) -> _Cell:
+        """Q diag(spectrum) Q^T, symmetrized, with a random orthogonal Q."""
+        lam = np.asarray(spectrum, dtype=float)
+        q = self.isometry(rng, lam.size, lam.size)
+        cell = _Cell()
+        self._spectral.setdefault(lam.size, []).append((lam, q, cell))
+        return cell
+
+    def spd(self, rng: np.random.Generator, cfg: SamplerConfig) -> _Cell:
+        """SPD matrix with eigenvalues uniform on the config window."""
+        lam = rng.uniform(cfg.spectrum_lo, cfg.spectrum_hi, size=cfg.dim)
+        return self.spectral(rng, lam)
+
+    def sandwich_pair(self, rng: np.random.Generator, cfg: SamplerConfig,
+                      M_target: float) -> tuple[_Cell, _Cell]:
+        """(A, B = A^{1/2} W A^{1/2}); see random_sandwich_pair."""
+        if M_target < 1.0:
+            raise InvalidSpec(f"M_target must be >= 1, got {M_target}")
+        a = self.spd(rng, cfg)
+        margin = 1e-6 * max(M_target - 1.0, 1e-3)
+        lam_w = 1.0 + margin + (M_target - 1.0 - margin) * rng.uniform(size=cfg.dim)
+        lam_w = np.clip(lam_w, 1.0 + margin, max(M_target, 1.0 + margin))
+        w = self.spectral(rng, lam_w)
+        b = _Cell()
+        self._sandwich.setdefault(cfg.dim, []).append((a, w, b))
+        return a, b
+
+    def norm_dominated_pair(self, rng: np.random.Generator, cfg: SamplerConfig,
+                            gap: float) -> tuple[_Cell, _Cell]:
+        """(A, B = (||A|| + gap) I + bump); see random_norm_dominated_pair."""
+        if gap < 0.0:
+            raise InvalidSpec(f"gap must be >= 0, got {gap}")
+        a = self.spd(rng, cfg)
+        bump = self.spectral(rng, rng.uniform(0.0, cfg.spectrum_hi, size=cfg.dim))
+
+        def dominate():
+            b = (linalg.norm_op(a.value) + gap) * np.eye(cfg.dim) + bump.value
+            return linalg.symmetrize(b)
+
+        return a, self.derive(dominate)
+
+    def density(self, rng: np.random.Generator, cfg: SamplerConfig) -> _Cell:
+        """SPD matrix from the config window, normalized to unit trace."""
+        m = self.spd(rng, cfg)
+        return self.derive(lambda: m.value / float(np.trace(m.value)))
+
+    def resolve(self) -> None:
+        """Run the stacked linear algebra and fill every cell drawn so far."""
+        for jobs in self._blocks.values():
+            q, r = np.linalg.qr(np.stack([g for g, _ in jobs]))
+            q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+            for (_, cell), qi in zip(jobs, q):
+                cell.value = qi
+        for jobs in self._spectral.values():
+            q = np.stack([qc.value for _, qc, _ in jobs])
+            lam = np.stack([lam for lam, _, _ in jobs])
+            m = linalg.symmetrize((q * lam[:, None, :]) @ q.swapaxes(-1, -2))
+            for (_, _, cell), mi in zip(jobs, m):
+                cell.value = mi
+        for jobs in self._sandwich.values():
+            lam, q = np.linalg.eigh(np.stack([a.value for a, _, _ in jobs]))
+            for w in lam:
+                if np.any(w <= linalg._positivity_floor(w)):  # pragma: no cover
+                    raise NotPositiveDefinite(
+                        f"square-root factors need an SPD matrix, min eigenvalue "
+                        f"{w.min():.3e}")
+            half = linalg.symmetrize((q * np.sqrt(lam)[:, None, :]) @ q.swapaxes(-1, -2))
+            w = np.stack([wc.value for _, wc, _ in jobs])
+            b = linalg.symmetrize(half @ w @ half)
+            for (_, _, cell), bi in zip(jobs, b):
+                cell.value = bi
+        for fn, cell in self._derived:
+            cell.value = fn()
+        self._blocks, self._spectral, self._sandwich, self._derived = {}, {}, {}, []
+
+
+def _one(cell: _Cell, batch: _Batch):
+    batch.resolve()
+    return cell.value
+
+
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal matrix from the QR of a Gaussian sample."""
-    return _isometry(rng, n, n)
+    batch = _Batch()
+    return _one(batch.isometry(rng, n, n), batch)
 
 
 def spd_from_spectrum(spectrum, rng: np.random.Generator) -> np.ndarray:
     """Q diag(spectrum) Q^T with a random orthogonal Q."""
-    lam = np.asarray(spectrum, dtype=float)
-    q = random_orthogonal(lam.size, rng)
-    return linalg.symmetrize((q * lam) @ q.T)
+    batch = _Batch()
+    return _one(batch.spectral(rng, spectrum), batch)
 
 
 def random_spd(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
     """SPD matrix with eigenvalues uniform on the config window."""
-    rng = rng_for(cfg.seed, trial)
-    lam = rng.uniform(cfg.spectrum_lo, cfg.spectrum_hi, size=cfg.dim)
-    return spd_from_spectrum(lam, rng)
+    batch = _Batch()
+    return _one(batch.spd(rng_for(cfg.seed, trial), cfg), batch)
 
 
 def random_square(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
     """Dense Gaussian matrix, generally nonsymmetric and nonzero."""
-    rng = rng_for(cfg.seed, trial)
-    m = rng.normal(size=(cfg.dim, cfg.dim))
-    while float(np.max(np.abs(m))) == 0.0:  # pragma: no cover
-        m = rng.normal(size=(cfg.dim, cfg.dim))
-    return m
+    return _square(rng_for(cfg.seed, trial), cfg)
 
 
 def random_sandwich_pair(
@@ -105,21 +262,15 @@ def random_sandwich_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with 1 <= A^{-1/2} B A^{-1/2} <= M_target by construction.
 
-    The inner operator is sampled directly with spectrum in
-    (1, M_target], then conjugated back by A^{1/2}.  A small margin
-    above 1 keeps the order hypothesis safe from conjugation rounding.
+    The inner operator W is sampled directly with spectrum in
+    (1, M_target], then conjugated back: B = A^{1/2} W A^{1/2}.  A small
+    margin above 1 keeps the order hypothesis safe from conjugation
+    rounding.
     """
-    if M_target < 1.0:
-        raise InvalidSpec(f"M_target must be >= 1, got {M_target}")
-    rng = rng_for(cfg.seed, trial)
-    lam_a = rng.uniform(cfg.spectrum_lo, cfg.spectrum_hi, size=cfg.dim)
-    a = spd_from_spectrum(lam_a, rng)
-    margin = 1e-6 * max(M_target - 1.0, 1e-3)
-    lam_w = 1.0 + margin + (M_target - 1.0 - margin) * rng.uniform(size=cfg.dim)
-    lam_w = np.clip(lam_w, 1.0 + margin, max(M_target, 1.0 + margin))
-    w = spd_from_spectrum(lam_w, rng)
-    b = linalg.conjugate_by_sqrt(a, w)
-    return a, b
+    batch = _Batch()
+    a, b = batch.sandwich_pair(rng_for(cfg.seed, trial), cfg, M_target)
+    batch.resolve()
+    return a.value, b.value
 
 
 def random_norm_dominated_pair(
@@ -130,21 +281,16 @@ def random_norm_dominated_pair(
     B = (||A|| + gap) I + PSD bump, so B - A >= gap I exactly and the
     operator-norm domination ||A|| I <= B holds with slack gap.
     """
-    if gap < 0.0:
-        raise InvalidSpec(f"gap must be >= 0, got {gap}")
-    rng = rng_for(cfg.seed, trial)
-    lam_a = rng.uniform(cfg.spectrum_lo, cfg.spectrum_hi, size=cfg.dim)
-    a = spd_from_spectrum(lam_a, rng)
-    bump_lam = rng.uniform(0.0, cfg.spectrum_hi, size=cfg.dim)
-    bump = spd_from_spectrum(bump_lam, rng)
-    b = (linalg.norm_op(a) + gap) * np.eye(cfg.dim) + bump
-    return a, linalg.symmetrize(b)
+    batch = _Batch()
+    a, b = batch.norm_dominated_pair(rng_for(cfg.seed, trial), cfg, gap)
+    batch.resolve()
+    return a.value, b.value
 
 
 def random_density(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
     """Random density matrix: SPD normalized to unit trace."""
-    m = random_spd(cfg, trial)
-    return m / float(np.trace(m))
+    batch = _Batch()
+    return _one(batch.density(rng_for(cfg.seed, trial), cfg), batch)
 
 
 def random_unit_vector(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
@@ -155,4 +301,5 @@ def random_isometry(cfg: SamplerConfig, k: int, trial: int = 0) -> np.ndarray:
     """n x k matrix with orthonormal columns, 1 <= k <= n."""
     if not 1 <= k <= cfg.dim:
         raise InvalidSpec(f"isometry width must lie in [1, {cfg.dim}], got {k}")
-    return _isometry(rng_for(cfg.seed, trial), cfg.dim, k)
+    batch = _Batch()
+    return _one(batch.isometry(rng_for(cfg.seed, trial), cfg.dim, k), batch)

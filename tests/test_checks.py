@@ -14,6 +14,7 @@ from opineq.errors import (
     DomainError,
     InvalidSpec,
     NotDensity,
+    NotFinite,
     NotPositiveDefinite,
     NotSymmetric,
     SchemaError,
@@ -144,6 +145,27 @@ def test_radius_chain_shift_block():
     assert rep.verdict == checks.HOLDS
     assert abs(rep.gap_min_eig - 0.125) < 1e-6
     assert abs(rep.params["numerical_radius"] - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("check_id", ["norm_chain", "radius_chain"])
+@pytest.mark.parametrize("scale, p", [(1e200, 3.0), (1e-200, 3.0), (1e-200, -1.0)])
+def test_chains_report_powers_out_of_float_range(check_id, scale, p):
+    # norm^(p-1) overflows, or underflows to a zero divisor, in float
+    # arithmetic; that used to escape as OverflowError / ZeroDivisionError
+    with pytest.raises(NotFinite):
+        checks.run_check(check_id, _inst(scale * np.eye(2), p=p))
+
+
+@pytest.mark.parametrize("check_id", ["power_norm", "norm_refinement"])
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_overflowing_products_raise_without_warnings(check_id, p):
+    # A B (or A^p B^p) overflows; the error must come without numpy's
+    # overflow and invalid-value warnings
+    a = 1e160 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite):
+            checks.run_check(check_id, _inst(a, a.copy(), p=p))
 
 
 def test_lowner_heinz_tolerance_scales_with_huge_operands():

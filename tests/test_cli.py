@@ -155,6 +155,24 @@ def test_eval_overflowing_sides_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("check_id, inst", [
+    ("norm_chain", {"A": [[1e200, 0.0], [0.0, 1e200]], "p": 3}),
+    ("radius_chain", {"A": [[1e200, 0.0], [0.0, 1e200]], "p": 3}),
+    ("power_norm", {"A": [[1e160, 0.0], [0.0, 1e160]],
+                    "B": [[1e160, 0.0], [0.0, 1e160]], "p": 0.5}),
+    ("norm_refinement", {"A": [[1e160, 0.0], [0.0, 1e160]],
+                         "B": [[1e160, 0.0], [0.0, 1e160]], "p": 0.5}),
+])
+def test_eval_overflowing_scalars_and_products_are_errors(tmp_path, capsys, check_id, inst):
+    # the chains' norm powers and the A B product overflow: one error
+    # line, exit 5, no traceback and no numpy warning
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", check_id, "--input", path]) == cli.EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_nan_entry_is_an_error(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text('{"A": [[1.0, 0.0], [0.0, NaN]], "B": [[1.0, 0.0], [0.0, 1.0]], '

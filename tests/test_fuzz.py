@@ -1,5 +1,6 @@
 """Tests for the randomized counterexample search."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -135,3 +136,51 @@ def test_zero_trials_is_a_valid_empty_run():
     assert result.trials == 0
     assert result.counts == {checks.HOLDS: 0, checks.FAILS: 0,
                              checks.HYPOTHESIS_VIOLATED: 0}
+
+
+# ----------------------------------------------------------------------
+# chunked sampling never shows in the output
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims, trials", [((2, 3, 4, 5, 6), 2 * fuzz._CHUNK + 5),
+                                          ((16, 64), fuzz._CHUNK + 3)])
+@pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
+def test_run_fuzz_checks_the_instances_sample_instance_builds(monkeypatch, check_id,
+                                                              dims, trials):
+    # record what run_fuzz hands the check, across chunk boundaries, and
+    # compare it with each trial sampled on its own; the check itself is
+    # replaced by a canned report to keep the large dims cheap
+    info = checks.REGISTRY[check_id]
+    seed = 11
+    canned = info.runner(fuzz.sample_instance(check_id, 2, seed, info.default_p[0], 0),
+                         tol_rel=fuzz.FUZZ_TOL_REL)
+    seen = []
+
+    def record(inst, *, tol_rel):
+        seen.append(inst.to_json_dict())
+        return canned
+
+    monkeypatch.setitem(checks.REGISTRY, check_id,
+                        dataclasses.replace(info, runner=record))
+    result = fuzz.run_fuzz(check_id, trials=trials, dims=dims, seed=seed)
+    assert len(seen) == result.trials == trials
+    ps = info.default_p
+    for trial, got in enumerate(seen):
+        dim = dims[(trial // len(ps)) % len(dims)]
+        alone = fuzz.sample_instance(check_id, dim, seed, ps[trial % len(ps)], trial)
+        assert got == alone.to_json_dict()
+
+
+@pytest.mark.parametrize("seed, p", [(8, 2.0), (3, 1.5)])
+def test_stop_on_fail_run_is_a_prefix_of_the_full_run(seed, p):
+    # seed 8 first fails at trial 7, inside the first chunk; seed 3 at
+    # trial 74, in the second, and fails again at 102 in the same chunk
+    full = fuzz.run_fuzz("lowner_heinz", trials=200, seed=seed, p_values=(p,))
+    stopped = fuzz.run_fuzz("lowner_heinz", trials=200, seed=seed, p_values=(p,),
+                            stop_on_fail=True)
+    first = next(r.params["trial"] for r in full.reports if r.verdict == checks.FAILS)
+    assert stopped.trials == first + 1
+    assert [r.to_json_dict() for r in stopped.reports] == \
+        [r.to_json_dict() for r in full.reports[:first + 1]]
+    assert stopped.witnesses == full.witnesses[:1]
+    assert full.failures > 1

@@ -304,13 +304,13 @@ def _radius_brute_force(a, grid: int = 720, refine_iters: int = 40) -> float:
 @pytest.mark.parametrize("dim,trials", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (16, 2), (32, 1)])
 def test_numerical_radius_matches_brute_force(dim, trials, p):
     for trial in range(trials):
-        a = fuzz.FUZZ_SAMPLERS["radius_chain"](dim, 7, p, trial).A
+        a = fuzz.sample_instance("radius_chain", dim, 7, p, trial).A
         ref = _radius_brute_force(a)
         assert abs(linalg.numerical_radius(a) - ref) <= 1e-12 * ref
 
 
 def test_numerical_radius_matches_brute_force_dim_64():
-    a = fuzz.FUZZ_SAMPLERS["radius_chain"](64, 7, 0.5, 0).A
+    a = fuzz.sample_instance("radius_chain", 64, 7, 0.5, 0).A
     ref = _radius_brute_force(a)
     assert abs(linalg.numerical_radius(a) - ref) <= 1e-12 * ref
 
@@ -397,7 +397,7 @@ def test_numerical_radius_flat_profiles_stop_at_once(monkeypatch, a, want):
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_numerical_radius_scales(scale):
-    a = fuzz.FUZZ_SAMPLERS["radius_chain"](4, 7, 0.5, 0).A
+    a = fuzz.sample_instance("radius_chain", 4, 7, 0.5, 0).A
     want = linalg.numerical_radius(a)
     assert abs(linalg.numerical_radius(scale * a) - scale * want) <= 1e-13 * scale * want
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from opineq import linalg, sampling
+from opineq import fuzz, linalg, sampling
 from opineq.errors import InvalidSpec
 
 
@@ -51,6 +51,58 @@ def test_rng_for_streams_are_distinct():
     c = sampling.rng_for(43, 7).uniform(size=8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+SEEDS = (-1, -(1 << 63), 1 << 63, (1 << 64) + 5, 7)
+INDICES = (0, 3, -2, (1 << 64) - 1, 3 + fuzz._S_B, 3 + fuzz._S_MAP, 3 + fuzz._S_AUX)
+
+
+def _draws(rng):
+    return (rng.uniform(size=5), rng.normal(size=(3, 2)), rng.integers(7, size=6),
+            rng.uniform(-1.3, 0.3), int(rng.integers(4)))
+
+
+def _same(x, y):
+    return all(np.array_equal(u, v) for u, v in zip(x, y))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rekeyed_streams_equal_rng_for(seed):
+    batch = sampling._Batch(seed)
+    for index in INDICES:
+        (rng,) = batch.streams(index)
+        assert _same(_draws(rng), _draws(sampling.rng_for(seed, index)))
+    # several live at once, each its own stream
+    gens = batch.streams(*INDICES)
+    draws = [_draws(rng) for rng in reversed(gens)][::-1]
+    for index, got in zip(INDICES, draws):
+        assert _same(got, _draws(sampling.rng_for(seed, index)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rekeying_a_partly_consumed_slot_starts_clean(seed):
+    batch = sampling._Batch(seed)
+    (rng,) = batch.streams(5)
+    rng.normal(size=3)
+    rng.random(3, dtype=np.float32)     # leaves half a 64-bit word cached
+    state = rng.bit_generator.state
+    assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+    for index in INDICES:
+        (rng,) = batch.streams(index)
+        assert _same(_draws(rng), _draws(sampling.rng_for(seed, index)))
+        rng.random(dtype=np.float32)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (7, -2), ((1 << 63) + 1, 3),
+                                         (5, (1 << 64) - 1)])
+def test_rng_for_keys_every_word_exactly(seed, index):
+    key = sampling.rng_for(seed, index).bit_generator.state["state"]["key"]
+    assert [int(k) for k in key] == [seed % (1 << 64), index % (1 << 64)]
+
+
+def test_negative_seeds_do_not_alias_small_ones():
+    assert not np.array_equal(sampling.rng_for(-1, 0).uniform(size=4),
+                              sampling.rng_for(0, 0).uniform(size=4))
 
 
 def test_generators_replay_per_trial():
