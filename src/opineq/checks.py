@@ -7,6 +7,15 @@ raises because an inequality fails; it raises only when the input is
 malformed (wrong shapes, exponents outside the supported range, matrices
 that are not positive where positivity is required).
 
+Each check has one implementation, which takes a group of instances of
+one dimension and returns their reports in order (CheckInfo.group).  Its
+matrix work runs on stacks with one matrix per instance, and every
+stacked call gives each instance the bits it gets alone; exponents,
+windows, notes and branch choices stay per instance.  The public
+check_* functions, CheckInfo.runner and run_check are the group of one;
+fuzz.run_fuzz checks each dim of a chunk as one group.  A group raises
+when any of its instances would, so only a group of one says which.
+
 Verdict semantics:
 
 * ``HOLDS``              hypotheses are satisfied and every evaluated part
@@ -166,57 +175,100 @@ def _json_sanitize(value):
     return value
 
 
-def _scal(value) -> np.ndarray:
-    return np.array([[float(value)]])
+def _concat(stacks) -> np.ndarray:
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
 
 
-def _finish(check_id, part_specs, *, hypotheses_ok, note, params, tol_rel, spectra):
-    """Assemble a CheckReport from (name, lhs, rhs) part triples.
+def _split(values: list, stacks) -> list:
+    """values, one per matrix of _concat(stacks), cut back into one list per stack."""
+    out, start = [], 0
+    for x in stacks:
+        out.append(values[start:start + len(x)])
+        start += len(x)
+    return out
 
-    The shared tolerance is tol_rel times the largest operand scale across
-    all parts (never below tol_rel itself), so one loose part does not get
-    judged with a tighter yardstick than another.  spectra is the check's
-    linalg.Spectra, so a side that several parts share, or that the check
-    already took the norm of, is not decomposed again.
+
+def _is_scalar(lhs, rhs) -> bool:
+    return isinstance(lhs, list) or lhs.shape[-2:] == rhs.shape[-2:] == (1, 1)
+
+
+def _finish(check_id, part_specs, *, params, tol_rel, spectra, hypotheses_ok=None,
+            note=None):
+    """Assemble a group's CheckReports from (name, lhs, rhs, rows) parts.
+
+    params, hypotheses_ok and note hold one entry per instance of the
+    group (None: every hypothesis holds, with no note).  A part's lhs and
+    rhs hold one side per instance in rows, its list of instance indices:
+    stacks of matrices, or lists of floats for scalar parts, which are
+    reported as 1x1 matrices.  Each instance's parts keep the order of
+    part_specs.  The shared tolerance of an instance is tol_rel times the
+    largest operand scale across its parts (never below tol_rel itself),
+    so one loose part does not get judged with a tighter yardstick than
+    another.  spectra is the check's linalg.Spectra, so a side that
+    several parts share, or that the check already took the norm of, is
+    not decomposed again.
     """
-    parts = []
-    scale = 1.0
-    for name, lhs, rhs in part_specs:
-        l2 = np.atleast_2d(np.asarray(lhs, dtype=np.float64))
-        r2 = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
-        if l2.shape == r2.shape == (1, 1):
-            lv, rv = float(l2[0, 0]), float(r2[0, 0])
-            gap = rv - lv
-            scale = max(scale, abs(lv), abs(rv))
+    size = len(params)
+    hypotheses_ok = [True] * size if hypotheses_ok is None else hypotheses_ok
+    note = [""] * size if note is None else note
+    # the gaps and side norms of every matrix part of one shape come from
+    # two stacked eigensolves, each distinct side stack entering once
+    gaps, norms = {}, {}
+    by_shape: dict[tuple, list] = {}
+    for _, lhs, rhs, _ in part_specs:
+        if not _is_scalar(lhs, rhs):
+            by_shape.setdefault(lhs.shape[-2:], []).append((lhs, rhs))
+    for specs in by_shape.values():
+        diffs = [rhs - lhs for lhs, rhs in specs]
+        low = _split(spectra.eigvals(_concat(diffs))[:, 0].tolist(), diffs)
+        gaps.update(((id(lhs), id(rhs)), g) for (lhs, rhs), g in zip(specs, low))
+        sides = list({id(x): x for spec in specs for x in spec}.values())
+        norms.update(zip(map(id, sides), _split(spectra.norm_op(_concat(sides)).tolist(), sides)))
+    parts = [[] for _ in range(size)]
+    scale = [1.0] * size
+    for name, lhs, rhs, rows in part_specs:
+        if isinstance(lhs, list):   # scalar sides: no eigensolve
+            for i, x, y in zip(rows, lhs, rhs):
+                scale[i] = max(scale[i], abs(x), abs(y))
+                parts[i].append(CheckPart(name, np.array([[x]]), np.array([[y]]), y - x))
+            continue
+        if _is_scalar(lhs, rhs):    # 1x1 images
+            lv, rv = lhs[:, 0, 0].tolist(), rhs[:, 0, 0].tolist()
+            low = [y - x for x, y in zip(lv, rv)]
+            spans = zip(map(abs, lv), map(abs, rv))
         else:
-            gap = float(spectra.eigvals(r2 - l2)[0])
-            scale = max(scale, spectra.norm_op(l2), spectra.norm_op(r2))
-        parts.append(CheckPart(name, l2, r2, gap))
-    tol_used = tol_rel * scale
-    if parts:
-        worst = min(parts, key=lambda part: part.gap_min_eig)
-        gap_min_eig = worst.gap_min_eig
-        lhs, rhs = worst.lhs, worst.rhs
-    else:
-        gap_min_eig, lhs, rhs = None, None, None
-    if not hypotheses_ok:
-        verdict = HYPOTHESIS_VIOLATED
-    elif gap_min_eig is not None and gap_min_eig >= -tol_used:
-        verdict = HOLDS
-    else:
-        verdict = FAILS
-    return CheckReport(
-        check_id=check_id,
-        hypotheses_ok=bool(hypotheses_ok),
-        hypothesis_note=note,
-        lhs=lhs,
-        rhs=rhs,
-        gap_min_eig=gap_min_eig,
-        verdict=verdict,
-        tol_used=float(tol_used),
-        params=params,
-        parts=tuple(parts),
-    )
+            low = gaps[id(lhs), id(rhs)]
+            spans = zip(norms[id(lhs)], norms[id(rhs)])
+        for j, (i, gap, (sl, sr)) in enumerate(zip(rows, low, spans)):
+            scale[i] = max(scale[i], sl, sr)
+            parts[i].append(CheckPart(name, lhs[j], rhs[j], gap))
+    reports = []
+    for i in range(size):
+        tol_used = tol_rel * scale[i]
+        if parts[i]:
+            worst = min(parts[i], key=lambda part: part.gap_min_eig)
+            gap_min_eig, lhs, rhs = worst.gap_min_eig, worst.lhs, worst.rhs
+        else:
+            gap_min_eig, lhs, rhs = None, None, None
+        if not hypotheses_ok[i]:
+            verdict = HYPOTHESIS_VIOLATED
+        elif gap_min_eig is not None and gap_min_eig >= -tol_used:
+            verdict = HOLDS
+        else:
+            verdict = FAILS
+        reports.append(CheckReport(
+            check_id=check_id,
+            hypotheses_ok=bool(hypotheses_ok[i]),
+            hypothesis_note=note[i],
+            lhs=lhs,
+            rhs=rhs,
+            gap_min_eig=gap_min_eig,
+            verdict=verdict,
+            tol_used=float(tol_used),
+            params=params[i],
+            parts=tuple(parts[i]),
+        ))
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +383,102 @@ class InstanceSpec:
 
 
 # ----------------------------------------------------------------------
+# registry
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class CheckInfo:
+    """Registry entry: how to run a check and what it needs.
+
+    group checks a list of instances of one dimension and returns their
+    reports in order; it is the check's one implementation.  runner is
+    that group of one: runner(inst, tol_rel=...) -> CheckReport.
+    """
+
+    check_id: str
+    runner: Callable[..., CheckReport]
+    group: Callable[[list, float], list]
+    description: str
+    default_p: tuple[float, ...]
+    needs_b: bool = True
+
+
+REGISTRY: dict[str, CheckInfo] = {}
+
+
+def _check(check_id: str, description: str, default_p, needs_b: bool = True):
+    """Register the decorated group(insts, tol_rel) -> reports as a check;
+    the decorated name becomes its runner for one instance."""
+    def register(group):
+        def runner(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+            return group([inst], tol_rel)[0]
+        runner.__name__ = runner.__qualname__ = group.__name__
+        runner.__doc__ = group.__doc__
+        REGISTRY[check_id] = CheckInfo(check_id, runner, group, description,
+                                       tuple(default_p), needs_b)
+        return runner
+    return register
+
+
+# ----------------------------------------------------------------------
 # shared resolution helpers
 # ----------------------------------------------------------------------
+#
+# A check runs on a group: instances of one dimension, with their own
+# exponents, maps, windows and options.  Matrix work runs on (g, n, n)
+# stacks; scalar formulas, branch choices by p, notes and errors stay
+# per instance, as Python floats.  Any error raises for the whole group
+# (fuzz.run_fuzz then checks each instance alone), so what a group of one
+# raises is what that instance raises.
+
+def _stack(mats) -> np.ndarray:
+    """The group's matrices as one (g, n, n) stack; a group of one is a view."""
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
+
+
+def _col(values) -> np.ndarray:
+    """One scalar per instance, shaped to scale a (g, n, n) stack."""
+    return np.array(values, dtype=float).reshape(-1, 1, 1)
+
+
+
+
+def _pair(insts) -> tuple[np.ndarray, np.ndarray]:
+    return (_stack([inst.A for inst in insts]),
+            _stack([_require_b(inst) for inst in insts]))
+
+
+def _branch(part_specs, name, lhs, rhs, rows, keep):
+    """Append part (name, lhs, rhs) for the instances of rows where keep holds."""
+    if all(keep):
+        part_specs.append((name, lhs, rhs, rows))
+    elif any(keep):
+        sel = [j for j, t in enumerate(keep) if t]
+        if isinstance(lhs, list):
+            lhs, rhs = [lhs[j] for j in sel], [rhs[j] for j in sel]
+        else:
+            lhs, rhs = lhs[sel], rhs[sel]
+        part_specs.append((name, lhs, rhs, [rows[j] for j in sel]))
+
+
+def _images(phis, *stacks):
+    """Apply each instance's map to all of its matrices in one call.
+
+    Yields (rows, images) per image size k: the indices of the instances
+    whose maps give k x k images, and one (len(rows), k, k) stack of
+    images for each stack given.
+    """
+    if len(phis) == 1:
+        yield [0], list(maps.apply_map(phis[0], np.concatenate(stacks))[:, None])
+        return
+    inputs = np.stack(stacks, axis=1)
+    out = [maps.apply_map(phi, x) for phi, x in zip(phis, inputs)]
+    by_size: dict[int, list] = {}
+    for i, img in enumerate(out):
+        by_size.setdefault(img.shape[-1], []).append(i)
+    for rows in by_size.values():
+        yield rows, list(np.stack([out[i] for i in rows], axis=1))
+
 
 def _require_b(inst: InstanceSpec) -> np.ndarray:
     if inst.B is None:
@@ -378,6 +524,13 @@ def _resolve_unit_window(lam_lo, lam_hi, m_user, M_user):
     return m, M, hyp_ok, note
 
 
+def _unit_windows(insts, lam):
+    """_resolve_unit_window per instance: lists (m, M, hyp_ok, note)."""
+    return tuple(map(list, zip(*(
+        _resolve_unit_window(lo, hi, inst.m, inst.M)
+        for inst, lo, hi in zip(insts, lam[:, 0].tolist(), lam[:, -1].tolist())))))
+
+
 def _resolve_outer_window(lam_lo, lam_hi, m_user, M_user):
     """Outer bounds (m, M) with no unit pinning (ratio-window checks)."""
     m, M = float(lam_lo), float(lam_hi)
@@ -398,14 +551,33 @@ def _resolve_outer_window(lam_lo, lam_hi, m_user, M_user):
     return m, M
 
 
-def _require_psd(sp, a: np.ndarray, label: str) -> np.ndarray:
-    linalg.require_symmetric(a, label)
-    lam = sp.eigvals(a)
-    if lam[0] < -linalg._positivity_floor(lam):
-        raise NotPositiveDefinite(
-            f"{label} must be positive semidefinite; smallest eigenvalue is {lam[0]:.6g}"
-        )
+def _eigvals(sp, *mats) -> list:
+    """The spectra of several stacks of one shape, from one stacked eigensolve."""
+    return _split(sp.eigvals(_concat(mats)), mats)
+
+
+def _powers(sp, ps, *mats) -> list:
+    """Each stack raised to the group's exponents, from one stacked eigensolve."""
+    return _split(sp.power(_concat(mats), ps * len(mats)), mats)
+
+
+def _require_psd(sp, a: np.ndarray, label: str, lam=None) -> np.ndarray:
+    """The spectrum of A (lam, when already taken) once A is symmetric and
+    positive semidefinite."""
+    linalg._require_symmetric(a, label)
+    lam = sp.eigvals(a) if lam is None else lam
+    for lo, hi in linalg._edges(lam):
+        if lo < -linalg._floor(lo, hi):
+            raise NotPositiveDefinite(
+                f"{label} must be positive semidefinite; smallest eigenvalue is {lo:.6g}"
+            )
     return lam
+
+
+def _norm(lam) -> list:
+    """max |lambda| per instance, from ascending spectra."""
+    return [float(max(abs(lo), abs(hi)))
+            for lo, hi in zip(lam[:, 0].tolist(), lam[:, -1].tolist())]
 
 
 def _inner_spectrum(sp, a, b):
@@ -415,53 +587,71 @@ def _inner_spectrum(sp, a, b):
 
 
 def _guarded(build, hyp_ok, note):
-    """(build(), note); an OpineqError from build() propagates under valid
-    hypotheses and otherwise leaves the sides unevaluated, said in the note.
+    """(build(), note) for a group.  In a group of one, an OpineqError from
+    build() propagates under valid hypotheses and otherwise leaves the
+    sides unevaluated, said in the note; a larger group raises it.
     """
     try:
         return build(), note
     except OpineqError:
-        if hyp_ok:
+        if len(hyp_ok) > 1 or hyp_ok[0]:
             raise
-        return [], note + "; sides not evaluated"
+        return [], [note[0] + "; sides not evaluated"]
 
 
 def _norm_dominance(sp, a, b, tol_rel):
-    """(||A||, ||B||, hyp_ok, note) for ||A|| I <= B, with A >= 0 and B symmetric."""
-    lam_a = _require_psd(sp, a, "A")
-    linalg.require_symmetric(b, "B")
-    na = float(max(abs(lam_a[0]), abs(lam_a[-1])))
-    lam_b = sp.eigvals(b)
-    nb = float(max(abs(lam_b[0]), abs(lam_b[-1])))
-    dominance = sp.compare(na * np.eye(a.shape[0]), b, tol_rel)
-    if dominance.is_le:
-        return na, nb, True, ""
-    return na, nb, False, (f"||A|| I is not below B "
-                           f"(min eig of B - ||A|| I is {dominance.gap_min_eig:.6g})")
+    """(||A||, ||B||, hyp_ok, note), lists over the group, for ||A|| I <= B,
+    with A >= 0 and B symmetric."""
+    lam_a, lam_b = _eigvals(sp, a, b)
+    na = _norm(_require_psd(sp, a, "A", lam_a))
+    linalg._require_symmetric(b, "B")
+    nb = _norm(lam_b)
+    dominance = sp.compare(_col(na) * np.eye(a.shape[-1]), b, tol_rel)
+    return na, nb, [d.is_le for d in dominance], [
+        "" if d.is_le else (f"||A|| I is not below B "
+                            f"(min eig of B - ||A|| I is {d.gap_min_eig:.6g})")
+        for d in dominance]
 
 
-def _converse_parts(sp, prefix, p, inner, outer, diff, m, M):
-    """(part_specs, term_norm) of the three-branch additive converse: with
-    term = p (m^{p-1} - M^{p-1}) diff, outer <= inner + term on [0, 1], the
-    reverse on [-1, 0], and inner <= outer - term for p >= 1.
+def _converse_parts(sp, part_specs, prefix, rows, ps, ms, Ms, inner, outer, diff):
+    """Append the parts of the three-branch additive converse and return
+    each instance's term norm: with term = p (m^{p-1} - M^{p-1}) diff,
+    outer <= inner + term on [0, 1], the reverse on [-1, 0], and
+    inner <= outer - term for p >= 1.
     """
-    term = p * (m ** (p - 1.0) - M ** (p - 1.0)) * diff
-    term_rev = p * (M ** (p - 1.0) - m ** (p - 1.0)) * diff
-    part_specs = []
-    if 0.0 <= p <= 1.0:
-        part_specs.append((f"{prefix}_upper", outer, inner + term))
-    if -1.0 <= p <= 0.0:
-        part_specs.append((f"{prefix}_lower", inner + term, outer))
-    if 1.0 <= p:
-        part_specs.append((f"{prefix}_upper_reversed", inner, outer + term_rev))
-    return part_specs, sp.norm_op(term if p <= 1.0 else term_rev)
+    term = _col([p * (m ** (p - 1.0) - M ** (p - 1.0)) for p, m, M in zip(ps, ms, Ms)]) * diff
+    term_rev = _col([p * (M ** (p - 1.0) - m ** (p - 1.0))
+                     for p, m, M in zip(ps, ms, Ms)]) * diff
+    _branch(part_specs, f"{prefix}_upper", outer, inner + term, rows,
+            [0.0 <= p <= 1.0 for p in ps])
+    _branch(part_specs, f"{prefix}_lower", inner + term, outer, rows,
+            [-1.0 <= p <= 0.0 for p in ps])
+    _branch(part_specs, f"{prefix}_upper_reversed", inner, outer + term_rev, rows,
+            [1.0 <= p for p in ps])
+    return sp.norm_op(np.where(np.reshape([p <= 1.0 for p in ps], (-1, 1, 1)), term, term_rev)).tolist()
+
+
+def _exponents(insts, lo=None, hi=None, what="", zero=False) -> list:
+    """Each instance's p, after the range check (when lo is given) and the
+    p = 0 check (when zero is set)."""
+    ps = [inst.p for inst in insts]
+    for p in ps:
+        if lo is not None:
+            _require_p_range(p, lo, hi, what)
+        if zero and p == 0.0:
+            raise ZeroParameter(f"{what} is undefined at p=0")
+    return ps
 
 
 # ----------------------------------------------------------------------
 # entropy / mean checks under positive unital maps
 # ----------------------------------------------------------------------
 
-def check_info_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("info_monotonicity",
+        "deformed relative entropy shrinks under positive unital maps "
+        "(grows for exponents above one)",
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
+def check_info_monotonicity(insts, tol_rel):
     """Monotonicity of the deformed relative entropy under positive unital maps.
 
     For p in [-1, 1] (p != 0) the output-side entropy dominates the mapped
@@ -469,30 +659,29 @@ def check_info_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_RE
     is needed, so the hypotheses reduce to positive definiteness and a
     valid map; at p = 1 both directions are evaluated (they coincide).
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    _require_p_range(p, -1.0, 2.0, "info_monotonicity")
-    if p == 0.0:
-        raise ZeroParameter("info_monotonicity is undefined at p=0")
-    phi = _resolve_map(inst, a.shape[0])
-    linalg.require_symmetric(b, "B")
-    linalg.require_symmetric(a, "A")
+    a, b = _pair(insts)
+    ps = _exponents(insts, -1.0, 2.0, "info_monotonicity", zero=True)
+    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
+    linalg._require_symmetric(b, "B")
+    linalg._require_symmetric(a, "A")
     sp = linalg.Spectra()
-    t_in = means.tsallis_entropy(a, b, p, spectra=sp)
-    mapped = maps.apply_map(phi, t_in)
-    t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
-                                  spectra=sp)
+    t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
     part_specs = []
-    if p <= 1.0:
-        part_specs.append(("entropy_monotone", mapped, t_out))
-    if p >= 1.0:
-        part_specs.append(("entropy_reversed", t_out, mapped))
-    params = {"p": p, "m": None, "M": None, "map": phi.to_json_dict()}
-    return _finish("info_monotonicity", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    for rows, (pa, pb, mapped) in _images(phis, a, b, t_in):
+        q = [ps[i] for i in rows]
+        t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
+        _branch(part_specs, "entropy_monotone", mapped, t_out, rows, [p <= 1.0 for p in q])
+        _branch(part_specs, "entropy_reversed", t_out, mapped, rows, [p >= 1.0 for p in q])
+    params = [{"p": p, "m": None, "M": None, "map": phi.to_json_dict()}
+              for p, phi in zip(ps, phis)]
+    return _finish("info_monotonicity", part_specs, params=params, tol_rel=tol_rel,
+                   spectra=sp)
 
 
-def check_reverse_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("reverse_monotonicity",
+        "additive reverse of the entropy monotonicity on a unit spectral window",
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
+def check_reverse_monotonicity(insts, tol_rel):
     """Additive reverse of the entropy monotonicity on a spectral window.
 
     Under m <= 1 <= A^{-1/2} B A^{-1/2} <= M the output-side entropy
@@ -501,42 +690,46 @@ def check_reverse_monotonicity(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL
     coefficient becomes M^{p-1} - m^{p-1}.  User-supplied (m, M) are
     accepted as long as they enclose the inner spectrum.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    _require_p_range(p, -1.0, 2.0, "reverse_monotonicity")
-    if p == 0.0:
-        raise ZeroParameter("reverse_monotonicity is undefined at p=0")
-    phi = _resolve_map(inst, a.shape[0])
-    linalg.require_symmetric(a, "A")
+    a, b = _pair(insts)
+    ps = _exponents(insts, -1.0, 2.0, "reverse_monotonicity", zero=True)
+    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
+    linalg._require_symmetric(a, "A")
     sp = linalg.Spectra()
-    lam = _inner_spectrum(sp, a, b)
-    m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
-    linalg.require_symmetric(b, "B")
-    params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-              "additive_term_norm": None}
+    ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
+    linalg._require_symmetric(b, "B")
+    params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
+              for p, m, M, phi in zip(ps, ms, Ms, phis)]
 
     def sides():  # m <= 0 only when W is singular or indefinite: hyp_ok is False
-        if m <= 0.0:
-            raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
-        mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p, spectra=sp))
-        t_out = means.tsallis_entropy(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
-                                      spectra=sp)
-        phi_diff = maps.apply_map(phi, b - a)
-        term = (m ** (p - 1.0) - M ** (p - 1.0)) * phi_diff
-        term_rev = (M ** (p - 1.0) - m ** (p - 1.0)) * phi_diff
+        for m in ms:
+            if m <= 0.0:
+                raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
+        t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
         part_specs = []
-        if p <= 1.0:
-            part_specs.append(("additive_upper", t_out, mapped + term))
-        if p >= 1.0:
-            part_specs.append(("additive_upper_reversed", mapped, t_out + term_rev))
-        params["additive_term_norm"] = sp.norm_op(term if p <= 1.0 else term_rev)
+        for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
+            q = [ps[i] for i in rows]
+            t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
+            term = _col([ms[i] ** (ps[i] - 1.0) - Ms[i] ** (ps[i] - 1.0)
+                         for i in rows]) * phi_diff
+            term_rev = _col([Ms[i] ** (ps[i] - 1.0) - ms[i] ** (ps[i] - 1.0)
+                             for i in rows]) * phi_diff
+            le = [p <= 1.0 for p in q]
+            _branch(part_specs, "additive_upper", t_out, mapped + term, rows, le)
+            _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
+                    [p >= 1.0 for p in q])
+            norms = sp.norm_op(np.where(np.reshape(le, (-1, 1, 1)), term, term_rev)).tolist()
+            for i, value in zip(rows, norms):
+                params[i]["additive_term_norm"] = value
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
     return _finish("reverse_monotonicity", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_ando_converse(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("ando_converse",
+        "additive converse of the weighted-mean map inequality on a unit window",
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
+def check_ando_converse(insts, tol_rel):
     """Additive converse of Phi(A # B) <= Phi(A) # Phi(B) on a window.
 
     Three exponent branches: for p in [0, 1] the mapped mean plus
@@ -546,33 +739,41 @@ def check_ando_converse(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     the other side.  Boundary exponents evaluate every branch they belong
     to.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    _require_p_range(p, -1.0, 2.0, "ando_converse")
-    phi = _resolve_map(inst, a.shape[0])
-    linalg.require_symmetric(a, "A")
+    a, b = _pair(insts)
+    ps = _exponents(insts, -1.0, 2.0, "ando_converse")
+    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
+    linalg._require_symmetric(a, "A")
     sp = linalg.Spectra()
-    lam = _inner_spectrum(sp, a, b)
-    m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
-    linalg.require_symmetric(b, "B")
-    params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-              "additive_term_norm": None}
+    ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
+    linalg._require_symmetric(b, "B")
+    params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
+              for p, m, M, phi in zip(ps, ms, Ms, phis)]
 
     def sides():  # m <= 0 only when W is singular or indefinite: hyp_ok is False
-        if m <= 0.0:
-            raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
-        mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p, spectra=sp).value)
-        mean_out = means.weighted_mean(maps.apply_map(phi, a), maps.apply_map(phi, b), p,
-                                       spectra=sp).value
-        part_specs, params["additive_term_norm"] = _converse_parts(
-            sp, "mean_additive", p, mean_in, mean_out, maps.apply_map(phi, b - a), m, M)
+        for m in ms:
+            if m <= 0.0:
+                raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
+        mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
+        part_specs = []
+        for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, mean_in, b - a):
+            q = [ps[i] for i in rows]
+            mean_out = means.weighted_mean(pa, pb, q, spectra=sp).value
+            norms = _converse_parts(sp, part_specs, "mean_additive", rows, q,
+                                    [ms[i] for i in rows], [Ms[i] for i in rows],
+                                    mapped, mean_out, phi_diff)
+            for i, value in zip(rows, norms):
+                params[i]["additive_term_norm"] = value
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
     return _finish("ando_converse", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_density_trace(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("density_trace",
+        "unit-trace bounds for weighted means of density matrices under the "
+        "unit window",
+        (-0.5, 0.5, 1.5))
+def check_density_trace(insts, tol_rel):
     """Unit-trace bounds for weighted means of density matrices.
 
     For density matrices satisfying the window hypothesis
@@ -583,32 +784,37 @@ def check_density_trace(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     report HYPOTHESIS_VIOLATED rather than FAILS.  The map field is
     ignored: the statement is about the plain trace.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    _require_p_range(p, -1.0, 2.0, "density_trace")
+    a, b = _pair(insts)
+    ps = _exponents(insts, -1.0, 2.0, "density_trace")
     sp = linalg.Spectra()
-    for mat, label in ((a, "A"), (b, "B")):
-        _require_psd(sp, mat, label)
-        trace = float(np.trace(mat))
-        if abs(trace - 1.0) > 1e-10:
-            raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
-    lam = _inner_spectrum(sp, a, b)
-    m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
+    for mat, label, lam in zip((a, b), "AB", _eigvals(sp, a, b)):
+        _require_psd(sp, mat, label, lam)
+        for trace in np.trace(mat, axis1=-2, axis2=-1).tolist():
+            if abs(trace - 1.0) > 1e-10:
+                raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
+    ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
+
     def sides():
-        trace_mean = float(np.trace(means.weighted_mean(a, b, p, spectra=sp).value))
+        mean = means.weighted_mean(a, b, ps, spectra=sp).value
+        trace_mean = np.trace(mean, axis1=-2, axis2=-1).tolist()
+        one = [1.0] * len(ps)
+        rows = list(range(len(ps)))
         part_specs = []
-        if 0.0 <= p <= 1.0:
-            part_specs.append(("unit_trace_lower", _scal(1.0), _scal(trace_mean)))
-        if p <= 0.0 or p >= 1.0:
-            part_specs.append(("unit_trace_upper", _scal(trace_mean), _scal(1.0)))
+        _branch(part_specs, "unit_trace_lower", one, trace_mean, rows,
+                [0.0 <= p <= 1.0 for p in ps])
+        _branch(part_specs, "unit_trace_upper", trace_mean, one, rows,
+                [p <= 0.0 or p >= 1.0 for p in ps])
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
-    params = {"p": p, "m": m, "M": M, "map": None}
+    params = [{"p": p, "m": m, "M": M, "map": None} for p, m, M in zip(ps, ms, Ms)]
     return _finish("density_trace", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_furuta_bounds(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("furuta_bounds",
+        "Kantorovich-constant and linear upper bounds for the output-side entropy",
+        (0.25, 0.5, 0.75, 1.0))
+def check_furuta_bounds(insts, tol_rel):
     """Kantorovich-style upper bounds for the output-side entropy.
 
     With spectral boxes m1 <= A <= M1 and m2 <= B <= M2 set m = m2/M1,
@@ -620,49 +826,64 @@ def check_furuta_bounds(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -
     windowed bound is evaluated as a third part so the three correction
     terms can be compared side by side.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    if p <= 0.0 or p > 1.0 + _P_EPS:
-        raise DomainError(f"furuta_bounds requires p in (0, 1], got p={p}")
-    phi = _resolve_map(inst, a.shape[0])
+    a, b = _pair(insts)
+    ps = _exponents(insts)
+    for p in ps:
+        if p <= 0.0 or p > 1.0 + _P_EPS:
+            raise DomainError(f"furuta_bounds requires p in (0, 1], got p={p}")
+    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     sp = linalg.Spectra()
-    lam_a = sp.eigvals(linalg.require_symmetric(a, "A"))
-    lam_b = sp.eigvals(linalg.require_symmetric(b, "B"))
-    if lam_a[0] <= 0.0 or lam_b[0] <= 0.0:
+    linalg._require_symmetric(a, "A")
+    linalg._require_symmetric(b, "B")
+    lam_a, lam_b = _eigvals(sp, a, b)
+    if (lam_a[:, 0] <= 0.0).any() or (lam_b[:, 0] <= 0.0).any():
         raise NotPositiveDefinite("furuta_bounds needs positive definite matrices")
-    fm = float(lam_b[0] / lam_a[-1])
-    fM = float(lam_b[-1] / lam_a[0])
-    h = fM / fm
-    kconst = constants.kantorovich_K(h, p)
-    fconst = 0.0 if p >= 1.0 - _P_EPS else constants.furuta_F(fm, h, p)
-    pa = maps.apply_map(phi, a)
-    pb = maps.apply_map(phi, b)
-    mapped = maps.apply_map(phi, means.tsallis_entropy(a, b, p, spectra=sp))
-    t_out = means.tsallis_entropy(pa, pb, p, spectra=sp)
-    k_term = ((1.0 - kconst) / p) * means.weighted_mean(pa, pb, p, spectra=sp).value
-    f_term = fconst * pa
-    part_specs = [
-        ("kantorovich_upper", t_out, mapped + k_term),
-        ("linear_upper", t_out, mapped + f_term),
-    ]
-    lam_w = _inner_spectrum(sp, a, b)
-    sandwich_term_norm = None
-    if lam_w[0] >= 1.0 - HYP_TOL and fm <= 1.0 + _P_EPS:
-        s_term = (fm ** (p - 1.0) - fM ** (p - 1.0)) * maps.apply_map(phi, b - a)
-        sandwich_term_norm = sp.norm_op(s_term)
-        part_specs.append(("windowed_upper", t_out, mapped + s_term))
-    params = {
-        "p": p, "m": fm, "M": fM, "map": phi.to_json_dict(),
-        "h": h, "kantorovich_K": kconst, "furuta_F": fconst,
-        "kantorovich_term_norm": sp.norm_op(k_term),
-        "linear_term_norm": sp.norm_op(f_term),
-        "windowed_term_norm": sandwich_term_norm,
-    }
-    return _finish("furuta_bounds", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    params = []
+    for p, phi, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, phis, lam_a[:, [0, -1]].tolist(),
+                                                   lam_b[:, [0, -1]].tolist()):
+        fm = b_lo / a_hi
+        fM = b_hi / a_lo
+        h = fM / fm
+        params.append({
+            "p": p, "m": fm, "M": fM, "map": phi.to_json_dict(),
+            "h": h, "kantorovich_K": constants.kantorovich_K(h, p),
+            "furuta_F": 0.0 if p >= 1.0 - _P_EPS else constants.furuta_F(fm, h, p),
+            "kantorovich_term_norm": None, "linear_term_norm": None,
+            "windowed_term_norm": None,
+        })
+    t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
+    groups = []
+    part_specs = []
+    for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
+        q = [ps[i] for i in rows]
+        t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
+        k_term = (_col([(1.0 - params[i]["kantorovich_K"]) / ps[i] for i in rows])
+                  * means.weighted_mean(pa, pb, q, spectra=sp).value)
+        f_term = _col([params[i]["furuta_F"] for i in rows]) * pa
+        part_specs += [("kantorovich_upper", t_out, mapped + k_term, rows),
+                       ("linear_upper", t_out, mapped + f_term, rows)]
+        for i, kn, fn in zip(rows, sp.norm_op(k_term).tolist(), sp.norm_op(f_term).tolist()):
+            params[i]["kantorovich_term_norm"] = kn
+            params[i]["linear_term_norm"] = fn
+        groups.append((rows, mapped, t_out, phi_diff))
+    lam_w = _inner_spectrum(sp, a, b)[:, 0].tolist()
+    for rows, mapped, t_out, phi_diff in groups:
+        keep = [lam_w[i] >= 1.0 - HYP_TOL and params[i]["m"] <= 1.0 + _P_EPS for i in rows]
+        if not any(keep):
+            continue
+        k = np.asarray(keep)
+        rows = [i for i, t in zip(rows, keep) if t]
+        s_term = _col([params[i]["m"] ** (ps[i] - 1.0) - params[i]["M"] ** (ps[i] - 1.0)
+                       for i in rows]) * phi_diff[k]
+        part_specs.append(("windowed_upper", t_out[k], mapped[k] + s_term, rows))
+        for i, value in zip(rows, sp.norm_op(s_term).tolist()):
+            params[i]["windowed_term_norm"] = value
+    return _finish("furuta_bounds", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_seo_bound(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("seo_bound", "ratio-window reverse of the weighted-mean map inequality",
+        (0.25, 0.5, 0.75))
+def check_seo_bound(insts, tol_rel):
     """Ratio-window reverse of the mean inequality.
 
     Under mA <= B <= MA and 0 < p < 1 the mean of the images exceeds the
@@ -672,71 +893,52 @@ def check_seo_bound(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Ch
     When the unit window also holds, the additive bound term
     p (m^{p-1} - M^{p-1}) Phi(B - A) is reported for tightness comparison.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    if p <= 0.0 or p >= 1.0:
-        raise DomainError(f"seo_bound requires p in (0, 1), got p={p}")
-    phi = _resolve_map(inst, a.shape[0])
-    linalg.require_symmetric(a, "A")
+    a, b = _pair(insts)
+    ps = _exponents(insts)
+    for p in ps:
+        if p <= 0.0 or p >= 1.0:
+            raise DomainError(f"seo_bound requires p in (0, 1), got p={p}")
+    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
+    linalg._require_symmetric(a, "A")
     sp = linalg.Spectra()
     lam = _inner_spectrum(sp, a, b)
-    m, M = _resolve_outer_window(lam[0], lam[-1], inst.m, inst.M)
-    cconst = constants.seo_C(m, M, p)
-    pa = maps.apply_map(phi, a)
-    linalg.require_symmetric(b, "B")
-    mean_in = maps.apply_map(phi, means.weighted_mean(a, b, p, spectra=sp).value)
-    mean_out = means.weighted_mean(pa, maps.apply_map(phi, b), p, spectra=sp).value
-    seo_term = -cconst * pa
-    part_specs = [("seo_upper", mean_out, mean_in + seo_term)]
-    windowed_term_norm = None
-    if lam[0] >= 1.0 - HYP_TOL and m <= 1.0 + _P_EPS:
-        w_term = p * (m ** (p - 1.0) - M ** (p - 1.0)) * maps.apply_map(phi, b - a)
-        windowed_term_norm = sp.norm_op(w_term)
-    params = {
-        "p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-        "seo_C": cconst,
-        "seo_term_norm": sp.norm_op(seo_term),
-        "windowed_term_norm": windowed_term_norm,
-    }
-    return _finish("seo_bound", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
-
-
-def check_power_corollary(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
-    """Power-function corollary of the windowed entropy bounds.
-
-    Specialize the two-matrix statements to the pair (I, A): for
-    m <= 1 <= A <= M the image power Phi(A)^p is bounded by
-    Phi(A^p) + p (m^{p-1} - M^{p-1}) (Phi(A) - I) for p in [0, 1], with
-    the inequality reversed for p in [-1, 0], and for p in [1, 2] the
-    correction p (M^{p-1} - m^{p-1}) (Phi(A) - I) bounds Phi(A^p) from
-    the Phi(A)^p side.
-    """
-    a = inst.A
-    p = inst.p
-    _require_p_range(p, -1.0, 2.0, "power_corollary")
-    phi = _resolve_map(inst, a.shape[0])
-    sp = linalg.Spectra()
-    lam = sp.eigvals(linalg.require_symmetric(a, "A"))
-    if lam[0] <= 0.0:
-        raise NotPositiveDefinite("power_corollary needs a positive definite matrix")
-    m, M, hyp_ok, note = _resolve_unit_window(lam[0], lam[-1], inst.m, inst.M)
-    pa = maps.apply_map(phi, a)
-    pa_pow = sp.power(pa, p)
-    phi_pow = maps.apply_map(phi, sp.power(a, p))
-    part_specs, term_norm = _converse_parts(
-        sp, "image_power", p, phi_pow, pa_pow, pa - np.eye(pa.shape[0]), m, M)
-    params = {"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-              "additive_term_norm": term_norm}
-    return _finish("power_corollary", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    params, windowed = [], []
+    for inst, p, phi, (lo, hi) in zip(insts, ps, phis, lam[:, [0, -1]].tolist()):
+        m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
+        params.append({"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
+                       "seo_C": constants.seo_C(m, M, p), "seo_term_norm": None,
+                       "windowed_term_norm": None})
+        windowed.append(lo >= 1.0 - HYP_TOL and m <= 1.0 + _P_EPS)
+    linalg._require_symmetric(b, "B")
+    mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
+    extra = (b - a,) if any(windowed) else ()
+    part_specs = []
+    for rows, (pa, pb, mapped, *phi_diff) in _images(phis, a, b, mean_in, *extra):
+        mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
+        seo_term = _col([-params[i]["seo_C"] for i in rows]) * pa
+        part_specs.append(("seo_upper", mean_out, mapped + seo_term, rows))
+        for i, value in zip(rows, sp.norm_op(seo_term).tolist()):
+            params[i]["seo_term_norm"] = value
+        keep = [windowed[i] for i in rows]
+        if any(keep):
+            k = np.asarray(keep)
+            rows = [i for i, t in zip(rows, keep) if t]
+            w_term = _col([ps[i] * (params[i]["m"] ** (ps[i] - 1.0)
+                                    - params[i]["M"] ** (ps[i] - 1.0))
+                           for i in rows]) * phi_diff[0][k]
+            for i, value in zip(rows, sp.norm_op(w_term).tolist()):
+                params[i]["windowed_term_norm"] = value
+    return _finish("seo_bound", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
 
 
 # ----------------------------------------------------------------------
 # power-difference checks
 # ----------------------------------------------------------------------
 
-def check_lowner_heinz(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("lowner_heinz",
+        "A <= B implies A^p <= B^p for p in [0, 1] (fails above 1 by design)",
+        (0.25, 0.5, 1.0))
+def check_lowner_heinz(insts, tol_rel):
     """Power monotonicity: A <= B implies A^p <= B^p for p in [0, 1].
 
     Exponents above one are accepted so the fuzzer can hunt for the
@@ -744,26 +946,28 @@ def check_lowner_heinz(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     demonstration, not an engine defect.  Negative exponents reverse the
     order even in the commuting case and are rejected.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    if p < -_P_EPS:
-        raise DomainError(f"lowner_heinz requires p >= 0, got p={p}")
+    a, b = _pair(insts)
+    ps = _exponents(insts)
+    for p in ps:
+        if p < -_P_EPS:
+            raise DomainError(f"lowner_heinz requires p >= 0, got p={p}")
     sp = linalg.Spectra()
-    _require_psd(sp, a, "A")
-    _require_psd(sp, b, "B")
-    hyp_ok, note = True, ""
+    lam_a, lam_b = _eigvals(sp, a, b)
+    _require_psd(sp, a, "A", lam_a)
+    _require_psd(sp, b, "B", lam_b)
     order = sp.compare(a, b, tol_rel)
-    if not order.is_le:
-        hyp_ok = False
-        note = f"A is not below B (min eig of B - A is {order.gap_min_eig:.6g})"
-    part_specs = [("power_monotone", sp.power(a, p), sp.power(b, p))]
-    params = {"p": p, "m": None, "M": None, "map": None,
-              "p_in_monotone_range": bool(0.0 <= p <= 1.0)}
-    return _finish("lowner_heinz", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    note = ["" if o.is_le else f"A is not below B (min eig of B - A is {o.gap_min_eig:.6g})"
+            for o in order]
+    part_specs = [("power_monotone", *_powers(sp, ps, a, b), list(range(len(ps))))]
+    params = [{"p": p, "m": None, "M": None, "map": None,
+               "p_in_monotone_range": bool(0.0 <= p <= 1.0)} for p in ps]
+    return _finish("lowner_heinz", part_specs, hypotheses_ok=[o.is_le for o in order],
+                   note=note, params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_norm_power_lemma(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("norm_power_lemma", "tangent-line bound for A^p at the operator norm of A",
+        (1.0 / 3.0, 2.0, -1.0), needs_b=False)
+def check_norm_power_lemma(insts, tol_rel):
     """Tangent-line bound for matrix powers at the operator norm.
 
     For positive A the chord construction at t = ||A|| gives
@@ -771,57 +975,66 @@ def check_norm_power_lemma(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL
     and the reversed comparison when p >= 1 or p <= 0.  Both directions
     are equalities at p = 0 and p = 1 and are evaluated together there.
     """
-    a = inst.A
-    p = inst.p
+    a = _stack([inst.A for inst in insts])
+    ps = _exponents(insts)
     sp = linalg.Spectra()
     lam = _require_psd(sp, a, "A")
-    na = float(max(abs(lam[0]), abs(lam[-1])))
-    if na == 0.0:
-        raise ZeroMatrix("A is zero; the tangent construction needs a positive norm")
-    if p < 0.0 and lam[0] <= 0.0:
-        raise NotPositiveDefinite("negative exponents need a positive definite matrix")
-    a_pow = sp.power(a, p)
-    tangent = (na ** p) * np.eye(a.shape[0]) - p * (na ** (p - 1.0)) * (na * np.eye(a.shape[0]) - a)
+    na = _norm(lam)
+    for p, norm, lo in zip(ps, na, lam[:, 0].tolist()):
+        if norm == 0.0:
+            raise ZeroMatrix("A is zero; the tangent construction needs a positive norm")
+        if p < 0.0 and lo <= 0.0:
+            raise NotPositiveDefinite("negative exponents need a positive definite matrix")
+    a_pow = sp.power(a, ps)
+    eye = np.eye(a.shape[-1])
+    tangent = (_col([t ** p for t, p in zip(na, ps)]) * eye
+               - _col([p * (t ** (p - 1.0)) for t, p in zip(na, ps)]) * (_col(na) * eye - a))
+    rows = list(range(len(ps)))
     part_specs = []
-    if 0.0 <= p <= 1.0:
-        part_specs.append(("tangent_upper", a_pow, tangent))
-    if p >= 1.0 or p <= 0.0:
-        part_specs.append(("tangent_lower", tangent, a_pow))
-    params = {"p": p, "m": None, "M": None, "map": None, "norm_A": na}
-    return _finish("norm_power_lemma", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    _branch(part_specs, "tangent_upper", a_pow, tangent, rows, [0.0 <= p <= 1.0 for p in ps])
+    _branch(part_specs, "tangent_lower", tangent, a_pow, rows,
+            [p >= 1.0 or p <= 0.0 for p in ps])
+    params = [{"p": p, "m": None, "M": None, "map": None, "norm_A": t} for p, t in zip(ps, na)]
+    return _finish("norm_power_lemma", part_specs, params=params, tol_rel=tol_rel,
+                   spectra=sp)
 
 
-def check_lh_extension(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("lh_extension", "linearized bound for B^p - A^p when B dominates ||A|| I",
+        (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0))
+def check_lh_extension(insts, tol_rel):
     """Linearized power-difference bound when B dominates ||A||.
 
     Under ||A|| I <= B the difference B^p - A^p dominates
     p ||B||^{p-1} (B - A) for p in [0, 1]; for p >= 1 or p <= 0 the linear
     term dominates instead.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
+    a, b = _pair(insts)
+    ps = _exponents(insts)
     sp = linalg.Spectra()
     na, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
-    if nb == 0.0:
+    if 0.0 in nb:
         raise ZeroMatrix("B is zero; the linear term needs a positive norm")
+
     def sides():
-        diff = sp.power(b, p) - sp.power(a, p)
-        lin = p * (nb ** (p - 1.0)) * (b - a)
+        b_pow, a_pow = _powers(sp, ps, b, a)
+        diff = b_pow - a_pow
+        lin = _col([p * (t ** (p - 1.0)) for p, t in zip(ps, nb)]) * (b - a)
+        rows = list(range(len(ps)))
         part_specs = []
-        if 0.0 <= p <= 1.0:
-            part_specs.append(("linear_lower", lin, diff))
-        if p >= 1.0 or p <= 0.0:
-            part_specs.append(("linear_upper", diff, lin))
+        _branch(part_specs, "linear_lower", lin, diff, rows, [0.0 <= p <= 1.0 for p in ps])
+        _branch(part_specs, "linear_upper", diff, lin, rows,
+                [p >= 1.0 or p <= 0.0 for p in ps])
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
-    params = {"p": p, "m": None, "M": None, "map": None,
-              "norm_A": na, "norm_B": nb}
+    params = [{"p": p, "m": None, "M": None, "map": None, "norm_A": x, "norm_B": y}
+              for p, x, y in zip(ps, na, nb)]
     return _finish("lh_extension", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("mn2012", "scalar floors for B^p - A^p and the dominance between them",
+        (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0))
+def check_mn2012(insts, tol_rel):
     """Scalar floors for B^p - A^p and the comparison between them.
 
     Under ||A|| I <= B with B - A invertible and p in [0, 1], four parts
@@ -833,38 +1046,45 @@ def check_mn2012(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> Check
     the first.  A negative lam_min(B - A) violates the hypothesis and
     leaves the sides unevaluated.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    _require_p_range(p, 0.0, 1.0, "mn2012")
+    a, b = _pair(insts)
+    ps = _exponents(insts, 0.0, 1.0, "mn2012")
     sp = linalg.Spectra()
     _, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
-    lam_diff = sp.eigvals(linalg.require_symmetric(b - a))
-    scale_diff = max(1.0, float(abs(lam_diff[0])), float(abs(lam_diff[-1])))
-    if float(np.min(np.abs(lam_diff))) <= 1e-12 * scale_diff:
-        raise SingularDifference("B - A is numerically singular")
-    gap = float(lam_diff[0])
-    if hyp_ok and gap < 0.0:
-        # A >= 0 and ||A|| I <= B force B - A >= 0; a negative gap means
-        # the dominance holds only within tolerance
-        hyp_ok = False
-        note = f"B - A is not positive (min eig of B - A is {gap:.6g})"
+    lam_diff = sp.eigvals(linalg._require_symmetric(b - a))
+    gaps = lam_diff[:, 0].tolist()
+    for i, (hi, low) in enumerate(zip(lam_diff[:, -1].tolist(),
+                                      np.abs(lam_diff).min(axis=-1).tolist())):
+        if low <= 1e-12 * max(1.0, abs(gaps[i]), abs(hi)):
+            raise SingularDifference("B - A is numerically singular")
+        if hyp_ok[i] and gaps[i] < 0.0:
+            # A >= 0 and ||A|| I <= B force B - A >= 0; a negative gap means
+            # the dominance holds only within tolerance
+            hyp_ok[i] = False
+            note[i] = f"B - A is not positive (min eig of B - A is {gaps[i]:.6g})"
+
     def sides():
-        if gap < 0.0:
+        if min(gaps) < 0.0:
             raise DomainError("the floors need B - A positive definite")
-        diff = sp.power(b, p) - sp.power(a, p)
-        eye = np.eye(a.shape[0])
-        floor_lin = p * (nb ** (p - 1.0)) * gap
-        floor_shift = nb ** p - (nb - gap) ** p
-        s = nb / gap
+        b_pow, a_pow = _powers(sp, ps, b, a)
+        diff = b_pow - a_pow
+        eye = np.eye(a.shape[-1])
+        lin, shift, cmp_lo, cmp_hi = [], [], [], []
+        for p, t, gap in zip(ps, nb, gaps):
+            lin.append(p * (t ** (p - 1.0)) * gap)
+            shift.append(t ** p - (t - gap) ** p)
+            s = t / gap
+            cmp_lo.append(p * s ** (p - 1.0))
+            cmp_hi.append(s ** p - (s - 1.0) ** p)
+        rows = list(range(len(ps)))
         return [
-            ("floor_nonnegative", _scal(0.0), _scal(floor_lin)),
-            ("linear_floor", floor_lin * eye, diff),
-            ("shift_floor", floor_shift * eye, diff),
-            ("floor_comparison", _scal(p * s ** (p - 1.0)), _scal(s ** p - (s - 1.0) ** p)),
+            ("floor_nonnegative", [0.0] * len(ps), lin, rows),
+            ("linear_floor", _col(lin) * eye, diff, rows),
+            ("shift_floor", _col(shift) * eye, diff, rows),
+            ("floor_comparison", cmp_lo, cmp_hi, rows),
         ]
     part_specs, note = _guarded(sides, hyp_ok, note)
-    params = {"p": p, "m": None, "M": None, "map": None,
-              "norm_B": nb, "lam_min_diff": gap}
+    params = [{"p": p, "m": None, "M": None, "map": None, "norm_B": t, "lam_min_diff": gap}
+              for p, t, gap in zip(ps, nb, gaps)]
     return _finish("mn2012", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
@@ -890,7 +1110,10 @@ _SCALAR_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def check_mond_pecaric(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("mond_pecaric",
+        "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
+        (0.5, 2.0, -1.0))
+def check_mond_pecaric(insts, tol_rel):
     """Two-sided derivative bounds for vector expectations.
 
     For 0 < m <= B <= A <= M, a unit vector x with <Bx, x> at most the
@@ -906,60 +1129,75 @@ def check_mond_pecaric(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     the eigenvalues x overlaps keeps every pure eigenvector instance
     valid while still rejecting the genuinely false ones.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    linalg.require_symmetric(a, "A")
-    linalg.require_symmetric(b, "B")
+    a, b = _pair(insts)
+    ps = _exponents(insts)
+    linalg._require_symmetric(a, "A")
+    linalg._require_symmetric(b, "B")
     sp = linalg.Spectra()
     lam_b = sp.eigvals(b)
-    if lam_b[0] <= 0.0:
+    if (lam_b[:, 0] <= 0.0).any():
         raise NotPositiveDefinite("mond_pecaric needs positive definite B")
     dec_a = sp.decompose(a)
     lam_a = dec_a.eigenvalues
-    x = _resolve_unit_vector(inst, a.shape[0])
-    m, M = _resolve_outer_window(min(lam_b[0], lam_a[0]), max(lam_a[-1], lam_b[-1]),
-                                 inst.m, inst.M)
-    hyp_ok, note = True, ""
+    n = a.shape[-1]
+    xs = [_resolve_unit_vector(inst, n) for inst in insts]
+    windows = [_resolve_outer_window(min(b_lo, a_lo), max(a_hi, b_hi), inst.m, inst.M)
+               for inst, (a_lo, a_hi), (b_lo, b_hi)
+               in zip(insts, lam_a[:, [0, -1]].tolist(), lam_b[:, [0, -1]].tolist())]
     order = sp.compare(b, a, tol_rel)
-    if not order.is_le:
-        hyp_ok = False
-        note = f"B is not below A (min eig of A - B is {order.gap_min_eig:.6g})"
-    qb = float(x @ b @ x)
-    weights = (dec_a.eigenvectors.T @ x) ** 2
-    support = lam_a[weights > 1e-12]
-    lam_floor = float(support[0]) if support.size else float(lam_a[0])
-    gate_tol = tol_rel * max(1.0, float(abs(lam_a[0])), float(abs(lam_a[-1])))
-    if hyp_ok and qb > lam_floor + gate_tol:
-        hyp_ok = False
-        note = (f"<Bx, x> = {qb:.6g} exceeds the smallest eigenvalue of A "
-                f"carrying weight in x ({lam_floor:.6g}); the scalar "
-                f"substitution is not valid there")
+    hyp_ok = [o.is_le for o in order]
+    note = ["" if o.is_le else f"B is not below A (min eig of A - B is {o.gap_min_eig:.6g})"
+            for o in order]
+    qb = []
+    for i, x in enumerate(xs):
+        qb.append(float(x @ b[i] @ x))
+        weights = (dec_a.eigenvectors[i].T @ x) ** 2
+        support = lam_a[i][weights > 1e-12]
+        lam_floor = float(support[0]) if support.size else float(lam_a[i, 0])
+        gate_tol = tol_rel * max(1.0, float(abs(lam_a[i, 0])), float(abs(lam_a[i, -1])))
+        if hyp_ok[i] and qb[i] > lam_floor + gate_tol:
+            hyp_ok[i] = False
+            note[i] = (f"<Bx, x> = {qb[i]:.6g} exceeds the smallest eigenvalue of A "
+                       f"carrying weight in x ({lam_floor:.6g}); the scalar "
+                       f"substitution is not valid there")
+
     def sides():
-        if inst.f == "power":
-            fn = lambda t: np.power(t, p)
-            dfn = lambda t: p * np.power(t, p - 1.0)
-        else:
-            fn, dfn = _SCALAR_FUNCTIONS[inst.f]
-        if lam_a[0] <= 0.0 and inst.f != "power":
-            raise NotPositiveDefinite("mond_pecaric needs positive definite A")
-        if lam_a[0] <= 0.0 and inst.f == "power" and (p < 0.0 or p != round(p)):
-            raise NotPositiveDefinite("mond_pecaric needs positive definite A")
-        alpha = float(min(dfn(m), dfn(M)))
-        beta = float(max(dfn(m), dfn(M)))
-        fa = dec_a.apply(fn)
-        mid = float(x @ fa @ x) - float(fn(qb))
-        diff = float(x @ (a - b) @ x)
-        return [
-            ("derivative_lower", _scal(alpha * diff), _scal(mid)),
-            ("derivative_upper", _scal(mid), _scal(beta * diff)),
-        ]
+        fns = []
+        for inst, p, lo in zip(insts, ps, lam_a[:, 0].tolist()):
+            if inst.f == "power":
+                fns.append((lambda t, p=p: np.power(t, p),
+                            lambda t, p=p: p * np.power(t, p - 1.0)))
+            else:
+                fns.append(_SCALAR_FUNCTIONS[inst.f])
+            if lo <= 0.0 and inst.f != "power":
+                raise NotPositiveDefinite("mond_pecaric needs positive definite A")
+            if lo <= 0.0 and inst.f == "power" and (p < 0.0 or p != round(p)):
+                raise NotPositiveDefinite("mond_pecaric needs positive definite A")
+        bounds = [(float(min(dfn(m), dfn(M))), float(max(dfn(m), dfn(M))))
+                  for (_, dfn), (m, M) in zip(fns, windows)]
+        vals = np.stack([np.asarray(fn(lam), dtype=float) for (fn, _), lam in zip(fns, lam_a)])
+        fa = linalg.SpectralDecomposition(vals, dec_a.eigenvectors).apply(lambda v: v)
+        lower, mid, upper = [], [], []
+        for i, (x, (fn, _), (alpha, beta)) in enumerate(zip(xs, fns, bounds)):
+            middle = float(x @ fa[i] @ x) - float(fn(qb[i]))
+            diff = float(x @ (a[i] - b[i]) @ x)
+            lower.append(alpha * diff)
+            mid.append(middle)
+            upper.append(beta * diff)
+        rows = list(range(len(ps)))
+        return [("derivative_lower", lower, mid, rows),
+                ("derivative_upper", mid, upper, rows)]
     part_specs, note = _guarded(sides, hyp_ok, note)
-    params = {"p": p, "m": m, "M": M, "map": None, "f": inst.f}
+    params = [{"p": p, "m": m, "M": M, "map": None, "f": inst.f}
+              for inst, p, (m, M) in zip(insts, ps, windows)]
     return _finish("mond_pecaric", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("holder_mccarthy",
+        "power expectation inequality and its two-sided reverse on a window",
+        (0.5, 2.0, -1.0), needs_b=False)
+def check_holder_mccarthy(insts, tol_rel):
     """Power expectation inequality and its two-sided reverse.
 
     For positive definite A and a unit vector x, <A^p x, x> <= <Ax, x>^p
@@ -971,77 +1209,85 @@ def check_holder_mccarthy(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
         p > 1, p < 0: the same with the roles of the differences swapped,
         the lower coefficient using m for p > 1 and M for p < 0.
     """
-    a = inst.A
-    p = inst.p
-    if p == 0.0:
-        raise ZeroParameter("holder_mccarthy is undefined at p=0")
+    a = _stack([inst.A for inst in insts])
+    ps = _exponents(insts, zero=True, what="holder_mccarthy")
     sp = linalg.Spectra()
-    lam = sp.eigvals(linalg.require_symmetric(a, "A"))
-    if lam[0] <= 0.0:
+    lam = sp.eigvals(linalg._require_symmetric(a, "A"))
+    if (lam[:, 0] <= 0.0).any():
         raise NotPositiveDefinite("holder_mccarthy needs a positive definite matrix")
-    x = _resolve_unit_vector(inst, a.shape[0])
-    m, M = _resolve_outer_window(lam[0], lam[-1], inst.m, inst.M)
-    q1 = float(x @ a @ x)
-    qp = float(x @ sp.power(a, p) @ x)
-    if 0.0 < p < 1.0:
-        below, above, dd = qp, q1 ** p, q1 - qp ** (1.0 / p)
-    else:
-        below, above, dd = q1 ** p, qp, qp ** (1.0 / p) - q1
-    mid = above - below
-    lo_end, hi_end = (m, M) if p >= 1.0 else (M, m)
-    part_specs = [
-        ("expectation_power", _scal(below), _scal(above)),
-        ("reverse_lower", _scal((p / lo_end ** (1.0 - p)) * dd), _scal(mid)),
-        ("reverse_upper", _scal(mid), _scal((p / hi_end ** (1.0 - p)) * dd)),
-    ]
-    params = {"p": p, "m": m, "M": M, "map": None}
-    return _finish("holder_mccarthy", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    n = a.shape[-1]
+    xs = [_resolve_unit_vector(inst, n) for inst in insts]
+    windows = [_resolve_outer_window(lo, hi, inst.m, inst.M)
+               for inst, (lo, hi) in zip(insts, lam[:, [0, -1]].tolist())]
+    a_pow = sp.power(a, ps)
+    sides = []
+    for i, (x, p, (m, M)) in enumerate(zip(xs, ps, windows)):
+        q1 = float(x @ a[i] @ x)
+        qp = float(x @ a_pow[i] @ x)
+        if 0.0 < p < 1.0:
+            below, above, dd = qp, q1 ** p, q1 - qp ** (1.0 / p)
+        else:
+            below, above, dd = q1 ** p, qp, qp ** (1.0 / p) - q1
+        mid = above - below
+        lo_end, hi_end = (m, M) if p >= 1.0 else (M, m)
+        sides.append((below, above, (p / lo_end ** (1.0 - p)) * dd, mid,
+                      (p / hi_end ** (1.0 - p)) * dd))
+    below, above, lower, mid, upper = (list(col) for col in zip(*sides))
+    rows = list(range(len(ps)))
+    part_specs = [("expectation_power", below, above, rows),
+                  ("reverse_lower", lower, mid, rows),
+                  ("reverse_upper", mid, upper, rows)]
+    params = [{"p": p, "m": m, "M": M, "map": None} for p, (m, M) in zip(ps, windows)]
+    return _finish("holder_mccarthy", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
 
 
 # ----------------------------------------------------------------------
 # norm and radius chains
 # ----------------------------------------------------------------------
 
-def _refined_chain(names, lo, mid, hi, p):
-    """Parts refining lo <= mid <= hi (labelled by names) with the shifts
-    r1 = (mid^p - lo^p)/d and r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see
-    check_norm_chain.  Raises NotFinite when a power leaves the float range.
+def _refined_chain(part_specs, names, rows, lo, mid, hi, ps):
+    """Append the parts refining lo <= mid <= hi (labelled by names) for
+    the instances of rows, with the shifts r1 = (mid^p - lo^p)/d and
+    r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see check_norm_chain.  Raises
+    NotFinite when a power leaves the float range.
     """
     n_lo, n_mid, n_hi = names
-    try:
-        d = p * hi ** (p - 1.0)
-        r1 = (mid ** p - lo ** p) / d
-        r2 = (hi ** p - mid ** p) / d
-    except (OverflowError, ZeroDivisionError):
-        r1 = r2 = math.inf
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        raise NotFinite(f"the chain's powers at p={p:g} of norms in "
-                        f"[{lo:.3e}, {hi:.3e}] leave the float range")
-    part_specs = []
-    if p >= 1.0:
-        part_specs += [
-            (f"{n_lo}_shift_nonnegative", _scal(lo), _scal(lo + r1)),
-            (f"{n_lo}_shift_below_{n_mid}", _scal(lo + r1), _scal(mid)),
-            (f"{n_mid}_shift_nonnegative", _scal(mid), _scal(mid + r2)),
-            (f"{n_mid}_shift_below_{n_hi}", _scal(mid + r2), _scal(hi)),
-        ]
-    if 0.0 < p <= 1.0:
-        part_specs += [
-            (f"{n_hi}_shift_below_{n_mid}", _scal(hi - r2), _scal(mid)),
-            (f"{n_mid}_below_{n_lo}_shift", _scal(mid), _scal(lo + r1)),
-        ]
-    if p < 0.0:
-        part_specs += [
-            ("ratio1_nonnegative", _scal(0.0), _scal(r1)),
-            ("ratio2_nonnegative", _scal(0.0), _scal(r2)),
-            (f"{n_mid}_below_{n_lo}_shift", _scal(mid), _scal(lo + r1)),
-            (f"{n_hi}_below_{n_mid}_shift", _scal(hi), _scal(mid + r2)),
-        ]
-    return part_specs
+    for i, lo, mid, hi, p in zip(rows, lo, mid, hi, ps):
+        try:
+            d = p * hi ** (p - 1.0)
+            r1 = (mid ** p - lo ** p) / d
+            r2 = (hi ** p - mid ** p) / d
+        except (OverflowError, ZeroDivisionError):
+            r1 = r2 = math.inf
+        if not (math.isfinite(r1) and math.isfinite(r2)):
+            raise NotFinite(f"the chain's powers at p={p:g} of norms in "
+                            f"[{lo:.3e}, {hi:.3e}] leave the float range")
+        chain = []
+        if p >= 1.0:
+            chain += [
+                (f"{n_lo}_shift_nonnegative", lo, lo + r1),
+                (f"{n_lo}_shift_below_{n_mid}", lo + r1, mid),
+                (f"{n_mid}_shift_nonnegative", mid, mid + r2),
+                (f"{n_mid}_shift_below_{n_hi}", mid + r2, hi),
+            ]
+        if 0.0 < p <= 1.0:
+            chain += [
+                (f"{n_hi}_shift_below_{n_mid}", hi - r2, mid),
+                (f"{n_mid}_below_{n_lo}_shift", mid, lo + r1),
+            ]
+        if p < 0.0:
+            chain += [
+                ("ratio1_nonnegative", 0.0, r1),
+                ("ratio2_nonnegative", 0.0, r2),
+                (f"{n_mid}_below_{n_lo}_shift", mid, lo + r1),
+                (f"{n_hi}_below_{n_mid}_shift", hi, mid + r2),
+            ]
+        part_specs += [(name, [x], [y], (i,)) for name, x, y in chain]
 
 
-def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("norm_chain", "refined links between operator, Frobenius and trace norms",
+        (-1.0, 0.5, 3.0), needs_b=False)
+def check_norm_chain(insts, tol_rel):
     """Refined links between operator, Frobenius and trace norms.
 
     Write (op, hs, tr) for the three norms and d = p tr^{p-1}.  For p >= 1
@@ -1052,22 +1298,23 @@ def check_norm_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> C
     instead: both ratios stay nonnegative and bound hs - op and tr - hs
     from above, so the chain runs hs <= op + r1 and tr <= hs + r2.
     """
-    a = inst.A
-    p = inst.p
-    if p == 0.0:
-        raise ZeroParameter("norm_chain is undefined at p=0")
+    a = _stack([inst.A for inst in insts])
+    ps = _exponents(insts, zero=True, what="norm_chain")
     sp = linalg.Spectra()
-    op, hs, tr = sp.norms(a)
-    if tr == 0.0:
+    op, hs, tr = (v.tolist() for v in sp.norms(a))
+    if 0.0 in tr:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
-    part_specs = _refined_chain(("op", "hs", "tr"), op, hs, tr, p)
-    params = {"p": p, "m": None, "M": None, "map": None,
-              "norm_op": op, "norm_hs": hs, "norm_tr": tr}
-    return _finish("norm_chain", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    part_specs = []
+    _refined_chain(part_specs, ("op", "hs", "tr"), list(range(len(ps))), op, hs, tr, ps)
+    params = [{"p": p, "m": None, "M": None, "map": None,
+               "norm_op": x, "norm_hs": y, "norm_tr": z}
+              for p, x, y, z in zip(ps, op, hs, tr)]
+    return _finish("norm_chain", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("radius_chain", "refined links between spectral radius, numerical radius and norm",
+        (0.5, 2.0, -1.0), needs_b=False)
+def check_radius_chain(insts, tol_rel):
     """Refined links between spectral radius, numerical radius and norm.
 
     Same structure as the norm chain with (r, w, op) in place of
@@ -1075,25 +1322,25 @@ def check_radius_chain(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) ->
     need a positive spectral radius; a vanishing one (nilpotent A) makes
     r^p undefined and is reported as a violated hypothesis.
     """
-    a = inst.A
-    p = inst.p
-    if p == 0.0:
-        raise ZeroParameter("radius_chain is undefined at p=0")
+    a = _stack([inst.A for inst in insts])
+    ps = _exponents(insts, zero=True, what="radius_chain")
     sp = linalg.Spectra()
-    op = sp.norm_op(a)
-    if op == 0.0:
+    op = sp.norm_op(a).tolist()
+    if 0.0 in op:
         raise ZeroMatrix("A is zero; the radius chain needs a positive norm")
-    sr = linalg.spectral_radius(a)
-    w = linalg.numerical_radius(a)
-    hyp_ok, note = True, ""
-    if p < 0.0 and sr <= 1e-12 * op:
-        hyp_ok = False
-        note = "spectral radius vanishes; negative powers of it are undefined"
+    sr = [linalg.spectral_radius(m) for m in a]
+    w = [linalg.numerical_radius(m) for m in a]
+    hyp_ok = [not (p < 0.0 and r <= 1e-12 * t) for p, r, t in zip(ps, sr, op)]
+    note = ["" if ok else "spectral radius vanishes; negative powers of it are undefined"
+            for ok in hyp_ok]
+    rows = [i for i, ok in enumerate(hyp_ok) if ok]
     part_specs = []
-    if hyp_ok:
-        part_specs = _refined_chain(("radius", "w", "op"), sr, w, op, p)
-    params = {"p": p, "m": None, "M": None, "map": None,
-              "spectral_radius": sr, "numerical_radius": w, "norm_op": op}
+    if rows:
+        _refined_chain(part_specs, ("radius", "w", "op"), rows, [sr[i] for i in rows],
+                       [w[i] for i in rows], [op[i] for i in rows], [ps[i] for i in rows])
+    params = [{"p": p, "m": None, "M": None, "map": None,
+               "spectral_radius": r, "numerical_radius": x, "norm_op": t}
+              for p, r, x, t in zip(ps, sr, w, op)]
     return _finish("radius_chain", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
 
@@ -1107,34 +1354,40 @@ def _product(a, b):
     return ab
 
 
-def check_power_norm(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("power_norm", "norm comparison between A^p B^p and (AB)^p for positive matrices",
+        (0.5, 2.0))
+def check_power_norm(insts, tol_rel):
     """Norm comparison between A^p B^p and (AB)^p for positive matrices.
 
     For positive semidefinite A, B the norm ||A^p B^p|| is at most
     ||AB||^p when p is in [0, 1] and at least ||AB||^p when p >= 1; both
     hold with equality at the boundary exponents.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    if p < -_P_EPS:
-        raise DomainError(f"power_norm requires p >= 0, got p={p}")
+    a, b = _pair(insts)
+    ps = _exponents(insts)
+    for p in ps:
+        if p < -_P_EPS:
+            raise DomainError(f"power_norm requires p >= 0, got p={p}")
     sp = linalg.Spectra()
-    _require_psd(sp, a, "A")
-    _require_psd(sp, b, "B")
-    nab = sp.norm_op(_product(a, b))
-    napb = sp.norm_op(_product(sp.power(a, p), sp.power(b, p)))
+    lam_a, lam_b = _eigvals(sp, a, b)
+    _require_psd(sp, a, "A", lam_a)
+    _require_psd(sp, b, "B", lam_b)
+    nab = sp.norm_op(_product(a, b)).tolist()
+    napb = sp.norm_op(_product(*_powers(sp, ps, a, b))).tolist()
+    nab_p = [t ** p for t, p in zip(nab, ps)]
+    rows = list(range(len(ps)))
     part_specs = []
-    if p <= 1.0:
-        part_specs.append(("power_norm_upper", _scal(napb), _scal(nab ** p)))
-    if p >= 1.0:
-        part_specs.append(("power_norm_lower", _scal(nab ** p), _scal(napb)))
-    params = {"p": p, "m": None, "M": None, "map": None,
-              "norm_AB": nab, "norm_ApBp": napb}
-    return _finish("power_norm", part_specs, hypotheses_ok=True, note="",
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    _branch(part_specs, "power_norm_upper", napb, nab_p, rows, [p <= 1.0 for p in ps])
+    _branch(part_specs, "power_norm_lower", nab_p, napb, rows, [p >= 1.0 for p in ps])
+    params = [{"p": p, "m": None, "M": None, "map": None, "norm_AB": x, "norm_ApBp": y}
+              for p, x, y in zip(ps, nab, napb)]
+    return _finish("power_norm", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
 
 
-def check_norm_refinement(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
+@_check("norm_refinement",
+        "two-sided refinement of the power-norm comparison on a product window",
+        (0.5, 2.0))
+def check_norm_refinement(insts, tol_rel):
     """Two-sided refinement of the power-norm comparison on a window.
 
     With 0 < m <= A, B <= M both ||AB|| and ||A^p B^p||^{1/p} lie in
@@ -1145,137 +1398,90 @@ def check_norm_refinement(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL)
                      with D = ||AB|| - ||A^p B^p||^{1/p};
         p >= 1:      (p / (m^2)^{1-p}) D <= ||A^p B^p|| - ||AB||^p <= (p / (M^2)^{1-p}) D
                      with D = ||A^p B^p||^{1/p} - ||AB||.
+
+    Raises NotFinite when a power of the norms or of the window leaves
+    the float range.
     """
-    a, b = inst.A, _require_b(inst)
-    p = inst.p
-    if p <= 0.0:
-        raise DomainError(f"norm_refinement requires p > 0, got p={p}")
-    linalg.require_symmetric(a, "A")
-    linalg.require_symmetric(b, "B")
+    a, b = _pair(insts)
+    ps = _exponents(insts)
+    for p in ps:
+        if p <= 0.0:
+            raise DomainError(f"norm_refinement requires p > 0, got p={p}")
+    linalg._require_symmetric(a, "A")
+    linalg._require_symmetric(b, "B")
     sp = linalg.Spectra()
-    lam_a = sp.eigvals(a)
-    lam_b = sp.eigvals(b)
-    lo = float(min(lam_a[0], lam_b[0]))
-    hi = float(max(lam_a[-1], lam_b[-1]))
-    if lo <= 0.0:
-        raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
-    m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
-    m2, M2 = m * m, M * M
-    nab = sp.norm_op(_product(a, b))
-    napb = sp.norm_op(_product(sp.power(a, p), sp.power(b, p)))
+    lam_a, lam_b = _eigvals(sp, a, b)
+    windows = []
+    for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, lam_a[:, [0, -1]].tolist(),
+                                               lam_b[:, [0, -1]].tolist()):
+        if min(a_lo, b_lo) <= 0.0:
+            raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
+        windows.append(_resolve_outer_window(min(a_lo, b_lo), max(a_hi, b_hi),
+                                             inst.m, inst.M))
+    nab = sp.norm_op(_product(a, b)).tolist()
+    napb = sp.norm_op(_product(*_powers(sp, ps, a, b))).tolist()
+    below, above = [], []    # (lower, mid, upper) of the p <= 1 and p >= 1 branches
+    for p, (m, M), x, y in zip(ps, windows, nab, napb):
+        m2, M2 = m * m, M * M
+        sides = [(0.0, 0.0, 0.0)] * 2
+        try:
+            if p <= 1.0:
+                dd = x - y ** (1.0 / p)
+                sides[0] = ((p / M2 ** (1.0 - p)) * dd, x ** p - y, (p / m2 ** (1.0 - p)) * dd)
+            if p >= 1.0:
+                dd = y ** (1.0 / p) - x
+                sides[1] = ((p / m2 ** (1.0 - p)) * dd, y - x ** p, (p / M2 ** (1.0 - p)) * dd)
+        except (OverflowError, ZeroDivisionError):
+            sides = [(math.inf,) * 3] * 2
+        if not all(math.isfinite(v) for side in sides for v in side):
+            raise NotFinite(f"the refinement's powers at p={p:g} of norms on the window "
+                            f"[{m:.3e}, {M:.3e}] leave the float range")
+        below.append(sides[0])
+        above.append(sides[1])
+    rows = list(range(len(ps)))
     part_specs = []
-    if p <= 1.0:
-        dd = nab - napb ** (1.0 / p)
-        mid = nab ** p - napb
-        part_specs += [
-            ("refine_lower", _scal((p / M2 ** (1.0 - p)) * dd), _scal(mid)),
-            ("refine_upper", _scal(mid), _scal((p / m2 ** (1.0 - p)) * dd)),
-        ]
-    if p >= 1.0:
-        dd = napb ** (1.0 / p) - nab
-        mid = napb - nab ** p
-        part_specs += [
-            ("refine_lower", _scal((p / m2 ** (1.0 - p)) * dd), _scal(mid)),
-            ("refine_upper", _scal(mid), _scal((p / M2 ** (1.0 - p)) * dd)),
-        ]
-    params = {"p": p, "m": m, "M": M, "map": None,
-              "norm_AB": nab, "norm_ApBp": napb}
-    return _finish("norm_refinement", part_specs, hypotheses_ok=True, note="",
+    for branch, keep in ((below, [p <= 1.0 for p in ps]), (above, [p >= 1.0 for p in ps])):
+        lower, mid, upper = (list(col) for col in zip(*branch))
+        _branch(part_specs, "refine_lower", lower, mid, rows, keep)
+        _branch(part_specs, "refine_upper", mid, upper, rows, keep)
+    params = [{"p": p, "m": m, "M": M, "map": None, "norm_AB": x, "norm_ApBp": y}
+              for p, (m, M), x, y in zip(ps, windows, nab, napb)]
+    return _finish("norm_refinement", part_specs, params=params, tol_rel=tol_rel,
+                   spectra=sp)
+
+
+@_check("power_corollary", "windowed bounds between Phi(A)^p and Phi(A^p)",
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False)
+def check_power_corollary(insts, tol_rel):
+    """Power-function corollary of the windowed entropy bounds.
+
+    Specialize the two-matrix statements to the pair (I, A): for
+    m <= 1 <= A <= M the image power Phi(A)^p is bounded by
+    Phi(A^p) + p (m^{p-1} - M^{p-1}) (Phi(A) - I) for p in [0, 1], with
+    the inequality reversed for p in [-1, 0], and for p in [1, 2] the
+    correction p (M^{p-1} - m^{p-1}) (Phi(A) - I) bounds Phi(A^p) from
+    the Phi(A)^p side.
+    """
+    a = _stack([inst.A for inst in insts])
+    ps = _exponents(insts, -1.0, 2.0, "power_corollary")
+    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
+    sp = linalg.Spectra()
+    lam = sp.eigvals(linalg._require_symmetric(a, "A"))
+    if (lam[:, 0] <= 0.0).any():
+        raise NotPositiveDefinite("power_corollary needs a positive definite matrix")
+    ms, Ms, hyp_ok, note = _unit_windows(insts, lam)
+    params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
+              for p, m, M, phi in zip(ps, ms, Ms, phis)]
+    part_specs = []
+    for rows, (pa, phi_pow) in _images(phis, a, sp.power(a, ps)):
+        q = [ps[i] for i in rows]
+        norms = _converse_parts(sp, part_specs, "image_power", rows, q,
+                                [ms[i] for i in rows], [Ms[i] for i in rows],
+                                phi_pow, sp.power(pa, q), pa - np.eye(pa.shape[-1]))
+        for i, value in zip(rows, norms):
+            params[i]["additive_term_norm"] = value
+    return _finish("power_corollary", part_specs, hypotheses_ok=hyp_ok, note=note,
                    params=params, tol_rel=tol_rel, spectra=sp)
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class CheckInfo:
-    """Registry entry: how to run a check and what it needs."""
-
-    check_id: str
-    runner: Callable[..., CheckReport]
-    description: str
-    default_p: tuple[float, ...]
-    needs_b: bool = True
-
-
-REGISTRY: dict[str, CheckInfo] = {}
-
-
-def _register(info: CheckInfo):
-    REGISTRY[info.check_id] = info
-
-
-_register(CheckInfo(
-    "info_monotonicity", check_info_monotonicity,
-    "deformed relative entropy shrinks under positive unital maps "
-    "(grows for exponents above one)",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)))
-_register(CheckInfo(
-    "reverse_monotonicity", check_reverse_monotonicity,
-    "additive reverse of the entropy monotonicity on a unit spectral window",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)))
-_register(CheckInfo(
-    "ando_converse", check_ando_converse,
-    "additive converse of the weighted-mean map inequality on a unit window",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)))
-_register(CheckInfo(
-    "density_trace", check_density_trace,
-    "unit-trace bounds for weighted means of density matrices under the "
-    "unit window",
-    (-0.5, 0.5, 1.5)))
-_register(CheckInfo(
-    "furuta_bounds", check_furuta_bounds,
-    "Kantorovich-constant and linear upper bounds for the output-side entropy",
-    (0.25, 0.5, 0.75, 1.0)))
-_register(CheckInfo(
-    "seo_bound", check_seo_bound,
-    "ratio-window reverse of the weighted-mean map inequality",
-    (0.25, 0.5, 0.75)))
-_register(CheckInfo(
-    "lowner_heinz", check_lowner_heinz,
-    "A <= B implies A^p <= B^p for p in [0, 1] (fails above 1 by design)",
-    (0.25, 0.5, 1.0)))
-_register(CheckInfo(
-    "norm_power_lemma", check_norm_power_lemma,
-    "tangent-line bound for A^p at the operator norm of A",
-    (1.0 / 3.0, 2.0, -1.0), needs_b=False))
-_register(CheckInfo(
-    "lh_extension", check_lh_extension,
-    "linearized bound for B^p - A^p when B dominates ||A|| I",
-    (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0)))
-_register(CheckInfo(
-    "mn2012", check_mn2012,
-    "scalar floors for B^p - A^p and the dominance between them",
-    (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0)))
-_register(CheckInfo(
-    "mond_pecaric", check_mond_pecaric,
-    "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
-    (0.5, 2.0, -1.0)))
-_register(CheckInfo(
-    "holder_mccarthy", check_holder_mccarthy,
-    "power expectation inequality and its two-sided reverse on a window",
-    (0.5, 2.0, -1.0), needs_b=False))
-_register(CheckInfo(
-    "norm_chain", check_norm_chain,
-    "refined links between operator, Frobenius and trace norms",
-    (-1.0, 0.5, 3.0), needs_b=False))
-_register(CheckInfo(
-    "radius_chain", check_radius_chain,
-    "refined links between spectral radius, numerical radius and norm",
-    (0.5, 2.0, -1.0), needs_b=False))
-_register(CheckInfo(
-    "power_norm", check_power_norm,
-    "norm comparison between A^p B^p and (AB)^p for positive matrices",
-    (0.5, 2.0)))
-_register(CheckInfo(
-    "norm_refinement", check_norm_refinement,
-    "two-sided refinement of the power-norm comparison on a product window",
-    (0.5, 2.0)))
-_register(CheckInfo(
-    "power_corollary", check_power_corollary,
-    "windowed bounds between Phi(A)^p and Phi(A^p)",
-    (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False))
 
 
 def _require_tol(tol_rel) -> float:

@@ -11,8 +11,14 @@ A sampler takes a seed and a plan, a list of (trial, dim, p), and returns
 the plan's instances in order.  It draws every trial's numbers first and
 then runs the plan's linear algebra stacked (sampling._Batch); a trial's
 instance is the same bits whatever plan it is part of.  run_fuzz samples
-its schedule in plans of _CHUNK trials and checks the trials in order;
-sample_instance is a plan of one.
+its schedule in plans of _CHUNK trials; sample_instance is a plan of one.
+
+Each chunk is then checked in groups, one per dim: the check runs its
+matrix work stacked over the group (see checks.CheckInfo.group), and a
+stacked call gives every trial the bits it would get alone, so a
+trial's report does not depend on its group either.  A group that
+raises is checked again one trial at a time, and run_fuzz reads the
+outcomes in trial order.
 """
 
 from __future__ import annotations
@@ -274,6 +280,30 @@ class FuzzResult:
         return self.counts.get(checks.FAILS, 0)
 
 
+def _outcomes(info, plan, instances, tol_rel) -> list:
+    """Each planned trial's report, or the exception its check raised, in
+    plan order; the trials of one dim run through the check as one group."""
+    by_dim: dict[int, list] = {}
+    for j, (_, dim, _) in enumerate(plan):
+        by_dim.setdefault(dim, []).append(j)
+    out = [None] * len(plan)
+    for rows in by_dim.values():
+        for j, outcome in zip(rows, _run(info, [instances[j] for j in rows], tol_rel)):
+            out[j] = outcome
+    return out
+
+
+def _run(info, group, tol_rel) -> list:
+    """The check's reports on a group; when the group raises, each
+    instance's report or exception, run alone."""
+    try:
+        return info.group(group, tol_rel)
+    except Exception as exc:  # an outcome: run_fuzz raises it in trial order
+        if len(group) == 1:
+            return [exc]
+        return [_run(info, [inst], tol_rel)[0] for inst in group]
+
+
 def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
              p_values=None, seed: int = 0, tol_rel: float = FUZZ_TOL_REL,
              stop_on_fail: bool = False) -> FuzzResult:
@@ -282,8 +312,11 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     Trial t uses p = p_values[t mod len(p_values)] and cycles dims with
     period len(p_values) * len(dims); reports come back ordered by t and
     carry seed/trial/dim in their params.  Every FAILS yields a witness
-    holding the instance that failed; stop_on_fail ends the run there,
-    and the rest of that chunk's instances go unchecked.
+    holding the instance that failed.  Each chunk of trials is checked in
+    groups, one per dim, before its outcomes are read in trial order:
+    the first trial whose check raised re-raises that exception, unless
+    stop_on_fail has ended the run at an earlier FAILS.  The outcomes
+    after that FAILS, in its chunk, are computed and dropped.
     """
     info = checks.resolve_check(check_id)
     if trials < 0:
@@ -304,14 +337,14 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     plans = ([(t, dims[(t // len(p_values)) % len(dims)], p_values[t % len(p_values)])
               for t in range(c, min(c + _CHUNK, trials))]
              for c in range(0, trials, _CHUNK))
-    sampled = (item for plan in plans for item in zip(plan, sampler(seed, plan)))
-    for (trial, dim, p), inst in sampled:
-        report = info.runner(inst, tol_rel=tol_rel)
-        report = dataclasses.replace(
-            report,
-            params={**report.params, "seed": int(seed), "trial": int(trial),
-                    "dim": int(dim)},
-        )
+    chunks = ((plan, sampler(seed, plan)) for plan in plans)
+    checked = (row for plan, instances in chunks
+               for row in zip(plan, instances, _outcomes(info, plan, instances, tol_rel)))
+    for (trial, dim, p), inst, report in checked:
+        if isinstance(report, Exception):
+            raise report
+        # a fresh report, so its params are the run's to extend
+        report.params.update(seed=int(seed), trial=int(trial), dim=int(dim))
         reports.append(report)
         counts[report.verdict] += 1
         if report.verdict == checks.FAILS:

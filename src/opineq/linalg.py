@@ -10,16 +10,22 @@ Two layers share that contract:
   eigvals_sym, power, sqrt_factors, conjugate_by_sqrt, loewner_compare,
   the norms and radii) validate their arguments on every call: shape,
   finiteness and, where the operation needs it, symmetry within SYM_RTOL.
-  They are for callers outside the package.
-* Spectra is the trusted core behind them.  It checks nothing but the
-  finiteness of what it is about to decompose, and it solves each
-  (eigensolver routine, input bits) pair once for as long as it lives.
-  A check validates its operands once, on entry (InstanceSpec checks
-  shape and finiteness, the check itself the symmetry of its symmetric
-  operands), and then runs every decomposition, power, square root and
-  norm of that call through one Spectra.  means.weighted_mean and
-  means.tsallis_entropy take it as `spectra=`; maps.apply_map and
-  checks._finish never re-validate.
+  They are for callers outside the package and take one matrix.
+* Spectra is the trusted core behind them.  It takes a stack of matrices
+  of one shape, (..., n, n), and works matrix by matrix: one stacked
+  LAPACK or BLAS call gives each matrix the same bits as a call on that
+  matrix alone, so a stack of instances gets the result every instance
+  would get by itself.  Results that are one number per matrix come back
+  with the stack's leading shape; exponents are given one per matrix.
+  It checks nothing but the finiteness of what it is about to decompose,
+  and it solves each (eigensolver routine, input bits) pair once for as
+  long as it lives.  A check validates its operands once, on entry
+  (InstanceSpec checks shape and finiteness, the check itself the
+  symmetry of its symmetric operands), and then runs every
+  decomposition, power, square root and norm of its group of instances
+  through one Spectra.  means.weighted_mean and means.tsallis_entropy
+  take it as `spectra=`; maps.apply_map and checks._finish never
+  re-validate.
 
 Loewner comparisons never return a bare bool.  loewner_compare reports
 the signed gap (the smallest eigenvalue of R - L) together with the
@@ -29,7 +35,6 @@ verdict was to flipping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,24 +81,31 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def _is_symmetric(m: np.ndarray, rtol: float = SYM_RTOL) -> bool:
-    """is_symmetric for a trusted (square, finite) matrix."""
-    if (m == m.T).all():
-        return True
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return float(np.max(np.abs(m - m.T))) <= rtol * scale
+def _is_symmetric(m: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
+    """is_symmetric for each matrix of a trusted (square, finite) stack;
+    a single True when every matrix is exactly symmetric."""
+    mt = m.swapaxes(-1, -2)
+    exact = m == mt
+    if exact.all():
+        return np.True_
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return exact.all(axis=(-2, -1)) | (np.abs(m - mt).max(axis=(-2, -1)) <= rtol * scale)
+
+
+def _require_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """m, once every matrix of the trusted stack is symmetric; else NotSymmetric."""
+    if not _is_symmetric(m).all():
+        raise NotSymmetric(f"{what} is not symmetric within tolerance")
+    return m
 
 
 def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
     """True when max |a_ij - a_ji| <= rtol * max(1, max |a_ij|)."""
-    return _is_symmetric(as_square(a), rtol)
+    return bool(_is_symmetric(as_square(a), rtol))
 
 
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
-    m = as_square(a)
-    if not _is_symmetric(m):
-        raise NotSymmetric(f"{what} is not symmetric within tolerance")
-    return m
+    return _require_symmetric(as_square(a), what)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -106,10 +118,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a symmetric matrix.
+    """Eigensystem of a symmetric matrix, or of each matrix of a stack.
 
-    eigenvalues are ascending; eigenvectors[:, i] belongs to
-    eigenvalues[i] and the columns are orthonormal.
+    eigenvalues are ascending; eigenvectors[..., :, i] belongs to
+    eigenvalues[..., i] and the columns are orthonormal.
     """
 
     eigenvalues: np.ndarray
@@ -119,20 +131,42 @@ class SpectralDecomposition:
         """Functional calculus: Q diag(fn(lambda)) Q^T, symmetrized."""
         q = self.eigenvectors
         vals = np.asarray(fn(self.eigenvalues), dtype=float)
-        return symmetrize((q * vals) @ q.T)
+        return symmetrize((q * vals[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def _positivity_floor(eigenvalues: np.ndarray) -> float:
-    """POS_EIG_RTOL * max(1, max |lambda|) for ascending eigenvalues."""
-    return POS_EIG_RTOL * max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
+def _floor(lo: float, hi: float) -> float:
+    """The positivity floor POS_EIG_RTOL * max(1, max |lambda|) of a
+    spectrum with extreme eigenvalues lo <= hi: eigenvalues within it of
+    zero count as zero."""
+    return POS_EIG_RTOL * max(1.0, abs(lo), abs(hi))
+
+
+def _edges(w: np.ndarray) -> list:
+    """[(lambda_min, lambda_max)] per spectrum of a stack of ascending spectra."""
+    w = w.reshape(-1, w.shape[-1])
+    return list(zip(w[:, 0].tolist(), w[:, -1].tolist()))
+
+
+def _per_matrix(p, a: np.ndarray) -> list:
+    """p as one float per matrix of the stack a: a scalar p is shared."""
+    if hasattr(p, "__len__"):
+        return [float(q) for q in p]
+    return [float(p)] * (a.size // (a.shape[-1] * a.shape[-1]) if a.size else 0)
 
 
 class Spectra:
     """Per-call spectral context: the trusted core of this module.
 
-    Every eigensolve made through one Spectra is kept, keyed by routine
-    and by the bits of the symmetrized input, so within its lifetime no
-    matrix is decomposed twice by the same routine.  eigh and eigvalsh
+    Every argument is one matrix or a stack of them, (..., n, n); results
+    per matrix (norms, comparisons) follow the leading shape, and so do
+    exponents: power takes one p, or one per matrix.  Stacked LAPACK and
+    BLAS calls work matrix by matrix, so each matrix of a stack gets the
+    bits it would get alone.
+
+    Every eigensolve made through one Spectra is kept, matrix by matrix,
+    keyed by routine and by the bits of the symmetrized matrix, so within
+    its lifetime no matrix is decomposed twice by the same routine, alone
+    or in any stack: a stacked call solves only the matrices not yet seen.  eigh and eigvalsh
     results are never substituted for each other: their eigenvalues
     differ in the last bits.  Powers, square-root factors and norms are
     derived from the kept solves.
@@ -141,6 +175,8 @@ class Spectra:
     caller has checked.  Only finiteness is checked, once per new solve,
     because LAPACK decomposes a matrix holding inf or nan into finite
     garbage.  Make one per check call and share it with nothing else.
+    A check that raises for one matrix of a stack raises for the stack;
+    its message describes the first such matrix.
     """
 
     def __init__(self):
@@ -148,19 +184,43 @@ class Spectra:
 
     def _solve(self, routine: str, a: np.ndarray):
         s = symmetrize(a)
-        key = (routine, s.shape, s.tobytes())
-        out = self._solved.get(key)
-        if out is None:
-            if not np.isfinite(s).all():
+        n = s.shape[-1]
+        data = s.tobytes()
+        size = 8 * n * n
+        stacked = len(data) > size
+        if stacked:     # a stack asked for again comes back whole
+            whole = (routine, s.shape, data)
+            out = self._solved.get(whole)
+            if out is not None:
+                return out
+        # each matrix is kept as (stacked result, index), under its own bits
+        keys = [(routine, data[i:i + size]) for i in range(0, len(data), size)]
+        rows = [self._solved.get(key) for key in keys]
+        todo = [i for i, row in enumerate(rows) if row is None]
+        if todo:
+            flat = s.reshape(-1, n, n)
+            new = flat if len(todo) == len(keys) else flat[todo]
+            if not np.isfinite(new).all():
                 raise NotFinite("matrix entries must be finite")
             try:
-                if routine == "eigh":
-                    out = SpectralDecomposition(*np.linalg.eigh(s))
-                else:
-                    out = np.linalg.eigvalsh(s)
+                solved = (np.linalg.eigh(new) if routine == "eigh"
+                          else (np.linalg.eigvalsh(new),))
             except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
                 raise NoConvergence(f"eigensolver failed: {exc}") from exc
-            self._solved[key] = out
+            for j, i in enumerate(todo):
+                self._solved[keys[i]] = rows[i] = (solved, j)
+        if len(todo) == len(keys):
+            parts = solved
+        elif not stacked:
+            res, j = rows[0]
+            parts = [x[j:j + 1] for x in res]
+        else:
+            parts = [np.stack([res[k][j] for res, j in rows]) for k in range(len(rows[0][0]))]
+        if s.ndim != 3:
+            parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
+        out = SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
+        if stacked:
+            self._solved[whole] = out
         return out
 
     def decompose(self, a: np.ndarray) -> SpectralDecomposition:
@@ -171,103 +231,129 @@ class Spectra:
         """Ascending eigenvalues (eigvalsh)."""
         return self._solve("eigvalsh", a)
 
-    def power(self, a: np.ndarray, p: float) -> np.ndarray:
-        """A^p; see power.  p = 0 and p = 1 need no decomposition."""
-        p = float(p)
-        if p == 1.0:
-            return np.array(a, dtype=float)
-        if p == 0.0:
-            return np.eye(a.shape[0])
+    def power(self, a: np.ndarray, p) -> np.ndarray:
+        """A^p; see power.  p = 0 and p = 1 need no decomposition.
+
+        p is one exponent or one per matrix.  np.power runs matrix by
+        matrix with a Python float exponent: numpy takes fast paths for
+        some scalar exponents (0.5, -1, 2) that an array of exponents
+        does not, and the bits differ.
+        """
+        n = a.shape[-1]
+        ps = _per_matrix(p, a)
+        solve = [q != 0.0 and q != 1.0 for q in ps]
+        if not all(solve):
+            out = np.array(a, dtype=float).reshape(-1, n, n)    # right for p = 1
+            for i, q in enumerate(ps):
+                if q == 0.0:
+                    out[i] = np.eye(n)
+            if not any(solve):
+                return out.reshape(a.shape)
         dec = self.decompose(a)
-        w = dec.eigenvalues
-        floor = _positivity_floor(w)
-        fractional = p != int(p)
-        if p < 0.0:
-            if np.any(w <= floor):
-                raise NotPositiveDefinite(
-                    f"negative power {p} needs eigenvalues bounded away from zero, "
-                    f"min is {w.min():.3e}"
-                )
-        elif fractional:
-            if np.any(w < -floor):
-                raise NotPositiveDefinite(
-                    f"fractional power {p} needs a PSD matrix, min eigenvalue {w.min():.3e}"
-                )
-            w = np.clip(w, 0.0, None)
+        w = dec.eigenvalues.reshape(-1, n)
+        vals = np.ones_like(w)
+        clipped = [False] * len(ps)
         with np.errstate(over="ignore"):
-            vals = np.power(w, p)
+            for i, (q, (lo, hi)) in enumerate(zip(ps, _edges(w))):
+                if not solve[i]:
+                    continue
+                if q < 0.0:
+                    if lo <= _floor(lo, hi):
+                        raise NotPositiveDefinite(
+                            f"negative power {q} needs eigenvalues bounded away from zero, "
+                            f"min is {lo:.3e}"
+                        )
+                elif q != int(q):
+                    if lo < -_floor(lo, hi):
+                        raise NotPositiveDefinite(
+                            f"fractional power {q} needs a PSD matrix, min eigenvalue {lo:.3e}"
+                        )
+                    clipped[i] = not lo > 0.0
+                vals[i] = np.power(np.clip(w[i], 0.0, None) if clipped[i] else w[i], q)
         if not np.isfinite(vals).all():
-            raise NotFinite(f"power {p:g} of eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}] overflows")
-        q = dec.eigenvectors
-        return symmetrize((q * vals) @ q.T)
+            i = int(np.argmin(np.isfinite(vals).all(axis=-1)))
+            lo = np.clip(w[i, 0], 0.0, None) if clipped[i] else w[i, 0]
+            raise NotFinite(f"power {ps[i]:g} of eigenvalues in [{lo:.3e}, {w[i, -1]:.3e}] overflows")
+        qs = dec.eigenvectors.reshape(-1, n, n)
+        full = symmetrize((qs * vals[:, None, :]) @ qs.swapaxes(-1, -2))
+        if all(solve):
+            return full.reshape(a.shape)
+        out[solve] = full[solve]
+        return out.reshape(a.shape)
 
     def sqrt_factors(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A^{1/2}, A^{-1/2}); A must be SPD."""
         dec = self.decompose(a)
-        w = dec.eigenvalues
-        floor = _positivity_floor(w)
-        if np.any(w <= floor):
-            raise NotPositiveDefinite(
-                f"square-root factors need an SPD matrix, min eigenvalue {w.min():.3e}"
-            )
+        for lo, hi in _edges(dec.eigenvalues):
+            if lo <= _floor(lo, hi):
+                raise NotPositiveDefinite(
+                    f"square-root factors need an SPD matrix, min eigenvalue {lo:.3e}"
+                )
         half = dec.apply(np.sqrt)
         inv_half = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
         return half, inv_half
 
-    def compare(self, l: np.ndarray, r: np.ndarray, tol_rel: float) -> LoewnerVerdict:
-        """loewner_compare for trusted operands of one shape."""
+    def compare(self, l: np.ndarray, r: np.ndarray, tol_rel: float) -> list:
+        """loewner_compare for trusted operands of one shape: one
+        LoewnerVerdict per matrix, in order."""
         d = r - l
         # two operands accepted one by one can still differ by a matrix
         # that is not symmetric relative to its own, smaller, scale
-        if not _is_symmetric(d):
-            raise NotSymmetric("matrix is not symmetric within tolerance")
-        diff = self.eigvals(d)
-        tol = tol_rel * max(1.0, self.norm_op(l), self.norm_op(r))
-        le = diff[0] >= -tol
-        ge = diff[-1] <= tol
-        if le and ge:
-            relation = EQ
-        elif le:
-            relation = LE
-        elif ge:
-            relation = GE
-        else:
-            relation = INCOMPARABLE
-        return LoewnerVerdict(relation=relation, gap_min_eig=float(diff[0]), tol_used=tol)
+        _require_symmetric(d)
+        n = d.shape[-1]
+        diff = self.eigvals(d).reshape(-1, n)
+        verdicts = []
+        norms = self.norm_op(np.stack((l, r))).reshape(2, -1).tolist()
+        for lo, hi, nl, nr in zip(diff[:, 0].tolist(), diff[:, -1].tolist(), *norms):
+            tol = tol_rel * max(1.0, nl, nr)
+            le = lo >= -tol
+            ge = hi <= tol
+            if le and ge:
+                relation = EQ
+            elif le:
+                relation = LE
+            elif ge:
+                relation = GE
+            else:
+                relation = INCOMPARABLE
+            verdicts.append(LoewnerVerdict(relation=relation, gap_min_eig=lo, tol_used=tol))
+        return verdicts
 
-    def gram_spectrum(self, a: np.ndarray) -> tuple[np.ndarray, int]:
+    def gram_spectrum(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Ascending eigenvalues of B^T B for B = A / 2**e, and e.
 
         A^T A squares the entries, so A is divided by an exact power of two
         when max |a_ij| lies outside [2^-480, 2^480], where the squares would
-        overflow or underflow.  In-range inputs get e = 0 and keep every bit.
-        The input may be any square matrix; it is read as float64, as
-        as_square reads it.
+        overflow or underflow.  In-range inputs get e = 0 and keep every bit;
+        e is None when every matrix is in range.  The input may be any
+        square matrix, or stack of them, with one e per matrix; it is read
+        as float64, as as_square reads it.
         """
         a = np.asarray(a, dtype=float)
-        peak = np.abs(a).max()
-        e = 0
-        if peak > 0.0 and not _SV_SAFE_LO <= peak <= _SV_SAFE_HI:
-            e = math.frexp(peak)[1]
-            a = np.ldexp(a, -e)
-        return self.eigvals(a.T @ a), e
+        peak = np.abs(a).max(axis=(-2, -1))
+        e = None
+        if any(x > 0.0 and not _SV_SAFE_LO <= x <= _SV_SAFE_HI for x in peak.ravel().tolist()):
+            out = (peak > 0.0) & ((peak < _SV_SAFE_LO) | (peak > _SV_SAFE_HI))
+            e = np.where(out, np.frexp(peak)[1], 0)
+            a = np.ldexp(a, -e[..., None, None])
+        return self.eigvals(a.swapaxes(-1, -2) @ a), e
 
-    def scaled_singular_values(self, a: np.ndarray) -> tuple[np.ndarray, int]:
+    def scaled_singular_values(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Singular values of B = A / 2**e, descending, and e (see gram_spectrum)."""
         w, e = self.gram_spectrum(a)
-        return np.sqrt(np.clip(w, 0.0, None))[::-1], e
+        return np.sqrt(np.clip(w, 0.0, None))[..., ::-1], e
 
-    def norms(self, a: np.ndarray) -> tuple[float, float, float]:
+    def norms(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(operator, Hilbert-Schmidt, trace) norms of any square matrix."""
         s, e = self.scaled_singular_values(a)
-        return (math.ldexp(float(s[0]), e),
-                math.ldexp(float(np.sqrt(np.sum(s * s))), e),
-                math.ldexp(float(np.sum(s)), e))
+        out = s[..., 0], np.sqrt(np.sum(s * s, axis=-1)), np.sum(s, axis=-1)
+        return out if e is None else tuple(np.ldexp(x, e) for x in out)
 
-    def norm_op(self, a: np.ndarray) -> float:
+    def norm_op(self, a: np.ndarray) -> np.ndarray:
         """Operator norm of any square matrix, the largest singular value."""
         w, e = self.gram_spectrum(a)
-        return math.ldexp(math.sqrt(max(float(w[-1]), 0.0)), e)
+        top = np.sqrt(np.maximum(w[..., -1], 0.0))
+        return top if e is None else np.ldexp(top, e)
 
 
 def spectral_decompose(a) -> SpectralDecomposition:
@@ -344,23 +430,24 @@ def loewner_compare(l, r, tol_rel: float = DEFAULT_TOL_REL) -> LoewnerVerdict:
         raise DimensionMismatch(
             f"cannot compare shapes {lm.shape} and {rm.shape}"
         )
-    return Spectra().compare(lm, rm, tol_rel)
+    return Spectra().compare(lm, rm, tol_rel)[0]
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, via the eigenvalues of A^T A."""
     s, e = Spectra().scaled_singular_values(as_square(a))
-    return np.ldexp(s, e)
+    return s.copy() if e is None else np.ldexp(s, e)
 
 
 def norms(a) -> tuple[float, float, float]:
     """(operator, Hilbert-Schmidt, trace) norms from one set of singular values."""
-    return Spectra().norms(as_square(a))
+    op, hs, tr = Spectra().norms(as_square(a))
+    return float(op), float(hs), float(tr)
 
 
 def norm_op(a) -> float:
     """Operator (spectral) norm, the largest singular value."""
-    return Spectra().norm_op(as_square(a))
+    return float(Spectra().norm_op(as_square(a)))
 
 
 def norm_hs(a) -> float:

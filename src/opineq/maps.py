@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sampling
 from .errors import DimensionMismatch, InvalidSpec, NotFinite, SchemaError
 
 log = logging.getLogger(__name__)
@@ -140,34 +140,39 @@ class MapSpec:
 def apply_map(spec: MapSpec, x) -> np.ndarray:
     """Evaluate Phi(X).  X must be square with the map's input dimension.
 
-    X must be finite: inside a check it may be a computed matrix that
-    overflowed, which would otherwise reach a verdict through a 1x1 image.
-    Its symmetry is not validated; it only decides whether the image is
-    symmetrized.
+    X may also be a stack of such matrices, (..., n, n): the map is then
+    applied to each matrix in one call, with the bits each would get
+    alone.  X must be finite: inside a check it may be a computed matrix
+    that overflowed, which would otherwise reach a verdict through a 1x1
+    image.  Its symmetry is not validated; it only decides, matrix by
+    matrix, whether the image is symmetrized.
     """
     m = np.asarray(x, dtype=float)
-    if m.shape != (spec.in_dim, spec.in_dim):
+    if m.ndim < 2 or m.shape[-2:] != (spec.in_dim, spec.in_dim):
         raise DimensionMismatch(
             f"map expects a {spec.in_dim}x{spec.in_dim} matrix, got shape {m.shape}"
         )
     if not np.isfinite(m).all():
         raise NotFinite("matrix entries must be finite")
     if spec.kind == NORMALIZED_TRACE:
-        return np.array([[float(np.trace(m)) / spec.in_dim]])
+        return (np.trace(m, axis1=-2, axis2=-1) / spec.in_dim)[..., None, None]
     if spec.kind == COMPRESSION:
         out = spec.isometry.T @ m @ spec.isometry
     elif spec.kind == PINCHING:
-        out = np.zeros_like(m)
-        for blk in spec.partition:
-            idx = np.ix_(blk, blk)
-            out[idx] = m[idx]
+        label = np.empty(spec.in_dim, dtype=int)
+        for b, blk in enumerate(spec.partition):
+            label[list(blk)] = b
+        out = np.where(label[:, None] == label[None, :], m, 0.0)
     else:
         out = np.zeros_like(m)
         for w, u in zip(spec.weights, spec.unitaries):
             out += w * (u.T @ m @ u)
     # a symmetric input must map to an exactly symmetric output so the
     # Loewner comparisons downstream never trip on rounding asymmetry
-    return linalg.symmetrize(out) if linalg._is_symmetric(m) else out
+    sym = linalg._is_symmetric(m)
+    if sym.all():
+        return linalg.symmetrize(out)
+    return np.where(sym[..., None, None], linalg.symmetrize(out), out)
 
 
 def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:
@@ -176,7 +181,7 @@ def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:
     Returns True when every probe passes; a failing witness is logged
     at WARNING level so interactive callers can see what broke.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    rng = sampling.rng_for(seed, 0)
     n = spec.in_dim
     ident = apply_map(spec, np.eye(n))
     if float(np.max(np.abs(ident - np.eye(spec.out_dim)))) > 1e-10:

@@ -17,6 +17,11 @@ reports the extreme eigenvalues of that eigh alongside the result.  The
 checks do not read them: each takes the spectrum of W by its own
 eigvalsh, whose eigenvalues can differ from eigh's in the last bits, and
 those are the ones the checks' reports and verdicts are built on.
+
+Inside a check (spectra= given) A and B may be stacks of instances,
+(g, n, n), each with its own p: the decompositions, powers and products
+run stacked, through linalg.Spectra, and give every instance the bits it
+gets alone.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def _inner_operator(a, b, spectra) -> tuple[np.ndarray, np.ndarray]:
     return half, linalg.symmetrize(inv_half @ b @ inv_half)
 
 
-def weighted_mean(a, b, p: float, *, spectra=None) -> MeanResult:
+def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     """A natural_p B by functional calculus on W = A^{-1/2} B A^{-1/2}.
 
     A must be SPD.  B must be positive semidefinite for p >= 0 and
@@ -80,40 +85,53 @@ def weighted_mean(a, b, p: float, *, spectra=None) -> MeanResult:
     Without `spectra` the operands are validated.  A check passes the
     linalg.Spectra of its call instead: then A and B are trusted, as the
     check has validated them, and A, W and their powers are decomposed
-    once across the whole call.
+    once across the whole call.  They may then be stacks of instances,
+    (g, n, n), with one exponent per instance in p; the result's value,
+    p and inner_spectrum hold one entry per instance.
     """
-    p = float(p)
     if spectra is None:
+        p = float(p)
         a, b = _operands(a, b)
         spectra = linalg.Spectra()
     half, w = _inner_operator(a, b, spectra)
     lam = spectra.decompose(w).eigenvalues
-    if p < 0.0 and lam[0] <= linalg._positivity_floor(lam):
-        raise NotPositiveDefinite(
-            f"negative weight {p} needs B positive definite relative to A, "
-            f"inner spectrum reaches {lam[0]:.3e}"
-        )
-    wp = spectra.power(w, p)
+    ps = linalg._per_matrix(p, w)
+    if min(ps) < 0.0:
+        for q, (lo, hi) in zip(ps, linalg._edges(lam)):
+            if q < 0.0 and lo <= linalg._floor(lo, hi):
+                raise NotPositiveDefinite(
+                    f"negative weight {q} needs B positive definite relative to A, "
+                    f"inner spectrum reaches {lo:.3e}"
+                )
+    wp = spectra.power(w, ps)
     value = linalg.symmetrize(half @ wp @ half)
-    return MeanResult(value=value, p=p, inner_spectrum=(float(lam[0]), float(lam[-1])))
+    return MeanResult(value=value, p=p, inner_spectrum=(lam[..., 0][()], lam[..., -1][()]))
 
 
-def tsallis_entropy(a, b, p: float, *, spectra=None) -> np.ndarray:
+def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     """T_p(A|B) = (A natural_p B - A) / p for p != 0.
 
     p = 1 short-circuits to B - A, which is the exact value there.
-    `spectra` works as in weighted_mean.
+    `spectra` works as in weighted_mean; for a stack, the instances with
+    p = 1 take the short cut and the rest share one mean.
     """
-    p = float(p)
-    if p == 0.0:
+    stacked = hasattr(p, "__len__")
+    ps = [float(q) for q in p] if stacked else [float(p)]
+    if 0.0 in ps:
         raise ZeroParameter("tsallis_entropy requires p != 0")
     if spectra is None:
         a, b = _operands(a, b)
         spectra = linalg.Spectra()
-    if p == 1.0:
+    rest = [q != 1.0 for q in ps]
+    if not any(rest):
         return b - a
-    mean = weighted_mean(a, b, p, spectra=spectra)
-    return (mean.value - a) / p
+    if all(rest):
+        mean = weighted_mean(a, b, ps if stacked else ps[0], spectra=spectra).value
+        return (mean - a) / (np.reshape(ps, (-1, 1, 1)) if stacked else ps[0])
+    out = b - a
+    mean = weighted_mean(a[rest], b[rest], [q for q in ps if q != 1.0], spectra=spectra)
+    out[rest] = (mean.value - a[rest]) / np.reshape([q for q in ps if q != 1.0], (-1, 1, 1))
+    return out
 
 
 def tsallis_from_mean(a: np.ndarray, mean: MeanResult) -> np.ndarray:

@@ -214,11 +214,10 @@ class _Batch:
                 cell.value = mi
         for jobs in self._sandwich.values():
             lam, q = np.linalg.eigh(np.stack([a.value for a, _, _ in jobs]))
-            for w in lam:
-                if np.any(w <= linalg._positivity_floor(w)):  # pragma: no cover
+            for lo, hi in linalg._edges(lam):
+                if lo <= linalg._floor(lo, hi):  # pragma: no cover
                     raise NotPositiveDefinite(
-                        f"square-root factors need an SPD matrix, min eigenvalue "
-                        f"{w.min():.3e}")
+                        f"square-root factors need an SPD matrix, min eigenvalue {lo:.3e}")
             half = linalg.symmetrize((q * np.sqrt(lam)[:, None, :]) @ q.swapaxes(-1, -2))
             w = np.stack([wc.value for _, wc, _ in jobs])
             b = linalg.symmetrize(half @ w @ half)

@@ -168,6 +168,15 @@ def test_overflowing_products_raise_without_warnings(check_id, p):
             checks.run_check(check_id, _inst(a, a.copy(), p=p))
 
 
+@pytest.mark.parametrize("scale, p", [(1e-200, 0.5), (1e-200, 2.0), (1e-160, 2.0)])
+def test_norm_refinement_reports_window_powers_out_of_float_range(scale, p):
+    # m^2 underflows, so (m^2)^(1-p) divides by zero or overflows in float
+    # arithmetic; that used to escape as ZeroDivisionError / OverflowError
+    a = scale * np.array([[2.0, 0.3], [0.3, 1.0]])
+    with pytest.raises(NotFinite):
+        checks.run_check("norm_refinement", _inst(a, 0.7 * a, p=p))
+
+
 def test_lowner_heinz_tolerance_scales_with_huge_operands():
     # B^2 = 1e200 [[5, 3], [3, 2]] has norm 1e200 (7 + sqrt(45)) / 2; squaring
     # its entries again for the norm used to overflow and drop that scale

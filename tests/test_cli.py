@@ -162,6 +162,13 @@ def test_eval_overflowing_sides_is_an_error(tmp_path, capsys):
                     "B": [[1e160, 0.0], [0.0, 1e160]], "p": 0.5}),
     ("norm_refinement", {"A": [[1e160, 0.0], [0.0, 1e160]],
                          "B": [[1e160, 0.0], [0.0, 1e160]], "p": 0.5}),
+    # the window's m^2 underflows: (m^2)^(1-p) divides by zero or overflows
+    ("norm_refinement", {"A": [[2e-200, 3e-201], [3e-201, 1e-200]],
+                         "B": [[1.4e-200, 2.1e-201], [2.1e-201, 7e-201]], "p": 0.5}),
+    ("norm_refinement", {"A": [[2e-200, 3e-201], [3e-201, 1e-200]],
+                         "B": [[1.4e-200, 2.1e-201], [2.1e-201, 7e-201]], "p": 2.0}),
+    ("norm_refinement", {"A": [[2e-160, 3e-161], [3e-161, 1e-160]],
+                         "B": [[1.4e-160, 2.1e-161], [2.1e-161, 7e-161]], "p": 2.0}),
 ])
 def test_eval_overflowing_scalars_and_products_are_errors(tmp_path, capsys, check_id, inst):
     # the chains' norm powers and the A B product overflow: one error

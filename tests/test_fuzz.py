@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opineq import checks, fuzz
-from opineq.errors import InvalidSpec, UnknownCheck
+from opineq.errors import InvalidSpec, NotPositiveDefinite, UnknownCheck
 
 
 def _dump(result):
@@ -148,27 +148,30 @@ def test_zero_trials_is_a_valid_empty_run():
 def test_run_fuzz_checks_the_instances_sample_instance_builds(monkeypatch, check_id,
                                                               dims, trials):
     # record what run_fuzz hands the check, across chunk boundaries, and
-    # compare it with each trial sampled on its own; the check itself is
-    # replaced by a canned report to keep the large dims cheap
+    # compare each trial's with the trial sampled on its own; the check
+    # itself is replaced by a canned report, which carries the instance it
+    # was given, to keep the large dims cheap
     info = checks.REGISTRY[check_id]
     seed = 11
     canned = info.runner(fuzz.sample_instance(check_id, 2, seed, info.default_p[0], 0),
                          tol_rel=fuzz.FUZZ_TOL_REL)
     seen = []
 
-    def record(inst, *, tol_rel):
-        seen.append(inst.to_json_dict())
-        return canned
+    def record(insts, tol_rel):
+        assert len({inst.A.shape for inst in insts}) == 1
+        seen.extend(insts)
+        return [dataclasses.replace(canned, params={"instance": inst.to_json_dict()})
+                for inst in insts]
 
     monkeypatch.setitem(checks.REGISTRY, check_id,
-                        dataclasses.replace(info, runner=record))
+                        dataclasses.replace(info, group=record))
     result = fuzz.run_fuzz(check_id, trials=trials, dims=dims, seed=seed)
     assert len(seen) == result.trials == trials
     ps = info.default_p
-    for trial, got in enumerate(seen):
+    for trial, report in enumerate(result.reports):
         dim = dims[(trial // len(ps)) % len(dims)]
         alone = fuzz.sample_instance(check_id, dim, seed, ps[trial % len(ps)], trial)
-        assert got == alone.to_json_dict()
+        assert report.params["instance"] == alone.to_json_dict()
 
 
 @pytest.mark.parametrize("seed, p", [(8, 2.0), (3, 1.5)])
@@ -184,3 +187,57 @@ def test_stop_on_fail_run_is_a_prefix_of_the_full_run(seed, p):
         [r.to_json_dict() for r in full.reports[:first + 1]]
     assert stopped.witnesses == full.witnesses[:1]
     assert full.failures > 1
+
+
+# ----------------------------------------------------------------------
+# outcomes of grouped checks are read in trial order
+# ----------------------------------------------------------------------
+
+def _failing_group(monkeypatch, check_id, failing):
+    """Make the check raise RuntimeError(label) for the instances of the
+    trials in failing, {trial: label}, sampled as run_fuzz samples them
+    with seed 8, p = 2 and the default dims."""
+    info = checks.REGISTRY[check_id]
+    dims = (2, 3, 4, 5, 6)
+    bad = {fuzz.sample_instance(check_id, dims[t % len(dims)], 8, 2.0, t).A.tobytes(): label
+           for t, label in failing.items()}
+
+    def group(insts, tol_rel):
+        for inst in insts:
+            if inst.A.tobytes() in bad:
+                raise RuntimeError(bad[inst.A.tobytes()])
+        return info.group(insts, tol_rel)
+
+    monkeypatch.setitem(checks.REGISTRY, check_id, dataclasses.replace(info, group=group))
+
+
+def test_the_first_exception_in_trial_order_is_raised(monkeypatch):
+    # trial 5 (dim 2) is checked in the first group, trial 3 (dim 5) in a
+    # later one; the run raises trial 3's error, the first in trial order
+    _failing_group(monkeypatch, "lowner_heinz", {5: "five", 3: "three"})
+    with pytest.raises(RuntimeError, match="three"):
+        fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))
+
+
+def test_stop_on_fail_before_an_error_returns(monkeypatch):
+    # seed 8 at p = 2 first fails at trial 7; trial 9, in the same chunk,
+    # raises, which the run reaches only without stop_on_fail
+    _failing_group(monkeypatch, "lowner_heinz", {9: "nine"})
+    stopped = fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,),
+                            stop_on_fail=True)
+    assert stopped.trials == 8 and stopped.reports[-1].verdict == checks.FAILS
+    with pytest.raises(RuntimeError, match="nine"):
+        fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))
+
+
+def test_an_erroring_trial_leaves_the_others_reports(monkeypatch):
+    plan = [(t, (2, 3)[t % 2], 2.0) for t in range(10)]
+    instances = fuzz.FUZZ_SAMPLERS["lowner_heinz"](8, plan)
+    info = checks.REGISTRY["lowner_heinz"]
+    clean = fuzz._outcomes(info, plan, instances, fuzz.FUZZ_TOL_REL)
+    broken = dataclasses.replace(instances[4], B=-instances[4].B)   # B not PSD
+    got = fuzz._outcomes(info, plan, instances[:4] + [broken] + instances[5:],
+                         fuzz.FUZZ_TOL_REL)
+    assert isinstance(got[4], NotPositiveDefinite)
+    assert [r.to_json_dict() for r in got[:4] + got[5:]] == \
+        [r.to_json_dict() for r in clean[:4] + clean[5:]]

@@ -1,5 +1,7 @@
 """Tests for the positive unital map layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,21 @@ def test_apply_map_rejects_non_finite_input():
     spec = maps.MapSpec.normalized_trace(2)
     with pytest.raises(ValueError):
         maps.apply_map(spec, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_verify_map_seeds_draw_their_own_probes(monkeypatch):
+    # the probes come from sampling.rng_for(seed, 0); a Philox key built from
+    # a Python list read seed -1 as float64, ran seed 0's probes and warned,
+    # and merged seeds 2**63 and 2**63 + 1
+    spec = maps.MapSpec.pinching(((0, 1), (2,)), 3)
+    apply_map = maps.apply_map
+    probes = {}
+    for seed in (-1, 0, 2**63, 2**63 + 1):
+        seen = probes[seed] = []
+        monkeypatch.setattr(maps, "apply_map",
+                            lambda s, x, seen=seen: seen.append(np.array(x)) or apply_map(s, x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert maps.verify_map(spec, trials=2, seed=seed)
+    for first, second in ((-1, 0), (2**63, 2**63 + 1)):
+        assert not any(np.array_equal(x, y) for x, y in zip(probes[first][1:], probes[second][1:]))
