@@ -441,8 +441,6 @@ def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1, 1)
 
 
-
-
 def _pair(insts) -> tuple[np.ndarray, np.ndarray]:
     return (_stack([inst.A for inst in insts]),
             _stack([_require_b(inst) for inst in insts]))
@@ -526,9 +524,8 @@ def _resolve_unit_window(lam_lo, lam_hi, m_user, M_user):
 
 def _unit_windows(insts, lam):
     """_resolve_unit_window per instance: lists (m, M, hyp_ok, note)."""
-    return tuple(map(list, zip(*(
-        _resolve_unit_window(lo, hi, inst.m, inst.M)
-        for inst, lo, hi in zip(insts, lam[:, 0].tolist(), lam[:, -1].tolist())))))
+    return tuple(map(list, zip(*(_resolve_unit_window(lo, hi, inst.m, inst.M)
+                                 for inst, (lo, hi) in zip(insts, linalg._edges(lam))))))
 
 
 def _resolve_outer_window(lam_lo, lam_hi, m_user, M_user):
@@ -576,8 +573,7 @@ def _require_psd(sp, a: np.ndarray, label: str, lam=None) -> np.ndarray:
 
 def _norm(lam) -> list:
     """max |lambda| per instance, from ascending spectra."""
-    return [float(max(abs(lo), abs(hi)))
-            for lo, hi in zip(lam[:, 0].tolist(), lam[:, -1].tolist())]
+    return [max(abs(lo), abs(hi)) for lo, hi in linalg._edges(lam)]
 
 
 def _inner_spectrum(sp, a, b):
@@ -628,7 +624,8 @@ def _converse_parts(sp, part_specs, prefix, rows, ps, ms, Ms, inner, outer, diff
             [-1.0 <= p <= 0.0 for p in ps])
     _branch(part_specs, f"{prefix}_upper_reversed", inner, outer + term_rev, rows,
             [1.0 <= p for p in ps])
-    return sp.norm_op(np.where(np.reshape([p <= 1.0 for p in ps], (-1, 1, 1)), term, term_rev)).tolist()
+    le = np.array([p <= 1.0 for p in ps])[:, None, None]
+    return sp.norm_op(np.where(le, term, term_rev)).tolist()
 
 
 def _exponents(insts, lo=None, hi=None, what="", zero=False) -> list:
@@ -717,7 +714,7 @@ def check_reverse_monotonicity(insts, tol_rel):
             _branch(part_specs, "additive_upper", t_out, mapped + term, rows, le)
             _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
                     [p >= 1.0 for p in q])
-            norms = sp.norm_op(np.where(np.reshape(le, (-1, 1, 1)), term, term_rev)).tolist()
+            norms = sp.norm_op(np.where(np.array(le)[:, None, None], term, term_rev)).tolist()
             for i, value in zip(rows, norms):
                 params[i]["additive_term_norm"] = value
         return part_specs
@@ -836,11 +833,11 @@ def check_furuta_bounds(insts, tol_rel):
     linalg._require_symmetric(a, "A")
     linalg._require_symmetric(b, "B")
     lam_a, lam_b = _eigvals(sp, a, b)
-    if (lam_a[:, 0] <= 0.0).any() or (lam_b[:, 0] <= 0.0).any():
+    if min(lam_a[:, 0].tolist() + lam_b[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("furuta_bounds needs positive definite matrices")
     params = []
-    for p, phi, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, phis, lam_a[:, [0, -1]].tolist(),
-                                                   lam_b[:, [0, -1]].tolist()):
+    for p, phi, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, phis, linalg._edges(lam_a),
+                                                   linalg._edges(lam_b)):
         fm = b_lo / a_hi
         fM = b_hi / a_lo
         h = fM / fm
@@ -903,7 +900,7 @@ def check_seo_bound(insts, tol_rel):
     sp = linalg.Spectra()
     lam = _inner_spectrum(sp, a, b)
     params, windowed = [], []
-    for inst, p, phi, (lo, hi) in zip(insts, ps, phis, lam[:, [0, -1]].tolist()):
+    for inst, p, phi, (lo, hi) in zip(insts, ps, phis, linalg._edges(lam)):
         m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
         params.append({"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
                        "seo_C": constants.seo_C(m, M, p), "seo_term_norm": None,
@@ -1135,7 +1132,7 @@ def check_mond_pecaric(insts, tol_rel):
     linalg._require_symmetric(b, "B")
     sp = linalg.Spectra()
     lam_b = sp.eigvals(b)
-    if (lam_b[:, 0] <= 0.0).any():
+    if min(lam_b[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("mond_pecaric needs positive definite B")
     dec_a = sp.decompose(a)
     lam_a = dec_a.eigenvalues
@@ -1143,7 +1140,7 @@ def check_mond_pecaric(insts, tol_rel):
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
     windows = [_resolve_outer_window(min(b_lo, a_lo), max(a_hi, b_hi), inst.m, inst.M)
                for inst, (a_lo, a_hi), (b_lo, b_hi)
-               in zip(insts, lam_a[:, [0, -1]].tolist(), lam_b[:, [0, -1]].tolist())]
+               in zip(insts, linalg._edges(lam_a), linalg._edges(lam_b))]
     order = sp.compare(b, a, tol_rel)
     hyp_ok = [o.is_le for o in order]
     note = ["" if o.is_le else f"B is not below A (min eig of A - B is {o.gap_min_eig:.6g})"
@@ -1213,12 +1210,12 @@ def check_holder_mccarthy(insts, tol_rel):
     ps = _exponents(insts, zero=True, what="holder_mccarthy")
     sp = linalg.Spectra()
     lam = sp.eigvals(linalg._require_symmetric(a, "A"))
-    if (lam[:, 0] <= 0.0).any():
+    if min(lam[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("holder_mccarthy needs a positive definite matrix")
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
     windows = [_resolve_outer_window(lo, hi, inst.m, inst.M)
-               for inst, (lo, hi) in zip(insts, lam[:, [0, -1]].tolist())]
+               for inst, (lo, hi) in zip(insts, linalg._edges(lam))]
     a_pow = sp.power(a, ps)
     sides = []
     for i, (x, p, (m, M)) in enumerate(zip(xs, ps, windows)):
@@ -1412,8 +1409,8 @@ def check_norm_refinement(insts, tol_rel):
     sp = linalg.Spectra()
     lam_a, lam_b = _eigvals(sp, a, b)
     windows = []
-    for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, lam_a[:, [0, -1]].tolist(),
-                                               lam_b[:, [0, -1]].tolist()):
+    for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, linalg._edges(lam_a),
+                                               linalg._edges(lam_b)):
         if min(a_lo, b_lo) <= 0.0:
             raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
         windows.append(_resolve_outer_window(min(a_lo, b_lo), max(a_hi, b_hi),
@@ -1467,7 +1464,7 @@ def check_power_corollary(insts, tol_rel):
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     sp = linalg.Spectra()
     lam = sp.eigvals(linalg._require_symmetric(a, "A"))
-    if (lam[:, 0] <= 0.0).any():
+    if min(lam[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("power_corollary needs a positive definite matrix")
     ms, Ms, hyp_ok, note = _unit_windows(insts, lam)
     params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}

@@ -180,25 +180,29 @@ class Spectra:
     """
 
     def __init__(self):
-        self._solved = {}
+        # routine -> {bits of one matrix: (stacked result, index)}, and
+        # (routine, shape, bits) of a stack -> its result
+        self._rows = {"eigh": {}, "eigvalsh": {}}
+        self._stacks = {}
 
     def _solve(self, routine: str, a: np.ndarray):
         s = symmetrize(a)
-        n = s.shape[-1]
         data = s.tobytes()
-        size = 8 * n * n
+        size = 8 * s.shape[-1] ** 2
         stacked = len(data) > size
         if stacked:     # a stack asked for again comes back whole
             whole = (routine, s.shape, data)
-            out = self._solved.get(whole)
+            out = self._stacks.get(whole)
             if out is not None:
                 return out
-        # each matrix is kept as (stacked result, index), under its own bits
-        keys = [(routine, data[i:i + size]) for i in range(0, len(data), size)]
-        rows = [self._solved.get(key) for key in keys]
+            keys = [data[i:i + size] for i in range(0, len(data), size)]
+        else:
+            keys = [data]
+        cache = self._rows[routine]
+        rows = [cache.get(key) for key in keys]
         todo = [i for i, row in enumerate(rows) if row is None]
         if todo:
-            flat = s.reshape(-1, n, n)
+            flat = s.reshape(-1, *s.shape[-2:])
             new = flat if len(todo) == len(keys) else flat[todo]
             if not np.isfinite(new).all():
                 raise NotFinite("matrix entries must be finite")
@@ -208,7 +212,7 @@ class Spectra:
             except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
                 raise NoConvergence(f"eigensolver failed: {exc}") from exc
             for j, i in enumerate(todo):
-                self._solved[keys[i]] = rows[i] = (solved, j)
+                cache[keys[i]] = rows[i] = (solved, j)
         if len(todo) == len(keys):
             parts = solved
         elif not stacked:
@@ -220,7 +224,7 @@ class Spectra:
             parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
         out = SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
         if stacked:
-            self._solved[whole] = out
+            self._stacks[whole] = out
         return out
 
     def decompose(self, a: np.ndarray) -> SpectralDecomposition:
@@ -234,9 +238,9 @@ class Spectra:
     def power(self, a: np.ndarray, p) -> np.ndarray:
         """A^p; see power.  p = 0 and p = 1 need no decomposition.
 
-        p is one exponent or one per matrix.  np.power runs matrix by
-        matrix with a Python float exponent: numpy takes fast paths for
-        some scalar exponents (0.5, -1, 2) that an array of exponents
+        p is one exponent or one per matrix.  np.power runs once per
+        distinct exponent, given as a Python float: numpy takes fast paths
+        for some scalar exponents (0.5, -1, 2) that an array of exponents
         does not, and the bits differ.
         """
         n = a.shape[-1]
@@ -251,29 +255,40 @@ class Spectra:
                 return out.reshape(a.shape)
         dec = self.decompose(a)
         w = dec.eigenvalues.reshape(-1, n)
-        vals = np.ones_like(w)
-        clipped = [False] * len(ps)
+        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
+        for q, lo, hi in zip(ps, lows, highs):
+            if q < 0.0 and lo <= _floor(lo, hi):
+                raise NotPositiveDefinite(
+                    f"negative power {q} needs eigenvalues bounded away from zero, "
+                    f"min is {lo:.3e}"
+                )
+            if 0.0 < q != int(q) and lo < -_floor(lo, hi):
+                raise NotPositiveDefinite(
+                    f"fractional power {q} needs a PSD matrix, min eigenvalue {lo:.3e}"
+                )
+        groups: dict[float, list] = {}
+        for i, q in enumerate(ps):
+            if solve[i]:
+                groups.setdefault(q, []).append(i)
+        vals = None if len(groups) == 1 and all(solve) else np.ones_like(w)
+        clipped = set()
         with np.errstate(over="ignore"):
-            for i, (q, (lo, hi)) in enumerate(zip(ps, _edges(w))):
-                if not solve[i]:
-                    continue
-                if q < 0.0:
-                    if lo <= _floor(lo, hi):
-                        raise NotPositiveDefinite(
-                            f"negative power {q} needs eigenvalues bounded away from zero, "
-                            f"min is {lo:.3e}"
-                        )
-                elif q != int(q):
-                    if lo < -_floor(lo, hi):
-                        raise NotPositiveDefinite(
-                            f"fractional power {q} needs a PSD matrix, min eigenvalue {lo:.3e}"
-                        )
-                    clipped[i] = not lo > 0.0
-                vals[i] = np.power(np.clip(w[i], 0.0, None) if clipped[i] else w[i], q)
+            for q, rows in groups.items():
+                low = min(lows[i] for i in rows)
+                if len(rows) == 1:
+                    rows = slice(rows[0], rows[0] + 1)
+                wq = w[rows]
+                if 0.0 < q != int(q) and not low > 0.0:
+                    wq = np.clip(wq, 0.0, None)     # the zero eigenvalues within the floor
+                    clipped.add(q)
+                if vals is None:    # one exponent for every matrix
+                    vals = np.power(wq, q)
+                else:
+                    vals[rows] = np.power(wq, q)
         if not np.isfinite(vals).all():
             i = int(np.argmin(np.isfinite(vals).all(axis=-1)))
-            lo = np.clip(w[i, 0], 0.0, None) if clipped[i] else w[i, 0]
-            raise NotFinite(f"power {ps[i]:g} of eigenvalues in [{lo:.3e}, {w[i, -1]:.3e}] overflows")
+            wi = np.clip(w[i], 0.0, None) if ps[i] in clipped else w[i]
+            raise NotFinite(f"power {ps[i]:g} of eigenvalues in [{wi[0]:.3e}, {wi[-1]:.3e}] overflows")
         qs = dec.eigenvectors.reshape(-1, n, n)
         full = symmetrize((qs * vals[:, None, :]) @ qs.swapaxes(-1, -2))
         if all(solve):

@@ -127,10 +127,10 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
         return b - a
     if all(rest):
         mean = weighted_mean(a, b, ps if stacked else ps[0], spectra=spectra).value
-        return (mean - a) / (np.reshape(ps, (-1, 1, 1)) if stacked else ps[0])
+        return (mean - a) / (np.array(ps).reshape(-1, 1, 1) if stacked else ps[0])
     out = b - a
     mean = weighted_mean(a[rest], b[rest], [q for q in ps if q != 1.0], spectra=spectra)
-    out[rest] = (mean.value - a[rest]) / np.reshape([q for q in ps if q != 1.0], (-1, 1, 1))
+    out[rest] = (mean.value - a[rest]) / np.array([q for q in ps if q != 1.0]).reshape(-1, 1, 1)
     return out
 
 
