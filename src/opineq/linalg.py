@@ -151,7 +151,7 @@ def _per_matrix(p, a: np.ndarray) -> list:
     """p as one float per matrix of the stack a: a scalar p is shared."""
     if hasattr(p, "__len__"):
         return [float(q) for q in p]
-    return [float(p)] * (a.size // (a.shape[-1] * a.shape[-1]) if a.size else 0)
+    return [float(p)] * (a.size // a.shape[-1] ** 2)
 
 
 class Spectra:
@@ -166,9 +166,9 @@ class Spectra:
     Every eigensolve made through one Spectra is kept, matrix by matrix,
     keyed by routine and by the bits of the symmetrized matrix, so within
     its lifetime no matrix is decomposed twice by the same routine, alone
-    or in any stack: a stacked call solves only the matrices not yet seen.  eigh and eigvalsh
-    results are never substituted for each other: their eigenvalues
-    differ in the last bits.  Powers, square-root factors and norms are
+    or in any stack: a stacked call solves only the matrices not yet
+    seen.  eigh and eigvalsh results are never substituted for each
+    other: their eigenvalues differ in the last bits.  Powers, square-root factors and norms are
     derived from the kept solves.
 
     Arguments are trusted: square and symmetric within SYM_RTOL, as the
@@ -288,7 +288,8 @@ class Spectra:
         if not np.isfinite(vals).all():
             i = int(np.argmin(np.isfinite(vals).all(axis=-1)))
             wi = np.clip(w[i], 0.0, None) if ps[i] in clipped else w[i]
-            raise NotFinite(f"power {ps[i]:g} of eigenvalues in [{wi[0]:.3e}, {wi[-1]:.3e}] overflows")
+            raise NotFinite(
+                f"power {ps[i]:g} of eigenvalues in [{wi[0]:.3e}, {wi[-1]:.3e}] overflows")
         qs = dec.eigenvectors.reshape(-1, n, n)
         full = symmetrize((qs * vals[:, None, :]) @ qs.swapaxes(-1, -2))
         if all(solve):

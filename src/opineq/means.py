@@ -122,15 +122,13 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     if spectra is None:
         a, b = _operands(a, b)
         spectra = linalg.Spectra()
-    rest = [q != 1.0 for q in ps]
-    if not any(rest):
-        return b - a
-    if all(rest):
-        mean = weighted_mean(a, b, ps if stacked else ps[0], spectra=spectra).value
-        return (mean - a) / (np.array(ps).reshape(-1, 1, 1) if stacked else ps[0])
     out = b - a
-    mean = weighted_mean(a[rest], b[rest], [q for q in ps if q != 1.0], spectra=spectra)
-    out[rest] = (mean.value - a[rest]) / np.array([q for q in ps if q != 1.0]).reshape(-1, 1, 1)
+    rest = [q != 1.0 for q in ps]
+    if any(rest):
+        keep = slice(None) if all(rest) else np.array(rest)
+        q = [x for x in ps if x != 1.0]
+        mean = weighted_mean(a[keep], b[keep], q if stacked else q[0], spectra=spectra).value
+        out[keep] = (mean - a[keep]) / (np.array(q).reshape(-1, 1, 1) if stacked else q[0])
     return out
 
 
