@@ -154,6 +154,19 @@ def _per_matrix(p, a: np.ndarray) -> list:
     return [float(p)] * (a.size // a.shape[-1] ** 2)
 
 
+def _eigen(routine: str, stack: np.ndarray) -> tuple:
+    """(eigenvalues, eigenvectors) of eigh, or (eigenvalues,) of eigvalsh,
+    for a (k, n, n) stack of finite symmetric matrices; NotFinite else."""
+    if not np.isfinite(stack).all():
+        raise NotFinite("matrix entries must be finite")
+    try:
+        if routine == "eigh":
+            return tuple(np.linalg.eigh(stack))
+        return (np.linalg.eigvalsh(stack),)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+
+
 class Spectra:
     """Per-call spectral context: the trusted core of this module.
 
@@ -189,41 +202,34 @@ class Spectra:
         s = symmetrize(a)
         data = s.tobytes()
         size = 8 * s.shape[-1] ** 2
-        stacked = len(data) > size
-        if stacked:     # a stack asked for again comes back whole
+        cache = self._rows[routine]
+        if len(data) == size:   # one matrix
+            row = cache.get(data)
+            if row is None:
+                row = cache[data] = (_eigen(routine, s.reshape(1, *s.shape[-2:])), 0)
+            res, j = row
+            parts = res if len(res[0]) == 1 else [x[j:j + 1] for x in res]
+        else:
             whole = (routine, s.shape, data)
             out = self._stacks.get(whole)
-            if out is not None:
+            if out is not None:     # a stack asked for again comes back whole
                 return out
             keys = [data[i:i + size] for i in range(0, len(data), size)]
-        else:
-            keys = [data]
-        cache = self._rows[routine]
-        rows = [cache.get(key) for key in keys]
-        todo = [i for i, row in enumerate(rows) if row is None]
-        if todo:
-            flat = s.reshape(-1, *s.shape[-2:])
-            new = flat if len(todo) == len(keys) else flat[todo]
-            if not np.isfinite(new).all():
-                raise NotFinite("matrix entries must be finite")
-            try:
-                solved = (np.linalg.eigh(new) if routine == "eigh"
-                          else (np.linalg.eigvalsh(new),))
-            except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
-                raise NoConvergence(f"eigensolver failed: {exc}") from exc
+            rows = [cache.get(key) for key in keys]
+            todo = [i for i, row in enumerate(rows) if row is None]
+            if len(todo) == len(keys):
+                parts = _eigen(routine, s.reshape(-1, *s.shape[-2:]))
+            elif todo:
+                parts = _eigen(routine, s.reshape(-1, *s.shape[-2:])[todo])
             for j, i in enumerate(todo):
-                cache[keys[i]] = rows[i] = (solved, j)
-        if len(todo) == len(keys):
-            parts = solved
-        elif not stacked:
-            res, j = rows[0]
-            parts = [x[j:j + 1] for x in res]
-        else:
-            parts = [np.stack([res[k][j] for res, j in rows]) for k in range(len(rows[0][0]))]
+                cache[keys[i]] = rows[i] = (parts, j)
+            if len(todo) < len(keys):
+                parts = [np.stack([res[k][j] for res, j in rows])
+                         for k in range(len(rows[0][0]))]
         if s.ndim != 3:
             parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
         out = SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
-        if stacked:
+        if len(data) > size:
             self._stacks[whole] = out
         return out
 
@@ -245,46 +251,47 @@ class Spectra:
         """
         n = a.shape[-1]
         ps = _per_matrix(p, a)
-        solve = [q != 0.0 and q != 1.0 for q in ps]
-        if not all(solve):
+        trivial = [i for i, q in enumerate(ps) if q == 0.0 or q == 1.0]
+        if trivial:
             out = np.array(a, dtype=float).reshape(-1, n, n)    # right for p = 1
-            for i, q in enumerate(ps):
-                if q == 0.0:
+            for i in trivial:
+                if ps[i] == 0.0:
                     out[i] = np.eye(n)
-            if not any(solve):
+            if len(trivial) == len(ps):
                 return out.reshape(a.shape)
         dec = self.decompose(a)
         w = dec.eigenvalues.reshape(-1, n)
-        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
-        for q, lo, hi in zip(ps, lows, highs):
-            if q < 0.0 and lo <= _floor(lo, hi):
-                raise NotPositiveDefinite(
-                    f"negative power {q} needs eigenvalues bounded away from zero, "
-                    f"min is {lo:.3e}"
-                )
-            if 0.0 < q != int(q) and lo < -_floor(lo, hi):
-                raise NotPositiveDefinite(
-                    f"fractional power {q} needs a PSD matrix, min eigenvalue {lo:.3e}"
-                )
         groups: dict[float, list] = {}
         for i, q in enumerate(ps):
-            if solve[i]:
-                groups.setdefault(q, []).append(i)
-        vals = None if len(groups) == 1 and all(solve) else np.ones_like(w)
+            groups.setdefault(q, []).append(i)
+        vals = np.ones_like(w) if trivial or len(groups) > 1 else None
         clipped = set()
-        with np.errstate(over="ignore"):
-            for q, rows in groups.items():
-                low = min(lows[i] for i in rows)
-                if len(rows) == 1:
-                    rows = slice(rows[0], rows[0] + 1)
-                wq = w[rows]
-                if 0.0 < q != int(q) and not low > 0.0:
+        for q, rows in groups.items():
+            if q == 0.0 or q == 1.0:
+                continue
+            rows = slice(rows[0], rows[-1] + 1) if len(rows) == rows[-1] - rows[0] + 1 else rows
+            wq = w[rows]
+            if q < 0.0 or q != int(q):
+                lows, highs = wq[:, 0].tolist(), wq[:, -1].tolist()
+                for lo, hi in zip(lows, highs):
+                    if q < 0.0 and lo <= _floor(lo, hi):
+                        raise NotPositiveDefinite(
+                            f"negative power {q} needs eigenvalues bounded away from zero, "
+                            f"min is {lo:.3e}"
+                        )
+                    if q > 0.0 and lo < -_floor(lo, hi):
+                        raise NotPositiveDefinite(
+                            f"fractional power {q} needs a PSD matrix, min eigenvalue {lo:.3e}"
+                        )
+                if q > 0.0 and not min(lows) > 0.0:
                     wq = np.clip(wq, 0.0, None)     # the zero eigenvalues within the floor
                     clipped.add(q)
-                if vals is None:    # one exponent for every matrix
-                    vals = np.power(wq, q)
-                else:
-                    vals[rows] = np.power(wq, q)
+            with np.errstate(over="ignore"):
+                vq = np.power(wq, q)
+            if vals is None:    # one exponent for every matrix
+                vals = vq
+            else:
+                vals[rows] = vq
         if not np.isfinite(vals).all():
             i = int(np.argmin(np.isfinite(vals).all(axis=-1)))
             wi = np.clip(w[i], 0.0, None) if ps[i] in clipped else w[i]
@@ -292,8 +299,9 @@ class Spectra:
                 f"power {ps[i]:g} of eigenvalues in [{wi[0]:.3e}, {wi[-1]:.3e}] overflows")
         qs = dec.eigenvectors.reshape(-1, n, n)
         full = symmetrize((qs * vals[:, None, :]) @ qs.swapaxes(-1, -2))
-        if all(solve):
+        if not trivial:
             return full.reshape(a.shape)
+        solve = [q != 0.0 and q != 1.0 for q in ps]
         out[solve] = full[solve]
         return out.reshape(a.shape)
 
