@@ -14,7 +14,8 @@ stacked call gives each instance the bits it gets alone; exponents,
 windows, notes and branch choices stay per instance.  The public
 check_* functions, CheckInfo.runner and run_check are the group of one;
 fuzz.run_fuzz checks each dim of a chunk as one group.  A group raises
-when any of its instances would, so only a group of one says which.
+whenever one of its instances would raise alone; only a group of one
+says which instance it is and what it raises.
 
 Verdict semantics:
 
@@ -220,10 +221,12 @@ def _finish(check_id, part_specs, *, params, tol_rel, spectra, hypotheses_ok=Non
             by_shape.setdefault(lhs.shape[-2:], []).append((lhs, rhs))
     for specs in by_shape.values():
         diffs = [rhs - lhs for lhs, rhs in specs]
-        low = _split(spectra.eigvals(_concat(diffs))[:, 0].tolist(), diffs)
-        gaps.update(((id(lhs), id(rhs)), g) for (lhs, rhs), g in zip(specs, low))
+        low = spectra.eigvals(_concat(diffs))[:, 0].tolist()
+        for (lhs, rhs), g in zip(specs, _split(low, diffs)):
+            gaps[id(lhs), id(rhs)] = g
         sides = list({id(x): x for spec in specs for x in spec}.values())
-        norms.update(zip(map(id, sides), _split(spectra.norm_op(_concat(sides)).tolist(), sides)))
+        for x, values in zip(sides, _split(spectra.norm_op(_concat(sides)).tolist(), sides)):
+            norms[id(x)] = values
     parts = [[] for _ in range(size)]
     scale = [1.0] * size
     for name, lhs, rhs, rows in part_specs:
@@ -423,13 +426,6 @@ def _check(check_id: str, description: str, default_p, needs_b: bool = True):
 # ----------------------------------------------------------------------
 # shared resolution helpers
 # ----------------------------------------------------------------------
-#
-# A check runs on a group: instances of one dimension, with their own
-# exponents, maps, windows and options.  Matrix work runs on (g, n, n)
-# stacks; scalar formulas, branch choices by p, notes and errors stay
-# per instance, as Python floats.  Any error raises for the whole group
-# (fuzz.run_fuzz then checks each instance alone), so what a group of one
-# raises is what that instance raises.
 
 def _stack(mats) -> np.ndarray:
     """The group's matrices as one (g, n, n) stack; a group of one is a view."""

@@ -181,8 +181,8 @@ class Spectra:
     its lifetime no matrix is decomposed twice by the same routine, alone
     or in any stack: a stacked call solves only the matrices not yet
     seen.  eigh and eigvalsh results are never substituted for each
-    other: their eigenvalues differ in the last bits.  Powers, square-root factors and norms are
-    derived from the kept solves.
+    other: their eigenvalues differ in the last bits.  Powers, square-root
+    factors and norms are derived from the kept solves.
 
     Arguments are trusted: square and symmetric within SYM_RTOL, as the
     caller has checked.  Only finiteness is checked, once per new solve,
@@ -193,45 +193,30 @@ class Spectra:
     """
 
     def __init__(self):
-        # routine -> {bits of one matrix: (stacked result, index)}, and
-        # (routine, shape, bits) of a stack -> its result
-        self._rows = {"eigh": {}, "eigvalsh": {}}
-        self._stacks = {}
+        # routine -> {bits of one matrix: (stacked result, index)}
+        self._solved = {"eigh": {}, "eigvalsh": {}}
 
     def _solve(self, routine: str, a: np.ndarray):
         s = symmetrize(a)
         data = s.tobytes()
         size = 8 * s.shape[-1] ** 2
-        cache = self._rows[routine]
-        if len(data) == size:   # one matrix
-            row = cache.get(data)
-            if row is None:
-                row = cache[data] = (_eigen(routine, s.reshape(1, *s.shape[-2:])), 0)
-            res, j = row
-            parts = res if len(res[0]) == 1 else [x[j:j + 1] for x in res]
-        else:
-            whole = (routine, s.shape, data)
-            out = self._stacks.get(whole)
-            if out is not None:     # a stack asked for again comes back whole
-                return out
-            keys = [data[i:i + size] for i in range(0, len(data), size)]
-            rows = [cache.get(key) for key in keys]
-            todo = [i for i, row in enumerate(rows) if row is None]
-            if len(todo) == len(keys):
-                parts = _eigen(routine, s.reshape(-1, *s.shape[-2:]))
-            elif todo:
-                parts = _eigen(routine, s.reshape(-1, *s.shape[-2:])[todo])
+        cache = self._solved[routine]
+        keys = [data[i:i + size] for i in range(0, len(data), size)]
+        rows = [cache.get(key) for key in keys]
+        todo = [i for i, row in enumerate(rows) if row is None]
+        if todo:
+            flat = s.reshape(-1, *s.shape[-2:])
+            parts = _eigen(routine, flat if len(todo) == len(keys) else flat[todo])
             for j, i in enumerate(todo):
                 cache[keys[i]] = rows[i] = (parts, j)
-            if len(todo) < len(keys):
-                parts = [np.stack([res[k][j] for res, j in rows])
-                         for k in range(len(rows[0][0]))]
+        if len(keys) == 1 and not todo:
+            res, j = rows[0]
+            parts = [x[j:j + 1] for x in res]
+        elif len(todo) < len(keys):
+            parts = [np.stack([res[k][j] for res, j in rows]) for k in range(len(rows[0][0]))]
         if s.ndim != 3:
             parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
-        out = SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
-        if len(data) > size:
-            self._stacks[whole] = out
-        return out
+        return SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
 
     def decompose(self, a: np.ndarray) -> SpectralDecomposition:
         """Full eigensystem (eigh)."""
