@@ -209,11 +209,11 @@ class Spectra:
             parts = _eigen(routine, flat if len(todo) == len(keys) else flat[todo])
             for j, i in enumerate(todo):
                 cache[keys[i]] = rows[i] = (parts, j)
-        if len(keys) == 1 and not todo:
-            res, j = rows[0]
-            parts = [x[j:j + 1] for x in res]
+        res, j = rows[0]
+        if not todo and all(r[0] is res and r[1] == j + k for k, r in enumerate(rows)):
+            parts = [x[j:j + len(rows)] for x in res]   # one solve holds them, in order
         elif len(todo) < len(keys):
-            parts = [np.stack([res[k][j] for res, j in rows]) for k in range(len(rows[0][0]))]
+            parts = [np.stack([r[k][i] for r, i in rows]) for k in range(len(res))]
         if s.ndim != 3:
             parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
         return SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
