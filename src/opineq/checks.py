@@ -1168,8 +1168,7 @@ def check_mond_pecaric(insts, tol_rel):
                 raise NotPositiveDefinite("mond_pecaric needs positive definite A")
         bounds = [(float(min(dfn(m), dfn(M))), float(max(dfn(m), dfn(M))))
                   for (_, dfn), (m, M) in zip(fns, windows)]
-        vals = np.stack([np.asarray(fn(lam), dtype=float) for (fn, _), lam in zip(fns, lam_a)])
-        fa = linalg.SpectralDecomposition(vals, dec_a.eigenvectors).apply(lambda v: v)
+        fa = dec_a.apply(lambda lam: [fn(row) for (fn, _), row in zip(fns, lam)])
         lower, mid, upper = [], [], []
         for i, (x, (fn, _), (alpha, beta)) in enumerate(zip(xs, fns, bounds)):
             middle = float(x @ fa[i] @ x) - float(fn(qb[i]))

@@ -107,6 +107,25 @@ def test_spectra_solves_each_input_once(monkeypatch):
     assert calls == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
 
 
+def test_spectra_stacks_solve_only_new_matrices_with_the_bits_of_each_alone(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    mats = [_spd(4, trial) for trial in range(5)]
+    sp = linalg.Spectra()
+    sp.decompose(mats[1][None])
+    sp.decompose(np.stack(mats[:3]))
+    stack = sp.decompose(np.stack(mats[::-1]))
+    assert sizes == [1, 2, 2]   # each stack solves only the matrices not yet seen
+    for got, m in zip(stack.eigenvalues, mats[::-1]):
+        assert np.array_equal(got, eigh(m)[0])
+    powers = sp.power(np.stack(mats), [0.5, -1.0, 0.0, 1.0, 2.0])
+    for got, m, p in zip(powers, mats, [0.5, -1.0, 0.0, 1.0, 2.0]):
+        assert np.array_equal(got, linalg.Spectra().power(m, p))
+    norms = sp.norm_op(np.stack(mats)).tolist()
+    assert norms == [linalg.Spectra().norm_op(m) for m in mats]
+
+
 def test_spectra_rejects_non_finite_input():
     with pytest.raises(ValueError):
         linalg.Spectra().eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
