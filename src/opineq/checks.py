@@ -15,7 +15,9 @@ windows, notes and branch choices stay per instance.  The public
 check_* functions, CheckInfo.runner and run_check are the group of one;
 fuzz.run_fuzz checks each dim of a chunk as one group.  A group raises
 whenever one of its instances would raise alone; only a group of one
-says which instance it is and what it raises.
+says which instance it is and what it raises.  A group may also raise
+where no instance alone would (an entropy at p = 1 alone needs no
+A^{1/2}); fuzz.run_fuzz then reruns its trials one at a time.
 
 Verdict semantics:
 
@@ -574,8 +576,7 @@ def _norm(lam) -> list:
 
 def _inner_spectrum(sp, a, b):
     """Eigenvalues of A^{-1/2} B A^{-1/2}, ascending."""
-    _, inv_half = sp.sqrt_factors(a)
-    return sp.eigvals(linalg.symmetrize(inv_half @ b @ inv_half))
+    return sp.eigvals(means._inner_operator(a, b, sp)[1])
 
 
 def _guarded(build, hyp_ok, note):

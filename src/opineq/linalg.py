@@ -18,8 +18,8 @@ Two layers share that contract:
   would get by itself.  Results that are one number per matrix come back
   with the stack's leading shape; exponents are given one per matrix.
   It checks nothing but the finiteness of what it is about to decompose,
-  and it solves each (eigensolver routine, input bits) pair once for as
-  long as it lives.  A check validates its operands once, on entry
+  and it solves each stack once per eigensolver routine for as long as
+  it lives.  A check validates its operands once, on entry
   (InstanceSpec checks shape and finiteness, the check itself the
   symmetry of its symmetric operands), and then runs every
   decomposition, power, square root and norm of its group of instances
@@ -154,19 +154,6 @@ def _per_matrix(p, a: np.ndarray) -> list:
     return [float(p)] * (a.size // a.shape[-1] ** 2)
 
 
-def _eigen(routine: str, stack: np.ndarray) -> tuple:
-    """(eigenvalues, eigenvectors) of eigh, or (eigenvalues,) of eigvalsh,
-    for a (k, n, n) stack of finite symmetric matrices; NotFinite else."""
-    if not np.isfinite(stack).all():
-        raise NotFinite("matrix entries must be finite")
-    try:
-        if routine == "eigh":
-            return tuple(np.linalg.eigh(stack))
-        return (np.linalg.eigvalsh(stack),)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-
-
 class Spectra:
     """Per-call spectral context: the trusted core of this module.
 
@@ -176,13 +163,14 @@ class Spectra:
     BLAS calls work matrix by matrix, so each matrix of a stack gets the
     bits it would get alone.
 
-    Every eigensolve made through one Spectra is kept, matrix by matrix,
-    keyed by routine and by the bits of the symmetrized matrix, so within
-    its lifetime no matrix is decomposed twice by the same routine, alone
-    or in any stack: a stacked call solves only the matrices not yet
-    seen.  eigh and eigvalsh results are never substituted for each
-    other: their eigenvalues differ in the last bits.  Powers, square-root
-    factors and norms are derived from the kept solves.
+    Every eigensolve made through one Spectra is kept, stack by stack,
+    keyed by routine, n and the bits of the symmetrized stack, so within
+    its lifetime no stack is decomposed twice by the same routine, in
+    whatever leading shape it comes; a stack that shares only some of
+    its matrices with an earlier one is solved whole.  eigh and eigvalsh
+    results are never substituted for each other: their eigenvalues
+    differ in the last bits.  Powers, square-root factors and norms are
+    derived from the kept solves.
 
     Arguments are trusted: square and symmetric within SYM_RTOL, as the
     caller has checked.  Only finiteness is checked, once per new solve,
@@ -193,29 +181,24 @@ class Spectra:
     """
 
     def __init__(self):
-        # routine -> {bits of one matrix: (stacked result, index)}
-        self._solved = {"eigh": {}, "eigvalsh": {}}
+        # (routine, n, bits of the symmetrized stack) -> results over its (k, n, n) form
+        self._solved = {}
 
     def _solve(self, routine: str, a: np.ndarray):
         s = symmetrize(a)
-        data = s.tobytes()
-        size = 8 * s.shape[-1] ** 2
-        cache = self._solved[routine]
-        keys = [data[i:i + size] for i in range(0, len(data), size)]
-        rows = [cache.get(key) for key in keys]
-        todo = [i for i, row in enumerate(rows) if row is None]
-        if todo:
-            flat = s.reshape(-1, *s.shape[-2:])
-            parts = _eigen(routine, flat if len(todo) == len(keys) else flat[todo])
-            for j, i in enumerate(todo):
-                cache[keys[i]] = rows[i] = (parts, j)
-        res, j = rows[0]
-        if not todo and all(r[0] is res and r[1] == j + k for k, r in enumerate(rows)):
-            parts = [x[j:j + len(rows)] for x in res]   # one solve holds them, in order
-        elif len(todo) < len(keys):
-            parts = [np.stack([r[k][i] for r, i in rows]) for k in range(len(res))]
-        if s.ndim != 3:
-            parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
+        n = s.shape[-1]
+        key = (routine, n, s.tobytes())
+        parts = self._solved.get(key)
+        if parts is None:
+            if not np.isfinite(s).all():
+                raise NotFinite("matrix entries must be finite")
+            flat = s.reshape(-1, n, n)
+            try:
+                parts = np.linalg.eigh(flat) if routine == "eigh" else (np.linalg.eigvalsh(flat),)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover, eigh is robust
+                raise NoConvergence(f"eigensolver failed: {exc}") from exc
+            self._solved[key] = parts
+        parts = [x.reshape(s.shape[:-2] + x.shape[1:]) for x in parts]
         return SpectralDecomposition(*parts) if routine == "eigh" else parts[0]
 
     def decompose(self, a: np.ndarray) -> SpectralDecomposition:

@@ -35,6 +35,17 @@ KINDS = (NORMALIZED_TRACE, COMPRESSION, PINCHING, MIXED_UNITARY)
 _ORTHO_TOL = 1e-10
 
 
+def _integer(v, what: str) -> int:
+    """v as an int; InvalidSpec unless v is integral, so that a mistyped
+    dimension or index is never truncated into another map."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpec(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """Serializable description of one unital positive linear map."""
@@ -49,9 +60,10 @@ class MapSpec:
 
     @classmethod
     def normalized_trace(cls, n: int) -> "MapSpec":
+        n = _integer(n, "dim")
         if n < 1:
             raise InvalidSpec("normalized trace needs dimension >= 1")
-        return cls(kind=NORMALIZED_TRACE, in_dim=int(n), out_dim=1)
+        return cls(kind=NORMALIZED_TRACE, in_dim=n, out_dim=1)
 
     @classmethod
     def compression(cls, isometry) -> "MapSpec":
@@ -69,7 +81,8 @@ class MapSpec:
 
     @classmethod
     def pinching(cls, partition, n: int) -> "MapSpec":
-        blocks = tuple(tuple(int(i) for i in blk) for blk in partition)
+        n = _integer(n, "dim")
+        blocks = tuple(tuple(_integer(i, "partition index") for i in blk) for blk in partition)
         seen = [i for blk in blocks for i in blk]
         if sorted(seen) != list(range(n)):
             raise InvalidSpec(
@@ -77,7 +90,7 @@ class MapSpec:
             )
         if any(len(blk) == 0 for blk in blocks):
             raise InvalidSpec("partition blocks must be nonempty")
-        return cls(kind=PINCHING, in_dim=int(n), out_dim=int(n), partition=blocks)
+        return cls(kind=PINCHING, in_dim=n, out_dim=n, partition=blocks)
 
     @classmethod
     def mixed_unitary(cls, weights, unitaries) -> "MapSpec":
@@ -89,10 +102,10 @@ class MapSpec:
             raise InvalidSpec("weights must be finite")
         if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _ORTHO_TOL:
             raise InvalidSpec("weights must be positive and sum to 1")
-        n = us[0].shape[0]
+        n = us[0].shape[0] if us[0].ndim == 2 else 0
         for u in us:
-            if u.shape != (n, n):
-                raise InvalidSpec("unitaries must share one square shape")
+            if n < 1 or u.shape != (n, n):
+                raise InvalidSpec("unitaries must be square matrices of one shape")
             if not np.isfinite(u).all():
                 raise InvalidSpec("unitary entries must be finite")
             if float(np.max(np.abs(u.T @ u - np.eye(n)))) > _ORTHO_TOL:
@@ -125,11 +138,11 @@ class MapSpec:
         kind = obj.get("kind")
         try:
             if kind == NORMALIZED_TRACE:
-                return cls.normalized_trace(int(obj["dim"]))
+                return cls.normalized_trace(obj["dim"])
             if kind == COMPRESSION:
                 return cls.compression(obj["isometry"])
             if kind == PINCHING:
-                return cls.pinching(obj["partition"], int(obj["dim"]))
+                return cls.pinching(obj["partition"], obj["dim"])
             if kind == MIXED_UNITARY:
                 return cls.mixed_unitary(obj["weights"], obj["unitaries"])
         except (KeyError, TypeError, ValueError) as exc:

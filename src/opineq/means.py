@@ -21,7 +21,8 @@ those are the ones the checks' reports and verdicts are built on.
 Inside a check (spectra= given) A and B may be stacks of instances,
 (g, n, n), each with its own p: the decompositions, powers and products
 run stacked, through linalg.Spectra, and give every instance the bits it
-gets alone.
+gets alone.  W is formed in one place, _inner_operator, for the means,
+the entropy and the checks' inner spectra.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
 
     Without `spectra` the operands are validated.  A check passes the
     linalg.Spectra of its call instead: then A and B are trusted, as the
-    check has validated them, and A, W and their powers are decomposed
-    once across the whole call.  They may then be stacks of instances,
+    check has validated them, and each stack of A or W is decomposed once
+    across the whole call.  They may then be stacks of instances,
     (g, n, n), with one exponent per instance in p; the result's value,
     p and inner_spectrum hold one entry per instance.
     """
@@ -112,8 +113,9 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     """T_p(A|B) = (A natural_p B - A) / p for p != 0.
 
     p = 1 short-circuits to B - A, which is the exact value there.
-    `spectra` works as in weighted_mean; for a stack, the instances with
-    p = 1 take the short cut and the rest share one mean.
+    `spectra` works as in weighted_mean.  A stack takes one mean over all
+    of its rows, unless every p is 1, and its p = 1 rows are then set to
+    B - A; so every A of a stack must be positive definite.
     """
     stacked = hasattr(p, "__len__")
     ps = [float(q) for q in p] if stacked else [float(p)]
@@ -122,13 +124,13 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     if spectra is None:
         a, b = _operands(a, b)
         spectra = linalg.Spectra()
-    out = b - a
-    rest = [q != 1.0 for q in ps]
-    if any(rest):
-        keep = slice(None) if all(rest) else np.array(rest)
-        q = [x for x in ps if x != 1.0]
-        mean = weighted_mean(a[keep], b[keep], q if stacked else q[0], spectra=spectra).value
-        out[keep] = (mean - a[keep]) / (np.array(q).reshape(-1, 1, 1) if stacked else q[0])
+    one = np.array([q == 1.0 for q in ps])
+    if one.all():
+        return b - a
+    mean = weighted_mean(a, b, p, spectra=spectra).value
+    out = (mean - a) / (np.array(ps).reshape(-1, 1, 1) if stacked else ps[0])
+    if one.any():
+        out[one] = (b - a)[one]
     return out
 
 

@@ -11,11 +11,11 @@ of the batch draws all of its numbers from its own streams, in the same
 order as when it is sampled alone: spectra, Gaussian blocks, scalars.
 Then the batch's linear algebra runs stacked, one call per matrix shape:
 the QR of every Gaussian block, the reconstruction Q diag(lam) Q^T, and
-the eigendecomposition behind each sandwich conjugation.  Stacked LAPACK
-and BLAS calls work matrix by matrix, so an instance comes out
-bit-identical whatever else shares its batch.  The public generators
-below are batches of one; fuzz.run_fuzz samples a run in chunks of
-trials.
+the square root A^{1/2} behind each sandwich conjugation, taken through
+linalg.Spectra.  Stacked LAPACK and BLAS calls work matrix by matrix, so
+an instance comes out bit-identical whatever else shares its batch.  The
+public generators below are batches of one; fuzz.run_fuzz samples a run
+in chunks of trials.
 
 Every sampler is constructive.  Hypotheses like "A <= B in the Loewner
 order" or "||A|| I <= B" are built into the recipe (conjugations of a
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidSpec, NotPositiveDefinite
+from .errors import InvalidSpec
 
 _MASK64 = (1 << 64) - 1
 _ZEROS4 = (0, 0, 0, 0)
@@ -109,9 +109,10 @@ class _Batch:
     ones.  The draw methods take every number they need from the stream
     they are given, at once and in the order the public generators use,
     and return _Cells.  resolve() runs one sign-fixed QR per (n, k) stack
-    of Gaussian blocks, one Q diag(lam) Q^T per n, one eigh per n for the
-    sandwich conjugations, then the derive() callbacks in the order they
-    were registered, and fills every cell.
+    of Gaussian blocks, one Q diag(lam) Q^T per n, one A^{1/2} stack per
+    n (linalg.Spectra.sqrt_factors) for the sandwich conjugations, then
+    the derive() callbacks in the order they were registered, and fills
+    every cell.
     """
 
     def __init__(self, seed: int = 0):
@@ -213,12 +214,7 @@ class _Batch:
             for (_, _, cell), mi in zip(jobs, m):
                 cell.value = mi
         for jobs in self._sandwich.values():
-            lam, q = np.linalg.eigh(np.stack([a.value for a, _, _ in jobs]))
-            for lo, hi in linalg._edges(lam):
-                if lo <= linalg._floor(lo, hi):  # pragma: no cover
-                    raise NotPositiveDefinite(
-                        f"square-root factors need an SPD matrix, min eigenvalue {lo:.3e}")
-            half = linalg.symmetrize((q * np.sqrt(lam)[:, None, :]) @ q.swapaxes(-1, -2))
+            half = linalg.Spectra().sqrt_factors(np.stack([a.value for a, _, _ in jobs]))[0]
             w = np.stack([wc.value for _, wc, _ in jobs])
             b = linalg.symmetrize(half @ w @ half)
             for (_, _, cell), bi in zip(jobs, b):

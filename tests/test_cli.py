@@ -269,6 +269,9 @@ def test_eval_accepts_zero_tolerance(tmp_path, capsys):
      "unitaries": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]},
     {"kind": "mixed_unitary", "weights": [0.5, 0.5],
      "unitaries": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, float("nan")]]]},
+    {"kind": "mixed_unitary", "weights": [1.0], "unitaries": [5]},
+    {"kind": "normalized_trace", "dim": 2.9},
+    {"kind": "pinching", "dim": 2, "partition": [[0.7], [1.2]]},
 ])
 def test_eval_rejects_malformed_map(bad_map, tmp_path, capsys):
     path = _write(tmp_path, "inst.json", dict(HOLDS_INST, map=bad_map))

@@ -16,6 +16,7 @@ import pytest
 
 import fuzz_digests
 from opineq import checks, fuzz, maps, sampling
+from opineq.errors import NotPositiveDefinite
 
 TOL = fuzz.FUZZ_TOL_REL
 DIM = 4
@@ -100,3 +101,18 @@ def test_a_group_of_one_is_the_runner():
     assert [r.to_json_dict() for r in info.group([inst], TOL)] == \
         [checks.run_check("ando_converse", inst, tol_rel=TOL).to_json_dict()]
     assert info.runner is checks.check_ando_converse
+
+
+def test_a_group_may_raise_where_no_instance_alone_does():
+    # the entropy of a group takes A^{1/2} of every instance, while p = 1
+    # alone short-cuts to B - A and never needs A positive definite
+    info = checks.REGISTRY["info_monotonicity"]
+    spd = fuzz.sample_instance("info_monotonicity", DIM, 13, 0.5, 0)
+    flat = fuzz.sample_instance("info_monotonicity", DIM, 13, 1.0, 1)
+    flat = dataclasses.replace(flat, A=np.diag([-1.0, 1.0, 2.0, 3.0]))
+    with pytest.raises(NotPositiveDefinite):
+        info.group([spd, flat], TOL)
+    got = fuzz._run(info, [spd, flat], TOL)
+    assert [rep.to_json_dict() for rep in got] == \
+        [info.runner(inst, tol_rel=TOL).to_json_dict() for inst in (spd, flat)]
+    assert [rep.verdict for rep in got] == [checks.HOLDS, checks.HOLDS]

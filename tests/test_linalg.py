@@ -107,7 +107,7 @@ def test_spectra_solves_each_input_once(monkeypatch):
     assert calls == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
 
 
-def test_spectra_stacks_solve_only_new_matrices_with_the_bits_of_each_alone(monkeypatch):
+def test_spectra_solves_each_stack_once_with_the_bits_of_each_matrix_alone(monkeypatch):
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
@@ -116,7 +116,14 @@ def test_spectra_stacks_solve_only_new_matrices_with_the_bits_of_each_alone(monk
     sp.decompose(mats[1][None])
     sp.decompose(np.stack(mats[:3]))
     stack = sp.decompose(np.stack(mats[::-1]))
-    assert sizes == [1, 2, 2]   # each stack solves only the matrices not yet seen
+    assert sizes == [1, 3, 5]   # each new stack is solved whole
+    # a stack seen before, in any leading shape, is not solved again
+    alone = sp.decompose(mats[1])
+    again = sp.decompose(np.stack(mats[::-1]).reshape(1, 5, 4, 4))
+    assert sizes == [1, 3, 5]
+    assert alone.eigenvectors.shape == (4, 4) and again.eigenvalues.shape == (1, 5, 4)
+    assert np.array_equal(alone.eigenvectors, eigh(mats[1])[1])
+    assert np.array_equal(again.eigenvectors[0], stack.eigenvectors)
     for got, m in zip(stack.eigenvalues, mats[::-1]):
         assert np.array_equal(got, eigh(m)[0])
     powers = sp.power(np.stack(mats), [0.5, -1.0, 0.0, 1.0, 2.0])

@@ -134,6 +134,37 @@ def test_mixed_unitary_rejects_bad_weights():
         maps.MapSpec.mixed_unitary([1.0], [np.array([[1.0, 1.0], [0.0, 1.0]])])
 
 
+def test_mixed_unitary_rejects_a_0d_unitary():
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.mixed_unitary([1.0], [5])
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.from_json_dict({"kind": "mixed_unitary", "weights": [1.0],
+                                     "unitaries": [5]})
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "normalized_trace", "dim": 2.9},
+    {"kind": "normalized_trace", "dim": "2"},
+    {"kind": "normalized_trace", "dim": float("inf")},
+    {"kind": "pinching", "dim": 2.5, "partition": [[0], [1]]},
+    {"kind": "pinching", "dim": 2, "partition": [[0.7], [1.2]]},
+    {"kind": "pinching", "dim": 2, "partition": [[0], [float("nan")]]},
+])
+def test_from_json_rejects_non_integral_values(obj):
+    # truncating them would evaluate a different map than the one written
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.from_json_dict(obj)
+
+
+def test_from_json_accepts_integral_floats():
+    assert maps.MapSpec.from_json_dict({"kind": "normalized_trace", "dim": 3.0}) == \
+        maps.MapSpec.normalized_trace(3)
+    spec = maps.MapSpec.from_json_dict({"kind": "pinching", "dim": 2.0,
+                                        "partition": [[1.0], [0]]})
+    assert spec.partition == ((1,), (0,)) and spec.in_dim == 2
+    assert type(spec.in_dim) is int and type(spec.partition[0][0]) is int
+
+
 def test_from_json_rejects_unknown_kind():
     with pytest.raises(InvalidSpec):
         maps.MapSpec.from_json_dict({"kind": "transpose", "dim": 2})

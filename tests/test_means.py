@@ -115,6 +115,20 @@ def test_tsallis_p1_is_exact_difference():
     assert np.array_equal(t, B_REF - A_REF)
 
 
+def test_tsallis_stack_with_mixed_p_gives_each_row_its_bits_alone():
+    ps = [0.5, 1.0, -1.0, 1.0, 2.0]
+    cfg = sampling.SamplerConfig(dim=3, seed=5)
+    a = np.stack([sampling.random_spd(cfg, trial) for trial in range(5)])
+    b = np.stack([sampling.random_spd(cfg, 10 + trial) for trial in range(5)])
+    t = means.tsallis_entropy(a, b, ps, spectra=linalg.Spectra())
+    for ti, ai, bi, p in zip(t, a, b, ps):
+        alone = means.tsallis_entropy(ai[None], bi[None], [p], spectra=linalg.Spectra())
+        assert np.array_equal(ti, alone[0])
+        assert np.array_equal(ti, means.tsallis_entropy(ai, bi, p))
+        if p == 1.0:
+            assert np.array_equal(ti, bi - ai)
+
+
 def test_tsallis_rejects_p0():
     with pytest.raises(ZeroParameter):
         means.tsallis_entropy(A_REF, B_REF, 0.0)
