@@ -7,6 +7,14 @@ raises because an inequality fails; it raises only when the input is
 malformed (wrong shapes, exponents outside the supported range, matrices
 that are not positive where positivity is required).
 
+A check has one entry and one exit.  Its body first stacks the operands
+(_pair, _symmetric or _stack) and reads the exponents (_exponents), and
+only then computes, so a bad input raises for the first of: a missing
+B, a nonsymmetric A, a nonsymmetric B, p outside the domain, p = 0, and
+then what the body computes (windows, positivity, traces).  The body
+returns its parts and params, and _check hands them to _finish with the
+one linalg.Spectra it gave the body.
+
 Each check has one implementation, which takes a group of instances of
 one dimension and returns their reports in order (CheckInfo.group).  Its
 matrix work runs on stacks with one matrix per instance, and every
@@ -33,6 +41,7 @@ Verdict semantics:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -195,20 +204,20 @@ def _is_scalar(lhs, rhs) -> bool:
     return isinstance(lhs, list) or lhs.shape[-2:] == rhs.shape[-2:] == (1, 1)
 
 
-def _finish(check_id, part_specs, *, params, tol_rel, spectra, hypotheses_ok=None,
-            note=None):
+def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, note=None):
     """Assemble a group's CheckReports from (name, lhs, rhs, rows) parts.
 
-    params, hypotheses_ok and note hold one entry per instance of the
-    group (None: every hypothesis holds, with no note).  A part's lhs and
+    _check's group calls it with what the check body returns.  params,
+    hypotheses_ok and note hold one entry per instance of the group
+    (None: every hypothesis holds, with no note).  A part's lhs and
     rhs hold one side per instance in rows, its list of instance indices:
     stacks of matrices, or lists of floats for scalar parts, which are
     reported as 1x1 matrices.  Each instance's parts keep the order of
     part_specs.  The shared tolerance of an instance is tol_rel times the
     largest operand scale across its parts (never below tol_rel itself),
     so one loose part does not get judged with a tighter yardstick than
-    another.  spectra is the check's linalg.Spectra, so a side that
-    several parts share, or that the check already took the norm of, is
+    another.  spectra is the Spectra the body ran on, so a side that
+    several parts share, or that the body already took the norm of, is
     not decomposed again.
     """
     size = len(params)
@@ -347,24 +356,14 @@ class InstanceSpec:
         unknown = sorted(set(data) - set(_INSTANCE_KEYS))
         if unknown:
             raise SchemaError(f"unknown instance keys: {', '.join(unknown)}")
-        if "A" not in data:
-            raise SchemaError("instance is missing the required key 'A'")
-        if "p" not in data:
-            raise SchemaError("instance is missing the required key 'p'")
-        map_spec = None
-        if data.get("map") is not None:
-            map_spec = maps.MapSpec.from_json_dict(data["map"])
-        try:
-            return cls(
-                A=np.asarray(data["A"], dtype=np.float64),
-                B=None if data.get("B") is None else np.asarray(data["B"], dtype=np.float64),
-                p=float(data["p"]),
-                map=map_spec,
-                m=None if data.get("m") is None else float(data["m"]),
-                M=None if data.get("M") is None else float(data["M"]),
-                x=None if data.get("x") is None else np.asarray(data["x"], dtype=np.float64),
-                f=data.get("f", "power"),
-            )
+        for key in ("A", "p"):
+            if key not in data:
+                raise SchemaError(f"instance is missing the required key {key!r}")
+        map_spec = data.get("map")
+        if map_spec is not None:
+            map_spec = maps.MapSpec.from_json_dict(map_spec)
+        try:   # __post_init__ converts and validates each value
+            return cls(**{**data, "map": map_spec})
         except OpineqError:
             raise
         except (TypeError, ValueError) as exc:
@@ -395,9 +394,8 @@ class InstanceSpec:
 class CheckInfo:
     """Registry entry: how to run a check and what it needs.
 
-    group checks a list of instances of one dimension and returns their
-    reports in order; it is the check's one implementation.  runner is
-    that group of one: runner(inst, tol_rel=...) -> CheckReport.
+    group(insts, tol_rel) checks instances of one dimension and returns
+    their reports in order; runner(inst, tol_rel=...) is its group of one.
     """
 
     check_id: str
@@ -412,13 +410,21 @@ REGISTRY: dict[str, CheckInfo] = {}
 
 
 def _check(check_id: str, description: str, default_p, needs_b: bool = True):
-    """Register the decorated group(insts, tol_rel) -> reports as a check;
-    the decorated name becomes its runner for one instance."""
-    def register(group):
+    """Register the decorated body(insts, sp, tol_rel) as a check.
+
+    Its group gives the body a fresh linalg.Spectra sp and passes what the
+    body returns, (part_specs, params) or (part_specs, params,
+    hypotheses_ok, note), to _finish under check_id; the decorated name
+    becomes its runner, the group of one."""
+    def register(body):
+        def group(insts, tol_rel):
+            sp = linalg.Spectra()
+            return _finish(check_id, sp, tol_rel, *body(insts, sp, tol_rel))
+
         def runner(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
             return group([inst], tol_rel)[0]
-        runner.__name__ = runner.__qualname__ = group.__name__
-        runner.__doc__ = group.__doc__
+        runner.__name__ = runner.__qualname__ = body.__name__
+        runner.__doc__ = body.__doc__
         REGISTRY[check_id] = CheckInfo(check_id, runner, group, description,
                                        tuple(default_p), needs_b)
         return runner
@@ -439,9 +445,18 @@ def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1, 1)
 
 
+def _symmetric(insts) -> np.ndarray:
+    """The group's A as one stack; NotSymmetric unless every A is symmetric."""
+    return linalg._require_symmetric(_stack([inst.A for inst in insts]), "A")
+
+
 def _pair(insts) -> tuple[np.ndarray, np.ndarray]:
-    return (_stack([inst.A for inst in insts]),
-            _stack([_require_b(inst) for inst in insts]))
+    """The group's A and B as stacks.  Raises, in this order, when an
+    instance has no B, when an A is not symmetric and when a B is not."""
+    if any(inst.B is None for inst in insts):
+        raise InvalidSpec("this check needs a second matrix B")
+    return (_symmetric(insts),
+            linalg._require_symmetric(_stack([inst.B for inst in insts]), "B"))
 
 
 def _branch(part_specs, name, lhs, rhs, rows, keep):
@@ -476,12 +491,6 @@ def _images(phis, *stacks):
         yield rows, list(np.stack([out[i] for i in rows], axis=1))
 
 
-def _require_b(inst: InstanceSpec) -> np.ndarray:
-    if inst.B is None:
-        raise InvalidSpec("this check needs a second matrix B")
-    return inst.B
-
-
 def _resolve_map(inst: InstanceSpec, n: int) -> maps.MapSpec:
     if inst.map is None:
         return maps.MapSpec.normalized_trace(n)
@@ -490,11 +499,6 @@ def _resolve_map(inst: InstanceSpec, n: int) -> maps.MapSpec:
             f"map expects input dimension {inst.map.in_dim}, matrices are {n}x{n}"
         )
     return inst.map
-
-
-def _require_p_range(p: float, lo: float, hi: float, what: str):
-    if p < lo - _P_EPS or p > hi + _P_EPS:
-        raise DomainError(f"{what} requires p in [{lo}, {hi}], got p={p}")
 
 
 def _resolve_unit_window(lam_lo, lam_hi, m_user, M_user):
@@ -556,11 +560,9 @@ def _powers(sp, ps, *mats) -> list:
     return _split(sp.power(_concat(mats), ps * len(mats)), mats)
 
 
-def _require_psd(sp, a: np.ndarray, label: str, lam=None) -> np.ndarray:
-    """The spectrum of A (lam, when already taken) once A is symmetric and
-    positive semidefinite."""
-    linalg._require_symmetric(a, label)
-    lam = sp.eigvals(a) if lam is None else lam
+def _require_psd(lam, label: str) -> np.ndarray:
+    """lam, the ascending spectra of a symmetric stack (label names it),
+    once every matrix of the stack is positive semidefinite."""
     for lo, hi in linalg._edges(lam):
         if lo < -linalg._floor(lo, hi):
             raise NotPositiveDefinite(
@@ -593,11 +595,10 @@ def _guarded(build, hyp_ok, note):
 
 
 def _norm_dominance(sp, a, b, tol_rel):
-    """(||A||, ||B||, hyp_ok, note), lists over the group, for ||A|| I <= B,
-    with A >= 0 and B symmetric."""
+    """(||A||, ||B||, hyp_ok, note), lists over the group, for ||A|| I <= B;
+    NotPositiveDefinite unless A >= 0."""
     lam_a, lam_b = _eigvals(sp, a, b)
-    na = _norm(_require_psd(sp, a, "A", lam_a))
-    linalg._require_symmetric(b, "B")
+    na = _norm(_require_psd(lam_a, "A"))
     nb = _norm(lam_b)
     dominance = sp.compare(_col(na) * np.eye(a.shape[-1]), b, tol_rel)
     return na, nb, [d.is_le for d in dominance], [
@@ -625,13 +626,23 @@ def _converse_parts(sp, part_specs, prefix, rows, ps, ms, Ms, inner, outer, diff
     return sp.norm_op(np.where(le, term, term_rev)).tolist()
 
 
-def _exponents(insts, lo=None, hi=None, what="", zero=False) -> list:
-    """Each instance's p, after the range check (when lo is given) and the
-    p = 0 check (when zero is set)."""
+@functools.cache
+def _bounds(domain: str) -> tuple[float, float]:
+    """The least and greatest p the interval domain, such as "(0, 1]",
+    admits: a closed end admits _P_EPS of slack and an open end none."""
+    lo, hi = (float(end) for end in domain[1:-1].split(", "))
+    return (lo - _P_EPS if domain[0] == "[" else math.nextafter(lo, math.inf),
+            hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf))
+
+
+def _exponents(insts, what: str, domain: str, zero: bool = False) -> list:
+    """Each instance's p, once it lies in domain ("(-inf, inf)" admits
+    every p) and, when zero is set, is not 0; what names the check."""
+    lo, hi = _bounds(domain)
     ps = [inst.p for inst in insts]
     for p in ps:
-        if lo is not None:
-            _require_p_range(p, lo, hi, what)
+        if not lo <= p <= hi:
+            raise DomainError(f"{what} requires p in {domain}, got p={p}")
         if zero and p == 0.0:
             raise ZeroParameter(f"{what} is undefined at p=0")
     return ps
@@ -645,7 +656,7 @@ def _exponents(insts, lo=None, hi=None, what="", zero=False) -> list:
         "deformed relative entropy shrinks under positive unital maps "
         "(grows for exponents above one)",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_info_monotonicity(insts, tol_rel):
+def check_info_monotonicity(insts, sp, tol_rel):
     """Monotonicity of the deformed relative entropy under positive unital maps.
 
     For p in [-1, 1] (p != 0) the output-side entropy dominates the mapped
@@ -654,11 +665,8 @@ def check_info_monotonicity(insts, tol_rel):
     valid map; at p = 1 both directions are evaluated (they coincide).
     """
     a, b = _pair(insts)
-    ps = _exponents(insts, -1.0, 2.0, "info_monotonicity", zero=True)
+    ps = _exponents(insts, "info_monotonicity", "[-1, 2]", zero=True)
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    linalg._require_symmetric(b, "B")
-    linalg._require_symmetric(a, "A")
-    sp = linalg.Spectra()
     t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
     part_specs = []
     for rows, (pa, pb, mapped) in _images(phis, a, b, t_in):
@@ -668,14 +676,13 @@ def check_info_monotonicity(insts, tol_rel):
         _branch(part_specs, "entropy_reversed", t_out, mapped, rows, [p >= 1.0 for p in q])
     params = [{"p": p, "m": None, "M": None, "map": phi.to_json_dict()}
               for p, phi in zip(ps, phis)]
-    return _finish("info_monotonicity", part_specs, params=params, tol_rel=tol_rel,
-                   spectra=sp)
+    return part_specs, params
 
 
 @_check("reverse_monotonicity",
         "additive reverse of the entropy monotonicity on a unit spectral window",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_reverse_monotonicity(insts, tol_rel):
+def check_reverse_monotonicity(insts, sp, tol_rel):
     """Additive reverse of the entropy monotonicity on a spectral window.
 
     Under m <= 1 <= A^{-1/2} B A^{-1/2} <= M the output-side entropy
@@ -685,12 +692,9 @@ def check_reverse_monotonicity(insts, tol_rel):
     accepted as long as they enclose the inner spectrum.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts, -1.0, 2.0, "reverse_monotonicity", zero=True)
+    ps = _exponents(insts, "reverse_monotonicity", "[-1, 2]", zero=True)
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    linalg._require_symmetric(a, "A")
-    sp = linalg.Spectra()
     ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
-    linalg._require_symmetric(b, "B")
     params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
               for p, m, M, phi in zip(ps, ms, Ms, phis)]
 
@@ -716,14 +720,13 @@ def check_reverse_monotonicity(insts, tol_rel):
                 params[i]["additive_term_norm"] = value
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
-    return _finish("reverse_monotonicity", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 @_check("ando_converse",
         "additive converse of the weighted-mean map inequality on a unit window",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_ando_converse(insts, tol_rel):
+def check_ando_converse(insts, sp, tol_rel):
     """Additive converse of Phi(A # B) <= Phi(A) # Phi(B) on a window.
 
     Three exponent branches: for p in [0, 1] the mapped mean plus
@@ -734,12 +737,9 @@ def check_ando_converse(insts, tol_rel):
     to.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts, -1.0, 2.0, "ando_converse")
+    ps = _exponents(insts, "ando_converse", "[-1, 2]")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    linalg._require_symmetric(a, "A")
-    sp = linalg.Spectra()
     ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
-    linalg._require_symmetric(b, "B")
     params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
               for p, m, M, phi in zip(ps, ms, Ms, phis)]
 
@@ -759,15 +759,14 @@ def check_ando_converse(insts, tol_rel):
                 params[i]["additive_term_norm"] = value
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
-    return _finish("ando_converse", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 @_check("density_trace",
         "unit-trace bounds for weighted means of density matrices under the "
         "unit window",
         (-0.5, 0.5, 1.5))
-def check_density_trace(insts, tol_rel):
+def check_density_trace(insts, sp, tol_rel):
     """Unit-trace bounds for weighted means of density matrices.
 
     For density matrices satisfying the window hypothesis
@@ -779,10 +778,9 @@ def check_density_trace(insts, tol_rel):
     ignored: the statement is about the plain trace.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts, -1.0, 2.0, "density_trace")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "density_trace", "[-1, 2]")
     for mat, label, lam in zip((a, b), "AB", _eigvals(sp, a, b)):
-        _require_psd(sp, mat, label, lam)
+        _require_psd(lam, label)
         for trace in np.trace(mat, axis1=-2, axis2=-1).tolist():
             if abs(trace - 1.0) > 1e-10:
                 raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
@@ -801,14 +799,13 @@ def check_density_trace(insts, tol_rel):
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = [{"p": p, "m": m, "M": M, "map": None} for p, m, M in zip(ps, ms, Ms)]
-    return _finish("density_trace", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 @_check("furuta_bounds",
         "Kantorovich-constant and linear upper bounds for the output-side entropy",
         (0.25, 0.5, 0.75, 1.0))
-def check_furuta_bounds(insts, tol_rel):
+def check_furuta_bounds(insts, sp, tol_rel):
     """Kantorovich-style upper bounds for the output-side entropy.
 
     With spectral boxes m1 <= A <= M1 and m2 <= B <= M2 set m = m2/M1,
@@ -821,14 +818,8 @@ def check_furuta_bounds(insts, tol_rel):
     terms can be compared side by side.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    for p in ps:
-        if p <= 0.0 or p > 1.0 + _P_EPS:
-            raise DomainError(f"furuta_bounds requires p in (0, 1], got p={p}")
+    ps = _exponents(insts, "furuta_bounds", "(0, 1]")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    sp = linalg.Spectra()
-    linalg._require_symmetric(a, "A")
-    linalg._require_symmetric(b, "B")
     lam_a, lam_b = _eigvals(sp, a, b)
     if min(lam_a[:, 0].tolist() + lam_b[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("furuta_bounds needs positive definite matrices")
@@ -872,12 +863,12 @@ def check_furuta_bounds(insts, tol_rel):
         part_specs.append(("windowed_upper", t_out[k], mapped[k] + s_term, rows))
         for i, value in zip(rows, sp.norm_op(s_term).tolist()):
             params[i]["windowed_term_norm"] = value
-    return _finish("furuta_bounds", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params
 
 
 @_check("seo_bound", "ratio-window reverse of the weighted-mean map inequality",
         (0.25, 0.5, 0.75))
-def check_seo_bound(insts, tol_rel):
+def check_seo_bound(insts, sp, tol_rel):
     """Ratio-window reverse of the mean inequality.
 
     Under mA <= B <= MA and 0 < p < 1 the mean of the images exceeds the
@@ -888,13 +879,8 @@ def check_seo_bound(insts, tol_rel):
     p (m^{p-1} - M^{p-1}) Phi(B - A) is reported for tightness comparison.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    for p in ps:
-        if p <= 0.0 or p >= 1.0:
-            raise DomainError(f"seo_bound requires p in (0, 1), got p={p}")
+    ps = _exponents(insts, "seo_bound", "(0, 1)")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    linalg._require_symmetric(a, "A")
-    sp = linalg.Spectra()
     lam = _inner_spectrum(sp, a, b)
     params, windowed = [], []
     for inst, p, phi, (lo, hi) in zip(insts, ps, phis, linalg._edges(lam)):
@@ -903,7 +889,6 @@ def check_seo_bound(insts, tol_rel):
                        "seo_C": constants.seo_C(m, M, p), "seo_term_norm": None,
                        "windowed_term_norm": None})
         windowed.append(lo >= 1.0 - HYP_TOL and m <= 1.0 + _P_EPS)
-    linalg._require_symmetric(b, "B")
     mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
     extra = (b - a,) if any(windowed) else ()
     part_specs = []
@@ -922,7 +907,7 @@ def check_seo_bound(insts, tol_rel):
                            for i in rows]) * phi_diff[0][k]
             for i, value in zip(rows, sp.norm_op(w_term).tolist()):
                 params[i]["windowed_term_norm"] = value
-    return _finish("seo_bound", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params
 
 
 # ----------------------------------------------------------------------
@@ -932,7 +917,7 @@ def check_seo_bound(insts, tol_rel):
 @_check("lowner_heinz",
         "A <= B implies A^p <= B^p for p in [0, 1] (fails above 1 by design)",
         (0.25, 0.5, 1.0))
-def check_lowner_heinz(insts, tol_rel):
+def check_lowner_heinz(insts, sp, tol_rel):
     """Power monotonicity: A <= B implies A^p <= B^p for p in [0, 1].
 
     Exponents above one are accepted so the fuzzer can hunt for the
@@ -941,27 +926,22 @@ def check_lowner_heinz(insts, tol_rel):
     order even in the commuting case and are rejected.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    for p in ps:
-        if p < -_P_EPS:
-            raise DomainError(f"lowner_heinz requires p >= 0, got p={p}")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "lowner_heinz", "[0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
-    _require_psd(sp, a, "A", lam_a)
-    _require_psd(sp, b, "B", lam_b)
+    _require_psd(lam_a, "A")
+    _require_psd(lam_b, "B")
     order = sp.compare(a, b, tol_rel)
     note = ["" if o.is_le else f"A is not below B (min eig of B - A is {o.gap_min_eig:.6g})"
             for o in order]
     part_specs = [("power_monotone", *_powers(sp, ps, a, b), list(range(len(ps))))]
     params = [{"p": p, "m": None, "M": None, "map": None,
                "p_in_monotone_range": bool(0.0 <= p <= 1.0)} for p in ps]
-    return _finish("lowner_heinz", part_specs, hypotheses_ok=[o.is_le for o in order],
-                   note=note, params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, [o.is_le for o in order], note
 
 
 @_check("norm_power_lemma", "tangent-line bound for A^p at the operator norm of A",
         (1.0 / 3.0, 2.0, -1.0), needs_b=False)
-def check_norm_power_lemma(insts, tol_rel):
+def check_norm_power_lemma(insts, sp, tol_rel):
     """Tangent-line bound for matrix powers at the operator norm.
 
     For positive A the chord construction at t = ||A|| gives
@@ -969,10 +949,9 @@ def check_norm_power_lemma(insts, tol_rel):
     and the reversed comparison when p >= 1 or p <= 0.  Both directions
     are equalities at p = 0 and p = 1 and are evaluated together there.
     """
-    a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts)
-    sp = linalg.Spectra()
-    lam = _require_psd(sp, a, "A")
+    a = _symmetric(insts)
+    ps = _exponents(insts, "norm_power_lemma", "(-inf, inf)")
+    lam = _require_psd(sp.eigvals(a), "A")
     na = _norm(lam)
     for p, norm, lo in zip(ps, na, lam[:, 0].tolist()):
         if norm == 0.0:
@@ -989,13 +968,12 @@ def check_norm_power_lemma(insts, tol_rel):
     _branch(part_specs, "tangent_lower", tangent, a_pow, rows,
             [p >= 1.0 or p <= 0.0 for p in ps])
     params = [{"p": p, "m": None, "M": None, "map": None, "norm_A": t} for p, t in zip(ps, na)]
-    return _finish("norm_power_lemma", part_specs, params=params, tol_rel=tol_rel,
-                   spectra=sp)
+    return part_specs, params
 
 
 @_check("lh_extension", "linearized bound for B^p - A^p when B dominates ||A|| I",
         (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0))
-def check_lh_extension(insts, tol_rel):
+def check_lh_extension(insts, sp, tol_rel):
     """Linearized power-difference bound when B dominates ||A||.
 
     Under ||A|| I <= B the difference B^p - A^p dominates
@@ -1003,8 +981,7 @@ def check_lh_extension(insts, tol_rel):
     term dominates instead.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "lh_extension", "(-inf, inf)")
     na, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
     if 0.0 in nb:
         raise ZeroMatrix("B is zero; the linear term needs a positive norm")
@@ -1022,13 +999,12 @@ def check_lh_extension(insts, tol_rel):
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = [{"p": p, "m": None, "M": None, "map": None, "norm_A": x, "norm_B": y}
               for p, x, y in zip(ps, na, nb)]
-    return _finish("lh_extension", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 @_check("mn2012", "scalar floors for B^p - A^p and the dominance between them",
         (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0))
-def check_mn2012(insts, tol_rel):
+def check_mn2012(insts, sp, tol_rel):
     """Scalar floors for B^p - A^p and the comparison between them.
 
     Under ||A|| I <= B with B - A invertible and p in [0, 1], four parts
@@ -1041,8 +1017,7 @@ def check_mn2012(insts, tol_rel):
     leaves the sides unevaluated.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts, 0.0, 1.0, "mn2012")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "mn2012", "[0, 1]")
     _, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
     lam_diff = sp.eigvals(linalg._require_symmetric(b - a))
     gaps = lam_diff[:, 0].tolist()
@@ -1079,8 +1054,7 @@ def check_mn2012(insts, tol_rel):
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = [{"p": p, "m": None, "M": None, "map": None, "norm_B": t, "lam_min_diff": gap}
               for p, t, gap in zip(ps, nb, gaps)]
-    return _finish("mn2012", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 # ----------------------------------------------------------------------
@@ -1107,7 +1081,7 @@ _SCALAR_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
 @_check("mond_pecaric",
         "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
         (0.5, 2.0, -1.0))
-def check_mond_pecaric(insts, tol_rel):
+def check_mond_pecaric(insts, sp, tol_rel):
     """Two-sided derivative bounds for vector expectations.
 
     For 0 < m <= B <= A <= M, a unit vector x with <Bx, x> at most the
@@ -1124,10 +1098,7 @@ def check_mond_pecaric(insts, tol_rel):
     valid while still rejecting the genuinely false ones.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    linalg._require_symmetric(a, "A")
-    linalg._require_symmetric(b, "B")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "mond_pecaric", "(-inf, inf)")
     lam_b = sp.eigvals(b)
     if min(lam_b[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("mond_pecaric needs positive definite B")
@@ -1183,14 +1154,13 @@ def check_mond_pecaric(insts, tol_rel):
     part_specs, note = _guarded(sides, hyp_ok, note)
     params = [{"p": p, "m": m, "M": M, "map": None, "f": inst.f}
               for inst, p, (m, M) in zip(insts, ps, windows)]
-    return _finish("mond_pecaric", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 @_check("holder_mccarthy",
         "power expectation inequality and its two-sided reverse on a window",
         (0.5, 2.0, -1.0), needs_b=False)
-def check_holder_mccarthy(insts, tol_rel):
+def check_holder_mccarthy(insts, sp, tol_rel):
     """Power expectation inequality and its two-sided reverse.
 
     For positive definite A and a unit vector x, <A^p x, x> <= <Ax, x>^p
@@ -1202,10 +1172,9 @@ def check_holder_mccarthy(insts, tol_rel):
         p > 1, p < 0: the same with the roles of the differences swapped,
         the lower coefficient using m for p > 1 and M for p < 0.
     """
-    a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts, zero=True, what="holder_mccarthy")
-    sp = linalg.Spectra()
-    lam = sp.eigvals(linalg._require_symmetric(a, "A"))
+    a = _symmetric(insts)
+    ps = _exponents(insts, "holder_mccarthy", "(-inf, inf)", zero=True)
+    lam = sp.eigvals(a)
     if min(lam[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("holder_mccarthy needs a positive definite matrix")
     n = a.shape[-1]
@@ -1231,7 +1200,7 @@ def check_holder_mccarthy(insts, tol_rel):
                   ("reverse_lower", lower, mid, rows),
                   ("reverse_upper", mid, upper, rows)]
     params = [{"p": p, "m": m, "M": M, "map": None} for p, (m, M) in zip(ps, windows)]
-    return _finish("holder_mccarthy", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params
 
 
 # ----------------------------------------------------------------------
@@ -1280,7 +1249,7 @@ def _refined_chain(part_specs, names, rows, lo, mid, hi, ps):
 
 @_check("norm_chain", "refined links between operator, Frobenius and trace norms",
         (-1.0, 0.5, 3.0), needs_b=False)
-def check_norm_chain(insts, tol_rel):
+def check_norm_chain(insts, sp, tol_rel):
     """Refined links between operator, Frobenius and trace norms.
 
     Write (op, hs, tr) for the three norms and d = p tr^{p-1}.  For p >= 1
@@ -1292,8 +1261,7 @@ def check_norm_chain(insts, tol_rel):
     from above, so the chain runs hs <= op + r1 and tr <= hs + r2.
     """
     a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts, zero=True, what="norm_chain")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "norm_chain", "(-inf, inf)", zero=True)
     op, hs, tr = (v.tolist() for v in sp.norms(a))
     if 0.0 in tr:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
@@ -1302,12 +1270,12 @@ def check_norm_chain(insts, tol_rel):
     params = [{"p": p, "m": None, "M": None, "map": None,
                "norm_op": x, "norm_hs": y, "norm_tr": z}
               for p, x, y, z in zip(ps, op, hs, tr)]
-    return _finish("norm_chain", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params
 
 
 @_check("radius_chain", "refined links between spectral radius, numerical radius and norm",
         (0.5, 2.0, -1.0), needs_b=False)
-def check_radius_chain(insts, tol_rel):
+def check_radius_chain(insts, sp, tol_rel):
     """Refined links between spectral radius, numerical radius and norm.
 
     Same structure as the norm chain with (r, w, op) in place of
@@ -1316,8 +1284,7 @@ def check_radius_chain(insts, tol_rel):
     r^p undefined and is reported as a violated hypothesis.
     """
     a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts, zero=True, what="radius_chain")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "radius_chain", "(-inf, inf)", zero=True)
     op = sp.norm_op(a).tolist()
     if 0.0 in op:
         raise ZeroMatrix("A is zero; the radius chain needs a positive norm")
@@ -1334,8 +1301,7 @@ def check_radius_chain(insts, tol_rel):
     params = [{"p": p, "m": None, "M": None, "map": None,
                "spectral_radius": r, "numerical_radius": x, "norm_op": t}
               for p, r, x, t in zip(ps, sr, w, op)]
-    return _finish("radius_chain", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 def _product(a, b):
@@ -1349,7 +1315,7 @@ def _product(a, b):
 
 @_check("power_norm", "norm comparison between A^p B^p and (AB)^p for positive matrices",
         (0.5, 2.0))
-def check_power_norm(insts, tol_rel):
+def check_power_norm(insts, sp, tol_rel):
     """Norm comparison between A^p B^p and (AB)^p for positive matrices.
 
     For positive semidefinite A, B the norm ||A^p B^p|| is at most
@@ -1357,14 +1323,10 @@ def check_power_norm(insts, tol_rel):
     hold with equality at the boundary exponents.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    for p in ps:
-        if p < -_P_EPS:
-            raise DomainError(f"power_norm requires p >= 0, got p={p}")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "power_norm", "[0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
-    _require_psd(sp, a, "A", lam_a)
-    _require_psd(sp, b, "B", lam_b)
+    _require_psd(lam_a, "A")
+    _require_psd(lam_b, "B")
     nab = sp.norm_op(_product(a, b)).tolist()
     napb = sp.norm_op(_product(*_powers(sp, ps, a, b))).tolist()
     nab_p = [t ** p for t, p in zip(nab, ps)]
@@ -1374,13 +1336,13 @@ def check_power_norm(insts, tol_rel):
     _branch(part_specs, "power_norm_lower", nab_p, napb, rows, [p >= 1.0 for p in ps])
     params = [{"p": p, "m": None, "M": None, "map": None, "norm_AB": x, "norm_ApBp": y}
               for p, x, y in zip(ps, nab, napb)]
-    return _finish("power_norm", part_specs, params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params
 
 
 @_check("norm_refinement",
         "two-sided refinement of the power-norm comparison on a product window",
         (0.5, 2.0))
-def check_norm_refinement(insts, tol_rel):
+def check_norm_refinement(insts, sp, tol_rel):
     """Two-sided refinement of the power-norm comparison on a window.
 
     With 0 < m <= A, B <= M both ||AB|| and ||A^p B^p||^{1/p} lie in
@@ -1396,13 +1358,7 @@ def check_norm_refinement(insts, tol_rel):
     the float range.
     """
     a, b = _pair(insts)
-    ps = _exponents(insts)
-    for p in ps:
-        if p <= 0.0:
-            raise DomainError(f"norm_refinement requires p > 0, got p={p}")
-    linalg._require_symmetric(a, "A")
-    linalg._require_symmetric(b, "B")
-    sp = linalg.Spectra()
+    ps = _exponents(insts, "norm_refinement", "(0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
     windows = []
     for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, linalg._edges(lam_a),
@@ -1439,13 +1395,12 @@ def check_norm_refinement(insts, tol_rel):
         _branch(part_specs, "refine_upper", mid, upper, rows, keep)
     params = [{"p": p, "m": m, "M": M, "map": None, "norm_AB": x, "norm_ApBp": y}
               for p, (m, M), x, y in zip(ps, windows, nab, napb)]
-    return _finish("norm_refinement", part_specs, params=params, tol_rel=tol_rel,
-                   spectra=sp)
+    return part_specs, params
 
 
 @_check("power_corollary", "windowed bounds between Phi(A)^p and Phi(A^p)",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False)
-def check_power_corollary(insts, tol_rel):
+def check_power_corollary(insts, sp, tol_rel):
     """Power-function corollary of the windowed entropy bounds.
 
     Specialize the two-matrix statements to the pair (I, A): for
@@ -1455,11 +1410,10 @@ def check_power_corollary(insts, tol_rel):
     correction p (M^{p-1} - m^{p-1}) (Phi(A) - I) bounds Phi(A^p) from
     the Phi(A)^p side.
     """
-    a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts, -1.0, 2.0, "power_corollary")
+    a = _symmetric(insts)
+    ps = _exponents(insts, "power_corollary", "[-1, 2]")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    sp = linalg.Spectra()
-    lam = sp.eigvals(linalg._require_symmetric(a, "A"))
+    lam = sp.eigvals(a)
     if min(lam[:, 0].tolist()) <= 0.0:
         raise NotPositiveDefinite("power_corollary needs a positive definite matrix")
     ms, Ms, hyp_ok, note = _unit_windows(insts, lam)
@@ -1473,8 +1427,7 @@ def check_power_corollary(insts, tol_rel):
                                 phi_pow, sp.power(pa, q), pa - np.eye(pa.shape[-1]))
         for i, value in zip(rows, norms):
             params[i]["additive_term_norm"] = value
-    return _finish("power_corollary", part_specs, hypotheses_ok=hyp_ok, note=note,
-                   params=params, tol_rel=tol_rel, spectra=sp)
+    return part_specs, params, hyp_ok, note
 
 
 def _require_tol(tol_rel) -> float:

@@ -255,7 +255,8 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
     sampler = FUZZ_SAMPLERS.get(check_id)
     if sampler is None:
         raise UnknownCheck(f"no sampler for check {check_id!r}")
-    return sampler(seed, [(trial, dim, p)])[0]
+    plan = [(sampling._integer(trial, "trial"), sampling._integer(dim, "dim"), p)]
+    return sampler(sampling._integer(seed, "seed"), plan)[0]
 
 
 # ----------------------------------------------------------------------
@@ -319,12 +320,13 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     after that FAILS, in its chunk, are computed and dropped.
     """
     info = checks.resolve_check(check_id)
+    trials, seed = sampling._integer(trials, "trials"), sampling._integer(seed, "seed")
     if trials < 0:
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
     if not dims:
         raise InvalidSpec("need at least one dimension")
     tol_rel = checks._require_tol(tol_rel)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(sampling._integer(d, "dim") for d in dims)
     if p_values is None or not len(p_values):
         p_values = info.default_p
     p_values = tuple(float(p) for p in p_values)

@@ -19,13 +19,13 @@ Two layers share that contract:
   with the stack's leading shape; exponents are given one per matrix.
   It checks nothing but the finiteness of what it is about to decompose,
   and it solves each stack once per eigensolver routine for as long as
-  it lives.  A check validates its operands once, on entry
-  (InstanceSpec checks shape and finiteness, the check itself the
-  symmetry of its symmetric operands), and then runs every
-  decomposition, power, square root and norm of its group of instances
-  through one Spectra.  means.weighted_mean and means.tsallis_entropy
-  take it as `spectra=`; maps.apply_map and checks._finish never
-  re-validate.
+  it lives.  InstanceSpec checks shape and finiteness; a check's entry
+  (checks._pair, checks._symmetric) checks the symmetry of its symmetric
+  operands before anything is computed, and its registry wrapper gives
+  it the one Spectra that every decomposition, power, square root and
+  norm of its group of instances runs through.  means.weighted_mean and
+  means.tsallis_entropy take it as `spectra=`; maps.apply_map and
+  checks._finish never re-validate.
 
 Loewner comparisons never return a bare bool.  loewner_compare reports
 the signed gap (the smallest eigenvalue of R - L) together with the

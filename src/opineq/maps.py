@@ -35,17 +35,6 @@ KINDS = (NORMALIZED_TRACE, COMPRESSION, PINCHING, MIXED_UNITARY)
 _ORTHO_TOL = 1e-10
 
 
-def _integer(v, what: str) -> int:
-    """v as an int; InvalidSpec unless v is integral, so that a mistyped
-    dimension or index is never truncated into another map."""
-    try:
-        if int(v) == v:
-            return int(v)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidSpec(f"{what} must be an integer, got {v!r}")
-
-
 @dataclass(frozen=True)
 class MapSpec:
     """Serializable description of one unital positive linear map."""
@@ -60,7 +49,7 @@ class MapSpec:
 
     @classmethod
     def normalized_trace(cls, n: int) -> "MapSpec":
-        n = _integer(n, "dim")
+        n = sampling._integer(n, "dim")
         if n < 1:
             raise InvalidSpec("normalized trace needs dimension >= 1")
         return cls(kind=NORMALIZED_TRACE, in_dim=n, out_dim=1)
@@ -81,8 +70,9 @@ class MapSpec:
 
     @classmethod
     def pinching(cls, partition, n: int) -> "MapSpec":
-        n = _integer(n, "dim")
-        blocks = tuple(tuple(_integer(i, "partition index") for i in blk) for blk in partition)
+        n = sampling._integer(n, "dim")
+        blocks = tuple(tuple(sampling._integer(i, "partition index") for i in blk)
+                       for blk in partition)
         seen = [i for blk in blocks for i in blk]
         if sorted(seen) != list(range(n)):
             raise InvalidSpec(
@@ -194,6 +184,7 @@ def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:
     Returns True when every probe passes; a failing witness is logged
     at WARNING level so interactive callers can see what broke.
     """
+    trials = sampling._integer(trials, "trials")
     rng = sampling.rng_for(seed, 0)
     n = spec.in_dim
     ident = apply_map(spec, np.eye(n))

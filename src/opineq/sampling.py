@@ -40,6 +40,17 @@ _ZEROS4 = (0, 0, 0, 0)
 MAX_DIM = 64
 
 
+def _integer(v, what: str) -> int:
+    """v as an int; InvalidSpec unless v is integral, so that a mistyped
+    dimension, seed, count or index is never truncated into another."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpec(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Dimension, seed and spectrum window for the generators.
@@ -54,6 +65,8 @@ class SamplerConfig:
     spectrum_hi: float = 2.0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 1 <= self.dim <= MAX_DIM:
             raise InvalidSpec(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
         if not 0.0 < self.spectrum_lo <= self.spectrum_hi:
@@ -74,7 +87,7 @@ def rng_for(seed: int, index: int) -> np.random.Generator:
     """
     # a uint64 array: numpy reads a list that mixes words above and below
     # 2**63 as float64, which merged seed -1 into seed 0
-    key = np.array(_key(seed, index), dtype=np.uint64)
+    key = np.array(_key(_integer(seed, "seed"), _integer(index, "index")), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -294,6 +307,7 @@ def random_unit_vector(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
 
 def random_isometry(cfg: SamplerConfig, k: int, trial: int = 0) -> np.ndarray:
     """n x k matrix with orthonormal columns, 1 <= k <= n."""
+    k = _integer(k, "isometry width")
     if not 1 <= k <= cfg.dim:
         raise InvalidSpec(f"isometry width must lie in [1, {cfg.dim}], got {k}")
     batch = _Batch()

@@ -1,5 +1,6 @@
 """Tests for the inequality checks: verdicts, gates, gaps and schemas."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -278,16 +279,19 @@ def test_run_check_accepts_zero_tolerance():
 
 
 def test_first_error_wins_when_an_instance_is_bad_twice():
+    # operands are checked first (a missing B, A's symmetry, B's symmetry),
+    # then the exponent, then what the check computes (windows,
+    # positivity, traces), so each instance raises for its nonsymmetric B
     asym = np.array([[2.0, 1.0 + 1e-3], [1.0, 3.0]])
-    # the window override is checked before B's symmetry
-    with pytest.raises(InvalidSpec):
+    # the window override is checked after B's symmetry
+    with pytest.raises(NotSymmetric):
         checks.run_check("reverse_monotonicity",
                          _inst(np.eye(2), asym, p=0.5, m=5.0, map=TR2))
-    # A's positivity is checked before B's symmetry
-    with pytest.raises(NotPositiveDefinite):
+    # A's positivity is checked after B's symmetry
+    with pytest.raises(NotSymmetric):
         checks.run_check("seo_bound", _inst(np.diag([1.0, -1.0]), asym, p=0.5, map=TR2))
-    # density: A's trace is checked before B's symmetry
-    with pytest.raises(NotDensity):
+    # density: A's trace is checked after B's symmetry
+    with pytest.raises(NotSymmetric):
         checks.run_check("density_trace", _inst(np.eye(2), asym, p=0.5))
 
 
@@ -298,6 +302,107 @@ def test_compared_difference_must_be_symmetric():
     b = a + np.array([[1.0, -1e-7], [0.0, 1.0]])
     with pytest.raises(NotSymmetric):
         checks.run_check("lowner_heinz", _inst(a, b, p=0.5))
+
+
+# every check's exponent domain, with "(-inf, inf)" for any finite p, and
+# whether p = 0 is excluded on its own
+_EXPONENT_DOMAINS = {
+    "info_monotonicity": ("[-1, 2]", True),
+    "reverse_monotonicity": ("[-1, 2]", True),
+    "ando_converse": ("[-1, 2]", False),
+    "density_trace": ("[-1, 2]", False),
+    "furuta_bounds": ("(0, 1]", False),
+    "seo_bound": ("(0, 1)", False),
+    "lowner_heinz": ("[0, inf)", False),
+    "norm_power_lemma": ("(-inf, inf)", False),
+    "lh_extension": ("(-inf, inf)", False),
+    "mn2012": ("[0, 1]", False),
+    "mond_pecaric": ("(-inf, inf)", False),
+    "holder_mccarthy": ("(-inf, inf)", True),
+    "norm_chain": ("(-inf, inf)", True),
+    "radius_chain": ("(-inf, inf)", True),
+    "power_norm": ("[0, inf)", False),
+    "norm_refinement": ("(0, inf)", False),
+    "power_corollary": ("[-1, 2]", False),
+}
+
+
+def _domain_cases():
+    """(check_id, p, the error p raises or None) at each end of each domain."""
+    for check_id, (domain, zero) in _EXPONENT_DOMAINS.items():
+        lo, hi = (float(end) for end in domain[1:-1].split(", "))
+        for end, out, closed in ((lo, -1.0, domain[0] == "["), (hi, 1.0, domain[-1] == "]")):
+            if math.isinf(end):
+                yield check_id, 3.0 * out, None
+            elif closed:
+                yield check_id, end + out * checks._P_EPS / 2, None
+                yield check_id, end + out * 1e-11, DomainError
+            else:
+                yield check_id, end, DomainError
+        if zero:
+            yield check_id, 0.0, ZeroParameter
+
+
+def test_exponent_domain_table_covers_the_registry():
+    assert set(_EXPONENT_DOMAINS) == set(checks.REGISTRY)
+
+
+@pytest.mark.parametrize("check_id, p, error", list(_domain_cases()))
+def test_exponent_domain_ends(check_id, p, error):
+    # a closed end admits _P_EPS of slack and an open end none
+    inst = fuzz.sample_instance(check_id, 3, 5, p, 0)
+    if error is None:
+        try:
+            checks.run_check(check_id, inst)
+        except DomainError as exc:   # raised past the check's own guard
+            assert not str(exc).startswith(f"{check_id} requires p")
+    else:
+        with pytest.raises(error):
+            checks.run_check(check_id, inst)
+
+
+# the checks whose spectral window an m/M override replaces
+_READS_WINDOW = {"reverse_monotonicity", "ando_converse", "density_trace", "seo_bound",
+                 "mond_pecaric", "holder_mccarthy", "norm_refinement", "power_corollary"}
+
+
+def _precedence_cases():
+    """(check_id, operand made nonsymmetric, what else is wrong) per symmetric check."""
+    for check_id, info in checks.REGISTRY.items():
+        if check_id in ("norm_chain", "radius_chain"):
+            continue
+        domain, zero = _EXPONENT_DOMAINS[check_id]
+        extras = [None]
+        if domain != "(-inf, inf)" or zero:
+            extras.append("p")
+        if check_id in _READS_WINDOW:
+            extras.append("window")
+        for operand in ("A", "B") if info.needs_b else ("A",):
+            for extra in extras:
+                yield check_id, operand, extra
+
+
+def _outside(domain: str) -> float:
+    """An exponent below the domain, or 0 when the domain is unbounded
+    (the checks that have no domain exclude only p = 0)."""
+    lo = float(domain[1:].split(",")[0])
+    if math.isinf(lo):
+        return 0.0
+    return lo - 1.0 if domain[0] == "[" else lo
+
+
+@pytest.mark.parametrize("check_id, operand, extra", list(_precedence_cases()))
+def test_operands_are_checked_before_exponent_and_window(check_id, operand, extra):
+    inst = fuzz.sample_instance(check_id, 3, 5, 0.5, 0)
+    bad = np.array(getattr(inst, operand))
+    bad[0, -1] += 1e-3 * np.abs(bad).max()
+    changes = {operand: bad}
+    if extra == "p":
+        changes["p"] = _outside(_EXPONENT_DOMAINS[check_id][0])
+    if extra == "window":
+        changes.update(m=1e3, M=1e3)   # m sits above every eigenvalue
+    with pytest.raises(NotSymmetric):
+        checks.run_check(check_id, dataclasses.replace(inst, **changes))
 
 
 def test_radius_chain_nilpotent_negative_exponent():

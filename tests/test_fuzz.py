@@ -131,6 +131,34 @@ def test_invalid_arguments_rejected():
         fuzz.run_fuzz("power_norm", trials=4, dims=())
 
 
+@pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"dims": (2.5,)}, {"dims": ("2",)},
+                                    {"seed": 1.5}, {"seed": None}])
+def test_run_fuzz_rejects_non_integral_arguments(kwargs):
+    # they used to be truncated (dim 2.5 ran as 2, seed 1.5 as 1) or to
+    # raise a bare TypeError
+    with pytest.raises(InvalidSpec):
+        fuzz.run_fuzz("power_norm", **{"trials": 2, **kwargs})
+
+
+def test_run_fuzz_accepts_integral_floats():
+    got = fuzz.run_fuzz("power_norm", trials=3.0, dims=(3.0,), seed=2.0)
+    want = fuzz.run_fuzz("power_norm", trials=3, dims=(3,), seed=2)
+    assert _dump(got) == _dump(want)
+    assert type(got.seed) is int
+
+
+@pytest.mark.parametrize("dim, seed, trial", [(2.5, 0, 0), (3, 1.5, 0), (3, 0, 1.5)])
+def test_sample_instance_rejects_non_integral_arguments(dim, seed, trial):
+    with pytest.raises(InvalidSpec):
+        fuzz.sample_instance("power_norm", dim, seed, 0.5, trial)
+
+
+def test_sample_instance_accepts_integral_floats():
+    got = fuzz.sample_instance("power_norm", 3.0, 4.0, 0.5, 5.0)
+    want = fuzz.sample_instance("power_norm", 3, 4, 0.5, 5)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
 def test_zero_trials_is_a_valid_empty_run():
     result = fuzz.run_fuzz("power_norm", trials=0, seed=1)
     assert result.trials == 0

@@ -203,6 +203,13 @@ def test_apply_map_rejects_non_finite_input():
         maps.apply_map(spec, np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_verify_map_rejects_non_integral_trials():
+    # range(2.5) used to raise a bare TypeError
+    with pytest.raises(InvalidSpec):
+        maps.verify_map(maps.MapSpec.normalized_trace(2), trials=2.5)
+    assert maps.verify_map(maps.MapSpec.normalized_trace(2), trials=2.0)
+
+
 def test_verify_map_seeds_draw_their_own_probes(monkeypatch):
     # the probes come from sampling.rng_for(seed, 0); a Philox key built from
     # a Python list read seed -1 as float64, ran seed 0's probes and warned,

@@ -28,6 +28,32 @@ def test_config_rejects_bad_dims():
         sampling.SamplerConfig(dim=sampling.MAX_DIM + 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sampling.SamplerConfig(dim=2.5),
+    lambda: sampling.SamplerConfig(dim="2"),
+    lambda: sampling.SamplerConfig(dim=2, seed=1.5),
+    lambda: sampling.rng_for(1.5, 0),
+    lambda: sampling.rng_for(0, 1.5),
+    lambda: sampling.random_spd(_cfg(), trial=1.5),
+    lambda: sampling.random_isometry(_cfg(), 1.5),
+])
+def test_non_integral_counts_seeds_and_indices_are_rejected(call):
+    # they used to be truncated (seed 1.5 drew seed 1's numbers) or to
+    # raise a bare TypeError
+    with pytest.raises(InvalidSpec):
+        call()
+
+
+def test_integral_floats_are_read_as_integers():
+    cfg = sampling.SamplerConfig(dim=3.0, seed=2.0)
+    assert (cfg.dim, cfg.seed) == (3, 2) and type(cfg.dim) is type(cfg.seed) is int
+    assert np.array_equal(sampling.random_spd(cfg, trial=1.0),
+                          sampling.random_spd(_cfg(dim=3, seed=2), trial=1))
+    assert np.array_equal(sampling.rng_for(2.0, 1.0).uniform(size=4),
+                          sampling.rng_for(2, 1).uniform(size=4))
+    assert sampling.random_isometry(cfg, 2.0).shape == (3, 2)
+
+
 def test_config_rejects_bad_window():
     with pytest.raises(InvalidSpec):
         sampling.SamplerConfig(dim=2, spectrum_lo=2.0, spectrum_hi=1.0)
