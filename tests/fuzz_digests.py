@@ -10,6 +10,13 @@ least that reaches dim 64 for the checks with six registry exponents
 (the dim advances once per cycle through the exponents).  The
 `repro --json` output of run_all is digested the same way.
 
+Two more digests cover the command line's own output, the sha256 of the
+bytes it writes: the witness sidecar of `opineq fuzz --check
+lowner_heinz --p 2` (seed 7, 120 trials), whose instances go through
+InstanceSpec.to_json_dict, and, for every check, the `opineq eval`
+stdout of its seed-7 fuzz instance at dim EVAL_DIM, trial 0 and the
+first registry exponent.
+
 The bytes depend on numpy and on the BLAS/LAPACK build (and the CPU
 kernel it picks), so a digest is only comparable on the platform it was
 recorded on; see PLATFORM.  Run with one BLAS thread:
@@ -21,14 +28,19 @@ prints the digest table in the layout CHANGES.md uses.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 
-from opineq import checks, fuzz, repro
+from opineq import checks, cli, fuzz, repro
 
 SEED = 7
+EVAL_DIM = 3
 
 # exponent sets that reach every branch of each check
 BOUNDARY_P = {
@@ -87,6 +99,33 @@ def repro_digest() -> str:
     return _sha16([result.to_json_dict() for result in repro.run_all()])
 
 
+def _cli_bytes(argv, path=None) -> str:
+    """Digest of what cli.main(argv) writes: stdout, or the file at path."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    data = out.getvalue().encode() if path is None else open(path, "rb").read()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def witness_digest() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "lh.json")
+        return _cli_bytes(["fuzz", "--check", "lowner_heinz", "--p", "2", "--trials", "120",
+                           "--seed", str(SEED), "--json", report],
+                          os.path.join(tmp, "lh.witness.json"))
+
+
+def eval_digest(check_id: str) -> str:
+    p = checks.REGISTRY[check_id].default_p[0]
+    inst = fuzz.sample_instance(check_id, dim=EVAL_DIM, seed=SEED, p=p, trial=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(inst.to_json_dict(), fh)
+        return _cli_bytes(["eval", "--check", check_id, "--input", path])
+
+
 def table() -> str:
     lines = ["| check | " + " | ".join(label for label, *_ in COLUMNS) + " |",
              "|---|" + "---|" * len(COLUMNS)]
@@ -96,6 +135,11 @@ def table() -> str:
         lines.append(f"| `{check_id}` | " + " | ".join(cells) + " |")
     lines.append(f"| `repro --json` (`run_all`) | `{repro_digest()}` |"
                  + " |" * (len(COLUMNS) - 1))
+    lines.append(f"| `fuzz --check lowner_heinz --p 2` witnesses | `{witness_digest()}` |"
+                 + " |" * (len(COLUMNS) - 1))
+    lines += ["", "| check | `eval` stdout |", "|---|---|"]
+    lines += [f"| `{check_id}` | `{eval_digest(check_id)}` |"
+              for check_id in sorted(checks.REGISTRY)]
     return "\n".join(lines)
 
 

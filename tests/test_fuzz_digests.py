@@ -1,7 +1,8 @@
 """Byte-identity gate: the fuzz JSON of every check is pinned by digest.
 
 The digests come from `tests/fuzz_digests.py` (its docstring gives the
-recipe).  A change that moves one byte of any fuzz report fails here.
+recipe).  A change that moves one byte of any fuzz report, of the fuzz
+witness sidecar or of `eval` output fails here.
 The bytes depend on the numpy and BLAS/LAPACK build, so on any other
 platform the test is skipped rather than failed.
 """
@@ -38,6 +39,27 @@ DIGESTS = {
     "seo_bound": ("4f7897b58a05e815", "5ffa3fb7635eb11c", "43c76a9055720431", "9d0e528b61489dc7", "288226fa66d60c9a"),
 }
 REPRO_DIGEST = "7599ba759ff7704a"
+WITNESS_DIGEST = "481e9948092e5765"
+# check -> digest of `opineq eval` stdout on its fuzz_digests.eval_digest instance
+EVAL_DIGESTS = {
+    "ando_converse": "58e26bcb2f890208",
+    "density_trace": "b119978d14e0dd19",
+    "furuta_bounds": "dc9c611287e47cb2",
+    "holder_mccarthy": "55240de011b7269d",
+    "info_monotonicity": "ebc7add733d519f8",
+    "lh_extension": "ce20c409733afcb0",
+    "lowner_heinz": "005bfe67b39694c3",
+    "mn2012": "5c8b1bbbeaca17b2",
+    "mond_pecaric": "7fab2d37e4c80af1",
+    "norm_chain": "c2a7305b1b46c32b",
+    "norm_power_lemma": "fd0310c2570fa5d2",
+    "norm_refinement": "c0bb28f5d2f086a4",
+    "power_corollary": "859e4aa25c96c735",
+    "power_norm": "14c854b545e0bc83",
+    "radius_chain": "663b79abf09780b2",
+    "reverse_monotonicity": "e6438ac0eeac9048",
+    "seo_bound": "283aaa0925151090",
+}
 
 _platform = fuzz_digests.platform()
 pytestmark = pytest.mark.skipif(
@@ -47,6 +69,7 @@ pytestmark = pytest.mark.skipif(
 
 def test_every_check_is_pinned():
     assert sorted(DIGESTS) == sorted(checks.REGISTRY)
+    assert sorted(EVAL_DIGESTS) == sorted(checks.REGISTRY)
     assert sorted(fuzz_digests.BOUNDARY_P) == sorted(checks.REGISTRY)
 
 
@@ -59,3 +82,12 @@ def test_fuzz_json_digests(check_id):
 
 def test_repro_json_digest():
     assert fuzz_digests.repro_digest() == REPRO_DIGEST
+
+
+def test_witness_sidecar_digest():
+    assert fuzz_digests.witness_digest() == WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("check_id", sorted(EVAL_DIGESTS))
+def test_eval_stdout_digests(check_id):
+    assert fuzz_digests.eval_digest(check_id) == EVAL_DIGESTS[check_id]
