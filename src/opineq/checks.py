@@ -166,12 +166,17 @@ class CheckReport:
 
 
 def _matrix_to_json(m):
-    if m is None:
-        return None
-    return [[float(v) for v in row] for row in np.atleast_2d(m)]
+    return None if m is None else np.atleast_2d(np.asarray(m, dtype=float)).tolist()
+
+
+_JSON_PLAIN = (float, int, str, type(None))
 
 
 def _json_sanitize(value):
+    # exact types only: a bool takes the int branch below and is written as
+    # 1 or 0, kept on purpose so that report bytes do not move
+    if type(value) in _JSON_PLAIN:
+        return value
     if isinstance(value, dict):
         return {str(k): _json_sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -293,6 +298,15 @@ _INSTANCE_KEYS = ("A", "B", "p", "map", "m", "M", "x", "f")
 _F_KINDS = ("power", "exp", "log")
 
 
+def _require_numbers(key, value):
+    """SchemaError when a JSON string or boolean stands where a number belongs."""
+    if isinstance(value, list):
+        for v in value:
+            _require_numbers(key, v)
+    elif isinstance(value, (str, bool)):
+        raise SchemaError(f"{key}: expected a number, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class InstanceSpec:
     """One problem instance: the matrices, the exponent and the options.
@@ -359,6 +373,10 @@ class InstanceSpec:
         for key in ("A", "p"):
             if key not in data:
                 raise SchemaError(f"instance is missing the required key {key!r}")
+        for key in ("A", "B", "x", "p", "m", "M"):
+            _require_numbers(key, data.get(key))
+        if not isinstance(data.get("f", ""), str):
+            raise SchemaError(f"f must be a string, got {data['f']!r}")
         map_spec = data.get("map")
         if map_spec is not None:
             map_spec = maps.MapSpec.from_json_dict(map_spec)
@@ -380,7 +398,7 @@ class InstanceSpec:
         if self.M is not None:
             out["M"] = float(self.M)
         if self.x is not None:
-            out["x"] = [float(v) for v in self.x]
+            out["x"] = np.asarray(self.x, dtype=float).tolist()
         if self.f != "power":
             out["f"] = self.f
         return out
@@ -831,7 +849,7 @@ def check_furuta_bounds(insts, sp, tol_rel):
         h = fM / fm
         params.append({
             "p": p, "m": fm, "M": fM, "map": phi.to_json_dict(),
-            "h": h, "kantorovich_K": constants.kantorovich_K(h, p),
+            "h": h, "kantorovich_K": constants.kantorovich_K(h, min(p, 1.0)),
             "furuta_F": 0.0 if p >= 1.0 - _P_EPS else constants.furuta_F(fm, h, p),
             "kantorovich_term_norm": None, "linear_term_norm": None,
             "windowed_term_norm": None,

@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--example", choices=list(repro_mod.EXAMPLE_IDS),
                     help="run a single instance instead of all five")
     rp.add_argument("--json", metavar="PATH", help="write results as JSON")
-    rp.set_defaults(func=cmd_repro)
 
     fz = sub.add_parser("fuzz", help="random search for counterexamples")
     fz.add_argument("--check", required=True, metavar="ID")
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--csv", metavar="PATH", help="write a summary CSV")
     fz.add_argument("--stop-on-fail", action="store_true",
                     help="stop at the first FAILS")
-    fz.set_defaults(func=cmd_fuzz)
 
     ev = sub.add_parser("eval", help="evaluate one check on an instance file")
     ev.add_argument("--check", required=True, metavar="ID")
@@ -264,16 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--tol", type=float, default=None,
                     help=f"relative tolerance (default {linalg.DEFAULT_TOL_REL:g}, "
                          "or OPINEQ_TOL)")
-    ev.set_defaults(func=cmd_eval)
 
-    ls = sub.add_parser("list", help="print the check registry")
-    ls.set_defaults(func=cmd_list)
+    sub.add_parser("list", help="print the check registry")
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand.  The parser is built on the first call and kept
+    for the process; cmd_<command> is looked up when called."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -352,13 +352,20 @@ def test_exponent_domain_ends(check_id, p, error):
     # a closed end admits _P_EPS of slack and an open end none
     inst = fuzz.sample_instance(check_id, 3, 5, p, 0)
     if error is None:
-        try:
-            checks.run_check(check_id, inst)
-        except DomainError as exc:   # raised past the check's own guard
-            assert not str(exc).startswith(f"{check_id} requires p")
+        assert isinstance(checks.run_check(check_id, inst), checks.CheckReport)
     else:
         with pytest.raises(error):
             checks.run_check(check_id, inst)
+
+
+def test_furuta_bounds_takes_k_at_the_closed_upper_end():
+    # p just past 1 is admitted by the guard; K is taken at p = 1, its limit
+    inst = fuzz.sample_instance("furuta_bounds", 3, 5, 1.0 + checks._P_EPS / 2, 0)
+    report = checks.run_check("furuta_bounds", inst)
+    assert report.params["kantorovich_K"] == 1.0
+    assert report.params["furuta_F"] == 0.0
+    assert report.verdict == checks.run_check(
+        "furuta_bounds", dataclasses.replace(inst, p=1.0)).verdict
 
 
 # the checks whose spectral window an m/M override replaces
@@ -839,6 +846,30 @@ def test_instance_spec_schema_rejections():
         checks.InstanceSpec.from_json_dict({"A": [[1.0]]})
     with pytest.raises(SchemaError):
         checks.InstanceSpec.from_json_dict({"A": [["one"]], "p": 1.0})
+
+
+_VALID_JSON = {"A": [[2.0, 0.0], [0.0, 3.0]], "B": [[3.0, 0.0], [0.0, 4.0]], "p": 0.5,
+               "m": 1.0, "M": 2.0, "x": [0.6, 0.8], "f": "exp"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("A", [["2", "0"], ["0", "3"]]), ("A", [[True, 0], [0, 1]]), ("B", [[3.0, 0.0], [0.0, "4"]]),
+    ("x", ["0.6", 0.8]), ("x", [0.6, False]), ("p", "0.5"), ("p", True),
+    ("m", "1"), ("m", True), ("M", False), ("M", "2.0"), ("f", 5), ("f", ["exp"]),
+])
+def test_instance_spec_json_rejects_strings_and_booleans_for_numbers(key, value):
+    assert checks.InstanceSpec.from_json_dict(_VALID_JSON).f == "exp"
+    with pytest.raises(SchemaError, match=f"^{key}"):
+        checks.InstanceSpec.from_json_dict(dict(_VALID_JSON, **{key: value}))
+
+
+def test_instance_spec_json_type_walk_leaves_library_values_alone():
+    with pytest.raises(SchemaError):
+        checks.InstanceSpec.from_json_dict({"A": [["2", "0"], ["0", "3"]], "p": "0.5", "m": True})
+    # numpy values reach the constructor as before
+    spec = checks.InstanceSpec.from_json_dict(
+        {"A": np.eye(2), "p": np.float64(0.5), "m": np.int64(1), "x": np.array([0.6, 0.8])})
+    assert spec.p == 0.5 and spec.m == 1.0
 
 
 def test_instance_spec_validation():

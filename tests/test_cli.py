@@ -92,6 +92,63 @@ def test_installed_console_script_runs():
 
 
 # ----------------------------------------------------------------------
+# the parser: built once per process, subcommands looked up per call
+# ----------------------------------------------------------------------
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    for _ in range(5):
+        assert cli.main(["list"]) == cli.EXIT_OK
+    assert len(built) == 1
+    assert cli._parser is built[0]
+    capsys.readouterr()
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_runs_the_subcommand_patched_after_a_first_call(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "inst.json", HOLDS_INST)
+    argv = ["eval", "--check", "lowner_heinz", "--input", path]
+    assert cli.main(argv) == cli.EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.check) or 42)
+    assert cli.main(argv) == 42
+    assert seen == ["lowner_heinz"]
+    capsys.readouterr()
+
+
+def test_repeated_eval_prints_the_bytes_of_a_fresh_process(tmp_path, capsys, fresh_python):
+    path = _write(tmp_path, "inst.json", FAILS_INST)
+    argv = ["eval", "--check", "lowner_heinz", "--input", path]
+    outs = []
+    for _ in range(3):
+        assert cli.main(argv) == cli.EXIT_FAIL
+        outs.append(capsys.readouterr().out)
+    proc = fresh_python("-m", "opineq.cli", *argv)
+    assert proc.returncode == cli.EXIT_FAIL, proc.stderr
+    assert outs == [proc.stdout] * 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["eval", "--input", "inst.json"], "the following arguments are required: --check"),
+])
+def test_argparse_errors_repeat_on_the_cached_parser(argv, message, capsys):
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert message in errs[0]
+    assert errs[0] == errs[1]
+
+
+# ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------
 
@@ -216,6 +273,14 @@ def test_eval_schema_violation(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", bad)
     assert cli.main(["eval", "--check", "lowner_heinz", "--input", path]) == \
         cli.EXIT_SCHEMA
+
+
+def test_eval_rejects_strings_and_booleans_for_numbers(tmp_path, capsys):
+    bad = {"A": [["2", "0"], ["0", "3"]], "p": "0.5", "m": True}
+    path = _write(tmp_path, "inst.json", bad)
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: A: expected a number, got '2'\n"
 
 
 def test_eval_env_tolerance(tmp_path, monkeypatch, capsys):
