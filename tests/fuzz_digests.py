@@ -33,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -104,7 +105,7 @@ def _cli_bytes(argv, path=None) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(argv)
-    data = out.getvalue().encode() if path is None else open(path, "rb").read()
+    data = out.getvalue().encode() if path is None else pathlib.Path(path).read_bytes()
     return hashlib.sha256(data).hexdigest()[:16]
 
 

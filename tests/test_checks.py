@@ -858,12 +858,12 @@ _VALID_JSON = {"A": [[2.0, 0.0], [0.0, 3.0]], "B": [[3.0, 0.0], [0.0, 4.0]], "p"
     ("m", "1"), ("m", True), ("M", False), ("M", "2.0"), ("f", 5), ("f", ["exp"]),
 ])
 def test_instance_spec_json_rejects_strings_and_booleans_for_numbers(key, value):
-    assert checks.InstanceSpec.from_json_dict(_VALID_JSON).f == "exp"
     with pytest.raises(SchemaError, match=f"^{key}"):
         checks.InstanceSpec.from_json_dict(dict(_VALID_JSON, **{key: value}))
 
 
-def test_instance_spec_json_type_walk_leaves_library_values_alone():
+def test_instance_spec_json_type_walk_leaves_numbers_alone():
+    assert checks.InstanceSpec.from_json_dict(_VALID_JSON).f == "exp"
     with pytest.raises(SchemaError):
         checks.InstanceSpec.from_json_dict({"A": [["2", "0"], ["0", "3"]], "p": "0.5", "m": True})
     # numpy values reach the constructor as before
@@ -893,6 +893,19 @@ def test_check_report_json_is_serializable():
     assert isinstance(back["gap_min_eig"], float)
     assert {part["name"] for part in back["parts"]} == {
         "windowed_upper", "kantorovich_upper", "linear_upper"}
+
+
+def test_report_json_conversion_keeps_the_bytes_of_every_value_kind():
+    params = {"f": 0.1, "i": 3, "s": "x", "n": None, "b": True, "nf": np.float64(0.1),
+              "ni": np.int64(3), "nb": np.bool_(False), "seq": (1, [2.5, np.float32(0.5)]),
+              "arr": np.array([[1.0, 2.0]]), 3: "k"}
+    # a Python bool is an int, so it is written as 1 (see CHANGES.md)
+    assert json.dumps(checks._json_sanitize(params), sort_keys=True) == (
+        '{"3": "k", "arr": [[1.0, 2.0]], "b": 1, "f": 0.1, "i": 3, "n": null, '
+        '"nb": false, "nf": 0.1, "ni": 3, "s": "x", "seq": [1, [2.5, 0.5]]}')
+    assert checks._matrix_to_json(np.float32(0.1)) == [[float(np.float32(0.1))]]
+    assert json.dumps(checks._matrix_to_json(np.array([1, 2]))) == "[[1.0, 2.0]]"
+    assert checks._matrix_to_json(None) is None
 
 
 def test_report_picks_worst_part():
