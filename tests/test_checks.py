@@ -846,6 +846,8 @@ def test_instance_spec_schema_rejections():
         checks.InstanceSpec.from_json_dict({"A": [[1.0]]})
     with pytest.raises(SchemaError):
         checks.InstanceSpec.from_json_dict({"A": [["one"]], "p": 1.0})
+    with pytest.raises(SchemaError):
+        checks.InstanceSpec.from_json_dict({"A": [["2", "0"], ["0", "3"]], "p": "0.5", "m": True})
 
 
 _VALID_JSON = {"A": [[2.0, 0.0], [0.0, 3.0]], "B": [[3.0, 0.0], [0.0, 4.0]], "p": 0.5,
@@ -864,8 +866,6 @@ def test_instance_spec_json_rejects_strings_and_booleans_for_numbers(key, value)
 
 def test_instance_spec_json_type_walk_leaves_numbers_alone():
     assert checks.InstanceSpec.from_json_dict(_VALID_JSON).f == "exp"
-    with pytest.raises(SchemaError):
-        checks.InstanceSpec.from_json_dict({"A": [["2", "0"], ["0", "3"]], "p": "0.5", "m": True})
     # numpy values reach the constructor as before
     spec = checks.InstanceSpec.from_json_dict(
         {"A": np.eye(2), "p": np.float64(0.5), "m": np.int64(1), "x": np.array([0.6, 0.8])})
