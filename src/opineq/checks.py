@@ -205,10 +205,6 @@ def _split(values: list, stacks) -> list:
     return out
 
 
-def _is_scalar(lhs, rhs) -> bool:
-    return isinstance(lhs, list) or lhs.shape[-2:] == rhs.shape[-2:] == (1, 1)
-
-
 def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, note=None):
     """Assemble a group's CheckReports from (name, lhs, rhs, rows) parts.
 
@@ -217,23 +213,30 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
     (None: every hypothesis holds, with no note).  A part's lhs and
     rhs hold one side per instance in rows, its list of instance indices:
     stacks of matrices, or lists of floats for scalar parts, which are
-    reported as 1x1 matrices.  Each instance's parts keep the order of
-    part_specs.  The shared tolerance of an instance is tol_rel times the
-    largest operand scale across its parts (never below tol_rel itself),
-    so one loose part does not get judged with a tighter yardstick than
-    another.  spectra is the Spectra the body ran on, so a side that
-    several parts share, or that the body already took the norm of, is
-    not decomposed again.
+    reported as 1x1 matrices; a stack of 1x1 matrices is read as scalars.
+    Each instance's parts keep the order of part_specs.  The shared
+    tolerance of an instance is tol_rel times the largest operand scale
+    across its parts (never below tol_rel itself), so one loose part does
+    not get judged with a tighter yardstick than another.  spectra is the
+    Spectra the body ran on, so a side that several parts share, or that
+    the body already took the norm of, is not decomposed again.
+
+    It guards the verdicts against sides that left the float range: a
+    part whose gap is not finite raises NotFinite, since a Python float
+    product or quotient overflows to inf without raising.
     """
     size = len(params)
     hypotheses_ok = [True] * size if hypotheses_ok is None else hypotheses_ok
     note = [""] * size if note is None else note
+    part_specs = [(name, lhs[:, 0, 0].tolist(), rhs[:, 0, 0].tolist(), rows)
+                  if not isinstance(lhs, list) and lhs.shape[-2:] == (1, 1)
+                  else (name, lhs, rhs, rows) for name, lhs, rhs, rows in part_specs]
     # the gaps and side norms of every matrix part of one shape come from
     # two stacked eigensolves, each distinct side stack entering once
     gaps, norms = {}, {}
     by_shape: dict[tuple, list] = {}
     for _, lhs, rhs, _ in part_specs:
-        if not _is_scalar(lhs, rhs):
+        if not isinstance(lhs, list):
             by_shape.setdefault(lhs.shape[-2:], []).append((lhs, rhs))
     for specs in by_shape.values():
         diffs = [rhs - lhs for lhs, rhs in specs]
@@ -248,17 +251,14 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
     for name, lhs, rhs, rows in part_specs:
         if isinstance(lhs, list):   # scalar sides: no eigensolve
             for i, x, y in zip(rows, lhs, rhs):
+                gap = y - x
+                if not math.isfinite(gap):
+                    raise NotFinite(f"{check_id}: the sides of {name} leave the float range")
                 scale[i] = max(scale[i], abs(x), abs(y))
-                parts[i].append(CheckPart(name, np.array([[x]]), np.array([[y]]), y - x))
+                parts[i].append(CheckPart(name, np.array([[x]]), np.array([[y]]), gap))
             continue
-        if _is_scalar(lhs, rhs):    # 1x1 images
-            lv, rv = lhs[:, 0, 0].tolist(), rhs[:, 0, 0].tolist()
-            low = [y - x for x, y in zip(lv, rv)]
-            spans = zip(map(abs, lv), map(abs, rv))
-        else:
-            low = gaps[id(lhs), id(rhs)]
-            spans = zip(norms[id(lhs)], norms[id(rhs)])
-        for j, (i, gap, (sl, sr)) in enumerate(zip(rows, low, spans)):
+        for j, (i, gap, sl, sr) in enumerate(zip(rows, gaps[id(lhs), id(rhs)],
+                                                 norms[id(lhs)], norms[id(rhs)])):
             scale[i] = max(scale[i], sl, sr)
             parts[i].append(CheckPart(name, lhs[j], rhs[j], gap))
     reports = []
@@ -433,11 +433,22 @@ def _check(check_id: str, description: str, default_p, needs_b: bool = True):
     Its group gives the body a fresh linalg.Spectra sp and passes what the
     body returns, (part_specs, params) or (part_specs, params,
     hypotheses_ok, note), to _finish under check_id; the decorated name
-    becomes its runner, the group of one."""
+    becomes its runner, the group of one.
+
+    The group is every check's one exit for values that leave the float
+    range.  It runs the body and _finish with numpy overflow raising, and
+    turns any ArithmeticError (a numpy FloatingPointError, or a Python
+    OverflowError or ZeroDivisionError) into NotFinite.  numpy's invalid
+    and divide stay at their defaults, so a NaN born inside a body still
+    warns."""
     def register(body):
         def group(insts, tol_rel):
             sp = linalg.Spectra()
-            return _finish(check_id, sp, tol_rel, *body(insts, sp, tol_rel))
+            try:
+                with np.errstate(over="raise"):
+                    return _finish(check_id, sp, tol_rel, *body(insts, sp, tol_rel))
+            except ArithmeticError as exc:
+                raise NotFinite(f"{check_id}: a value leaves the float range ({exc})") from exc
 
         def runner(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
             return group([inst], tol_rel)[0]
@@ -581,12 +592,8 @@ def _powers(sp, ps, *mats) -> list:
 def _require_psd(lam, label: str) -> np.ndarray:
     """lam, the ascending spectra of a symmetric stack (label names it),
     once every matrix of the stack is positive semidefinite."""
-    for lo, hi in linalg._edges(lam):
-        if lo < -linalg._floor(lo, hi):
-            raise NotPositiveDefinite(
-                f"{label} must be positive semidefinite; smallest eigenvalue is {lo:.6g}"
-            )
-    return lam
+    return linalg._require_floor(
+        lam, False, f"{label} must be positive semidefinite; smallest eigenvalue is {{lo:.6g}}")
 
 
 def _norm(lam) -> list:
@@ -600,13 +607,15 @@ def _inner_spectrum(sp, a, b):
 
 
 def _guarded(build, hyp_ok, note):
-    """(build(), note) for a group.  In a group of one, an OpineqError from
-    build() propagates under valid hypotheses and otherwise leaves the
-    sides unevaluated, said in the note; a larger group raises it.
+    """(build(), note) for a group.  It guards the sides that a violated
+    hypothesis may leave undefined: in a group of one, an OpineqError or
+    ArithmeticError (a value leaving the float range) from build()
+    propagates under valid hypotheses and otherwise leaves the sides
+    unevaluated, said in the note; a larger group raises it.
     """
     try:
         return build(), note
-    except OpineqError:
+    except (OpineqError, ArithmeticError):
         if len(hyp_ok) > 1 or hyp_ok[0]:
             raise
         return [], [note[0] + "; sides not evaluated"]
@@ -1228,20 +1237,13 @@ def check_holder_mccarthy(insts, sp, tol_rel):
 def _refined_chain(part_specs, names, rows, lo, mid, hi, ps):
     """Append the parts refining lo <= mid <= hi (labelled by names) for
     the instances of rows, with the shifts r1 = (mid^p - lo^p)/d and
-    r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see check_norm_chain.  Raises
-    NotFinite when a power leaves the float range.
+    r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see check_norm_chain.
     """
     n_lo, n_mid, n_hi = names
     for i, lo, mid, hi, p in zip(rows, lo, mid, hi, ps):
-        try:
-            d = p * hi ** (p - 1.0)
-            r1 = (mid ** p - lo ** p) / d
-            r2 = (hi ** p - mid ** p) / d
-        except (OverflowError, ZeroDivisionError):
-            r1 = r2 = math.inf
-        if not (math.isfinite(r1) and math.isfinite(r2)):
-            raise NotFinite(f"the chain's powers at p={p:g} of norms in "
-                            f"[{lo:.3e}, {hi:.3e}] leave the float range")
+        d = p * hi ** (p - 1.0)
+        r1 = (mid ** p - lo ** p) / d
+        r2 = (hi ** p - mid ** p) / d
         chain = []
         if p >= 1.0:
             chain += [
@@ -1322,15 +1324,6 @@ def check_radius_chain(insts, sp, tol_rel):
     return part_specs, params, hyp_ok, note
 
 
-def _product(a, b):
-    """A @ B; NotFinite, without a numpy warning, when it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ab = a @ b
-    if not np.isfinite(ab).all():
-        raise NotFinite("the matrix product overflows")
-    return ab
-
-
 @_check("power_norm", "norm comparison between A^p B^p and (AB)^p for positive matrices",
         (0.5, 2.0))
 def check_power_norm(insts, sp, tol_rel):
@@ -1345,8 +1338,8 @@ def check_power_norm(insts, sp, tol_rel):
     lam_a, lam_b = _eigvals(sp, a, b)
     _require_psd(lam_a, "A")
     _require_psd(lam_b, "B")
-    nab = sp.norm_op(_product(a, b)).tolist()
-    napb = sp.norm_op(_product(*_powers(sp, ps, a, b))).tolist()
+    nab = sp.norm_op(a @ b).tolist()
+    napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
     nab_p = [t ** p for t, p in zip(nab, ps)]
     rows = list(range(len(ps)))
     part_specs = []
@@ -1371,9 +1364,6 @@ def check_norm_refinement(insts, sp, tol_rel):
                      with D = ||AB|| - ||A^p B^p||^{1/p};
         p >= 1:      (p / (m^2)^{1-p}) D <= ||A^p B^p|| - ||AB||^p <= (p / (M^2)^{1-p}) D
                      with D = ||A^p B^p||^{1/p} - ||AB||.
-
-    Raises NotFinite when a power of the norms or of the window leaves
-    the float range.
     """
     a, b = _pair(insts)
     ps = _exponents(insts, "norm_refinement", "(0, inf)")
@@ -1385,24 +1375,18 @@ def check_norm_refinement(insts, sp, tol_rel):
             raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
         windows.append(_resolve_outer_window(min(a_lo, b_lo), max(a_hi, b_hi),
                                              inst.m, inst.M))
-    nab = sp.norm_op(_product(a, b)).tolist()
-    napb = sp.norm_op(_product(*_powers(sp, ps, a, b))).tolist()
+    nab = sp.norm_op(a @ b).tolist()
+    napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
     below, above = [], []    # (lower, mid, upper) of the p <= 1 and p >= 1 branches
     for p, (m, M), x, y in zip(ps, windows, nab, napb):
         m2, M2 = m * m, M * M
         sides = [(0.0, 0.0, 0.0)] * 2
-        try:
-            if p <= 1.0:
-                dd = x - y ** (1.0 / p)
-                sides[0] = ((p / M2 ** (1.0 - p)) * dd, x ** p - y, (p / m2 ** (1.0 - p)) * dd)
-            if p >= 1.0:
-                dd = y ** (1.0 / p) - x
-                sides[1] = ((p / m2 ** (1.0 - p)) * dd, y - x ** p, (p / M2 ** (1.0 - p)) * dd)
-        except (OverflowError, ZeroDivisionError):
-            sides = [(math.inf,) * 3] * 2
-        if not all(math.isfinite(v) for side in sides for v in side):
-            raise NotFinite(f"the refinement's powers at p={p:g} of norms on the window "
-                            f"[{m:.3e}, {M:.3e}] leave the float range")
+        if p <= 1.0:
+            dd = x - y ** (1.0 / p)
+            sides[0] = ((p / M2 ** (1.0 - p)) * dd, x ** p - y, (p / m2 ** (1.0 - p)) * dd)
+        if p >= 1.0:
+            dd = y ** (1.0 / p) - x
+            sides[1] = ((p / m2 ** (1.0 - p)) * dd, y - x ** p, (p / M2 ** (1.0 - p)) * dd)
         below.append(sides[0])
         above.append(sides[1])
     rows = list(range(len(ps)))

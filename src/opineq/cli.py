@@ -7,10 +7,16 @@ Four subcommands:
           internal numerical failure)
   fuzz    sample random valid instances for one check (exit 0 when no
           instance FAILS, 1 otherwise, 3 on file I/O trouble, 5 for an
-          unknown check or bad parameters)
+          unknown check, a bad --dim, --p or tolerance value, or a
+          trial whose check raises)
   eval    run one check on an instance file (exit 0 HOLDS, 1 FAILS,
-          4 HYPOTHESIS_VIOLATED, 3 unreadable file, 5 malformed input)
+          4 HYPOTHESIS_VIOLATED, 3 unreadable file, 5 malformed input or
+          a value that leaves the float range)
   list    print the check registry
+
+Usage errors exit 2 with argparse's message: an unknown subcommand, a
+missing --check or --input, a non-integer --trials or --seed, a
+non-numeric --tol and an unknown --example.
 
 The environment variable OPINEQ_TOL overrides the relative tolerance for
 fuzz and eval; an explicit --tol beats the environment.  All JSON output

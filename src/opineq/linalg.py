@@ -129,9 +129,12 @@ class SpectralDecomposition:
 
     def apply(self, fn) -> np.ndarray:
         """Functional calculus: Q diag(fn(lambda)) Q^T, symmetrized."""
-        q = self.eigenvectors
-        vals = np.asarray(fn(self.eigenvalues), dtype=float)
-        return symmetrize((q * vals[..., None, :]) @ q.swapaxes(-1, -2))
+        return _reconstruct(self.eigenvectors, np.asarray(fn(self.eigenvalues), dtype=float))
+
+
+def _reconstruct(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(v) Q^T, symmetrized, matrix by matrix over a stack."""
+    return symmetrize((q * vals[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 def _floor(lo: float, hi: float) -> float:
@@ -139,6 +142,17 @@ def _floor(lo: float, hi: float) -> float:
     spectrum with extreme eigenvalues lo <= hi: eigenvalues within it of
     zero count as zero."""
     return POS_EIG_RTOL * max(1.0, abs(lo), abs(hi))
+
+
+def _require_floor(lam: np.ndarray, strict: bool, message: str) -> np.ndarray:
+    """lam, a stack of ascending spectra, once each is positive up to its
+    _floor: semidefinite (lambda_min >= -floor), or with strict definite
+    (lambda_min > floor).  Otherwise NotPositiveDefinite, with
+    message.format(lo=lambda_min) of the first spectrum that is not."""
+    for lo, hi in _edges(lam):
+        if (lo <= _floor(lo, hi)) if strict else (lo < -_floor(lo, hi)):
+            raise NotPositiveDefinite(message.format(lo=lo))
+    return lam
 
 
 def _edges(w: np.ndarray) -> list:
@@ -239,19 +253,13 @@ class Spectra:
                 continue
             rows = slice(rows[0], rows[-1] + 1) if len(rows) == rows[-1] - rows[0] + 1 else rows
             wq = w[rows]
-            if q < 0.0 or q != int(q):
-                lows, highs = wq[:, 0].tolist(), wq[:, -1].tolist()
-                for lo, hi in zip(lows, highs):
-                    if q < 0.0 and lo <= _floor(lo, hi):
-                        raise NotPositiveDefinite(
-                            f"negative power {q} needs eigenvalues bounded away from zero, "
-                            f"min is {lo:.3e}"
-                        )
-                    if q > 0.0 and lo < -_floor(lo, hi):
-                        raise NotPositiveDefinite(
-                            f"fractional power {q} needs a PSD matrix, min eigenvalue {lo:.3e}"
-                        )
-                if q > 0.0 and not min(lows) > 0.0:
+            if q < 0.0:
+                _require_floor(wq, True, f"negative power {q} needs eigenvalues bounded "
+                                         f"away from zero, min is {{lo:.3e}}")
+            elif q != int(q):
+                _require_floor(wq, False, f"fractional power {q} needs a PSD matrix, "
+                                          f"min eigenvalue {{lo:.3e}}")
+                if not min(wq[:, 0].tolist()) > 0.0:
                     wq = np.clip(wq, 0.0, None)     # the zero eigenvalues within the floor
                     clipped.add(q)
             with np.errstate(over="ignore"):
@@ -265,8 +273,7 @@ class Spectra:
             wi = np.clip(w[i], 0.0, None) if ps[i] in clipped else w[i]
             raise NotFinite(
                 f"power {ps[i]:g} of eigenvalues in [{wi[0]:.3e}, {wi[-1]:.3e}] overflows")
-        qs = dec.eigenvectors.reshape(-1, n, n)
-        full = symmetrize((qs * vals[:, None, :]) @ qs.swapaxes(-1, -2))
+        full = _reconstruct(dec.eigenvectors.reshape(-1, n, n), vals)
         if not trivial:
             return full.reshape(a.shape)
         solve = [q != 0.0 and q != 1.0 for q in ps]
@@ -276,11 +283,8 @@ class Spectra:
     def sqrt_factors(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A^{1/2}, A^{-1/2}); A must be SPD."""
         dec = self.decompose(a)
-        for lo, hi in _edges(dec.eigenvalues):
-            if lo <= _floor(lo, hi):
-                raise NotPositiveDefinite(
-                    f"square-root factors need an SPD matrix, min eigenvalue {lo:.3e}"
-                )
+        _require_floor(dec.eigenvalues, True,
+                       "square-root factors need an SPD matrix, min eigenvalue {lo:.3e}")
         half = dec.apply(np.sqrt)
         inv_half = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
         return half, inv_half

@@ -71,6 +71,8 @@ class MapSpec:
     @classmethod
     def pinching(cls, partition, n: int) -> "MapSpec":
         n = sampling._integer(n, "dim")
+        if n < 1:
+            raise InvalidSpec("pinching needs dimension >= 1")
         blocks = tuple(tuple(sampling._integer(i, "partition index") for i in blk)
                        for blk in partition)
         seen = [i for blk in blocks for i in blk]

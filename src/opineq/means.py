@@ -98,12 +98,10 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     lam = spectra.decompose(w).eigenvalues
     ps = linalg._per_matrix(p, w)
     if min(ps) < 0.0:
-        for q, (lo, hi) in zip(ps, linalg._edges(lam)):
-            if q < 0.0 and lo <= linalg._floor(lo, hi):
-                raise NotPositiveDefinite(
-                    f"negative weight {q} needs B positive definite relative to A, "
-                    f"inner spectrum reaches {lo:.3e}"
-                )
+        for q, row in zip(ps, lam.reshape(-1, lam.shape[-1])):
+            if q < 0.0:
+                linalg._require_floor(row, True, f"negative weight {q} needs B positive definite "
+                                      f"relative to A, inner spectrum reaches {{lo:.3e}}")
     wp = spectra.power(w, ps)
     value = linalg.symmetrize(half @ wp @ half)
     return MeanResult(value=value, p=p, inner_spectrum=(lam[..., 0][()], lam[..., -1][()]))

@@ -74,6 +74,8 @@ class SamplerConfig:
                 f"need 0 < spectrum_lo <= spectrum_hi, got "
                 f"[{self.spectrum_lo}, {self.spectrum_hi}]"
             )
+        if not np.isfinite(self.spectrum_hi):
+            raise InvalidSpec(f"spectrum_hi must be finite, got {self.spectrum_hi}")
 
 
 def _key(seed: int, index: int) -> tuple[int, int]:
@@ -223,7 +225,7 @@ class _Batch:
         for jobs in self._spectral.values():
             q = np.stack([qc.value for _, qc, _ in jobs])
             lam = np.stack([lam for lam, _, _ in jobs])
-            m = linalg.symmetrize((q * lam[:, None, :]) @ q.swapaxes(-1, -2))
+            m = linalg._reconstruct(q, lam)
             for (_, _, cell), mi in zip(jobs, m):
                 cell.value = mi
         for jobs in self._sandwich.values():

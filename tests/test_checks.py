@@ -18,6 +18,7 @@ from opineq.errors import (
     NotFinite,
     NotPositiveDefinite,
     NotSymmetric,
+    OpineqError,
     SchemaError,
     SingularDifference,
     UnknownCheck,
@@ -176,6 +177,29 @@ def test_norm_refinement_reports_window_powers_out_of_float_range(scale, p):
     a = scale * np.array([[2.0, 0.3], [0.3, 1.0]])
     with pytest.raises(NotFinite):
         checks.run_check("norm_refinement", _inst(a, 0.7 * a, p=p))
+
+
+@pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
+def test_extreme_scales_raise_or_report_finite_values(check_id):
+    # A (and B) scaled to the edges of the float range: a check either
+    # raises an OpineqError or reports a finite gap, tolerance and params;
+    # holder_mccarthy at p = -1 and scale 1e300 used to escape with
+    # OverflowError
+    info = checks.REGISTRY[check_id]
+    for p in sorted(set(info.default_p) | set(fuzz_digests.BOUNDARY_P[check_id])):
+        inst = fuzz.sample_instance(check_id, 3, 11, p, 0)
+        for scale in (1e-300, 1e-150, 1e150, 1e300):
+            scaled = dataclasses.replace(
+                inst, A=scale * inst.A, B=None if inst.B is None else scale * inst.B)
+            try:
+                rep = checks.run_check(check_id, scaled)
+            except OpineqError:
+                continue
+            values = [rep.tol_used] + [v for v in rep.params.values()
+                                       if type(v) in (int, float)]
+            if rep.gap_min_eig is not None:
+                values.append(rep.gap_min_eig)
+            assert all(math.isfinite(v) for v in values), (p, scale, rep)
 
 
 def test_lowner_heinz_tolerance_scales_with_huge_operands():

@@ -226,15 +226,41 @@ def test_eval_overflowing_sides_is_an_error(tmp_path, capsys):
                          "B": [[1.4e-200, 2.1e-201], [2.1e-201, 7e-201]], "p": 2.0}),
     ("norm_refinement", {"A": [[2e-160, 3e-161], [3e-161, 1e-160]],
                          "B": [[1.4e-160, 2.1e-161], [2.1e-161, 7e-161]], "p": 2.0}),
+    # the window coefficients m^(1-p) and m^(p-1) overflow
+    ("holder_mccarthy", {"A": [[1e-200, 0.0], [0.0, 1.0]], "p": 3}),
+    ("reverse_monotonicity", {"A": [[1.0, 0.0], [0.0, 1.0]],
+                              "B": [[2.0, 0.0], [0.0, 2.0]], "p": -1, "m": 1e-200}),
+    ("ando_converse", {"A": [[1.0, 0.0], [0.0, 1.0]],
+                       "B": [[2.0, 0.0], [0.0, 2.0]], "p": -1, "m": 1e-200}),
+    ("power_corollary", {"A": [[2.0, 0.0], [0.0, 3.0]], "p": -1, "m": 1e-200}),
+    # f(A) and the derivative bound on the window overflow
+    ("mond_pecaric", {"A": [[800.0, 0.0], [0.0, 900.0]], "B": [[1.0, 0.0], [0.0, 2.0]],
+                      "p": 0.5, "f": "exp"}),
+    ("mond_pecaric", {"A": [[1e200, 0.0], [0.0, 2e200]], "B": [[1.0, 0.0], [0.0, 2.0]],
+                      "p": 3}),
 ])
 def test_eval_overflowing_scalars_and_products_are_errors(tmp_path, capsys, check_id, inst):
-    # the chains' norm powers and the A B product overflow: one error
-    # line, exit 5, no traceback and no numpy warning
+    # norm powers, window coefficients, f(A) and the A B product overflow:
+    # one error line, exit 5, no traceback, no NaN report and no numpy warning
     path = _write(tmp_path, "inst.json", inst)
     assert cli.main(["eval", "--check", check_id, "--input", path]) == cli.EXIT_SCHEMA
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_overflow_under_a_violated_hypothesis_leaves_the_sides(tmp_path, capsys):
+    # W = diag(0.5, 2) dips below the unit floor, and m^(p-1) overflows:
+    # the sides are left unevaluated instead of raising
+    inst = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.5, 0.0], [0.0, 2.0]],
+            "p": -1, "m": 1e-200}
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", "reverse_monotonicity", "--input", path]) == \
+        cli.EXIT_HYPOTHESIS
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "HYPOTHESIS_VIOLATED"
+    assert report["hypothesis_note"].endswith("; sides not evaluated")
+    assert report["parts"] == [] and report["gap_min_eig"] is None
 
 
 def test_eval_nan_entry_is_an_error(tmp_path, capsys):

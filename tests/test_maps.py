@@ -125,6 +125,12 @@ def test_pinching_rejects_bad_partition():
         maps.MapSpec.pinching(((0, 1), (1, 2)), 3)
     with pytest.raises(InvalidSpec):
         maps.MapSpec.pinching(((0,),), 2)
+    # an empty partition covers an empty or negative dimension; it used to
+    # build a map with that in_dim
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.pinching((), 0)
+    with pytest.raises(InvalidSpec):
+        maps.MapSpec.from_json_dict({"kind": "pinching", "partition": [], "dim": -3})
 
 
 def test_mixed_unitary_rejects_bad_weights():

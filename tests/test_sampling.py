@@ -59,6 +59,11 @@ def test_config_rejects_bad_window():
         sampling.SamplerConfig(dim=2, spectrum_lo=2.0, spectrum_hi=1.0)
     with pytest.raises(InvalidSpec):
         sampling.SamplerConfig(dim=2, spectrum_lo=0.0)
+    # an infinite window used to reach numpy's uniform, which raised a bare
+    # OverflowError
+    for lo, hi in ((0.5, float("inf")), (float("inf"), float("inf"))):
+        with pytest.raises(InvalidSpec):
+            sampling.SamplerConfig(dim=2, spectrum_lo=lo, spectrum_hi=hi)
 
 
 # ----------------------------------------------------------------------
