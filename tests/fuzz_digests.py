@@ -10,10 +10,12 @@ least that reaches dim 64 for the checks with six registry exponents
 (the dim advances once per cycle through the exponents).  The
 `repro --json` output of run_all is digested the same way.
 
-Two more digests cover the command line's own output, the sha256 of the
+More digests cover the command line's own output, the sha256 of the
 bytes it writes: the witness sidecar of `opineq fuzz --check
 lowner_heinz --p 2` (seed 7, 120 trials), whose instances go through
-InstanceSpec.to_json_dict, and, for every check, the `opineq eval`
+InstanceSpec.to_json_dict; the --json and --csv files of `opineq fuzz
+--check reverse_monotonicity --dim 16,32` (seed 7, 24 trials); the file
+of `opineq repro --json`; and, for every check, the `opineq eval`
 stdout of its seed-7 fuzz instance at dim EVAL_DIM, trial 0 and the
 first registry exponent.
 
@@ -100,21 +102,47 @@ def repro_digest() -> str:
     return _sha16([result.to_json_dict() for result in repro.run_all()])
 
 
-def _cli_bytes(argv, path=None) -> str:
-    """Digest of what cli.main(argv) writes: stdout, or the file at path."""
+def _sha16_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _cli_stdout(argv) -> str:
+    """Digest of what cli.main(argv) prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(argv)
-    data = out.getvalue().encode() if path is None else pathlib.Path(path).read_bytes()
-    return hashlib.sha256(data).hexdigest()[:16]
+    return _sha16_bytes(out.getvalue().encode())
+
+
+def _cli_files(argv, *paths) -> tuple[str, ...]:
+    """Digests of the files at paths after cli.main(argv) has written them."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    return tuple(_sha16_bytes(pathlib.Path(path).read_bytes()) for path in paths)
 
 
 def witness_digest() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "lh.json")
-        return _cli_bytes(["fuzz", "--check", "lowner_heinz", "--p", "2", "--trials", "120",
+        return _cli_files(["fuzz", "--check", "lowner_heinz", "--p", "2", "--trials", "120",
                            "--seed", str(SEED), "--json", report],
-                          os.path.join(tmp, "lh.witness.json"))
+                          os.path.join(tmp, "lh.witness.json"))[0]
+
+
+def cli_fuzz_digests() -> tuple[str, str]:
+    """Digests of the --json and --csv files of a reverse_monotonicity fuzz."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report, summary = os.path.join(tmp, "rm.json"), os.path.join(tmp, "rm.csv")
+        return _cli_files(["fuzz", "--check", "reverse_monotonicity", "--dim", "16,32",
+                           "--trials", "24", "--seed", str(SEED),
+                           "--json", report, "--csv", summary],
+                          report, summary)
+
+
+def cli_repro_digest() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "repro.json")
+        return _cli_files(["repro", "--json", path], path)[0]
 
 
 def eval_digest(check_id: str) -> str:
@@ -124,7 +152,7 @@ def eval_digest(check_id: str) -> str:
         path = os.path.join(tmp, "inst.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(inst.to_json_dict(), fh)
-        return _cli_bytes(["eval", "--check", check_id, "--input", path])
+        return _cli_stdout(["eval", "--check", check_id, "--input", path])
 
 
 def table() -> str:
@@ -137,6 +165,11 @@ def table() -> str:
     lines.append(f"| `repro --json` (`run_all`) | `{repro_digest()}` |"
                  + " |" * (len(COLUMNS) - 1))
     lines.append(f"| `fuzz --check lowner_heinz --p 2` witnesses | `{witness_digest()}` |"
+                 + " |" * (len(COLUMNS) - 1))
+    json_digest, csv_digest = cli_fuzz_digests()
+    lines.append(f"| `fuzz --check reverse_monotonicity --dim 16,32` --json, --csv files "
+                 f"| `{json_digest}` | `{csv_digest}` |" + " |" * (len(COLUMNS) - 2))
+    lines.append(f"| `repro --json` file | `{cli_repro_digest()}` |"
                  + " |" * (len(COLUMNS) - 1))
     lines += ["", "| check | `eval` stdout |", "|---|---|"]
     lines += [f"| `{check_id}` | `{eval_digest(check_id)}` |"

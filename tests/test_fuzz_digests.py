@@ -2,7 +2,8 @@
 
 The digests come from `tests/fuzz_digests.py` (its docstring gives the
 recipe).  A change that moves one byte of any fuzz report, of the fuzz
-witness sidecar or of `eval` output fails here.
+witness sidecar, of the files `fuzz --json --csv` and `repro --json`
+write or of `eval` output fails here.
 The bytes depend on the numpy and BLAS/LAPACK build, so on any other
 platform the test is skipped rather than failed.
 """
@@ -40,6 +41,9 @@ DIGESTS = {
 }
 REPRO_DIGEST = "7599ba759ff7704a"
 WITNESS_DIGEST = "481e9948092e5765"
+# the --json and --csv files of fuzz_digests.cli_fuzz_digests
+CLI_FUZZ_DIGESTS = ("04ba238008b794f9", "354d4653aaf85ef6")
+CLI_REPRO_DIGEST = "61ac893add96d9f1"
 # check -> digest of `opineq eval` stdout on its fuzz_digests.eval_digest instance
 EVAL_DIGESTS = {
     "ando_converse": "58e26bcb2f890208",
@@ -86,6 +90,14 @@ def test_repro_json_digest():
 
 def test_witness_sidecar_digest():
     assert fuzz_digests.witness_digest() == WITNESS_DIGEST
+
+
+def test_cli_fuzz_file_digests():
+    assert fuzz_digests.cli_fuzz_digests() == CLI_FUZZ_DIGESTS
+
+
+def test_cli_repro_file_digest():
+    assert fuzz_digests.cli_repro_digest() == CLI_REPRO_DIGEST
 
 
 @pytest.mark.parametrize("check_id", sorted(EVAL_DIGESTS))
