@@ -298,8 +298,20 @@ _INSTANCE_KEYS = ("A", "B", "p", "map", "m", "M", "x", "f")
 _F_KINDS = ("power", "exp", "log")
 
 
+_NUMBER_TYPES = frozenset((float, int))
+
+
 def _require_numbers(key, value):
-    """SchemaError when a JSON string or boolean stands where a number belongs."""
+    """SchemaError when a JSON string or boolean stands where a number belongs.
+
+    A flat list or a list of lists of exact floats and ints passes in one
+    pass over the element types; anything else takes the recursive walk,
+    which names the first offending value."""
+    if type(value) is list and (
+            _NUMBER_TYPES.issuperset(map(type, value))
+            or all(type(row) is list and _NUMBER_TYPES.issuperset(map(type, row))
+                   for row in value)):
+        return
     if isinstance(value, list):
         for v in value:
             _require_numbers(key, v)

@@ -10,8 +10,9 @@ Four subcommands:
           unknown check, a bad --dim, --p or tolerance value, or a
           trial whose check raises)
   eval    run one check on an instance file (exit 0 HOLDS, 1 FAILS,
-          4 HYPOTHESIS_VIOLATED, 3 unreadable file, 5 malformed input or
-          a value that leaves the float range)
+          4 HYPOTHESIS_VIOLATED, 3 unreadable file, 5 malformed input,
+          including a file that is not UTF-8 or nests too deeply for
+          json.loads, or a value that leaves the float range)
   list    print the check registry
 
 Usage errors exit 2 with argparse's message: an unknown subcommand, a
@@ -19,8 +20,11 @@ missing --check or --input, a non-integer --trials or --seed, a
 non-numeric --tol and an unknown --example.
 
 The environment variable OPINEQ_TOL overrides the relative tolerance for
-fuzz and eval; an explicit --tol beats the environment.  All JSON output
-is sorted and indented so identical runs produce identical bytes.
+fuzz and eval; an explicit --tol beats the environment.  Every JSON
+document (eval stdout, fuzz --json, the witness sidecar, repro --json)
+goes through _dump_json, which reproduces json.dumps(obj, indent=2,
+sort_keys=True) + "\n" byte for byte, so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -83,8 +87,70 @@ def _parse_p(text: str | None):
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_REPR = float.__repr__
+_FLOATS = frozenset((float,))
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", byte for byte.
+
+    json's indented encoder is pure Python; this one writes a row of
+    exact floats with one join over float.__repr__ (json's own float
+    spelling) and a matrix of such rows with one comprehension."""
+    try:
+        return _json_text(obj, "\n") + "\n"
+    except RecursionError:   # a cycle or deep nesting: json's own error
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_text(obj, nl: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with
+    nl (a newline and the current indent) starting each inner line.
+
+    None, bools and ints take json's spelling.  A joined text that
+    contains "n" holds an inf or a nan; it, and every value not written
+    here (empty containers, dicts with non-string keys, other types),
+    goes to json.dumps, so json's spelling and errors stay."""
+    kind = type(obj)
+    if kind is float:
+        text = _FLOAT_REPR(obj)
+        if "n" not in text:
+            return text
+    elif kind is str:
+        return _ESCAPE(obj)
+    elif kind is dict:
+        if obj and all(type(key) is str for key in obj):
+            inner = nl + "  "
+            return ("{" + inner
+                    + ("," + inner).join([_ESCAPE(key) + ": " + _json_text(obj[key], inner)
+                                          for key in sorted(obj)])
+                    + nl + "}")
+    elif kind is list or kind is tuple:
+        if obj:
+            inner = nl + "  "
+            sep = "," + inner
+            if _FLOATS.issuperset(map(type, obj)):
+                text = "[" + inner + sep.join(map(_FLOAT_REPR, obj)) + nl + "]"
+            elif all(type(row) is list and row and _FLOATS.issuperset(map(type, row))
+                     for row in obj):
+                deeper = inner + "  "
+                row_sep = "," + deeper
+                text = ("[" + inner
+                        + sep.join(["[" + deeper + row_sep.join(map(_FLOAT_REPR, row))
+                                    + inner + "]" for row in obj])
+                        + nl + "]")
+            else:
+                return "[" + inner + sep.join([_json_text(item, inner) for item in obj]) + nl + "]"
+            if "n" not in text:
+                return text
+    elif kind is int:
+        return int.__repr__(obj)
+    elif kind is bool:
+        return "true" if obj else "false"
+    elif obj is None:
+        return "null"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _write_file(path: str, text: str) -> bool:
@@ -205,9 +271,12 @@ def cmd_eval(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not valid UTF-8: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

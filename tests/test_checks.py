@@ -888,6 +888,59 @@ def test_instance_spec_json_rejects_strings_and_booleans_for_numbers(key, value)
         checks.InstanceSpec.from_json_dict(dict(_VALID_JSON, **{key: value}))
 
 
+def _first_non_number(key, value):
+    """The message of the plain depth-first walk: its first string or boolean."""
+    if isinstance(value, list):
+        for item in value:
+            message = _first_non_number(key, item)
+            if message:
+                return message
+    elif isinstance(value, (str, bool)):
+        return f"{key}: expected a number, got {value!r}"
+    return None
+
+
+def _with(value, path, bad):
+    value = json.loads(json.dumps(value))
+    *head, last = path
+    inner = value
+    for index in head:
+        inner = inner[index]
+    inner[last] = bad
+    return value
+
+
+_TYPE_CASES = (
+    [("A", [[2.0, 0, 1.0], [0, 3.0, 0.5], [1.0, 0.5, 4]], (i, j)) for i in range(3) for j in range(3)]
+    + [("B", [[3.0, 0.0, 1], [0.0, 4.0, 0.5], [1, 0.5, 5.0]], (i, j)) for i in range(3) for j in range(3)]
+    + [("x", [0.6, 0, 0.8], (i,)) for i in range(3)]
+    + [("A", [[2.0], [0.0, 3.0], [1.0, 0.5, 4.0]], (i, i)) for i in range(3)]      # ragged
+    + [("A", [[[2.0, 0.0]], [[0.0, 3.0]]], (i, 0, j)) for i in range(2) for j in range(2)]
+    + [("A", [[2.0, 0.0], [0.0, 3.0]], (1,)), ("x", [0.6, 0.8], (0,))]  # a row replaced
+)
+
+
+@pytest.mark.parametrize("bad", [True, False, "2"])
+@pytest.mark.parametrize("key, value, path", _TYPE_CASES)
+def test_instance_spec_json_type_check_names_the_walks_first_value(key, value, path, bad):
+    value = _with(value, path, bad)
+    with pytest.raises(SchemaError) as exc:
+        checks.InstanceSpec.from_json_dict(dict(_VALID_JSON, **{key: value}))
+    assert str(exc.value) == _first_non_number(key, value)
+    # a second offender later on does not change the message
+    later = json.loads(json.dumps(value)) + [["3"]]
+    with pytest.raises(SchemaError) as exc:
+        checks._require_numbers(key, later)
+    assert str(exc.value) == _first_non_number(key, value)
+
+
+@pytest.mark.parametrize("value", [
+    [], [[]], [1, 2.0], [[1, 2.0], [3.5]], [[[1.0]], [[2, 3]]], [[1.0], 2.0], None, 1, 2.5,
+])
+def test_instance_spec_json_type_check_passes_numbers(value):
+    assert checks._require_numbers("A", value) is None
+
+
 def test_instance_spec_json_type_walk_leaves_numbers_alone():
     assert checks.InstanceSpec.from_json_dict(_VALID_JSON).f == "exp"
     # numpy values reach the constructor as before

@@ -7,9 +7,11 @@ import subprocess
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opineq import cli
+from opineq import checks, cli, fuzz, repro
 
 HOLDS_INST = {"A": [[1.0, 0.0], [0.0, 2.0]],
               "B": [[4.0, 0.0], [0.0, 9.0]], "p": 0.5}
@@ -287,6 +289,26 @@ def test_eval_invalid_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_eval_non_utf8_file_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(HOLDS_INST).encode("utf-16-le"))
+    assert cli.main(["eval", "--check", "lowner_heinz",
+                     "--input", str(path)]) == cli.EXIT_SCHEMA
+    assert "is not valid UTF-8" in capsys.readouterr().err
+
+
+# json.loads gives up near 990 brackets with a RecursionError; shallower
+# nesting reaches numpy, which allows at most 64 dimensions
+@pytest.mark.parametrize("depth", [100, 975, 990, 5000])
+def test_eval_deeply_nested_instance_is_malformed_input(depth, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"A": ' + "[" * depth + "1.0" + "]" * depth + ', "p": 1.0}',
+                    encoding="utf-8")
+    assert cli.main(["eval", "--check", "lowner_heinz",
+                     "--input", str(path)]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eval_unknown_check(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", HOLDS_INST)
     assert cli.main(["eval", "--check", "nope", "--input", path]) == \
@@ -509,3 +531,84 @@ def test_repro_rejects_unknown_example(capsys):
         cli.main(["repro", "--example", "E9"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# JSON writer
+# ----------------------------------------------------------------------
+
+def _reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _documents():
+    """Every kind of document the command line writes."""
+    for check_id, info in sorted(checks.REGISTRY.items()):
+        n_p = len(info.default_p)
+        for dims, cycles in (((2, 3, 4, 5, 6), 5), ((16, 32), 2)):
+            result = fuzz.run_fuzz(check_id, trials=n_p * cycles, dims=dims, seed=11)
+            yield [report.to_json_dict() for report in result.reports]
+    result = fuzz.run_fuzz("lowner_heinz", trials=120, p_values=(2.0,), seed=7)
+    assert result.witnesses
+    yield result.witnesses
+    yield [res.to_json_dict() for res in repro.run_all()]
+    inst = checks.InstanceSpec.from_json_dict(FAILS_INST)
+    yield checks.run_check("lowner_heinz", inst).to_json_dict()
+
+
+def test_writer_matches_json_on_every_document():
+    for doc in _documents():
+        assert cli._dump_json(doc) == _reference(doc)
+
+
+_EDGE_VALUES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-7, np.float64(0.1),
+    [1.0, float("nan")], [[1.0, 2.0], [float("inf"), 0.0]], [-0.0, 5e-324, 1e16],
+    [np.float64(1.5), 2.0], [[np.float64(1.5)], [2.0]], (1.0, 2.0), ((1.0,), (2.0,)),
+    [], {}, [[]], [[1.0], []], [[], [1.0]], {"a": []}, {"a": {}},
+    [1.0, True], [1.0, None], [1.0, 2], [[1.0, False]], [[1.0], [None]], [[1.0], [3]],
+    [[[1.0, 2.0]], [[3.0]]], True, False, None, 0, -3, 2**70,
+    "", 'say "hi"\\', "tab\tnew\nline\x00\x1f", "caf\u00e9 \u2265 \U0001d400",
+    {'k"ey\n': 1.0, "\u00e9": [1.0], "a": None, "b": {"c": (3.0, "d")}},
+    {"a": {1: [1.0, 2.0], 2: {"b": None}}}, {1.5: "x", 2.5: [1.0]}, {True: 1, False: 2}, {None: [1.0]},
+]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
+def test_writer_matches_json_on_edge_values(value):
+    assert cli._dump_json(value) == _reference(value)
+    assert cli._dump_json([value, {"v": value}]) == _reference([value, {"v": value}])
+
+
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.floats(), min_size=1)
+    | st.lists(st.lists(st.floats(), min_size=1), min_size=1),
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_LIKE)
+def test_writer_matches_json_on_json_like_values(value):
+    assert cli._dump_json(value) == _reference(value)
+
+
+def _error(fn, value):
+    with pytest.raises(Exception) as exc:
+        fn(value)
+    return type(exc.value), str(exc.value)
+
+
+def _cycle():
+    value = [1.0]
+    value.append({"loop": value})
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(1), [1.0, np.array([1.0])], {1: 1.0, "a": 2.0}, {"a": [object()]}, _cycle(),
+], ids=["np.int64", "ndarray", "mixed keys", "object", "cycle"])
+def test_writer_raises_what_json_raises(value):
+    assert _error(cli._dump_json, value) == _error(_reference, value)
