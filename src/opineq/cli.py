@@ -98,10 +98,7 @@ def _dump_json(obj) -> str:
     json's indented encoder is pure Python; this one writes a row of
     exact floats with one join over float.__repr__ (json's own float
     spelling) and a matrix of such rows with one comprehension."""
-    try:
-        return _json_text(obj, "\n") + "\n"
-    except RecursionError:   # a cycle or deep nesting: json's own error
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_text(obj, "\n") + "\n"
 
 
 def _json_text(obj, nl: str) -> str:
