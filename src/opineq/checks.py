@@ -396,7 +396,7 @@ class InstanceSpec:
             return cls(**{**data, "map": map_spec})
         except OpineqError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int past float
             raise SchemaError(f"malformed instance: {exc}") from exc
 
     def to_json_dict(self) -> dict:

@@ -137,7 +137,7 @@ class MapSpec:
                 return cls.pinching(obj["partition"], obj["dim"])
             if kind == MIXED_UNITARY:
                 return cls.mixed_unitary(obj["weights"], obj["unitaries"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"malformed map spec: {exc}") from exc
         raise InvalidSpec(f"unknown map kind {kind!r}, expected one of {KINDS}")
 

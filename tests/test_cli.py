@@ -309,6 +309,21 @@ def test_eval_deeply_nested_instance_is_malformed_input(depth, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_BIG_INT = 10 ** 400    # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("inst", [
+    {"A": [[_BIG_INT]], "p": 1.0}, {"A": [[1.0]], "p": _BIG_INT},
+    {"A": [[1.0]], "p": 1.0, "m": _BIG_INT}, {"A": [[1.0]], "p": 1.0, "x": [_BIG_INT]},
+    {"A": [[1.0]], "p": 1.0, "map": {"kind": "mixed_unitary", "weights": [_BIG_INT],
+                                     "unitaries": [[[1.0]]]}},
+], ids=["A", "p", "m", "x", "map"])
+def test_eval_integer_past_the_float_range_is_malformed_input(inst, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path]) == cli.EXIT_SCHEMA
+    assert "int too large to convert to float" in capsys.readouterr().err
+
+
 def test_eval_unknown_check(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", HOLDS_INST)
     assert cli.main(["eval", "--check", "nope", "--input", path]) == \
