@@ -396,7 +396,7 @@ class InstanceSpec:
             return cls(**{**data, "map": map_spec})
         except OpineqError:
             raise
-        except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: int past float
+        except (TypeError, ValueError, OverflowError) as exc:   # an int past the float range
             raise SchemaError(f"malformed instance: {exc}") from exc
 
     def to_json_dict(self) -> dict:

@@ -95,9 +95,8 @@ _FLOATS = frozenset((float,))
 def _dump_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) + "\\n", byte for byte.
 
-    json's indented encoder is pure Python; this one writes a row of
-    exact floats with one join over float.__repr__ (json's own float
-    spelling) and a matrix of such rows with one comprehension."""
+    json's indented encoder is pure Python; this writer costs little more
+    than float.__repr__ on every number."""
     return _json_text(obj, "\n") + "\n"
 
 
@@ -105,7 +104,8 @@ def _json_text(obj, nl: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with
     nl (a newline and the current indent) starting each inner line.
 
-    None, bools and ints take json's spelling.  A joined text that
+    A row of exact floats is one join over float.__repr__, json's float
+    spelling, and a matrix of such rows one comprehension.  A text that
     contains "n" holds an inf or a nan; it, and every value not written
     here (empty containers, dicts with non-string keys, other types),
     goes to json.dumps, so json's spelling and errors stay."""
@@ -273,7 +273,7 @@ def cmd_eval(args) -> int:
         return EXIT_SCHEMA
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
+    except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply
         print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

@@ -910,9 +910,10 @@ def _with(value, path, bad):
     return value
 
 
+_CELLS = [(i, j) for i in range(3) for j in range(3)]
 _TYPE_CASES = (
-    [("A", [[2.0, 0, 1.0], [0, 3.0, 0.5], [1.0, 0.5, 4]], (i, j)) for i in range(3) for j in range(3)]
-    + [("B", [[3.0, 0.0, 1], [0.0, 4.0, 0.5], [1, 0.5, 5.0]], (i, j)) for i in range(3) for j in range(3)]
+    [("A", [[2.0, 0, 1.0], [0, 3.0, 0.5], [1.0, 0.5, 4]], cell) for cell in _CELLS]
+    + [("B", [[3.0, 0.0, 1], [0.0, 4.0, 0.5], [1, 0.5, 5.0]], cell) for cell in _CELLS]
     + [("x", [0.6, 0, 0.8], (i,)) for i in range(3)]
     + [("A", [[2.0], [0.0, 3.0], [1.0, 0.5, 4.0]], (i, i)) for i in range(3)]      # ragged
     + [("A", [[[2.0, 0.0]], [[0.0, 3.0]]], (i, 0, j)) for i in range(2) for j in range(2)]

@@ -585,7 +585,8 @@ _EDGE_VALUES = [
     [[[1.0, 2.0]], [[3.0]]], True, False, None, 0, -3, 2**70,
     "", 'say "hi"\\', "tab\tnew\nline\x00\x1f", "caf\u00e9 \u2265 \U0001d400",
     {'k"ey\n': 1.0, "\u00e9": [1.0], "a": None, "b": {"c": (3.0, "d")}},
-    {"a": {1: [1.0, 2.0], 2: {"b": None}}}, {1.5: "x", 2.5: [1.0]}, {True: 1, False: 2}, {None: [1.0]},
+    {"a": {1: [1.0, 2.0], 2: {"b": None}}}, {1.5: "x", 2.5: [1.0]}, {True: 1, False: 2},
+    {None: [1.0]},
 ]
 
 
