@@ -15,6 +15,11 @@ then what the body computes (windows, positivity, traces).  The body
 returns its parts and params, and _check hands them to _finish with the
 one linalg.Spectra it gave the body.
 
+A rule that several checks share has one helper: _windowed is the
+paper's windowed correction (m^{p-1} - M^{p-1}) Phi(B - A) and
+_window_holds where it applies, _require_pd the exact positive-definite
+gate, _order an order hypothesis X <= Y with its note, _pair a needed B.
+
 Each check has one implementation, which takes a group of instances of
 one dimension and returns their reports in order (CheckInfo.group).  Its
 matrix work runs on stacks with one matrix per instance, and every
@@ -433,19 +438,19 @@ class CheckInfo:
     group: Callable[[list, float], list]
     description: str
     default_p: tuple[float, ...]
-    needs_b: bool = True
 
 
 REGISTRY: dict[str, CheckInfo] = {}
 
 
-def _check(check_id: str, description: str, default_p, needs_b: bool = True):
+def _check(check_id: str, description: str, default_p):
     """Register the decorated body(insts, sp, tol_rel) as a check.
 
     Its group gives the body a fresh linalg.Spectra sp and passes what the
     body returns, (part_specs, params) or (part_specs, params,
     hypotheses_ok, note), to _finish under check_id; the decorated name
-    becomes its runner, the group of one.
+    becomes its runner, the group of one, which validates tol_rel
+    (_require_tol) where the group trusts it.
 
     The group is every check's one exit for values that leave the float
     range.  It runs the body and _finish with numpy overflow raising, and
@@ -463,11 +468,11 @@ def _check(check_id: str, description: str, default_p, needs_b: bool = True):
                 raise NotFinite(f"{check_id}: a value leaves the float range ({exc})") from exc
 
         def runner(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
-            return group([inst], tol_rel)[0]
+            return group([inst], _require_tol(tol_rel))[0]
         runner.__name__ = runner.__qualname__ = body.__name__
         runner.__doc__ = body.__doc__
         REGISTRY[check_id] = CheckInfo(check_id, runner, group, description,
-                                       tuple(default_p), needs_b)
+                                       tuple(default_p))
         return runner
     return register
 
@@ -633,36 +638,72 @@ def _guarded(build, hyp_ok, note):
         return [], [note[0] + "; sides not evaluated"]
 
 
+def _require_pd(lam, message: str) -> np.ndarray:
+    """lam, the ascending spectra of a stack, once every smallest
+    eigenvalue is above zero exactly; otherwise NotPositiveDefinite(message)."""
+    if min(lam[:, 0].tolist()) <= 0.0:
+        raise NotPositiveDefinite(message)
+    return lam
+
+
+def _order(sp, lo, hi, tol_rel, names):
+    """(hyp_ok, note), lists over the group, for the hypothesis lo <= hi
+    in the Loewner order; names = (name of lo, name of hi) for the note."""
+    order = sp.compare(lo, hi, tol_rel)
+    return [o.is_le for o in order], [
+        "" if o.is_le else (f"{names[0]} is not below {names[1]} "
+                            f"(min eig of {names[1]} - {names[0]} is {o.gap_min_eig:.6g})")
+        for o in order]
+
+
 def _norm_dominance(sp, a, b, tol_rel):
     """(||A||, ||B||, hyp_ok, note), lists over the group, for ||A|| I <= B;
     NotPositiveDefinite unless A >= 0."""
     lam_a, lam_b = _eigvals(sp, a, b)
     na = _norm(_require_psd(lam_a, "A"))
-    nb = _norm(lam_b)
-    dominance = sp.compare(_col(na) * np.eye(a.shape[-1]), b, tol_rel)
-    return na, nb, [d.is_le for d in dominance], [
-        "" if d.is_le else (f"||A|| I is not below B "
-                            f"(min eig of B - ||A|| I is {d.gap_min_eig:.6g})")
-        for d in dominance]
+    return (na, _norm(lam_b),
+            *_order(sp, _col(na) * np.eye(a.shape[-1]), b, tol_rel, ("||A|| I", "B")))
 
 
-def _converse_parts(sp, part_specs, prefix, rows, ps, ms, Ms, inner, outer, diff):
-    """Append the parts of the three-branch additive converse and return
-    each instance's term norm: with term = p (m^{p-1} - M^{p-1}) diff,
-    outer <= inner + term on [0, 1], the reverse on [-1, 0], and
-    inner <= outer - term for p >= 1.
+def _window_holds(rows, lam_lo, params) -> list:
+    """The positions in rows of the instances whose windowed term applies:
+    lam_lo[i], the floor of W = A^{-1/2} B A^{-1/2}, is 1 or more and m is 1 or less."""
+    return [j for j, i in enumerate(rows)
+            if lam_lo[i] >= 1.0 - HYP_TOL and params[i]["m"] <= 1.0 + _P_EPS]
+
+
+def _windowed(sp, params, rows, diff, key, factor):
+    """(term, term_rev) for the instances of rows, from their params' p, m
+    and M: term = c (m^{p-1} - M^{p-1}) diff, term_rev = c (M^{p-1} -
+    m^{p-1}) diff, c = p if factor else 1.  Records the norm of term,
+    which term_rev shares bit for bit, as params[i][key].  A nonpositive
+    m, from a singular or indefinite W, raises NotPositiveDefinite."""
+    ps, ms, Ms = ([params[i][k] for i in rows] for k in ("p", "m", "M"))
+    if min(ms) <= 0.0:
+        raise NotPositiveDefinite(f"m={min(ms):.6g} cannot be raised to p - 1")
+    powers = [(p if factor else 1.0, m ** (p - 1.0), M ** (p - 1.0))
+              for p, m, M in zip(ps, ms, Ms)]
+    term = _col([c * (lo - hi) for c, lo, hi in powers]) * diff
+    term_rev = _col([c * (hi - lo) for c, lo, hi in powers]) * diff
+    for i, value in zip(rows, sp.norm_op(term).tolist()):
+        params[i][key] = value
+    return term, term_rev
+
+
+def _converse_parts(sp, part_specs, prefix, params, rows, inner, outer, diff):
+    """Append the parts of the three-branch additive converse, with
+    term = p (m^{p-1} - M^{p-1}) diff (_windowed): outer <= inner + term
+    on [0, 1], the reverse on [-1, 0], and inner <= outer - term for
+    p >= 1.
     """
-    term = _col([p * (m ** (p - 1.0) - M ** (p - 1.0)) for p, m, M in zip(ps, ms, Ms)]) * diff
-    term_rev = _col([p * (M ** (p - 1.0) - m ** (p - 1.0))
-                     for p, m, M in zip(ps, ms, Ms)]) * diff
+    term, term_rev = _windowed(sp, params, rows, diff, "additive_term_norm", True)
+    ps = [params[i]["p"] for i in rows]
     _branch(part_specs, f"{prefix}_upper", outer, inner + term, rows,
             [0.0 <= p <= 1.0 for p in ps])
     _branch(part_specs, f"{prefix}_lower", inner + term, outer, rows,
             [-1.0 <= p <= 0.0 for p in ps])
     _branch(part_specs, f"{prefix}_upper_reversed", inner, outer + term_rev, rows,
             [1.0 <= p for p in ps])
-    le = np.array([p <= 1.0 for p in ps])[:, None, None]
-    return sp.norm_op(np.where(le, term, term_rev)).tolist()
 
 
 @functools.cache
@@ -737,26 +778,17 @@ def check_reverse_monotonicity(insts, sp, tol_rel):
     params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
               for p, m, M, phi in zip(ps, ms, Ms, phis)]
 
-    def sides():  # m <= 0 only when W is singular or indefinite: hyp_ok is False
-        for m in ms:
-            if m <= 0.0:
-                raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
+    def sides():
         t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
         part_specs = []
         for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
             q = [ps[i] for i in rows]
             t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
-            term = _col([ms[i] ** (ps[i] - 1.0) - Ms[i] ** (ps[i] - 1.0)
-                         for i in rows]) * phi_diff
-            term_rev = _col([Ms[i] ** (ps[i] - 1.0) - ms[i] ** (ps[i] - 1.0)
-                             for i in rows]) * phi_diff
-            le = [p <= 1.0 for p in q]
-            _branch(part_specs, "additive_upper", t_out, mapped + term, rows, le)
+            term, term_rev = _windowed(sp, params, rows, phi_diff, "additive_term_norm", False)
+            _branch(part_specs, "additive_upper", t_out, mapped + term, rows,
+                    [p <= 1.0 for p in q])
             _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
                     [p >= 1.0 for p in q])
-            norms = sp.norm_op(np.where(np.array(le)[:, None, None], term, term_rev)).tolist()
-            for i, value in zip(rows, norms):
-                params[i]["additive_term_norm"] = value
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
     return part_specs, params, hyp_ok, note
@@ -782,20 +814,13 @@ def check_ando_converse(insts, sp, tol_rel):
     params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
               for p, m, M, phi in zip(ps, ms, Ms, phis)]
 
-    def sides():  # m <= 0 only when W is singular or indefinite: hyp_ok is False
-        for m in ms:
-            if m <= 0.0:
-                raise NotPositiveDefinite(f"m={m:.6g} cannot be raised to p - 1")
+    def sides():
         mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
         part_specs = []
         for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, mean_in, b - a):
-            q = [ps[i] for i in rows]
-            mean_out = means.weighted_mean(pa, pb, q, spectra=sp).value
-            norms = _converse_parts(sp, part_specs, "mean_additive", rows, q,
-                                    [ms[i] for i in rows], [Ms[i] for i in rows],
-                                    mapped, mean_out, phi_diff)
-            for i, value in zip(rows, norms):
-                params[i]["additive_term_norm"] = value
+            mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
+            _converse_parts(sp, part_specs, "mean_additive", params, rows,
+                            mapped, mean_out, phi_diff)
         return part_specs
     part_specs, note = _guarded(sides, hyp_ok, note)
     return part_specs, params, hyp_ok, note
@@ -860,8 +885,8 @@ def check_furuta_bounds(insts, sp, tol_rel):
     ps = _exponents(insts, "furuta_bounds", "(0, 1]")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     lam_a, lam_b = _eigvals(sp, a, b)
-    if min(lam_a[:, 0].tolist() + lam_b[:, 0].tolist()) <= 0.0:
-        raise NotPositiveDefinite("furuta_bounds needs positive definite matrices")
+    for lam in (lam_a, lam_b):
+        _require_pd(lam, "furuta_bounds needs positive definite matrices")
     params = []
     for p, phi, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, phis, linalg._edges(lam_a),
                                                    linalg._edges(lam_b)):
@@ -876,7 +901,7 @@ def check_furuta_bounds(insts, sp, tol_rel):
             "windowed_term_norm": None,
         })
     t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
-    groups = []
+    lam_w = _inner_spectrum(sp, a, b)[:, 0].tolist()
     part_specs = []
     for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
         q = [ps[i] for i in rows]
@@ -889,19 +914,11 @@ def check_furuta_bounds(insts, sp, tol_rel):
         for i, kn, fn in zip(rows, sp.norm_op(k_term).tolist(), sp.norm_op(f_term).tolist()):
             params[i]["kantorovich_term_norm"] = kn
             params[i]["linear_term_norm"] = fn
-        groups.append((rows, mapped, t_out, phi_diff))
-    lam_w = _inner_spectrum(sp, a, b)[:, 0].tolist()
-    for rows, mapped, t_out, phi_diff in groups:
-        keep = [lam_w[i] >= 1.0 - HYP_TOL and params[i]["m"] <= 1.0 + _P_EPS for i in rows]
-        if not any(keep):
-            continue
-        k = np.asarray(keep)
-        rows = [i for i, t in zip(rows, keep) if t]
-        s_term = _col([params[i]["m"] ** (ps[i] - 1.0) - params[i]["M"] ** (ps[i] - 1.0)
-                       for i in rows]) * phi_diff[k]
-        part_specs.append(("windowed_upper", t_out[k], mapped[k] + s_term, rows))
-        for i, value in zip(rows, sp.norm_op(s_term).tolist()):
-            params[i]["windowed_term_norm"] = value
+        keep = _window_holds(rows, lam_w, params)
+        if keep:
+            rows = [rows[j] for j in keep]
+            s_term = _windowed(sp, params, rows, phi_diff[keep], "windowed_term_norm", False)[0]
+            part_specs.append(("windowed_upper", t_out[keep], mapped[keep] + s_term, rows))
     return part_specs, params
 
 
@@ -921,15 +938,15 @@ def check_seo_bound(insts, sp, tol_rel):
     ps = _exponents(insts, "seo_bound", "(0, 1)")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     lam = _inner_spectrum(sp, a, b)
-    params, windowed = [], []
+    params = []
     for inst, p, phi, (lo, hi) in zip(insts, ps, phis, linalg._edges(lam)):
         m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
         params.append({"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
                        "seo_C": constants.seo_C(m, M, p), "seo_term_norm": None,
                        "windowed_term_norm": None})
-        windowed.append(lo >= 1.0 - HYP_TOL and m <= 1.0 + _P_EPS)
+    lam_w = lam[:, 0].tolist()
     mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
-    extra = (b - a,) if any(windowed) else ()
+    extra = (b - a,) if _window_holds(range(len(ps)), lam_w, params) else ()
     part_specs = []
     for rows, (pa, pb, mapped, *phi_diff) in _images(phis, a, b, mean_in, *extra):
         mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
@@ -937,15 +954,10 @@ def check_seo_bound(insts, sp, tol_rel):
         part_specs.append(("seo_upper", mean_out, mapped + seo_term, rows))
         for i, value in zip(rows, sp.norm_op(seo_term).tolist()):
             params[i]["seo_term_norm"] = value
-        keep = [windowed[i] for i in rows]
-        if any(keep):
-            k = np.asarray(keep)
-            rows = [i for i, t in zip(rows, keep) if t]
-            w_term = _col([ps[i] * (params[i]["m"] ** (ps[i] - 1.0)
-                                    - params[i]["M"] ** (ps[i] - 1.0))
-                           for i in rows]) * phi_diff[0][k]
-            for i, value in zip(rows, sp.norm_op(w_term).tolist()):
-                params[i]["windowed_term_norm"] = value
+        keep = _window_holds(rows, lam_w, params)
+        if keep:
+            _windowed(sp, params, [rows[j] for j in keep], phi_diff[0][keep],
+                      "windowed_term_norm", True)
     return part_specs, params
 
 
@@ -969,17 +981,15 @@ def check_lowner_heinz(insts, sp, tol_rel):
     lam_a, lam_b = _eigvals(sp, a, b)
     _require_psd(lam_a, "A")
     _require_psd(lam_b, "B")
-    order = sp.compare(a, b, tol_rel)
-    note = ["" if o.is_le else f"A is not below B (min eig of B - A is {o.gap_min_eig:.6g})"
-            for o in order]
+    hyp_ok, note = _order(sp, a, b, tol_rel, ("A", "B"))
     part_specs = [("power_monotone", *_powers(sp, ps, a, b), list(range(len(ps))))]
     params = [{"p": p, "m": None, "M": None, "map": None,
                "p_in_monotone_range": bool(0.0 <= p <= 1.0)} for p in ps]
-    return part_specs, params, [o.is_le for o in order], note
+    return part_specs, params, hyp_ok, note
 
 
 @_check("norm_power_lemma", "tangent-line bound for A^p at the operator norm of A",
-        (1.0 / 3.0, 2.0, -1.0), needs_b=False)
+        (1.0 / 3.0, 2.0, -1.0))
 def check_norm_power_lemma(insts, sp, tol_rel):
     """Tangent-line bound for matrix powers at the operator norm.
 
@@ -1138,9 +1148,7 @@ def check_mond_pecaric(insts, sp, tol_rel):
     """
     a, b = _pair(insts)
     ps = _exponents(insts, "mond_pecaric", "(-inf, inf)")
-    lam_b = sp.eigvals(b)
-    if min(lam_b[:, 0].tolist()) <= 0.0:
-        raise NotPositiveDefinite("mond_pecaric needs positive definite B")
+    lam_b = _require_pd(sp.eigvals(b), "mond_pecaric needs positive definite B")
     dec_a = sp.decompose(a)
     lam_a = dec_a.eigenvalues
     n = a.shape[-1]
@@ -1148,10 +1156,7 @@ def check_mond_pecaric(insts, sp, tol_rel):
     windows = [_resolve_outer_window(min(b_lo, a_lo), max(a_hi, b_hi), inst.m, inst.M)
                for inst, (a_lo, a_hi), (b_lo, b_hi)
                in zip(insts, linalg._edges(lam_a), linalg._edges(lam_b))]
-    order = sp.compare(b, a, tol_rel)
-    hyp_ok = [o.is_le for o in order]
-    note = ["" if o.is_le else f"B is not below A (min eig of A - B is {o.gap_min_eig:.6g})"
-            for o in order]
+    hyp_ok, note = _order(sp, b, a, tol_rel, ("B", "A"))
     qb = []
     for i, x in enumerate(xs):
         qb.append(float(x @ b[i] @ x))
@@ -1173,9 +1178,7 @@ def check_mond_pecaric(insts, sp, tol_rel):
                             lambda t, p=p: p * np.power(t, p - 1.0)))
             else:
                 fns.append(_SCALAR_FUNCTIONS[inst.f])
-            if lo <= 0.0 and inst.f != "power":
-                raise NotPositiveDefinite("mond_pecaric needs positive definite A")
-            if lo <= 0.0 and inst.f == "power" and (p < 0.0 or p != round(p)):
+            if lo <= 0.0 and (inst.f != "power" or p < 0.0 or p != round(p)):
                 raise NotPositiveDefinite("mond_pecaric needs positive definite A")
         bounds = [(float(min(dfn(m), dfn(M))), float(max(dfn(m), dfn(M))))
                   for (_, dfn), (m, M) in zip(fns, windows)]
@@ -1198,7 +1201,7 @@ def check_mond_pecaric(insts, sp, tol_rel):
 
 @_check("holder_mccarthy",
         "power expectation inequality and its two-sided reverse on a window",
-        (0.5, 2.0, -1.0), needs_b=False)
+        (0.5, 2.0, -1.0))
 def check_holder_mccarthy(insts, sp, tol_rel):
     """Power expectation inequality and its two-sided reverse.
 
@@ -1213,9 +1216,7 @@ def check_holder_mccarthy(insts, sp, tol_rel):
     """
     a = _symmetric(insts)
     ps = _exponents(insts, "holder_mccarthy", "(-inf, inf)", zero=True)
-    lam = sp.eigvals(a)
-    if min(lam[:, 0].tolist()) <= 0.0:
-        raise NotPositiveDefinite("holder_mccarthy needs a positive definite matrix")
+    lam = _require_pd(sp.eigvals(a), "holder_mccarthy needs a positive definite matrix")
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
     windows = [_resolve_outer_window(lo, hi, inst.m, inst.M)
@@ -1280,7 +1281,7 @@ def _refined_chain(part_specs, names, rows, lo, mid, hi, ps):
 
 
 @_check("norm_chain", "refined links between operator, Frobenius and trace norms",
-        (-1.0, 0.5, 3.0), needs_b=False)
+        (-1.0, 0.5, 3.0))
 def check_norm_chain(insts, sp, tol_rel):
     """Refined links between operator, Frobenius and trace norms.
 
@@ -1306,7 +1307,7 @@ def check_norm_chain(insts, sp, tol_rel):
 
 
 @_check("radius_chain", "refined links between spectral radius, numerical radius and norm",
-        (0.5, 2.0, -1.0), needs_b=False)
+        (0.5, 2.0, -1.0))
 def check_radius_chain(insts, sp, tol_rel):
     """Refined links between spectral radius, numerical radius and norm.
 
@@ -1380,13 +1381,11 @@ def check_norm_refinement(insts, sp, tol_rel):
     a, b = _pair(insts)
     ps = _exponents(insts, "norm_refinement", "(0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
-    windows = []
-    for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, linalg._edges(lam_a),
-                                               linalg._edges(lam_b)):
-        if min(a_lo, b_lo) <= 0.0:
-            raise NotPositiveDefinite("norm_refinement needs positive definite matrices")
-        windows.append(_resolve_outer_window(min(a_lo, b_lo), max(a_hi, b_hi),
-                                             inst.m, inst.M))
+    for lam in (lam_a, lam_b):
+        _require_pd(lam, "norm_refinement needs positive definite matrices")
+    windows = [_resolve_outer_window(min(a_lo, b_lo), max(a_hi, b_hi), inst.m, inst.M)
+               for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, linalg._edges(lam_a),
+                                                          linalg._edges(lam_b))]
     nab = sp.norm_op(a @ b).tolist()
     napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
     below, above = [], []    # (lower, mid, upper) of the p <= 1 and p >= 1 branches
@@ -1413,7 +1412,7 @@ def check_norm_refinement(insts, sp, tol_rel):
 
 
 @_check("power_corollary", "windowed bounds between Phi(A)^p and Phi(A^p)",
-        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), needs_b=False)
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
 def check_power_corollary(insts, sp, tol_rel):
     """Power-function corollary of the windowed entropy bounds.
 
@@ -1427,20 +1426,14 @@ def check_power_corollary(insts, sp, tol_rel):
     a = _symmetric(insts)
     ps = _exponents(insts, "power_corollary", "[-1, 2]")
     phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    lam = sp.eigvals(a)
-    if min(lam[:, 0].tolist()) <= 0.0:
-        raise NotPositiveDefinite("power_corollary needs a positive definite matrix")
+    lam = _require_pd(sp.eigvals(a), "power_corollary needs a positive definite matrix")
     ms, Ms, hyp_ok, note = _unit_windows(insts, lam)
     params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
               for p, m, M, phi in zip(ps, ms, Ms, phis)]
     part_specs = []
     for rows, (pa, phi_pow) in _images(phis, a, sp.power(a, ps)):
-        q = [ps[i] for i in rows]
-        norms = _converse_parts(sp, part_specs, "image_power", rows, q,
-                                [ms[i] for i in rows], [Ms[i] for i in rows],
-                                phi_pow, sp.power(pa, q), pa - np.eye(pa.shape[-1]))
-        for i, value in zip(rows, norms):
-            params[i]["additive_term_norm"] = value
+        _converse_parts(sp, part_specs, "image_power", params, rows, phi_pow,
+                        sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
     return part_specs, params, hyp_ok, note
 
 
@@ -1464,4 +1457,4 @@ def resolve_check(check_id: str) -> CheckInfo:
 def run_check(check_id: str, inst: InstanceSpec, *,
               tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
     """Dispatch an instance to the named check."""
-    return resolve_check(check_id).runner(inst, tol_rel=_require_tol(tol_rel))
+    return resolve_check(check_id).runner(inst, tol_rel=tol_rel)

@@ -310,7 +310,8 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
              stop_on_fail: bool = False) -> FuzzResult:
     """Run one check against `trials` sampled instances.
 
-    Trial t uses p = p_values[t mod len(p_values)] and cycles dims with
+    Trial t uses p = p_values[t mod len(p_values)] (the check's default_p
+    when p_values is None; an empty list raises InvalidSpec) and cycles dims with
     period len(p_values) * len(dims); reports come back ordered by t and
     carry seed/trial/dim in their params.  Every FAILS yields a witness
     holding the instance that failed.  Each chunk of trials is checked in
@@ -327,9 +328,11 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
         raise InvalidSpec("need at least one dimension")
     tol_rel = checks._require_tol(tol_rel)
     dims = tuple(sampling._integer(d, "dim") for d in dims)
-    if p_values is None or not len(p_values):
-        p_values = info.default_p
-    p_values = tuple(float(p) for p in p_values)
+    if isinstance(p_values, str):
+        raise InvalidSpec(f"p_values must be a sequence of numbers, got {p_values!r}")
+    p_values = info.default_p if p_values is None else tuple(float(p) for p in p_values)
+    if not p_values:
+        raise InvalidSpec("need at least one exponent")
     sampler = FUZZ_SAMPLERS[check_id]
     start = time.perf_counter()
 

@@ -22,7 +22,9 @@ Inside a check (spectra= given) A and B may be stacks of instances,
 (g, n, n), each with its own p: the decompositions, powers and products
 run stacked, through linalg.Spectra, and give every instance the bits it
 gets alone.  W is formed in one place, _inner_operator, for the means,
-the entropy and the checks' inner spectra.
+the entropy and the checks' inner spectra.  Negative exponents are gated
+in one place too, Spectra.power, which needs W's eigenvalues bounded
+away from zero for them.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     """A natural_p B by functional calculus on W = A^{-1/2} B A^{-1/2}.
 
     A must be SPD.  B must be positive semidefinite for p >= 0 and
-    strictly positive definite for p < 0 (otherwise W^p blows up).
+    strictly positive definite for p < 0 (otherwise W^p blows up):
+    Spectra.power gates a negative p, raising NotPositiveDefinite when
+    W's eigenvalues are not bounded away from zero.
 
     Without `spectra` the operands are validated.  A check passes the
     linalg.Spectra of its call instead: then A and B are trusted, as the
@@ -96,13 +100,7 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
         spectra = linalg.Spectra()
     half, w = _inner_operator(a, b, spectra)
     lam = spectra.decompose(w).eigenvalues
-    ps = linalg._per_matrix(p, w)
-    if min(ps) < 0.0:
-        for q, row in zip(ps, lam.reshape(-1, lam.shape[-1])):
-            if q < 0.0:
-                linalg._require_floor(row, True, f"negative weight {q} needs B positive definite "
-                                      f"relative to A, inner spectrum reaches {{lo:.3e}}")
-    wp = spectra.power(w, ps)
+    wp = spectra.power(w, linalg._per_matrix(p, w))
     value = linalg.symmetrize(half @ wp @ half)
     return MeanResult(value=value, p=p, inner_spectrum=(lam[..., 0][()], lam[..., -1][()]))
 

@@ -63,13 +63,31 @@ def test_run_check_unknown_id():
         checks.run_check("triangle_inequality", _inst(np.eye(2), p=1.0))
 
 
-def test_needs_b_enforced():
-    for check_id, info in checks.REGISTRY.items():
-        if not info.needs_b:
-            continue
-        p = info.default_p[0]
-        with pytest.raises(InvalidSpec):
-            checks.run_check(check_id, _inst(np.eye(2) * 1.5, p=p))
+def _sampled(check_id):
+    """The check's first fuzz instance at dim 3, at its first default p."""
+    return fuzz.sample_instance(check_id, 3, 5, checks.REGISTRY[check_id].default_p[0], 0)
+
+
+def _draws_b(check_id) -> bool:
+    """Whether the check takes a B, read from whether its sampler draws one."""
+    return _sampled(check_id).B is not None
+
+
+def test_b_is_required_exactly_where_the_sampler_draws_one():
+    for check_id in checks.REGISTRY:
+        inst = _sampled(check_id)
+        if _draws_b(check_id):
+            with pytest.raises(InvalidSpec, match="needs a second matrix B"):
+                checks.run_check(check_id, dataclasses.replace(inst, B=None))
+        else:
+            assert checks.run_check(check_id, inst).verdict == checks.HOLDS
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("check_id", list(checks.REGISTRY))
+def test_every_runner_validates_the_tolerance(check_id, tol):
+    with pytest.raises(InvalidSpec, match="tolerance must be finite and nonnegative"):
+        checks.REGISTRY[check_id].runner(_sampled(check_id), tol_rel=tol)
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +417,7 @@ _READS_WINDOW = {"reverse_monotonicity", "ando_converse", "density_trace", "seo_
 
 def _precedence_cases():
     """(check_id, operand made nonsymmetric, what else is wrong) per symmetric check."""
-    for check_id, info in checks.REGISTRY.items():
+    for check_id in checks.REGISTRY:
         if check_id in ("norm_chain", "radius_chain"):
             continue
         domain, zero = _EXPONENT_DOMAINS[check_id]
@@ -408,7 +426,7 @@ def _precedence_cases():
             extras.append("p")
         if check_id in _READS_WINDOW:
             extras.append("window")
-        for operand in ("A", "B") if info.needs_b else ("A",):
+        for operand in ("A", "B") if _draws_b(check_id) else ("A",):
             for extra in extras:
                 yield check_id, operand, extra
 

@@ -509,6 +509,13 @@ def test_fuzz_rejects_bad_tolerance(tol, capsys):
     assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--p", "--dim"])
+def test_fuzz_empty_list_spec_is_an_error(flag, capsys):
+    assert cli.main(["fuzz", "--check", "lowner_heinz", "--trials", "4",
+                     flag, ","]) == cli.EXIT_SCHEMA
+    assert "need at least one" in capsys.readouterr().err
+
+
 def test_fuzz_dim_list_spec(capsys):
     assert cli.main(["fuzz", "--check", "power_norm", "--trials", "4",
                      "--dim", "2,4"]) == cli.EXIT_OK

@@ -42,6 +42,19 @@ def test_run_fuzz_rejects_bad_tolerance(tol):
         fuzz.run_fuzz("lowner_heinz", trials=4, p_values=(2.0,), tol_rel=tol)
 
 
+@pytest.mark.parametrize("p_values", [(), [], "0.5"])
+def test_run_fuzz_rejects_empty_or_string_exponents(p_values):
+    with pytest.raises(InvalidSpec):
+        fuzz.run_fuzz("lowner_heinz", trials=4, p_values=p_values)
+
+
+def test_run_fuzz_without_exponents_runs_the_defaults():
+    result = fuzz.run_fuzz("lowner_heinz", trials=6, p_values=None)
+    info = checks.REGISTRY["lowner_heinz"]
+    assert [r.params["p"] for r in result.reports] == [
+        info.default_p[t % len(info.default_p)] for t in range(6)]
+
+
 def test_rerun_is_deterministic():
     a = fuzz.run_fuzz("info_monotonicity", trials=24, seed=3)
     b = fuzz.run_fuzz("info_monotonicity", trials=24, seed=3)

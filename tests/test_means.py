@@ -82,6 +82,11 @@ def test_weighted_mean_inner_spectrum_reported():
 def test_weighted_mean_negative_weight_needs_pd():
     with pytest.raises(NotPositiveDefinite):
         means.weighted_mean(np.eye(2), np.diag([1.0, 0.0]), -0.5)
+    # stacked: only the second instance, at p = -0.5, has a singular W
+    a = np.stack([np.eye(2), np.eye(2)])
+    b = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+    with pytest.raises(NotPositiveDefinite, match="-0.5"):
+        means.weighted_mean(a, b, [0.5, -0.5], spectra=linalg.Spectra())
 
 
 @settings(max_examples=40, deadline=None)
