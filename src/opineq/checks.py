@@ -1438,8 +1438,12 @@ def check_power_corollary(insts, sp, tol_rel):
 
 
 def _require_tol(tol_rel) -> float:
-    """tol_rel as a float; InvalidSpec unless it is finite and nonnegative."""
-    tol = float(tol_rel)
+    """tol_rel as a float; InvalidSpec unless it is a finite, nonnegative
+    number or a string that float() reads as one."""
+    try:
+        tol = float(tol_rel)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpec(f"tolerance must be a number, got {tol_rel!r}") from None
     if not np.isfinite(tol) or tol < 0.0:
         raise InvalidSpec(f"tolerance must be finite and nonnegative, got {tol}")
     return tol

@@ -24,7 +24,10 @@ fuzz and eval; an explicit --tol beats the environment.  Every JSON
 document (eval stdout, fuzz --json, the witness sidecar, repro --json)
 goes through _dump_json, which reproduces json.dumps(obj, indent=2,
 sort_keys=True) + "\n" byte for byte, so identical runs produce
-identical bytes.
+identical bytes.  It spells each float with float.__repr__, as json
+does, and spells the entries of a mirrored matrix once: a square list
+of at least 8 rows of exact floats that equals its transpose and holds
+no zero, such as most Loewner sides a report carries.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _resolve_tol(explicit, default: float) -> float:
         return checks._require_tol(explicit)
     env = os.environ.get("OPINEQ_TOL")
     if env is not None and env.strip():
-        return checks._require_tol(float(env))
+        return checks._require_tol(env)
     return default
 
 
@@ -105,10 +108,11 @@ def _json_text(obj, nl: str) -> str:
     nl (a newline and the current indent) starting each inner line.
 
     A row of exact floats is one join over float.__repr__, json's float
-    spelling, and a matrix of such rows one comprehension.  A text that
-    contains "n" holds an inf or a nan; it, and every value not written
-    here (empty containers, dicts with non-string keys, other types),
-    goes to json.dumps, so json's spelling and errors stay."""
+    spelling, and a matrix of such rows one comprehension, which spells
+    a mirrored entry once (see _float_reprs).  A text that contains "n"
+    holds an inf or a nan; it, and every value not written here (empty
+    containers, dicts with non-string keys, other types), goes to
+    json.dumps, so json's spelling and errors stay."""
     kind = type(obj)
     if kind is float:
         text = _FLOAT_REPR(obj)
@@ -134,8 +138,8 @@ def _json_text(obj, nl: str) -> str:
                 deeper = inner + "  "
                 row_sep = "," + deeper
                 text = ("[" + inner
-                        + sep.join(["[" + deeper + row_sep.join(map(_FLOAT_REPR, row))
-                                    + inner + "]" for row in obj])
+                        + sep.join(["[" + deeper + row_sep.join(row) + inner + "]"
+                                    for row in _float_reprs(obj)])
                         + nl + "]")
             else:
                 return "[" + inner + sep.join([_json_text(item, inner) for item in obj]) + nl + "]"
@@ -148,6 +152,29 @@ def _json_text(obj, nl: str) -> str:
     elif obj is None:
         return "null"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
+# the fewest rows of a matrix that is mirrored: at 4 rows the transpose
+# costs more than the conversions it saves, at 5 to 7 it saves a few
+# microseconds, from 8 on a fifth or more
+_MIRROR_ROWS = 8
+
+
+def _float_reprs(rows) -> list:
+    """The float.__repr__ strings of a list of rows of exact floats, row
+    by row.  A square matrix of at least _MIRROR_ROWS rows that equals its
+    transpose and holds no zero (-0.0 == 0.0, but the two are spelled
+    differently) is mirrored: only its entries on and above the diagonal
+    are converted, and a zip transpose of those rows, padded on the left,
+    copies them below it."""
+    if (len(rows) < _MIRROR_ROWS or [*zip(*rows)] != [*map(tuple, rows)]
+            or any(0.0 in row for row in rows)):
+        return [map(_FLOAT_REPR, row) for row in rows]
+    pad = [""] * len(rows)
+    upper = [pad[:i] + list(map(_FLOAT_REPR, row[i:])) for i, row in enumerate(rows)]
+    for i, column in enumerate(list(zip(*upper))):
+        upper[i][:i] = column[:i]
+    return upper
 
 
 def _write_file(path: str, text: str) -> bool:
@@ -259,7 +286,7 @@ def cmd_fuzz(args) -> int:
 def cmd_eval(args) -> int:
     try:
         tol = _resolve_tol(args.tol, linalg.DEFAULT_TOL_REL)
-    except (ValueError, OpineqError) as exc:
+    except OpineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

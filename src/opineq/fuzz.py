@@ -10,8 +10,13 @@ isolation and the full run is reproducible byte for byte.
 A sampler takes a seed and a plan, a list of (trial, dim, p), and returns
 the plan's instances in order.  It draws every trial's numbers first and
 then runs the plan's linear algebra stacked (sampling._Batch); a trial's
-instance is the same bits whatever plan it is part of.  run_fuzz samples
-its schedule in plans of _CHUNK trials; sample_instance is a plan of one.
+instance is the same bits whatever plan it is part of.  sample_instance
+is a plan of one.  run_fuzz samples its schedule in chunks sized by the
+run's largest dim: 64 trials at MAX_DIM, proportionally more at smaller
+dims, at most 512.  With stop_on_fail the chunks start at 64 trials and
+double up to that size, so a FAILS among the first 64 trials stops the
+run after 64 trials, and a later one after at most twice the trials
+that chunks of 64 would check.
 
 Each chunk is then checked in groups, one per dim: the check runs its
 matrix work stacked over the group (see checks.CheckInfo.group), and a
@@ -46,9 +51,14 @@ _S_B = 1 << 50
 _S_MAP = 1 << 48
 _S_AUX = 1 << 49
 
-# trials run_fuzz samples per batch; at MAX_DIM a chunk's matrices take
-# about 10 MB
-_CHUNK = 64
+# trials per chunk at MAX_DIM, where their matrices take about 10 MB; a
+# chunk at a smaller dim holds as many trials as fit in the same memory,
+# up to _CHUNK_CAP, as each trial's Python objects cost memory too (a
+# 3,000-trial run at dims 2-6 took about a third less time in chunks of
+# 512 than in chunks of 64, for 2 MB more peak RSS; in one chunk, a
+# further quarter less for another 11 MB)
+_CHUNK_AT_MAX_DIM = 64
+_CHUNK_CAP = 512
 
 
 def _window(rng) -> tuple[float, float]:
@@ -281,6 +291,23 @@ class FuzzResult:
         return self.counts.get(checks.FAILS, 0)
 
 
+def _chunk_size(dims) -> int:
+    """Trials per chunk for a run at these dims; at least one, so that a
+    dim outside [1, MAX_DIM] gets as far as the sampler's InvalidSpec."""
+    largest = max(1, *dims)
+    return max(1, min(_CHUNK_CAP, _CHUNK_AT_MAX_DIM * sampling.MAX_DIM ** 2 // largest ** 2))
+
+
+def _chunks(trials: int, size: int, stop_on_fail: bool):
+    """(start, stop) of each chunk of a run's trials: chunks of `size`
+    trials, or with stop_on_fail of _CHUNK_AT_MAX_DIM trials doubling up
+    to `size`; the last chunk may be shorter."""
+    start, n = 0, min(_CHUNK_AT_MAX_DIM, size) if stop_on_fail else size
+    while start < trials:
+        yield start, min(start + n, trials)
+        start, n = start + n, min(2 * n, size)
+
+
 def _outcomes(info, plan, instances, tol_rel) -> list:
     """Each planned trial's report, or the exception its check raised, in
     plan order; the trials of one dim run through the check as one group."""
@@ -314,23 +341,37 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     when p_values is None; an empty list raises InvalidSpec) and cycles dims with
     period len(p_values) * len(dims); reports come back ordered by t and
     carry seed/trial/dim in their params.  Every FAILS yields a witness
-    holding the instance that failed.  Each chunk of trials is checked in
-    groups, one per dim, before its outcomes are read in trial order:
-    the first trial whose check raised re-raises that exception, unless
-    stop_on_fail has ended the run at an earlier FAILS.  The outcomes
-    after that FAILS, in its chunk, are computed and dropped.
+    holding the instance that failed.
+
+    The trials are checked in chunks of a size set by the largest dim:
+    64 trials at MAX_DIM, proportionally more at smaller dims, at most
+    512 (a default 1,000-trial run at dims 2-6 takes two chunks).  With
+    stop_on_fail the chunks start at 64 trials and double up to that
+    size.  Each chunk is checked in groups, one per dim, before its
+    outcomes are read in trial order: the first trial whose check raised
+    re-raises that exception, unless stop_on_fail has ended the run at
+    an earlier FAILS.  The outcomes after that FAILS, in its chunk, are
+    computed and dropped: fewer than 64 when it falls among the first 64
+    trials, as with chunks of 64, and fewer than its chunk's size after
+    that, so the run checks at most twice the trials chunks of 64 would.
     """
     info = checks.resolve_check(check_id)
     trials, seed = sampling._integer(trials, "trials"), sampling._integer(seed, "seed")
     if trials < 0:
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
+    tol_rel = checks._require_tol(tol_rel)
+    try:
+        dims = tuple(sampling._integer(d, "dim") for d in dims)
+    except TypeError:
+        raise InvalidSpec(f"dims must be a sequence of integers, got {dims!r}") from None
     if not dims:
         raise InvalidSpec("need at least one dimension")
-    tol_rel = checks._require_tol(tol_rel)
-    dims = tuple(sampling._integer(d, "dim") for d in dims)
-    if isinstance(p_values, str):
-        raise InvalidSpec(f"p_values must be a sequence of numbers, got {p_values!r}")
-    p_values = info.default_p if p_values is None else tuple(float(p) for p in p_values)
+    try:
+        if isinstance(p_values, str):   # a sequence of characters
+            raise TypeError(p_values)
+        p_values = info.default_p if p_values is None else tuple(float(p) for p in p_values)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpec(f"p_values must be a sequence of numbers, got {p_values!r}") from None
     if not p_values:
         raise InvalidSpec("need at least one exponent")
     sampler = FUZZ_SAMPLERS[check_id]
@@ -340,8 +381,8 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     reports: list[checks.CheckReport] = []
     witnesses = []
     plans = ([(t, dims[(t // len(p_values)) % len(dims)], p_values[t % len(p_values)])
-              for t in range(c, min(c + _CHUNK, trials))]
-             for c in range(0, trials, _CHUNK))
+              for t in range(lo, hi)]
+             for lo, hi in _chunks(trials, _chunk_size(dims), stop_on_fail))
     chunks = ((plan, sampler(seed, plan)) for plan in plans)
     checked = (row for plan, instances in chunks
                for row in zip(plan, instances, _outcomes(info, plan, instances, tol_rel)))

@@ -90,6 +90,20 @@ def test_every_runner_validates_the_tolerance(check_id, tol):
         checks.REGISTRY[check_id].runner(_sampled(check_id), tol_rel=tol)
 
 
+@pytest.mark.parametrize("tol", ["abc", None, [1e-9], 10**400],
+                         ids=["'abc'", "None", "[1e-09]", "10**400"])
+def test_run_check_rejects_a_tolerance_that_is_not_a_number(tol):
+    # these used to escape as a bare ValueError, TypeError or OverflowError
+    with pytest.raises(InvalidSpec, match="tolerance must be a number"):
+        checks.run_check("lowner_heinz", _sampled("lowner_heinz"), tol_rel=tol)
+
+
+def test_run_check_reads_a_numeric_string_tolerance():
+    inst = _sampled("lowner_heinz")
+    assert checks.run_check("lowner_heinz", inst, tol_rel="1e-9").to_json_dict() == \
+        checks.run_check("lowner_heinz", inst, tol_rel=1e-9).to_json_dict()
+
+
 # ----------------------------------------------------------------------
 # hand-computable diagonal oracles
 # ----------------------------------------------------------------------

@@ -597,16 +597,55 @@ _EDGE_VALUES = [
 ]
 
 
+def _symmetric(n, entries=()):
+    """An n x n symmetric list of floats, then changed at entries, pairs
+    ((i, j), value)."""
+    m = np.random.default_rng(n).standard_normal((n, n))
+    rows = (m + m.T).tolist()
+    for (i, j), value in entries:
+        rows[i][j] = value
+    return rows
+
+
+_NAN, _INF = float("nan"), float("inf")
+# matrices around the writer's mirroring of square symmetric ones
+_EDGE_VALUES += [pytest.param(value, id=name) for name, value in [
+    ("symmetric 7x7", _symmetric(7)),
+    ("symmetric 8x8", _symmetric(8)),
+    ("symmetric 12x12", _symmetric(12)),
+    ("-0.0 above 0.0 below", _symmetric(8, [((1, 2), -0.0), ((2, 1), 0.0)])),
+    ("0.0 above -0.0 below", _symmetric(8, [((1, 2), 0.0), ((2, 1), -0.0)])),
+    ("-0.0 on the diagonal", _symmetric(8, [((3, 3), -0.0)])),
+    ("one nan mirrored", _symmetric(8, [((0, 3), _NAN), ((3, 0), _NAN)])),
+    ("two nans mirrored", _symmetric(8, [((0, 3), float("nan")), ((3, 0), float("nan"))])),
+    ("one inf mirrored", _symmetric(8, [((4, 6), _INF), ((6, 4), _INF)])),
+    ("two infs mirrored", _symmetric(8, [((4, 6), float("inf")), ((6, 4), float("inf"))])),
+    ("one ulp off symmetric",
+     _symmetric(8, [((2, 5), float(np.nextafter(_symmetric(8)[5][2], np.inf)))])),
+    ("8 rows of 9", [row + [1.0] for row in _symmetric(8)]),
+    ("9 rows of 8", _symmetric(8) + [[1.0] * 8]),
+    ("ragged", _symmetric(8)[:7] + [[1.0] * 7]),
+]]
+
+
 @pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
 def test_writer_matches_json_on_edge_values(value):
     assert cli._dump_json(value) == _reference(value)
     assert cli._dump_json([value, {"v": value}]) == _reference([value, {"v": value}])
 
 
+def _mirror(upper):
+    """The symmetric matrix with these rows on and above its diagonal."""
+    n = len(upper)
+    return [[upper[min(i, j)][abs(j - i)] for j in range(n)] for i in range(n)]
+
+
+_SYMMETRIC = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    *[st.lists(st.floats(), min_size=n - i, max_size=n - i) for i in range(n)])).map(_mirror)
 _JSON_LIKE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
     | st.lists(st.floats(), min_size=1)
-    | st.lists(st.lists(st.floats(), min_size=1), min_size=1),
+    | st.lists(st.lists(st.floats(), min_size=1), min_size=1) | _SYMMETRIC,
     lambda inner: (st.lists(inner) | st.tuples(inner, inner)
                    | st.dictionaries(st.text(), inner)),
     max_leaves=30)

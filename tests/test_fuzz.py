@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import checks, fuzz
+from opineq import checks, fuzz, sampling
 from opineq.errors import InvalidSpec, NotPositiveDefinite, UnknownCheck
 
 
@@ -46,6 +46,26 @@ def test_run_fuzz_rejects_bad_tolerance(tol):
 def test_run_fuzz_rejects_empty_or_string_exponents(p_values):
     with pytest.raises(InvalidSpec):
         fuzz.run_fuzz("lowner_heinz", trials=4, p_values=p_values)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p_values": ["a"]}, {"p_values": [None]}, {"p_values": 0.5},
+    pytest.param({"p_values": [10**400]}, id="{'p_values': [10**400]}"),
+    {"dims": 5}, {"tol_rel": "abc"}, {"tol_rel": None},
+    {"dims": None}, {"dims": (0,)}, {"dims": (-3,)}, {"dims": (65,)}, {"dims": (10**6,)},
+], ids=repr)
+def test_run_fuzz_rejects_non_numbers_and_out_of_range_dims(kwargs):
+    # the first seven used to escape as a bare ValueError, TypeError or
+    # OverflowError; the dims outside [1, MAX_DIM] must not size a chunk
+    # of no trials, which would never end, or divide by zero
+    with pytest.raises(InvalidSpec):
+        fuzz.run_fuzz("lowner_heinz", **{"trials": 4, **kwargs})
+
+
+def test_run_fuzz_reads_numeric_strings():
+    got = fuzz.run_fuzz("lowner_heinz", trials=4, p_values=("0.5",), tol_rel="1e-9")
+    want = fuzz.run_fuzz("lowner_heinz", trials=4, p_values=(0.5,), tol_rel=1e-9)
+    assert _dump(got) == _dump(want)
 
 
 def test_run_fuzz_without_exponents_runs_the_defaults():
@@ -183,8 +203,27 @@ def test_zero_trials_is_a_valid_empty_run():
 # chunked sampling never shows in the output
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("dims, trials", [((2, 3, 4, 5, 6), 2 * fuzz._CHUNK + 5),
-                                          ((16, 64), fuzz._CHUNK + 3)])
+def _recording(monkeypatch, check_id, seen, canned=None):
+    """Make the check append each group it is handed to seen; its
+    reports are canned ones carrying the instance, when canned is given."""
+    info = checks.REGISTRY[check_id]
+
+    def group(insts, tol_rel):
+        assert len({inst.A.shape for inst in insts}) == 1
+        seen.append(list(insts))
+        if canned is None:
+            return info.group(insts, tol_rel)
+        return [dataclasses.replace(canned, params={"instance": inst.to_json_dict()})
+                for inst in insts]
+
+    monkeypatch.setitem(checks.REGISTRY, check_id, dataclasses.replace(info, group=group))
+
+
+# chunks shrunk to 16 trials at MAX_DIM and at most 64, which makes them 64
+# trials at dims 2-6 and 16 at dims (16, 64): the runs below cross two and
+# four chunk boundaries in few trials, with stop_on_fail three and four
+@pytest.mark.parametrize("dims, trials", [((2, 3, 4, 5, 6), 2 * 64 + 5),
+                                          ((16, 64), 4 * 16 + 3)])
 @pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
 def test_run_fuzz_checks_the_instances_sample_instance_builds(monkeypatch, check_id,
                                                               dims, trials):
@@ -192,33 +231,60 @@ def test_run_fuzz_checks_the_instances_sample_instance_builds(monkeypatch, check
     # compare each trial's with the trial sampled on its own; the check
     # itself is replaced by a canned report, which carries the instance it
     # was given, to keep the large dims cheap
+    monkeypatch.setattr(fuzz, "_CHUNK_AT_MAX_DIM", 16)
+    monkeypatch.setattr(fuzz, "_CHUNK_CAP", 64)
+    assert trials > 2 * fuzz._chunk_size(dims)
     info = checks.REGISTRY[check_id]
     seed = 11
     canned = info.runner(fuzz.sample_instance(check_id, 2, seed, info.default_p[0], 0),
                          tol_rel=fuzz.FUZZ_TOL_REL)
     seen = []
-
-    def record(insts, tol_rel):
-        assert len({inst.A.shape for inst in insts}) == 1
-        seen.extend(insts)
-        return [dataclasses.replace(canned, params={"instance": inst.to_json_dict()})
-                for inst in insts]
-
-    monkeypatch.setitem(checks.REGISTRY, check_id,
-                        dataclasses.replace(info, group=record))
-    result = fuzz.run_fuzz(check_id, trials=trials, dims=dims, seed=seed)
-    assert len(seen) == result.trials == trials
+    _recording(monkeypatch, check_id, seen, canned)
     ps = info.default_p
-    for trial, report in enumerate(result.reports):
-        dim = dims[(trial // len(ps)) % len(dims)]
-        alone = fuzz.sample_instance(check_id, dim, seed, ps[trial % len(ps)], trial)
-        assert report.params["instance"] == alone.to_json_dict()
+    for stop_on_fail in (False, True):
+        seen.clear()
+        result = fuzz.run_fuzz(check_id, trials=trials, dims=dims, seed=seed,
+                               stop_on_fail=stop_on_fail)
+        assert sum(map(len, seen)) == result.trials == trials
+        for trial, report in enumerate(result.reports):
+            dim = dims[(trial // len(ps)) % len(dims)]
+            alone = fuzz.sample_instance(check_id, dim, seed, ps[trial % len(ps)], trial)
+            assert report.params["instance"] == alone.to_json_dict()
+
+
+def test_a_chunk_at_max_dim_is_64_trials(monkeypatch):
+    # trials alternate dims 2 and MAX_DIM: the first chunk holds 64 trials,
+    # two groups of 32, and the second the last trial alone
+    seen = []
+    _recording(monkeypatch, "norm_chain", seen,
+               checks.run_check("norm_chain", fuzz.sample_instance("norm_chain", 2, 0, 1.0, 0)))
+    fuzz.run_fuzz("norm_chain", trials=65, dims=(2, sampling.MAX_DIM), p_values=(1.0,))
+    assert [len(group) for group in seen] == [32, 32, 1]
+    assert fuzz._chunk_size((sampling.MAX_DIM,)) == 64
+    assert fuzz._chunk_size((16, 32)) == 256
+    assert fuzz._chunk_size((2, 3, 4, 5, 6)) == 512
+
+
+@pytest.mark.parametrize("seed, p, first, checked", [(8, 2.0, 7, 64), (3, 1.5, 74, 192),
+                                                     (1, 1.5, 343, 448)])
+def test_stop_on_fail_checks_up_to_the_end_of_the_first_failing_chunk(
+        monkeypatch, seed, p, first, checked):
+    # at dims 2-6 a stop_on_fail run's chunks hold 64, 128, 256 and then
+    # 512 trials, so they end after trials 63, 191, 447 and 959; chunks of
+    # 64 would have checked 64, 128 and 384 trials
+    seen = []
+    _recording(monkeypatch, "lowner_heinz", seen)
+    result = fuzz.run_fuzz("lowner_heinz", trials=2000, seed=seed, p_values=(p,),
+                           stop_on_fail=True)
+    assert result.trials == first + 1 and result.reports[-1].verdict == checks.FAILS
+    assert sum(map(len, seen)) == checked
 
 
 @pytest.mark.parametrize("seed, p", [(8, 2.0), (3, 1.5)])
 def test_stop_on_fail_run_is_a_prefix_of_the_full_run(seed, p):
-    # seed 8 first fails at trial 7, inside the first chunk; seed 3 at
-    # trial 74, in the second, and fails again at 102 in the same chunk
+    # seed 8 first fails at trial 7, inside the first chunk of 64 trials;
+    # seed 3 at trial 74, in the second, of 128 trials, and fails again at
+    # 102 in the same chunk
     full = fuzz.run_fuzz("lowner_heinz", trials=200, seed=seed, p_values=(p,))
     stopped = fuzz.run_fuzz("lowner_heinz", trials=200, seed=seed, p_values=(p,),
                             stop_on_fail=True)
@@ -261,8 +327,8 @@ def test_the_first_exception_in_trial_order_is_raised(monkeypatch):
 
 
 def test_stop_on_fail_before_an_error_returns(monkeypatch):
-    # seed 8 at p = 2 first fails at trial 7; trial 9, in the same chunk,
-    # raises, which the run reaches only without stop_on_fail
+    # seed 8 at p = 2 first fails at trial 7; trial 9, in the same chunk
+    # of 64 trials, raises, which the run reaches only without stop_on_fail
     _failing_group(monkeypatch, "lowner_heinz", {9: "nine"})
     stopped = fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,),
                             stop_on_fail=True)
