@@ -153,48 +153,26 @@ class CheckReport:
     parts: tuple[CheckPart, ...]
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values.  _finish made each one exact (Python
+        floats and bools, 2-d float64 sides); params is copied one level deep."""
         return {
             "check_id": self.check_id,
-            "hypotheses_ok": bool(self.hypotheses_ok),
+            "hypotheses_ok": self.hypotheses_ok,
             "hypothesis_note": self.hypothesis_note,
             "lhs": _matrix_to_json(self.lhs),
             "rhs": _matrix_to_json(self.rhs),
-            "gap_min_eig": None if self.gap_min_eig is None else float(self.gap_min_eig),
+            "gap_min_eig": self.gap_min_eig,
             "verdict": self.verdict,
-            "tol_used": float(self.tol_used),
-            "params": _json_sanitize(self.params),
-            "parts": [
-                {"name": part.name, "gap_min_eig": float(part.gap_min_eig)}
-                for part in self.parts
-            ],
+            "tol_used": self.tol_used,
+            # a params bool is written as 1/0 until ROADMAP item 8's re-record
+            "params": {k: int(v) if type(v) is bool else v for k, v in self.params.items()},
+            "parts": [{"name": part.name, "gap_min_eig": part.gap_min_eig}
+                      for part in self.parts],
         }
 
 
 def _matrix_to_json(m):
-    return None if m is None else np.atleast_2d(np.asarray(m, dtype=float)).tolist()
-
-
-_JSON_PLAIN = (float, int, str, type(None))
-
-
-def _json_sanitize(value):
-    # exact types only: a bool takes the int branch below and is written as
-    # 1 or 0, kept on purpose so that report bytes do not move
-    if type(value) in _JSON_PLAIN:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _json_sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_sanitize(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _json_sanitize(value.tolist())
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value
+    return None if m is None else m.tolist()
 
 
 def _concat(stacks) -> np.ndarray:
@@ -303,27 +281,6 @@ _INSTANCE_KEYS = ("A", "B", "p", "map", "m", "M", "x", "f")
 _F_KINDS = ("power", "exp", "log")
 
 
-_NUMBER_TYPES = frozenset((float, int))
-
-
-def _require_numbers(key, value):
-    """SchemaError when a JSON string or boolean stands where a number belongs.
-
-    A flat list or a list of lists of exact floats and ints passes in one
-    pass over the element types; anything else takes the recursive walk,
-    which names the first offending value."""
-    if type(value) is list and (
-            _NUMBER_TYPES.issuperset(map(type, value))
-            or all(type(row) is list and _NUMBER_TYPES.issuperset(map(type, row))
-                   for row in value)):
-        return
-    if isinstance(value, list):
-        for v in value:
-            _require_numbers(key, v)
-    elif isinstance(value, (str, bool)):
-        raise SchemaError(f"{key}: expected a number, got {value!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class InstanceSpec:
     """One problem instance: the matrices, the exponent and the options.
@@ -382,6 +339,7 @@ class InstanceSpec:
 
     @classmethod
     def from_json_dict(cls, data) -> "InstanceSpec":
+        """Type-check a JSON object, its map included, then build the instance."""
         if not isinstance(data, dict):
             raise SchemaError("instance must be a JSON object")
         unknown = sorted(set(data) - set(_INSTANCE_KEYS))
@@ -391,7 +349,7 @@ class InstanceSpec:
             if key not in data:
                 raise SchemaError(f"instance is missing the required key {key!r}")
         for key in ("A", "B", "x", "p", "m", "M"):
-            _require_numbers(key, data.get(key))
+            maps._require_numbers(key, data.get(key))
         if not isinstance(data.get("f", ""), str):
             raise SchemaError(f"f must be a string, got {data['f']!r}")
         map_spec = data.get("map")
@@ -405,17 +363,19 @@ class InstanceSpec:
             raise SchemaError(f"malformed instance: {exc}") from exc
 
     def to_json_dict(self) -> dict:
-        out = {"A": _matrix_to_json(self.A), "p": float(self.p)}
+        """The instance as JSON values; __post_init__ already made each
+        one exact, so the arrays are written with one tolist() each."""
+        out = {"A": self.A.tolist(), "p": self.p}
         if self.B is not None:
-            out["B"] = _matrix_to_json(self.B)
+            out["B"] = self.B.tolist()
         if self.map is not None:
             out["map"] = self.map.to_json_dict()
         if self.m is not None:
-            out["m"] = float(self.m)
+            out["m"] = self.m
         if self.M is not None:
-            out["M"] = float(self.M)
+            out["M"] = self.M
         if self.x is not None:
-            out["x"] = np.asarray(self.x, dtype=float).tolist()
+            out["x"] = self.x.tolist()
         if self.f != "power":
             out["f"] = self.f
         return out

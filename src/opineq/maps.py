@@ -34,6 +34,26 @@ KINDS = (NORMALIZED_TRACE, COMPRESSION, PINCHING, MIXED_UNITARY)
 
 _ORTHO_TOL = 1e-10
 
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _require_numbers(key, value):
+    """SchemaError when a JSON string or boolean stands where a number belongs.
+
+    A flat list or a list of lists of exact floats and ints passes in one
+    pass over the element types; anything else takes the recursive walk,
+    which names the first offending value."""
+    if type(value) is list and (
+            _NUMBER_TYPES.issuperset(map(type, value))
+            or all(type(row) is list and _NUMBER_TYPES.issuperset(map(type, row))
+                   for row in value)):
+        return
+    if isinstance(value, list):
+        for v in value:
+            _require_numbers(key, v)
+    elif isinstance(value, (str, bool)):
+        raise SchemaError(f"{key}: expected a number, got {value!r}")
+
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -125,8 +145,14 @@ class MapSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MapSpec":
+        """Rebuild a map from its JSON object.  Every field but kind is
+        type-checked like an instance's A, so a string or boolean where
+        a number belongs raises SchemaError naming the field."""
         if not isinstance(obj, dict):
             raise SchemaError("map must be a JSON object")
+        for key, value in obj.items():
+            if key != "kind":
+                _require_numbers(key, value)
         kind = obj.get("kind")
         try:
             if kind == NORMALIZED_TRACE:

@@ -68,14 +68,7 @@ class ReproItem:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "computed": float(self.computed),
-            "expected": float(self.expected),
-            "tol": float(self.tol),
-            "mode": self.mode,
-            "passed": bool(self.passed),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,11 +78,9 @@ class ReproResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "passed": bool(self.passed),
-            "items": [item.to_json_dict() for item in self.items],
-        }
+        """The result as JSON values: _item made every field exact, and
+        the items tuple is written as an array."""
+        return dataclasses.asdict(self)
 
 
 def _item(quantity, computed, expected, tol, mode) -> ReproItem:

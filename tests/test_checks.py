@@ -10,7 +10,7 @@ import pytest
 
 import fuzz_digests
 import scalar_oracle
-from opineq import checks, fuzz, maps, sampling
+from opineq import checks, cli, fuzz, maps, repro, sampling
 from opineq.errors import (
     DomainError,
     InvalidSpec,
@@ -963,7 +963,7 @@ def test_instance_spec_json_type_check_names_the_walks_first_value(key, value, p
     # a second offender later on does not change the message
     later = json.loads(json.dumps(value)) + [["3"]]
     with pytest.raises(SchemaError) as exc:
-        checks._require_numbers(key, later)
+        maps._require_numbers(key, later)
     assert str(exc.value) == _first_non_number(key, value)
 
 
@@ -971,7 +971,7 @@ def test_instance_spec_json_type_check_names_the_walks_first_value(key, value, p
     [], [[]], [1, 2.0], [[1, 2.0], [3.5]], [[[1.0]], [[2, 3]]], [[1.0], 2.0], None, 1, 2.5,
 ])
 def test_instance_spec_json_type_check_passes_numbers(value):
-    assert checks._require_numbers("A", value) is None
+    assert maps._require_numbers("A", value) is None
 
 
 def test_instance_spec_json_type_walk_leaves_numbers_alone():
@@ -1005,16 +1005,60 @@ def test_check_report_json_is_serializable():
         "windowed_upper", "kantorovich_upper", "linear_upper"}
 
 
-def test_report_json_conversion_keeps_the_bytes_of_every_value_kind():
-    params = {"f": 0.1, "i": 3, "s": "x", "n": None, "b": True, "nf": np.float64(0.1),
-              "ni": np.int64(3), "nb": np.bool_(False), "seq": (1, [2.5, np.float32(0.5)]),
-              "arr": np.array([[1.0, 2.0]]), 3: "k"}
-    # a Python bool is an int, so it is written as 1 (see CHANGES.md)
-    assert json.dumps(checks._json_sanitize(params), sort_keys=True) == (
-        '{"3": "k", "arr": [[1.0, 2.0]], "b": 1, "f": 0.1, "i": 3, "n": null, '
-        '"nb": false, "nf": 0.1, "ni": 3, "s": "x", "seq": [1, [2.5, 0.5]]}')
-    assert checks._matrix_to_json(np.float32(0.1)) == [[float(np.float32(0.1))]]
-    assert json.dumps(checks._matrix_to_json(np.array([1, 2]))) == "[[1.0, 2.0]]"
+_PLAIN = (str, int, float, type(None))
+
+
+def _exact(value, leaves=_PLAIN + (bool,)) -> bool:
+    """True when value holds only values of the leaves types, which JSON
+    writes as they are, in lists, tuples and string-keyed dicts."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return all(_exact(v, leaves) for v in value)
+    if kind is dict:
+        return all(type(key) is str and _exact(v, leaves) for key, v in value.items())
+    return kind in leaves
+
+
+def _traffic_reports():
+    """Every check's fuzz reports at dims 2-6 and 16, then every check on
+    an instance with m/M overrides, x and f."""
+    for check_id in checks.REGISTRY:
+        for dims, trials in (((2, 3, 4, 5, 6), 40), ((16,), 4)):
+            yield from fuzz.run_fuzz(check_id, trials=trials, dims=dims, seed=2).reports
+    x = np.ones(3) / np.sqrt(3.0)
+    for check_id, info in checks.REGISTRY.items():
+        inst = fuzz.sample_instance(check_id, 3, 5, info.default_p[0], 0)
+        yield checks.run_check(check_id, dataclasses.replace(
+            inst, m=1e-3, M=64, x=x, f="exp" if check_id == "mond_pecaric" else "power"))
+
+
+def test_json_documents_are_built_from_exact_values():
+    # to_json_dict converts nothing but a bool at the top of params, so
+    # what the checks and repro hand it must already be exact
+    kinds = set()
+    for report in _traffic_reports():
+        params = dict(report.params)
+        if report.check_id == "lowner_heinz":
+            assert type(params.pop("p_in_monotone_range")) is bool
+        assert _exact(params, _PLAIN), (report.check_id, params)
+        for side in (report.lhs, report.rhs):
+            assert side is None or (type(side) is np.ndarray and side.ndim == 2
+                                    and side.dtype == np.float64)
+        assert type(report.hypotheses_ok) is bool and type(report.tol_used) is float
+        assert type(report.gap_min_eig) in (float, type(None))
+        assert all(type(part.gap_min_eig) is float for part in report.parts)
+        if isinstance(params.get("map"), dict):
+            kinds.add(params["map"]["kind"])
+    assert kinds == set(maps.KINDS)
+    assert all(_exact(result.to_json_dict()) for result in repro.run_all())
+
+
+def test_report_json_writes_the_params_bool_as_an_int():
+    rep = checks.run_check("lowner_heinz", _inst(A_REF, A_REF + np.eye(2), p=0.5))
+    assert rep.params["p_in_monotone_range"] is True
+    data = rep.to_json_dict()
+    assert type(data["params"]["p_in_monotone_range"]) is int
+    assert '"p_in_monotone_range": 1\n' in cli._dump_json(data)
     assert checks._matrix_to_json(None) is None
 
 

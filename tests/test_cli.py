@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opineq import checks, cli, fuzz, repro
+from test_maps import NON_NUMBER_MAPS
 
 HOLDS_INST = {"A": [[1.0, 0.0], [0.0, 2.0]],
               "B": [[4.0, 0.0], [0.0, 9.0]], "p": 0.5}
@@ -406,6 +407,14 @@ def test_eval_rejects_malformed_map(bad_map, tmp_path, capsys):
     assert cli.main(["eval", "--check", "info_monotonicity", "--input", path]) == \
         cli.EXIT_SCHEMA
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, bad, bad_map", NON_NUMBER_MAPS)
+def test_eval_rejects_strings_and_booleans_in_a_map(key, bad, bad_map, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", dict(HOLDS_INST, map=bad_map))
+    assert cli.main(["eval", "--check", "info_monotonicity", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {key}: expected a number, got {bad!r}\n"
 
 
 def test_eval_info_monotonicity_rejects_nonsymmetric_a_at_p1(tmp_path, capsys):

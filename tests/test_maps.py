@@ -150,7 +150,7 @@ def test_mixed_unitary_rejects_a_0d_unitary():
 
 @pytest.mark.parametrize("obj", [
     {"kind": "normalized_trace", "dim": 2.9},
-    {"kind": "normalized_trace", "dim": "2"},
+    {"kind": "normalized_trace", "dim": -0.5},
     {"kind": "normalized_trace", "dim": float("inf")},
     {"kind": "pinching", "dim": 2.5, "partition": [[0], [1]]},
     {"kind": "pinching", "dim": 2, "partition": [[0.7], [1.2]]},
@@ -160,6 +160,31 @@ def test_from_json_rejects_non_integral_values(obj):
     # truncating them would evaluate a different map than the one written
     with pytest.raises(InvalidSpec):
         maps.MapSpec.from_json_dict(obj)
+
+
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+# (field, offending value, map): each used to be read as the number 1 or 0
+NON_NUMBER_MAPS = [
+    ("weights", "1", {"kind": "mixed_unitary", "weights": ["1"], "unitaries": [_I2]}),
+    ("weights", True, {"kind": "mixed_unitary", "weights": [True], "unitaries": [_I2]}),
+    ("unitaries", "1", {"kind": "mixed_unitary", "weights": [1.0],
+                        "unitaries": [[["1", 0.0], [0.0, 1.0]]]}),
+    ("unitaries", True, {"kind": "mixed_unitary", "weights": [1.0],
+                         "unitaries": [[[True, 0.0], [0.0, 1.0]]]}),
+    ("isometry", "1", {"kind": "compression", "isometry": [["1"], ["0"]]}),
+    ("isometry", True, {"kind": "compression", "isometry": [[True], [False]]}),
+    ("dim", True, {"kind": "normalized_trace", "dim": True}),
+    ("partition", True, {"kind": "pinching", "dim": 2, "partition": [[0], [True]]}),
+]
+
+
+# a string dim was rejected before too, as a non-integral InvalidSpec
+@pytest.mark.parametrize("key, bad, obj", NON_NUMBER_MAPS + [
+    ("dim", "2", {"kind": "normalized_trace", "dim": "2"})])
+def test_from_json_rejects_strings_and_booleans_for_numbers(key, bad, obj):
+    with pytest.raises(SchemaError) as exc:
+        maps.MapSpec.from_json_dict(obj)
+    assert str(exc.value) == f"{key}: expected a number, got {bad!r}"
 
 
 def test_from_json_accepts_integral_floats():
