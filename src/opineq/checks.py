@@ -7,18 +7,23 @@ raises because an inequality fails; it raises only when the input is
 malformed (wrong shapes, exponents outside the supported range, matrices
 that are not positive where positivity is required).
 
-A check has one entry and one exit.  Its body first stacks the operands
-(_pair, _symmetric or _stack) and reads the exponents (_exponents), and
-only then computes, so a bad input raises for the first of: a missing
-B, a nonsymmetric A, a nonsymmetric B, p outside the domain, p = 0, and
-then what the body computes (windows, positivity, traces).  The body
-returns its parts and params, and _check hands them to _finish with the
-one linalg.Spectra it gave the body.
+A check has one entry and one exit, both in _check.  Each check declares
+there its operands (_pair, _symmetric or _square), its exponent domain,
+whether p = 0 is excluded and whether it takes a map; the entry
+validates them, so a bad input raises for the first of: a missing B, a
+nonsymmetric A, a nonsymmetric B, p outside the domain, p = 0, the map,
+and then what the body computes (windows, positivity, traces).  The
+body gets the stacked operands, the exponents, the maps and each
+report's base params, and returns its parts; a check with hypotheses
+returns them as a function, which the entry runs under the one guard
+for sides that a violated hypothesis leaves undefined.  _finish builds
+the reports with the one linalg.Spectra the body ran on.
 
 A rule that several checks share has one helper: _windowed is the
 paper's windowed correction (m^{p-1} - M^{p-1}) Phi(B - A) and
-_window_holds where it applies, _require_pd the exact positive-definite
-gate, _order an order hypothesis X <= Y with its note, _pair a needed B.
+_window_holds where it applies, _unit_windows and _outer_windows the
+spectral windows, _require_pd the exact positive-definite gate, _order
+an order hypothesis X <= Y with its note.
 
 Each check has one implementation, which takes a group of instances of
 one dimension and returns their reports in order (CheckInfo.group).  Its
@@ -191,7 +196,7 @@ def _split(values: list, stacks) -> list:
 def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, note=None):
     """Assemble a group's CheckReports from (name, lhs, rhs, rows) parts.
 
-    _check's group calls it with what the check body returns.  params,
+    _check's group calls it with the check body's parts.  params,
     hypotheses_ok and note hold one entry per instance of the group
     (None: every hypothesis holds, with no note).  A part's lhs and
     rhs hold one side per instance in rows, its list of instance indices:
@@ -290,7 +295,9 @@ class InstanceSpec:
     when absent each check derives sharp bounds from the spectrum itself.
     ``x`` is the unit vector used by the vector-expectation checks and
     ``f`` selects the scalar function for the derivative-bound check
-    (``power`` uses ``p`` as the exponent).
+    (``power`` uses ``p`` as the exponent).  A value that is not a
+    number, such as a string or an integer past the float range, raises
+    SchemaError.
     """
 
     A: np.ndarray
@@ -303,39 +310,45 @@ class InstanceSpec:
     f: str = "power"
 
     def __post_init__(self):
-        a = linalg.as_square(self.A)
-        object.__setattr__(self, "A", a)
-        if self.B is not None:
-            b = linalg.as_square(self.B)
-            if b.shape != a.shape:
-                raise DimensionMismatch(
-                    f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
-                )
-            object.__setattr__(self, "B", b)
-        p = float(self.p)
-        if not np.isfinite(p):
-            raise InvalidSpec("p must be finite")
-        object.__setattr__(self, "p", p)
-        for label in ("m", "M"):
-            value = getattr(self, label)
-            if value is not None:
-                value = float(value)
-                if not np.isfinite(value):
-                    raise InvalidSpec(f"{label} must be finite")
-                object.__setattr__(self, label, value)
-        if self.m is not None and self.M is not None and self.m > self.M:
-            raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
-        if self.x is not None:
-            x = np.asarray(self.x, dtype=np.float64).reshape(-1)
-            if x.shape[0] != a.shape[0]:
-                raise DimensionMismatch(
-                    f"x has length {x.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
-                )
-            if not np.all(np.isfinite(x)):
-                raise InvalidSpec("x must be finite")
-            object.__setattr__(self, "x", x)
-        if self.f not in _F_KINDS:
-            raise InvalidSpec(f"unknown function kind {self.f!r}; expected one of {_F_KINDS}")
+        try:   # each value is converted and validated here, once
+            a = linalg.as_square(self.A)
+            object.__setattr__(self, "A", a)
+            if self.B is not None:
+                b = linalg.as_square(self.B)
+                if b.shape != a.shape:
+                    raise DimensionMismatch(
+                        f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
+                    )
+                object.__setattr__(self, "B", b)
+            p = float(self.p)
+            if not np.isfinite(p):
+                raise InvalidSpec("p must be finite")
+            object.__setattr__(self, "p", p)
+            for label in ("m", "M"):
+                value = getattr(self, label)
+                if value is not None:
+                    value = float(value)
+                    if not np.isfinite(value):
+                        raise InvalidSpec(f"{label} must be finite")
+                    object.__setattr__(self, label, value)
+            if self.m is not None and self.M is not None and self.m > self.M:
+                raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
+            if self.x is not None:
+                x = np.asarray(self.x, dtype=np.float64).reshape(-1)
+                if x.shape[0] != a.shape[0]:
+                    raise DimensionMismatch(
+                        f"x has length {x.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
+                    )
+                if not np.all(np.isfinite(x)):
+                    raise InvalidSpec("x must be finite")
+                object.__setattr__(self, "x", x)
+            if self.f not in _F_KINDS:
+                raise InvalidSpec(
+                    f"unknown function kind {self.f!r}; expected one of {_F_KINDS}")
+        except OpineqError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:   # not a number
+            raise SchemaError(f"malformed instance: {exc}") from exc
 
     @classmethod
     def from_json_dict(cls, data) -> "InstanceSpec":
@@ -355,12 +368,7 @@ class InstanceSpec:
         map_spec = data.get("map")
         if map_spec is not None:
             map_spec = maps.MapSpec.from_json_dict(map_spec)
-        try:   # __post_init__ converts and validates each value
-            return cls(**{**data, "map": map_spec})
-        except OpineqError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:   # an int past the float range
-            raise SchemaError(f"malformed instance: {exc}") from exc
+        return cls(**{**data, "map": map_spec})
 
     def to_json_dict(self) -> dict:
         """The instance as JSON values; __post_init__ already made each
@@ -403,27 +411,77 @@ class CheckInfo:
 REGISTRY: dict[str, CheckInfo] = {}
 
 
-def _check(check_id: str, description: str, default_p):
-    """Register the decorated body(insts, sp, tol_rel) as a check.
+def _check(check_id: str, description: str, default_p, domain: str, operands,
+           nonzero: bool = False, mapped: bool = False):
+    """Register the decorated body as a check: its one entry.
 
-    Its group gives the body a fresh linalg.Spectra sp and passes what the
-    body returns, (part_specs, params) or (part_specs, params,
-    hypotheses_ok, note), to _finish under check_id; the decorated name
-    becomes its runner, the group of one, which validates tol_rel
-    (_require_tol) where the group trusts it.
+    The check's group raises for the first of: what operands (_pair,
+    _symmetric or _square) rejects, a missing B, a nonsymmetric A and a
+    nonsymmetric B in that order; a p outside domain, an interval such as
+    "(0, 1]" whose closed ends admit _P_EPS of slack ("(-inf, inf)"
+    admits every p); a p of 0 when nonzero is set; and, when mapped, a
+    map whose input dimension is not the operands' (an instance without
+    a map gets the normalized trace).  It then builds each report's base
+    params {"p", "m": None, "M": None, "map"} and calls body(insts, sp,
+    tol_rel, a, b, ps, phis, params) with a fresh linalg.Spectra sp; b is
+    None for one operand and phis None unless mapped.  The body adds its
+    own params and returns its part specs, which the group hands to
+    _finish.
+
+    A check with hypotheses returns (sides, hyp_ok, note) instead, lists
+    over the group and a function that builds the part specs.  The group
+    guards the sides that a violated hypothesis may leave undefined: in a
+    group of one, an OpineqError or ArithmeticError (a value leaving the
+    float range) from sides() propagates under valid hypotheses and
+    otherwise leaves the sides unevaluated, said in the note; a larger
+    group raises it.
 
     The group is every check's one exit for values that leave the float
-    range.  It runs the body and _finish with numpy overflow raising, and
-    turns any ArithmeticError (a numpy FloatingPointError, or a Python
-    OverflowError or ZeroDivisionError) into NotFinite.  numpy's invalid
-    and divide stay at their defaults, so a NaN born inside a body still
-    warns."""
+    range.  It runs all of this with numpy overflow raising, and turns any
+    ArithmeticError (a numpy FloatingPointError, or a Python OverflowError
+    or ZeroDivisionError) into NotFinite.  numpy's invalid and divide stay
+    at their defaults, so a NaN born inside a body still warns.  The
+    decorated name becomes the runner, the group of one, which validates
+    tol_rel (_require_tol) where the group trusts it."""
+    lo, hi = (float(end) for end in domain[1:-1].split(", "))
+    lo = lo - _P_EPS if domain[0] == "[" else math.nextafter(lo, math.inf)
+    hi = hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf)
+
     def register(body):
         def group(insts, tol_rel):
             sp = linalg.Spectra()
             try:
                 with np.errstate(over="raise"):
-                    return _finish(check_id, sp, tol_rel, *body(insts, sp, tol_rel))
+                    a, b = operands(insts)
+                    ps = [inst.p for inst in insts]
+                    for p in ps:
+                        if not lo <= p <= hi:
+                            raise DomainError(f"{check_id} requires p in {domain}, got p={p}")
+                        if nonzero and p == 0.0:
+                            raise ZeroParameter(f"{check_id} is undefined at p=0")
+                    phis = None
+                    if mapped:
+                        n = a.shape[-1]
+                        phis = [maps.MapSpec.normalized_trace(n) if inst.map is None
+                                else inst.map for inst in insts]
+                        for phi in phis:
+                            if phi.in_dim != n:
+                                raise DimensionMismatch(f"map expects input dimension "
+                                                        f"{phi.in_dim}, matrices are {n}x{n}")
+                    params = [{"p": p, "m": None, "M": None,
+                               "map": None if phis is None else phis[i].to_json_dict()}
+                              for i, p in enumerate(ps)]
+                    out = body(insts, sp, tol_rel, a, b, ps, phis, params)
+                    hyp_ok = note = None
+                    if isinstance(out, tuple):
+                        sides, hyp_ok, note = out
+                        try:
+                            out = sides()
+                        except (OpineqError, ArithmeticError):
+                            if len(insts) > 1 or hyp_ok[0]:
+                                raise
+                            out, note = [], [note[0] + "; sides not evaluated"]
+                    return _finish(check_id, sp, tol_rel, out, params, hyp_ok, note)
             except ArithmeticError as exc:
                 raise NotFinite(f"{check_id}: a value leaves the float range ({exc})") from exc
 
@@ -451,9 +509,14 @@ def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1, 1)
 
 
-def _symmetric(insts) -> np.ndarray:
-    """The group's A as one stack; NotSymmetric unless every A is symmetric."""
-    return linalg._require_symmetric(_stack([inst.A for inst in insts]), "A")
+def _square(insts) -> tuple[np.ndarray, None]:
+    """The group's A as one stack, and no B."""
+    return _stack([inst.A for inst in insts]), None
+
+
+def _symmetric(insts) -> tuple[np.ndarray, None]:
+    """_square, once every A is symmetric; NotSymmetric otherwise."""
+    return linalg._require_symmetric(_square(insts)[0], "A"), None
 
 
 def _pair(insts) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +524,7 @@ def _pair(insts) -> tuple[np.ndarray, np.ndarray]:
     instance has no B, when an A is not symmetric and when a B is not."""
     if any(inst.B is None for inst in insts):
         raise InvalidSpec("this check needs a second matrix B")
-    return (_symmetric(insts),
+    return (_symmetric(insts)[0],
             linalg._require_symmetric(_stack([inst.B for inst in insts]), "B"))
 
 
@@ -497,63 +560,54 @@ def _images(phis, *stacks):
         yield rows, list(np.stack([out[i] for i in rows], axis=1))
 
 
-def _resolve_map(inst: InstanceSpec, n: int) -> maps.MapSpec:
-    if inst.map is None:
-        return maps.MapSpec.normalized_trace(n)
-    if inst.map.in_dim != n:
-        raise DimensionMismatch(
-            f"map expects input dimension {inst.map.in_dim}, matrices are {n}x{n}"
-        )
-    return inst.map
+def _outer_windows(insts, edges, params) -> list:
+    """Each instance's outer bounds (m, M), also stored in its params, for
+    a spectrum with edges (lo, hi) and no unit pinning: the spectrum's own
+    edges, or the user's bounds once they enclose it."""
+    for inst, (lo, hi), par in zip(insts, edges, params):
+        m, M = float(lo), float(hi)
+        if inst.m is not None:
+            if inst.m <= 0.0:
+                raise InvalidSpec("lower bound m must be positive")
+            if inst.m > lo + HYP_TOL:
+                raise InvalidSpec(
+                    f"m={inst.m:.6g} is not a lower bound: smallest eigenvalue is {lo:.6g}")
+            m = inst.m
+        if inst.M is not None:
+            if inst.M < hi - HYP_TOL:
+                raise InvalidSpec(
+                    f"M={inst.M:.6g} is not an upper bound: largest eigenvalue is {hi:.6g}")
+            M = inst.M
+        par["m"], par["M"] = m, M
+    return [(par["m"], par["M"]) for par in params]
 
 
-def _resolve_unit_window(lam_lo, lam_hi, m_user, M_user):
-    """Outer bounds (m, M) for a spectrum pinned below by one.
+def _unit_windows(insts, lam, params, **extra) -> tuple[list, list]:
+    """(hyp_ok, note), lists over the group, for the unit window of lam,
+    ascending spectra pinned below by one; stores each instance's outer
+    bounds (m, M), and the keys of extra, in its params.
 
-    Returns (m, M, hyp_ok, note).  Derived bounds are m = min(lam_lo, 1)
-    and M = max(lam_hi, 1); user bounds must enclose the spectrum.  The
-    hypothesis fails when the spectrum dips below one or when the user
-    forces m above one.
+    Derived bounds are m = min(lam_lo, 1) and M = max(lam_hi, 1); user
+    bounds must enclose the spectrum (_outer_windows).  The hypothesis
+    fails when the spectrum dips below one or when the user forces m
+    above one.
     """
-    m, M = _resolve_outer_window(lam_lo, lam_hi, m_user, M_user)
-    if m_user is None:
-        m = min(m, 1.0)
-    if M_user is None:
-        M = max(M, 1.0)
-    hyp_ok, note = True, ""
-    if lam_lo < 1.0 - HYP_TOL:
-        hyp_ok = False
-        note = f"spectrum reaches {lam_lo:.6g}, below the required unit floor"
-    elif m > 1.0 + HYP_TOL:
-        hyp_ok = False
-        note = f"lower bound m={m:.6g} exceeds one"
-    return m, M, hyp_ok, note
-
-
-def _unit_windows(insts, lam):
-    """_resolve_unit_window per instance: lists (m, M, hyp_ok, note)."""
-    return tuple(map(list, zip(*(_resolve_unit_window(lo, hi, inst.m, inst.M)
-                                 for inst, (lo, hi) in zip(insts, linalg._edges(lam))))))
-
-
-def _resolve_outer_window(lam_lo, lam_hi, m_user, M_user):
-    """Outer bounds (m, M) with no unit pinning (ratio-window checks)."""
-    m, M = float(lam_lo), float(lam_hi)
-    if m_user is not None:
-        if m_user <= 0.0:
-            raise InvalidSpec("lower bound m must be positive")
-        if m_user > lam_lo + HYP_TOL:
-            raise InvalidSpec(
-                f"m={m_user:.6g} is not a lower bound: smallest eigenvalue is {lam_lo:.6g}"
-            )
-        m = float(m_user)
-    if M_user is not None:
-        if M_user < lam_hi - HYP_TOL:
-            raise InvalidSpec(
-                f"M={M_user:.6g} is not an upper bound: largest eigenvalue is {lam_hi:.6g}"
-            )
-        M = float(M_user)
-    return m, M
+    edges = linalg._edges(lam)
+    _outer_windows(insts, edges, params)
+    note = []
+    for inst, (lam_lo, _), par in zip(insts, edges, params):
+        if inst.m is None:
+            par["m"] = min(par["m"], 1.0)
+        if inst.M is None:
+            par["M"] = max(par["M"], 1.0)
+        par.update(extra)
+        if lam_lo < 1.0 - HYP_TOL:
+            note.append(f"spectrum reaches {lam_lo:.6g}, below the required unit floor")
+        elif par["m"] > 1.0 + HYP_TOL:
+            note.append(f"lower bound m={par['m']:.6g} exceeds one")
+        else:
+            note.append("")
+    return [not text for text in note], note
 
 
 def _eigvals(sp, *mats) -> list:
@@ -581,21 +635,6 @@ def _norm(lam) -> list:
 def _inner_spectrum(sp, a, b):
     """Eigenvalues of A^{-1/2} B A^{-1/2}, ascending."""
     return sp.eigvals(means._inner_operator(a, b, sp)[1])
-
-
-def _guarded(build, hyp_ok, note):
-    """(build(), note) for a group.  It guards the sides that a violated
-    hypothesis may leave undefined: in a group of one, an OpineqError or
-    ArithmeticError (a value leaving the float range) from build()
-    propagates under valid hypotheses and otherwise leaves the sides
-    unevaluated, said in the note; a larger group raises it.
-    """
-    try:
-        return build(), note
-    except (OpineqError, ArithmeticError):
-        if len(hyp_ok) > 1 or hyp_ok[0]:
-            raise
-        return [], [note[0] + "; sides not evaluated"]
 
 
 def _require_pd(lam, message: str) -> np.ndarray:
@@ -666,28 +705,6 @@ def _converse_parts(sp, part_specs, prefix, params, rows, inner, outer, diff):
             [1.0 <= p for p in ps])
 
 
-@functools.cache
-def _bounds(domain: str) -> tuple[float, float]:
-    """The least and greatest p the interval domain, such as "(0, 1]",
-    admits: a closed end admits _P_EPS of slack and an open end none."""
-    lo, hi = (float(end) for end in domain[1:-1].split(", "))
-    return (lo - _P_EPS if domain[0] == "[" else math.nextafter(lo, math.inf),
-            hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf))
-
-
-def _exponents(insts, what: str, domain: str, zero: bool = False) -> list:
-    """Each instance's p, once it lies in domain ("(-inf, inf)" admits
-    every p) and, when zero is set, is not 0; what names the check."""
-    lo, hi = _bounds(domain)
-    ps = [inst.p for inst in insts]
-    for p in ps:
-        if not lo <= p <= hi:
-            raise DomainError(f"{what} requires p in {domain}, got p={p}")
-        if zero and p == 0.0:
-            raise ZeroParameter(f"{what} is undefined at p=0")
-    return ps
-
-
 # ----------------------------------------------------------------------
 # entropy / mean checks under positive unital maps
 # ----------------------------------------------------------------------
@@ -695,8 +712,8 @@ def _exponents(insts, what: str, domain: str, zero: bool = False) -> list:
 @_check("info_monotonicity",
         "deformed relative entropy shrinks under positive unital maps "
         "(grows for exponents above one)",
-        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_info_monotonicity(insts, sp, tol_rel):
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _pair, nonzero=True, mapped=True)
+def check_info_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
     """Monotonicity of the deformed relative entropy under positive unital maps.
 
     For p in [-1, 1] (p != 0) the output-side entropy dominates the mapped
@@ -704,9 +721,6 @@ def check_info_monotonicity(insts, sp, tol_rel):
     is needed, so the hypotheses reduce to positive definiteness and a
     valid map; at p = 1 both directions are evaluated (they coincide).
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "info_monotonicity", "[-1, 2]", zero=True)
-    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
     part_specs = []
     for rows, (pa, pb, mapped) in _images(phis, a, b, t_in):
@@ -714,15 +728,13 @@ def check_info_monotonicity(insts, sp, tol_rel):
         t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
         _branch(part_specs, "entropy_monotone", mapped, t_out, rows, [p <= 1.0 for p in q])
         _branch(part_specs, "entropy_reversed", t_out, mapped, rows, [p >= 1.0 for p in q])
-    params = [{"p": p, "m": None, "M": None, "map": phi.to_json_dict()}
-              for p, phi in zip(ps, phis)]
-    return part_specs, params
+    return part_specs
 
 
 @_check("reverse_monotonicity",
         "additive reverse of the entropy monotonicity on a unit spectral window",
-        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_reverse_monotonicity(insts, sp, tol_rel):
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _pair, nonzero=True, mapped=True)
+def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
     """Additive reverse of the entropy monotonicity on a spectral window.
 
     Under m <= 1 <= A^{-1/2} B A^{-1/2} <= M the output-side entropy
@@ -731,12 +743,8 @@ def check_reverse_monotonicity(insts, sp, tol_rel):
     coefficient becomes M^{p-1} - m^{p-1}.  User-supplied (m, M) are
     accepted as long as they enclose the inner spectrum.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "reverse_monotonicity", "[-1, 2]", zero=True)
-    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
-    params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
-              for p, m, M, phi in zip(ps, ms, Ms, phis)]
+    hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params,
+                                 additive_term_norm=None)
 
     def sides():
         t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
@@ -750,14 +758,13 @@ def check_reverse_monotonicity(insts, sp, tol_rel):
             _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
                     [p >= 1.0 for p in q])
         return part_specs
-    part_specs, note = _guarded(sides, hyp_ok, note)
-    return part_specs, params, hyp_ok, note
+    return sides, hyp_ok, note
 
 
 @_check("ando_converse",
         "additive converse of the weighted-mean map inequality on a unit window",
-        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_ando_converse(insts, sp, tol_rel):
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _pair, mapped=True)
+def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params):
     """Additive converse of Phi(A # B) <= Phi(A) # Phi(B) on a window.
 
     Three exponent branches: for p in [0, 1] the mapped mean plus
@@ -767,12 +774,8 @@ def check_ando_converse(insts, sp, tol_rel):
     the other side.  Boundary exponents evaluate every branch they belong
     to.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "ando_converse", "[-1, 2]")
-    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
-    ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
-    params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
-              for p, m, M, phi in zip(ps, ms, Ms, phis)]
+    hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params,
+                                 additive_term_norm=None)
 
     def sides():
         mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
@@ -782,15 +785,14 @@ def check_ando_converse(insts, sp, tol_rel):
             _converse_parts(sp, part_specs, "mean_additive", params, rows,
                             mapped, mean_out, phi_diff)
         return part_specs
-    part_specs, note = _guarded(sides, hyp_ok, note)
-    return part_specs, params, hyp_ok, note
+    return sides, hyp_ok, note
 
 
 @_check("density_trace",
         "unit-trace bounds for weighted means of density matrices under the "
         "unit window",
-        (-0.5, 0.5, 1.5))
-def check_density_trace(insts, sp, tol_rel):
+        (-0.5, 0.5, 1.5), "[-1, 2]", _pair)
+def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params):
     """Unit-trace bounds for weighted means of density matrices.
 
     For density matrices satisfying the window hypothesis
@@ -801,14 +803,12 @@ def check_density_trace(insts, sp, tol_rel):
     report HYPOTHESIS_VIOLATED rather than FAILS.  The map field is
     ignored: the statement is about the plain trace.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "density_trace", "[-1, 2]")
     for mat, label, lam in zip((a, b), "AB", _eigvals(sp, a, b)):
         _require_psd(lam, label)
         for trace in np.trace(mat, axis1=-2, axis2=-1).tolist():
             if abs(trace - 1.0) > 1e-10:
                 raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
-    ms, Ms, hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b))
+    hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params)
 
     def sides():
         mean = means.weighted_mean(a, b, ps, spectra=sp).value
@@ -821,15 +821,13 @@ def check_density_trace(insts, sp, tol_rel):
         _branch(part_specs, "unit_trace_upper", trace_mean, one, rows,
                 [p <= 0.0 or p >= 1.0 for p in ps])
         return part_specs
-    part_specs, note = _guarded(sides, hyp_ok, note)
-    params = [{"p": p, "m": m, "M": M, "map": None} for p, m, M in zip(ps, ms, Ms)]
-    return part_specs, params, hyp_ok, note
+    return sides, hyp_ok, note
 
 
 @_check("furuta_bounds",
         "Kantorovich-constant and linear upper bounds for the output-side entropy",
-        (0.25, 0.5, 0.75, 1.0))
-def check_furuta_bounds(insts, sp, tol_rel):
+        (0.25, 0.5, 0.75, 1.0), "(0, 1]", _pair, mapped=True)
+def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params):
     """Kantorovich-style upper bounds for the output-side entropy.
 
     With spectral boxes m1 <= A <= M1 and m2 <= B <= M2 set m = m2/M1,
@@ -841,25 +839,18 @@ def check_furuta_bounds(insts, sp, tol_rel):
     windowed bound is evaluated as a third part so the three correction
     terms can be compared side by side.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "furuta_bounds", "(0, 1]")
-    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     lam_a, lam_b = _eigvals(sp, a, b)
     for lam in (lam_a, lam_b):
         _require_pd(lam, "furuta_bounds needs positive definite matrices")
-    params = []
-    for p, phi, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, phis, linalg._edges(lam_a),
+    for p, par, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, params, linalg._edges(lam_a),
                                                    linalg._edges(lam_b)):
         fm = b_lo / a_hi
         fM = b_hi / a_lo
         h = fM / fm
-        params.append({
-            "p": p, "m": fm, "M": fM, "map": phi.to_json_dict(),
-            "h": h, "kantorovich_K": constants.kantorovich_K(h, min(p, 1.0)),
-            "furuta_F": 0.0 if p >= 1.0 - _P_EPS else constants.furuta_F(fm, h, p),
-            "kantorovich_term_norm": None, "linear_term_norm": None,
-            "windowed_term_norm": None,
-        })
+        par.update(m=fm, M=fM, h=h, kantorovich_K=constants.kantorovich_K(h, min(p, 1.0)),
+                   furuta_F=0.0 if p >= 1.0 - _P_EPS else constants.furuta_F(fm, h, p),
+                   kantorovich_term_norm=None, linear_term_norm=None,
+                   windowed_term_norm=None)
     t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
     lam_w = _inner_spectrum(sp, a, b)[:, 0].tolist()
     part_specs = []
@@ -879,12 +870,12 @@ def check_furuta_bounds(insts, sp, tol_rel):
             rows = [rows[j] for j in keep]
             s_term = _windowed(sp, params, rows, phi_diff[keep], "windowed_term_norm", False)[0]
             part_specs.append(("windowed_upper", t_out[keep], mapped[keep] + s_term, rows))
-    return part_specs, params
+    return part_specs
 
 
 @_check("seo_bound", "ratio-window reverse of the weighted-mean map inequality",
-        (0.25, 0.5, 0.75))
-def check_seo_bound(insts, sp, tol_rel):
+        (0.25, 0.5, 0.75), "(0, 1)", _pair, mapped=True)
+def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params):
     """Ratio-window reverse of the mean inequality.
 
     Under mA <= B <= MA and 0 < p < 1 the mean of the images exceeds the
@@ -894,16 +885,11 @@ def check_seo_bound(insts, sp, tol_rel):
     When the unit window also holds, the additive bound term
     p (m^{p-1} - M^{p-1}) Phi(B - A) is reported for tightness comparison.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "seo_bound", "(0, 1)")
-    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     lam = _inner_spectrum(sp, a, b)
-    params = []
-    for inst, p, phi, (lo, hi) in zip(insts, ps, phis, linalg._edges(lam)):
-        m, M = _resolve_outer_window(lo, hi, inst.m, inst.M)
-        params.append({"p": p, "m": m, "M": M, "map": phi.to_json_dict(),
-                       "seo_C": constants.seo_C(m, M, p), "seo_term_norm": None,
-                       "windowed_term_norm": None})
+    _outer_windows(insts, linalg._edges(lam), params)
+    for par in params:
+        par.update(seo_C=constants.seo_C(par["m"], par["M"], par["p"]), seo_term_norm=None,
+                   windowed_term_norm=None)
     lam_w = lam[:, 0].tolist()
     mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
     extra = (b - a,) if _window_holds(range(len(ps)), lam_w, params) else ()
@@ -918,7 +904,7 @@ def check_seo_bound(insts, sp, tol_rel):
         if keep:
             _windowed(sp, params, [rows[j] for j in keep], phi_diff[0][keep],
                       "windowed_term_norm", True)
-    return part_specs, params
+    return part_specs
 
 
 # ----------------------------------------------------------------------
@@ -927,8 +913,8 @@ def check_seo_bound(insts, sp, tol_rel):
 
 @_check("lowner_heinz",
         "A <= B implies A^p <= B^p for p in [0, 1] (fails above 1 by design)",
-        (0.25, 0.5, 1.0))
-def check_lowner_heinz(insts, sp, tol_rel):
+        (0.25, 0.5, 1.0), "[0, inf)", _pair)
+def check_lowner_heinz(insts, sp, tol_rel, a, b, ps, phis, params):
     """Power monotonicity: A <= B implies A^p <= B^p for p in [0, 1].
 
     Exponents above one are accepted so the fuzzer can hunt for the
@@ -936,21 +922,18 @@ def check_lowner_heinz(insts, sp, tol_rel):
     demonstration, not an engine defect.  Negative exponents reverse the
     order even in the commuting case and are rejected.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "lowner_heinz", "[0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
     _require_psd(lam_a, "A")
     _require_psd(lam_b, "B")
-    hyp_ok, note = _order(sp, a, b, tol_rel, ("A", "B"))
-    part_specs = [("power_monotone", *_powers(sp, ps, a, b), list(range(len(ps))))]
-    params = [{"p": p, "m": None, "M": None, "map": None,
-               "p_in_monotone_range": bool(0.0 <= p <= 1.0)} for p in ps]
-    return part_specs, params, hyp_ok, note
+    for par in params:
+        par["p_in_monotone_range"] = bool(0.0 <= par["p"] <= 1.0)
+    return (lambda: [("power_monotone", *_powers(sp, ps, a, b), list(range(len(ps))))],
+            *_order(sp, a, b, tol_rel, ("A", "B")))
 
 
 @_check("norm_power_lemma", "tangent-line bound for A^p at the operator norm of A",
-        (1.0 / 3.0, 2.0, -1.0))
-def check_norm_power_lemma(insts, sp, tol_rel):
+        (1.0 / 3.0, 2.0, -1.0), "(-inf, inf)", _symmetric)
+def check_norm_power_lemma(insts, sp, tol_rel, a, b, ps, phis, params):
     """Tangent-line bound for matrix powers at the operator norm.
 
     For positive A the chord construction at t = ||A|| gives
@@ -958,15 +941,14 @@ def check_norm_power_lemma(insts, sp, tol_rel):
     and the reversed comparison when p >= 1 or p <= 0.  Both directions
     are equalities at p = 0 and p = 1 and are evaluated together there.
     """
-    a = _symmetric(insts)
-    ps = _exponents(insts, "norm_power_lemma", "(-inf, inf)")
     lam = _require_psd(sp.eigvals(a), "A")
     na = _norm(lam)
-    for p, norm, lo in zip(ps, na, lam[:, 0].tolist()):
+    for p, norm, lo, par in zip(ps, na, lam[:, 0].tolist(), params):
         if norm == 0.0:
             raise ZeroMatrix("A is zero; the tangent construction needs a positive norm")
         if p < 0.0 and lo <= 0.0:
             raise NotPositiveDefinite("negative exponents need a positive definite matrix")
+        par["norm_A"] = norm
     a_pow = sp.power(a, ps)
     eye = np.eye(a.shape[-1])
     tangent = (_col([t ** p for t, p in zip(na, ps)]) * eye
@@ -976,24 +958,23 @@ def check_norm_power_lemma(insts, sp, tol_rel):
     _branch(part_specs, "tangent_upper", a_pow, tangent, rows, [0.0 <= p <= 1.0 for p in ps])
     _branch(part_specs, "tangent_lower", tangent, a_pow, rows,
             [p >= 1.0 or p <= 0.0 for p in ps])
-    params = [{"p": p, "m": None, "M": None, "map": None, "norm_A": t} for p, t in zip(ps, na)]
-    return part_specs, params
+    return part_specs
 
 
 @_check("lh_extension", "linearized bound for B^p - A^p when B dominates ||A|| I",
-        (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0))
-def check_lh_extension(insts, sp, tol_rel):
+        (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0), "(-inf, inf)", _pair)
+def check_lh_extension(insts, sp, tol_rel, a, b, ps, phis, params):
     """Linearized power-difference bound when B dominates ||A||.
 
     Under ||A|| I <= B the difference B^p - A^p dominates
     p ||B||^{p-1} (B - A) for p in [0, 1]; for p >= 1 or p <= 0 the linear
     term dominates instead.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "lh_extension", "(-inf, inf)")
     na, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
     if 0.0 in nb:
         raise ZeroMatrix("B is zero; the linear term needs a positive norm")
+    for par, x, y in zip(params, na, nb):
+        par.update(norm_A=x, norm_B=y)
 
     def sides():
         b_pow, a_pow = _powers(sp, ps, b, a)
@@ -1005,15 +986,12 @@ def check_lh_extension(insts, sp, tol_rel):
         _branch(part_specs, "linear_upper", diff, lin, rows,
                 [p >= 1.0 or p <= 0.0 for p in ps])
         return part_specs
-    part_specs, note = _guarded(sides, hyp_ok, note)
-    params = [{"p": p, "m": None, "M": None, "map": None, "norm_A": x, "norm_B": y}
-              for p, x, y in zip(ps, na, nb)]
-    return part_specs, params, hyp_ok, note
+    return sides, hyp_ok, note
 
 
 @_check("mn2012", "scalar floors for B^p - A^p and the dominance between them",
-        (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0))
-def check_mn2012(insts, sp, tol_rel):
+        (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0), "[0, 1]", _pair)
+def check_mn2012(insts, sp, tol_rel, a, b, ps, phis, params):
     """Scalar floors for B^p - A^p and the comparison between them.
 
     Under ||A|| I <= B with B - A invertible and p in [0, 1], four parts
@@ -1025,8 +1003,6 @@ def check_mn2012(insts, sp, tol_rel):
     the first.  A negative lam_min(B - A) violates the hypothesis and
     leaves the sides unevaluated.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "mn2012", "[0, 1]")
     _, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
     lam_diff = sp.eigvals(linalg._require_symmetric(b - a))
     gaps = lam_diff[:, 0].tolist()
@@ -1039,6 +1015,7 @@ def check_mn2012(insts, sp, tol_rel):
             # the dominance holds only within tolerance
             hyp_ok[i] = False
             note[i] = f"B - A is not positive (min eig of B - A is {gaps[i]:.6g})"
+        params[i].update(norm_B=nb[i], lam_min_diff=gaps[i])
 
     def sides():
         if min(gaps) < 0.0:
@@ -1060,10 +1037,7 @@ def check_mn2012(insts, sp, tol_rel):
             ("shift_floor", _col(shift) * eye, diff, rows),
             ("floor_comparison", cmp_lo, cmp_hi, rows),
         ]
-    part_specs, note = _guarded(sides, hyp_ok, note)
-    params = [{"p": p, "m": None, "M": None, "map": None, "norm_B": t, "lam_min_diff": gap}
-              for p, t, gap in zip(ps, nb, gaps)]
-    return part_specs, params, hyp_ok, note
+    return sides, hyp_ok, note
 
 
 # ----------------------------------------------------------------------
@@ -1089,8 +1063,8 @@ _SCALAR_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
 
 @_check("mond_pecaric",
         "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
-        (0.5, 2.0, -1.0))
-def check_mond_pecaric(insts, sp, tol_rel):
+        (0.5, 2.0, -1.0), "(-inf, inf)", _pair)
+def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
     """Two-sided derivative bounds for vector expectations.
 
     For 0 < m <= B <= A <= M, a unit vector x with <Bx, x> at most the
@@ -1106,19 +1080,18 @@ def check_mond_pecaric(insts, sp, tol_rel):
     the eigenvalues x overlaps keeps every pure eigenvector instance
     valid while still rejecting the genuinely false ones.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "mond_pecaric", "(-inf, inf)")
     lam_b = _require_pd(sp.eigvals(b), "mond_pecaric needs positive definite B")
     dec_a = sp.decompose(a)
     lam_a = dec_a.eigenvalues
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
-    windows = [_resolve_outer_window(min(b_lo, a_lo), max(a_hi, b_hi), inst.m, inst.M)
-               for inst, (a_lo, a_hi), (b_lo, b_hi)
-               in zip(insts, linalg._edges(lam_a), linalg._edges(lam_b))]
+    windows = _outer_windows(insts, [(min(b_lo, a_lo), max(a_hi, b_hi))
+                                     for (a_lo, a_hi), (b_lo, b_hi)
+                                     in zip(linalg._edges(lam_a), linalg._edges(lam_b))], params)
     hyp_ok, note = _order(sp, b, a, tol_rel, ("B", "A"))
     qb = []
-    for i, x in enumerate(xs):
+    for i, (inst, x) in enumerate(zip(insts, xs)):
+        params[i]["f"] = inst.f
         qb.append(float(x @ b[i] @ x))
         weights = (dec_a.eigenvectors[i].T @ x) ** 2
         support = lam_a[i][weights > 1e-12]
@@ -1153,16 +1126,13 @@ def check_mond_pecaric(insts, sp, tol_rel):
         rows = list(range(len(ps)))
         return [("derivative_lower", lower, mid, rows),
                 ("derivative_upper", mid, upper, rows)]
-    part_specs, note = _guarded(sides, hyp_ok, note)
-    params = [{"p": p, "m": m, "M": M, "map": None, "f": inst.f}
-              for inst, p, (m, M) in zip(insts, ps, windows)]
-    return part_specs, params, hyp_ok, note
+    return sides, hyp_ok, note
 
 
 @_check("holder_mccarthy",
         "power expectation inequality and its two-sided reverse on a window",
-        (0.5, 2.0, -1.0))
-def check_holder_mccarthy(insts, sp, tol_rel):
+        (0.5, 2.0, -1.0), "(-inf, inf)", _symmetric, nonzero=True)
+def check_holder_mccarthy(insts, sp, tol_rel, a, b, ps, phis, params):
     """Power expectation inequality and its two-sided reverse.
 
     For positive definite A and a unit vector x, <A^p x, x> <= <Ax, x>^p
@@ -1174,13 +1144,10 @@ def check_holder_mccarthy(insts, sp, tol_rel):
         p > 1, p < 0: the same with the roles of the differences swapped,
         the lower coefficient using m for p > 1 and M for p < 0.
     """
-    a = _symmetric(insts)
-    ps = _exponents(insts, "holder_mccarthy", "(-inf, inf)", zero=True)
     lam = _require_pd(sp.eigvals(a), "holder_mccarthy needs a positive definite matrix")
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
-    windows = [_resolve_outer_window(lo, hi, inst.m, inst.M)
-               for inst, (lo, hi) in zip(insts, linalg._edges(lam))]
+    windows = _outer_windows(insts, linalg._edges(lam), params)
     a_pow = sp.power(a, ps)
     sides = []
     for i, (x, p, (m, M)) in enumerate(zip(xs, ps, windows)):
@@ -1196,23 +1163,22 @@ def check_holder_mccarthy(insts, sp, tol_rel):
                       (p / hi_end ** (1.0 - p)) * dd))
     below, above, lower, mid, upper = (list(col) for col in zip(*sides))
     rows = list(range(len(ps)))
-    part_specs = [("expectation_power", below, above, rows),
-                  ("reverse_lower", lower, mid, rows),
-                  ("reverse_upper", mid, upper, rows)]
-    params = [{"p": p, "m": m, "M": M, "map": None} for p, (m, M) in zip(ps, windows)]
-    return part_specs, params
+    return [("expectation_power", below, above, rows),
+            ("reverse_lower", lower, mid, rows),
+            ("reverse_upper", mid, upper, rows)]
 
 
 # ----------------------------------------------------------------------
 # norm and radius chains
 # ----------------------------------------------------------------------
 
-def _refined_chain(part_specs, names, rows, lo, mid, hi, ps):
-    """Append the parts refining lo <= mid <= hi (labelled by names) for
-    the instances of rows, with the shifts r1 = (mid^p - lo^p)/d and
+def _refined_chain(names, rows, lo, mid, hi, ps) -> list:
+    """The parts refining lo <= mid <= hi (labelled by names) for the
+    instances of rows, with the shifts r1 = (mid^p - lo^p)/d and
     r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see check_norm_chain.
     """
     n_lo, n_mid, n_hi = names
+    part_specs = []
     for i, lo, mid, hi, p in zip(rows, lo, mid, hi, ps):
         d = p * hi ** (p - 1.0)
         r1 = (mid ** p - lo ** p) / d
@@ -1238,11 +1204,12 @@ def _refined_chain(part_specs, names, rows, lo, mid, hi, ps):
                 (f"{n_hi}_below_{n_mid}_shift", hi, mid + r2),
             ]
         part_specs += [(name, [x], [y], (i,)) for name, x, y in chain]
+    return part_specs
 
 
 @_check("norm_chain", "refined links between operator, Frobenius and trace norms",
-        (-1.0, 0.5, 3.0))
-def check_norm_chain(insts, sp, tol_rel):
+        (-1.0, 0.5, 3.0), "(-inf, inf)", _square, nonzero=True)
+def check_norm_chain(insts, sp, tol_rel, a, b, ps, phis, params):
     """Refined links between operator, Frobenius and trace norms.
 
     Write (op, hs, tr) for the three norms and d = p tr^{p-1}.  For p >= 1
@@ -1253,22 +1220,17 @@ def check_norm_chain(insts, sp, tol_rel):
     instead: both ratios stay nonnegative and bound hs - op and tr - hs
     from above, so the chain runs hs <= op + r1 and tr <= hs + r2.
     """
-    a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts, "norm_chain", "(-inf, inf)", zero=True)
     op, hs, tr = (v.tolist() for v in sp.norms(a))
     if 0.0 in tr:
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
-    part_specs = []
-    _refined_chain(part_specs, ("op", "hs", "tr"), list(range(len(ps))), op, hs, tr, ps)
-    params = [{"p": p, "m": None, "M": None, "map": None,
-               "norm_op": x, "norm_hs": y, "norm_tr": z}
-              for p, x, y, z in zip(ps, op, hs, tr)]
-    return part_specs, params
+    for par, x, y, z in zip(params, op, hs, tr):
+        par.update(norm_op=x, norm_hs=y, norm_tr=z)
+    return _refined_chain(("op", "hs", "tr"), range(len(ps)), op, hs, tr, ps)
 
 
 @_check("radius_chain", "refined links between spectral radius, numerical radius and norm",
-        (0.5, 2.0, -1.0))
-def check_radius_chain(insts, sp, tol_rel):
+        (0.5, 2.0, -1.0), "(-inf, inf)", _square, nonzero=True)
+def check_radius_chain(insts, sp, tol_rel, a, b, ps, phis, params):
     """Refined links between spectral radius, numerical radius and norm.
 
     Same structure as the norm chain with (r, w, op) in place of
@@ -1276,8 +1238,6 @@ def check_radius_chain(insts, sp, tol_rel):
     need a positive spectral radius; a vanishing one (nilpotent A) makes
     r^p undefined and is reported as a violated hypothesis.
     """
-    a = _stack([inst.A for inst in insts])
-    ps = _exponents(insts, "radius_chain", "(-inf, inf)", zero=True)
     op = sp.norm_op(a).tolist()
     if 0.0 in op:
         raise ZeroMatrix("A is zero; the radius chain needs a positive norm")
@@ -1286,47 +1246,42 @@ def check_radius_chain(insts, sp, tol_rel):
     hyp_ok = [not (p < 0.0 and r <= 1e-12 * t) for p, r, t in zip(ps, sr, op)]
     note = ["" if ok else "spectral radius vanishes; negative powers of it are undefined"
             for ok in hyp_ok]
+    for par, r, x, t in zip(params, sr, w, op):
+        par.update(spectral_radius=r, numerical_radius=x, norm_op=t)
     rows = [i for i, ok in enumerate(hyp_ok) if ok]
-    part_specs = []
-    if rows:
-        _refined_chain(part_specs, ("radius", "w", "op"), rows, [sr[i] for i in rows],
-                       [w[i] for i in rows], [op[i] for i in rows], [ps[i] for i in rows])
-    params = [{"p": p, "m": None, "M": None, "map": None,
-               "spectral_radius": r, "numerical_radius": x, "norm_op": t}
-              for p, r, x, t in zip(ps, sr, w, op)]
-    return part_specs, params, hyp_ok, note
+    return (lambda: _refined_chain(("radius", "w", "op"), rows, [sr[i] for i in rows],
+                                   [w[i] for i in rows], [op[i] for i in rows],
+                                   [ps[i] for i in rows]), hyp_ok, note)
 
 
 @_check("power_norm", "norm comparison between A^p B^p and (AB)^p for positive matrices",
-        (0.5, 2.0))
-def check_power_norm(insts, sp, tol_rel):
+        (0.5, 2.0), "[0, inf)", _pair)
+def check_power_norm(insts, sp, tol_rel, a, b, ps, phis, params):
     """Norm comparison between A^p B^p and (AB)^p for positive matrices.
 
     For positive semidefinite A, B the norm ||A^p B^p|| is at most
     ||AB||^p when p is in [0, 1] and at least ||AB||^p when p >= 1; both
     hold with equality at the boundary exponents.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "power_norm", "[0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
     _require_psd(lam_a, "A")
     _require_psd(lam_b, "B")
     nab = sp.norm_op(a @ b).tolist()
     napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
+    for par, x, y in zip(params, nab, napb):
+        par.update(norm_AB=x, norm_ApBp=y)
     nab_p = [t ** p for t, p in zip(nab, ps)]
     rows = list(range(len(ps)))
     part_specs = []
     _branch(part_specs, "power_norm_upper", napb, nab_p, rows, [p <= 1.0 for p in ps])
     _branch(part_specs, "power_norm_lower", nab_p, napb, rows, [p >= 1.0 for p in ps])
-    params = [{"p": p, "m": None, "M": None, "map": None, "norm_AB": x, "norm_ApBp": y}
-              for p, x, y in zip(ps, nab, napb)]
-    return part_specs, params
+    return part_specs
 
 
 @_check("norm_refinement",
         "two-sided refinement of the power-norm comparison on a product window",
-        (0.5, 2.0))
-def check_norm_refinement(insts, sp, tol_rel):
+        (0.5, 2.0), "(0, inf)", _pair)
+def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params):
     """Two-sided refinement of the power-norm comparison on a window.
 
     With 0 < m <= A, B <= M both ||AB|| and ||A^p B^p||^{1/p} lie in
@@ -1338,18 +1293,17 @@ def check_norm_refinement(insts, sp, tol_rel):
         p >= 1:      (p / (m^2)^{1-p}) D <= ||A^p B^p|| - ||AB||^p <= (p / (M^2)^{1-p}) D
                      with D = ||A^p B^p||^{1/p} - ||AB||.
     """
-    a, b = _pair(insts)
-    ps = _exponents(insts, "norm_refinement", "(0, inf)")
     lam_a, lam_b = _eigvals(sp, a, b)
     for lam in (lam_a, lam_b):
         _require_pd(lam, "norm_refinement needs positive definite matrices")
-    windows = [_resolve_outer_window(min(a_lo, b_lo), max(a_hi, b_hi), inst.m, inst.M)
-               for inst, (a_lo, a_hi), (b_lo, b_hi) in zip(insts, linalg._edges(lam_a),
-                                                          linalg._edges(lam_b))]
+    windows = _outer_windows(insts, [(min(a_lo, b_lo), max(a_hi, b_hi))
+                                     for (a_lo, a_hi), (b_lo, b_hi)
+                                     in zip(linalg._edges(lam_a), linalg._edges(lam_b))], params)
     nab = sp.norm_op(a @ b).tolist()
     napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
     below, above = [], []    # (lower, mid, upper) of the p <= 1 and p >= 1 branches
-    for p, (m, M), x, y in zip(ps, windows, nab, napb):
+    for p, par, (m, M), x, y in zip(ps, params, windows, nab, napb):
+        par.update(norm_AB=x, norm_ApBp=y)
         m2, M2 = m * m, M * M
         sides = [(0.0, 0.0, 0.0)] * 2
         if p <= 1.0:
@@ -1366,14 +1320,12 @@ def check_norm_refinement(insts, sp, tol_rel):
         lower, mid, upper = (list(col) for col in zip(*branch))
         _branch(part_specs, "refine_lower", lower, mid, rows, keep)
         _branch(part_specs, "refine_upper", mid, upper, rows, keep)
-    params = [{"p": p, "m": m, "M": M, "map": None, "norm_AB": x, "norm_ApBp": y}
-              for p, (m, M), x, y in zip(ps, windows, nab, napb)]
-    return part_specs, params
+    return part_specs
 
 
 @_check("power_corollary", "windowed bounds between Phi(A)^p and Phi(A^p)",
-        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0))
-def check_power_corollary(insts, sp, tol_rel):
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _symmetric, mapped=True)
+def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params):
     """Power-function corollary of the windowed entropy bounds.
 
     Specialize the two-matrix statements to the pair (I, A): for
@@ -1383,18 +1335,16 @@ def check_power_corollary(insts, sp, tol_rel):
     correction p (M^{p-1} - m^{p-1}) (Phi(A) - I) bounds Phi(A^p) from
     the Phi(A)^p side.
     """
-    a = _symmetric(insts)
-    ps = _exponents(insts, "power_corollary", "[-1, 2]")
-    phis = [_resolve_map(inst, a.shape[-1]) for inst in insts]
     lam = _require_pd(sp.eigvals(a), "power_corollary needs a positive definite matrix")
-    ms, Ms, hyp_ok, note = _unit_windows(insts, lam)
-    params = [{"p": p, "m": m, "M": M, "map": phi.to_json_dict(), "additive_term_norm": None}
-              for p, m, M, phi in zip(ps, ms, Ms, phis)]
-    part_specs = []
-    for rows, (pa, phi_pow) in _images(phis, a, sp.power(a, ps)):
-        _converse_parts(sp, part_specs, "image_power", params, rows, phi_pow,
-                        sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
-    return part_specs, params, hyp_ok, note
+    hyp_ok, note = _unit_windows(insts, lam, params, additive_term_norm=None)
+
+    def sides():
+        part_specs = []
+        for rows, (pa, phi_pow) in _images(phis, a, sp.power(a, ps)):
+            _converse_parts(sp, part_specs, "image_power", params, rows, phi_pow,
+                            sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
+        return part_specs
+    return sides, hyp_ok, note
 
 
 def _require_tol(tol_rel) -> float:

@@ -292,10 +292,9 @@ class FuzzResult:
 
 
 def _chunk_size(dims) -> int:
-    """Trials per chunk for a run at these dims; at least one, so that a
-    dim outside [1, MAX_DIM] gets as far as the sampler's InvalidSpec."""
-    largest = max(1, *dims)
-    return max(1, min(_CHUNK_CAP, _CHUNK_AT_MAX_DIM * sampling.MAX_DIM ** 2 // largest ** 2))
+    """Trials per chunk for a run at these dims, each in [1, MAX_DIM]:
+    _CHUNK_AT_MAX_DIM at MAX_DIM, more below it, at most _CHUNK_CAP."""
+    return min(_CHUNK_CAP, _CHUNK_AT_MAX_DIM * sampling.MAX_DIM ** 2 // max(dims) ** 2)
 
 
 def _chunks(trials: int, size: int, stop_on_fail: bool):
@@ -338,10 +337,12 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     """Run one check against `trials` sampled instances.
 
     Trial t uses p = p_values[t mod len(p_values)] (the check's default_p
-    when p_values is None; an empty list raises InvalidSpec) and cycles dims with
-    period len(p_values) * len(dims); reports come back ordered by t and
-    carry seed/trial/dim in their params.  Every FAILS yields a witness
-    holding the instance that failed.
+    when p_values is None; an empty list raises InvalidSpec) and cycles
+    dims with period len(p_values) * len(dims).  Every dim must be an
+    integer in [1, MAX_DIM], even one that no trial reaches, or the run
+    raises InvalidSpec before it samples.  Reports come back ordered by t
+    and carry seed/trial/dim in their params.  Every FAILS yields a
+    witness holding the instance that failed.
 
     The trials are checked in chunks of a size set by the largest dim:
     64 trials at MAX_DIM, proportionally more at smaller dims, at most
@@ -360,8 +361,8 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     if trials < 0:
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
     tol_rel = checks._require_tol(tol_rel)
-    try:
-        dims = tuple(sampling._integer(d, "dim") for d in dims)
+    try:   # every dim is checked here, whether or not a trial reaches it
+        dims = tuple(sampling.SamplerConfig(dim=d).dim for d in dims)
     except TypeError:
         raise InvalidSpec(f"dims must be a sequence of integers, got {dims!r}") from None
     if not dims:

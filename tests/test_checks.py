@@ -30,6 +30,12 @@ from opineq.errors import (
 A_REF = np.array([[2.0, 3.0], [3.0, 5.0]])
 B1_REF = np.array([[3.0, 4.0], [4.0, 6.0]])
 TR2 = maps.MapSpec.normalized_trace(2)
+# (check, instance) whose hypothesis fails and whose sides overflow
+OVERFLOW_UNDER_VIOLATED = [
+    ("lowner_heinz", {"A": [[2e200, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 2e200]],
+                      "p": 2.0}),
+    ("power_corollary", {"A": [[0.5, 0.0], [0.0, 1e200]], "p": 2.0}),
+]
 
 
 def _inst(a, b=None, **kw):
@@ -349,6 +355,16 @@ def test_first_error_wins_when_an_instance_is_bad_twice():
     # density: A's trace is checked after B's symmetry
     with pytest.raises(NotSymmetric):
         checks.run_check("density_trace", _inst(np.eye(2), asym, p=0.5))
+
+
+@pytest.mark.parametrize("check_id, inst", OVERFLOW_UNDER_VIOLATED)
+def test_sides_that_overflow_under_a_violated_hypothesis_are_not_evaluated(check_id, inst):
+    # A is not below B, or A dips below the unit floor, and A^2 overflows:
+    # the hypothesis gate answers, and the sides are left unevaluated
+    rep = checks.run_check(check_id, checks.InstanceSpec.from_json_dict(inst))
+    assert rep.verdict == checks.HYPOTHESIS_VIOLATED
+    assert rep.hypothesis_note.endswith("; sides not evaluated")
+    assert rep.parts == () and rep.gap_min_eig is None
 
 
 def test_compared_difference_must_be_symmetric():
@@ -991,6 +1007,22 @@ def test_instance_spec_validation():
         checks.InstanceSpec(A=np.eye(2), p=1.0, f="sin")
     with pytest.raises(Exception):
         checks.InstanceSpec(A=np.eye(2), B=np.eye(3), p=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p": "abc"}, {"p": None}, {"m": "x"}, {"A": "abc"}, {"B": [[1.0, "a"], [0.0, 1.0]]},
+    {"x": ["a", 1.0]}, pytest.param({"p": 10**400}, id="{'p': 10**400}"),
+], ids=repr)
+def test_instance_spec_rejects_non_numbers_as_schema_errors(kwargs):
+    # the library path gets the JSON path's error, not a bare ValueError,
+    # TypeError or OverflowError
+    with pytest.raises(SchemaError, match="^malformed instance: "):
+        checks.InstanceSpec(**{"A": np.eye(2), "p": 0.5, **kwargs})
+
+
+def test_sampled_instance_with_a_non_number_exponent_is_a_schema_error():
+    with pytest.raises(SchemaError):
+        fuzz.sample_instance("power_norm", 3, 0, "abc", 0)
 
 
 def test_check_report_json_is_serializable():

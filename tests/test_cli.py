@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opineq import checks, cli, fuzz, repro
+from test_checks import OVERFLOW_UNDER_VIOLATED
 from test_maps import NON_NUMBER_MAPS
 
 HOLDS_INST = {"A": [[1.0, 0.0], [0.0, 2.0]],
@@ -266,6 +267,16 @@ def test_eval_overflow_under_a_violated_hypothesis_leaves_the_sides(tmp_path, ca
     assert report["parts"] == [] and report["gap_min_eig"] is None
 
 
+@pytest.mark.parametrize("check_id, inst", OVERFLOW_UNDER_VIOLATED)
+def test_eval_overflowing_sides_under_a_violated_hypothesis_exit_4(check_id, inst,
+                                                                   tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", inst)
+    assert cli.main(["eval", "--check", check_id, "--input", path]) == cli.EXIT_HYPOTHESIS
+    out, err = capsys.readouterr()
+    assert json.loads(out)["hypothesis_note"].endswith("; sides not evaluated")
+    assert err == ""
+
+
 def test_eval_nan_entry_is_an_error(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text('{"A": [[1.0, 0.0], [0.0, NaN]], "B": [[1.0, 0.0], [0.0, 1.0]], '
@@ -509,6 +520,12 @@ def test_fuzz_bad_dim_spec(capsys):
     assert cli.main(["fuzz", "--check", "power_norm", "--trials", "1",
                      "--dim", "6-2"]) == cli.EXIT_SCHEMA
     assert "error" in capsys.readouterr().err
+
+
+def test_fuzz_bad_dim_that_no_trial_reaches(capsys):
+    assert cli.main(["fuzz", "--check", "norm_chain", "--p", "0.5", "--dim", "2,100",
+                     "--trials", "1"]) == cli.EXIT_SCHEMA
+    assert "dim must lie in [1, 64], got 100" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -53,11 +53,13 @@ def test_run_fuzz_rejects_empty_or_string_exponents(p_values):
     pytest.param({"p_values": [10**400]}, id="{'p_values': [10**400]}"),
     {"dims": 5}, {"tol_rel": "abc"}, {"tol_rel": None},
     {"dims": None}, {"dims": (0,)}, {"dims": (-3,)}, {"dims": (65,)}, {"dims": (10**6,)},
+    {"trials": 0, "dims": (0,)}, {"trials": 1, "dims": (2, 100), "p_values": (0.5,)},
 ], ids=repr)
 def test_run_fuzz_rejects_non_numbers_and_out_of_range_dims(kwargs):
     # the first seven used to escape as a bare ValueError, TypeError or
     # OverflowError; the dims outside [1, MAX_DIM] must not size a chunk
-    # of no trials, which would never end, or divide by zero
+    # of no trials, which would never end, or divide by zero, and are
+    # rejected also where no trial reaches them (the last two)
     with pytest.raises(InvalidSpec):
         fuzz.run_fuzz("lowner_heinz", **{"trials": 4, **kwargs})
 

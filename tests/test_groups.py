@@ -16,7 +16,7 @@ import pytest
 
 import fuzz_digests
 from opineq import checks, fuzz, maps, sampling
-from opineq.errors import NotPositiveDefinite
+from opineq.errors import NotFinite, NotPositiveDefinite
 
 TOL = fuzz.FUZZ_TOL_REL
 DIM = 4
@@ -116,3 +116,16 @@ def test_a_group_may_raise_where_no_instance_alone_does():
     assert [rep.to_json_dict() for rep in got] == \
         [info.runner(inst, tol_rel=TOL).to_json_dict() for inst in (spd, flat)]
     assert [rep.verdict for rep in got] == [checks.HOLDS, checks.HOLDS]
+
+
+def test_a_group_raises_where_a_violated_instance_alone_leaves_its_sides():
+    # alone, the first instance's A^2 overflows under a violated A <= B and
+    # is left unevaluated; a group holding it raises, and is rerun alone
+    info = checks.REGISTRY["lowner_heinz"]
+    violated = checks.InstanceSpec(A=np.diag([2e200, 1.0]), B=np.diag([1.0, 2e200]), p=2.0)
+    valid = checks.InstanceSpec(A=np.diag([1.0, 2.0]), B=np.diag([2.0, 3.0]), p=0.5)
+    with pytest.raises(NotFinite):
+        info.group([violated, valid], TOL)
+    got = fuzz._run(info, [violated, valid], TOL)
+    assert [rep.verdict for rep in got] == [checks.HYPOTHESIS_VIOLATED, checks.HOLDS]
+    assert got[0].hypothesis_note.endswith("; sides not evaluated")
