@@ -286,6 +286,13 @@ _INSTANCE_KEYS = ("A", "B", "p", "map", "m", "M", "x", "f")
 _F_KINDS = ("power", "exp", "log")
 
 
+def _real(value) -> float:
+    """float(value); a TypeError for a bool, which float() reads as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class InstanceSpec:
     """One problem instance: the matrices, the exponent and the options.
@@ -296,8 +303,8 @@ class InstanceSpec:
     ``x`` is the unit vector used by the vector-expectation checks and
     ``f`` selects the scalar function for the derivative-bound check
     (``power`` uses ``p`` as the exponent).  A value that is not a
-    number, such as a string or an integer past the float range, raises
-    SchemaError.
+    number, such as a string, a bool or an integer past the float range,
+    raises SchemaError.
     """
 
     A: np.ndarray
@@ -320,14 +327,14 @@ class InstanceSpec:
                         f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
                     )
                 object.__setattr__(self, "B", b)
-            p = float(self.p)
+            p = _real(self.p)
             if not np.isfinite(p):
                 raise InvalidSpec("p must be finite")
             object.__setattr__(self, "p", p)
             for label in ("m", "M"):
                 value = getattr(self, label)
                 if value is not None:
-                    value = float(value)
+                    value = _real(value)
                     if not np.isfinite(value):
                         raise InvalidSpec(f"{label} must be finite")
                     object.__setattr__(self, label, value)
@@ -397,13 +404,17 @@ class InstanceSpec:
 class CheckInfo:
     """Registry entry: how to run a check and what it needs.
 
-    group(insts, tol_rel) checks instances of one dimension and returns
-    their reports in order; runner(inst, tol_rel=...) is its group of one.
+    group(insts, tol_rel, spectra=None) checks instances of one dimension
+    and returns their reports in order.  It runs on spectra, a
+    linalg.Spectra that the caller may share with other work on the same
+    stacks (fuzz.run_fuzz: a chunk's sampler and its groups), or on a
+    fresh one when spectra is None.  runner(inst, tol_rel=...) is its
+    group of one, on a fresh Spectra.
     """
 
     check_id: str
     runner: Callable[..., CheckReport]
-    group: Callable[[list, float], list]
+    group: Callable[..., list]
     description: str
     default_p: tuple[float, ...]
 
@@ -423,10 +434,10 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
     map whose input dimension is not the operands' (an instance without
     a map gets the normalized trace).  It then builds each report's base
     params {"p", "m": None, "M": None, "map"} and calls body(insts, sp,
-    tol_rel, a, b, ps, phis, params) with a fresh linalg.Spectra sp; b is
-    None for one operand and phis None unless mapped.  The body adds its
-    own params and returns its part specs, which the group hands to
-    _finish.
+    tol_rel, a, b, ps, phis, params) with the group's linalg.Spectra sp
+    (CheckInfo.group); b is None for one operand and phis None unless
+    mapped.  The body adds its own params and returns its part specs,
+    which the group hands to _finish.
 
     A check with hypotheses returns (sides, hyp_ok, note) instead, lists
     over the group and a function that builds the part specs.  The group
@@ -448,8 +459,8 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
     hi = hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf)
 
     def register(body):
-        def group(insts, tol_rel):
-            sp = linalg.Spectra()
+        def group(insts, tol_rel, spectra=None):
+            sp = linalg.Spectra() if spectra is None else spectra
             try:
                 with np.errstate(over="raise"):
                     a, b = operands(insts)

@@ -23,7 +23,10 @@ matrix work stacked over the group (see checks.CheckInfo.group), and a
 stacked call gives every trial the bits it would get alone, so a
 trial's report does not depend on its group either.  A group that
 raises is checked again one trial at a time, and run_fuzz reads the
-outcomes in trial order.
+outcomes in trial order.  A chunk's sampler and its groups run on one
+linalg.Spectra, which keeps every eigensolve for the chunk: the
+decomposition of A behind a sandwich sample is the one the check of
+that dim's group takes, since it is the same trials in the same order.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import time
 import numpy as np
 
 from . import checks, linalg, maps, sampling
-from .errors import InvalidSpec, UnknownCheck
+from .errors import InvalidSpec, SchemaError, UnknownCheck
 
 __all__ = ["FUZZ_TOL_REL", "FuzzResult", "run_fuzz", "sample_instance"]
 
@@ -66,10 +69,6 @@ def _window(rng) -> tuple[float, float]:
     lo = float(10.0 ** rng.uniform(-1.3, 0.3))
     hi = lo * float(10.0 ** rng.uniform(0.1, 1.0))
     return lo, hi
-
-
-def _cfg(dim, window=(0.5, 2.0)) -> sampling.SamplerConfig:
-    return sampling.SamplerConfig(dim=dim, spectrum_lo=window[0], spectrum_hi=window[1])
 
 
 def _random_map(batch, rng, dim: int):
@@ -105,11 +104,13 @@ def _planned(draw):
     draw takes all of the trial's numbers from the batch's streams and
     returns the cell that holds its InstanceSpec once the batch resolves.
     Trial t's streams are keyed (seed, t + offset) with the offsets
-    below, so its instance does not depend on the rest of the plan.
+    below, so its instance does not depend on the rest of the plan.  The
+    plan's dims are trusted to lie in [1, MAX_DIM].  The batch runs on
+    spectra, a linalg.Spectra, or on a fresh one when it is None.
     """
     @functools.wraps(draw)
-    def sampler(seed: int, plan) -> list:
-        batch = sampling._Batch(seed)
+    def sampler(seed: int, plan, spectra=None) -> list:
+        batch = sampling._Batch(seed, spectra)
         cells = [draw(batch, trial, dim, p) for trial, dim, p in plan]
         batch.resolve()
         return [cell.value for cell in cells]
@@ -120,8 +121,8 @@ def _planned(draw):
 def _sample_spd_pair_map(batch, trial, dim, p):
     aux, first, second, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_B,
                                              trial + _S_MAP)
-    a = batch.spd(first, _cfg(dim, _window(aux)))
-    b = batch.spd(second, _cfg(dim, _window(aux)))
+    a = batch.spd(first, dim, *_window(aux))
+    b = batch.spd(second, dim, *_window(aux))
     m = _random_map(batch, mrng, dim)
     return batch.derive(
         lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, map=m.value))
@@ -131,7 +132,7 @@ def _sample_spd_pair_map(batch, trial, dim, p):
 def _sample_sandwich_map(batch, trial, dim, p):
     aux, first, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_MAP)
     m_target = 1.0 + float(10.0 ** aux.uniform(-2.0, 0.8))
-    a, b = batch.sandwich_pair(first, _cfg(dim, _window(aux)), m_target)
+    a, b = batch.sandwich_pair(first, dim, *_window(aux), m_target)
     m = _random_map(batch, mrng, dim)
     return batch.derive(
         lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, map=m.value))
@@ -142,7 +143,7 @@ def _sample_density(batch, trial, dim, p):
     # unit trace plus the unit window forces B = A, so the only valid
     # instances sit at the equality point; gate behavior is unit-tested
     (first,) = batch.streams(trial)
-    a = batch.density(first, _cfg(dim))
+    a = batch.density(first, dim, 0.5, 2.0)
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=a.value.copy(), p=p))
 
 
@@ -150,7 +151,7 @@ def _sample_density(batch, trial, dim, p):
 def _sample_power_corollary(batch, trial, dim, p):
     aux, first, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_MAP)
     hi = 1.0 + float(10.0 ** aux.uniform(-1.5, 0.9))
-    a = batch.spd(first, _cfg(dim, (1.0 + 1e-6, hi)))
+    a = batch.spd(first, dim, 1.0 + 1e-6, hi)
     m = _random_map(batch, mrng, dim)
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p, map=m.value))
 
@@ -161,8 +162,8 @@ def _sample_lowner_heinz(batch, trial, dim, p):
     # isotropic bump commutes too well with A to ever break A^2 <= B^2,
     # and the p > 1 counterexample hunt needs that anisotropy
     first, second = batch.streams(trial, trial + _S_B)
-    a = batch.spd(first, _cfg(dim, (0.5, 2.0)))
-    bump = batch.spd(second, _cfg(dim, (1e-3, 1.0)))
+    a = batch.spd(first, dim, 0.5, 2.0)
+    bump = batch.spd(second, dim, 1e-3, 1.0)
     return batch.derive(
         lambda: checks.InstanceSpec(A=a.value, B=a.value + bump.value, p=p))
 
@@ -170,14 +171,14 @@ def _sample_lowner_heinz(batch, trial, dim, p):
 @_planned
 def _sample_single_spd(batch, trial, dim, p):
     aux, first = batch.streams(trial + _S_AUX, trial)
-    a = batch.spd(first, _cfg(dim, _window(aux)))
+    a = batch.spd(first, dim, *_window(aux))
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p))
 
 
 @_planned
 def _sample_norm_dominated(batch, trial, dim, p):
     aux, first = batch.streams(trial + _S_AUX, trial)
-    a, b = batch.norm_dominated_pair(first, _cfg(dim, _window(aux)), 0.0)
+    a, b = batch.norm_dominated_pair(first, dim, *_window(aux), 0.0)
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
 
 
@@ -185,7 +186,7 @@ def _sample_norm_dominated(batch, trial, dim, p):
 def _sample_norm_dominated_gap(batch, trial, dim, p):
     aux, first = batch.streams(trial + _S_AUX, trial)
     gap = float(10.0 ** aux.uniform(-3.0, 0.0))
-    a, b = batch.norm_dominated_pair(first, _cfg(dim, _window(aux)), gap)
+    a, b = batch.norm_dominated_pair(first, dim, *_window(aux), gap)
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
 
 
@@ -197,8 +198,8 @@ def _sample_mond_pecaric(batch, trial, dim, p):
     split = float(10.0 ** aux.uniform(-0.3, 0.5))
     b_lo = split / float(10.0 ** aux.uniform(0.2, 1.0))
     a_hi = split * float(10.0 ** aux.uniform(0.2, 0.8))
-    b = batch.spd(second, _cfg(dim, (b_lo, split)))
-    a = batch.spd(first, _cfg(dim, (split, a_hi)))
+    b = batch.spd(second, dim, b_lo, split)
+    a = batch.spd(first, dim, split, a_hi)
     f = checks._F_KINDS[int(aux.integers(len(checks._F_KINDS)))]
     x = sampling._unit_vector(aux, dim)
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, x=x, f=f))
@@ -207,7 +208,7 @@ def _sample_mond_pecaric(batch, trial, dim, p):
 @_planned
 def _sample_holder_mccarthy(batch, trial, dim, p):
     aux, first = batch.streams(trial + _S_AUX, trial)
-    a = batch.spd(first, _cfg(dim, _window(aux)))
+    a = batch.spd(first, dim, *_window(aux))
     x = sampling._unit_vector(aux, dim)
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p, x=x))
 
@@ -215,14 +216,14 @@ def _sample_holder_mccarthy(batch, trial, dim, p):
 @_planned
 def _sample_square(batch, trial, dim, p):
     (first,) = batch.streams(trial)
-    a = sampling._square(first, _cfg(dim))
+    a = sampling._square(first, dim)
     return batch.derive(lambda: checks.InstanceSpec(A=a, p=p))
 
 
 @_planned
 def _sample_radius_chain(batch, trial, dim, p):
     (first,) = batch.streams(trial)
-    a = sampling._square(first, _cfg(dim))
+    a = sampling._square(first, dim)
     if p < 0.0:
         # negative powers need a positive spectral radius; shifting by
         # 1.5 ||A|| puts every eigenvalue's real part above 0.5 ||A||
@@ -233,8 +234,8 @@ def _sample_radius_chain(batch, trial, dim, p):
 @_planned
 def _sample_spd_pair(batch, trial, dim, p):
     aux, first, second = batch.streams(trial + _S_AUX, trial, trial + _S_B)
-    a = batch.spd(first, _cfg(dim, _window(aux)))
-    b = batch.spd(second, _cfg(dim, _window(aux)))
+    a = batch.spd(first, dim, *_window(aux))
+    b = batch.spd(second, dim, *_window(aux))
     return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
 
 
@@ -261,12 +262,22 @@ FUZZ_SAMPLERS = {
 
 def sample_instance(check_id: str, dim: int, seed: int, p: float,
                     trial: int) -> checks.InstanceSpec:
-    """Regenerate the exact instance a fuzz trial would use."""
+    """Regenerate the exact instance a fuzz trial would use.
+
+    trial, dim and seed must be integers, and dim lie in [1, MAX_DIM]
+    (InvalidSpec); p must be a number, not a bool (SchemaError, as the
+    instance it goes into raises).
+    """
     sampler = FUZZ_SAMPLERS.get(check_id)
     if sampler is None:
         raise UnknownCheck(f"no sampler for check {check_id!r}")
-    plan = [(sampling._integer(trial, "trial"), sampling._integer(dim, "dim"), p)]
-    return sampler(sampling._integer(seed, "seed"), plan)[0]
+    trial, dim = sampling._integer(trial, "trial"), sampling._dim(dim)
+    seed = sampling._integer(seed, "seed")
+    try:
+        p = checks._real(p)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed instance: {exc}") from exc
+    return sampler(seed, [(trial, dim, p)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -307,28 +318,40 @@ def _chunks(trials: int, size: int, stop_on_fail: bool):
         start, n = start + n, min(2 * n, size)
 
 
-def _outcomes(info, plan, instances, tol_rel) -> list:
+def _outcomes(info, plan, instances, tol_rel, spectra=None) -> list:
     """Each planned trial's report, or the exception its check raised, in
-    plan order; the trials of one dim run through the check as one group."""
+    plan order; the trials of one dim run through the check as one group,
+    every group on spectra (see CheckInfo.group)."""
     by_dim: dict[int, list] = {}
     for j, (_, dim, _) in enumerate(plan):
         by_dim.setdefault(dim, []).append(j)
     out = [None] * len(plan)
     for rows in by_dim.values():
-        for j, outcome in zip(rows, _run(info, [instances[j] for j in rows], tol_rel)):
+        group = [instances[j] for j in rows]
+        for j, outcome in zip(rows, _run(info, group, tol_rel, spectra)):
             out[j] = outcome
     return out
 
 
-def _run(info, group, tol_rel) -> list:
+def _run(info, group, tol_rel, spectra=None) -> list:
     """The check's reports on a group; when the group raises, each
     instance's report or exception, run alone."""
     try:
-        return info.group(group, tol_rel)
+        return info.group(group, tol_rel, spectra)
     except Exception as exc:  # an outcome: run_fuzz raises it in trial order
         if len(group) == 1:
             return [exc]
-        return [_run(info, [inst], tol_rel)[0] for inst in group]
+        return [_run(info, [inst], tol_rel, spectra)[0] for inst in group]
+
+
+def _checked(info, sampler, seed, plans, tol_rel):
+    """(plan row, instance, outcome) of every trial, plan by plan.  Each
+    plan is one chunk, sampled and checked on one linalg.Spectra: the
+    sampler's decompositions and the checks' are made once for both."""
+    for plan in plans:
+        spectra = linalg.Spectra()
+        instances = sampler(seed, plan, spectra)
+        yield from zip(plan, instances, _outcomes(info, plan, instances, tol_rel, spectra))
 
 
 def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
@@ -337,24 +360,26 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     """Run one check against `trials` sampled instances.
 
     Trial t uses p = p_values[t mod len(p_values)] (the check's default_p
-    when p_values is None; an empty list raises InvalidSpec) and cycles
-    dims with period len(p_values) * len(dims).  Every dim must be an
-    integer in [1, MAX_DIM], even one that no trial reaches, or the run
-    raises InvalidSpec before it samples.  Reports come back ordered by t
-    and carry seed/trial/dim in their params.  Every FAILS yields a
-    witness holding the instance that failed.
+    when p_values is None; an empty list, or an exponent that is not a
+    number or is a bool, raises InvalidSpec) and cycles dims with period
+    len(p_values) * len(dims).  Every dim must be an integer in [1,
+    MAX_DIM], even one that no trial reaches, or the run raises
+    InvalidSpec before it samples.  Reports come back ordered by t and
+    carry seed/trial/dim in their params.  Every FAILS yields a witness
+    holding the instance that failed.
 
     The trials are checked in chunks of a size set by the largest dim:
     64 trials at MAX_DIM, proportionally more at smaller dims, at most
-    512 (a default 1,000-trial run at dims 2-6 takes two chunks).  With
-    stop_on_fail the chunks start at 64 trials and double up to that
-    size.  Each chunk is checked in groups, one per dim, before its
-    outcomes are read in trial order: the first trial whose check raised
-    re-raises that exception, unless stop_on_fail has ended the run at
-    an earlier FAILS.  The outcomes after that FAILS, in its chunk, are
-    computed and dropped: fewer than 64 when it falls among the first 64
-    trials, as with chunks of 64, and fewer than its chunk's size after
-    that, so the run checks at most twice the trials chunks of 64 would.
+    512 (a default 1,000-trial run at dims 2-6 takes two chunks), each
+    sampled and checked on one linalg.Spectra.  With stop_on_fail the
+    chunks start at 64 trials and double up to that size.  Each chunk
+    is checked in groups, one per dim, before its outcomes are read in
+    trial order: the first trial whose check raised re-raises that
+    exception, unless stop_on_fail has ended the run at an earlier
+    FAILS.  The outcomes after that FAILS, in its chunk, are computed
+    and dropped: fewer than 64 when it falls among the first 64 trials,
+    as with chunks of 64, and fewer than its chunk's size after that, so
+    the run checks at most twice the trials chunks of 64 would.
     """
     info = checks.resolve_check(check_id)
     trials, seed = sampling._integer(trials, "trials"), sampling._integer(seed, "seed")
@@ -362,7 +387,7 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
     tol_rel = checks._require_tol(tol_rel)
     try:   # every dim is checked here, whether or not a trial reaches it
-        dims = tuple(sampling.SamplerConfig(dim=d).dim for d in dims)
+        dims = tuple(sampling._dim(d) for d in dims)
     except TypeError:
         raise InvalidSpec(f"dims must be a sequence of integers, got {dims!r}") from None
     if not dims:
@@ -370,7 +395,8 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     try:
         if isinstance(p_values, str):   # a sequence of characters
             raise TypeError(p_values)
-        p_values = info.default_p if p_values is None else tuple(float(p) for p in p_values)
+        p_values = (info.default_p if p_values is None
+                    else tuple(checks._real(p) for p in p_values))
     except (TypeError, ValueError, OverflowError):
         raise InvalidSpec(f"p_values must be a sequence of numbers, got {p_values!r}") from None
     if not p_values:
@@ -384,10 +410,7 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     plans = ([(t, dims[(t // len(p_values)) % len(dims)], p_values[t % len(p_values)])
               for t in range(lo, hi)]
              for lo, hi in _chunks(trials, _chunk_size(dims), stop_on_fail))
-    chunks = ((plan, sampler(seed, plan)) for plan in plans)
-    checked = (row for plan, instances in chunks
-               for row in zip(plan, instances, _outcomes(info, plan, instances, tol_rel)))
-    for (trial, dim, p), inst, report in checked:
+    for (trial, dim, p), inst, report in _checked(info, sampler, seed, plans, tol_rel):
         if isinstance(report, Exception):
             raise report
         # a fresh report, so its params are the run's to extend

@@ -23,9 +23,10 @@ Two layers share that contract:
   (checks._pair, checks._symmetric) checks the symmetry of its symmetric
   operands before anything is computed, and its registry wrapper gives
   it the one Spectra that every decomposition, power, square root and
-  norm of its group of instances runs through.  means.weighted_mean and
-  means.tsallis_entropy take it as `spectra=`; maps.apply_map and
-  checks._finish never re-validate.
+  norm of its group of instances runs through; fuzz.run_fuzz shares one
+  Spectra between a chunk's sampler and its check groups.
+  means.weighted_mean and means.tsallis_entropy take it as `spectra=`;
+  maps.apply_map and checks._finish never re-validate.
 
 Loewner comparisons never return a bare bool.  loewner_compare reports
 the signed gap (the smallest eigenvalue of R - L) together with the
@@ -111,9 +112,12 @@ def require_symmetric(a, what: str = "matrix") -> np.ndarray:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T)/2, matrix by matrix over any leading stack axes.
 
-    Used to strip rounding-level asymmetry after products.
+    Used to strip rounding-level asymmetry after products.  a is a float
+    array; the sum is formed once and halved in place.
     """
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    s = a + a.swapaxes(-1, -2)
+    s *= 0.5
+    return s
 
 
 @dataclass(frozen=True)
@@ -184,19 +188,38 @@ class Spectra:
     its matrices with an earlier one is solved whole.  eigh and eigvalsh
     results are never substituted for each other: their eigenvalues
     differ in the last bits.  Powers, square-root factors and norms are
-    derived from the kept solves.
+    derived from the kept solves.  keep() holds the operators that
+    callers derive from operand stacks (means keeps W and the weighted
+    means there), keyed by the identity of the operands.
 
     Arguments are trusted: square and symmetric within SYM_RTOL, as the
     caller has checked.  Only finiteness is checked, once per new solve,
     because LAPACK decomposes a matrix holding inf or nan into finite
-    garbage.  Make one per check call and share it with nothing else.
-    A check that raises for one matrix of a stack raises for the stack;
-    its message describes the first such matrix.
+    garbage.  Make one per check call or per fuzz chunk, whose sampler
+    and check groups then share every solve, and share it with nothing
+    else.  A check that raises for one matrix of a stack raises for the
+    stack; its message describes the first such matrix.
     """
 
     def __init__(self):
         # (routine, n, bits of the symmetrized stack) -> results over its (k, n, n) form
         self._solved = {}
+        # (key, ids of the operands) -> (result, operands)
+        self._kept = {}
+
+    def keep(self, key: tuple, operands: tuple, make):
+        """make(), made once per key and operand objects while this Spectra lives.
+
+        The operands, arrays that make() reads, are matched by identity,
+        not by their bits, and held with the result, so that no other
+        object can take their ids meanwhile; they must not be changed in
+        place once used here.  key holds what else make() reads.
+        """
+        full = (*key, *map(id, operands))
+        hit = self._kept.get(full)
+        if hit is None:
+            hit = self._kept[full] = (make(), operands)
+        return hit[0]
 
     def _solve(self, routine: str, a: np.ndarray):
         s = symmetrize(a)
@@ -280,14 +303,21 @@ class Spectra:
         out[solve] = full[solve]
         return out.reshape(a.shape)
 
-    def sqrt_factors(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A^{1/2}, A^{-1/2}); A must be SPD."""
+    def _spd(self, a: np.ndarray) -> SpectralDecomposition:
+        """decompose(a), once every matrix of the stack is SPD."""
         dec = self.decompose(a)
         _require_floor(dec.eigenvalues, True,
                        "square-root factors need an SPD matrix, min eigenvalue {lo:.3e}")
-        half = dec.apply(np.sqrt)
-        inv_half = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
-        return half, inv_half
+        return dec
+
+    def sqrt(self, a: np.ndarray) -> np.ndarray:
+        """A^{1/2}, the first of sqrt_factors; A must be SPD."""
+        return self._spd(a).apply(np.sqrt)
+
+    def sqrt_factors(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A^{1/2}, A^{-1/2}); A must be SPD."""
+        dec = self._spd(a)
+        return dec.apply(np.sqrt), dec.apply(lambda lam: 1.0 / np.sqrt(lam))
 
     def compare(self, l: np.ndarray, r: np.ndarray, tol_rel: float) -> list:
         """loewner_compare for trusted operands of one shape: one

@@ -22,9 +22,12 @@ Inside a check (spectra= given) A and B may be stacks of instances,
 (g, n, n), each with its own p: the decompositions, powers and products
 run stacked, through linalg.Spectra, and give every instance the bits it
 gets alone.  W is formed in one place, _inner_operator, for the means,
-the entropy and the checks' inner spectra.  Negative exponents are gated
-in one place too, Spectra.power, which needs W's eigenvalues bounded
-away from zero for them.
+the entropy and the checks' inner spectra.  The Spectra keeps W once per
+pair of operand objects, and each mean once per pair and exponents
+(Spectra.keep), so a check that takes W's spectrum and then the mean of
+the same stacks, or an entropy and then the mean, forms each once.
+Negative exponents are gated in one place too, Spectra.power, which
+needs W's eigenvalues bounded away from zero for them.
 """
 
 from __future__ import annotations
@@ -74,9 +77,12 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inner_operator(a, b, spectra) -> tuple[np.ndarray, np.ndarray]:
-    """(A^{1/2}, A^{-1/2} B A^{-1/2}) from one decomposition of A."""
-    half, inv_half = spectra.sqrt_factors(a)
-    return half, linalg.symmetrize(inv_half @ b @ inv_half)
+    """(A^{1/2}, A^{-1/2} B A^{-1/2}) from one decomposition of A, formed
+    once per pair of operand objects in spectra."""
+    def make():
+        half, inv_half = spectra.sqrt_factors(a)
+        return half, linalg.symmetrize(inv_half @ b @ inv_half)
+    return spectra.keep(("inner",), (a, b), make)
 
 
 def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
@@ -90,19 +96,24 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     Without `spectra` the operands are validated.  A check passes the
     linalg.Spectra of its call instead: then A and B are trusted, as the
     check has validated them, and each stack of A or W is decomposed once
-    across the whole call.  They may then be stacks of instances,
+    across the whole call; the mean itself is formed once per pair of
+    operand objects and p.  They may then be stacks of instances,
     (g, n, n), with one exponent per instance in p; the result's value,
-    p and inner_spectrum hold one entry per instance.
+    p and inner_spectrum hold one entry per instance.  The result is
+    shared, so its value must not be changed in place.
     """
     if spectra is None:
         p = float(p)
         a, b = _operands(a, b)
         spectra = linalg.Spectra()
-    half, w = _inner_operator(a, b, spectra)
-    lam = spectra.decompose(w).eigenvalues
-    wp = spectra.power(w, linalg._per_matrix(p, w))
-    value = linalg.symmetrize(half @ wp @ half)
-    return MeanResult(value=value, p=p, inner_spectrum=(lam[..., 0][()], lam[..., -1][()]))
+
+    def make():
+        half, w = _inner_operator(a, b, spectra)
+        lam = spectra.decompose(w).eigenvalues
+        wp = spectra.power(w, linalg._per_matrix(p, w))
+        value = linalg.symmetrize(half @ wp @ half)
+        return MeanResult(value=value, p=p, inner_spectrum=(lam[..., 0][()], lam[..., -1][()]))
+    return spectra.keep(("mean", tuple(p) if hasattr(p, "__len__") else p), (a, b), make)
 
 
 def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:

@@ -10,12 +10,16 @@ Sampling runs in two phases, in a batch (_Batch).  First every instance
 of the batch draws all of its numbers from its own streams, in the same
 order as when it is sampled alone: spectra, Gaussian blocks, scalars.
 Then the batch's linear algebra runs stacked, one call per matrix shape:
-the QR of every Gaussian block, the reconstruction Q diag(lam) Q^T, and
-the square root A^{1/2} behind each sandwich conjugation, taken through
-linalg.Spectra.  Stacked LAPACK and BLAS calls work matrix by matrix, so
-an instance comes out bit-identical whatever else shares its batch.  The
-public generators below are batches of one; fuzz.run_fuzz samples a run
-in chunks of trials.
+the QR of every Gaussian block, the reconstruction Q diag(lam) Q^T, the
+square root A^{1/2} behind each sandwich conjugation and the norm ||A||
+behind each norm-dominated pair, taken through a linalg.Spectra.  Stacked
+LAPACK and BLAS calls work matrix by matrix, so an instance comes out
+bit-identical whatever else shares its batch.  The public generators
+below are batches of one, with a SamplerConfig; the batch's draws take
+the dimension and spectrum window directly, validated by the caller.
+fuzz.run_fuzz samples a run in chunks of trials, each batch on the
+Spectra that then checks the chunk, so a check finds the sandwich's
+decomposition of A already made.
 
 Every sampler is constructive.  Hypotheses like "A <= B in the Loewner
 order" or "||A|| I <= B" are built into the recipe (conjugations of a
@@ -51,6 +55,14 @@ def _integer(v, what: str) -> int:
     raise InvalidSpec(f"{what} must be an integer, got {v!r}")
 
 
+def _dim(v) -> int:
+    """v as a dimension in [1, MAX_DIM]; InvalidSpec otherwise."""
+    n = _integer(v, "dim")
+    if not 1 <= n <= MAX_DIM:
+        raise InvalidSpec(f"dim must lie in [1, {MAX_DIM}], got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Dimension, seed and spectrum window for the generators.
@@ -65,10 +77,8 @@ class SamplerConfig:
     spectrum_hi: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
+        object.__setattr__(self, "dim", _dim(self.dim))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        if not 1 <= self.dim <= MAX_DIM:
-            raise InvalidSpec(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
         if not 0.0 < self.spectrum_lo <= self.spectrum_hi:
             raise InvalidSpec(
                 f"need 0 < spectrum_lo <= spectrum_hi, got "
@@ -101,9 +111,8 @@ def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / float(np.linalg.norm(v))
 
 
-def _square(rng: np.random.Generator, cfg: SamplerConfig) -> np.ndarray:
-    """Nonzero dim x dim Gaussian sample."""
-    n = cfg.dim
+def _square(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Nonzero n x n Gaussian sample."""
     m = rng.normal(size=(n, n))
     while float(np.max(np.abs(m))) == 0.0:  # pragma: no cover
         m = rng.normal(size=(n, n))
@@ -125,17 +134,20 @@ class _Batch:
     they are given, at once and in the order the public generators use,
     and return _Cells.  resolve() runs one sign-fixed QR per (n, k) stack
     of Gaussian blocks, one Q diag(lam) Q^T per n, one A^{1/2} stack per
-    n (linalg.Spectra.sqrt_factors) for the sandwich conjugations, then
-    the derive() callbacks in the order they were registered, and fills
-    every cell.
+    n for the sandwich conjugations and one ||A|| stack per n for the
+    norm-dominated pairs, both through the batch's linalg.Spectra (a
+    fresh one unless given), then the derive() callbacks in the order
+    they were registered, and fills every cell.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, spectra=None):
         self._seed = int(seed)
+        self._spectra = linalg.Spectra() if spectra is None else spectra
         self._slots: list[np.random.Generator] = []
         self._blocks: dict[tuple[int, int], list] = {}   # (n, k) -> [(gaussian, cell)]
         self._spectral: dict[int, list] = {}              # n -> [(lam, q, cell)]
         self._sandwich: dict[int, list] = {}              # n -> [(a, w, cell)]
+        self._dominated: dict[int, list] = {}             # n -> [(a, gap, bump, cell)]
         self._derived: list = []                          # [(fn, cell)]
 
     def streams(self, *indices: int) -> list[np.random.Generator]:
@@ -177,42 +189,38 @@ class _Batch:
         self._spectral.setdefault(lam.size, []).append((lam, q, cell))
         return cell
 
-    def spd(self, rng: np.random.Generator, cfg: SamplerConfig) -> _Cell:
-        """SPD matrix with eigenvalues uniform on the config window."""
-        lam = rng.uniform(cfg.spectrum_lo, cfg.spectrum_hi, size=cfg.dim)
-        return self.spectral(rng, lam)
+    def spd(self, rng: np.random.Generator, n: int, lo: float, hi: float) -> _Cell:
+        """n x n SPD matrix with eigenvalues uniform on [lo, hi]."""
+        return self.spectral(rng, rng.uniform(lo, hi, size=n))
 
-    def sandwich_pair(self, rng: np.random.Generator, cfg: SamplerConfig,
+    def sandwich_pair(self, rng: np.random.Generator, n: int, lo: float, hi: float,
                       M_target: float) -> tuple[_Cell, _Cell]:
         """(A, B = A^{1/2} W A^{1/2}); see random_sandwich_pair."""
         if M_target < 1.0:
             raise InvalidSpec(f"M_target must be >= 1, got {M_target}")
-        a = self.spd(rng, cfg)
+        a = self.spd(rng, n, lo, hi)
         margin = 1e-6 * max(M_target - 1.0, 1e-3)
-        lam_w = 1.0 + margin + (M_target - 1.0 - margin) * rng.uniform(size=cfg.dim)
+        lam_w = 1.0 + margin + (M_target - 1.0 - margin) * rng.uniform(size=n)
         lam_w = np.clip(lam_w, 1.0 + margin, max(M_target, 1.0 + margin))
         w = self.spectral(rng, lam_w)
         b = _Cell()
-        self._sandwich.setdefault(cfg.dim, []).append((a, w, b))
+        self._sandwich.setdefault(n, []).append((a, w, b))
         return a, b
 
-    def norm_dominated_pair(self, rng: np.random.Generator, cfg: SamplerConfig,
+    def norm_dominated_pair(self, rng: np.random.Generator, n: int, lo: float, hi: float,
                             gap: float) -> tuple[_Cell, _Cell]:
         """(A, B = (||A|| + gap) I + bump); see random_norm_dominated_pair."""
         if gap < 0.0:
             raise InvalidSpec(f"gap must be >= 0, got {gap}")
-        a = self.spd(rng, cfg)
-        bump = self.spectral(rng, rng.uniform(0.0, cfg.spectrum_hi, size=cfg.dim))
+        a = self.spd(rng, n, lo, hi)
+        bump = self.spectral(rng, rng.uniform(0.0, hi, size=n))
+        b = _Cell()
+        self._dominated.setdefault(n, []).append((a, gap, bump, b))
+        return a, b
 
-        def dominate():
-            b = (linalg.norm_op(a.value) + gap) * np.eye(cfg.dim) + bump.value
-            return linalg.symmetrize(b)
-
-        return a, self.derive(dominate)
-
-    def density(self, rng: np.random.Generator, cfg: SamplerConfig) -> _Cell:
-        """SPD matrix from the config window, normalized to unit trace."""
-        m = self.spd(rng, cfg)
+    def density(self, rng: np.random.Generator, n: int, lo: float, hi: float) -> _Cell:
+        """SPD matrix from the window [lo, hi], normalized to unit trace."""
+        m = self.spd(rng, n, lo, hi)
         return self.derive(lambda: m.value / float(np.trace(m.value)))
 
     def resolve(self) -> None:
@@ -229,14 +237,19 @@ class _Batch:
             for (_, _, cell), mi in zip(jobs, m):
                 cell.value = mi
         for jobs in self._sandwich.values():
-            half = linalg.Spectra().sqrt_factors(np.stack([a.value for a, _, _ in jobs]))[0]
+            half = self._spectra.sqrt(np.stack([a.value for a, _, _ in jobs]))
             w = np.stack([wc.value for _, wc, _ in jobs])
             b = linalg.symmetrize(half @ w @ half)
             for (_, _, cell), bi in zip(jobs, b):
                 cell.value = bi
+        for n, jobs in self._dominated.items():
+            norms = self._spectra.norm_op(np.stack([a.value for a, _, _, _ in jobs])).tolist()
+            for (_, gap, bump, cell), norm in zip(jobs, norms):
+                cell.value = linalg.symmetrize((norm + gap) * np.eye(n) + bump.value)
         for fn, cell in self._derived:
             cell.value = fn()
-        self._blocks, self._spectral, self._sandwich, self._derived = {}, {}, {}, []
+        self._blocks, self._spectral, self._sandwich, self._dominated, self._derived = \
+            {}, {}, {}, {}, []
 
 
 def _one(cell: _Cell, batch: _Batch):
@@ -259,12 +272,13 @@ def spd_from_spectrum(spectrum, rng: np.random.Generator) -> np.ndarray:
 def random_spd(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
     """SPD matrix with eigenvalues uniform on the config window."""
     batch = _Batch()
-    return _one(batch.spd(rng_for(cfg.seed, trial), cfg), batch)
+    return _one(batch.spd(rng_for(cfg.seed, trial), cfg.dim, cfg.spectrum_lo,
+                          cfg.spectrum_hi), batch)
 
 
 def random_square(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
     """Dense Gaussian matrix, generally nonsymmetric and nonzero."""
-    return _square(rng_for(cfg.seed, trial), cfg)
+    return _square(rng_for(cfg.seed, trial), cfg.dim)
 
 
 def random_sandwich_pair(
@@ -278,7 +292,8 @@ def random_sandwich_pair(
     rounding.
     """
     batch = _Batch()
-    a, b = batch.sandwich_pair(rng_for(cfg.seed, trial), cfg, M_target)
+    a, b = batch.sandwich_pair(rng_for(cfg.seed, trial), cfg.dim, cfg.spectrum_lo,
+                               cfg.spectrum_hi, M_target)
     batch.resolve()
     return a.value, b.value
 
@@ -292,7 +307,8 @@ def random_norm_dominated_pair(
     operator-norm domination ||A|| I <= B holds with slack gap.
     """
     batch = _Batch()
-    a, b = batch.norm_dominated_pair(rng_for(cfg.seed, trial), cfg, gap)
+    a, b = batch.norm_dominated_pair(rng_for(cfg.seed, trial), cfg.dim, cfg.spectrum_lo,
+                                     cfg.spectrum_hi, gap)
     batch.resolve()
     return a.value, b.value
 
@@ -300,7 +316,8 @@ def random_norm_dominated_pair(
 def random_density(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
     """Random density matrix: SPD normalized to unit trace."""
     batch = _Batch()
-    return _one(batch.density(rng_for(cfg.seed, trial), cfg), batch)
+    return _one(batch.density(rng_for(cfg.seed, trial), cfg.dim, cfg.spectrum_lo,
+                              cfg.spectrum_hi), batch)
 
 
 def random_unit_vector(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:

@@ -1012,10 +1012,12 @@ def test_instance_spec_validation():
 @pytest.mark.parametrize("kwargs", [
     {"p": "abc"}, {"p": None}, {"m": "x"}, {"A": "abc"}, {"B": [[1.0, "a"], [0.0, 1.0]]},
     {"x": ["a", 1.0]}, pytest.param({"p": 10**400}, id="{'p': 10**400}"),
+    {"p": True}, {"p": np.True_}, {"m": True}, {"M": False}, {"m": 0.5, "M": np.True_},
 ], ids=repr)
 def test_instance_spec_rejects_non_numbers_as_schema_errors(kwargs):
     # the library path gets the JSON path's error, not a bare ValueError,
-    # TypeError or OverflowError
+    # TypeError or OverflowError; a bool, which float() reads as 0 or 1,
+    # is refused as the JSON path refuses it
     with pytest.raises(SchemaError, match="^malformed instance: "):
         checks.InstanceSpec(**{"A": np.eye(2), "p": 0.5, **kwargs})
 
@@ -1023,6 +1025,15 @@ def test_instance_spec_rejects_non_numbers_as_schema_errors(kwargs):
 def test_sampled_instance_with_a_non_number_exponent_is_a_schema_error():
     with pytest.raises(SchemaError):
         fuzz.sample_instance("power_norm", 3, 0, "abc", 0)
+
+
+@pytest.mark.parametrize("p", ["abc", None, True, np.False_], ids=repr)
+@pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
+def test_every_sampler_rejects_a_non_number_exponent_as_a_schema_error(check_id, p):
+    # radius_chain compared p < 0 before any instance existed, which
+    # raised a bare TypeError on "abc" and None and ran True as p = 1
+    with pytest.raises(SchemaError, match="^malformed instance: "):
+        fuzz.sample_instance(check_id, 3, 0, p, 0)
 
 
 def test_check_report_json_is_serializable():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import checks, fuzz, sampling
+from opineq import checks, fuzz, linalg, means, sampling
 from opineq.errors import InvalidSpec, NotPositiveDefinite, UnknownCheck
 
 
@@ -49,7 +49,8 @@ def test_run_fuzz_rejects_empty_or_string_exponents(p_values):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"p_values": ["a"]}, {"p_values": [None]}, {"p_values": 0.5},
+    {"p_values": ["a"]}, {"p_values": [None]}, {"p_values": 0.5}, {"p_values": [True]},
+    {"p_values": (0.5, np.False_)},
     pytest.param({"p_values": [10**400]}, id="{'p_values': [10**400]}"),
     {"dims": 5}, {"tol_rel": "abc"}, {"tol_rel": None},
     {"dims": None}, {"dims": (0,)}, {"dims": (-3,)}, {"dims": (65,)}, {"dims": (10**6,)},
@@ -210,11 +211,11 @@ def _recording(monkeypatch, check_id, seen, canned=None):
     reports are canned ones carrying the instance, when canned is given."""
     info = checks.REGISTRY[check_id]
 
-    def group(insts, tol_rel):
+    def group(insts, tol_rel, spectra=None):
         assert len({inst.A.shape for inst in insts}) == 1
         seen.append(list(insts))
         if canned is None:
-            return info.group(insts, tol_rel)
+            return info.group(insts, tol_rel, spectra)
         return [dataclasses.replace(canned, params={"instance": inst.to_json_dict()})
                 for inst in insts]
 
@@ -311,11 +312,11 @@ def _failing_group(monkeypatch, check_id, failing):
     bad = {fuzz.sample_instance(check_id, dims[t % len(dims)], 8, 2.0, t).A.tobytes(): label
            for t, label in failing.items()}
 
-    def group(insts, tol_rel):
+    def group(insts, tol_rel, spectra=None):
         for inst in insts:
             if inst.A.tobytes() in bad:
                 raise RuntimeError(bad[inst.A.tobytes()])
-        return info.group(insts, tol_rel)
+        return info.group(insts, tol_rel, spectra)
 
     monkeypatch.setitem(checks.REGISTRY, check_id, dataclasses.replace(info, group=group))
 
@@ -350,3 +351,53 @@ def test_an_erroring_trial_leaves_the_others_reports(monkeypatch):
     assert isinstance(got[4], NotPositiveDefinite)
     assert [r.to_json_dict() for r in got[:4] + got[5:]] == \
         [r.to_json_dict() for r in clean[:4] + clean[5:]]
+
+
+# ----------------------------------------------------------------------
+# a chunk's sampler and check groups share one linalg.Spectra
+# ----------------------------------------------------------------------
+
+def _spy(monkeypatch, owner, name, record):
+    """Replace owner.name by a wrapper that hands each call's (args, result)
+    to record."""
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("check_id", ["reverse_monotonicity", "ando_converse"])
+def test_a_chunk_eighs_each_stack_once_and_forms_each_w_once(monkeypatch, check_id):
+    # the sandwich sampler decomposes the chunk's A stack, which is the
+    # check's A stack; the check takes W's spectrum and then the mean of
+    # the same (A, B), and gets the W it formed first
+    solved = []
+    _spy(monkeypatch, np.linalg, "eigh", lambda args, out: solved.append(args[0].tobytes()))
+    formed = {}     # (A bits, B bits) -> every W handed out, held so no id is reused
+    _spy(monkeypatch, means, "_inner_operator", lambda args, out: formed.setdefault(
+        (args[0].tobytes(), args[1].tobytes()), []).append(out[1]))
+    result = fuzz.run_fuzz(check_id, trials=12, dims=(16,), seed=3)
+    assert result.trials == 12
+    ps = checks.REGISTRY[check_id].default_p
+    a = np.stack([fuzz.sample_instance(check_id, 16, 3, ps[t % len(ps)], t).A
+                  for t in range(12)])
+    assert linalg.symmetrize(a).tobytes() in solved
+    assert len(solved) == len(set(solved))
+    assert sum(map(len, formed.values())) > len(formed)     # W is asked for again ...
+    assert all(len({id(w) for w in ws}) == 1 for ws in formed.values())   # ... and kept
+
+
+def test_furuta_bounds_forms_each_mapped_mean_once(monkeypatch):
+    # the entropy of the images takes their mean, and the Kantorovich term
+    # takes it again
+    made = {}       # (A bits, B bits, p) -> every mean handed out
+    _spy(monkeypatch, means, "weighted_mean", lambda args, out: made.setdefault(
+        (args[0].tobytes(), args[1].tobytes(), tuple(args[2])), []).append(out))
+    result = fuzz.run_fuzz("furuta_bounds", trials=16, dims=(16,), seed=3)
+    assert result.trials == 16
+    assert sum(map(len, made.values())) > len(made)
+    assert all(len({id(mean) for mean in results}) == 1 for results in made.values())

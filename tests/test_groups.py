@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fuzz_digests
-from opineq import checks, fuzz, maps, sampling
+from opineq import checks, fuzz, linalg, maps, sampling
 from opineq.errors import NotFinite, NotPositiveDefinite
 
 TOL = fuzz.FUZZ_TOL_REL
@@ -86,6 +86,24 @@ def test_group_reports_equal_reports_alone(check_id):
     assert violated or check_id in ("info_monotonicity", "furuta_bounds", "seo_bound",
                                     "norm_power_lemma", "holder_mccarthy", "norm_chain",
                                     "power_norm", "norm_refinement")
+
+
+@pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
+def test_groups_of_two_dims_on_one_spectra_report_as_on_fresh_ones(check_id):
+    # as in a fuzz chunk: one Spectra samples the plan and then checks
+    # its two dims, each as one group, here twice over; every report is
+    # the one a fresh sampler and fresh groups give
+    info, sampler = checks.REGISTRY[check_id], fuzz.FUZZ_SAMPLERS[check_id]
+    plan = [(t, (3, DIM)[t % 2], info.default_p[t % len(info.default_p)]) for t in range(12)]
+    by_dim = (slice(0, None, 2), slice(1, None, 2))
+    fresh = sampler(13, plan)
+    want = [[r.to_json_dict() for r in info.group(fresh[rows], TOL)] for rows in by_dim]
+    sp = linalg.Spectra()
+    shared = sampler(13, plan, sp)
+    assert [inst.to_json_dict() for inst in shared] == [inst.to_json_dict() for inst in fresh]
+    for _ in range(2):
+        assert [[r.to_json_dict() for r in info.group(shared[rows], TOL, sp)]
+                for rows in by_dim] == want
 
 
 def test_groups_reach_every_image_size():
