@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import constants, linalg, maps, means
+from . import constants, linalg, maps, means, sampling
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -288,9 +288,30 @@ _F_KINDS = ("power", "exp", "log")
 
 def _real(value) -> float:
     """float(value); a TypeError for a bool, which float() reads as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
+    if sampling._is_bool(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _scalar(value) -> float:
+    """_real(value), and a TypeError for a string, which float() parses:
+    an instance's p, m and M are numbers, as in its JSON."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return _real(value)
+
+
+def _array(value, label: str) -> np.ndarray:
+    """np.asarray(value); a TypeError unless it holds integers or floats.
+    The dtype decides, in O(1) for a sampled float64 array; an object
+    array (Python ints past int64, None) is searched for strings, bools
+    and complex numbers, and float() reads or refuses the rest."""
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind not in "iufO" or kind == "O" and any(
+            isinstance(v, (str, bytes, complex)) or sampling._is_bool(v) for v in arr.flat):
+        raise TypeError(f"{label} must hold integers or floats, got {arr.dtype} entries")
+    return arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -304,7 +325,8 @@ class InstanceSpec:
     ``f`` selects the scalar function for the derivative-bound check
     (``power`` uses ``p`` as the exponent).  A value that is not a
     number, such as a string, a bool or an integer past the float range,
-    raises SchemaError.
+    raises SchemaError, and so does an A, B or x that holds one or a
+    complex number.
     """
 
     A: np.ndarray
@@ -318,30 +340,30 @@ class InstanceSpec:
 
     def __post_init__(self):
         try:   # each value is converted and validated here, once
-            a = linalg.as_square(self.A)
+            a = linalg.as_square(_array(self.A, "A"))
             object.__setattr__(self, "A", a)
             if self.B is not None:
-                b = linalg.as_square(self.B)
+                b = linalg.as_square(_array(self.B, "B"))
                 if b.shape != a.shape:
                     raise DimensionMismatch(
                         f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
                     )
                 object.__setattr__(self, "B", b)
-            p = _real(self.p)
+            p = _scalar(self.p)
             if not np.isfinite(p):
                 raise InvalidSpec("p must be finite")
             object.__setattr__(self, "p", p)
             for label in ("m", "M"):
                 value = getattr(self, label)
                 if value is not None:
-                    value = _real(value)
+                    value = _scalar(value)
                     if not np.isfinite(value):
                         raise InvalidSpec(f"{label} must be finite")
                     object.__setattr__(self, label, value)
             if self.m is not None and self.M is not None and self.m > self.M:
                 raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
             if self.x is not None:
-                x = np.asarray(self.x, dtype=np.float64).reshape(-1)
+                x = np.asarray(_array(self.x, "x"), dtype=np.float64).reshape(-1)
                 if x.shape[0] != a.shape[0]:
                     raise DimensionMismatch(
                         f"x has length {x.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
@@ -1189,32 +1211,28 @@ def _refined_chain(names, rows, lo, mid, hi, ps) -> list:
     r2 = (hi^p - mid^p)/d, d = p hi^{p-1}; see check_norm_chain.
     """
     n_lo, n_mid, n_hi = names
+    d = [p * z ** (p - 1.0) for p, z in zip(ps, hi)]
+    r1 = [(y ** p - x ** p) / e for x, y, p, e in zip(lo, mid, ps, d)]
+    r2 = [(z ** p - y ** p) / e for y, z, p, e in zip(mid, hi, ps, d)]
+    lo_r1 = [x + r for x, r in zip(lo, r1)]
+    mid_r2 = [y + r for y, r in zip(mid, r2)]
+    zero = [0.0] * len(ps)
+    up = [p >= 1.0 for p in ps]
+    unit = [0.0 < p <= 1.0 for p in ps]
+    neg = [p < 0.0 for p in ps]
     part_specs = []
-    for i, lo, mid, hi, p in zip(rows, lo, mid, hi, ps):
-        d = p * hi ** (p - 1.0)
-        r1 = (mid ** p - lo ** p) / d
-        r2 = (hi ** p - mid ** p) / d
-        chain = []
-        if p >= 1.0:
-            chain += [
-                (f"{n_lo}_shift_nonnegative", lo, lo + r1),
-                (f"{n_lo}_shift_below_{n_mid}", lo + r1, mid),
-                (f"{n_mid}_shift_nonnegative", mid, mid + r2),
-                (f"{n_mid}_shift_below_{n_hi}", mid + r2, hi),
-            ]
-        if 0.0 < p <= 1.0:
-            chain += [
-                (f"{n_hi}_shift_below_{n_mid}", hi - r2, mid),
-                (f"{n_mid}_below_{n_lo}_shift", mid, lo + r1),
-            ]
-        if p < 0.0:
-            chain += [
-                ("ratio1_nonnegative", 0.0, r1),
-                ("ratio2_nonnegative", 0.0, r2),
-                (f"{n_mid}_below_{n_lo}_shift", mid, lo + r1),
-                (f"{n_hi}_below_{n_mid}_shift", hi, mid + r2),
-            ]
-        part_specs += [(name, [x], [y], (i,)) for name, x, y in chain]
+    for name, lhs, rhs, keep in (
+            (f"{n_lo}_shift_nonnegative", lo, lo_r1, up),
+            (f"{n_lo}_shift_below_{n_mid}", lo_r1, mid, up),
+            (f"{n_mid}_shift_nonnegative", mid, mid_r2, up),
+            (f"{n_mid}_shift_below_{n_hi}", mid_r2, hi, up),
+            (f"{n_hi}_shift_below_{n_mid}", [z - r for z, r in zip(hi, r2)], mid, unit),
+            (f"{n_mid}_below_{n_lo}_shift", mid, lo_r1, unit),
+            ("ratio1_nonnegative", zero, r1, neg),
+            ("ratio2_nonnegative", zero, r2, neg),
+            (f"{n_mid}_below_{n_lo}_shift", mid, lo_r1, neg),
+            (f"{n_hi}_below_{n_mid}_shift", hi, mid_r2, neg)):
+        _branch(part_specs, name, lhs, rhs, rows, keep)
     return part_specs
 
 
@@ -1236,7 +1254,7 @@ def check_norm_chain(insts, sp, tol_rel, a, b, ps, phis, params):
         raise ZeroMatrix("A is zero; the norm chain needs a positive trace norm")
     for par, x, y, z in zip(params, op, hs, tr):
         par.update(norm_op=x, norm_hs=y, norm_tr=z)
-    return _refined_chain(("op", "hs", "tr"), range(len(ps)), op, hs, tr, ps)
+    return _refined_chain(("op", "hs", "tr"), list(range(len(ps))), op, hs, tr, ps)
 
 
 @_check("radius_chain", "refined links between spectral radius, numerical radius and norm",
@@ -1360,9 +1378,9 @@ def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params):
 
 def _require_tol(tol_rel) -> float:
     """tol_rel as a float; InvalidSpec unless it is a finite, nonnegative
-    number or a string that float() reads as one."""
+    number, not a bool, or a string that float() reads as one."""
     try:
-        tol = float(tol_rel)
+        tol = _real(tol_rel)
     except (TypeError, ValueError, OverflowError):
         raise InvalidSpec(f"tolerance must be a number, got {tol_rel!r}") from None
     if not np.isfinite(tol) or tol < 0.0:

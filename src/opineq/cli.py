@@ -44,7 +44,7 @@ import numpy as np
 from . import checks, linalg
 from . import fuzz as fuzz_mod
 from . import repro as repro_mod
-from .errors import OpineqError, UnknownCheck
+from .errors import InvalidSpec, OpineqError
 
 __all__ = ["main", "build_parser",
            "EXIT_OK", "EXIT_FAIL", "EXIT_ERROR", "EXIT_IO",
@@ -248,20 +248,14 @@ def cmd_repro(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    tol = _resolve_tol(args.tol, fuzz_mod.FUZZ_TOL_REL)
     try:
-        tol = _resolve_tol(args.tol, fuzz_mod.FUZZ_TOL_REL)
-        dims = _parse_dims(args.dim)
-        p_values = _parse_p(args.p)
-    except (ValueError, OpineqError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        result = fuzz_mod.run_fuzz(
-            args.check, trials=args.trials, dims=dims, p_values=p_values,
-            seed=args.seed, tol_rel=tol, stop_on_fail=args.stop_on_fail)
-    except OpineqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        dims, p_values = _parse_dims(args.dim), _parse_p(args.p)
+    except ValueError as exc:
+        raise InvalidSpec(str(exc)) from exc
+    result = fuzz_mod.run_fuzz(
+        args.check, trials=args.trials, dims=dims, p_values=p_values,
+        seed=args.seed, tol_rel=tol, stop_on_fail=args.stop_on_fail)
     counts = result.counts
     print(f"fuzz {result.check_id}: {result.trials} trials -> "
           f"{counts[checks.HOLDS]} HOLDS, {counts[checks.FAILS]} FAILS, "
@@ -284,11 +278,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        tol = _resolve_tol(args.tol, linalg.DEFAULT_TOL_REL)
-    except OpineqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    tol = _resolve_tol(args.tol, linalg.DEFAULT_TOL_REL)
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
@@ -303,12 +293,8 @@ def cmd_eval(args) -> int:
     except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply
         print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    try:
-        inst = checks.InstanceSpec.from_json_dict(data)
-        report = checks.run_check(args.check, inst, tol_rel=tol)
-    except OpineqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    inst = checks.InstanceSpec.from_json_dict(data)
+    report = checks.run_check(args.check, inst, tol_rel=tol)
     print(_dump_json(report.to_json_dict()), end="")
     return _VERDICT_EXITS[report.verdict]
 
@@ -371,12 +357,18 @@ _parser = None
 
 def main(argv=None) -> int:
     """Run one subcommand.  The parser is built on the first call and kept
-    for the process; cmd_<command> is looked up when called."""
+    for the process; cmd_<command> is looked up when called.  An
+    OpineqError that a subcommand raises is reported on stderr and exits
+    EXIT_SCHEMA (repro handles its own, and exits EXIT_ERROR)."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return globals()["cmd_" + args.command](args)
+    try:
+        return globals()["cmd_" + args.command](args)
+    except OpineqError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,15 +8,18 @@ plus fixed sub-stream offsets, so any trial can be regenerated in
 isolation and the full run is reproducible byte for byte.
 
 A sampler takes a seed and a plan, a list of (trial, dim, p), and returns
-the plan's instances in order.  It draws every trial's numbers first and
-then runs the plan's linear algebra stacked (sampling._Batch); a trial's
-instance is the same bits whatever plan it is part of.  sample_instance
-is a plan of one.  run_fuzz samples its schedule in chunks sized by the
-run's largest dim: 64 trials at MAX_DIM, proportionally more at smaller
-dims, at most 512.  With stop_on_fail the chunks start at 64 trials and
-double up to that size, so a FAILS among the first 64 trials stops the
-run after 64 trials, and a later one after at most twice the trials
-that chunks of 64 would check.
+the plan's instances in order.  Each is a recipe under _planned: it
+names the sub-streams it draws from and returns the fields that make
+its check's hypotheses hold, and _planned keys the streams, resolves
+the batch and builds the instances.  Every trial's numbers are drawn
+first, then the plan's linear algebra runs stacked (sampling._Batch);
+a trial's instance is the same bits whatever plan it is part of.
+sample_instance is a plan of one.  run_fuzz samples its schedule in
+chunks sized by the run's largest dim: 64 trials at MAX_DIM,
+proportionally more at smaller dims, at most 512.  With stop_on_fail
+the chunks start at 64 trials and double up to that size, so a FAILS
+among the first 64 trials stops the run after 64 trials, and a later
+one after at most twice the trials that chunks of 64 would check.
 
 Each chunk is then checked in groups, one per dim: the check runs its
 matrix work stacked over the group (see checks.CheckInfo.group), and a
@@ -98,145 +101,125 @@ def _random_map(batch, rng, dim: int):
 # per-check samplers: (seed, plan of (trial, dim, p)) -> [InstanceSpec]
 # ----------------------------------------------------------------------
 
-def _planned(draw):
-    """The sampler over plans for one trial's `draw(batch, trial, dim, p)`.
+def _planned(*offsets):
+    """Decorate a recipe into the sampler over plans of (trial, dim, p).
 
-    draw takes all of the trial's numbers from the batch's streams and
-    returns the cell that holds its InstanceSpec once the batch resolves.
-    Trial t's streams are keyed (seed, t + offset) with the offsets
-    below, so its instance does not depend on the rest of the plan.  The
-    plan's dims are trusted to lie in [1, MAX_DIM].  The batch runs on
-    spectra, a linalg.Spectra, or on a fresh one when it is None.
+    The recipe, draw(batch, dim, p, *streams), declares its streams by
+    their offsets: trial t gets rng_for(seed, t + k) for each k, in
+    order, so its instance does not depend on the rest of the plan.  It
+    draws the trial's numbers from them and returns the instance's
+    fields other than p, each a batch cell or a plain value; once the
+    batch resolves, the sampler builds each InstanceSpec in plan order.
+    The plan's dims are trusted to lie in [1, MAX_DIM].  The batch runs
+    on spectra, a linalg.Spectra, or on a fresh one when it is None.
     """
-    @functools.wraps(draw)
-    def sampler(seed: int, plan, spectra=None) -> list:
-        batch = sampling._Batch(seed, spectra)
-        cells = [draw(batch, trial, dim, p) for trial, dim, p in plan]
-        batch.resolve()
-        return [cell.value for cell in cells]
-    return sampler
+    def decorate(draw):
+        @functools.wraps(draw)
+        def sampler(seed: int, plan, spectra=None) -> list:
+            batch = sampling._Batch(seed, spectra)
+            fields = [draw(batch, dim, p, *batch.streams(*(trial + k for k in offsets)))
+                      for trial, dim, p in plan]
+            batch.resolve()
+            return [checks.InstanceSpec(p=p, **{
+                        key: value.value if isinstance(value, sampling._Cell) else value
+                        for key, value in row.items()})
+                    for (_, _, p), row in zip(plan, fields)]
+        return sampler
+    return decorate
 
 
-@_planned
-def _sample_spd_pair_map(batch, trial, dim, p):
-    aux, first, second, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_B,
-                                             trial + _S_MAP)
-    a = batch.spd(first, dim, *_window(aux))
-    b = batch.spd(second, dim, *_window(aux))
-    m = _random_map(batch, mrng, dim)
-    return batch.derive(
-        lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, map=m.value))
+@_planned(_S_AUX, 0, _S_B, _S_MAP)
+def _sample_spd_pair_map(batch, dim, p, aux, first, second, mrng):
+    return {"A": batch.spd(first, dim, *_window(aux)),
+            "B": batch.spd(second, dim, *_window(aux)),
+            "map": _random_map(batch, mrng, dim)}
 
 
-@_planned
-def _sample_sandwich_map(batch, trial, dim, p):
-    aux, first, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_MAP)
+@_planned(_S_AUX, 0, _S_MAP)
+def _sample_sandwich_map(batch, dim, p, aux, first, mrng):
     m_target = 1.0 + float(10.0 ** aux.uniform(-2.0, 0.8))
     a, b = batch.sandwich_pair(first, dim, *_window(aux), m_target)
-    m = _random_map(batch, mrng, dim)
-    return batch.derive(
-        lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, map=m.value))
+    return {"A": a, "B": b, "map": _random_map(batch, mrng, dim)}
 
 
-@_planned
-def _sample_density(batch, trial, dim, p):
+@_planned(0)
+def _sample_density(batch, dim, p, first):
     # unit trace plus the unit window forces B = A, so the only valid
     # instances sit at the equality point; gate behavior is unit-tested
-    (first,) = batch.streams(trial)
     a = batch.density(first, dim, 0.5, 2.0)
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=a.value.copy(), p=p))
+    return {"A": a, "B": batch.derive(lambda: a.value.copy())}
 
 
-@_planned
-def _sample_power_corollary(batch, trial, dim, p):
-    aux, first, mrng = batch.streams(trial + _S_AUX, trial, trial + _S_MAP)
+@_planned(_S_AUX, 0, _S_MAP)
+def _sample_power_corollary(batch, dim, p, aux, first, mrng):
     hi = 1.0 + float(10.0 ** aux.uniform(-1.5, 0.9))
-    a = batch.spd(first, dim, 1.0 + 1e-6, hi)
-    m = _random_map(batch, mrng, dim)
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p, map=m.value))
+    return {"A": batch.spd(first, dim, 1.0 + 1e-6, hi), "map": _random_map(batch, mrng, dim)}
 
 
-@_planned
-def _sample_lowner_heinz(batch, trial, dim, p):
+@_planned(0, _S_B)
+def _sample_lowner_heinz(batch, dim, p, first, second):
     # the bump spans three orders of magnitude on purpose: a nearly
     # isotropic bump commutes too well with A to ever break A^2 <= B^2,
     # and the p > 1 counterexample hunt needs that anisotropy
-    first, second = batch.streams(trial, trial + _S_B)
     a = batch.spd(first, dim, 0.5, 2.0)
     bump = batch.spd(second, dim, 1e-3, 1.0)
-    return batch.derive(
-        lambda: checks.InstanceSpec(A=a.value, B=a.value + bump.value, p=p))
+    return {"A": a, "B": batch.derive(lambda: a.value + bump.value)}
 
 
-@_planned
-def _sample_single_spd(batch, trial, dim, p):
-    aux, first = batch.streams(trial + _S_AUX, trial)
-    a = batch.spd(first, dim, *_window(aux))
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p))
+@_planned(_S_AUX, 0)
+def _sample_single_spd(batch, dim, p, aux, first):
+    return {"A": batch.spd(first, dim, *_window(aux))}
 
 
-@_planned
-def _sample_norm_dominated(batch, trial, dim, p):
-    aux, first = batch.streams(trial + _S_AUX, trial)
+@_planned(_S_AUX, 0)
+def _sample_norm_dominated(batch, dim, p, aux, first):
     a, b = batch.norm_dominated_pair(first, dim, *_window(aux), 0.0)
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
+    return {"A": a, "B": b}
 
 
-@_planned
-def _sample_norm_dominated_gap(batch, trial, dim, p):
-    aux, first = batch.streams(trial + _S_AUX, trial)
+@_planned(_S_AUX, 0)
+def _sample_norm_dominated_gap(batch, dim, p, aux, first):
     gap = float(10.0 ** aux.uniform(-3.0, 0.0))
     a, b = batch.norm_dominated_pair(first, dim, *_window(aux), gap)
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
+    return {"A": a, "B": b}
 
 
-@_planned
-def _sample_mond_pecaric(batch, trial, dim, p):
+@_planned(_S_AUX, 0, _S_B)
+def _sample_mond_pecaric(batch, dim, p, aux, first, second):
     # spectra separated around a split point: B <= split I <= A makes the
     # order hypothesis and the vector-expectation gate hold automatically
-    aux, first, second = batch.streams(trial + _S_AUX, trial, trial + _S_B)
     split = float(10.0 ** aux.uniform(-0.3, 0.5))
     b_lo = split / float(10.0 ** aux.uniform(0.2, 1.0))
     a_hi = split * float(10.0 ** aux.uniform(0.2, 0.8))
     b = batch.spd(second, dim, b_lo, split)
     a = batch.spd(first, dim, split, a_hi)
-    f = checks._F_KINDS[int(aux.integers(len(checks._F_KINDS)))]
-    x = sampling._unit_vector(aux, dim)
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p, x=x, f=f))
+    return {"A": a, "B": b, "f": checks._F_KINDS[int(aux.integers(len(checks._F_KINDS)))],
+            "x": sampling._unit_vector(aux, dim)}
 
 
-@_planned
-def _sample_holder_mccarthy(batch, trial, dim, p):
-    aux, first = batch.streams(trial + _S_AUX, trial)
-    a = batch.spd(first, dim, *_window(aux))
-    x = sampling._unit_vector(aux, dim)
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, p=p, x=x))
+@_planned(_S_AUX, 0)
+def _sample_holder_mccarthy(batch, dim, p, aux, first):
+    return {"A": batch.spd(first, dim, *_window(aux)), "x": sampling._unit_vector(aux, dim)}
 
 
-@_planned
-def _sample_square(batch, trial, dim, p):
-    (first,) = batch.streams(trial)
-    a = sampling._square(first, dim)
-    return batch.derive(lambda: checks.InstanceSpec(A=a, p=p))
+@_planned(0)
+def _sample_square(batch, dim, p, first):
+    return {"A": sampling._square(first, dim)}
 
 
-@_planned
-def _sample_radius_chain(batch, trial, dim, p):
-    (first,) = batch.streams(trial)
+@_planned(0)
+def _sample_radius_chain(batch, dim, p, first):
     a = sampling._square(first, dim)
     if p < 0.0:
         # negative powers need a positive spectral radius; shifting by
         # 1.5 ||A|| puts every eigenvalue's real part above 0.5 ||A||
         a = a + 1.5 * linalg.norm_op(a) * np.eye(dim)
-    return batch.derive(lambda: checks.InstanceSpec(A=a, p=p))
+    return {"A": a}
 
 
-@_planned
-def _sample_spd_pair(batch, trial, dim, p):
-    aux, first, second = batch.streams(trial + _S_AUX, trial, trial + _S_B)
-    a = batch.spd(first, dim, *_window(aux))
-    b = batch.spd(second, dim, *_window(aux))
-    return batch.derive(lambda: checks.InstanceSpec(A=a.value, B=b.value, p=p))
+@_planned(_S_AUX, 0, _S_B)
+def _sample_spd_pair(batch, dim, p, aux, first, second):
+    return {"A": batch.spd(first, dim, *_window(aux)), "B": batch.spd(second, dim, *_window(aux))}
 
 
 FUZZ_SAMPLERS = {
@@ -264,9 +247,9 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
                     trial: int) -> checks.InstanceSpec:
     """Regenerate the exact instance a fuzz trial would use.
 
-    trial, dim and seed must be integers, and dim lie in [1, MAX_DIM]
-    (InvalidSpec); p must be a number, not a bool (SchemaError, as the
-    instance it goes into raises).
+    trial, dim and seed must be integers, not bools, and dim lie in [1,
+    MAX_DIM] (InvalidSpec); p must be a number, not a bool or a string
+    (SchemaError, as the instance it goes into raises).
     """
     sampler = FUZZ_SAMPLERS.get(check_id)
     if sampler is None:
@@ -274,7 +257,7 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
     trial, dim = sampling._integer(trial, "trial"), sampling._dim(dim)
     seed = sampling._integer(seed, "seed")
     try:
-        p = checks._real(p)
+        p = checks._scalar(p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed instance: {exc}") from exc
     return sampler(seed, [(trial, dim, p)])[0]

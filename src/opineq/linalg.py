@@ -418,7 +418,7 @@ def conjugate_by_sqrt(a, x) -> np.ndarray:
         raise DimensionMismatch(
             f"conjugation needs matching shapes, got {am.shape} and {xm.shape}"
         )
-    half, _ = sqrt_factors(am)
+    half = Spectra().sqrt(require_symmetric(am))
     return symmetrize(half @ xm @ half)
 
 

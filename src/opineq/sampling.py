@@ -44,11 +44,17 @@ _ZEROS4 = (0, 0, 0, 0)
 MAX_DIM = 64
 
 
+def _is_bool(v) -> bool:
+    """Whether v is a bool, which int() and float() read as 1 or 0."""
+    return isinstance(v, (bool, np.bool_))
+
+
 def _integer(v, what: str) -> int:
-    """v as an int; InvalidSpec unless v is integral, so that a mistyped
-    dimension, seed, count or index is never truncated into another."""
+    """v as an int; InvalidSpec unless v is integral and not a bool, so
+    that a mistyped dimension, seed, count or index is never truncated
+    into another."""
     try:
-        if int(v) == v:
+        if not _is_bool(v) and int(v) == v:
             return int(v)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -96,10 +96,11 @@ def test_every_runner_validates_the_tolerance(check_id, tol):
         checks.REGISTRY[check_id].runner(_sampled(check_id), tol_rel=tol)
 
 
-@pytest.mark.parametrize("tol", ["abc", None, [1e-9], 10**400],
-                         ids=["'abc'", "None", "[1e-09]", "10**400"])
+@pytest.mark.parametrize("tol", ["abc", None, [1e-9], 10**400, True, np.False_],
+                         ids=["'abc'", "None", "[1e-09]", "10**400", "True", "np.False_"])
 def test_run_check_rejects_a_tolerance_that_is_not_a_number(tol):
-    # these used to escape as a bare ValueError, TypeError or OverflowError
+    # these used to escape as a bare ValueError, TypeError or OverflowError,
+    # or, a bool, to run as tolerance 1 or 0
     with pytest.raises(InvalidSpec, match="tolerance must be a number"):
         checks.run_check("lowner_heinz", _sampled("lowner_heinz"), tol_rel=tol)
 
@@ -1013,11 +1014,16 @@ def test_instance_spec_validation():
     {"p": "abc"}, {"p": None}, {"m": "x"}, {"A": "abc"}, {"B": [[1.0, "a"], [0.0, 1.0]]},
     {"x": ["a", 1.0]}, pytest.param({"p": 10**400}, id="{'p': 10**400}"),
     {"p": True}, {"p": np.True_}, {"m": True}, {"M": False}, {"m": 0.5, "M": np.True_},
+    {"p": "0.5"}, {"m": "0.25"}, {"M": b"2"}, {"A": [["1", "0"], ["0", "1"]]},
+    {"x": ["1", "0"]}, {"A": [[True, False], [False, True]]}, {"B": np.eye(2, dtype=bool)},
+    {"A": np.eye(2) + 0j}, {"A": np.array([[1, "0"], [0, 2**70]], dtype=object)},
+    {"x": np.array([1.0, np.True_], dtype=object)},
 ], ids=repr)
 def test_instance_spec_rejects_non_numbers_as_schema_errors(kwargs):
     # the library path gets the JSON path's error, not a bare ValueError,
-    # TypeError or OverflowError; a bool, which float() reads as 0 or 1,
-    # is refused as the JSON path refuses it
+    # TypeError or OverflowError; a bool, which float() reads as 0 or 1, a
+    # string, which it parses, and a complex number, whose imaginary part
+    # it drops, are refused as the JSON path refuses them
     with pytest.raises(SchemaError, match="^malformed instance: "):
         checks.InstanceSpec(**{"A": np.eye(2), "p": 0.5, **kwargs})
 
@@ -1027,7 +1033,7 @@ def test_sampled_instance_with_a_non_number_exponent_is_a_schema_error():
         fuzz.sample_instance("power_norm", 3, 0, "abc", 0)
 
 
-@pytest.mark.parametrize("p", ["abc", None, True, np.False_], ids=repr)
+@pytest.mark.parametrize("p", ["abc", None, True, np.False_, "0.5"], ids=repr)
 @pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
 def test_every_sampler_rejects_a_non_number_exponent_as_a_schema_error(check_id, p):
     # radius_chain compared p < 0 before any instance existed, which

@@ -18,6 +18,9 @@ def _dump(result):
 
 def test_samplers_cover_registry():
     assert set(fuzz.FUZZ_SAMPLERS) == set(checks.REGISTRY)
+    # bench/tracer.py times sampling as the spans named fuzz._sample_*; a
+    # sampler that lost its recipe's name would time as no sampling at all
+    assert all(s.__name__.startswith("_sample_") for s in fuzz.FUZZ_SAMPLERS.values())
 
 
 @pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
@@ -55,12 +58,16 @@ def test_run_fuzz_rejects_empty_or_string_exponents(p_values):
     {"dims": 5}, {"tol_rel": "abc"}, {"tol_rel": None},
     {"dims": None}, {"dims": (0,)}, {"dims": (-3,)}, {"dims": (65,)}, {"dims": (10**6,)},
     {"trials": 0, "dims": (0,)}, {"trials": 1, "dims": (2, 100), "p_values": (0.5,)},
+    {"trials": True}, {"seed": True}, {"dims": (True,)}, {"dims": (3, np.True_)},
+    {"tol_rel": True}, {"tol_rel": np.False_},
 ], ids=repr)
 def test_run_fuzz_rejects_non_numbers_and_out_of_range_dims(kwargs):
     # the first seven used to escape as a bare ValueError, TypeError or
     # OverflowError; the dims outside [1, MAX_DIM] must not size a chunk
     # of no trials, which would never end, or divide by zero, and are
-    # rejected also where no trial reaches them (the last two)
+    # rejected also where no trial reaches them (the next two); a bool,
+    # which int() and float() read as 1 or 0, is not a count, a seed, a
+    # dim or a tolerance
     with pytest.raises(InvalidSpec):
         fuzz.run_fuzz("lowner_heinz", **{"trials": 4, **kwargs})
 
@@ -183,7 +190,8 @@ def test_run_fuzz_accepts_integral_floats():
     assert type(got.seed) is int
 
 
-@pytest.mark.parametrize("dim, seed, trial", [(2.5, 0, 0), (3, 1.5, 0), (3, 0, 1.5)])
+@pytest.mark.parametrize("dim, seed, trial", [(2.5, 0, 0), (3, 1.5, 0), (3, 0, 1.5),
+                                              (True, 0, 0), (3, True, 0), (3, 0, True)])
 def test_sample_instance_rejects_non_integral_arguments(dim, seed, trial):
     with pytest.raises(InvalidSpec):
         fuzz.sample_instance("power_norm", dim, seed, 0.5, trial)

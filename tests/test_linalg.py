@@ -172,6 +172,25 @@ def test_conjugate_by_sqrt_reference_pair():
     assert abs(lam[1] - 2.0) < 1e-10
 
 
+def test_conjugate_by_sqrt_is_the_square_root_sandwich():
+    a = np.array([[2.0, 3.0], [3.0, 5.0]])
+    x = np.array([[3.0, 4.0], [4.0, 6.0]])
+    half = linalg.sqrt_factors(a)[0]
+    assert np.array_equal(linalg.conjugate_by_sqrt(a, x), linalg.symmetrize(half @ x @ half))
+    with pytest.raises(DimensionMismatch):
+        linalg.conjugate_by_sqrt(a, np.eye(3))
+
+
+def test_conjugate_by_sqrt_reconstructs_only_the_square_root(monkeypatch):
+    # the sandwich needs A^{1/2} only, so A^{-1/2} is never formed
+    calls = []
+    reconstruct = linalg._reconstruct
+    monkeypatch.setattr(linalg, "_reconstruct",
+                        lambda *args: calls.append(args) or reconstruct(*args))
+    linalg.conjugate_by_sqrt(np.array([[2.0, 3.0], [3.0, 5.0]]), np.eye(2))
+    assert len(calls) == 1
+
+
 def test_spectral_decompose_apply():
     a = _spd(3, 2)
     dec = linalg.spectral_decompose(a)

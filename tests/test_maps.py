@@ -81,6 +81,9 @@ def test_normalized_trace_value():
     out = maps.apply_map(spec, np.diag([1.0, 2.0, 6.0]))
     assert out.shape == (1, 1)
     assert abs(out[0, 0] - 3.0) < 1e-14
+    # a bool is not a dimension, though int() reads True as 1
+    with pytest.raises(InvalidSpec, match="dim must be an integer"):
+        maps.MapSpec.normalized_trace(True)
 
 
 def test_compression_reduces_dimension():
@@ -125,6 +128,11 @@ def test_pinching_rejects_bad_partition():
         maps.MapSpec.pinching(((0, 1), (1, 2)), 3)
     with pytest.raises(InvalidSpec):
         maps.MapSpec.pinching(((0,),), 2)
+    # True used to be read as index 1, a valid partition of 2
+    with pytest.raises(InvalidSpec, match="partition index must be an integer"):
+        maps.MapSpec.pinching([[True, 0]], 2)
+    with pytest.raises(InvalidSpec, match="dim must be an integer"):
+        maps.MapSpec.pinching([[0]], np.True_)
     # an empty partition covers an empty or negative dimension; it used to
     # build a map with that in_dim
     with pytest.raises(InvalidSpec):

@@ -31,6 +31,9 @@ def test_config_rejects_bad_dims():
 @pytest.mark.parametrize("call", [
     lambda: sampling.SamplerConfig(dim=2.5),
     lambda: sampling.SamplerConfig(dim="2"),
+    lambda: sampling.SamplerConfig(dim=True),
+    lambda: sampling.SamplerConfig(dim=2, seed=np.True_),
+    lambda: sampling.rng_for(0, True),
     lambda: sampling.SamplerConfig(dim=2, seed=1.5),
     lambda: sampling.rng_for(1.5, 0),
     lambda: sampling.rng_for(0, 1.5),
