@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import constants, linalg, maps, means, sampling
+from . import constants, inputs, linalg, maps, means
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -286,34 +286,6 @@ _INSTANCE_KEYS = ("A", "B", "p", "map", "m", "M", "x", "f")
 _F_KINDS = ("power", "exp", "log")
 
 
-def _real(value) -> float:
-    """float(value); a TypeError for a bool, which float() reads as 0 or 1."""
-    if sampling._is_bool(value):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _scalar(value) -> float:
-    """_real(value), and a TypeError for a string, which float() parses:
-    an instance's p, m and M are numbers, as in its JSON."""
-    if isinstance(value, (str, bytes)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return _real(value)
-
-
-def _array(value, label: str) -> np.ndarray:
-    """np.asarray(value); a TypeError unless it holds integers or floats.
-    The dtype decides, in O(1) for a sampled float64 array; an object
-    array (Python ints past int64, None) is searched for strings, bools
-    and complex numbers, and float() reads or refuses the rest."""
-    arr = np.asarray(value)
-    kind = arr.dtype.kind
-    if kind not in "iufO" or kind == "O" and any(
-            isinstance(v, (str, bytes, complex)) or sampling._is_bool(v) for v in arr.flat):
-        raise TypeError(f"{label} must hold integers or floats, got {arr.dtype} entries")
-    return arr
-
-
 @dataclasses.dataclass(frozen=True)
 class InstanceSpec:
     """One problem instance: the matrices, the exponent and the options.
@@ -321,12 +293,11 @@ class InstanceSpec:
     ``B`` is optional because several checks are single-matrix statements.
     ``m``/``M`` are optional outer bounds for the relevant spectral window;
     when absent each check derives sharp bounds from the spectrum itself.
-    ``x`` is the unit vector used by the vector-expectation checks and
-    ``f`` selects the scalar function for the derivative-bound check
-    (``power`` uses ``p`` as the exponent).  A value that is not a
-    number, such as a string, a bool or an integer past the float range,
-    raises SchemaError, and so does an A, B or x that holds one or a
-    complex number.
+    ``x`` is the unit vector of length n used by the vector-expectation
+    checks and ``f`` selects the scalar function for the derivative-bound
+    check (``power`` uses ``p`` as the exponent).  Each value is read
+    here, once, through inputs, so the checks convert nothing; a str,
+    bool or complex value or entry raises SchemaError naming its field.
     """
 
     A: np.ndarray
@@ -339,35 +310,33 @@ class InstanceSpec:
     f: str = "power"
 
     def __post_init__(self):
-        try:   # each value is converted and validated here, once
-            a = linalg.as_square(_array(self.A, "A"))
+        try:   # each value is type-checked, converted and validated here, once
+            inputs.numbers("A", self.A)
+            a = linalg.as_square(self.A)
             object.__setattr__(self, "A", a)
             if self.B is not None:
-                b = linalg.as_square(_array(self.B, "B"))
+                inputs.numbers("B", self.B)
+                b = linalg.as_square(self.B)
                 if b.shape != a.shape:
                     raise DimensionMismatch(
                         f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
                     )
                 object.__setattr__(self, "B", b)
-            p = _scalar(self.p)
-            if not np.isfinite(p):
-                raise InvalidSpec("p must be finite")
-            object.__setattr__(self, "p", p)
-            for label in ("m", "M"):
+            for label in ("p", "m", "M"):
                 value = getattr(self, label)
-                if value is not None:
-                    value = _scalar(value)
+                if value is not None or label == "p":
+                    value = inputs.number(label, value)
                     if not np.isfinite(value):
                         raise InvalidSpec(f"{label} must be finite")
                     object.__setattr__(self, label, value)
             if self.m is not None and self.M is not None and self.m > self.M:
                 raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
             if self.x is not None:
-                x = np.asarray(_array(self.x, "x"), dtype=np.float64).reshape(-1)
-                if x.shape[0] != a.shape[0]:
+                inputs.numbers("x", self.x)
+                x = np.asarray(self.x, dtype=float)
+                if x.shape != (a.shape[0],):
                     raise DimensionMismatch(
-                        f"x has length {x.shape[0]} but A is {a.shape[0]}x{a.shape[0]}"
-                    )
+                        f"x must be a vector of length {a.shape[0]}, got shape {x.shape}")
                 if not np.all(np.isfinite(x)):
                     raise InvalidSpec("x must be finite")
                 object.__setattr__(self, "x", x)
@@ -381,7 +350,7 @@ class InstanceSpec:
 
     @classmethod
     def from_json_dict(cls, data) -> "InstanceSpec":
-        """Type-check a JSON object, its map included, then build the instance."""
+        """Build the instance, its map included, from a JSON object."""
         if not isinstance(data, dict):
             raise SchemaError("instance must be a JSON object")
         unknown = sorted(set(data) - set(_INSTANCE_KEYS))
@@ -390,8 +359,6 @@ class InstanceSpec:
         for key in ("A", "p"):
             if key not in data:
                 raise SchemaError(f"instance is missing the required key {key!r}")
-        for key in ("A", "B", "x", "p", "m", "M"):
-            maps._require_numbers(key, data.get(key))
         if not isinstance(data.get("f", ""), str):
             raise SchemaError(f"f must be a string, got {data['f']!r}")
         map_spec = data.get("map")
@@ -475,7 +442,7 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
     or ZeroDivisionError) into NotFinite.  numpy's invalid and divide stay
     at their defaults, so a NaN born inside a body still warns.  The
     decorated name becomes the runner, the group of one, which validates
-    tol_rel (_require_tol) where the group trusts it."""
+    tol_rel (inputs.tolerance) where the group trusts it."""
     lo, hi = (float(end) for end in domain[1:-1].split(", "))
     lo = lo - _P_EPS if domain[0] == "[" else math.nextafter(lo, math.inf)
     hi = hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf)
@@ -519,7 +486,7 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
                 raise NotFinite(f"{check_id}: a value leaves the float range ({exc})") from exc
 
         def runner(inst: InstanceSpec, *, tol_rel=linalg.DEFAULT_TOL_REL) -> CheckReport:
-            return group([inst], _require_tol(tol_rel))[0]
+            return group([inst], inputs.tolerance(tol_rel))[0]
         runner.__name__ = runner.__qualname__ = body.__name__
         runner.__doc__ = body.__doc__
         REGISTRY[check_id] = CheckInfo(check_id, runner, group, description,
@@ -539,7 +506,7 @@ def _stack(mats) -> np.ndarray:
 
 def _col(values) -> np.ndarray:
     """One scalar per instance, shaped to scale a (g, n, n) stack."""
-    return np.array(values, dtype=float).reshape(-1, 1, 1)
+    return np.array(values).reshape(-1, 1, 1)
 
 
 def _square(insts) -> tuple[np.ndarray, None]:
@@ -1148,7 +1115,7 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
                 raise NotPositiveDefinite("mond_pecaric needs positive definite A")
         bounds = [(float(min(dfn(m), dfn(M))), float(max(dfn(m), dfn(M))))
                   for (_, dfn), (m, M) in zip(fns, windows)]
-        fa = dec_a.apply(lambda lam: [fn(row) for (fn, _), row in zip(fns, lam)])
+        fa = dec_a.apply(lambda lam: np.stack([fn(row) for (fn, _), row in zip(fns, lam)]))
         lower, mid, upper = [], [], []
         for i, (x, (fn, _), (alpha, beta)) in enumerate(zip(xs, fns, bounds)):
             middle = float(x @ fa[i] @ x) - float(fn(qb[i]))
@@ -1374,18 +1341,6 @@ def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params):
                             sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
         return part_specs
     return sides, hyp_ok, note
-
-
-def _require_tol(tol_rel) -> float:
-    """tol_rel as a float; InvalidSpec unless it is a finite, nonnegative
-    number, not a bool, or a string that float() reads as one."""
-    try:
-        tol = _real(tol_rel)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidSpec(f"tolerance must be a number, got {tol_rel!r}") from None
-    if not np.isfinite(tol) or tol < 0.0:
-        raise InvalidSpec(f"tolerance must be finite and nonnegative, got {tol}")
-    return tol
 
 
 def resolve_check(check_id: str) -> CheckInfo:

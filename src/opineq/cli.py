@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from . import checks, linalg
+from . import checks, inputs, linalg
 from . import fuzz as fuzz_mod
 from . import repro as repro_mod
 from .errors import InvalidSpec, OpineqError
@@ -66,10 +66,10 @@ _VERDICT_EXITS = {
 
 def _resolve_tol(explicit, default: float) -> float:
     if explicit is not None:
-        return checks._require_tol(explicit)
+        return inputs.tolerance(explicit)
     env = os.environ.get("OPINEQ_TOL")
     if env is not None and env.strip():
-        return checks._require_tol(env)
+        return inputs.tolerance(env)
     return default
 
 

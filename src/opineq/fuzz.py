@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from . import checks, linalg, maps, sampling
+from . import checks, inputs, linalg, maps, sampling
 from .errors import InvalidSpec, SchemaError, UnknownCheck
 
 __all__ = ["FUZZ_TOL_REL", "FuzzResult", "run_fuzz", "sample_instance"]
@@ -254,10 +254,10 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
     sampler = FUZZ_SAMPLERS.get(check_id)
     if sampler is None:
         raise UnknownCheck(f"no sampler for check {check_id!r}")
-    trial, dim = sampling._integer(trial, "trial"), sampling._dim(dim)
-    seed = sampling._integer(seed, "seed")
+    trial, dim = inputs.integer(trial, "trial"), inputs.dim(dim)
+    seed = inputs.integer(seed, "seed")
     try:
-        p = checks._scalar(p)
+        p = inputs.number("p", p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed instance: {exc}") from exc
     return sampler(seed, [(trial, dim, p)])[0]
@@ -288,7 +288,7 @@ class FuzzResult:
 def _chunk_size(dims) -> int:
     """Trials per chunk for a run at these dims, each in [1, MAX_DIM]:
     _CHUNK_AT_MAX_DIM at MAX_DIM, more below it, at most _CHUNK_CAP."""
-    return min(_CHUNK_CAP, _CHUNK_AT_MAX_DIM * sampling.MAX_DIM ** 2 // max(dims) ** 2)
+    return min(_CHUNK_CAP, _CHUNK_AT_MAX_DIM * inputs.MAX_DIM ** 2 // max(dims) ** 2)
 
 
 def _chunks(trials: int, size: int, stop_on_fail: bool):
@@ -343,11 +343,11 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     """Run one check against `trials` sampled instances.
 
     Trial t uses p = p_values[t mod len(p_values)] (the check's default_p
-    when p_values is None; an empty list, or an exponent that is not a
-    number or is a bool, raises InvalidSpec) and cycles dims with period
-    len(p_values) * len(dims).  Every dim must be an integer in [1,
-    MAX_DIM], even one that no trial reaches, or the run raises
-    InvalidSpec before it samples.  Reports come back ordered by t and
+    when p_values is None) and cycles dims with period len(p_values) *
+    len(dims).  Every exponent must be a finite number, not a bool, and
+    every dim an integer in [1, MAX_DIM], even one that no trial
+    reaches, or the run raises InvalidSpec before it samples; so does an
+    empty p_values.  Reports come back ordered by t and
     carry seed/trial/dim in their params.  Every FAILS yields a witness
     holding the instance that failed.
 
@@ -365,12 +365,12 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     the run checks at most twice the trials chunks of 64 would.
     """
     info = checks.resolve_check(check_id)
-    trials, seed = sampling._integer(trials, "trials"), sampling._integer(seed, "seed")
+    trials, seed = inputs.integer(trials, "trials"), inputs.integer(seed, "seed")
     if trials < 0:
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
-    tol_rel = checks._require_tol(tol_rel)
+    tol_rel = inputs.tolerance(tol_rel)
     try:   # every dim is checked here, whether or not a trial reaches it
-        dims = tuple(sampling._dim(d) for d in dims)
+        dims = tuple(inputs.dim(d) for d in dims)
     except TypeError:
         raise InvalidSpec(f"dims must be a sequence of integers, got {dims!r}") from None
     if not dims:
@@ -379,11 +379,13 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
         if isinstance(p_values, str):   # a sequence of characters
             raise TypeError(p_values)
         p_values = (info.default_p if p_values is None
-                    else tuple(checks._real(p) for p in p_values))
+                    else tuple(inputs.real(p) for p in p_values))
     except (TypeError, ValueError, OverflowError):
         raise InvalidSpec(f"p_values must be a sequence of numbers, got {p_values!r}") from None
     if not p_values:
         raise InvalidSpec("need at least one exponent")
+    if not np.isfinite(p_values).all():
+        raise InvalidSpec(f"p_values must be finite, got {p_values!r}")
     sampler = FUZZ_SAMPLERS[check_id]
     start = time.perf_counter()
 

@@ -18,15 +18,16 @@ Two layers share that contract:
   would get by itself.  Results that are one number per matrix come back
   with the stack's leading shape; exponents are given one per matrix.
   It checks nothing but the finiteness of what it is about to decompose,
-  and it solves each stack once per eigensolver routine for as long as
-  it lives.  InstanceSpec checks shape and finiteness; a check's entry
-  (checks._pair, checks._symmetric) checks the symmetry of its symmetric
-  operands before anything is computed, and its registry wrapper gives
-  it the one Spectra that every decomposition, power, square root and
-  norm of its group of instances runs through; fuzz.run_fuzz shares one
-  Spectra between a chunk's sampler and its check groups.
-  means.weighted_mean and means.tsallis_entropy take it as `spectra=`;
-  maps.apply_map and checks._finish never re-validate.
+  converts nothing (InstanceSpec and the public functions give it
+  float64), and it solves each stack once per eigensolver routine for
+  as long as it lives.  InstanceSpec checks type, shape and finiteness;
+  a check's entry (checks._pair, checks._symmetric) checks the symmetry
+  of its symmetric operands before anything is computed, and its
+  registry wrapper gives it the one Spectra that every decomposition,
+  power, square root and norm of its group of instances runs through;
+  fuzz.run_fuzz shares one Spectra between a chunk's sampler and its
+  check groups.  means.weighted_mean and means.tsallis_entropy take it
+  as `spectra=`; maps.apply_map and checks._finish never re-validate.
 
 Loewner comparisons never return a bare bool.  loewner_compare reports
 the signed gap (the smallest eigenvalue of R - L) together with the
@@ -132,8 +133,9 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def apply(self, fn) -> np.ndarray:
-        """Functional calculus: Q diag(fn(lambda)) Q^T, symmetrized."""
-        return _reconstruct(self.eigenvectors, np.asarray(fn(self.eigenvalues), dtype=float))
+        """Functional calculus: Q diag(fn(lambda)) Q^T, symmetrized; fn
+        returns a float array of the eigenvalues' shape."""
+        return _reconstruct(self.eigenvectors, fn(self.eigenvalues))
 
 
 def _reconstruct(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -258,7 +260,7 @@ class Spectra:
         ps = _per_matrix(p, a)
         trivial = [i for i, q in enumerate(ps) if q == 0.0 or q == 1.0]
         if trivial:
-            out = np.array(a, dtype=float).reshape(-1, n, n)    # right for p = 1
+            out = np.array(a).reshape(-1, n, n)    # right for p = 1
             for i in trivial:
                 if ps[i] == 0.0:
                     out[i] = np.eye(n)
@@ -352,10 +354,8 @@ class Spectra:
         when max |a_ij| lies outside [2^-480, 2^480], where the squares would
         overflow or underflow.  In-range inputs get e = 0 and keep every bit;
         e is None when every matrix is in range.  The input may be any
-        square matrix, or stack of them, with one e per matrix; it is read
-        as float64, as as_square reads it.
+        square float matrix, or stack of them, with one e per matrix.
         """
-        a = np.asarray(a, dtype=float)
         peak = np.abs(a).max(axis=(-2, -1))
         e = None
         if any(x > 0.0 and not _SV_SAFE_LO <= x <= _SV_SAFE_HI for x in peak.ravel().tolist()):

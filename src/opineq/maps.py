@@ -10,7 +10,8 @@ Four concrete families cover everything the checks need:
 All four are unital (Phi(I) = I) and positive; compression with a
 strict isometry is the only one that changes dimension besides the
 trace map.  MapSpec is a plain frozen description so instances can be
-serialized to JSON and rebuilt bit-for-bit.
+serialized to JSON and rebuilt bit-for-bit.  Its constructors read
+every value through inputs, on the library path as on the JSON path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, sampling
+from . import inputs, linalg, sampling
 from .errors import DimensionMismatch, InvalidSpec, NotFinite, SchemaError
 
 log = logging.getLogger(__name__)
@@ -33,27 +34,6 @@ MIXED_UNITARY = "mixed_unitary"
 KINDS = (NORMALIZED_TRACE, COMPRESSION, PINCHING, MIXED_UNITARY)
 
 _ORTHO_TOL = 1e-10
-
-_NUMBER_TYPES = frozenset((float, int))
-
-
-def _require_numbers(key, value):
-    """SchemaError when a JSON string or boolean stands where a number belongs.
-
-    A flat list or a list of lists of exact floats and ints passes in one
-    pass over the element types; anything else takes the recursive walk,
-    which names the first offending value."""
-    if type(value) is list and (
-            _NUMBER_TYPES.issuperset(map(type, value))
-            or all(type(row) is list and _NUMBER_TYPES.issuperset(map(type, row))
-                   for row in value)):
-        return
-    if isinstance(value, list):
-        for v in value:
-            _require_numbers(key, v)
-    elif isinstance(value, (str, bool)):
-        raise SchemaError(f"{key}: expected a number, got {value!r}")
-
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -69,13 +49,14 @@ class MapSpec:
 
     @classmethod
     def normalized_trace(cls, n: int) -> "MapSpec":
-        n = sampling._integer(n, "dim")
+        n = inputs.integer(n, "dim")
         if n < 1:
             raise InvalidSpec("normalized trace needs dimension >= 1")
         return cls(kind=NORMALIZED_TRACE, in_dim=n, out_dim=1)
 
     @classmethod
     def compression(cls, isometry) -> "MapSpec":
+        inputs.numbers("isometry", isometry)
         v = np.asarray(isometry, dtype=float)
         if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] < 1:
             raise InvalidSpec(f"isometry must be n x k with 1 <= k <= n, got {v.shape}")
@@ -90,10 +71,10 @@ class MapSpec:
 
     @classmethod
     def pinching(cls, partition, n: int) -> "MapSpec":
-        n = sampling._integer(n, "dim")
+        n = inputs.integer(n, "dim")
         if n < 1:
             raise InvalidSpec("pinching needs dimension >= 1")
-        blocks = tuple(tuple(sampling._integer(i, "partition index") for i in blk)
+        blocks = tuple(tuple(inputs.integer(i, "partition index") for i in blk)
                        for blk in partition)
         seen = [i for blk in blocks for i in blk]
         if sorted(seen) != list(range(n)):
@@ -106,6 +87,8 @@ class MapSpec:
 
     @classmethod
     def mixed_unitary(cls, weights, unitaries) -> "MapSpec":
+        inputs.numbers("weights", weights)
+        inputs.numbers("unitaries", unitaries)
         w = np.asarray(weights, dtype=float)
         us = tuple(np.asarray(u, dtype=float) for u in unitaries)
         if w.ndim != 1 or len(us) != w.size or w.size < 1:
@@ -145,14 +128,14 @@ class MapSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MapSpec":
-        """Rebuild a map from its JSON object.  Every field but kind is
-        type-checked like an instance's A, so a string or boolean where
-        a number belongs raises SchemaError naming the field."""
+        """Rebuild a map from its JSON object.  A string or boolean where
+        a number belongs raises SchemaError naming the field: the
+        constructors type-check the isometry, weights and unitaries, and
+        dim and partition, which they read as integers, are checked here."""
         if not isinstance(obj, dict):
             raise SchemaError("map must be a JSON object")
-        for key, value in obj.items():
-            if key != "kind":
-                _require_numbers(key, value)
+        for key in ("dim", "partition"):
+            inputs.numbers(key, obj.get(key))
         kind = obj.get("kind")
         try:
             if kind == NORMALIZED_TRACE:
@@ -212,7 +195,9 @@ def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:
     Returns True when every probe passes; a failing witness is logged
     at WARNING level so interactive callers can see what broke.
     """
-    trials = sampling._integer(trials, "trials")
+    trials = inputs.integer(trials, "trials")
+    if trials < 0:
+        raise InvalidSpec(f"trials must be >= 0, got {trials}")
     rng = sampling.rng_for(seed, 0)
     n = spec.in_dim
     ident = apply_map(spec, np.eye(n))

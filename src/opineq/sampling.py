@@ -15,8 +15,9 @@ square root A^{1/2} behind each sandwich conjugation and the norm ||A||
 behind each norm-dominated pair, taken through a linalg.Spectra.  Stacked
 LAPACK and BLAS calls work matrix by matrix, so an instance comes out
 bit-identical whatever else shares its batch.  The public generators
-below are batches of one, with a SamplerConfig; the batch's draws take
-the dimension and spectrum window directly, validated by the caller.
+below are batches of one, with a SamplerConfig, which reads its values
+through inputs; the batch's draws take the dimension and spectrum
+window directly, as their caller read them.
 fuzz.run_fuzz samples a run in chunks of trials, each batch on the
 Spectra that then checks the chunk, so a check finds the sandwich's
 decomposition of A already made.
@@ -34,39 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import inputs, linalg
 from .errors import InvalidSpec
 
 _MASK64 = (1 << 64) - 1
 _ZEROS4 = (0, 0, 0, 0)
-
-
-MAX_DIM = 64
-
-
-def _is_bool(v) -> bool:
-    """Whether v is a bool, which int() and float() read as 1 or 0."""
-    return isinstance(v, (bool, np.bool_))
-
-
-def _integer(v, what: str) -> int:
-    """v as an int; InvalidSpec unless v is integral and not a bool, so
-    that a mistyped dimension, seed, count or index is never truncated
-    into another."""
-    try:
-        if not _is_bool(v) and int(v) == v:
-            return int(v)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidSpec(f"{what} must be an integer, got {v!r}")
-
-
-def _dim(v) -> int:
-    """v as a dimension in [1, MAX_DIM]; InvalidSpec otherwise."""
-    n = _integer(v, "dim")
-    if not 1 <= n <= MAX_DIM:
-        raise InvalidSpec(f"dim must lie in [1, {MAX_DIM}], got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -83,8 +56,10 @@ class SamplerConfig:
     spectrum_hi: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _dim(self.dim))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "dim", inputs.dim(self.dim))
+        object.__setattr__(self, "seed", inputs.integer(self.seed, "seed"))
+        for label in ("spectrum_lo", "spectrum_hi"):
+            object.__setattr__(self, label, inputs.number(label, getattr(self, label)))
         if not 0.0 < self.spectrum_lo <= self.spectrum_hi:
             raise InvalidSpec(
                 f"need 0 < spectrum_lo <= spectrum_hi, got "
@@ -105,7 +80,8 @@ def rng_for(seed: int, index: int) -> np.random.Generator:
     """
     # a uint64 array: numpy reads a list that mixes words above and below
     # 2**63 as float64, which merged seed -1 into seed 0
-    key = np.array(_key(_integer(seed, "seed"), _integer(index, "index")), dtype=np.uint64)
+    key = np.array(_key(inputs.integer(seed, "seed"), inputs.integer(index, "index")),
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -332,7 +308,7 @@ def random_unit_vector(cfg: SamplerConfig, trial: int = 0) -> np.ndarray:
 
 def random_isometry(cfg: SamplerConfig, k: int, trial: int = 0) -> np.ndarray:
     """n x k matrix with orthonormal columns, 1 <= k <= n."""
-    k = _integer(k, "isometry width")
+    k = inputs.integer(k, "isometry width")
     if not 1 <= k <= cfg.dim:
         raise InvalidSpec(f"isometry width must lie in [1, {cfg.dim}], got {k}")
     batch = _Batch()

@@ -10,8 +10,9 @@ import pytest
 
 import fuzz_digests
 import scalar_oracle
-from opineq import checks, cli, fuzz, maps, repro, sampling
+from opineq import checks, cli, fuzz, inputs, maps, repro, sampling
 from opineq.errors import (
+    DimensionMismatch,
     DomainError,
     InvalidSpec,
     NotDensity,
@@ -980,7 +981,7 @@ def test_instance_spec_json_type_check_names_the_walks_first_value(key, value, p
     # a second offender later on does not change the message
     later = json.loads(json.dumps(value)) + [["3"]]
     with pytest.raises(SchemaError) as exc:
-        maps._require_numbers(key, later)
+        inputs.numbers(key, later)
     assert str(exc.value) == _first_non_number(key, value)
 
 
@@ -988,7 +989,7 @@ def test_instance_spec_json_type_check_names_the_walks_first_value(key, value, p
     [], [[]], [1, 2.0], [[1, 2.0], [3.5]], [[[1.0]], [[2, 3]]], [[1.0], 2.0], None, 1, 2.5,
 ])
 def test_instance_spec_json_type_check_passes_numbers(value):
-    assert maps._require_numbers("A", value) is None
+    assert inputs.numbers("A", value) is None
 
 
 def test_instance_spec_json_type_walk_leaves_numbers_alone():
@@ -1010,22 +1011,41 @@ def test_instance_spec_validation():
         checks.InstanceSpec(A=np.eye(2), B=np.eye(3), p=1.0)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"p": "abc"}, {"p": None}, {"m": "x"}, {"A": "abc"}, {"B": [[1.0, "a"], [0.0, 1.0]]},
-    {"x": ["a", 1.0]}, pytest.param({"p": 10**400}, id="{'p': 10**400}"),
+# each refused by the type rule, which names the last field given
+_NOT_NUMBERS = [
+    {"p": "abc"}, {"m": "x"}, {"A": "abc"}, {"B": [[1.0, "a"], [0.0, 1.0]]},
+    {"x": ["a", 1.0]},
     {"p": True}, {"p": np.True_}, {"m": True}, {"M": False}, {"m": 0.5, "M": np.True_},
     {"p": "0.5"}, {"m": "0.25"}, {"M": b"2"}, {"A": [["1", "0"], ["0", "1"]]},
     {"x": ["1", "0"]}, {"A": [[True, False], [False, True]]}, {"B": np.eye(2, dtype=bool)},
     {"A": np.eye(2) + 0j}, {"A": np.array([[1, "0"], [0, 2**70]], dtype=object)},
     {"x": np.array([1.0, np.True_], dtype=object)},
-], ids=repr)
-def test_instance_spec_rejects_non_numbers_as_schema_errors(kwargs):
+    {"A": [[2.0, False], [False, 3.0]]}, {"A": ((2.0, False), (False, 3.0))},
+    {"B": [[3.0, True], [True, 4.0]]}, {"x": [0.6, True]}, {"x": np.array([0.6, 0.8j])},
+    {"p": 0.5 + 0j}, {"M": [["2"]]},
+]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    *[pytest.param(k, f"{[*k][-1]}: expected a number, got ", id=repr(k)) for k in _NOT_NUMBERS],
+    pytest.param({"p": None}, "malformed instance: ", id="{'p': None}"),
+    pytest.param({"p": 10**400}, "malformed instance: ", id="{'p': 10**400}"),
+])
+def test_instance_spec_rejects_non_numbers_as_schema_errors(kwargs, message):
     # the library path gets the JSON path's error, not a bare ValueError,
     # TypeError or OverflowError; a bool, which float() reads as 0 or 1, a
     # string, which it parses, and a complex number, whose imaginary part
-    # it drops, are refused as the JSON path refuses them
-    with pytest.raises(SchemaError, match="^malformed instance: "):
+    # it drops, are refused as the JSON path refuses them, naming the field
+    with pytest.raises(SchemaError, match="^" + message):
         checks.InstanceSpec(**{"A": np.eye(2), "p": 0.5, **kwargs})
+
+
+@pytest.mark.parametrize("x", [[[0.6, 0.8]], [[0.6], [0.8]], 0.6, np.array(0.6), [0.6]],
+                         ids=repr)
+def test_instance_spec_rejects_an_x_that_is_not_a_vector_of_length_n(x):
+    # a 2-d x of the right size used to be flattened into a vector
+    with pytest.raises(DimensionMismatch, match="^x must be a vector of length 2"):
+        checks.InstanceSpec(A=np.eye(2), p=0.5, x=x)
 
 
 def test_sampled_instance_with_a_non_number_exponent_is_a_schema_error():
@@ -1038,7 +1058,8 @@ def test_sampled_instance_with_a_non_number_exponent_is_a_schema_error():
 def test_every_sampler_rejects_a_non_number_exponent_as_a_schema_error(check_id, p):
     # radius_chain compared p < 0 before any instance existed, which
     # raised a bare TypeError on "abc" and None and ran True as p = 1
-    with pytest.raises(SchemaError, match="^malformed instance: "):
+    message = "malformed instance: " if p is None else "p: expected a number, got "
+    with pytest.raises(SchemaError, match="^" + message):
         fuzz.sample_instance(check_id, 3, 0, p, 0)
 
 

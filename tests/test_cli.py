@@ -358,6 +358,16 @@ def test_eval_rejects_strings_and_booleans_for_numbers(tmp_path, capsys):
     assert capsys.readouterr().err == "error: A: expected a number, got '2'\n"
 
 
+@pytest.mark.parametrize("x, shape", [([[0.6, 0.8]], (1, 2)), ([[0.6], [0.8]], (2, 1)),
+                                      (0.6, ()), ([0.6], (1,))])
+def test_eval_rejects_an_x_that_is_not_a_vector_of_length_n(x, shape, tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", dict(HOLDS_INST, x=x))
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", path]) == \
+        cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == \
+        f"error: x must be a vector of length 2, got shape {shape}\n"
+
+
 def test_eval_env_tolerance(tmp_path, monkeypatch, capsys):
     path = _write(tmp_path, "dip.json", DIP_INST)
     args = ["eval", "--check", "lowner_heinz", "--input", path]
@@ -526,6 +536,13 @@ def test_fuzz_bad_dim_that_no_trial_reaches(capsys):
     assert cli.main(["fuzz", "--check", "norm_chain", "--p", "0.5", "--dim", "2,100",
                      "--trials", "1"]) == cli.EXIT_SCHEMA
     assert "dim must lie in [1, 64], got 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["0.5,nan", "0.5,inf", "0.5,-inf"])
+def test_fuzz_non_finite_exponent_that_no_trial_reaches(p, capsys):
+    assert cli.main(["fuzz", "--check", "power_norm", "--p", p, "--trials", "1"]) == \
+        cli.EXIT_SCHEMA
+    assert "p_values must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import checks, fuzz, linalg, means, sampling
+from opineq import checks, fuzz, inputs, linalg, means
 from opineq.errors import InvalidSpec, NotPositiveDefinite, UnknownCheck
 
 
@@ -60,6 +60,8 @@ def test_run_fuzz_rejects_empty_or_string_exponents(p_values):
     {"trials": 0, "dims": (0,)}, {"trials": 1, "dims": (2, 100), "p_values": (0.5,)},
     {"trials": True}, {"seed": True}, {"dims": (True,)}, {"dims": (3, np.True_)},
     {"tol_rel": True}, {"tol_rel": np.False_},
+    {"trials": 1, "p_values": (0.5, float("nan"))}, {"p_values": [float("inf")]},
+    {"p_values": ["-inf"]},
 ], ids=repr)
 def test_run_fuzz_rejects_non_numbers_and_out_of_range_dims(kwargs):
     # the first seven used to escape as a bare ValueError, TypeError or
@@ -67,7 +69,8 @@ def test_run_fuzz_rejects_non_numbers_and_out_of_range_dims(kwargs):
     # of no trials, which would never end, or divide by zero, and are
     # rejected also where no trial reaches them (the next two); a bool,
     # which int() and float() read as 1 or 0, is not a count, a seed, a
-    # dim or a tolerance
+    # dim or a tolerance; nor is an infinite or nan exponent, even where no
+    # trial reaches it
     with pytest.raises(InvalidSpec):
         fuzz.run_fuzz("lowner_heinz", **{"trials": 4, **kwargs})
 
@@ -269,9 +272,9 @@ def test_a_chunk_at_max_dim_is_64_trials(monkeypatch):
     seen = []
     _recording(monkeypatch, "norm_chain", seen,
                checks.run_check("norm_chain", fuzz.sample_instance("norm_chain", 2, 0, 1.0, 0)))
-    fuzz.run_fuzz("norm_chain", trials=65, dims=(2, sampling.MAX_DIM), p_values=(1.0,))
+    fuzz.run_fuzz("norm_chain", trials=65, dims=(2, inputs.MAX_DIM), p_values=(1.0,))
     assert [len(group) for group in seen] == [32, 32, 1]
-    assert fuzz._chunk_size((sampling.MAX_DIM,)) == 64
+    assert fuzz._chunk_size((inputs.MAX_DIM,)) == 64
     assert fuzz._chunk_size((16, 32)) == 256
     assert fuzz._chunk_size((2, 3, 4, 5, 6)) == 512
 

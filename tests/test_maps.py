@@ -195,6 +195,40 @@ def test_from_json_rejects_strings_and_booleans_for_numbers(key, bad, obj):
     assert str(exc.value) == f"{key}: expected a number, got {bad!r}"
 
 
+# (id, field, first offending entry, constructor call): the library path refuses
+# what the JSON path refuses, as a list or as an ndarray; each used to build
+# a map, from 1 or 0 or from the real part
+@pytest.mark.parametrize("key, bad, build", [pytest.param(*row[1:], id=row[0]) for row in [
+    ("isometry-str-list", "isometry", "1",
+     lambda: maps.MapSpec.compression([["1", "0"], ["0", "1"]])),
+    ("isometry-str-ndarray", "isometry", "1",
+     lambda: maps.MapSpec.compression(np.array([["1", "0"], ["0", "1"]]))),
+    ("isometry-bool-list", "isometry", True,
+     lambda: maps.MapSpec.compression([[True], [False]])),
+    ("isometry-bool-ndarray", "isometry", True,
+     lambda: maps.MapSpec.compression(np.eye(2, dtype=bool))),
+    ("isometry-complex-list", "isometry", 1j, lambda: maps.MapSpec.compression([[1j], [0.0]])),
+    ("isometry-complex-ndarray", "isometry", 1 + 1e-3j,
+     lambda: maps.MapSpec.compression(np.eye(2) + 1e-3j)),
+    ("weights-str-list", "weights", "1",
+     lambda: maps.MapSpec.mixed_unitary(["1"], [np.eye(2)])),
+    ("weights-bool-ndarray", "weights", True,
+     lambda: maps.MapSpec.mixed_unitary(np.array([True]), [np.eye(2)])),
+    ("weights-complex-list", "weights", 1 + 0j,
+     lambda: maps.MapSpec.mixed_unitary([1 + 0j], [np.eye(2)])),
+    ("unitaries-str-list", "unitaries", "1",
+     lambda: maps.MapSpec.mixed_unitary([1.0], [[["1", 0.0], [0.0, 1.0]]])),
+    ("unitaries-bool-ndarray", "unitaries", True,
+     lambda: maps.MapSpec.mixed_unitary([1.0], [np.eye(2, dtype=bool)])),
+    ("unitaries-complex-ndarray", "unitaries", 1j,
+     lambda: maps.MapSpec.mixed_unitary([1.0], [np.eye(2) * 1j])),
+]])
+def test_constructors_reject_strings_booleans_and_complex_numbers(key, bad, build):
+    with pytest.raises(SchemaError) as exc:
+        build()
+    assert str(exc.value) == f"{key}: expected a number, got {bad!r}"
+
+
 def test_from_json_accepts_integral_floats():
     assert maps.MapSpec.from_json_dict({"kind": "normalized_trace", "dim": 3.0}) == \
         maps.MapSpec.normalized_trace(3)
@@ -246,6 +280,9 @@ def test_verify_map_rejects_non_integral_trials():
     # range(2.5) used to raise a bare TypeError
     with pytest.raises(InvalidSpec):
         maps.verify_map(maps.MapSpec.normalized_trace(2), trials=2.5)
+    # a negative count used to run no linearity or positivity probe and pass
+    with pytest.raises(InvalidSpec, match="trials must be >= 0"):
+        maps.verify_map(maps.MapSpec.normalized_trace(2), trials=-5)
     assert maps.verify_map(maps.MapSpec.normalized_trace(2), trials=2.0)
 
 

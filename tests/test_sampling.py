@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from opineq import fuzz, linalg, sampling
-from opineq.errors import InvalidSpec
+from opineq import fuzz, inputs, linalg, sampling
+from opineq.errors import InvalidSpec, SchemaError
 
 
 def _cfg(dim=4, seed=0, lo=0.5, hi=2.0):
@@ -18,14 +18,14 @@ def _cfg(dim=4, seed=0, lo=0.5, hi=2.0):
 
 def test_config_accepts_full_dim_range():
     assert sampling.SamplerConfig(dim=1).dim == 1
-    assert sampling.SamplerConfig(dim=sampling.MAX_DIM).dim == sampling.MAX_DIM
+    assert sampling.SamplerConfig(dim=inputs.MAX_DIM).dim == inputs.MAX_DIM
 
 
 def test_config_rejects_bad_dims():
     with pytest.raises(InvalidSpec):
         sampling.SamplerConfig(dim=0)
     with pytest.raises(InvalidSpec):
-        sampling.SamplerConfig(dim=sampling.MAX_DIM + 1)
+        sampling.SamplerConfig(dim=inputs.MAX_DIM + 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -45,6 +45,18 @@ def test_non_integral_counts_seeds_and_indices_are_rejected(call):
     # raise a bare TypeError
     with pytest.raises(InvalidSpec):
         call()
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"spectrum_lo": "0.5"}, "spectrum_lo"),
+    ({"spectrum_lo": True, "spectrum_hi": True}, "spectrum_lo"),
+    ({"spectrum_hi": np.True_}, "spectrum_hi"),
+    ({"spectrum_hi": 2 + 0j}, "spectrum_hi"),
+], ids=repr)
+def test_config_reads_its_window_as_numbers(kwargs, field):
+    # "0.5" raised a bare TypeError, and True was read as 1.0
+    with pytest.raises(SchemaError, match=f"^{field}: expected a number, got "):
+        sampling.SamplerConfig(dim=2, **kwargs)
 
 
 def test_integral_floats_are_read_as_integers():
