@@ -73,6 +73,7 @@ from .errors import (
     ZeroMatrix,
     ZeroParameter,
 )
+from .linalg import HYP_TOL, _P_EPS   # named in linalg's tolerance policy
 
 __all__ = [
     "HOLDS",
@@ -108,15 +109,6 @@ __all__ = [
 HOLDS = "HOLDS"
 FAILS = "FAILS"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
-
-# Absolute slack used for hypothesis gates on the inner spectrum (the
-# spectrum of A^{-1/2} B A^{-1/2} is dimensionless, so an absolute
-# tolerance is appropriate there).
-HYP_TOL = 1e-9
-
-# Range guard slack for exponents; p is user input and often written in
-# decimal, so exact boundary values must pass.
-_P_EPS = 1e-12
 
 compute_sandwich = means.compute_sandwich
 
@@ -202,12 +194,11 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
     rhs hold one side per instance in rows, its list of instance indices:
     stacks of matrices, or lists of floats for scalar parts, which are
     reported as 1x1 matrices; a stack of 1x1 matrices is read as scalars.
-    Each instance's parts keep the order of part_specs.  The shared
-    tolerance of an instance is tol_rel times the largest operand scale
-    across its parts (never below tol_rel itself), so one loose part does
-    not get judged with a tighter yardstick than another.  spectra is the
-    Spectra the body ran on, so a side that several parts share, or that
-    the body already took the norm of, is not decomposed again.
+    Each instance's parts keep the order of part_specs.  An instance's
+    tolerance is linalg._scaled(tol_rel, norms of the sides of all its
+    parts), so no part is judged with a tighter yardstick than another.
+    spectra is the Spectra the body ran on, so a side that several parts
+    share, or that the body already took the norm of, is not decomposed again.
 
     It guards the verdicts against sides that left the float range: a
     part whose gap is not finite raises NotFinite, since a Python float
@@ -235,23 +226,23 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
         for x, values in zip(sides, _split(spectra.norm_op(_concat(sides)).tolist(), sides)):
             norms[id(x)] = values
     parts = [[] for _ in range(size)]
-    scale = [1.0] * size
+    mags = [[] for _ in range(size)]
     for name, lhs, rhs, rows in part_specs:
         if isinstance(lhs, list):   # scalar sides: no eigensolve
             for i, x, y in zip(rows, lhs, rhs):
                 gap = y - x
                 if not math.isfinite(gap):
                     raise NotFinite(f"{check_id}: the sides of {name} leave the float range")
-                scale[i] = max(scale[i], abs(x), abs(y))
+                mags[i] += abs(x), abs(y)
                 parts[i].append(CheckPart(name, np.array([[x]]), np.array([[y]]), gap))
             continue
         for j, (i, gap, sl, sr) in enumerate(zip(rows, gaps[id(lhs), id(rhs)],
                                                  norms[id(lhs)], norms[id(rhs)])):
-            scale[i] = max(scale[i], sl, sr)
+            mags[i] += sl, sr
             parts[i].append(CheckPart(name, lhs[j], rhs[j], gap))
     reports = []
     for i in range(size):
-        tol_used = tol_rel * scale[i]
+        tol_used = linalg._scaled(tol_rel, *mags[i])
         if parts[i]:
             worst = min(parts[i], key=lambda part: part.gap_min_eig)
             gap_min_eig, lhs, rhs = worst.gap_min_eig, worst.lhs, worst.rhs
@@ -806,7 +797,7 @@ def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params):
     for mat, label, lam in zip((a, b), "AB", _eigvals(sp, a, b)):
         _require_psd(lam, label)
         for trace in np.trace(mat, axis1=-2, axis2=-1).tolist():
-            if abs(trace - 1.0) > 1e-10:
+            if abs(trace - 1.0) > linalg._TRACE_TOL:
                 raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
     hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params)
 
@@ -1008,7 +999,7 @@ def check_mn2012(insts, sp, tol_rel, a, b, ps, phis, params):
     gaps = lam_diff[:, 0].tolist()
     for i, (hi, low) in enumerate(zip(lam_diff[:, -1].tolist(),
                                       np.abs(lam_diff).min(axis=-1).tolist())):
-        if low <= 1e-12 * max(1.0, abs(gaps[i]), abs(hi)):
+        if low <= linalg._scaled(linalg._SINGULAR_RTOL, abs(gaps[i]), abs(hi)):
             raise SingularDifference("B - A is numerically singular")
         if hyp_ok[i] and gaps[i] < 0.0:
             # A >= 0 and ||A|| I <= B force B - A >= 0; a negative gap means
@@ -1048,7 +1039,7 @@ def _resolve_unit_vector(inst: InstanceSpec, n: int) -> np.ndarray:
     if inst.x is None:
         return np.full(n, 1.0 / np.sqrt(n))
     norm = float(np.linalg.norm(inst.x))
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > linalg._UNIT_TOL:
         raise UnnormalizedVector(f"x has norm {norm:.12g}, expected 1")
     return inst.x
 
@@ -1094,9 +1085,9 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
         params[i]["f"] = inst.f
         qb.append(float(x @ b[i] @ x))
         weights = (dec_a.eigenvectors[i].T @ x) ** 2
-        support = lam_a[i][weights > 1e-12]
+        support = lam_a[i][weights > linalg._SUPPORT_TOL]
         lam_floor = float(support[0]) if support.size else float(lam_a[i, 0])
-        gate_tol = tol_rel * max(1.0, float(abs(lam_a[i, 0])), float(abs(lam_a[i, -1])))
+        gate_tol = linalg._scaled(tol_rel, float(abs(lam_a[i, 0])), float(abs(lam_a[i, -1])))
         if hyp_ok[i] and qb[i] > lam_floor + gate_tol:
             hyp_ok[i] = False
             note[i] = (f"<Bx, x> = {qb[i]:.6g} exceeds the smallest eigenvalue of A "
@@ -1239,7 +1230,7 @@ def check_radius_chain(insts, sp, tol_rel, a, b, ps, phis, params):
         raise ZeroMatrix("A is zero; the radius chain needs a positive norm")
     sr = [linalg.spectral_radius(m) for m in a]
     w = [linalg.numerical_radius(m) for m in a]
-    hyp_ok = [not (p < 0.0 and r <= 1e-12 * t) for p, r, t in zip(ps, sr, op)]
+    hyp_ok = [not (p < 0.0 and r <= linalg._NILPOTENT_RTOL * t) for p, r, t in zip(ps, sr, op)]
     note = ["" if ok else "spectral radius vanishes; negative powers of it are undefined"
             for ok in hyp_ok]
     for par, r, x, t in zip(params, sr, w, op):

@@ -42,13 +42,9 @@ import numpy as np
 
 from . import checks, inputs, linalg, maps, sampling
 from .errors import InvalidSpec, SchemaError, UnknownCheck
+from .linalg import FUZZ_TOL_REL   # named in linalg's tolerance policy
 
 __all__ = ["FUZZ_TOL_REL", "FuzzResult", "run_fuzz", "sample_instance"]
-
-# Looser than the per-check default: random instances routinely stack
-# several conjugations and fractional powers, and the probes put the
-# worst honest rounding noise a little above 1e-13 on gaps of unit scale.
-FUZZ_TOL_REL = 1e-8
 
 # Sub-stream offsets added to the trial index so the second matrix, the
 # map, the vector and the scalar choices never replay the draws used for

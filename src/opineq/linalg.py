@@ -49,21 +49,44 @@ from .errors import (
     NotSymmetric,
 )
 
-SYM_RTOL = 1e-12
-POS_EIG_RTOL = 1e-10
-DEFAULT_TOL_REL = 1e-9
+# Tolerance policy: every threshold the engine compares against, named
+# once, by what it scales with; picked, not yet fitted (ROADMAP item 3).
+#   (a) against operand magnitudes, with a unit floor: _scaled(rel, *mags)
+#       = rel * max(1, *mags), so below magnitude 1 it is rel itself and not
+#       scale invariant (ROADMAP item 8).  tol_rel takes it in Spectra.compare,
+#       checks._finish, mond_pecaric's gate and repro's E3 gaps.
+#   (b) homogeneous relative, rel * magnitude.  (c) absolute, dimensionless.
+DEFAULT_TOL_REL = 1e-9      # tol_rel of the checks, eval and loewner_compare
+FUZZ_TOL_REL = 1e-8         # of run_fuzz: its instances stack more rounding
+SYM_RTOL = 1e-12            # (a) max |a_ij - a_ji| against max |a_ij|
+POS_EIG_RTOL = 1e-10        # (a) eigenvalues that count as zero, against max |lambda|
+_SINGULAR_RTOL = 1e-12      # (a) mn2012: min |eig(B - A)| against its edges
+_MAP_LINEAR_RTOL = 1e-10    # (a) verify_map: Phi(aX + bY) - a Phi(X) - b Phi(Y)
+_MAP_POSITIVE_RTOL = 1e-9   # (a) verify_map: -lambda_min(Phi(P)) against ||P||
+_RADIUS_RTOL = 1e-12        # (b) numerical_radius: rounding slack against max g
+_NILPOTENT_RTOL = 1e-12     # (b) radius_chain: a vanishing spectral radius, against ||A||
+HYP_TOL = 1e-9              # (c) window gates on the spectrum of A^{-1/2} B A^{-1/2}
+_P_EPS = 1e-12              # (c) closed ends of an exponent domain
+_SANDWICH_TOL = 1e-12       # (c) compute_sandwich: lambda_min(W) >= 1 - it
+_ORTHO_TOL = 1e-10          # (c) maps: V^T V, U^T U, Phi(I) against I; sum of weights
+_TRACE_TOL = 1e-10          # (c) density_trace: |Tr A - 1|
+_UNIT_TOL = 1e-8            # (c) a given unit vector x: | ||x|| - 1 |
+_SUPPORT_TOL = 1e-12        # (c) mond_pecaric: squared overlaps that carry weight
+_RADIUS_IMAG = 1e-4         # (c) numerical_radius: |Re sigma| / (1 + |sigma|) of a root
+
+
+def _scaled(rel: float, *magnitudes: float) -> float:
+    """Rule (a) of the tolerance policy."""
+    return rel * max((1.0, *magnitudes))
+
 
 # _gram_spectrum rescales A when max |a_ij| leaves this range
 _SV_SAFE_LO, _SV_SAFE_HI = 2.0 ** -480, 2.0 ** 480
-# numerical_radius: grid intervals on [0, pi], rounding slack relative to
-# max g, the cap on polish steps per start, the cap on level-set tests, and
-# the largest |Re sigma| / (1 + |sigma|) a level-set root may have to count
-# as imaginary
+# numerical_radius: grid intervals on [0, pi], the cap on polish steps per
+# start and the cap on level-set tests
 _RADIUS_GRID = 8
-_RADIUS_RTOL = 1e-12
 _RADIUS_STEPS = 50
 _RADIUS_ROUNDS = 8
-_RADIUS_IMAG = 1e-4
 
 LE = "LE"
 GE = "GE"
@@ -85,7 +108,7 @@ def as_square(a) -> np.ndarray:
 
 def _is_symmetric(m: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
     """is_symmetric for each matrix of a trusted (square, finite) stack;
-    a single True when every matrix is exactly symmetric."""
+    a single True when every matrix is exactly symmetric (rule (a))."""
     mt = m.swapaxes(-1, -2)
     exact = m == mt
     if exact.all():
@@ -102,7 +125,7 @@ def _require_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
-    """True when max |a_ij - a_ji| <= rtol * max(1, max |a_ij|)."""
+    """True when max |a_ij - a_ji| <= _scaled(rtol, max |a_ij|)."""
     return bool(_is_symmetric(as_square(a), rtol))
 
 
@@ -143,20 +166,15 @@ def _reconstruct(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return symmetrize((q * vals[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def _floor(lo: float, hi: float) -> float:
-    """The positivity floor POS_EIG_RTOL * max(1, max |lambda|) of a
-    spectrum with extreme eigenvalues lo <= hi: eigenvalues within it of
-    zero count as zero."""
-    return POS_EIG_RTOL * max(1.0, abs(lo), abs(hi))
-
-
 def _require_floor(lam: np.ndarray, strict: bool, message: str) -> np.ndarray:
     """lam, a stack of ascending spectra, once each is positive up to its
-    _floor: semidefinite (lambda_min >= -floor), or with strict definite
-    (lambda_min > floor).  Otherwise NotPositiveDefinite, with
-    message.format(lo=lambda_min) of the first spectrum that is not."""
+    floor _scaled(POS_EIG_RTOL, |lambda_min|, |lambda_max|): semidefinite
+    (lambda_min >= -floor), or with strict definite (lambda_min > floor).
+    Otherwise NotPositiveDefinite, with message.format(lo=lambda_min) of
+    the first spectrum that is not."""
     for lo, hi in _edges(lam):
-        if (lo <= _floor(lo, hi)) if strict else (lo < -_floor(lo, hi)):
+        floor = _scaled(POS_EIG_RTOL, abs(lo), abs(hi))
+        if (lo <= floor) if strict else (lo < -floor):
             raise NotPositiveDefinite(message.format(lo=lo))
     return lam
 
@@ -333,7 +351,7 @@ class Spectra:
         verdicts = []
         norms = self.norm_op(np.stack((l, r))).reshape(2, -1).tolist()
         for lo, hi, nl, nr in zip(diff[:, 0].tolist(), diff[:, -1].tolist(), *norms):
-            tol = tol_rel * max(1.0, nl, nr)
+            tol = _scaled(tol_rel, nl, nr)
             le = lo >= -tol
             ge = hi <= tol
             if le and ge:
@@ -395,7 +413,7 @@ def eigvals_sym(a) -> np.ndarray:
 def power(a, p: float) -> np.ndarray:
     """Matrix power A^p by functional calculus.
 
-    Eigenvalues within POS_EIG_RTOL * max(1, spectral radius) of zero
+    Eigenvalues within the positivity floor (_require_floor) of zero
     count as zero.  Fractional powers clamp those to exactly zero;
     negative or fractional powers of a matrix with a genuinely negative
     or (for p < 0) vanishing eigenvalue raise NotPositiveDefinite.
@@ -445,11 +463,8 @@ class LoewnerVerdict:
 
 
 def loewner_compare(l, r, tol_rel: float = DEFAULT_TOL_REL) -> LoewnerVerdict:
-    """Compare symmetric L and R in the Loewner order.
-
-    The absolute tolerance is tol_rel * max(1, ||L||, ||R||) with the
-    operator norm, so verdicts are scale invariant above unit norm.
-    """
+    """Compare symmetric L and R in the Loewner order, within the
+    tolerance _scaled(tol_rel, ||L||, ||R||) of their operator norms."""
     lm = require_symmetric(l, "left operand")
     rm = require_symmetric(r, "right operand")
     if lm.shape != rm.shape:
@@ -574,7 +589,7 @@ def numerical_radius(a) -> float:
     from the same eigh, within +-2h of the start, bisecting on the sign of
     g' where g'' >= 0 (eigenvalue crossings) or a step leaves the bracket.
     Then a level-set test (_radius_arcs) looks for angles where g exceeds
-    the largest value seen by more than a rounding slack of 1e-12 relative;
+    the largest value seen by more than a rounding slack, _RADIUS_RTOL of it;
     each one found is polished in turn and the test repeats.  So the result
     is w(A) to within that slack, whatever the grid saw: peaks closer than
     a grid step, or a bump between two angles where other branches peak.

@@ -32,8 +32,9 @@ PINCHING = "pinching"
 MIXED_UNITARY = "mixed_unitary"
 
 KINDS = (NORMALIZED_TRACE, COMPRESSION, PINCHING, MIXED_UNITARY)
-
-_ORTHO_TOL = 1e-10
+# each kind's JSON fields, in the order its constructor (its name) takes them
+_FIELDS = {NORMALIZED_TRACE: ("dim",), COMPRESSION: ("isometry",),
+           PINCHING: ("partition", "dim"), MIXED_UNITARY: ("weights", "unitaries")}
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -63,7 +64,7 @@ class MapSpec:
         if not np.isfinite(v).all():
             raise InvalidSpec("isometry entries must be finite")
         gram = v.T @ v
-        if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > _ORTHO_TOL:
+        if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > linalg._ORTHO_TOL:
             raise InvalidSpec("isometry columns are not orthonormal")
         return cls(
             kind=COMPRESSION, in_dim=v.shape[0], out_dim=v.shape[1], isometry=v
@@ -95,7 +96,7 @@ class MapSpec:
             raise InvalidSpec("need one weight per unitary")
         if not np.isfinite(w).all():
             raise InvalidSpec("weights must be finite")
-        if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _ORTHO_TOL:
+        if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > linalg._ORTHO_TOL:
             raise InvalidSpec("weights must be positive and sum to 1")
         n = us[0].shape[0] if us[0].ndim == 2 else 0
         for u in us:
@@ -103,7 +104,7 @@ class MapSpec:
                 raise InvalidSpec("unitaries must be square matrices of one shape")
             if not np.isfinite(u).all():
                 raise InvalidSpec("unitary entries must be finite")
-            if float(np.max(np.abs(u.T @ u - np.eye(n)))) > _ORTHO_TOL:
+            if float(np.max(np.abs(u.T @ u - np.eye(n)))) > linalg._ORTHO_TOL:
                 raise InvalidSpec("matrix is not orthogonal")
         return cls(
             kind=MIXED_UNITARY, in_dim=n, out_dim=n, weights=w, unitaries=us
@@ -128,27 +129,24 @@ class MapSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MapSpec":
-        """Rebuild a map from its JSON object.  A string or boolean where
-        a number belongs raises SchemaError naming the field: the
-        constructors type-check the isometry, weights and unitaries, and
-        dim and partition, which they read as integers, are checked here."""
+        """Rebuild a map from its JSON object: its kind and that kind's
+        _FIELDS, no other key.  A string or boolean where a number belongs
+        raises SchemaError naming the field (the constructors check the
+        isometry, weights and unitaries; dim and partition are checked here)."""
         if not isinstance(obj, dict):
             raise SchemaError("map must be a JSON object")
         for key in ("dim", "partition"):
             inputs.numbers(key, obj.get(key))
         kind = obj.get("kind")
+        if kind not in KINDS:
+            raise InvalidSpec(f"unknown map kind {kind!r}, expected one of {KINDS}")
+        unknown = sorted(map(str, set(obj) - {"kind", *_FIELDS[kind]}))
+        if unknown:
+            raise SchemaError(f"unknown keys for a {kind} map: {', '.join(unknown)}")
         try:
-            if kind == NORMALIZED_TRACE:
-                return cls.normalized_trace(obj["dim"])
-            if kind == COMPRESSION:
-                return cls.compression(obj["isometry"])
-            if kind == PINCHING:
-                return cls.pinching(obj["partition"], obj["dim"])
-            if kind == MIXED_UNITARY:
-                return cls.mixed_unitary(obj["weights"], obj["unitaries"])
+            return getattr(cls, kind)(*(obj[key] for key in _FIELDS[kind]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"malformed map spec: {exc}") from exc
-        raise InvalidSpec(f"unknown map kind {kind!r}, expected one of {KINDS}")
 
 
 def apply_map(spec: MapSpec, x) -> np.ndarray:
@@ -200,10 +198,9 @@ def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:
         raise InvalidSpec(f"trials must be >= 0, got {trials}")
     rng = sampling.rng_for(seed, 0)
     n = spec.in_dim
-    ident = apply_map(spec, np.eye(n))
-    if float(np.max(np.abs(ident - np.eye(spec.out_dim)))) > 1e-10:
-        log.warning("map %s is not unital: Phi(I) deviates by %.3e",
-                    spec.kind, float(np.max(np.abs(ident - np.eye(spec.out_dim)))))
+    dev = float(np.max(np.abs(apply_map(spec, np.eye(n)) - np.eye(spec.out_dim))))
+    if dev > linalg._ORTHO_TOL:
+        log.warning("map %s is not unital: Phi(I) deviates by %.3e", spec.kind, dev)
         return False
     for t in range(trials):
         x = rng.normal(size=(n, n))
@@ -213,17 +210,14 @@ def verify_map(spec: MapSpec, trials: int = 32, seed: int = 0) -> bool:
         alpha, beta = rng.normal(size=2)
         lhs = apply_map(spec, alpha * x + beta * y)
         rhs = alpha * apply_map(spec, x) + beta * apply_map(spec, y)
-        scale = max(1.0, linalg.norm_op(lhs), linalg.norm_op(rhs))
-        if float(np.max(np.abs(lhs - rhs))) > 1e-10 * scale:
-            log.warning("map %s linearity probe %d failed by %.3e",
-                        spec.kind, t, float(np.max(np.abs(lhs - rhs))))
+        dev = float(np.max(np.abs(lhs - rhs)))
+        if dev > linalg._scaled(linalg._MAP_LINEAR_RTOL, linalg.norm_op(lhs), linalg.norm_op(rhs)):
+            log.warning("map %s linearity probe %d failed by %.3e", spec.kind, t, dev)
             return False
         g = rng.normal(size=(n, n))
         psd = g @ g.T
-        out = apply_map(spec, psd)
-        floor = -1e-9 * max(1.0, linalg.norm_op(psd))
-        if float(linalg.eigvals_sym(out)[0]) < floor:
-            log.warning("map %s positivity probe %d failed: min eig %.3e",
-                        spec.kind, t, float(linalg.eigvals_sym(out)[0]))
+        low = float(linalg.eigvals_sym(apply_map(spec, psd))[0])
+        if low < -linalg._scaled(linalg._MAP_POSITIVE_RTOL, linalg.norm_op(psd)):
+            log.warning("map %s positivity probe %d failed: min eig %.3e", spec.kind, t, low)
             return False
     return True

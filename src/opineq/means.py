@@ -156,8 +156,8 @@ def compute_sandwich(a, b) -> SandwichBounds:
 
     The returned m = min(lam_min, 1) and M = max(lam_max, 1) always
     satisfy the pattern 0 < m <= 1 <= M required by the additive
-    bounds; hypothesis_ok is True exactly when lam_min >= 1 - 1e-12,
-    i.e. the order hypothesis A <= B holds on the nose.
+    bounds; hypothesis_ok is True exactly when lam_min >= 1 -
+    linalg._SANDWICH_TOL, i.e. the order hypothesis A <= B holds on the nose.
     """
     am, bm = _operands(a, b)
     spectra = linalg.Spectra()
@@ -174,5 +174,5 @@ def compute_sandwich(a, b) -> SandwichBounds:
         M=max(lam_max, 1.0),
         lam_min=lam_min,
         lam_max=lam_max,
-        hypothesis_ok=lam_min >= 1.0 - 1e-12,
+        hypothesis_ok=lam_min >= 1.0 - linalg._SANDWICH_TOL,
     )

@@ -143,11 +143,11 @@ def _repro_e3(example_id: str) -> ReproResult:
     gap = diff - lin if 0.0 <= p <= 1.0 else lin - diff
     dev = float(np.max(np.abs(gap - table)))
     min_eig = float(linalg.eigvals_sym(gap)[0])
-    scale = max(1.0, linalg.norm_op(gap))
     report = checks.check_lh_extension(checks.InstanceSpec(A=_A3, B=_B3, p=p))
     items = (
         _item("entrywise_max_dev", dev, 0.0, tol, "abs"),
-        _item("gap_min_eig", min_eig, 0.0, 1e-9 * scale, "lower_bound"),
+        _item("gap_min_eig", min_eig, 0.0,
+              linalg._scaled(linalg.DEFAULT_TOL_REL, linalg.norm_op(gap)), "lower_bound"),
         _item("check_holds", report.verdict == checks.HOLDS, True, 0.0, "bool"),
     )
     return ReproResult(example_id, items, all(i.passed for i in items))

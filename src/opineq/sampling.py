@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inputs, linalg
-from .errors import InvalidSpec
+from .errors import InvalidSpec, SchemaError
 
 _MASK64 = (1 << 64) - 1
 _ZEROS4 = (0, 0, 0, 0)
@@ -59,7 +59,11 @@ class SamplerConfig:
         object.__setattr__(self, "dim", inputs.dim(self.dim))
         object.__setattr__(self, "seed", inputs.integer(self.seed, "seed"))
         for label in ("spectrum_lo", "spectrum_hi"):
-            object.__setattr__(self, label, inputs.number(label, getattr(self, label)))
+            value = getattr(self, label)
+            try:
+                object.__setattr__(self, label, inputs.number(label, value))
+            except (TypeError, ValueError, OverflowError):   # float() refuses it
+                raise SchemaError(f"{label}: expected a number, got {value!r}") from None
         if not 0.0 < self.spectrum_lo <= self.spectrum_hi:
             raise InvalidSpec(
                 f"need 0 < spectrum_lo <= spectrum_hi, got "

@@ -598,6 +598,19 @@ def test_furuta_windowed_part_needs_unit_floor():
     assert rep.verdict == checks.HOLDS
 
 
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_unit_window_gates_sit_at_one_minus_hyp_tol(side):
+    # lambda_min(W) >= 1 - 1e-9 (HYP_TOL = 1e-9 today), one value either side:
+    # the hypothesis of the unit-window checks and furuta's windowed part
+    inside, low = side < 1.0, np.diag([1.0 - side * 1e-9, 2.0])
+    for check_id in ("reverse_monotonicity", "ando_converse"):
+        rep = checks.run_check(check_id, _inst(np.eye(2), low, p=0.5, map=TR2))
+        assert rep.hypotheses_ok is inside
+    assert checks.run_check("power_corollary", _inst(low, p=0.5, map=TR2)).hypotheses_ok is inside
+    rep = checks.run_check("furuta_bounds", _inst(np.eye(2), low, p=0.5, map=TR2))
+    assert ("windowed_upper" in {part.name for part in rep.parts}) is inside
+
+
 def test_furuta_constant_vanishes_at_p1():
     rep = checks.run_check("furuta_bounds", _inst(A_REF, B1_REF, p=1.0, map=TR2))
     assert rep.params["furuta_F"] == 0.0

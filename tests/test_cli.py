@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from opineq import checks, cli, fuzz, repro
 from test_checks import OVERFLOW_UNDER_VIOLATED
-from test_maps import NON_NUMBER_MAPS
+from test_maps import NON_NUMBER_MAPS, STRAY_KEY_MAPS
 
 HOLDS_INST = {"A": [[1.0, 0.0], [0.0, 2.0]],
               "B": [[4.0, 0.0], [0.0, 9.0]], "p": 0.5}
@@ -422,7 +422,7 @@ def test_eval_accepts_zero_tolerance(tmp_path, capsys):
     {"kind": "mixed_unitary", "weights": [1.0], "unitaries": [5]},
     {"kind": "normalized_trace", "dim": 2.9},
     {"kind": "pinching", "dim": 2, "partition": [[0.7], [1.2]]},
-])
+] + [obj for _, obj in STRAY_KEY_MAPS])
 def test_eval_rejects_malformed_map(bad_map, tmp_path, capsys):
     path = _write(tmp_path, "inst.json", dict(HOLDS_INST, map=bad_map))
     assert cli.main(["eval", "--check", "info_monotonicity", "--input", path]) == \

@@ -40,6 +40,33 @@ def test_require_symmetric_rejects_skew():
         linalg.require_symmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+# Where the thresholds sit today, one value either side (0.9 and 1.1 of
+# it), at a magnitude below one, where the unit floor binds, and above.
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_symmetry_threshold_sits_at_sym_rtol_times_the_unit_floored_entries(scale, side):
+    # max |a_ij - a_ji| <= 1e-12 * max(1, max |a_ij|), SYM_RTOL = 1e-12
+    a = np.array([[scale, 0.0], [side * 1e-12 * max(1.0, scale), scale]])
+    assert linalg.is_symmetric(a) is (side < 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_positivity_floor_sits_at_pos_eig_rtol_times_the_unit_floored_spectrum(scale, side):
+    # eigenvalues within 1e-10 * max(1, max |lambda|) of zero count as zero,
+    # POS_EIG_RTOL = 1e-10: a fractional power admits -0.9 of the floor and
+    # refuses -1.1 of it; a negative power refuses 0.9 and admits 1.1
+    floor = 1e-10 * max(1.0, scale)
+    psd, pd = np.diag([-side * floor, scale]), np.diag([side * floor, scale])
+    for a, p, ok in ((psd, 0.5, side < 1.0), (pd, -1.0, side > 1.0)):
+        if ok:
+            assert np.isfinite(linalg.power(a, p)).all()
+        else:
+            with pytest.raises(NotPositiveDefinite):
+                linalg.power(a, p)
+
+
 def test_symmetrize_is_projection():
     m = np.array([[1.0, 2.0], [0.0, 3.0]])
     s = linalg.symmetrize(m)
@@ -489,6 +516,18 @@ def test_loewner_compare_tolerance_scales_with_norm():
     b = a - 1e-5 * np.eye(2)  # tiny dip relative to the operands
     assert linalg.loewner_compare(a, b, tol_rel=1e-9).is_le
     assert not linalg.loewner_compare(a, b, tol_rel=1e-13).is_le
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e6])
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_loewner_compare_threshold_sits_at_tol_rel_times_the_unit_floored_norms(scale, side):
+    # L <= R while lambda_min(R - L) >= -tol_rel * max(1, ||L||, ||R||):
+    # one dip either side of it
+    tol = 1e-9 * max(1.0, scale)
+    left = scale * np.eye(2)
+    verdict = linalg.loewner_compare(left, left - np.diag([side * tol, 0.0]), tol_rel=1e-9)
+    assert verdict.tol_used == pytest.approx(tol, rel=1e-12)
+    assert verdict.is_le is (side < 1.0)
 
 
 def test_loewner_compare_shape_mismatch():

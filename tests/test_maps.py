@@ -229,6 +229,24 @@ def test_constructors_reject_strings_booleans_and_complex_numbers(key, bad, buil
     assert str(exc.value) == f"{key}: expected a number, got {bad!r}"
 
 
+# a key that the map's kind does not take: each used to be ignored
+STRAY_KEY_MAPS = [
+    ("weights", {"kind": "normalized_trace", "dim": 2, "weights": ["1"]}),
+    ("isometry", {"kind": "normalized_trace", "dim": 2, "isometry": "x"}),
+    ("dim", {"kind": "compression", "isometry": _I2, "dim": 2}),
+    ("dim, partition", {"kind": "mixed_unitary", "weights": [1.0], "unitaries": [_I2],
+                        "dim": 2, "partition": [[0, 1]]}),
+    ("weights", {"kind": "pinching", "dim": 2, "partition": [[0], [1]], "weights": [1.0]}),
+]
+
+
+@pytest.mark.parametrize("keys, obj", STRAY_KEY_MAPS)
+def test_from_json_refuses_keys_its_kind_does_not_take(keys, obj):
+    with pytest.raises(SchemaError) as exc:
+        maps.MapSpec.from_json_dict(obj)
+    assert str(exc.value) == f"unknown keys for a {obj['kind']} map: {keys}"
+
+
 def test_from_json_accepts_integral_floats():
     assert maps.MapSpec.from_json_dict({"kind": "normalized_trace", "dim": 3.0}) == \
         maps.MapSpec.normalized_trace(3)

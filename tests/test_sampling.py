@@ -52,9 +52,13 @@ def test_non_integral_counts_seeds_and_indices_are_rejected(call):
     ({"spectrum_lo": True, "spectrum_hi": True}, "spectrum_lo"),
     ({"spectrum_hi": np.True_}, "spectrum_hi"),
     ({"spectrum_hi": 2 + 0j}, "spectrum_hi"),
+    ({"spectrum_lo": None}, "spectrum_lo"),
+    ({"spectrum_lo": [0.5]}, "spectrum_lo"),
+    pytest.param({"spectrum_lo": 10**400}, "spectrum_lo", id="{'spectrum_lo': 10**400}"),
 ], ids=repr)
 def test_config_reads_its_window_as_numbers(kwargs, field):
-    # "0.5" raised a bare TypeError, and True was read as 1.0
+    # "0.5", None and [0.5] raised a bare TypeError, 10**400 a bare
+    # OverflowError, and True was read as 1.0
     with pytest.raises(SchemaError, match=f"^{field}: expected a number, got "):
         sampling.SamplerConfig(dim=2, **kwargs)
 
