@@ -9,21 +9,23 @@ that are not positive where positivity is required).
 
 A check has one entry and one exit, both in _check.  Each check declares
 there its operands (_pair, _symmetric or _square), its exponent domain,
-whether p = 0 is excluded and whether it takes a map; the entry
-validates them, so a bad input raises for the first of: a missing B, a
-nonsymmetric A, a nonsymmetric B, p outside the domain, p = 0, the map,
-and then what the body computes (windows, positivity, traces).  The
-body gets the stacked operands, the exponents, the maps and each
-report's base params, and returns its parts; a check with hypotheses
-returns them as a function, which the entry runs under the one guard
-for sides that a violated hypothesis leaves undefined.  _finish builds
-the reports with the one linalg.Spectra the body ran on.
+whether p = 0 is excluded, whether it takes a map and the sign of each
+operand its theorem needs; the entry validates them, so a bad input
+raises for the first of: a missing B, a nonsymmetric A, a nonsymmetric
+B, p outside the domain, p = 0, the map, A's sign, B's sign, and then
+what the body computes (windows, traces).  The body gets the stacked
+operands, the exponents, the maps, each report's base params and the
+spectra of the operands with a declared sign, and returns its parts; a
+check with hypotheses returns them as a function with one note per
+instance ("" when its hypotheses hold), and the entry runs the function
+under the one guard for sides that a violated hypothesis leaves
+undefined.  _finish builds the reports with the one linalg.Spectra the
+body ran on.
 
 A rule that several checks share has one helper: _windowed is the
 paper's windowed correction (m^{p-1} - M^{p-1}) Phi(B - A) and
 _window_holds where it applies, _unit_windows and _outer_windows the
-spectral windows, _require_pd the exact positive-definite gate, _order
-an order hypothesis X <= Y with its note.
+spectral windows, _order an order hypothesis X <= Y as its notes.
 
 Each check has one implementation, which takes a group of instances of
 one dimension and returns their reports in order (CheckInfo.group).  Its
@@ -185,15 +187,16 @@ def _split(values: list, stacks) -> list:
     return out
 
 
-def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, note=None):
+def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
     """Assemble a group's CheckReports from (name, lhs, rhs, rows) parts.
 
-    _check's group calls it with the check body's parts.  params,
-    hypotheses_ok and note hold one entry per instance of the group
-    (None: every hypothesis holds, with no note).  A part's lhs and
-    rhs hold one side per instance in rows, its list of instance indices:
-    stacks of matrices, or lists of floats for scalar parts, which are
-    reported as 1x1 matrices; a stack of 1x1 matrices is read as scalars.
+    _check's group calls it with the check body's parts.  params and
+    note hold one entry per instance of the group; an instance's
+    hypotheses hold when its note is "" (note None: they all hold).  A
+    part's lhs and rhs hold one side per instance in rows, its list of
+    instance indices: stacks of matrices, or lists of floats for scalar
+    parts, which are reported as 1x1 matrices; a stack of 1x1 matrices
+    is read as scalars.
     Each instance's parts keep the order of part_specs.  An instance's
     tolerance is linalg._scaled(tol_rel, norms of the sides of all its
     parts), so no part is judged with a tighter yardstick than another.
@@ -205,7 +208,6 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
     product or quotient overflows to inf without raising.
     """
     size = len(params)
-    hypotheses_ok = [True] * size if hypotheses_ok is None else hypotheses_ok
     note = [""] * size if note is None else note
     part_specs = [(name, lhs[:, 0, 0].tolist(), rhs[:, 0, 0].tolist(), rows)
                   if not isinstance(lhs, list) and lhs.shape[-2:] == (1, 1)
@@ -248,7 +250,7 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
             gap_min_eig, lhs, rhs = worst.gap_min_eig, worst.lhs, worst.rhs
         else:
             gap_min_eig, lhs, rhs = None, None, None
-        if not hypotheses_ok[i]:
+        if note[i]:
             verdict = HYPOTHESIS_VIOLATED
         elif gap_min_eig is not None and gap_min_eig >= -tol_used:
             verdict = HOLDS
@@ -256,7 +258,7 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, hypotheses_ok=None, 
             verdict = FAILS
         reports.append(CheckReport(
             check_id=check_id,
-            hypotheses_ok=bool(hypotheses_ok[i]),
+            hypotheses_ok=not note[i],
             hypothesis_note=note[i],
             lhs=lhs,
             rhs=rhs,
@@ -403,29 +405,34 @@ REGISTRY: dict[str, CheckInfo] = {}
 
 
 def _check(check_id: str, description: str, default_p, domain: str, operands,
-           nonzero: bool = False, mapped: bool = False):
+           nonzero: bool = False, mapped: bool = False, signs=None):
     """Register the decorated body as a check: its one entry.
 
     The check's group raises for the first of: what operands (_pair,
     _symmetric or _square) rejects, a missing B, a nonsymmetric A and a
     nonsymmetric B in that order; a p outside domain, an interval such as
     "(0, 1]" whose closed ends admit _P_EPS of slack ("(-inf, inf)"
-    admits every p); a p of 0 when nonzero is set; and, when mapped, a
-    map whose input dimension is not the operands' (an instance without
-    a map gets the normalized trace).  It then builds each report's base
-    params {"p", "m": None, "M": None, "map"} and calls body(insts, sp,
-    tol_rel, a, b, ps, phis, params) with the group's linalg.Spectra sp
-    (CheckInfo.group); b is None for one operand and phis None unless
-    mapped.  The body adds its own params and returns its part specs,
-    which the group hands to _finish.
+    admits every p); a p of 0 when nonzero is set; when mapped, a map
+    whose input dimension is not the operands' (an instance without a
+    map gets the normalized trace); and an operand whose sign is not the
+    one signs declares for it, A's before B's.  signs maps "A" or "B" to
+    "psd" (semidefinite up to the floor of linalg._require_floor), "pd"
+    (lambda_min > 0 exactly) or None (no sign); the spectra of the
+    operands it names, in that order, come from one stacked eigensolve.
+    It then builds each report's base params {"p", "m": None, "M": None,
+    "map"} and calls body(insts, sp, tol_rel, a, b, ps, phis, params,
+    lams) with the group's linalg.Spectra sp (CheckInfo.group) and lams
+    those spectra; b is None for one operand and phis None unless mapped.
+    The body adds its own params and returns its part specs, which the
+    group hands to _finish.
 
-    A check with hypotheses returns (sides, hyp_ok, note) instead, lists
-    over the group and a function that builds the part specs.  The group
-    guards the sides that a violated hypothesis may leave undefined: in a
-    group of one, an OpineqError or ArithmeticError (a value leaving the
-    float range) from sides() propagates under valid hypotheses and
-    otherwise leaves the sides unevaluated, said in the note; a larger
-    group raises it.
+    A check with hypotheses returns (sides, note) instead: one note per
+    instance of the group, "" where its hypotheses hold, and a function
+    that builds the part specs.  The group guards the sides that a
+    violated hypothesis may leave undefined: in a group of one, an
+    OpineqError or ArithmeticError (a value leaving the float range) from
+    sides() propagates under valid hypotheses and otherwise leaves the
+    sides unevaluated, said in the note; a larger group raises it.
 
     The group is every check's one exit for values that leave the float
     range.  It runs all of this with numpy overflow raising, and turns any
@@ -434,6 +441,7 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
     at their defaults, so a NaN born inside a body still warns.  The
     decorated name becomes the runner, the group of one, which validates
     tol_rel (inputs.tolerance) where the group trusts it."""
+    signs = signs or {}
     lo, hi = (float(end) for end in domain[1:-1].split(", "))
     lo = lo - _P_EPS if domain[0] == "[" else math.nextafter(lo, math.inf)
     hi = hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf)
@@ -459,20 +467,30 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
                             if phi.in_dim != n:
                                 raise DimensionMismatch(f"map expects input dimension "
                                                         f"{phi.in_dim}, matrices are {n}x{n}")
+                    labels = [x for x in "AB" if x in signs]
+                    lams = _eigvals(sp, *(b if x == "B" else a for x in labels)) if labels else []
+                    for x, lam in zip(labels, lams):
+                        least = min(lam[:, 0].tolist())
+                        if signs[x] == "pd" and least <= 0.0:
+                            raise NotPositiveDefinite(f"{x} must be positive definite; "
+                                                      f"smallest eigenvalue is {least:.6g}")
+                        if signs[x] == "psd":
+                            linalg._require_floor(lam, False, f"{x} must be positive semidefinite;"
+                                                  " smallest eigenvalue is {lo:.6g}")
                     params = [{"p": p, "m": None, "M": None,
                                "map": None if phis is None else phis[i].to_json_dict()}
                               for i, p in enumerate(ps)]
-                    out = body(insts, sp, tol_rel, a, b, ps, phis, params)
-                    hyp_ok = note = None
+                    out = body(insts, sp, tol_rel, a, b, ps, phis, params, lams)
+                    note = None
                     if isinstance(out, tuple):
-                        sides, hyp_ok, note = out
+                        sides, note = out
                         try:
                             out = sides()
                         except (OpineqError, ArithmeticError):
-                            if len(insts) > 1 or hyp_ok[0]:
+                            if len(insts) > 1 or not note[0]:
                                 raise
                             out, note = [], [note[0] + "; sides not evaluated"]
-                    return _finish(check_id, sp, tol_rel, out, params, hyp_ok, note)
+                    return _finish(check_id, sp, tol_rel, out, params, note)
             except ArithmeticError as exc:
                 raise NotFinite(f"{check_id}: a value leaves the float range ({exc})") from exc
 
@@ -573,8 +591,8 @@ def _outer_windows(insts, edges, params) -> list:
     return [(par["m"], par["M"]) for par in params]
 
 
-def _unit_windows(insts, lam, params, **extra) -> tuple[list, list]:
-    """(hyp_ok, note), lists over the group, for the unit window of lam,
+def _unit_windows(insts, lam, params, **extra) -> list:
+    """The notes, one per instance of the group, for the unit window of lam,
     ascending spectra pinned below by one; stores each instance's outer
     bounds (m, M), and the keys of extra, in its params.
 
@@ -598,7 +616,7 @@ def _unit_windows(insts, lam, params, **extra) -> tuple[list, list]:
             note.append(f"lower bound m={par['m']:.6g} exceeds one")
         else:
             note.append("")
-    return [not text for text in note], note
+    return note
 
 
 def _eigvals(sp, *mats) -> list:
@@ -611,13 +629,6 @@ def _powers(sp, ps, *mats) -> list:
     return _split(sp.power(_concat(mats), ps * len(mats)), mats)
 
 
-def _require_psd(lam, label: str) -> np.ndarray:
-    """lam, the ascending spectra of a symmetric stack (label names it),
-    once every matrix of the stack is positive semidefinite."""
-    return linalg._require_floor(
-        lam, False, f"{label} must be positive semidefinite; smallest eigenvalue is {{lo:.6g}}")
-
-
 def _norm(lam) -> list:
     """max |lambda| per instance, from ascending spectra."""
     return [max(abs(lo), abs(hi)) for lo, hi in linalg._edges(lam)]
@@ -628,31 +639,19 @@ def _inner_spectrum(sp, a, b):
     return sp.eigvals(means._inner_operator(a, b, sp)[1])
 
 
-def _require_pd(lam, message: str) -> np.ndarray:
-    """lam, the ascending spectra of a stack, once every smallest
-    eigenvalue is above zero exactly; otherwise NotPositiveDefinite(message)."""
-    if min(lam[:, 0].tolist()) <= 0.0:
-        raise NotPositiveDefinite(message)
-    return lam
-
-
-def _order(sp, lo, hi, tol_rel, names):
-    """(hyp_ok, note), lists over the group, for the hypothesis lo <= hi
+def _order(sp, lo, hi, tol_rel, names) -> list:
+    """The notes, one per instance of the group, for the hypothesis lo <= hi
     in the Loewner order; names = (name of lo, name of hi) for the note."""
-    order = sp.compare(lo, hi, tol_rel)
-    return [o.is_le for o in order], [
-        "" if o.is_le else (f"{names[0]} is not below {names[1]} "
-                            f"(min eig of {names[1]} - {names[0]} is {o.gap_min_eig:.6g})")
-        for o in order]
+    return ["" if o.is_le else (f"{names[0]} is not below {names[1]} "
+                                f"(min eig of {names[1]} - {names[0]} is {o.gap_min_eig:.6g})")
+            for o in sp.compare(lo, hi, tol_rel)]
 
 
-def _norm_dominance(sp, a, b, tol_rel):
-    """(||A||, ||B||, hyp_ok, note), lists over the group, for ||A|| I <= B;
-    NotPositiveDefinite unless A >= 0."""
-    lam_a, lam_b = _eigvals(sp, a, b)
-    na = _norm(_require_psd(lam_a, "A"))
-    return (na, _norm(lam_b),
-            *_order(sp, _col(na) * np.eye(a.shape[-1]), b, tol_rel, ("||A|| I", "B")))
+def _norm_dominance(sp, lams, b, tol_rel):
+    """(||A||, ||B||, note), lists over the group, for ||A|| I <= B, from
+    lams, the spectra of A and B."""
+    na, nb = (_norm(lam) for lam in lams)
+    return na, nb, _order(sp, _col(na) * np.eye(b.shape[-1]), b, tol_rel, ("||A|| I", "B"))
 
 
 def _window_holds(rows, lam_lo, params) -> list:
@@ -704,7 +703,7 @@ def _converse_parts(sp, part_specs, prefix, params, rows, inner, outer, diff):
         "deformed relative entropy shrinks under positive unital maps "
         "(grows for exponents above one)",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _pair, nonzero=True, mapped=True)
-def check_info_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
+def check_info_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Monotonicity of the deformed relative entropy under positive unital maps.
 
     For p in [-1, 1] (p != 0) the output-side entropy dominates the mapped
@@ -725,7 +724,7 @@ def check_info_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
 @_check("reverse_monotonicity",
         "additive reverse of the entropy monotonicity on a unit spectral window",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _pair, nonzero=True, mapped=True)
-def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
+def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Additive reverse of the entropy monotonicity on a spectral window.
 
     Under m <= 1 <= A^{-1/2} B A^{-1/2} <= M the output-side entropy
@@ -734,8 +733,7 @@ def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
     coefficient becomes M^{p-1} - m^{p-1}.  User-supplied (m, M) are
     accepted as long as they enclose the inner spectrum.
     """
-    hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params,
-                                 additive_term_norm=None)
+    note = _unit_windows(insts, _inner_spectrum(sp, a, b), params, additive_term_norm=None)
 
     def sides():
         t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
@@ -749,13 +747,13 @@ def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params):
             _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
                     [p >= 1.0 for p in q])
         return part_specs
-    return sides, hyp_ok, note
+    return sides, note
 
 
 @_check("ando_converse",
         "additive converse of the weighted-mean map inequality on a unit window",
         (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _pair, mapped=True)
-def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params):
+def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Additive converse of Phi(A # B) <= Phi(A) # Phi(B) on a window.
 
     Three exponent branches: for p in [0, 1] the mapped mean plus
@@ -765,8 +763,7 @@ def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params):
     the other side.  Boundary exponents evaluate every branch they belong
     to.
     """
-    hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params,
-                                 additive_term_norm=None)
+    note = _unit_windows(insts, _inner_spectrum(sp, a, b), params, additive_term_norm=None)
 
     def sides():
         mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
@@ -776,14 +773,14 @@ def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params):
             _converse_parts(sp, part_specs, "mean_additive", params, rows,
                             mapped, mean_out, phi_diff)
         return part_specs
-    return sides, hyp_ok, note
+    return sides, note
 
 
 @_check("density_trace",
         "unit-trace bounds for weighted means of density matrices under the "
         "unit window",
-        (-0.5, 0.5, 1.5), "[-1, 2]", _pair)
-def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params):
+        (-0.5, 0.5, 1.5), "[-1, 2]", _pair, signs={"A": "psd", "B": "psd"})
+def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Unit-trace bounds for weighted means of density matrices.
 
     For density matrices satisfying the window hypothesis
@@ -794,12 +791,11 @@ def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params):
     report HYPOTHESIS_VIOLATED rather than FAILS.  The map field is
     ignored: the statement is about the plain trace.
     """
-    for mat, label, lam in zip((a, b), "AB", _eigvals(sp, a, b)):
-        _require_psd(lam, label)
+    for mat, label in zip((a, b), "AB"):
         for trace in np.trace(mat, axis1=-2, axis2=-1).tolist():
             if abs(trace - 1.0) > linalg._TRACE_TOL:
                 raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
-    hyp_ok, note = _unit_windows(insts, _inner_spectrum(sp, a, b), params)
+    note = _unit_windows(insts, _inner_spectrum(sp, a, b), params)
 
     def sides():
         mean = means.weighted_mean(a, b, ps, spectra=sp).value
@@ -812,13 +808,13 @@ def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params):
         _branch(part_specs, "unit_trace_upper", trace_mean, one, rows,
                 [p <= 0.0 or p >= 1.0 for p in ps])
         return part_specs
-    return sides, hyp_ok, note
+    return sides, note
 
 
 @_check("furuta_bounds",
         "Kantorovich-constant and linear upper bounds for the output-side entropy",
-        (0.25, 0.5, 0.75, 1.0), "(0, 1]", _pair, mapped=True)
-def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.25, 0.5, 0.75, 1.0), "(0, 1]", _pair, mapped=True, signs={"A": "pd", "B": "pd"})
+def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Kantorovich-style upper bounds for the output-side entropy.
 
     With spectral boxes m1 <= A <= M1 and m2 <= B <= M2 set m = m2/M1,
@@ -830,9 +826,7 @@ def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params):
     windowed bound is evaluated as a third part so the three correction
     terms can be compared side by side.
     """
-    lam_a, lam_b = _eigvals(sp, a, b)
-    for lam in (lam_a, lam_b):
-        _require_pd(lam, "furuta_bounds needs positive definite matrices")
+    lam_a, lam_b = lams
     for p, par, (a_lo, a_hi), (b_lo, b_hi) in zip(ps, params, linalg._edges(lam_a),
                                                    linalg._edges(lam_b)):
         fm = b_lo / a_hi
@@ -866,7 +860,7 @@ def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params):
 
 @_check("seo_bound", "ratio-window reverse of the weighted-mean map inequality",
         (0.25, 0.5, 0.75), "(0, 1)", _pair, mapped=True)
-def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params):
+def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Ratio-window reverse of the mean inequality.
 
     Under mA <= B <= MA and 0 < p < 1 the mean of the images exceeds the
@@ -904,8 +898,8 @@ def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params):
 
 @_check("lowner_heinz",
         "A <= B implies A^p <= B^p for p in [0, 1] (fails above 1 by design)",
-        (0.25, 0.5, 1.0), "[0, inf)", _pair)
-def check_lowner_heinz(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.25, 0.5, 1.0), "[0, inf)", _pair, signs={"A": "psd", "B": "psd"})
+def check_lowner_heinz(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Power monotonicity: A <= B implies A^p <= B^p for p in [0, 1].
 
     Exponents above one are accepted so the fuzzer can hunt for the
@@ -913,18 +907,15 @@ def check_lowner_heinz(insts, sp, tol_rel, a, b, ps, phis, params):
     demonstration, not an engine defect.  Negative exponents reverse the
     order even in the commuting case and are rejected.
     """
-    lam_a, lam_b = _eigvals(sp, a, b)
-    _require_psd(lam_a, "A")
-    _require_psd(lam_b, "B")
     for par in params:
         par["p_in_monotone_range"] = bool(0.0 <= par["p"] <= 1.0)
     return (lambda: [("power_monotone", *_powers(sp, ps, a, b), list(range(len(ps))))],
-            *_order(sp, a, b, tol_rel, ("A", "B")))
+            _order(sp, a, b, tol_rel, ("A", "B")))
 
 
 @_check("norm_power_lemma", "tangent-line bound for A^p at the operator norm of A",
-        (1.0 / 3.0, 2.0, -1.0), "(-inf, inf)", _symmetric)
-def check_norm_power_lemma(insts, sp, tol_rel, a, b, ps, phis, params):
+        (1.0 / 3.0, 2.0, -1.0), "(-inf, inf)", _symmetric, signs={"A": "psd"})
+def check_norm_power_lemma(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Tangent-line bound for matrix powers at the operator norm.
 
     For positive A the chord construction at t = ||A|| gives
@@ -932,7 +923,7 @@ def check_norm_power_lemma(insts, sp, tol_rel, a, b, ps, phis, params):
     and the reversed comparison when p >= 1 or p <= 0.  Both directions
     are equalities at p = 0 and p = 1 and are evaluated together there.
     """
-    lam = _require_psd(sp.eigvals(a), "A")
+    lam = lams[0]
     na = _norm(lam)
     for p, norm, lo, par in zip(ps, na, lam[:, 0].tolist(), params):
         if norm == 0.0:
@@ -953,15 +944,16 @@ def check_norm_power_lemma(insts, sp, tol_rel, a, b, ps, phis, params):
 
 
 @_check("lh_extension", "linearized bound for B^p - A^p when B dominates ||A|| I",
-        (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0), "(-inf, inf)", _pair)
-def check_lh_extension(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.5, 2.0 / 3.0, 2.0, 4.0, -1.0, -3.0), "(-inf, inf)", _pair,
+        signs={"A": "psd", "B": None})
+def check_lh_extension(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Linearized power-difference bound when B dominates ||A||.
 
     Under ||A|| I <= B the difference B^p - A^p dominates
     p ||B||^{p-1} (B - A) for p in [0, 1]; for p >= 1 or p <= 0 the linear
     term dominates instead.
     """
-    na, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
+    na, nb, note = _norm_dominance(sp, lams, b, tol_rel)
     if 0.0 in nb:
         raise ZeroMatrix("B is zero; the linear term needs a positive norm")
     for par, x, y in zip(params, na, nb):
@@ -977,12 +969,12 @@ def check_lh_extension(insts, sp, tol_rel, a, b, ps, phis, params):
         _branch(part_specs, "linear_upper", diff, lin, rows,
                 [p >= 1.0 or p <= 0.0 for p in ps])
         return part_specs
-    return sides, hyp_ok, note
+    return sides, note
 
 
 @_check("mn2012", "scalar floors for B^p - A^p and the dominance between them",
-        (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0), "[0, 1]", _pair)
-def check_mn2012(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0), "[0, 1]", _pair, signs={"A": "psd", "B": None})
+def check_mn2012(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Scalar floors for B^p - A^p and the comparison between them.
 
     Under ||A|| I <= B with B - A invertible and p in [0, 1], four parts
@@ -994,17 +986,16 @@ def check_mn2012(insts, sp, tol_rel, a, b, ps, phis, params):
     the first.  A negative lam_min(B - A) violates the hypothesis and
     leaves the sides unevaluated.
     """
-    _, nb, hyp_ok, note = _norm_dominance(sp, a, b, tol_rel)
+    _, nb, note = _norm_dominance(sp, lams, b, tol_rel)
     lam_diff = sp.eigvals(linalg._require_symmetric(b - a))
     gaps = lam_diff[:, 0].tolist()
     for i, (hi, low) in enumerate(zip(lam_diff[:, -1].tolist(),
                                       np.abs(lam_diff).min(axis=-1).tolist())):
         if low <= linalg._scaled(linalg._SINGULAR_RTOL, abs(gaps[i]), abs(hi)):
             raise SingularDifference("B - A is numerically singular")
-        if hyp_ok[i] and gaps[i] < 0.0:
+        if not note[i] and gaps[i] < 0.0:
             # A >= 0 and ||A|| I <= B force B - A >= 0; a negative gap means
             # the dominance holds only within tolerance
-            hyp_ok[i] = False
             note[i] = f"B - A is not positive (min eig of B - A is {gaps[i]:.6g})"
         params[i].update(norm_B=nb[i], lam_min_diff=gaps[i])
 
@@ -1028,7 +1019,7 @@ def check_mn2012(insts, sp, tol_rel, a, b, ps, phis, params):
             ("shift_floor", _col(shift) * eye, diff, rows),
             ("floor_comparison", cmp_lo, cmp_hi, rows),
         ]
-    return sides, hyp_ok, note
+    return sides, note
 
 
 # ----------------------------------------------------------------------
@@ -1054,8 +1045,8 @@ _SCALAR_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
 
 @_check("mond_pecaric",
         "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
-        (0.5, 2.0, -1.0), "(-inf, inf)", _pair)
-def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.5, 2.0, -1.0), "(-inf, inf)", _pair, signs={"B": "pd"})
+def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Two-sided derivative bounds for vector expectations.
 
     For 0 < m <= B <= A <= M, a unit vector x with <Bx, x> at most the
@@ -1071,15 +1062,14 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
     the eigenvalues x overlaps keeps every pure eigenvector instance
     valid while still rejecting the genuinely false ones.
     """
-    lam_b = _require_pd(sp.eigvals(b), "mond_pecaric needs positive definite B")
     dec_a = sp.decompose(a)
     lam_a = dec_a.eigenvalues
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
     windows = _outer_windows(insts, [(min(b_lo, a_lo), max(a_hi, b_hi))
                                      for (a_lo, a_hi), (b_lo, b_hi)
-                                     in zip(linalg._edges(lam_a), linalg._edges(lam_b))], params)
-    hyp_ok, note = _order(sp, b, a, tol_rel, ("B", "A"))
+                                     in zip(linalg._edges(lam_a), linalg._edges(lams[0]))], params)
+    note = _order(sp, b, a, tol_rel, ("B", "A"))
     qb = []
     for i, (inst, x) in enumerate(zip(insts, xs)):
         params[i]["f"] = inst.f
@@ -1088,8 +1078,7 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
         support = lam_a[i][weights > linalg._SUPPORT_TOL]
         lam_floor = float(support[0]) if support.size else float(lam_a[i, 0])
         gate_tol = linalg._scaled(tol_rel, float(abs(lam_a[i, 0])), float(abs(lam_a[i, -1])))
-        if hyp_ok[i] and qb[i] > lam_floor + gate_tol:
-            hyp_ok[i] = False
+        if not note[i] and qb[i] > lam_floor + gate_tol:
             note[i] = (f"<Bx, x> = {qb[i]:.6g} exceeds the smallest eigenvalue of A "
                        f"carrying weight in x ({lam_floor:.6g}); the scalar "
                        f"substitution is not valid there")
@@ -1117,13 +1106,13 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params):
         rows = list(range(len(ps)))
         return [("derivative_lower", lower, mid, rows),
                 ("derivative_upper", mid, upper, rows)]
-    return sides, hyp_ok, note
+    return sides, note
 
 
 @_check("holder_mccarthy",
         "power expectation inequality and its two-sided reverse on a window",
-        (0.5, 2.0, -1.0), "(-inf, inf)", _symmetric, nonzero=True)
-def check_holder_mccarthy(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.5, 2.0, -1.0), "(-inf, inf)", _symmetric, nonzero=True, signs={"A": "pd"})
+def check_holder_mccarthy(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Power expectation inequality and its two-sided reverse.
 
     For positive definite A and a unit vector x, <A^p x, x> <= <Ax, x>^p
@@ -1135,10 +1124,9 @@ def check_holder_mccarthy(insts, sp, tol_rel, a, b, ps, phis, params):
         p > 1, p < 0: the same with the roles of the differences swapped,
         the lower coefficient using m for p > 1 and M for p < 0.
     """
-    lam = _require_pd(sp.eigvals(a), "holder_mccarthy needs a positive definite matrix")
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
-    windows = _outer_windows(insts, linalg._edges(lam), params)
+    windows = _outer_windows(insts, linalg._edges(lams[0]), params)
     a_pow = sp.power(a, ps)
     sides = []
     for i, (x, p, (m, M)) in enumerate(zip(xs, ps, windows)):
@@ -1196,7 +1184,7 @@ def _refined_chain(names, rows, lo, mid, hi, ps) -> list:
 
 @_check("norm_chain", "refined links between operator, Frobenius and trace norms",
         (-1.0, 0.5, 3.0), "(-inf, inf)", _square, nonzero=True)
-def check_norm_chain(insts, sp, tol_rel, a, b, ps, phis, params):
+def check_norm_chain(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Refined links between operator, Frobenius and trace norms.
 
     Write (op, hs, tr) for the three norms and d = p tr^{p-1}.  For p >= 1
@@ -1217,7 +1205,7 @@ def check_norm_chain(insts, sp, tol_rel, a, b, ps, phis, params):
 
 @_check("radius_chain", "refined links between spectral radius, numerical radius and norm",
         (0.5, 2.0, -1.0), "(-inf, inf)", _square, nonzero=True)
-def check_radius_chain(insts, sp, tol_rel, a, b, ps, phis, params):
+def check_radius_chain(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Refined links between spectral radius, numerical radius and norm.
 
     Same structure as the norm chain with (r, w, op) in place of
@@ -1230,29 +1218,25 @@ def check_radius_chain(insts, sp, tol_rel, a, b, ps, phis, params):
         raise ZeroMatrix("A is zero; the radius chain needs a positive norm")
     sr = [linalg.spectral_radius(m) for m in a]
     w = [linalg.numerical_radius(m) for m in a]
-    hyp_ok = [not (p < 0.0 and r <= linalg._NILPOTENT_RTOL * t) for p, r, t in zip(ps, sr, op)]
-    note = ["" if ok else "spectral radius vanishes; negative powers of it are undefined"
-            for ok in hyp_ok]
+    note = ["spectral radius vanishes; negative powers of it are undefined"
+            if p < 0.0 and r <= linalg._NILPOTENT_RTOL * t else "" for p, r, t in zip(ps, sr, op)]
     for par, r, x, t in zip(params, sr, w, op):
         par.update(spectral_radius=r, numerical_radius=x, norm_op=t)
-    rows = [i for i, ok in enumerate(hyp_ok) if ok]
+    rows = [i for i, text in enumerate(note) if not text]
     return (lambda: _refined_chain(("radius", "w", "op"), rows, [sr[i] for i in rows],
                                    [w[i] for i in rows], [op[i] for i in rows],
-                                   [ps[i] for i in rows]), hyp_ok, note)
+                                   [ps[i] for i in rows]), note)
 
 
 @_check("power_norm", "norm comparison between A^p B^p and (AB)^p for positive matrices",
-        (0.5, 2.0), "[0, inf)", _pair)
-def check_power_norm(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.5, 2.0), "[0, inf)", _pair, signs={"A": "psd", "B": "psd"})
+def check_power_norm(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Norm comparison between A^p B^p and (AB)^p for positive matrices.
 
     For positive semidefinite A, B the norm ||A^p B^p|| is at most
     ||AB||^p when p is in [0, 1] and at least ||AB||^p when p >= 1; both
     hold with equality at the boundary exponents.
     """
-    lam_a, lam_b = _eigvals(sp, a, b)
-    _require_psd(lam_a, "A")
-    _require_psd(lam_b, "B")
     nab = sp.norm_op(a @ b).tolist()
     napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
     for par, x, y in zip(params, nab, napb):
@@ -1267,8 +1251,8 @@ def check_power_norm(insts, sp, tol_rel, a, b, ps, phis, params):
 
 @_check("norm_refinement",
         "two-sided refinement of the power-norm comparison on a product window",
-        (0.5, 2.0), "(0, inf)", _pair)
-def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params):
+        (0.5, 2.0), "(0, inf)", _pair, signs={"A": "pd", "B": "pd"})
+def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Two-sided refinement of the power-norm comparison on a window.
 
     With 0 < m <= A, B <= M both ||AB|| and ||A^p B^p||^{1/p} lie in
@@ -1280,9 +1264,7 @@ def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params):
         p >= 1:      (p / (m^2)^{1-p}) D <= ||A^p B^p|| - ||AB||^p <= (p / (M^2)^{1-p}) D
                      with D = ||A^p B^p||^{1/p} - ||AB||.
     """
-    lam_a, lam_b = _eigvals(sp, a, b)
-    for lam in (lam_a, lam_b):
-        _require_pd(lam, "norm_refinement needs positive definite matrices")
+    lam_a, lam_b = lams
     windows = _outer_windows(insts, [(min(a_lo, b_lo), max(a_hi, b_hi))
                                      for (a_lo, a_hi), (b_lo, b_hi)
                                      in zip(linalg._edges(lam_a), linalg._edges(lam_b))], params)
@@ -1311,8 +1293,9 @@ def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params):
 
 
 @_check("power_corollary", "windowed bounds between Phi(A)^p and Phi(A^p)",
-        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _symmetric, mapped=True)
-def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params):
+        (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0), "[-1, 2]", _symmetric, mapped=True,
+        signs={"A": "pd"})
+def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """Power-function corollary of the windowed entropy bounds.
 
     Specialize the two-matrix statements to the pair (I, A): for
@@ -1322,8 +1305,7 @@ def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params):
     correction p (M^{p-1} - m^{p-1}) (Phi(A) - I) bounds Phi(A^p) from
     the Phi(A)^p side.
     """
-    lam = _require_pd(sp.eigvals(a), "power_corollary needs a positive definite matrix")
-    hyp_ok, note = _unit_windows(insts, lam, params, additive_term_norm=None)
+    note = _unit_windows(insts, lams[0], params, additive_term_norm=None)
 
     def sides():
         part_specs = []
@@ -1331,7 +1313,7 @@ def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params):
             _converse_parts(sp, part_specs, "image_power", params, rows, phi_pow,
                             sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
         return part_specs
-    return sides, hyp_ok, note
+    return sides, note
 
 
 def resolve_check(check_id: str) -> CheckInfo:

@@ -106,7 +106,7 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def _is_symmetric(m: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
+def _is_symmetric(m: np.ndarray) -> np.ndarray:
     """is_symmetric for each matrix of a trusted (square, finite) stack;
     a single True when every matrix is exactly symmetric (rule (a))."""
     mt = m.swapaxes(-1, -2)
@@ -114,7 +114,7 @@ def _is_symmetric(m: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
     if exact.all():
         return np.True_
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    return exact.all(axis=(-2, -1)) | (np.abs(m - mt).max(axis=(-2, -1)) <= rtol * scale)
+    return exact.all(axis=(-2, -1)) | (np.abs(m - mt).max(axis=(-2, -1)) <= SYM_RTOL * scale)
 
 
 def _require_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -124,13 +124,23 @@ def _require_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
-    """True when max |a_ij - a_ji| <= _scaled(rtol, max |a_ij|)."""
-    return bool(_is_symmetric(as_square(a), rtol))
+def is_symmetric(a) -> bool:
+    """True when max |a_ij - a_ji| <= _scaled(SYM_RTOL, max |a_ij|)."""
+    return bool(_is_symmetric(as_square(a)))
 
 
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
     return _require_symmetric(as_square(a), what)
+
+
+def _symmetric_pair(a, b, names=("A", "B")) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) as float64 matrices, once each is symmetric (else NotSymmetric
+    naming it by names, A first) and they share one shape (else DimensionMismatch)."""
+    am, bm = require_symmetric(a, names[0]), require_symmetric(b, names[1])
+    if am.shape != bm.shape:
+        raise DimensionMismatch(f"{names[0]} and {names[1]} must share a shape, "
+                                f"got {am.shape} and {bm.shape}")
+    return am, bm
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -430,13 +440,8 @@ def sqrt_factors(a) -> tuple[np.ndarray, np.ndarray]:
 
 def conjugate_by_sqrt(a, x) -> np.ndarray:
     """A^{1/2} X A^{1/2} for SPD A and symmetric X."""
-    am = as_square(a)
-    xm = require_symmetric(x, "conjugated matrix")
-    if am.shape != xm.shape:
-        raise DimensionMismatch(
-            f"conjugation needs matching shapes, got {am.shape} and {xm.shape}"
-        )
-    half = Spectra().sqrt(require_symmetric(am))
+    am, xm = _symmetric_pair(a, x, ("A", "X"))
+    half = Spectra().sqrt(am)
     return symmetrize(half @ xm @ half)
 
 
@@ -465,13 +470,8 @@ class LoewnerVerdict:
 def loewner_compare(l, r, tol_rel: float = DEFAULT_TOL_REL) -> LoewnerVerdict:
     """Compare symmetric L and R in the Loewner order, within the
     tolerance _scaled(tol_rel, ||L||, ||R||) of their operator norms."""
-    lm = require_symmetric(l, "left operand")
-    rm = require_symmetric(r, "right operand")
-    if lm.shape != rm.shape:
-        raise DimensionMismatch(
-            f"cannot compare shapes {lm.shape} and {rm.shape}"
-        )
-    return Spectra().compare(lm, rm, tol_rel)[0]
+    return Spectra().compare(*_symmetric_pair(l, r, ("left operand", "right operand")),
+                             tol_rel)[0]
 
 
 def singular_values(a) -> np.ndarray:

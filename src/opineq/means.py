@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotPositiveDefinite, ZeroParameter
+from .errors import NotPositiveDefinite, ZeroParameter
 
 
 class MeanResult(NamedTuple):
@@ -62,18 +62,6 @@ class SandwichBounds(NamedTuple):
     lam_min: float
     lam_max: float
     hypothesis_ok: bool
-
-
-def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Validate (A, B) for the public entry points: square, finite, one
-    shape, both symmetric."""
-    am = linalg.as_square(a)
-    bm = linalg.require_symmetric(b, "second operand")
-    if am.shape != bm.shape:
-        raise DimensionMismatch(
-            f"operands must share a dimension, got {am.shape} and {bm.shape}"
-        )
-    return linalg.require_symmetric(am), bm
 
 
 def _inner_operator(a, b, spectra) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +92,7 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     """
     if spectra is None:
         p = float(p)
-        a, b = _operands(a, b)
+        a, b = linalg._symmetric_pair(a, b)
         spectra = linalg.Spectra()
 
     def make():
@@ -129,7 +117,7 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     if 0.0 in ps:
         raise ZeroParameter("tsallis_entropy requires p != 0")
     if spectra is None:
-        a, b = _operands(a, b)
+        a, b = linalg._symmetric_pair(a, b)
         spectra = linalg.Spectra()
     one = np.array([q == 1.0 for q in ps])
     if one.all():
@@ -159,7 +147,7 @@ def compute_sandwich(a, b) -> SandwichBounds:
     bounds; hypothesis_ok is True exactly when lam_min >= 1 -
     linalg._SANDWICH_TOL, i.e. the order hypothesis A <= B holds on the nose.
     """
-    am, bm = _operands(a, b)
+    am, bm = linalg._symmetric_pair(a, b)
     spectra = linalg.Spectra()
     lam = spectra.eigvals(_inner_operator(am, bm, spectra)[1])
     lam_min = float(lam[0])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -288,7 +289,8 @@ def test_norm_chain_decomposes_once(monkeypatch):
 
 @pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
 def test_no_eigensolve_repeats_within_a_check(check_id, monkeypatch):
-    # one runner call solves each (routine, input bits) pair at most once
+    # one runner call, and one group of three instances, solves each
+    # (routine, input bits) pair at most once
     calls = []
 
     def counted(name):
@@ -312,6 +314,12 @@ def test_no_eigensolve_repeats_within_a_check(check_id, monkeypatch):
             info.runner(inst, tol_rel=fuzz.FUZZ_TOL_REL)
             assert len(set(calls)) == len(calls), (dim, p)
             solved += len(calls)
+        insts = [fuzz.sample_instance(check_id, dim, 7, p_values[trial % len(p_values)], trial)
+                 for trial in range(3)]
+        calls.clear()
+        info.group(insts, fuzz.FUZZ_TOL_REL)
+        assert len(set(calls)) == len(calls), (dim, "group")
+        solved += len(calls)
     assert solved > 0
 
 
@@ -484,6 +492,55 @@ def test_operands_are_checked_before_exponent_and_window(check_id, operand, extr
         changes.update(m=1e3, M=1e3)   # m sits above every eigenvalue
     with pytest.raises(NotSymmetric):
         checks.run_check(check_id, dataclasses.replace(inst, **changes))
+
+
+# the operand signs each check's theorem needs: "psd" operands are tried
+# indefinite, "pd" ones singular
+_SIGNS = {
+    "density_trace": {"A": "psd", "B": "psd"},
+    "furuta_bounds": {"A": "pd", "B": "pd"},
+    "lowner_heinz": {"A": "psd", "B": "psd"},
+    "norm_power_lemma": {"A": "psd"},
+    "lh_extension": {"A": "psd"},
+    "mn2012": {"A": "psd"},
+    "mond_pecaric": {"B": "pd"},
+    "holder_mccarthy": {"A": "pd"},
+    "power_norm": {"A": "psd", "B": "psd"},
+    "norm_refinement": {"A": "pd", "B": "pd"},
+    "power_corollary": {"A": "pd"},
+}
+
+
+@pytest.mark.parametrize("check_id, operand, sign",
+                         [(check_id, operand, sign) for check_id, signs in _SIGNS.items()
+                          for operand, sign in signs.items()])
+def test_an_operand_of_the_wrong_sign_raises_naming_it(check_id, operand, sign):
+    bad = np.diag([-1.0 if sign == "psd" else 0.0, 1.0, 2.0])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        checks.run_check(check_id, dataclasses.replace(_sampled(check_id), **{operand: bad}))
+    assert re.findall(r"\b[AB]\b", str(exc.value)) == [operand]
+
+
+@pytest.mark.parametrize("check_id, inst, error, message", [
+    ("info_monotonicity", _inst(np.eye(3), 2.0 * np.eye(3), p=0.5, map=TR2),
+     DimensionMismatch, "map expects input dimension 2"),
+    ("norm_power_lemma", _inst(np.diag([1.0, 0.0]), p=-1.0),
+     NotPositiveDefinite, "negative exponents"),
+    # B <= A and <Bx, x> = 1 hold, so only log 0 in the sides is left
+    ("mond_pecaric", _inst(np.diag([0.0, 1.0]), np.diag([1e-12, 1.0]), p=0.5, f="log",
+                           x=np.array([0.0, 1.0])),
+     NotPositiveDefinite, "positive definite A"),
+    ("norm_chain", _inst(np.zeros((2, 2)), p=2.0), ZeroMatrix, "A is zero"),
+    ("radius_chain", _inst(np.zeros((2, 2)), p=2.0), ZeroMatrix, "A is zero"),
+])
+def test_check_error_exits(check_id, inst, error, message):
+    with pytest.raises(error, match=message):
+        checks.run_check(check_id, inst)
+
+
+def test_instance_spec_rejects_a_nan_in_x():
+    with pytest.raises(InvalidSpec, match="x must be finite"):
+        _inst(np.eye(2), p=0.5, x=np.array([np.nan, 1.0]))
 
 
 def test_radius_chain_nilpotent_negative_exponent():

@@ -10,10 +10,11 @@ A comes from the check's own fuzz sampler, so it is not diagonal, with
 its map, vector and function.  The pair is scaled by 2^k, which is exact
 in binary, so the verdict must not depend on k.
 
+The family runs at c in {1, 1 + 1e-9, 2} and k in {-60, -20, 0, 20, 60}.
 Only the cases that pass today run.  EXCLUDED lists the rest, each with
 the ROADMAP item that mends it; a case joins the suite with that item.
-So do the rest of item 12's families: c = 1 + 1e-9, k = +-60, windows
-with m = M, the identity and trace maps, and the degenerate exponents.
+So do the rest of item 12's families: windows with m = M, the identity
+and trace maps, the degenerate exponents and the closed-form sides.
 """
 
 import dataclasses
@@ -26,8 +27,9 @@ from opineq.errors import NotDensity, SingularDifference
 
 SEED = 11
 TRIALS = ((0, 3), (1, 4), (2, 5))     # (trial, dim)
-CS = (1.0, 2.0)
-KS = (-20, 0, 20)
+C_NEAR = 1.0 + 1e-9
+CS = (1.0, C_NEAR, 2.0)
+KS = (-60, -20, 0, 20, 60)
 
 # the checks whose sampler draws a second operand B
 PAIR_CHECKS = [check_id for check_id, info in checks.REGISTRY.items()
@@ -46,6 +48,32 @@ EXCLUDED = {
         "item 11: seo_C(m, M, p) is off by about 1e-6 at M/m = 1 + 1e-16 "
         "(W = 2I), far above the tolerance",
     ("seo_bound", 2.0, 20): "item 11: as (seo_bound, 2, 0)",
+    ("seo_bound", 2.0, 60): "item 11: as (seo_bound, 2, 0)",
+    **{(check_id, c, -60):
+       "item 8: the positivity floor, 1e-10 at unit scale, is above the whole "
+       "spectrum of A at 2^-60, so an A^{1/2} or a negative power raises NotPositiveDefinite"
+       for check_id in ("info_monotonicity", "reverse_monotonicity", "ando_converse",
+                        "furuta_bounds", "seo_bound")
+       for c in CS},
+    ("lh_extension", 2.0, -60): "item 8: the positivity floor, as (info_monotonicity, 2, -60)",
+    **{("lh_extension", c, -60):
+       "item 8: the order gate ||A|| I <= B passes within its unit-floored tolerance"
+       for c in (1.0, C_NEAR)},
+    **{("mond_pecaric", c, -60):
+       "item 8: the gates B <= A and <Bx, x> pass within their unit-floored "
+       "tolerances, so a broken hypothesis is judged and FAILS"
+       for c in CS},
+    **{("mn2012", c, k):
+       "item 8: min |eig(B - A)| falls below the unit-floored singular gate"
+       for c, k in ((C_NEAR, -60), (C_NEAR, -20), (2.0, -60))},
+    **{(check_id, c, k): "item 8: as (info_monotonicity, 1, 20)"
+       for check_id in ("info_monotonicity", "reverse_monotonicity")
+       for c, k in ((1.0, 60), (C_NEAR, 20), (C_NEAR, 60))},
+    ("furuta_bounds", C_NEAR, 60):
+        "item 8: at p = 1 the sides are 1e-9 A, and tol_used, scaled by them, "
+        "falls below the rounding error of ||A||",
+    **{("norm_refinement", c, k): "item 8: as (norm_refinement, 1, 20)"
+       for c, k in ((1.0, 60), (C_NEAR, 20), (C_NEAR, 60), (2.0, 60))},
 }
 
 
@@ -53,15 +81,20 @@ def _expected(check_id, a, c, k):
     """The verdict of B = cA after scaling by 2^k, or the error it must raise."""
     lam = np.linalg.eigvalsh(a)
     if check_id == "density_trace" and (c, k) != (1.0, 0):
-        return NotDensity                   # the trace of A or B is not one
+        # the trace of A or B is not one; at c = 1 + 1e-9 that of B is off
+        # by 1e-9, above linalg._TRACE_TOL
+        return NotDensity
     if check_id == "mn2012" and c == 1.0:
-        return SingularDifference           # B - A = 0
+        return SingularDifference           # B - A = 0; at c = 1 + 1e-9 it is 1e-9 A
     if check_id in ("lh_extension", "mn2012"):
-        # ||A|| I <= cA exactly when c lambda_min(A) >= lambda_max(A)
+        # ||A|| I <= cA exactly when c lambda_min(A) >= lambda_max(A); at
+        # c = 1 + 1e-9 that needs A within 1e-9 of a multiple of I
         return checks.HOLDS if c * lam[0] >= lam[-1] else checks.HYPOTHESIS_VIOLATED
     if check_id == "mond_pecaric":
-        # c = 2 breaks B <= A; c = 1 breaks <Bx, x> <= the smallest eigenvalue
-        # of A that x overlaps, since x is not an eigenvector
+        # c = 2 breaks B <= A, and so does c = 1 + 1e-9 where 1e-9 A is
+        # above the tolerance; c = 1, and c = 1 + 1e-9 below that, break
+        # <Bx, x> <= the smallest eigenvalue of A that x overlaps, since x
+        # is not an eigenvector
         return checks.HYPOTHESIS_VIOLATED
     return checks.HOLDS
 

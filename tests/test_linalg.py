@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opineq import fuzz, linalg, sampling
+from opineq import fuzz, linalg, means, sampling
 from opineq.errors import (
     DimensionMismatch,
     NotFinite,
@@ -533,3 +533,16 @@ def test_loewner_compare_threshold_sits_at_tol_rel_times_the_unit_floored_norms(
 def test_loewner_compare_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         linalg.loewner_compare(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("call, first", [
+    (linalg.loewner_compare, "left operand"),
+    (linalg.conjugate_by_sqrt, "A"),
+    (lambda a, b: means.weighted_mean(a, b, 0.5), "A"),
+])
+def test_operand_pairs_raise_for_symmetry_before_shape(call, first):
+    asym = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(NotSymmetric, match=f"^{first} is not symmetric"):
+        call(asym, np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        call(np.eye(2), np.eye(3))
