@@ -23,9 +23,9 @@ undefined.  _finish builds the reports with the one linalg.Spectra the
 body ran on.
 
 A rule that several checks share has one helper: _windowed is the
-paper's windowed correction (m^{p-1} - M^{p-1}) Phi(B - A) and
-_window_holds where it applies, _unit_windows and _outer_windows the
-spectral windows, _order an order hypothesis X <= Y as its notes.
+paper's windowed correction (m^{p-1} - M^{p-1}) Phi(B - A),
+_unit_windows and _outer_windows the spectral windows (means._unit_window
+decides the unit window), _order an order hypothesis X <= Y as its notes.
 
 Each check has one implementation, which takes a group of instances of
 one dimension and returns their reports in order (CheckInfo.group).  Its
@@ -75,7 +75,7 @@ from .errors import (
     ZeroMatrix,
     ZeroParameter,
 )
-from .linalg import HYP_TOL, _P_EPS   # named in linalg's tolerance policy
+from .linalg import HYP_TOL, _P_EPS   # named in linalg's policy; HYP_TOL is re-exported
 
 __all__ = [
     "HOLDS",
@@ -569,53 +569,40 @@ def _images(phis, *stacks):
         yield rows, list(np.stack([out[i] for i in rows], axis=1))
 
 
-def _outer_windows(insts, edges, params) -> list:
+def _outer_windows(insts, params, *lams) -> list:
     """Each instance's outer bounds (m, M), also stored in its params, for
-    a spectrum with edges (lo, hi) and no unit pinning: the spectrum's own
-    edges, or the user's bounds once they enclose it."""
-    for inst, (lo, hi), par in zip(insts, edges, params):
-        m, M = float(lo), float(hi)
+    the union of its spectra in lams (ascending stacks), with no unit
+    pinning: the union's own edges (lo, hi), or the user's bounds once they
+    enclose it within linalg._BOUND_RTOL * max(|lo|, |hi|)."""
+    los = np.min([lam[:, 0] for lam in lams], axis=0).tolist()
+    his = np.max([lam[:, -1] for lam in lams], axis=0).tolist()
+    for inst, lo, hi, par in zip(insts, los, his, params):
+        slack = linalg._BOUND_RTOL * max(abs(lo), abs(hi))
         if inst.m is not None:
             if inst.m <= 0.0:
                 raise InvalidSpec("lower bound m must be positive")
-            if inst.m > lo + HYP_TOL:
+            if inst.m > lo + slack:
                 raise InvalidSpec(
                     f"m={inst.m:.6g} is not a lower bound: smallest eigenvalue is {lo:.6g}")
-            m = inst.m
-        if inst.M is not None:
-            if inst.M < hi - HYP_TOL:
-                raise InvalidSpec(
-                    f"M={inst.M:.6g} is not an upper bound: largest eigenvalue is {hi:.6g}")
-            M = inst.M
-        par["m"], par["M"] = m, M
+        if inst.M is not None and inst.M < hi - slack:
+            raise InvalidSpec(
+                f"M={inst.M:.6g} is not an upper bound: largest eigenvalue is {hi:.6g}")
+        par["m"] = lo if inst.m is None else inst.m
+        par["M"] = hi if inst.M is None else inst.M
     return [(par["m"], par["M"]) for par in params]
 
 
 def _unit_windows(insts, lam, params, **extra) -> list:
-    """The notes, one per instance of the group, for the unit window of lam,
-    ascending spectra pinned below by one; stores each instance's outer
-    bounds (m, M), and the keys of extra, in its params.
-
-    Derived bounds are m = min(lam_lo, 1) and M = max(lam_hi, 1); user
-    bounds must enclose the spectrum (_outer_windows).  The hypothesis
-    fails when the spectrum dips below one or when the user forces m
-    above one.
-    """
-    edges = linalg._edges(lam)
-    _outer_windows(insts, edges, params)
+    """The notes, one per instance of the group, for the unit window
+    (means._unit_window) of lam, ascending spectra; stores each instance's
+    bounds (m, M), and the keys of extra, in its params.  User bounds must
+    enclose the spectrum (_outer_windows)."""
+    _outer_windows(insts, params, lam)
     note = []
-    for inst, (lam_lo, _), par in zip(insts, edges, params):
-        if inst.m is None:
-            par["m"] = min(par["m"], 1.0)
-        if inst.M is None:
-            par["M"] = max(par["M"], 1.0)
+    for inst, (lo, hi), par in zip(insts, linalg._edges(lam), params):
+        par["m"], par["M"], text = means._unit_window(lo, hi, inst.m, inst.M)
         par.update(extra)
-        if lam_lo < 1.0 - HYP_TOL:
-            note.append(f"spectrum reaches {lam_lo:.6g}, below the required unit floor")
-        elif par["m"] > 1.0 + HYP_TOL:
-            note.append(f"lower bound m={par['m']:.6g} exceeds one")
-        else:
-            note.append("")
+        note.append(text)
     return note
 
 
@@ -634,11 +621,6 @@ def _norm(lam) -> list:
     return [max(abs(lo), abs(hi)) for lo, hi in linalg._edges(lam)]
 
 
-def _inner_spectrum(sp, a, b):
-    """Eigenvalues of A^{-1/2} B A^{-1/2}, ascending."""
-    return sp.eigvals(means._inner_operator(a, b, sp)[1])
-
-
 def _order(sp, lo, hi, tol_rel, names) -> list:
     """The notes, one per instance of the group, for the hypothesis lo <= hi
     in the Loewner order; names = (name of lo, name of hi) for the note."""
@@ -652,13 +634,6 @@ def _norm_dominance(sp, lams, b, tol_rel):
     lams, the spectra of A and B."""
     na, nb = (_norm(lam) for lam in lams)
     return na, nb, _order(sp, _col(na) * np.eye(b.shape[-1]), b, tol_rel, ("||A|| I", "B"))
-
-
-def _window_holds(rows, lam_lo, params) -> list:
-    """The positions in rows of the instances whose windowed term applies:
-    lam_lo[i], the floor of W = A^{-1/2} B A^{-1/2}, is 1 or more and m is 1 or less."""
-    return [j for j, i in enumerate(rows)
-            if lam_lo[i] >= 1.0 - HYP_TOL and params[i]["m"] <= 1.0 + _P_EPS]
 
 
 def _windowed(sp, params, rows, diff, key, factor):
@@ -733,7 +708,7 @@ def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params, lams)
     coefficient becomes M^{p-1} - m^{p-1}.  User-supplied (m, M) are
     accepted as long as they enclose the inner spectrum.
     """
-    note = _unit_windows(insts, _inner_spectrum(sp, a, b), params, additive_term_norm=None)
+    note = _unit_windows(insts, means._inner_spectrum(a, b, sp), params, additive_term_norm=None)
 
     def sides():
         t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
@@ -763,7 +738,7 @@ def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     the other side.  Boundary exponents evaluate every branch they belong
     to.
     """
-    note = _unit_windows(insts, _inner_spectrum(sp, a, b), params, additive_term_norm=None)
+    note = _unit_windows(insts, means._inner_spectrum(a, b, sp), params, additive_term_norm=None)
 
     def sides():
         mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
@@ -795,7 +770,7 @@ def check_density_trace(insts, sp, tol_rel, a, b, ps, phis, params, lams):
         for trace in np.trace(mat, axis1=-2, axis2=-1).tolist():
             if abs(trace - 1.0) > linalg._TRACE_TOL:
                 raise NotDensity(f"{label} has trace {trace:.12g}, expected 1")
-    note = _unit_windows(insts, _inner_spectrum(sp, a, b), params)
+    note = _unit_windows(insts, means._inner_spectrum(a, b, sp), params)
 
     def sides():
         mean = means.weighted_mean(a, b, ps, spectra=sp).value
@@ -837,7 +812,8 @@ def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params, lams):
                    kantorovich_term_norm=None, linear_term_norm=None,
                    windowed_term_norm=None)
     t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
-    lam_w = _inner_spectrum(sp, a, b)[:, 0].tolist()
+    holds = [not means._unit_window(*edges, par["m"])[2]
+             for edges, par in zip(linalg._edges(means._inner_spectrum(a, b, sp)), params)]
     part_specs = []
     for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
         q = [ps[i] for i in rows]
@@ -850,7 +826,7 @@ def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params, lams):
         for i, kn, fn in zip(rows, sp.norm_op(k_term).tolist(), sp.norm_op(f_term).tolist()):
             params[i]["kantorovich_term_norm"] = kn
             params[i]["linear_term_norm"] = fn
-        keep = _window_holds(rows, lam_w, params)
+        keep = [j for j, i in enumerate(rows) if holds[i]]
         if keep:
             rows = [rows[j] for j in keep]
             s_term = _windowed(sp, params, rows, phi_diff[keep], "windowed_term_norm", False)[0]
@@ -870,14 +846,15 @@ def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     When the unit window also holds, the additive bound term
     p (m^{p-1} - M^{p-1}) Phi(B - A) is reported for tightness comparison.
     """
-    lam = _inner_spectrum(sp, a, b)
-    _outer_windows(insts, linalg._edges(lam), params)
+    lam = means._inner_spectrum(a, b, sp)
+    _outer_windows(insts, params, lam)
     for par in params:
         par.update(seo_C=constants.seo_C(par["m"], par["M"], par["p"]), seo_term_norm=None,
                    windowed_term_norm=None)
-    lam_w = lam[:, 0].tolist()
+    holds = [not means._unit_window(*edges, par["m"])[2]
+             for edges, par in zip(linalg._edges(lam), params)]
     mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
-    extra = (b - a,) if _window_holds(range(len(ps)), lam_w, params) else ()
+    extra = (b - a,) if any(holds) else ()
     part_specs = []
     for rows, (pa, pb, mapped, *phi_diff) in _images(phis, a, b, mean_in, *extra):
         mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
@@ -885,7 +862,7 @@ def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params, lams):
         part_specs.append(("seo_upper", mean_out, mapped + seo_term, rows))
         for i, value in zip(rows, sp.norm_op(seo_term).tolist()):
             params[i]["seo_term_norm"] = value
-        keep = _window_holds(rows, lam_w, params)
+        keep = [j for j, i in enumerate(rows) if holds[i]]
         if keep:
             _windowed(sp, params, [rows[j] for j in keep], phi_diff[0][keep],
                       "windowed_term_norm", True)
@@ -1066,9 +1043,7 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     lam_a = dec_a.eigenvalues
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
-    windows = _outer_windows(insts, [(min(b_lo, a_lo), max(a_hi, b_hi))
-                                     for (a_lo, a_hi), (b_lo, b_hi)
-                                     in zip(linalg._edges(lam_a), linalg._edges(lams[0]))], params)
+    windows = _outer_windows(insts, params, lam_a, lams[0])
     note = _order(sp, b, a, tol_rel, ("B", "A"))
     qb = []
     for i, (inst, x) in enumerate(zip(insts, xs)):
@@ -1126,7 +1101,7 @@ def check_holder_mccarthy(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """
     n = a.shape[-1]
     xs = [_resolve_unit_vector(inst, n) for inst in insts]
-    windows = _outer_windows(insts, linalg._edges(lams[0]), params)
+    windows = _outer_windows(insts, params, lams[0])
     a_pow = sp.power(a, ps)
     sides = []
     for i, (x, p, (m, M)) in enumerate(zip(xs, ps, windows)):
@@ -1264,10 +1239,7 @@ def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params, lams):
         p >= 1:      (p / (m^2)^{1-p}) D <= ||A^p B^p|| - ||AB||^p <= (p / (M^2)^{1-p}) D
                      with D = ||A^p B^p||^{1/p} - ||AB||.
     """
-    lam_a, lam_b = lams
-    windows = _outer_windows(insts, [(min(a_lo, b_lo), max(a_hi, b_hi))
-                                     for (a_lo, a_hi), (b_lo, b_hi)
-                                     in zip(linalg._edges(lam_a), linalg._edges(lam_b))], params)
+    windows = _outer_windows(insts, params, *lams)
     nab = sp.norm_op(a @ b).tolist()
     napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
     below, above = [], []    # (lower, mid, upper) of the p <= 1 and p >= 1 branches

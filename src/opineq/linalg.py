@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inputs
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -65,9 +66,9 @@ _MAP_LINEAR_RTOL = 1e-10    # (a) verify_map: Phi(aX + bY) - a Phi(X) - b Phi(Y)
 _MAP_POSITIVE_RTOL = 1e-9   # (a) verify_map: -lambda_min(Phi(P)) against ||P||
 _RADIUS_RTOL = 1e-12        # (b) numerical_radius: rounding slack against max g
 _NILPOTENT_RTOL = 1e-12     # (b) radius_chain: a vanishing spectral radius, against ||A||
-HYP_TOL = 1e-9              # (c) window gates on the spectrum of A^{-1/2} B A^{-1/2}
-_P_EPS = 1e-12              # (c) closed ends of an exponent domain
-_SANDWICH_TOL = 1e-12       # (c) compute_sandwich: lambda_min(W) >= 1 - it
+_BOUND_RTOL = 1e-9          # (b) a user's m/M: slack against max |lambda| of what it bounds
+HYP_TOL = 1e-9              # (c) the unit window m <= 1 <= W, decided in means._unit_window
+_P_EPS = 1e-12              # (c) closed ends of an exponent domain (p only, no window)
 _ORTHO_TOL = 1e-10          # (c) maps: V^T V, U^T U, Phi(I) against I; sum of weights
 _TRACE_TOL = 1e-10          # (c) density_trace: |Tr A - 1|
 _UNIT_TOL = 1e-8            # (c) a given unit vector x: | ||x|| - 1 |
@@ -428,9 +429,10 @@ def power(a, p: float) -> np.ndarray:
     negative or fractional powers of a matrix with a genuinely negative
     or (for p < 0) vanishing eigenvalue raise NotPositiveDefinite.
     p = 0 and p = 1 return I and a copy of A without an eigensolve.  A power
-    that overflows raises NotFinite.
+    that overflows raises NotFinite.  p is read by inputs.number: a str or
+    bool raises SchemaError.
     """
-    return Spectra().power(require_symmetric(a), p)
+    return Spectra().power(require_symmetric(a), inputs.number("p", p))
 
 
 def sqrt_factors(a) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,10 @@ which converges to the relative operator entropy as p -> 0.
 
 Every mean evaluation decomposes W = A^{-1/2} B A^{-1/2} once and
 reports the extreme eigenvalues of that eigh alongside the result.  The
-checks do not read them: each takes the spectrum of W by its own
-eigvalsh, whose eigenvalues can differ from eigh's in the last bits, and
-those are the ones the checks' reports and verdicts are built on.
+checks and compute_sandwich do not read them: they take the spectrum of
+W by its one eigvalsh, _inner_spectrum, whose eigenvalues can differ
+from eigh's in the last bits, and decide the paper's unit window
+m <= 1 <= W <= M on it by one rule, _unit_window.
 
 Inside a check (spectra= given) A and B may be stacks of instances,
 (g, n, n), each with its own p: the decompositions, powers and products
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import inputs, linalg
 from .errors import NotPositiveDefinite, ZeroParameter
 
 
@@ -54,7 +55,8 @@ class SandwichBounds(NamedTuple):
     lam_min and lam_max are the extreme eigenvalues of
     W = A^{-1/2} B A^{-1/2}; m and M clip them into the admissible
     pattern (m <= 1 <= M).  hypothesis_ok records whether the
-    unclipped spectrum already satisfies 1 <= lam_min, i.e. A <= B.
+    unclipped spectrum satisfies 1 <= lam_min, i.e. A <= B, within the
+    checks' linalg.HYP_TOL (_unit_window).
     """
 
     m: float
@@ -73,6 +75,28 @@ def _inner_operator(a, b, spectra) -> tuple[np.ndarray, np.ndarray]:
     return spectra.keep(("inner",), (a, b), make)
 
 
+def _inner_spectrum(a, b, spectra) -> np.ndarray:
+    """Eigenvalues of W = A^{-1/2} B A^{-1/2}, ascending (eigvalsh)."""
+    return spectra.eigvals(_inner_operator(a, b, spectra)[1])
+
+
+def _unit_window(lo, hi, m=None, M=None) -> tuple[float, float, str]:
+    """(m, M, note): the paper's unit window m <= 1 <= W <= M, decided
+    here only, for a spectrum of W with edges (lo, hi).
+
+    m and M default to the clip min(lo, 1) and max(hi, 1).  note is ""
+    when the window holds, else why not: lo below one or m above one,
+    each by more than linalg.HYP_TOL (absolute: W is dimensionless).
+    """
+    m = min(lo, 1.0) if m is None else m
+    M = max(hi, 1.0) if M is None else M
+    if lo < 1.0 - linalg.HYP_TOL:
+        return m, M, f"spectrum reaches {lo:.6g}, below the required unit floor"
+    if m > 1.0 + linalg.HYP_TOL:
+        return m, M, f"lower bound m={m:.6g} exceeds one"
+    return m, M, ""
+
+
 def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     """A natural_p B by functional calculus on W = A^{-1/2} B A^{-1/2}.
 
@@ -81,17 +105,17 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     Spectra.power gates a negative p, raising NotPositiveDefinite when
     W's eigenvalues are not bounded away from zero.
 
-    Without `spectra` the operands are validated.  A check passes the
-    linalg.Spectra of its call instead: then A and B are trusted, as the
-    check has validated them, and each stack of A or W is decomposed once
-    across the whole call; the mean itself is formed once per pair of
-    operand objects and p.  They may then be stacks of instances,
-    (g, n, n), with one exponent per instance in p; the result's value,
-    p and inner_spectrum hold one entry per instance.  The result is
-    shared, so its value must not be changed in place.
+    Without `spectra` the operands are validated, and p by inputs.number.
+    A check passes the linalg.Spectra of its call instead: then A and B
+    are trusted, as the check has validated them, and each stack of A or
+    W is decomposed once across the whole call; the mean itself is formed
+    once per pair of operand objects and p.  They may then be stacks of
+    instances, (g, n, n), with one exponent per instance in p; the
+    result's value, p and inner_spectrum hold one entry per instance.
+    The result is shared, so its value must not be changed in place.
     """
     if spectra is None:
-        p = float(p)
+        p = inputs.number("p", p)
         a, b = linalg._symmetric_pair(a, b)
         spectra = linalg.Spectra()
 
@@ -112,6 +136,7 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     of its rows, unless every p is 1, and its p = 1 rows are then set to
     B - A; so every A of a stack must be positive definite.
     """
+    p = inputs.number("p", p) if spectra is None else p
     stacked = hasattr(p, "__len__")
     ps = [float(q) for q in p] if stacked else [float(p)]
     if 0.0 in ps:
@@ -145,22 +170,15 @@ def compute_sandwich(a, b) -> SandwichBounds:
     The returned m = min(lam_min, 1) and M = max(lam_max, 1) always
     satisfy the pattern 0 < m <= 1 <= M required by the additive
     bounds; hypothesis_ok is True exactly when lam_min >= 1 -
-    linalg._SANDWICH_TOL, i.e. the order hypothesis A <= B holds on the nose.
+    linalg.HYP_TOL, the order hypothesis A <= B as the checks decide it
+    (_unit_window).
     """
     am, bm = linalg._symmetric_pair(a, b)
-    spectra = linalg.Spectra()
-    lam = spectra.eigvals(_inner_operator(am, bm, spectra)[1])
-    lam_min = float(lam[0])
-    lam_max = float(lam[-1])
+    lam_min, lam_max = linalg._edges(_inner_spectrum(am, bm, linalg.Spectra()))[0]
     if lam_min <= 0.0:
         raise NotPositiveDefinite(
             f"sandwich constants need B positive definite relative to A, "
             f"inner spectrum reaches {lam_min:.3e}"
         )
-    return SandwichBounds(
-        m=min(lam_min, 1.0),
-        M=max(lam_max, 1.0),
-        lam_min=lam_min,
-        lam_max=lam_max,
-        hypothesis_ok=lam_min >= 1.0 - linalg._SANDWICH_TOL,
-    )
+    m, M, note = _unit_window(lam_min, lam_max)
+    return SandwichBounds(m=m, M=M, lam_min=lam_min, lam_max=lam_max, hypothesis_ok=not note)

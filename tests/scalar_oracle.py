@@ -136,7 +136,7 @@ def _gap_furuta(inst):
     k_term = ((1.0 - kconst) / p) * _wmean(u, v, p)
     parts = [mapped + k_term - t_out, mapped + fconst * u - t_out]
     w = [y / x for x, y in zip(a, b)]
-    if min(w) >= 1.0 - HYP_TOL and fm <= 1.0 + P_EPS:
+    if min(w) >= 1.0 - HYP_TOL and fm <= 1.0 + HYP_TOL:
         pd = _mean([y - x for x, y in zip(a, b)])
         parts.append(mapped + (fm ** (p - 1.0) - fM ** (p - 1.0)) * pd - t_out)
     return min(parts)

@@ -11,7 +11,7 @@ import pytest
 
 import fuzz_digests
 import scalar_oracle
-from opineq import checks, cli, fuzz, inputs, maps, repro, sampling
+from opineq import checks, cli, fuzz, inputs, linalg, maps, means, repro, sampling
 from opineq.errors import (
     DimensionMismatch,
     DomainError,
@@ -657,14 +657,28 @@ def test_furuta_windowed_part_needs_unit_floor():
 
 @pytest.mark.parametrize("side", [0.9, 1.1])
 def test_unit_window_gates_sit_at_one_minus_hyp_tol(side):
-    # lambda_min(W) >= 1 - 1e-9 (HYP_TOL = 1e-9 today), one value either side:
-    # the hypothesis of the unit-window checks and furuta's windowed part
+    # m <= 1 <= lambda_min(W) within HYP_TOL = 1e-9, one value either side
+    # of each gate, for the readers of the one rule (means._unit_window)
     inside, low = side < 1.0, np.diag([1.0 - side * 1e-9, 2.0])
     for check_id in ("reverse_monotonicity", "ando_converse"):
         rep = checks.run_check(check_id, _inst(np.eye(2), low, p=0.5, map=TR2))
         assert rep.hypotheses_ok is inside
     assert checks.run_check("power_corollary", _inst(low, p=0.5, map=TR2)).hypotheses_ok is inside
     rep = checks.run_check("furuta_bounds", _inst(np.eye(2), low, p=0.5, map=TR2))
+    assert ("windowed_upper" in {part.name for part in rep.parts}) is inside
+    assert means.compute_sandwich(np.eye(2), low).hypothesis_ok is inside
+    rep = checks.run_check("seo_bound", _inst(np.eye(2), low, p=0.5, map=TR2))
+    assert (rep.params["windowed_term_norm"] is not None) is inside
+    # the m side: a user m at 1 + side * 1e-9 below lambda_min(W) = 1.5,
+    # and furuta's box m = min b / max a
+    m, above = 1.0 + side * 1e-9, np.diag([1.5, 2.0])
+    rep = checks.run_check("reverse_monotonicity", _inst(np.eye(2), above, p=0.5, map=TR2, m=m))
+    assert rep.hypotheses_ok is inside
+    rep = checks.run_check("seo_bound", _inst(np.eye(2), above, p=0.5, map=TR2, m=m))
+    assert (rep.params["windowed_term_norm"] is not None) is inside
+    rep = checks.run_check("furuta_bounds",
+                           _inst(np.eye(2), np.diag([m, 2.0]), p=0.5, map=TR2))
+    assert rep.params["m"] == m
     assert ("windowed_upper" in {part.name for part in rep.parts}) is inside
 
 
@@ -805,6 +819,22 @@ def test_window_overrides_are_respected():
     assert rep.params["m"] == 1.0
     assert rep.params["M"] == 4.0
     assert rep.verdict == checks.HOLDS
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_window_override_slack_is_relative_to_the_spectrum_it_bounds(scale, side):
+    # m <= lambda_min + slack and M >= lambda_max - slack with slack =
+    # 1e-9 * max |lambda| (_BOUND_RTOL), one value either side at each scale;
+    # an absolute 1e-9 let m = 1.9e-10 bound the spectrum {1e-10, 2e-10}
+    a, slack = scale * np.diag([1.0, 2.0]), side * 1e-9 * 2.0 * scale
+    for key, value in (("m", scale + slack), ("M", 2.0 * scale - slack)):
+        inst = _inst(a, p=2.0, x=[1.0, 0.0], **{key: value})
+        if side < 1.0:
+            assert checks.run_check("holder_mccarthy", inst).params[key] == value
+        else:
+            with pytest.raises(InvalidSpec, match=f"^{key}=.* is not an? (lower|upper) bound"):
+                checks.run_check("holder_mccarthy", inst)
 
 
 def test_window_override_must_enclose_spectrum():
@@ -1121,6 +1151,14 @@ def test_instance_spec_rejects_an_x_that_is_not_a_vector_of_length_n(x):
 def test_sampled_instance_with_a_non_number_exponent_is_a_schema_error():
     with pytest.raises(SchemaError):
         fuzz.sample_instance("power_norm", 3, 0, "abc", 0)
+    # the public exponent paths read p by the same rule: "0.5" was taken
+    # as one exponent per matrix, and a bool as 0 or 1
+    a = np.eye(2)
+    for call in (lambda p: linalg.power(a, p), lambda p: means.weighted_mean(a, a, p),
+                 lambda p: means.tsallis_entropy(a, a, p)):
+        for p in ("0.5", True):
+            with pytest.raises(SchemaError, match=f"^p: expected a number, got {p!r}$"):
+                call(p)
 
 
 @pytest.mark.parametrize("p", ["abc", None, True, np.False_, "0.5"], ids=repr)

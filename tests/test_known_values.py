@@ -11,10 +11,13 @@ its map, vector and function.  The pair is scaled by 2^k, which is exact
 in binary, so the verdict must not depend on k.
 
 The family runs at c in {1, 1 + 1e-9, 2} and k in {-60, -20, 0, 20, 60}.
+So does its window family: the checks with a user window m <= W <= M,
+given the sharp window m = M = c.
+
 Only the cases that pass today run.  EXCLUDED lists the rest, each with
 the ROADMAP item that mends it; a case joins the suite with that item.
-So do the rest of item 12's families: windows with m = M, the identity
-and trace maps, the degenerate exponents and the closed-form sides.
+So do the rest of item 12's families: the identity and trace maps, the
+degenerate exponents and the closed-form sides.
 """
 
 import dataclasses
@@ -34,6 +37,10 @@ KS = (-60, -20, 0, 20, 60)
 # the checks whose sampler draws a second operand B
 PAIR_CHECKS = [check_id for check_id, info in checks.REGISTRY.items()
                if fuzz.sample_instance(check_id, 2, SEED, info.default_p[0], 0).B is not None]
+# the checks whose window m <= W <= M is on W = A^{-1/2} B A^{-1/2}; the
+# first two also need the unit window m <= 1 <= W
+WINDOW_CHECKS = ("reverse_monotonicity", "ando_converse", "seo_bound")
+WINDOW = "m=M=c"
 
 # (check, c, k) -> why it fails today, and the ROADMAP item that mends it
 EXCLUDED = {
@@ -72,6 +79,10 @@ EXCLUDED = {
     ("furuta_bounds", C_NEAR, 60):
         "item 8: at p = 1 the sides are 1e-9 A, and tol_used, scaled by them, "
         "falls below the rounding error of ||A||",
+    **{(check_id, c, -60, WINDOW): "item 8: the positivity floor, as (info_monotonicity, 1, -60)"
+       for check_id in WINDOW_CHECKS for c in CS},
+    **{("reverse_monotonicity", c, k, WINDOW): "item 8: as (info_monotonicity, 1, 20)"
+       for c in (1.0, C_NEAR) for k in (20, 60)},
     **{("norm_refinement", c, k): "item 8: as (norm_refinement, 1, 20)"
        for c, k in ((1.0, 60), (C_NEAR, 20), (C_NEAR, 60), (2.0, 60))},
 }
@@ -107,10 +118,11 @@ def _outcome(check_id, inst):
 
 
 FAMILY = [(check_id, c, k) for check_id in PAIR_CHECKS for c in CS for k in KS]
+WINDOW_FAMILY = [(check_id, c, k, WINDOW) for check_id in WINDOW_CHECKS for c in CS for k in KS]
 
 
 def test_exclusions_name_cases_of_the_family():
-    assert set(EXCLUDED) <= set(FAMILY)
+    assert set(EXCLUDED) <= set(FAMILY) | set(WINDOW_FAMILY)
 
 
 @pytest.mark.parametrize("check_id, c, k",
@@ -125,4 +137,25 @@ def test_equality_family_verdicts(check_id, c, k):
             want = _expected(check_id, inst.A, c, k)
             if got != want:
                 wrong.append((trial, dim, p, got, want))
+    assert not wrong
+
+
+@pytest.mark.parametrize("check_id, c, k, window",
+                         [case for case in WINDOW_FAMILY if case not in EXCLUDED])
+def test_window_family_verdicts(check_id, c, k, window):
+    # the unit window holds up to m = 1 + 1e-9 (HYP_TOL), so only c = 2
+    # breaks it; seo_bound's ratio window needs no unit, and it reports the
+    # additive term exactly where the unit window holds
+    unit = c <= C_NEAR
+    want = checks.HOLDS if unit or check_id == "seo_bound" else checks.HYPOTHESIS_VIOLATED
+    wrong = []
+    for trial, dim in TRIALS:
+        for p in checks.REGISTRY[check_id].default_p:
+            inst = fuzz.sample_instance(check_id, dim, SEED, p, trial)
+            a = np.ldexp(inst.A, k)
+            rep = checks.run_check(check_id, dataclasses.replace(inst, A=a, B=c * a, m=c, M=c))
+            if rep.verdict != want:
+                wrong.append((trial, dim, p, rep.verdict))
+            if check_id == "seo_bound" and (rep.params["windowed_term_norm"] is None) is unit:
+                wrong.append((trial, dim, p, "windowed_term_norm", rep.params["windowed_term_norm"]))
     assert not wrong

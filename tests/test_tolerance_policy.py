@@ -4,7 +4,9 @@ tolerance policy block at the top of linalg.
 The guard parses each module of the package and fails on a float
 literal below 1e-3 outside that block: a new threshold gets a name in
 the block, under the rule it scales with, instead of a literal at its
-site.  Zero is exact and not a tolerance.  tests/scalar_oracle.py keeps
+site.  Zero is exact and not a tolerance.  A second guard fails on a
+name in the block that nothing in the package reads, so a deleted gate
+leaves no orphan threshold behind.  tests/scalar_oracle.py keeps
 its own HYP_TOL and P_EPS on purpose: it shares nothing with the engine.
 """
 
@@ -59,6 +61,24 @@ def test_no_threshold_literal_outside_the_policy_block():
     extra = {key: lines for key, lines in found.items()
              if len(lines) > ALLOWED.get(key, 0)}
     assert not extra, f"name these in linalg's tolerance policy: {extra}"
+
+
+def test_every_policy_name_has_a_reader():
+    # a gate that is deleted takes its threshold with it: each name the
+    # block assigns is loaded somewhere in the package, as a bare name or
+    # as an attribute (linalg.HYP_TOL); an import alone is not a read
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    block = _policy_lines(tree)
+    names = {target.id for node in tree.body if isinstance(node, ast.Assign)
+             and node.lineno in block for target in node.targets}
+    read = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(names) > 10 and not names - read, f"no reader: {sorted(names - read)}"
 
 
 def test_the_policy_names_stay_where_callers_read_them():
