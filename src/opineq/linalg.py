@@ -83,8 +83,8 @@ def _scaled(rel: float, *magnitudes: float) -> float:
 
 # _gram_spectrum rescales A when max |a_ij| leaves this range
 _SV_SAFE_LO, _SV_SAFE_HI = 2.0 ** -480, 2.0 ** 480
-# numerical_radius: grid intervals on [0, pi], the cap on polish steps per
-# start and the cap on level-set tests
+# numerical_radius: grid intervals on [0, pi] (even: _radius_grid reflects
+# them), the cap on polish steps per start and the cap on level-set tests
 _RADIUS_GRID = 8
 _RADIUS_STEPS = 50
 _RADIUS_ROUNDS = 8
@@ -519,6 +519,16 @@ def _radius_tops(s, k, thetas) -> np.ndarray:
                               + np.sin(thetas)[:, None, None] * k)[:, -1]
 
 
+def _radius_grid(s, k) -> tuple[np.ndarray, np.ndarray]:
+    """g at the G + 1 angles j pi / G from G/2 + 2 solves, at j <= G/2 and pi:
+    A is real, so H(pi - theta) = -conj(H(theta)) and g(pi - theta) = -lambda_min(H(theta))."""
+    thetas, half = np.linspace(0.0, np.pi, _RADIUS_GRID + 1), _RADIUS_GRID // 2
+    solved = [*range(half + 1), _RADIUS_GRID]
+    lam = np.linalg.eigvalsh(np.cos(thetas)[solved, None, None] * s
+                             + np.sin(thetas)[solved, None, None] * k)
+    return thetas, np.concatenate((lam[:-1, -1], -lam[half - 1:0:-1, 0], lam[-1:, -1]))
+
+
 def _radius_polish(s, k, t: float, h: float, slack: float) -> float:
     """Largest g(theta) seen on a safeguarded Newton ascent from t inside
     [t - 2h, t + 2h]."""
@@ -584,9 +594,10 @@ def numerical_radius(a) -> float:
     w(A) = max over theta of g(theta), the top eigenvalue of the Hermitian
     n x n matrix H(theta) = Re(e^{i theta} A) = cos(theta) S + i sin(theta) K,
     S and K the symmetric and antisymmetric parts of A (C. R. Johnson,
-    SIAM J. Numer. Anal. 15, 1978).  A is real, so g is even and one stacked
-    eigensolve samples it at G + 1 angles on [0, pi], both ends included,
-    spacing h = pi / G.  The best grid angle is polished by Newton steps on
+    SIAM J. Numer. Anal. 15, 1978).  A is real, so g is even; one stacked
+    eigensolve of G/2 + 2 Hermitian matrices (_radius_grid) samples it at
+    G + 1 angles on [0, pi], both ends included, spacing h = pi / G.  The
+    best grid angle is polished by Newton steps on
     g' = v^H H' v with g'' = -g + 2 sum_j |v_j^H H' v|^2 / (g - lambda_j)
     from the same eigh, within +-2h of the start, bisecting on the sign of
     g' where g'' >= 0 (eigenvalue crossings) or a step leaves the bracket.
@@ -598,8 +609,7 @@ def numerical_radius(a) -> float:
     """
     m = as_square(a)
     s, k = 0.5 * (m + m.T), 0.5j * (m - m.T)
-    thetas = np.linspace(0.0, np.pi, _RADIUS_GRID + 1)
-    tops = _radius_tops(s, k, thetas)
+    thetas, tops = _radius_grid(s, k)
     best = float(tops.max())
     slack = _RADIUS_RTOL * best
     starts = thetas[[np.argmax(tops)]]

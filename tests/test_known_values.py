@@ -14,13 +14,18 @@ The family runs at c in {1, 1 + 1e-9, 2} and k in {-60, -20, 0, 20, 60}.
 So does its window family: the checks with a user window m <= W <= M,
 given the sharp window m = M = c.
 
+A second family has a closed-form numerical radius w: radius_chain on
+a normal A, on the shift J_n and on J_n in a random orthogonal basis,
+at n in {3, 4, 5} and every k, and at n = 64 with k = 0.
+
 Only the cases that pass today run.  EXCLUDED lists the rest, each with
 the ROADMAP item that mends it; a case joins the suite with that item.
 So do the rest of item 12's families: the identity and trace maps, the
-degenerate exponents and the closed-form sides.
+degenerate exponents and the other closed-form sides.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -117,12 +122,53 @@ def _outcome(check_id, inst):
         return type(exc)
 
 
+def _rotation(r, phi):
+    return r * np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+
+
+def _orthogonal(n):
+    """A Haar-distributed orthogonal n x n matrix, fixed by n."""
+    q, r = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _normal(n):
+    # Q (2 R(1.1) (+) 1.5 R(0.4) (+) -0.7 I) Q^T is normal with eigenvalues
+    # 2 e^{+-1.1 i}, 1.5 e^{+-0.4 i} and -0.7: r = w = ||A|| = 2
+    d = np.diag(np.full(n, -0.7))
+    d[:2, :2] = _rotation(2.0, 1.1)
+    if n >= 4:
+        d[2:4, 2:4] = _rotation(1.5, 0.4)
+    q = _orthogonal(n)
+    return q @ d @ q.T
+
+
+def _rotated_shift(n):
+    # Q J_n Q^T has w = cos(pi / (n + 1)) too, but rounded it is not
+    # nilpotent: r is about u^{1/n} ||A|| (2.7e-9, 2.6e-6, 4.7e-4, 7.4e-3
+    # and 0.57 at n = 2, 3, 5, 8 and 64), far above the vanishing-radius
+    # gate, so p < 0 HOLDS.  That is the rounded matrix's true verdict, not
+    # a verdict flip under orthogonal similarity (item 8).
+    q = _orthogonal(n)
+    return q @ np.eye(n, k=1) @ q.T
+
+
+# family -> (A at dim n, its w); the shift J_n has w = cos(pi / (n + 1))
+# and, in the standard basis, r exactly 0, so p < 0 breaks the hypothesis
+RADIUS_FAMILIES = {
+    "normal": (_normal, lambda n: 2.0),
+    "shift": (lambda n: np.eye(n, k=1), lambda n: math.cos(math.pi / (n + 1))),
+    "rotated_shift": (_rotated_shift, lambda n: math.cos(math.pi / (n + 1))),
+}
+RADIUS_DIMS = (3, 4, 5)
+
 FAMILY = [(check_id, c, k) for check_id in PAIR_CHECKS for c in CS for k in KS]
 WINDOW_FAMILY = [(check_id, c, k, WINDOW) for check_id in WINDOW_CHECKS for c in CS for k in KS]
+RADIUS_FAMILY = [("radius_chain", family, k) for family in RADIUS_FAMILIES for k in KS]
 
 
 def test_exclusions_name_cases_of_the_family():
-    assert set(EXCLUDED) <= set(FAMILY) | set(WINDOW_FAMILY)
+    assert set(EXCLUDED) <= set(FAMILY) | set(WINDOW_FAMILY) | set(RADIUS_FAMILY)
 
 
 @pytest.mark.parametrize("check_id, c, k",
@@ -158,4 +204,26 @@ def test_window_family_verdicts(check_id, c, k, window):
                 wrong.append((trial, dim, p, rep.verdict))
             if check_id == "seo_bound" and (rep.params["windowed_term_norm"] is None) is unit:
                 wrong.append((trial, dim, p, "windowed_term_norm", rep.params["windowed_term_norm"]))
+    assert not wrong
+
+
+@pytest.mark.parametrize("check_id, family, k",
+                         [case for case in RADIUS_FAMILY if case not in EXCLUDED])
+def test_closed_form_numerical_radius(check_id, family, k):
+    make, radius = RADIUS_FAMILIES[family]
+    wrong = []
+    for n in RADIUS_DIMS + ((64,) if k == 0 else ()):
+        a, w = np.ldexp(make(n), k), math.ldexp(radius(n), k)
+        for p in checks.REGISTRY[check_id].default_p:
+            inst = fuzz.sample_instance(check_id, n, SEED, p, 0)
+            rep = checks.run_check(check_id, dataclasses.replace(inst, A=a))
+            vanishing = family == "shift" and p < 0.0
+            want = checks.HYPOTHESIS_VIOLATED if vanishing else checks.HOLDS
+            noted = "spectral radius vanishes" in rep.hypothesis_note
+            if rep.verdict != want or noted != vanishing:
+                wrong.append((n, p, rep.verdict, rep.hypothesis_note))
+            known = (("numerical_radius", "spectral_radius", "norm_op") if family == "normal"
+                     else ("numerical_radius",))
+            wrong += [(n, p, name, rep.params[name], w)
+                      for name in known if abs(rep.params[name] - w) > 1e-12 * w]
     assert not wrong

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opineq import fuzz, linalg, means, sampling
+from opineq import checks, fuzz, linalg, means, sampling
 from opineq.errors import (
     DimensionMismatch,
     NotFinite,
@@ -448,6 +448,50 @@ def test_numerical_radius_maximum_at_pi():
     # attained only at the grid's closing angle
     a = np.diag([-2.0, 1.0]) + 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert abs(linalg.numerical_radius(a) - 2.0) <= 1e-15
+
+
+def _radius_parts(a):
+    return 0.5 * (a + a.T), 0.5j * (a - a.T)
+
+
+def test_radius_grid_is_even():
+    # the reflection pairs j pi / G with (G - j) pi / G, and pi / 2 is its
+    # own mirror, solved directly
+    half = linalg._RADIUS_GRID // 2
+    thetas, _ = linalg._radius_grid(*_radius_parts(np.eye(2)))
+    assert linalg._RADIUS_GRID == 2 * half
+    assert thetas[half] == np.pi / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_radius_grid_makes_one_stacked_solve_of_half_the_angles(monkeypatch, n):
+    calls = _count_eigensolves(monkeypatch)
+    shapes = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
+    a = fuzz.sample_instance("radius_chain", n, 7, 0.5, 0).A
+    thetas, tops = linalg._radius_grid(*_radius_parts(a))
+    assert calls == ["eigvalsh"]
+    assert shapes == [(linalg._RADIUS_GRID // 2 + 2, n, n)]
+    assert thetas.shape == tops.shape == (linalg._RADIUS_GRID + 1,)
+
+
+@pytest.mark.parametrize("dim,trials", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 4),
+                                        (16, 2), (32, 1), (64, 1)])
+def test_radius_grid_reflection_matches_the_direct_solve(dim, trials):
+    # the angles j <= G/2 and pi are solved as _radius_tops solves them, so
+    # their values keep its bits; the others, -lambda_min at the mirror
+    # angle, agree to rounding
+    half = linalg._RADIUS_GRID // 2
+    solved = [*range(half + 1), linalg._RADIUS_GRID]
+    for trial in range(trials):
+        for p in checks.REGISTRY["radius_chain"].default_p:
+            a = fuzz.sample_instance("radius_chain", dim, 7, p, trial).A
+            s, k = _radius_parts(a)
+            thetas, tops = linalg._radius_grid(s, k)
+            direct = linalg._radius_tops(s, k, thetas)
+            assert np.array_equal(tops[solved], direct[solved])
+            assert np.abs(tops - direct).max() <= 1e-13 * linalg.norm_op(a)
 
 
 @pytest.mark.parametrize("a,want", [
