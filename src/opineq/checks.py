@@ -291,6 +291,8 @@ class InstanceSpec:
     check (``power`` uses ``p`` as the exponent).  Each value is read
     here, once, through inputs, so the checks convert nothing; a str,
     bool or complex value or entry raises SchemaError naming its field.
+    fuzz._planned alone skips it (_trusted), as its values were read
+    upstream or built valid; the check entry and Spectra still check them.
     """
 
     A: np.ndarray
@@ -340,6 +342,13 @@ class InstanceSpec:
             raise
         except (TypeError, ValueError, OverflowError) as exc:   # not a number
             raise SchemaError(f"malformed instance: {exc}") from exc
+
+    @classmethod
+    def _trusted(cls, **fields) -> "InstanceSpec":
+        """These fields, the defaults for absent ones, and no check (see fuzz._planned)."""
+        inst = object.__new__(cls)   # a field's class attribute is its default
+        inst.__dict__.update({key: getattr(cls, key, None) for key in _INSTANCE_KEYS}, **fields)
+        return inst
 
     @classmethod
     def from_json_dict(cls, data) -> "InstanceSpec":

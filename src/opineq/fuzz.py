@@ -11,15 +11,11 @@ A sampler takes a seed and a plan, a list of (trial, dim, p), and returns
 the plan's instances in order.  Each is a recipe under _planned: it
 names the sub-streams it draws from and returns the fields that make
 its check's hypotheses hold, and _planned keys the streams, resolves
-the batch and builds the instances.  Every trial's numbers are drawn
-first, then the plan's linear algebra runs stacked (sampling._Batch);
-a trial's instance is the same bits whatever plan it is part of.
-sample_instance is a plan of one.  run_fuzz samples its schedule in
-chunks sized by the run's largest dim: 64 trials at MAX_DIM,
-proportionally more at smaller dims, at most 512.  With stop_on_fail
-the chunks start at 64 trials and double up to that size, so a FAILS
-among the first 64 trials stops the run after 64 trials, and a later
-one after at most twice the trials that chunks of 64 would check.
+the batch and builds the instances, unchecked.  Every trial's numbers
+are drawn first, then the plan's linear algebra runs stacked
+(sampling._Batch); a trial's instance is the same bits whatever plan it
+is part of.  sample_instance is a plan of one; run_fuzz samples its
+schedule in chunks sized by the run's largest dim (see run_fuzz).
 
 Each chunk is then checked in groups, one per dim: the check runs its
 matrix work stacked over the group (see checks.CheckInfo.group), and a
@@ -71,26 +67,24 @@ def _window(rng) -> tuple[float, float]:
 
 
 def _random_map(batch, rng, dim: int):
-    """One of the four map families, drawn from rng; a cell of the batch."""
+    """One of the four map families, drawn from rng: a MapSpec or a cell of the batch."""
     kind = maps.KINDS[int(rng.integers(len(maps.KINDS)))]
     if kind == maps.NORMALIZED_TRACE:
-        return batch.derive(lambda: maps.MapSpec.normalized_trace(dim))
+        return maps.MapSpec(kind, dim, 1)
     if kind == maps.COMPRESSION:
         k = 1 + int(rng.integers(dim))
         v = batch.isometry(rng, dim, k)
-        return batch.derive(lambda: maps.MapSpec.compression(v.value))
-    if kind == maps.PINCHING:
-        nblocks = 1 + int(rng.integers(dim))
-        labels = rng.integers(nblocks, size=dim)
-        blocks = [tuple(int(i) for i in np.flatnonzero(labels == b))
-                  for b in range(nblocks)]
-        return batch.derive(lambda: maps.MapSpec.pinching([b for b in blocks if b], dim))
+        return batch.derive(lambda: maps.MapSpec(kind, dim, k, isometry=v.value))
+    if kind == maps.PINCHING:   # a block per label drawn, in label order
+        labels = rng.integers(1 + int(rng.integers(dim)), size=dim).tolist()
+        return maps.MapSpec(kind, dim, dim, partition=tuple(
+            tuple(i for i, label in enumerate(labels) if label == b) for b in sorted(set(labels))))
     count = 2 + int(rng.integers(2))
     weights = rng.uniform(0.5, 1.5, size=count)
     weights = weights / weights.sum()
     unitaries = [batch.isometry(rng, dim, dim) for _ in range(count)]
-    return batch.derive(
-        lambda: maps.MapSpec.mixed_unitary(weights, [u.value for u in unitaries]))
+    return batch.derive(lambda: maps.MapSpec(
+        kind, dim, dim, weights=weights, unitaries=tuple(u.value for u in unitaries)))
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +99,13 @@ def _planned(*offsets):
     order, so its instance does not depend on the rest of the plan.  It
     draws the trial's numbers from them and returns the instance's
     fields other than p, each a batch cell or a plain value; once the
-    batch resolves, the sampler builds each InstanceSpec in plan order.
-    The plan's dims are trusted to lie in [1, MAX_DIM].  The batch runs
-    on spectra, a linalg.Spectra, or on a fresh one when it is None.
+    batch resolves, the sampler builds each instance in plan order, on
+    spectra (a linalg.Spectra, or a fresh one when None), with no check:
+    it is InstanceSpec._trusted's one caller.  run_fuzz or sample_instance
+    validated the plan's trials, dims and p, and the recipes build valid
+    values (windows in [0.05, 20], sign-fixed QR isometries, plain
+    MapSpecs); the check entry still tests symmetry and declared signs,
+    and linalg.Spectra refuses non-finite input.
     """
     def decorate(draw):
         @functools.wraps(draw)
@@ -116,7 +114,7 @@ def _planned(*offsets):
             fields = [draw(batch, dim, p, *batch.streams(*(trial + k for k in offsets)))
                       for trial, dim, p in plan]
             batch.resolve()
-            return [checks.InstanceSpec(p=p, **{
+            return [checks.InstanceSpec._trusted(p=p, **{
                         key: value.value if isinstance(value, sampling._Cell) else value
                         for key, value in row.items()})
                     for (_, _, p), row in zip(plan, fields)]
@@ -245,7 +243,7 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
 
     trial, dim and seed must be integers, not bools, and dim lie in [1,
     MAX_DIM] (InvalidSpec); p must be a number, not a bool or a string
-    (SchemaError, as the instance it goes into raises).
+    (SchemaError), and finite (InvalidSpec), as InstanceSpec requires.
     """
     sampler = FUZZ_SAMPLERS.get(check_id)
     if sampler is None:
@@ -256,6 +254,8 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
         p = inputs.number("p", p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed instance: {exc}") from exc
+    if not np.isfinite(p):
+        raise InvalidSpec("p must be finite")
     return sampler(seed, [(trial, dim, p)])[0]
 
 

@@ -2,7 +2,9 @@
 enter: InstanceSpec, the MapSpec constructors, SamplerConfig, run_fuzz,
 sample_instance and the CLI.  The core behind them converts nothing.
 numbers and number are the one type rule for an instance's and a map's
-entries, the same on the library path and the JSON path."""
+entries, the same on the library path and the JSON path.  fuzz._planned,
+the one trusted caller, builds unchecked from a plan read here and values
+valid by construction, still checked by the check entry and Spectra."""
 
 from __future__ import annotations
 

@@ -519,14 +519,18 @@ def _radius_tops(s, k, thetas) -> np.ndarray:
                               + np.sin(thetas)[:, None, None] * k)[:, -1]
 
 
+_THETAS = np.linspace(0.0, np.pi, _RADIUS_GRID + 1)
+_SOLVED = [*range(_RADIUS_GRID // 2 + 1), _RADIUS_GRID]
+_COS, _SIN = np.cos(_THETAS)[_SOLVED, None, None], np.sin(_THETAS)[_SOLVED, None, None]
+_THETAS.flags.writeable = _COS.flags.writeable = _SIN.flags.writeable = False   # made once
+
+
 def _radius_grid(s, k) -> tuple[np.ndarray, np.ndarray]:
     """g at the G + 1 angles j pi / G from G/2 + 2 solves, at j <= G/2 and pi:
     A is real, so H(pi - theta) = -conj(H(theta)) and g(pi - theta) = -lambda_min(H(theta))."""
-    thetas, half = np.linspace(0.0, np.pi, _RADIUS_GRID + 1), _RADIUS_GRID // 2
-    solved = [*range(half + 1), _RADIUS_GRID]
-    lam = np.linalg.eigvalsh(np.cos(thetas)[solved, None, None] * s
-                             + np.sin(thetas)[solved, None, None] * k)
-    return thetas, np.concatenate((lam[:-1, -1], -lam[half - 1:0:-1, 0], lam[-1:, -1]))
+    half = _RADIUS_GRID // 2
+    lam = np.linalg.eigvalsh(_COS * s + _SIN * k)
+    return _THETAS, np.concatenate((lam[:-1, -1], -lam[half - 1:0:-1, 0], lam[-1:, -1]))
 
 
 def _radius_polish(s, k, t: float, h: float, slack: float) -> float:

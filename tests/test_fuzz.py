@@ -1,13 +1,16 @@
 """Tests for the randomized counterexample search."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opineq import checks, fuzz, inputs, linalg, means
-from opineq.errors import InvalidSpec, NotPositiveDefinite, UnknownCheck
+import opineq
+from opineq import checks, cli, fuzz, inputs, linalg, maps, means
+from opineq.errors import InvalidSpec, NotPositiveDefinite, SchemaError, UnknownCheck
 
 
 def _dump(result):
@@ -198,6 +201,15 @@ def test_run_fuzz_accepts_integral_floats():
 def test_sample_instance_rejects_non_integral_arguments(dim, seed, trial):
     with pytest.raises(InvalidSpec):
         fuzz.sample_instance("power_norm", dim, seed, 0.5, trial)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("check_id", ["power_norm", "radius_chain"])
+def test_sample_instance_rejects_non_finite_exponents(check_id, p):
+    # the instance is built unchecked, so sample_instance refuses what
+    # InstanceSpec would
+    with pytest.raises(InvalidSpec, match="p must be finite"):
+        fuzz.sample_instance(check_id, 3, 0, p, 0)
 
 
 def test_sample_instance_accepts_integral_floats():
@@ -412,3 +424,113 @@ def test_furuta_bounds_forms_each_mapped_mean_once(monkeypatch):
     assert result.trials == 16
     assert sum(map(len, made.values())) > len(made)
     assert all(len({id(mean) for mean in results}) == 1 for results in made.values())
+
+
+# ----------------------------------------------------------------------
+# the samplers' trusted construction
+# ----------------------------------------------------------------------
+
+def _validated(inst):
+    """inst rebuilt from its fields through the checking entries:
+    InstanceSpec(...) and its map's MapSpec classmethod."""
+    fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    m = fields["map"]
+    if m is not None:
+        fields["map"] = {
+            maps.NORMALIZED_TRACE: lambda: maps.MapSpec.normalized_trace(m.in_dim),
+            maps.COMPRESSION: lambda: maps.MapSpec.compression(m.isometry),
+            maps.PINCHING: lambda: maps.MapSpec.pinching(m.partition, m.in_dim),
+            maps.MIXED_UNITARY: lambda: maps.MapSpec.mixed_unitary(m.weights, m.unitaries),
+        }[m.kind]()
+    return checks.InstanceSpec(**fields)
+
+
+def _assert_same(got, want):
+    """got and want hold values of the same types, dtypes and bits."""
+    assert type(got) is type(want)
+    if isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif dataclasses.is_dataclass(got):
+        for f in dataclasses.fields(got):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("check_id", sorted(fuzz.FUZZ_SAMPLERS))
+def test_sampled_instances_pass_the_checking_entries_unchanged(check_id):
+    # the samplers build their instances and maps with no check; each one
+    # must be what InstanceSpec and the MapSpec classmethods would build
+    # from the same values, every type, dtype and bit, and the same JSON
+    ps = checks.REGISTRY[check_id].default_p
+    for dim in (2, 3, 4, 5, 6, 16):
+        plan = [(t, dim, ps[t % len(ps)]) for t in range(60)]
+        for inst in fuzz.FUZZ_SAMPLERS[check_id](4, plan):
+            again = _validated(inst)
+            _assert_same(inst, again)
+            assert json.dumps(inst.to_json_dict()) == json.dumps(again.to_json_dict())
+
+
+def test_the_fuzz_path_runs_no_input_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input check ran on the fuzz path")
+
+    monkeypatch.setattr(inputs, "numbers", refuse)
+    monkeypatch.setattr(linalg, "as_square", refuse)
+    monkeypatch.setattr(checks.InstanceSpec, "__post_init__", refuse)
+    for kind in maps.KINDS:
+        monkeypatch.setattr(maps.MapSpec, kind, refuse)
+    for check_id in ("info_monotonicity", "norm_power_lemma"):
+        result = fuzz.run_fuzz(check_id, trials=40, seed=5)
+        assert result.trials == 40
+        assert result.counts[checks.HOLDS] == 40
+
+
+def test_a_witness_edited_into_a_non_number_is_refused_by_eval(tmp_path):
+    json_path = tmp_path / "lh.json"
+    assert cli.main(["fuzz", "--check", "lowner_heinz", "--trials", "60", "--seed", "0",
+                     "--p", "2.0", "--json", str(json_path)]) == cli.EXIT_FAIL
+    instance = json.loads((tmp_path / "lh.witness.json").read_text())[0]["instance"]
+    instance["A"][0][1] = "1"
+    inst_path = tmp_path / "edited.json"
+    inst_path.write_text(json.dumps(instance))
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", str(inst_path)]) == \
+        cli.EXIT_SCHEMA
+    with pytest.raises(SchemaError):
+        checks.InstanceSpec(A=[[1, True], [True, 1]])
+
+
+def test_the_samplers_leave_numpy_ma_unimported(fresh_python):
+    # numpy.ma takes 8 ms and 1.2 MB to import, on the first np.unique call
+    # among others; the fuzz path needs none of it
+    script = ("import sys; from opineq import fuzz\n"
+              "for check_id in fuzz.FUZZ_SAMPLERS:\n"
+              "    fuzz.run_fuzz(check_id, trials=20, dims=(2, 3, 4, 5, 6))\n"
+              "print('numpy.ma' in sys.modules)")
+    proc = fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_only_the_samplers_build_unchecked_instances_and_maps():
+    # InstanceSpec._trusted and the plain MapSpec(...) constructor check
+    # nothing, so only fuzz, whose values run_fuzz and sample_instance
+    # validated, may call them (and maps, whose classmethods check first);
+    # an entry that reads outside values goes through the checks
+    found = []
+    for path in sorted(Path(opineq.__file__).resolve().parent.glob("*.py")):
+        name = path.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                    and name != "fuzz.py"):
+                found.append((name, node.lineno, "InstanceSpec._trusted"))
+            elif (isinstance(node, ast.Call) and name not in ("fuzz.py", "maps.py")
+                  and (getattr(node.func, "id", None) == "MapSpec"
+                       or getattr(node.func, "attr", None) == "MapSpec")):
+                found.append((name, node.lineno, "MapSpec("))
+    assert not found, f"unchecked construction outside the samplers: {found}"
