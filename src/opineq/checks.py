@@ -89,23 +89,7 @@ __all__ = [
     "resolve_check",
     "run_check",
     "compute_sandwich",
-    "check_info_monotonicity",
-    "check_reverse_monotonicity",
-    "check_ando_converse",
-    "check_density_trace",
-    "check_furuta_bounds",
-    "check_seo_bound",
-    "check_lowner_heinz",
-    "check_norm_power_lemma",
-    "check_lh_extension",
-    "check_mn2012",
-    "check_mond_pecaric",
-    "check_holder_mccarthy",
-    "check_norm_chain",
-    "check_radius_chain",
-    "check_power_norm",
-    "check_norm_refinement",
-    "check_power_corollary",
+    # and each check_* runner, appended from REGISTRY after the last check
 ]
 
 HOLDS = "HOLDS"
@@ -275,8 +259,14 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
 # instances
 # ----------------------------------------------------------------------
 
-_INSTANCE_KEYS = ("A", "B", "p", "map", "m", "M", "x", "f")
-_F_KINDS = ("power", "exp", "log")
+# InstanceSpec.f: kind -> p -> (f, f'), each f' monotone on (0, inf), so its inf/sup
+# over [m, M] sit at the endpoints (mond_pecaric); the fuzz sampler draws a kind by index
+_FUNCTIONS: dict[str, Callable[[float], tuple[Callable, Callable]]] = {
+    "power": lambda p: (lambda t: np.power(t, p), lambda t: p * np.power(t, p - 1.0)),
+    "exp": lambda p: (np.exp, np.exp),
+    "log": lambda p: (np.log, lambda t: 1.0 / t),
+}
+_F_KINDS = tuple(_FUNCTIONS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,12 +296,10 @@ class InstanceSpec:
 
     def __post_init__(self):
         try:   # each value is type-checked, converted and validated here, once
-            inputs.numbers("A", self.A)
-            a = linalg.as_square(self.A)
+            a = linalg.as_square(self.A, "A")
             object.__setattr__(self, "A", a)
             if self.B is not None:
-                inputs.numbers("B", self.B)
-                b = linalg.as_square(self.B)
+                b = linalg.as_square(self.B, "B")
                 if b.shape != a.shape:
                     raise DimensionMismatch(
                         f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
@@ -320,10 +308,7 @@ class InstanceSpec:
             for label in ("p", "m", "M"):
                 value = getattr(self, label)
                 if value is not None or label == "p":
-                    value = inputs.number(label, value)
-                    if not np.isfinite(value):
-                        raise InvalidSpec(f"{label} must be finite")
-                    object.__setattr__(self, label, value)
+                    object.__setattr__(self, label, inputs.finite(label, value))
             if self.m is not None and self.M is not None and self.m > self.M:
                 raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
             if self.x is not None:
@@ -385,6 +370,9 @@ class InstanceSpec:
         if self.f != "power":
             out["f"] = self.f
         return out
+
+
+_INSTANCE_KEYS = tuple(field.name for field in dataclasses.fields(InstanceSpec))
 
 
 # ----------------------------------------------------------------------
@@ -1021,14 +1009,6 @@ def _resolve_unit_vector(inst: InstanceSpec, n: int) -> np.ndarray:
     return inst.x
 
 
-_SCALAR_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
-    # kind -> (f, f'); all three have a monotone derivative on (0, inf),
-    # so inf/sup of f' over [m, M] are attained at the endpoints.
-    "exp": (np.exp, np.exp),
-    "log": (np.log, lambda t: 1.0 / t),
-}
-
-
 @_check("mond_pecaric",
         "two-sided derivative bounds for vector expectations of f(A) against f(<Bx,x>)",
         (0.5, 2.0, -1.0), "(-inf, inf)", _pair, signs={"B": "pd"})
@@ -1070,11 +1050,7 @@ def check_mond_pecaric(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     def sides():
         fns = []
         for inst, p, lo in zip(insts, ps, lam_a[:, 0].tolist()):
-            if inst.f == "power":
-                fns.append((lambda t, p=p: np.power(t, p),
-                            lambda t, p=p: p * np.power(t, p - 1.0)))
-            else:
-                fns.append(_SCALAR_FUNCTIONS[inst.f])
+            fns.append(_FUNCTIONS[inst.f](p))
             if lo <= 0.0 and (inst.f != "power" or p < 0.0 or p != round(p)):
                 raise NotPositiveDefinite("mond_pecaric needs positive definite A")
         bounds = [(float(min(dfn(m), dfn(M))), float(max(dfn(m), dfn(M))))
@@ -1295,6 +1271,9 @@ def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params, lams):
                             sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
         return part_specs
     return sides, note
+
+
+__all__ += [info.runner.__name__ for info in REGISTRY.values()]
 
 
 def resolve_check(check_id: str) -> CheckInfo:

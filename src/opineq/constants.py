@@ -9,6 +9,8 @@ Conventions for the degenerate edges, all continuous limits:
     kantorovich_K(1, p) = kantorovich_K(h, 1) = 1
     furuta_F(m, 1, p) = 0
     seo_C(m, m, p) = 0
+
+Each domain guard also refuses a NaN or an infinity (DomainError).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def kantorovich_K(h: float, p: float) -> float:
     """
     h = float(h)
     p = float(p)
-    if h < 1.0:
+    if not 1.0 <= h < np.inf:
         raise DomainError(f"kantorovich_K needs h >= 1, got {h}")
     if not 0.0 < p <= 1.0:
         raise DomainError(f"kantorovich_K needs 0 < p <= 1, got {p}")
@@ -50,9 +52,9 @@ def furuta_F(m: float, h: float, p: float) -> float:
     m = float(m)
     h = float(h)
     p = float(p)
-    if m <= 0.0:
+    if not 0.0 < m < np.inf:
         raise DomainError(f"furuta_F needs m > 0, got {m}")
-    if h < 1.0:
+    if not 1.0 <= h < np.inf:
         raise DomainError(f"furuta_F needs h >= 1, got {h}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"furuta_F needs 0 < p < 1, got {p}")
@@ -77,7 +79,7 @@ def seo_C(m: float, M: float, p: float) -> float:
     m = float(m)
     M = float(M)
     p = float(p)
-    if not 0.0 < m <= M:
+    if not 0.0 < m <= M < np.inf:
         raise DomainError(f"seo_C needs 0 < m <= M, got m={m}, M={M}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"seo_C needs 0 < p < 1, got {p}")
@@ -106,10 +108,12 @@ def lemma_bounds(t: float, m: float, M: float, p: float) -> tuple[float, float, 
     p = float(p)
     if p == 0.0:
         raise ZeroParameter("lemma_bounds requires p != 0")
-    if not (0.0 < m <= 1.0 <= t <= M):
+    if not (0.0 < m <= 1.0 <= t <= M < np.inf):
         raise DomainError(
             f"lemma_bounds needs 0 < m <= 1 <= t <= M, got m={m}, t={t}, M={M}"
         )
+    if not abs(p) < np.inf:
+        raise DomainError(f"lemma_bounds needs a finite p, got {p}")
     tx = _LD(t)
     px = _LD(p)
     mid = float((tx**px - 1.0) / px)
@@ -124,7 +128,7 @@ def mn2012_gap(s: float, p: float) -> float:
     """Gap s^p - (s - 1)^p - p s^(p-1), nonnegative for s >= 1, 0 <= p <= 1."""
     s = float(s)
     p = float(p)
-    if s < 1.0:
+    if not 1.0 <= s < np.inf:
         raise DomainError(f"mn2012_gap needs s >= 1, got {s}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"mn2012_gap needs 0 <= p <= 1, got {p}")

@@ -8,14 +8,14 @@ plus fixed sub-stream offsets, so any trial can be regenerated in
 isolation and the full run is reproducible byte for byte.
 
 A sampler takes a seed and a plan, a list of (trial, dim, p), and returns
-the plan's instances in order.  Each is a recipe under _planned: it
-names the sub-streams it draws from and returns the fields that make
-its check's hypotheses hold, and _planned keys the streams, resolves
-the batch and builds the instances, unchecked.  Every trial's numbers
-are drawn first, then the plan's linear algebra runs stacked
-(sampling._Batch); a trial's instance is the same bits whatever plan it
-is part of.  sample_instance is a plan of one; run_fuzz samples its
-schedule in chunks sized by the run's largest dim (see run_fuzz).
+the plan's instances in order.  Each is a recipe under _planned, which
+registers it in FUZZ_SAMPLERS for the checks it names: it names its
+sub-streams and returns fields that make their hypotheses hold, and
+_planned keys the streams, resolves the batch and builds the instances,
+unchecked.  Every trial's numbers are drawn first, then the plan's linear
+algebra runs stacked (sampling._Batch); a trial's instance is the same
+bits whatever plan it is part of.  sample_instance is a plan of one;
+run_fuzz samples its schedule in chunks sized by the run's largest dim.
 
 Each chunk is then checked in groups, one per dim: the check runs its
 matrix work stacked over the group (see checks.CheckInfo.group), and a
@@ -37,10 +37,12 @@ import time
 import numpy as np
 
 from . import checks, inputs, linalg, maps, sampling
-from .errors import InvalidSpec, SchemaError, UnknownCheck
+from .errors import InvalidSpec, UnknownCheck
 from .linalg import FUZZ_TOL_REL   # named in linalg's tolerance policy
 
 __all__ = ["FUZZ_TOL_REL", "FuzzResult", "run_fuzz", "sample_instance"]
+
+FUZZ_SAMPLERS: dict = {}   # check id -> sampler; each recipe registers itself (_planned)
 
 # Sub-stream offsets added to the trial index so the second matrix, the
 # map, the vector and the scalar choices never replay the draws used for
@@ -91,8 +93,10 @@ def _random_map(batch, rng, dim: int):
 # per-check samplers: (seed, plan of (trial, dim, p)) -> [InstanceSpec]
 # ----------------------------------------------------------------------
 
-def _planned(*offsets):
-    """Decorate a recipe into the sampler over plans of (trial, dim, p).
+def _planned(*offsets, check_ids):
+    """Decorate a recipe into the sampler over plans of (trial, dim, p), and
+    register it in FUZZ_SAMPLERS under each of check_ids (ValueError, and
+    nothing registered, if one of them has a sampler already).
 
     The recipe, draw(batch, dim, p, *streams), declares its streams by
     their offsets: trial t gets rng_for(seed, t + k) for each k, in
@@ -118,25 +122,29 @@ def _planned(*offsets):
                         key: value.value if isinstance(value, sampling._Cell) else value
                         for key, value in row.items()})
                     for (_, _, p), row in zip(plan, fields)]
+        if not FUZZ_SAMPLERS.keys().isdisjoint(check_ids):
+            raise ValueError(f"{draw.__name__}: one of {check_ids} already has a sampler")
+        FUZZ_SAMPLERS.update(dict.fromkeys(check_ids, sampler))
         return sampler
     return decorate
 
 
-@_planned(_S_AUX, 0, _S_B, _S_MAP)
+@_planned(_S_AUX, 0, _S_B, _S_MAP,
+          check_ids=("info_monotonicity", "furuta_bounds", "seo_bound"))
 def _sample_spd_pair_map(batch, dim, p, aux, first, second, mrng):
     return {"A": batch.spd(first, dim, *_window(aux)),
             "B": batch.spd(second, dim, *_window(aux)),
             "map": _random_map(batch, mrng, dim)}
 
 
-@_planned(_S_AUX, 0, _S_MAP)
+@_planned(_S_AUX, 0, _S_MAP, check_ids=("reverse_monotonicity", "ando_converse"))
 def _sample_sandwich_map(batch, dim, p, aux, first, mrng):
     m_target = 1.0 + float(10.0 ** aux.uniform(-2.0, 0.8))
     a, b = batch.sandwich_pair(first, dim, *_window(aux), m_target)
     return {"A": a, "B": b, "map": _random_map(batch, mrng, dim)}
 
 
-@_planned(0)
+@_planned(0, check_ids=("density_trace",))
 def _sample_density(batch, dim, p, first):
     # unit trace plus the unit window forces B = A, so the only valid
     # instances sit at the equality point; gate behavior is unit-tested
@@ -144,13 +152,13 @@ def _sample_density(batch, dim, p, first):
     return {"A": a, "B": batch.derive(lambda: a.value.copy())}
 
 
-@_planned(_S_AUX, 0, _S_MAP)
+@_planned(_S_AUX, 0, _S_MAP, check_ids=("power_corollary",))
 def _sample_power_corollary(batch, dim, p, aux, first, mrng):
     hi = 1.0 + float(10.0 ** aux.uniform(-1.5, 0.9))
     return {"A": batch.spd(first, dim, 1.0 + 1e-6, hi), "map": _random_map(batch, mrng, dim)}
 
 
-@_planned(0, _S_B)
+@_planned(0, _S_B, check_ids=("lowner_heinz",))
 def _sample_lowner_heinz(batch, dim, p, first, second):
     # the bump spans three orders of magnitude on purpose: a nearly
     # isotropic bump commutes too well with A to ever break A^2 <= B^2,
@@ -160,25 +168,25 @@ def _sample_lowner_heinz(batch, dim, p, first, second):
     return {"A": a, "B": batch.derive(lambda: a.value + bump.value)}
 
 
-@_planned(_S_AUX, 0)
+@_planned(_S_AUX, 0, check_ids=("norm_power_lemma",))
 def _sample_single_spd(batch, dim, p, aux, first):
     return {"A": batch.spd(first, dim, *_window(aux))}
 
 
-@_planned(_S_AUX, 0)
+@_planned(_S_AUX, 0, check_ids=("lh_extension",))
 def _sample_norm_dominated(batch, dim, p, aux, first):
     a, b = batch.norm_dominated_pair(first, dim, *_window(aux), 0.0)
     return {"A": a, "B": b}
 
 
-@_planned(_S_AUX, 0)
+@_planned(_S_AUX, 0, check_ids=("mn2012",))
 def _sample_norm_dominated_gap(batch, dim, p, aux, first):
     gap = float(10.0 ** aux.uniform(-3.0, 0.0))
     a, b = batch.norm_dominated_pair(first, dim, *_window(aux), gap)
     return {"A": a, "B": b}
 
 
-@_planned(_S_AUX, 0, _S_B)
+@_planned(_S_AUX, 0, _S_B, check_ids=("mond_pecaric",))
 def _sample_mond_pecaric(batch, dim, p, aux, first, second):
     # spectra separated around a split point: B <= split I <= A makes the
     # order hypothesis and the vector-expectation gate hold automatically
@@ -191,17 +199,17 @@ def _sample_mond_pecaric(batch, dim, p, aux, first, second):
             "x": sampling._unit_vector(aux, dim)}
 
 
-@_planned(_S_AUX, 0)
+@_planned(_S_AUX, 0, check_ids=("holder_mccarthy",))
 def _sample_holder_mccarthy(batch, dim, p, aux, first):
     return {"A": batch.spd(first, dim, *_window(aux)), "x": sampling._unit_vector(aux, dim)}
 
 
-@_planned(0)
+@_planned(0, check_ids=("norm_chain",))
 def _sample_square(batch, dim, p, first):
     return {"A": sampling._square(first, dim)}
 
 
-@_planned(0)
+@_planned(0, check_ids=("radius_chain",))
 def _sample_radius_chain(batch, dim, p, first):
     a = sampling._square(first, dim)
     if p < 0.0:
@@ -211,30 +219,9 @@ def _sample_radius_chain(batch, dim, p, first):
     return {"A": a}
 
 
-@_planned(_S_AUX, 0, _S_B)
+@_planned(_S_AUX, 0, _S_B, check_ids=("power_norm", "norm_refinement"))
 def _sample_spd_pair(batch, dim, p, aux, first, second):
     return {"A": batch.spd(first, dim, *_window(aux)), "B": batch.spd(second, dim, *_window(aux))}
-
-
-FUZZ_SAMPLERS = {
-    "info_monotonicity": _sample_spd_pair_map,
-    "reverse_monotonicity": _sample_sandwich_map,
-    "ando_converse": _sample_sandwich_map,
-    "density_trace": _sample_density,
-    "furuta_bounds": _sample_spd_pair_map,
-    "seo_bound": _sample_spd_pair_map,
-    "lowner_heinz": _sample_lowner_heinz,
-    "norm_power_lemma": _sample_single_spd,
-    "lh_extension": _sample_norm_dominated,
-    "mn2012": _sample_norm_dominated_gap,
-    "mond_pecaric": _sample_mond_pecaric,
-    "holder_mccarthy": _sample_holder_mccarthy,
-    "norm_chain": _sample_square,
-    "radius_chain": _sample_radius_chain,
-    "power_norm": _sample_spd_pair,
-    "norm_refinement": _sample_spd_pair,
-    "power_corollary": _sample_power_corollary,
-}
 
 
 def sample_instance(check_id: str, dim: int, seed: int, p: float,
@@ -250,13 +237,7 @@ def sample_instance(check_id: str, dim: int, seed: int, p: float,
         raise UnknownCheck(f"no sampler for check {check_id!r}")
     trial, dim = inputs.integer(trial, "trial"), inputs.dim(dim)
     seed = inputs.integer(seed, "seed")
-    try:
-        p = inputs.number("p", p)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed instance: {exc}") from exc
-    if not np.isfinite(p):
-        raise InvalidSpec("p must be finite")
-    return sampler(seed, [(trial, dim, p)])[0]
+    return sampler(seed, [(trial, dim, inputs.finite("p", p))])[0]
 
 
 # ----------------------------------------------------------------------

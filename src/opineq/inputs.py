@@ -1,8 +1,9 @@
 """Rules for values from outside the program, applied once where they
 enter: InstanceSpec, the MapSpec constructors, SamplerConfig, run_fuzz,
-sample_instance and the CLI.  The core behind them converts nothing.
-numbers and number are the one type rule for an instance's and a map's
-entries, the same on the library path and the JSON path.  fuzz._planned,
+sample_instance, the public linalg and means functions and the CLI.  The
+core behind them converts nothing.  numbers and number are the one type
+rule for an instance's and a map's entries, the same on the library path
+and the JSON path; finite adds finiteness for a scalar.  fuzz._planned,
 the one trusted caller, builds unchecked from a plan read here and values
 valid by construction, still checked by the check entry and Spectra."""
 
@@ -82,3 +83,15 @@ def number(field: str, value) -> float:
     """float(value), once numbers(field, value) lets it through."""
     numbers(field, value)
     return float(value)
+
+
+def finite(field: str, value) -> float:
+    """number(field, value); SchemaError("malformed instance: ...") for what
+    float() refuses, InvalidSpec("<field> must be finite") for inf or nan."""
+    try:
+        value = number(field, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed instance: {exc}") from exc
+    if not np.isfinite(value):
+        raise InvalidSpec(f"{field} must be finite")
+    return value

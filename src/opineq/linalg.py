@@ -8,8 +8,9 @@ Two layers share that contract:
 
 * The public functions (as_square, require_symmetric, spectral_decompose,
   eigvals_sym, power, sqrt_factors, conjugate_by_sqrt, loewner_compare,
-  the norms and radii) validate their arguments on every call: shape,
-  finiteness and, where the operation needs it, symmetry within SYM_RTOL.
+  the norms and radii) validate their arguments on every call: type
+  (inputs.numbers), shape, finiteness and, where the operation needs it,
+  symmetry within SYM_RTOL.
   They are for callers outside the package and take one matrix.
 * Spectra is the trusted core behind them.  It takes a stack of matrices
   of one shape, (..., n, n), and works matrix by matrix: one stacked
@@ -95,8 +96,9 @@ EQ = "EQ"
 INCOMPARABLE = "INCOMPARABLE"
 
 
-def as_square(a) -> np.ndarray:
-    """Coerce to a float64 square matrix, validating shape and finiteness."""
+def as_square(a, field: str = "matrix") -> np.ndarray:
+    """Coerce to a float64 square matrix, validating type, shape and finiteness."""
+    inputs.numbers(field, a)
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -131,7 +133,7 @@ def is_symmetric(a) -> bool:
 
 
 def require_symmetric(a, what: str = "matrix") -> np.ndarray:
-    return _require_symmetric(as_square(a), what)
+    return _require_symmetric(as_square(a, what), what)
 
 
 def _symmetric_pair(a, b, names=("A", "B")) -> tuple[np.ndarray, np.ndarray]:
@@ -429,10 +431,10 @@ def power(a, p: float) -> np.ndarray:
     negative or fractional powers of a matrix with a genuinely negative
     or (for p < 0) vanishing eigenvalue raise NotPositiveDefinite.
     p = 0 and p = 1 return I and a copy of A without an eigensolve.  A power
-    that overflows raises NotFinite.  p is read by inputs.number: a str or
-    bool raises SchemaError.
+    that overflows raises NotFinite.  p is read by inputs.finite: a str or
+    bool raises SchemaError, an infinity or a NaN InvalidSpec.
     """
-    return Spectra().power(require_symmetric(a), inputs.number("p", p))
+    return Spectra().power(require_symmetric(a), inputs.finite("p", p))
 
 
 def sqrt_factors(a) -> tuple[np.ndarray, np.ndarray]:
@@ -470,10 +472,10 @@ class LoewnerVerdict:
 
 
 def loewner_compare(l, r, tol_rel: float = DEFAULT_TOL_REL) -> LoewnerVerdict:
-    """Compare symmetric L and R in the Loewner order, within the
-    tolerance _scaled(tol_rel, ||L||, ||R||) of their operator norms."""
+    """Compare symmetric L and R in the Loewner order, within the tolerance
+    _scaled(tol_rel, ||L||, ||R||) of their norms (tol_rel: inputs.tolerance)."""
     return Spectra().compare(*_symmetric_pair(l, r, ("left operand", "right operand")),
-                             tol_rel)[0]
+                             inputs.tolerance(tol_rel))[0]
 
 
 def singular_values(a) -> np.ndarray:

@@ -31,10 +31,10 @@ COMPRESSION = "compression"
 PINCHING = "pinching"
 MIXED_UNITARY = "mixed_unitary"
 
-KINDS = (NORMALIZED_TRACE, COMPRESSION, PINCHING, MIXED_UNITARY)
 # each kind's JSON fields, in the order its constructor (its name) takes them
 _FIELDS = {NORMALIZED_TRACE: ("dim",), COMPRESSION: ("isometry",),
            PINCHING: ("partition", "dim"), MIXED_UNITARY: ("weights", "unitaries")}
+KINDS = tuple(_FIELDS)
 
 @dataclass(frozen=True)
 class MapSpec:

@@ -105,7 +105,7 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     Spectra.power gates a negative p, raising NotPositiveDefinite when
     W's eigenvalues are not bounded away from zero.
 
-    Without `spectra` the operands are validated, and p by inputs.number.
+    Without `spectra` the operands are validated, and p by inputs.finite.
     A check passes the linalg.Spectra of its call instead: then A and B
     are trusted, as the check has validated them, and each stack of A or
     W is decomposed once across the whole call; the mean itself is formed
@@ -115,7 +115,7 @@ def weighted_mean(a, b, p, *, spectra=None) -> MeanResult:
     The result is shared, so its value must not be changed in place.
     """
     if spectra is None:
-        p = inputs.number("p", p)
+        p = inputs.finite("p", p)
         a, b = linalg._symmetric_pair(a, b)
         spectra = linalg.Spectra()
 
@@ -136,7 +136,7 @@ def tsallis_entropy(a, b, p, *, spectra=None) -> np.ndarray:
     of its rows, unless every p is 1, and its p = 1 rows are then set to
     B - A; so every A of a stack must be positive definite.
     """
-    p = inputs.number("p", p) if spectra is None else p
+    p = inputs.finite("p", p) if spectra is None else p
     stacked = hasattr(p, "__len__")
     ps = [float(q) for q in p] if stacked else [float(p)]
     if 0.0 in ps:

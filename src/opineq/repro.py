@@ -23,8 +23,6 @@ from . import checks, linalg, maps
 
 __all__ = ["EXAMPLE_IDS", "ReproItem", "ReproResult", "run_repro", "run_all"]
 
-EXAMPLE_IDS = ("E1", "E2", "E3i", "E3ii", "E3iii")
-
 _A2 = np.array([[2.0, 3.0], [3.0, 5.0]])
 _B1 = np.array([[3.0, 4.0], [4.0, 6.0]])
 _B2 = np.array([[2.01, 3.0], [3.0, 5.01]])
@@ -99,7 +97,7 @@ def _item(quantity, computed, expected, tol, mode) -> ReproItem:
     return ReproItem(quantity, computed, expected, float(tol), mode, passed)
 
 
-def _repro_e1() -> ReproResult:
+def _repro_e1(example_id: str) -> ReproResult:
     inst = checks.InstanceSpec(A=_A2, B=_B1, p=0.5,
                                map=maps.MapSpec.normalized_trace(2))
     report = checks.check_furuta_bounds(inst)
@@ -113,10 +111,10 @@ def _repro_e1() -> ReproResult:
         _item("windowed_beats_both", windowed < kant < lin, True, 0.0, "bool"),
         _item("check_holds", report.verdict == checks.HOLDS, True, 0.0, "bool"),
     )
-    return ReproResult("E1", items, all(i.passed for i in items))
+    return ReproResult(example_id, items, all(i.passed for i in items))
 
 
-def _repro_e2() -> ReproResult:
+def _repro_e2(example_id: str) -> ReproResult:
     inst = checks.InstanceSpec(A=_A2, B=_B2, p=0.5, m=0.999, M=1.07,
                                map=maps.MapSpec.normalized_trace(2))
     report = checks.check_seo_bound(inst)
@@ -128,7 +126,7 @@ def _repro_e2() -> ReproResult:
         _item("windowed_beats_ratio", windowed < seo, True, 0.0, "bool"),
         _item("check_holds", report.verdict == checks.HOLDS, True, 0.0, "bool"),
     )
-    return ReproResult("E2", items, all(i.passed for i in items))
+    return ReproResult(example_id, items, all(i.passed for i in items))
 
 
 def _truncate3(value: float) -> float:
@@ -153,15 +151,16 @@ def _repro_e3(example_id: str) -> ReproResult:
     return ReproResult(example_id, items, all(i.passed for i in items))
 
 
+_EXAMPLES = {"E1": _repro_e1, "E2": _repro_e2, **dict.fromkeys(_E3_TABLES, _repro_e3)}
+EXAMPLE_IDS = tuple(_EXAMPLES)
+
+
 def run_repro(example_id: str) -> ReproResult:
     """Reproduce one pinned instance by id."""
-    if example_id == "E1":
-        return _repro_e1()
-    if example_id == "E2":
-        return _repro_e2()
-    if example_id in _E3_TABLES:
-        return _repro_e3(example_id)
-    raise KeyError(f"unknown example {example_id!r}; expected one of {EXAMPLE_IDS}")
+    run = _EXAMPLES.get(example_id)
+    if run is None:
+        raise KeyError(f"unknown example {example_id!r}; expected one of {EXAMPLE_IDS}")
+    return run(example_id)
 
 
 def run_all() -> list[ReproResult]:

@@ -1092,6 +1092,23 @@ def test_instance_spec_json_type_check_passes_numbers(value):
     assert inputs.numbers("A", value) is None
 
 
+@pytest.mark.parametrize("value, error, message", [
+    (math.inf, InvalidSpec, "q must be finite"),
+    (-math.inf, InvalidSpec, "q must be finite"),
+    (math.nan, InvalidSpec, "q must be finite"),
+    (None, SchemaError, "malformed instance: float() argument must be"),
+    (10 ** 400, SchemaError, "malformed instance: int too large"),
+    ("1", SchemaError, "q: expected a number, got '1'"),
+    (True, SchemaError, "q: expected a number, got True"),
+], ids=repr)
+def test_finite_is_the_number_rule_then_finiteness(value, error, message):
+    with pytest.raises(error) as exc:
+        inputs.finite("q", value)
+    assert str(exc.value).startswith(message)
+    assert inputs.finite("q", np.int64(3)) == 3.0
+    assert type(inputs.finite("q", np.float64(-0.5))) is float
+
+
 def test_instance_spec_json_type_walk_leaves_numbers_alone():
     assert checks.InstanceSpec.from_json_dict(_VALID_JSON).f == "exp"
     # numpy values reach the constructor as before

@@ -1,5 +1,7 @@
 """Tests for the scalar bound constants against 50-digit oracles."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -105,6 +107,21 @@ def test_domain_errors():
         constants.seo_C(0.5, 0.4, 0.5)
     with pytest.raises(DomainError):
         constants.seo_C(0.5, 2.0, 1.0)
+    # a NaN or an infinity: nan returned nan (furuta_F's inf returned inf),
+    # and kantorovich_K's and seo_C's inf warned of an invalid value
+    nan, inf = math.nan, math.inf
+    for call, args in ((constants.kantorovich_K, (nan, 0.5)),
+                       (constants.kantorovich_K, (inf, 0.5)),
+                       (constants.kantorovich_K, (2.0, nan)),
+                       (constants.furuta_F, (nan, 2.0, 0.5)),
+                       (constants.furuta_F, (inf, 2.0, 0.5)),
+                       (constants.furuta_F, (1.0, inf, 0.5)),
+                       (constants.furuta_F, (1.0, nan, 0.5)),
+                       (constants.seo_C, (1.0, inf, 0.5)),
+                       (constants.seo_C, (nan, 2.0, 0.5)),
+                       (constants.seo_C, (1.0, 2.0, nan))):
+        with pytest.raises(DomainError):
+            call(*args)
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +152,16 @@ def test_lemma_bounds_domain():
         constants.lemma_bounds(0.9, 0.5, 2.0, 0.5)  # t below one
     with pytest.raises(DomainError):
         constants.lemma_bounds(3.0, 0.5, 2.0, 0.5)  # t above M
+    with pytest.raises(DomainError):
+        constants.lemma_bounds(math.inf, 0.5, math.inf, 0.5)  # returned (nan, inf, inf)
+    with pytest.raises(DomainError):
+        constants.lemma_bounds(1.5, math.nan, 2.0, 0.5)
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^lemma_bounds needs a finite p"):
+            constants.lemma_bounds(1.5, 0.5, 2.0, p)
+    # the window is still judged first, as before
+    with pytest.raises(DomainError, match="^lemma_bounds needs 0 < m"):
+        constants.lemma_bounds(3.0, 0.5, 2.0, math.nan)
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,3 +203,6 @@ def test_mn2012_gap_domain():
         constants.mn2012_gap(0.5, 0.5)
     with pytest.raises(DomainError):
         constants.mn2012_gap(2.0, 1.5)
+    for s, p in ((math.nan, 0.5), (math.inf, 0.5), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(DomainError):   # s = nan returned nan, s = inf warned
+            constants.mn2012_gap(s, p)

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from opineq import checks, fuzz, linalg, means, sampling
 from opineq.errors import (
     DimensionMismatch,
+    InvalidSpec,
     NotFinite,
     NotPositiveDefinite,
     NotSymmetric,
+    SchemaError,
 )
 
 trials = st.integers(min_value=0, max_value=10 ** 6)
@@ -175,6 +177,14 @@ def test_non_finite_errors_are_opineq_errors():
         linalg.power(np.diag([1e200, 1.0]), 2.0)
     with pytest.raises(NotFinite):
         linalg.power(np.diag([1e-9, 1.0]), -40.0)
+    # an exponent that is not finite, or that float() refuses: inf, nan and
+    # None raised a bare OverflowError, ValueError and TypeError, and -inf
+    # returned the identity
+    for p in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidSpec, match="^p must be finite$"):
+            linalg.power(np.eye(2), p)
+    with pytest.raises(SchemaError, match="^malformed instance: "):
+        linalg.power(np.eye(2), None)
 
 
 def test_power_negative_rejects_singular():
@@ -574,9 +584,40 @@ def test_loewner_compare_threshold_sits_at_tol_rel_times_the_unit_floored_norms(
     assert verdict.is_le is (side < 1.0)
 
 
+@pytest.mark.parametrize("tol_rel", [-1.0, np.inf, np.nan, "x", True], ids=repr)
+def test_loewner_compare_validates_tol_rel(tol_rel):
+    # -1.0 gave a negative tol_used and read I <= 2I as INCOMPARABLE
+    with pytest.raises(InvalidSpec, match="^tolerance must be "):
+        linalg.loewner_compare(np.eye(2), 2.0 * np.eye(2), tol_rel=tol_rel)
+
+
 def test_loewner_compare_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         linalg.loewner_compare(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("call, field", [
+    (linalg.as_square, "matrix"),
+    (lambda a: linalg.as_square(a, "A"), "A"),
+    (lambda a: linalg.require_symmetric(a, "X"), "X"),
+    (linalg.is_symmetric, "matrix"),
+    (linalg.eigvals_sym, "matrix"),
+    (lambda a: linalg.power(a, 2.0), "matrix"),
+    (linalg.norm_op, "matrix"),
+    (linalg.spectral_radius, "matrix"),
+    (linalg.numerical_radius, "matrix"),
+    (lambda a: linalg.loewner_compare(np.eye(2), a), "right operand"),
+    (lambda a: means.weighted_mean(a, np.eye(2), 0.5), "A"),
+    (lambda a: means.tsallis_entropy(np.eye(2), a, 0.5), "B"),
+])
+@pytest.mark.parametrize("bad", ["1", True, np.True_, 1j], ids=repr)
+def test_public_matrix_functions_apply_the_number_rule(call, field, bad):
+    # spectral_radius read [["1", 0], [0, 1]] as the identity, and
+    # eigvals_sym a bool as 0 or 1
+    with pytest.raises(SchemaError, match=f"^{field}: expected a number, got "):
+        call([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(SchemaError, match=f"^{field}: expected a number, got "):
+        call(np.array([[1.0, bad], [bad, 1.0]], dtype=object))
 
 
 @pytest.mark.parametrize("call, first", [

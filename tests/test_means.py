@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opineq import linalg, means, sampling
-from opineq.errors import NotPositiveDefinite, ZeroParameter
+from opineq.errors import InvalidSpec, NotPositiveDefinite, SchemaError, ZeroParameter
 
 A_REF = np.array([[2.0, 3.0], [3.0, 5.0]])
 B_REF = np.array([[3.0, 4.0], [4.0, 6.0]])
@@ -137,6 +137,18 @@ def test_tsallis_stack_with_mixed_p_gives_each_row_its_bits_alone():
 def test_tsallis_rejects_p0():
     with pytest.raises(ZeroParameter):
         means.tsallis_entropy(A_REF, B_REF, 0.0)
+
+
+@pytest.mark.parametrize("call", [means.weighted_mean, means.tsallis_entropy],
+                         ids=["weighted_mean", "tsallis_entropy"])
+def test_an_exponent_that_is_not_finite_is_refused(call):
+    # inf, nan and None raised a bare OverflowError, ValueError and
+    # TypeError, and -inf NotFinite from the power it overflowed
+    for p in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidSpec, match="^p must be finite$"):
+            call(A_REF, B_REF, p)
+    with pytest.raises(SchemaError, match="^malformed instance: "):
+        call(A_REF, B_REF, None)
 
 
 def test_tsallis_small_p_approaches_log():

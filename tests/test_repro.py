@@ -54,7 +54,8 @@ def test_e3_tables_use_truncated_norm():
 
 
 def test_unknown_example_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown example 'E7'; expected one of "
+                                       r"\('E1', 'E2', 'E3i', 'E3ii', 'E3iii'\)"):
         repro.run_repro("E7")
 
 
