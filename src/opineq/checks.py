@@ -182,7 +182,7 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
     parts, which are reported as 1x1 matrices; a stack of 1x1 matrices
     is read as scalars.
     Each instance's parts keep the order of part_specs.  An instance's
-    tolerance is linalg._scaled(tol_rel, norms of the sides of all its
+    tolerance is linalg._unit_scaled(tol_rel, norms of the sides of all its
     parts), so no part is judged with a tighter yardstick than another.
     spectra is the Spectra the body ran on, so a side that several parts
     share, or that the body already took the norm of, is not decomposed again.
@@ -228,7 +228,7 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
             parts[i].append(CheckPart(name, lhs[j], rhs[j], gap))
     reports = []
     for i in range(size):
-        tol_used = linalg._scaled(tol_rel, *mags[i])
+        tol_used = linalg._unit_scaled(tol_rel, *mags[i])
         if parts[i]:
             worst = min(parts[i], key=lambda part: part.gap_min_eig)
             gap_min_eig, lhs, rhs = worst.gap_min_eig, worst.lhs, worst.rhs
@@ -295,38 +295,34 @@ class InstanceSpec:
     f: str = "power"
 
     def __post_init__(self):
-        try:   # each value is type-checked, converted and validated here, once
-            a = linalg.as_square(self.A, "A")
-            object.__setattr__(self, "A", a)
-            if self.B is not None:
-                b = linalg.as_square(self.B, "B")
-                if b.shape != a.shape:
-                    raise DimensionMismatch(
-                        f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
-                    )
-                object.__setattr__(self, "B", b)
-            for label in ("p", "m", "M"):
-                value = getattr(self, label)
-                if value is not None or label == "p":
-                    object.__setattr__(self, label, inputs.finite(label, value))
-            if self.m is not None and self.M is not None and self.m > self.M:
-                raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
-            if self.x is not None:
-                inputs.numbers("x", self.x)
-                x = np.asarray(self.x, dtype=float)
-                if x.shape != (a.shape[0],):
-                    raise DimensionMismatch(
-                        f"x must be a vector of length {a.shape[0]}, got shape {x.shape}")
-                if not np.all(np.isfinite(x)):
-                    raise InvalidSpec("x must be finite")
-                object.__setattr__(self, "x", x)
-            if self.f not in _F_KINDS:
-                raise InvalidSpec(
-                    f"unknown function kind {self.f!r}; expected one of {_F_KINDS}")
-        except OpineqError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:   # not a number
-            raise SchemaError(f"malformed instance: {exc}") from exc
+        # each value is type-checked, converted and validated here, once
+        a = linalg.as_square(self.A, "A")
+        object.__setattr__(self, "A", a)
+        if self.B is not None:
+            b = linalg.as_square(self.B, "B")
+            if b.shape != a.shape:
+                raise DimensionMismatch(
+                    f"A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
+                )
+            object.__setattr__(self, "B", b)
+        for label in ("p", "m", "M"):
+            value = getattr(self, label)
+            if value is not None or label == "p":
+                object.__setattr__(self, label, inputs.finite(label, value))
+        if self.m is not None and self.M is not None and self.m > self.M:
+            raise InvalidSpec(f"m={self.m} exceeds M={self.M}")
+        if self.x is not None:
+            x = inputs.floats("x", self.x)
+            if x.shape != (a.shape[0],):
+                raise DimensionMismatch(
+                    f"x must be a vector of length {a.shape[0]}, got shape {x.shape}")
+            if not np.all(np.isfinite(x)):
+                raise InvalidSpec("x must be finite")
+            object.__setattr__(self, "x", x)
+        if not isinstance(self.f, str):
+            raise SchemaError(f"f must be a string, got {self.f!r}")
+        if self.f not in _F_KINDS:
+            raise InvalidSpec(f"unknown function kind {self.f!r}; expected one of {_F_KINDS}")
 
     @classmethod
     def _trusted(cls, **fields) -> "InstanceSpec":
@@ -343,36 +339,27 @@ class InstanceSpec:
         unknown = sorted(set(data) - set(_INSTANCE_KEYS))
         if unknown:
             raise SchemaError(f"unknown instance keys: {', '.join(unknown)}")
-        for key in ("A", "p"):
+        for key in _REQUIRED_KEYS:
             if key not in data:
                 raise SchemaError(f"instance is missing the required key {key!r}")
-        if not isinstance(data.get("f", ""), str):
-            raise SchemaError(f"f must be a string, got {data['f']!r}")
         map_spec = data.get("map")
         if map_spec is not None:
             map_spec = maps.MapSpec.from_json_dict(map_spec)
         return cls(**{**data, "map": map_spec})
 
     def to_json_dict(self) -> dict:
-        """The instance as JSON values; __post_init__ already made each
-        one exact, so the arrays are written with one tolist() each."""
-        out = {"A": self.A.tolist(), "p": self.p}
-        if self.B is not None:
-            out["B"] = self.B.tolist()
-        if self.map is not None:
-            out["map"] = self.map.to_json_dict()
-        if self.m is not None:
-            out["m"] = self.m
-        if self.M is not None:
-            out["M"] = self.M
-        if self.x is not None:
-            out["x"] = self.x.tolist()
-        if self.f != "power":
-            out["f"] = self.f
-        return out
+        """The instance as JSON values: each field that is set, and f when it
+        is not "power".  __post_init__ already made each value exact, so an
+        array is written with one tolist()."""
+        out = {key: getattr(self, key) for key in _INSTANCE_KEYS}
+        if out["f"] == "power":
+            del out["f"]
+        return {key: value.to_json_dict() if key == "map" else maps._plain(value)
+                for key, value in out.items() if value is not None}
 
 
 _INSTANCE_KEYS = tuple(field.name for field in dataclasses.fields(InstanceSpec))
+_REQUIRED_KEYS = ("A", "p")   # of an instance file; the other keys are optional
 
 
 # ----------------------------------------------------------------------

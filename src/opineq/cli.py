@@ -195,28 +195,17 @@ def _witness_path(json_path: str | None) -> str:
     return json_path + ".witness.json"
 
 
+# the summary CSV's header and row order: a report's own check_id,
+# gap_min_eig and verdict, its params' other values; csv writes None as ""
+_CSV_COLUMNS = ("check_id", "dim", "p", "m", "M", "gap_min_eig", "verdict", "seed", "trial")
+
+
 def _csv_text(reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check_id", "dim", "p", "m", "M",
-                     "gap_min_eig", "verdict", "seed", "trial"])
-    for report in reports:
-        params = report.params
-
-        def cell(value):
-            return "" if value is None else value
-
-        writer.writerow([
-            report.check_id,
-            cell(params.get("dim")),
-            cell(params.get("p")),
-            cell(params.get("m")),
-            cell(params.get("M")),
-            cell(report.gap_min_eig),
-            report.verdict,
-            cell(params.get("seed")),
-            cell(params.get("trial")),
-        ])
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows([getattr(report, column, report.params.get(column))
+                      for column in _CSV_COLUMNS] for report in reports)
     return buf.getvalue()
 
 
@@ -341,9 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate one check on an instance file")
     ev.add_argument("--check", required=True, metavar="ID")
+    optional = [key for key in checks._INSTANCE_KEYS if key not in checks._REQUIRED_KEYS]
     ev.add_argument("--input", required=True, metavar="PATH",
-                    help="JSON file with keys A, p and optionally "
-                         "B, map, m, M, x, f")
+                    help=f"JSON file with keys {', '.join(checks._REQUIRED_KEYS)} and "
+                         f"optionally {', '.join(optional)}")
     ev.add_argument("--tol", type=float, default=None,
                     help=f"relative tolerance (default {linalg.DEFAULT_TOL_REL:g}, "
                          "or OPINEQ_TOL)")

@@ -85,6 +85,17 @@ def number(field: str, value) -> float:
     return float(value)
 
 
+def floats(field: str, value) -> np.ndarray:
+    """value as a float64 array, once numbers(field, value) lets it through;
+    SchemaError("malformed instance: ...") for what numpy cannot read as
+    floats, such as a ragged list, a dict or an int past the float range."""
+    numbers(field, value)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed instance: {exc}") from exc
+
+
 def finite(field: str, value) -> float:
     """number(field, value); SchemaError("malformed instance: ...") for what
     float() refuses, InvalidSpec("<field> must be finite") for inf or nan."""

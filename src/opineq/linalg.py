@@ -53,10 +53,12 @@ from .errors import (
 
 # Tolerance policy: every threshold the engine compares against, named
 # once, by what it scales with; picked, not yet fitted (ROADMAP item 3).
-#   (a) against operand magnitudes, with a unit floor: _scaled(rel, *mags)
-#       = rel * max(1, *mags), so below magnitude 1 it is rel itself and not
-#       scale invariant (ROADMAP item 8).  tol_rel takes it in Spectra.compare,
-#       checks._finish, mond_pecaric's gate and repro's E3 gaps.
+#   (a) against the largest of the operand magnitudes it compares:
+#       _scaled(rel, *mags) = rel * max(mags), homogeneous, and 0 at an exact
+#       zero scale.  tol_rel takes it in Spectra.compare and mond_pecaric's gate.
+#       checks._finish's tol_used and repro's E3 gap alone keep a unit floor,
+#       _unit_scaled(rel, *mags) = rel * max(1, *mags), which below magnitude 1
+#       is rel itself and not scale invariant (ROADMAP item 8b).
 #   (b) homogeneous relative, rel * magnitude.  (c) absolute, dimensionless.
 DEFAULT_TOL_REL = 1e-9      # tol_rel of the checks, eval and loewner_compare
 FUZZ_TOL_REL = 1e-8         # of run_fuzz: its instances stack more rounding
@@ -77,9 +79,14 @@ _SUPPORT_TOL = 1e-12        # (c) mond_pecaric: squared overlaps that carry weig
 _RADIUS_IMAG = 1e-4         # (c) numerical_radius: |Re sigma| / (1 + |sigma|) of a root
 
 
+def _unit_scaled(rel: float, *magnitudes: float) -> float:
+    """Rule (a) with its unit floor, for tol_used and repro's E3 alone."""
+    return rel * max((1.0, *magnitudes))
+
+
 def _scaled(rel: float, *magnitudes: float) -> float:
     """Rule (a) of the tolerance policy."""
-    return rel * max((1.0, *magnitudes))
+    return rel * max(magnitudes)
 
 
 # _gram_spectrum rescales A when max |a_ij| leaves this range
@@ -97,9 +104,9 @@ INCOMPARABLE = "INCOMPARABLE"
 
 
 def as_square(a, field: str = "matrix") -> np.ndarray:
-    """Coerce to a float64 square matrix, validating type, shape and finiteness."""
-    inputs.numbers(field, a)
-    m = np.asarray(a, dtype=float)
+    """Coerce to a float64 square matrix, validating type (inputs.floats),
+    shape and finiteness."""
+    m = inputs.floats(field, a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -116,7 +123,7 @@ def _is_symmetric(m: np.ndarray) -> np.ndarray:
     exact = m == mt
     if exact.all():
         return np.True_
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    scale = np.abs(m).max(axis=(-2, -1))
     return exact.all(axis=(-2, -1)) | (np.abs(m - mt).max(axis=(-2, -1)) <= SYM_RTOL * scale)
 
 

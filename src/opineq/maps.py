@@ -31,7 +31,8 @@ COMPRESSION = "compression"
 PINCHING = "pinching"
 MIXED_UNITARY = "mixed_unitary"
 
-# each kind's JSON fields, in the order its constructor (its name) takes them
+# each kind's JSON fields, in the order its constructor (its name) takes them:
+# from_json_dict reads them and to_json_dict writes them
 _FIELDS = {NORMALIZED_TRACE: ("dim",), COMPRESSION: ("isometry",),
            PINCHING: ("partition", "dim"), MIXED_UNITARY: ("weights", "unitaries")}
 KINDS = tuple(_FIELDS)
@@ -111,21 +112,9 @@ class MapSpec:
         )
 
     def to_json_dict(self) -> dict:
-        if self.kind == NORMALIZED_TRACE:
-            return {"kind": self.kind, "dim": self.in_dim}
-        if self.kind == COMPRESSION:
-            return {"kind": self.kind, "isometry": self.isometry.tolist()}
-        if self.kind == PINCHING:
-            return {
-                "kind": self.kind,
-                "dim": self.in_dim,
-                "partition": [list(b) for b in self.partition],
-            }
-        return {
-            "kind": self.kind,
-            "weights": self.weights.tolist(),
-            "unitaries": [u.tolist() for u in self.unitaries],
-        }
+        """{"kind": kind} and the kind's _FIELDS, "dim" being in_dim."""
+        return {"kind": self.kind, **{key: _plain(getattr(self, "in_dim" if key == "dim" else key))
+                                      for key in _FIELDS[self.kind]}}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MapSpec":
@@ -147,6 +136,13 @@ class MapSpec:
             return getattr(cls, kind)(*(obj[key] for key in _FIELDS[kind]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"malformed map spec: {exc}") from exc
+
+
+def _plain(value):
+    """A field as JSON values: an array, and a tuple of arrays or of tuples, as lists."""
+    if type(value) is tuple:
+        return [item.tolist() if type(item) is np.ndarray else list(item) for item in value]
+    return value.tolist() if type(value) is np.ndarray else value
 
 
 def apply_map(spec: MapSpec, x) -> np.ndarray:

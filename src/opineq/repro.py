@@ -145,7 +145,7 @@ def _repro_e3(example_id: str) -> ReproResult:
     items = (
         _item("entrywise_max_dev", dev, 0.0, tol, "abs"),
         _item("gap_min_eig", min_eig, 0.0,
-              linalg._scaled(linalg.DEFAULT_TOL_REL, linalg.norm_op(gap)), "lower_bound"),
+              linalg._unit_scaled(linalg.DEFAULT_TOL_REL, linalg.norm_op(gap)), "lower_bound"),
         _item("check_holds", report.verdict == checks.HOLDS, True, 0.0, "bool"),
     )
     return ReproResult(example_id, items, all(i.passed for i in items))

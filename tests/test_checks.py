@@ -977,6 +977,17 @@ def test_tolerance_gates_scale_together():
     assert loose.verdict == checks.HOLDS
 
 
+@pytest.mark.parametrize("s", [1e6, 1.0, 1e-3, 1e-7, 1e-9, 2.0 ** -60, 1e-200])
+def test_order_gate_is_homogeneous(s):
+    # B - A = s diag(-0.001, 1) breaks A <= B at every scale; with a unit
+    # floor the gate let it pass below s = 1e-6, and the sides read FAILS
+    # at s = 1e-7 and 1e-9, HOLDS at 2^-60
+    rep = checks.run_check("lowner_heinz",
+                           _inst(s * np.eye(2), s * np.diag([0.999, 2.0]), p=0.5))
+    assert rep.verdict == checks.HYPOTHESIS_VIOLATED
+    assert rep.hypothesis_note.startswith("A is not below B")
+
+
 def test_report_tol_used_scales_with_operands():
     big = 1e6 * np.eye(2)
     rep = checks.run_check("lowner_heinz", _inst(big, big + np.eye(2), p=0.5),
@@ -1124,6 +1135,9 @@ def test_instance_spec_validation():
         checks.InstanceSpec(A=np.eye(2), p=1.0, m=2.0, M=1.0)
     with pytest.raises(InvalidSpec):
         checks.InstanceSpec(A=np.eye(2), p=1.0, f="sin")
+    # the library path gives the JSON path's refusal of a non-string f
+    with pytest.raises(SchemaError, match=r"^f must be a string, got 3$"):
+        checks.InstanceSpec(A=np.eye(2), f=3)
     with pytest.raises(Exception):
         checks.InstanceSpec(A=np.eye(2), B=np.eye(3), p=1.0)
 

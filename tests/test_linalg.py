@@ -42,24 +42,25 @@ def test_require_symmetric_rejects_skew():
         linalg.require_symmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-# Where the thresholds sit today, one value either side (0.9 and 1.1 of
-# it), at a magnitude below one, where the unit floor binds, and above.
+# Where the thresholds sit, one value either side (0.9 and 1.1 of it), at
+# a magnitude below one and above: each scales with what it compares, with
+# no unit floor (ROADMAP item 8a).
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3])
 @pytest.mark.parametrize("side", [0.9, 1.1])
-def test_symmetry_threshold_sits_at_sym_rtol_times_the_unit_floored_entries(scale, side):
-    # max |a_ij - a_ji| <= 1e-12 * max(1, max |a_ij|), SYM_RTOL = 1e-12
-    a = np.array([[scale, 0.0], [side * 1e-12 * max(1.0, scale), scale]])
+def test_symmetry_threshold_sits_at_sym_rtol_times_the_largest_entry(scale, side):
+    # max |a_ij - a_ji| <= 1e-12 * max |a_ij|, SYM_RTOL = 1e-12
+    a = np.array([[scale, 0.0], [side * 1e-12 * scale, scale]])
     assert linalg.is_symmetric(a) is (side < 1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3])
 @pytest.mark.parametrize("side", [0.9, 1.1])
-def test_positivity_floor_sits_at_pos_eig_rtol_times_the_unit_floored_spectrum(scale, side):
-    # eigenvalues within 1e-10 * max(1, max |lambda|) of zero count as zero,
+def test_positivity_floor_sits_at_pos_eig_rtol_times_the_spectrum(scale, side):
+    # eigenvalues within 1e-10 * max |lambda| of zero count as zero,
     # POS_EIG_RTOL = 1e-10: a fractional power admits -0.9 of the floor and
     # refuses -1.1 of it; a negative power refuses 0.9 and admits 1.1
-    floor = 1e-10 * max(1.0, scale)
+    floor = 1e-10 * scale
     psd, pd = np.diag([-side * floor, scale]), np.diag([side * floor, scale])
     for a, p, ok in ((psd, 0.5, side < 1.0), (pd, -1.0, side > 1.0)):
         if ok:
@@ -185,6 +186,17 @@ def test_non_finite_errors_are_opineq_errors():
             linalg.power(np.eye(2), p)
     with pytest.raises(SchemaError, match="^malformed instance: "):
         linalg.power(np.eye(2), None)
+
+
+@pytest.mark.parametrize("call", [
+    linalg.as_square, linalg.norm_op, linalg.numerical_radius,
+    lambda a: means.weighted_mean(a, np.eye(2), 0.5),
+], ids=["as_square", "norm_op", "numerical_radius", "weighted_mean"])
+@pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], {}], ids=["ragged", "dict"])
+def test_what_numpy_cannot_read_is_a_malformed_instance(call, value):
+    # a ragged list raised a bare ValueError, a dict a bare TypeError
+    with pytest.raises(SchemaError, match="^malformed instance: "):
+        call(value)
 
 
 def test_power_negative_rejects_singular():
@@ -574,14 +586,25 @@ def test_loewner_compare_tolerance_scales_with_norm():
 
 @pytest.mark.parametrize("scale", [1e-3, 1e6])
 @pytest.mark.parametrize("side", [0.9, 1.1])
-def test_loewner_compare_threshold_sits_at_tol_rel_times_the_unit_floored_norms(scale, side):
-    # L <= R while lambda_min(R - L) >= -tol_rel * max(1, ||L||, ||R||):
+def test_loewner_compare_threshold_sits_at_tol_rel_times_the_norms(scale, side):
+    # L <= R while lambda_min(R - L) >= -tol_rel * max(||L||, ||R||):
     # one dip either side of it
-    tol = 1e-9 * max(1.0, scale)
+    tol = 1e-9 * scale
     left = scale * np.eye(2)
     verdict = linalg.loewner_compare(left, left - np.diag([side * tol, 0.0]), tol_rel=1e-9)
     assert verdict.tol_used == pytest.approx(tol, rel=1e-12)
     assert verdict.is_le is (side < 1.0)
+
+
+def test_an_exact_zero_scale_gives_a_zero_threshold():
+    zero = np.zeros((2, 2))
+    verdict = linalg.loewner_compare(zero, zero)
+    assert verdict.tol_used == 0.0 and verdict.relation == linalg.EQ
+    assert linalg.is_symmetric(zero)
+    assert not linalg.loewner_compare(zero, np.diag([-1e-300, 0.0])).is_le
+    assert not linalg.power(zero, 0.5).any()
+    with pytest.raises(NotPositiveDefinite):
+        linalg.power(np.diag([-1e-300, 0.0]), 0.5)
 
 
 @pytest.mark.parametrize("tol_rel", [-1.0, np.inf, np.nan, "x", True], ids=repr)

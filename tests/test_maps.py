@@ -1,5 +1,6 @@
 """Tests for the positive unital map layer."""
 
+import json
 import warnings
 
 import numpy as np
@@ -63,7 +64,12 @@ def test_verify_map_accepts(spec):
 
 @pytest.mark.parametrize("spec", _all_specs(), ids=lambda s: s.kind)
 def test_map_json_roundtrip(spec):
-    back = maps.MapSpec.from_json_dict(spec.to_json_dict())
+    # the kind and its _FIELDS, as JSON values, read back to the same map
+    data = spec.to_json_dict()
+    assert set(data) == {"kind", *maps._FIELDS[spec.kind]}
+    assert json.loads(json.dumps(data)) == data
+    back = maps.MapSpec.from_json_dict(data)
+    assert back.to_json_dict() == data
     assert back.kind == spec.kind
     assert back.in_dim == spec.in_dim
     assert back.out_dim == spec.out_dim
