@@ -184,8 +184,10 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
     Each instance's parts keep the order of part_specs.  An instance's
     tolerance is linalg._unit_scaled(tol_rel, norms of the sides of all its
     parts), so no part is judged with a tighter yardstick than another.
-    spectra is the Spectra the body ran on, so a side that several parts
-    share, or that the body already took the norm of, is not decomposed again.
+    The gaps and side norms of every matrix part of one shape come from
+    one stacked eigensolve on spectra, the Spectra the body ran on: the
+    differences rhs - lhs, then the Gram matrices (linalg._gram) of each
+    distinct side stack, entering once however many parts share it.
 
     It guards the verdicts against sides that left the float range: a
     part whose gap is not finite raises NotFinite, since a Python float
@@ -196,8 +198,6 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
     part_specs = [(name, lhs[:, 0, 0].tolist(), rhs[:, 0, 0].tolist(), rows)
                   if not isinstance(lhs, list) and lhs.shape[-2:] == (1, 1)
                   else (name, lhs, rhs, rows) for name, lhs, rhs, rows in part_specs]
-    # the gaps and side norms of every matrix part of one shape come from
-    # two stacked eigensolves, each distinct side stack entering once
     gaps, norms = {}, {}
     by_shape: dict[tuple, list] = {}
     for _, lhs, rhs, _ in part_specs:
@@ -205,11 +205,13 @@ def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
             by_shape.setdefault(lhs.shape[-2:], []).append((lhs, rhs))
     for specs in by_shape.values():
         diffs = [rhs - lhs for lhs, rhs in specs]
-        low = spectra.eigvals(_concat(diffs))[:, 0].tolist()
-        for (lhs, rhs), g in zip(specs, _split(low, diffs)):
-            gaps[id(lhs), id(rhs)] = g
         sides = list({id(x): x for spec in specs for x in spec}.values())
-        for x, values in zip(sides, _split(spectra.norm_op(_concat(sides)).tolist(), sides)):
+        grams, e = linalg._gram(_concat(sides))
+        lam = spectra.eigvals(np.concatenate((*diffs, grams)))
+        k = len(lam) - len(grams)
+        for (lhs, rhs), g in zip(specs, _split(lam[:k, 0].tolist(), diffs)):
+            gaps[id(lhs), id(rhs)] = g
+        for x, values in zip(sides, _split(linalg._top_norm(lam[k:], e).tolist(), sides)):
             norms[id(x)] = values
     parts = [[] for _ in range(size)]
     mags = [[] for _ in range(size)]
@@ -493,8 +495,9 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
 # ----------------------------------------------------------------------
 
 def _stack(mats) -> np.ndarray:
-    """The group's matrices as one (g, n, n) stack; a group of one is a view."""
-    return mats[0][None] if len(mats) == 1 else np.stack(mats)
+    """The group's matrices as one (g, n, n) stack; a group of one is a view.
+    Matrices of different shapes raise ValueError."""
+    return mats[0][None] if len(mats) == 1 else np.array(mats)
 
 
 def _col(values) -> np.ndarray:
@@ -595,6 +598,12 @@ def _eigvals(sp, *mats) -> list:
     return _split(sp.eigvals(_concat(mats)), mats)
 
 
+def _norms(sp, *mats) -> list:
+    """The operator norms of several stacks of one shape, as lists, from one
+    stacked eigensolve."""
+    return _split(sp.norm_op(_concat(mats)).tolist(), mats)
+
+
 def _powers(sp, ps, *mats) -> list:
     """Each stack raised to the group's exponents, from one stacked eigensolve."""
     return _split(sp.power(_concat(mats), ps * len(mats)), mats)
@@ -607,10 +616,18 @@ def _norm(lam) -> list:
 
 def _order(sp, lo, hi, tol_rel, names) -> list:
     """The notes, one per instance of the group, for the hypothesis lo <= hi
-    in the Loewner order; names = (name of lo, name of hi) for the note."""
-    return ["" if o.is_le else (f"{names[0]} is not below {names[1]} "
-                                f"(min eig of {names[1]} - {names[0]} is {o.gap_min_eig:.6g})")
-            for o in sp.compare(lo, hi, tol_rel)]
+    in the Loewner order (linalg._is_le); names = (name of lo, name of hi)
+    for the note.  The norms of lo and hi set only the tolerance of a
+    negative gap, so they are taken for those instances alone."""
+    gaps = sp.eigvals(linalg._require_symmetric(hi - lo))[:, 0].tolist()
+    notes = [""] * len(gaps)
+    neg = [i for i, gap in enumerate(gaps) if gap < 0.0]
+    if neg:
+        for i, x, y in zip(neg, *sp.norm_op(np.array((lo[neg], hi[neg]))).tolist()):
+            if not linalg._is_le(gaps[i], tol_rel, x, y):
+                notes[i] = (f"{names[0]} is not below {names[1]} "
+                            f"(min eig of {names[1]} - {names[0]} is {gaps[i]:.6g})")
+    return notes
 
 
 def _norm_dominance(sp, lams, b, tol_rel):
@@ -807,7 +824,7 @@ def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params, lams):
         f_term = _col([params[i]["furuta_F"] for i in rows]) * pa
         part_specs += [("kantorovich_upper", t_out, mapped + k_term, rows),
                        ("linear_upper", t_out, mapped + f_term, rows)]
-        for i, kn, fn in zip(rows, sp.norm_op(k_term).tolist(), sp.norm_op(f_term).tolist()):
+        for i, kn, fn in zip(rows, *_norms(sp, k_term, f_term)):
             params[i]["kantorovich_term_norm"] = kn
             params[i]["linear_term_norm"] = fn
         keep = [j for j, i in enumerate(rows) if holds[i]]
@@ -1184,8 +1201,7 @@ def check_power_norm(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     ||AB||^p when p is in [0, 1] and at least ||AB||^p when p >= 1; both
     hold with equality at the boundary exponents.
     """
-    nab = sp.norm_op(a @ b).tolist()
-    napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
+    nab, napb = _norms(sp, a @ b, np.matmul(*_powers(sp, ps, a, b)))
     for par, x, y in zip(params, nab, napb):
         par.update(norm_AB=x, norm_ApBp=y)
     nab_p = [t ** p for t, p in zip(nab, ps)]
@@ -1212,8 +1228,7 @@ def check_norm_refinement(insts, sp, tol_rel, a, b, ps, phis, params, lams):
                      with D = ||A^p B^p||^{1/p} - ||AB||.
     """
     windows = _outer_windows(insts, params, *lams)
-    nab = sp.norm_op(a @ b).tolist()
-    napb = sp.norm_op(np.matmul(*_powers(sp, ps, a, b))).tolist()
+    nab, napb = _norms(sp, a @ b, np.matmul(*_powers(sp, ps, a, b)))
     below, above = [], []    # (lower, mid, upper) of the p <= 1 and p >= 1 branches
     for p, par, (m, M), x, y in zip(ps, params, windows, nab, napb):
         par.update(norm_AB=x, norm_ApBp=y)

@@ -28,12 +28,15 @@ Two layers share that contract:
   power, square root and norm of its group of instances runs through;
   fuzz.run_fuzz shares one Spectra between a chunk's sampler and its
   check groups.  means.weighted_mean and means.tsallis_entropy take it
-  as `spectra=`; maps.apply_map and checks._finish never re-validate.
+  as `spectra=`; maps.apply_map, given float64, and checks._finish
+  never re-validate.
 
 Loewner comparisons never return a bare bool.  loewner_compare reports
 the signed gap (the smallest eigenvalue of R - L) together with the
 absolute tolerance that was applied, so callers can log how close a
-verdict was to flipping.
+verdict was to flipping.  An order gate that needs only L <= R
+(checks._order) applies the same rule, _is_le, and takes the norms of
+L and R only where the gap is negative.
 """
 
 from __future__ import annotations
@@ -89,7 +92,13 @@ def _scaled(rel: float, *magnitudes: float) -> float:
     return rel * max(magnitudes)
 
 
-# _gram_spectrum rescales A when max |a_ij| leaves this range
+def _is_le(gap: float, rel: float, norm_l: float, norm_r: float) -> bool:
+    """L <= R from gap = lambda_min(R - L): gap >= -_scaled(rel, ||L||, ||R||),
+    which a gap >= 0 meets whatever the norms."""
+    return gap >= -_scaled(rel, norm_l, norm_r)
+
+
+# _gram rescales A when max |a_ij| leaves this range
 _SV_SAFE_LO, _SV_SAFE_HI = 2.0 ** -480, 2.0 ** 480
 # numerical_radius: grid intervals on [0, pi] (even: _radius_grid reflects
 # them), the cap on polish steps per start and the cap on level-set tests
@@ -205,6 +214,29 @@ def _edges(w: np.ndarray) -> list:
     return list(zip(w[:, 0].tolist(), w[:, -1].tolist()))
 
 
+def _gram(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """B^T B for B = A / 2**e, and e, matrix by matrix over a stack.
+
+    A^T A squares the entries, so A is divided by an exact power of two
+    when max |a_ij| lies outside [2^-480, 2^480], where the squares would
+    overflow or underflow.  In-range inputs get e = 0 and keep every bit;
+    e is None when every matrix is in range.
+    """
+    peak = np.abs(a).max(axis=(-2, -1))
+    e = None
+    if any(x > 0.0 and not _SV_SAFE_LO <= x <= _SV_SAFE_HI for x in peak.ravel().tolist()):
+        out = (peak > 0.0) & ((peak < _SV_SAFE_LO) | (peak > _SV_SAFE_HI))
+        e = np.where(out, np.frexp(peak)[1], 0)
+        a = np.ldexp(a, -e[..., None, None])
+    return a.swapaxes(-1, -2) @ a, e
+
+
+def _top_norm(w: np.ndarray, e: np.ndarray | None) -> np.ndarray:
+    """The operator norms 2**e sqrt(lambda_max) from the spectra w of _gram's matrices."""
+    top = np.sqrt(np.maximum(w[..., -1], 0.0))
+    return top if e is None else np.ldexp(top, e)
+
+
 def _per_matrix(p, a: np.ndarray) -> list:
     """p as one float per matrix of the stack a: a scalar p is shared."""
     if hasattr(p, "__len__"):
@@ -311,26 +343,26 @@ class Spectra:
             groups.setdefault(q, []).append(i)
         vals = np.ones_like(w) if trivial or len(groups) > 1 else None
         clipped = set()
-        for q, rows in groups.items():
-            if q == 0.0 or q == 1.0:
-                continue
-            rows = slice(rows[0], rows[-1] + 1) if len(rows) == rows[-1] - rows[0] + 1 else rows
-            wq = w[rows]
-            if q < 0.0:
-                _require_floor(wq, True, f"negative power {q} needs eigenvalues bounded "
-                                         f"away from zero, min is {{lo:.3e}}")
-            elif q != int(q):
-                _require_floor(wq, False, f"fractional power {q} needs a PSD matrix, "
-                                          f"min eigenvalue {{lo:.3e}}")
-                if not min(wq[:, 0].tolist()) > 0.0:
-                    wq = np.clip(wq, 0.0, None)     # the zero eigenvalues within the floor
-                    clipped.add(q)
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for q, rows in groups.items():
+                if q == 0.0 or q == 1.0:
+                    continue
+                rows = slice(rows[0], rows[-1] + 1) if len(rows) == rows[-1] - rows[0] + 1 else rows
+                wq = w[rows]
+                if q < 0.0:
+                    _require_floor(wq, True, f"negative power {q} needs eigenvalues bounded "
+                                             f"away from zero, min is {{lo:.3e}}")
+                elif q != int(q):
+                    _require_floor(wq, False, f"fractional power {q} needs a PSD matrix, "
+                                              f"min eigenvalue {{lo:.3e}}")
+                    if not min(wq[:, 0].tolist()) > 0.0:
+                        wq = np.clip(wq, 0.0, None)     # the zero eigenvalues within the floor
+                        clipped.add(q)
                 vq = np.power(wq, q)
-            if vals is None:    # one exponent for every matrix
-                vals = vq
-            else:
-                vals[rows] = vq
+                if vals is None:    # one exponent for every matrix
+                    vals = vq
+                else:
+                    vals[rows] = vq
         if not np.isfinite(vals).all():
             i = int(np.argmin(np.isfinite(vals).all(axis=-1)))
             wi = np.clip(w[i], 0.0, None) if ps[i] in clipped else w[i]
@@ -361,7 +393,8 @@ class Spectra:
 
     def compare(self, l: np.ndarray, r: np.ndarray, tol_rel: float) -> list:
         """loewner_compare for trusted operands of one shape: one
-        LoewnerVerdict per matrix, in order."""
+        LoewnerVerdict per matrix, in order, each with its tolerance, so
+        the norms are taken for every matrix (checks._order needs fewer)."""
         d = r - l
         # two operands accepted one by one can still differ by a matrix
         # that is not symmetric relative to its own, smaller, scale
@@ -369,10 +402,10 @@ class Spectra:
         n = d.shape[-1]
         diff = self.eigvals(d).reshape(-1, n)
         verdicts = []
-        norms = self.norm_op(np.stack((l, r))).reshape(2, -1).tolist()
+        norms = self.norm_op(np.array((l, r))).reshape(2, -1).tolist()
         for lo, hi, nl, nr in zip(diff[:, 0].tolist(), diff[:, -1].tolist(), *norms):
             tol = _scaled(tol_rel, nl, nr)
-            le = lo >= -tol
+            le = _is_le(lo, tol_rel, nl, nr)
             ge = hi <= tol
             if le and ge:
                 relation = EQ
@@ -386,21 +419,11 @@ class Spectra:
         return verdicts
 
     def gram_spectrum(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Ascending eigenvalues of B^T B for B = A / 2**e, and e.
-
-        A^T A squares the entries, so A is divided by an exact power of two
-        when max |a_ij| lies outside [2^-480, 2^480], where the squares would
-        overflow or underflow.  In-range inputs get e = 0 and keep every bit;
-        e is None when every matrix is in range.  The input may be any
-        square float matrix, or stack of them, with one e per matrix.
-        """
-        peak = np.abs(a).max(axis=(-2, -1))
-        e = None
-        if any(x > 0.0 and not _SV_SAFE_LO <= x <= _SV_SAFE_HI for x in peak.ravel().tolist()):
-            out = (peak > 0.0) & ((peak < _SV_SAFE_LO) | (peak > _SV_SAFE_HI))
-            e = np.where(out, np.frexp(peak)[1], 0)
-            a = np.ldexp(a, -e[..., None, None])
-        return self.eigvals(a.swapaxes(-1, -2) @ a), e
+        """Ascending eigenvalues of B^T B for B = A / 2**e, and e (_gram).
+        The input may be any square float matrix, or stack of them, with
+        one e per matrix."""
+        g, e = _gram(a)
+        return self.eigvals(g), e
 
     def scaled_singular_values(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Singular values of B = A / 2**e, descending, and e (see gram_spectrum)."""
@@ -415,9 +438,7 @@ class Spectra:
 
     def norm_op(self, a: np.ndarray) -> np.ndarray:
         """Operator norm of any square matrix, the largest singular value."""
-        w, e = self.gram_spectrum(a)
-        top = np.sqrt(np.maximum(w[..., -1], 0.0))
-        return top if e is None else np.ldexp(top, e)
+        return _top_norm(*self.gram_spectrum(a))
 
 
 def spectral_decompose(a) -> SpectralDecomposition:

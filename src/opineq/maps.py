@@ -153,9 +153,11 @@ def apply_map(spec: MapSpec, x) -> np.ndarray:
     alone.  X must be finite: inside a check it may be a computed matrix
     that overflowed, which would otherwise reach a verdict through a 1x1
     image.  Its symmetry is not validated; it only decides, matrix by
-    matrix, whether the image is symmetrized.
+    matrix, whether the image is symmetrized.  A float64 array is taken as
+    it is; any other X goes through inputs.floats (SchemaError for a str,
+    bool or complex entry, or a ragged list).
     """
-    m = np.asarray(x, dtype=float)
+    m = x if isinstance(x, np.ndarray) and x.dtype == np.float64 else inputs.floats("X", x)
     if m.ndim < 2 or m.shape[-2:] != (spec.in_dim, spec.in_dim):
         raise DimensionMismatch(
             f"map expects a {spec.in_dim}x{spec.in_dim} matrix, got shape {m.shape}"

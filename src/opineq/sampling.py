@@ -212,24 +212,24 @@ class _Batch:
     def resolve(self) -> None:
         """Run the stacked linear algebra and fill every cell drawn so far."""
         for jobs in self._blocks.values():
-            q, r = np.linalg.qr(np.stack([g for g, _ in jobs]))
+            q, r = np.linalg.qr(np.array([g for g, _ in jobs]))
             q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
             for (_, cell), qi in zip(jobs, q):
                 cell.value = qi
         for jobs in self._spectral.values():
-            q = np.stack([qc.value for _, qc, _ in jobs])
-            lam = np.stack([lam for lam, _, _ in jobs])
+            q = np.array([qc.value for _, qc, _ in jobs])
+            lam = np.array([lam for lam, _, _ in jobs])
             m = linalg._reconstruct(q, lam)
             for (_, _, cell), mi in zip(jobs, m):
                 cell.value = mi
         for jobs in self._sandwich.values():
-            half = self._spectra.sqrt(np.stack([a.value for a, _, _ in jobs]))
-            w = np.stack([wc.value for _, wc, _ in jobs])
+            half = self._spectra.sqrt(np.array([a.value for a, _, _ in jobs]))
+            w = np.array([wc.value for _, wc, _ in jobs])
             b = linalg.symmetrize(half @ w @ half)
             for (_, _, cell), bi in zip(jobs, b):
                 cell.value = bi
         for n, jobs in self._dominated.items():
-            norms = self._spectra.norm_op(np.stack([a.value for a, _, _, _ in jobs])).tolist()
+            norms = self._spectra.norm_op(np.array([a.value for a, _, _, _ in jobs])).tolist()
             for (_, gap, bump, cell), norm in zip(jobs, norms):
                 cell.value = linalg.symmetrize((norm + gap) * np.eye(n) + bump.value)
         for fn, cell in self._derived:

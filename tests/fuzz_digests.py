@@ -19,6 +19,12 @@ of `opineq repro --json`; and, for every check, the `opineq eval`
 stdout of its seed-7 fuzz instance at dim EVAL_DIM, trial 0 and the
 first registry exponent.
 
+Two digests pin the benchmark's fuzz shape (bench/workloads.py): each
+check but radius_chain over one full schedule of its registry exponents
+times BENCH_DIMS[k], in one run_fuzz call with run_fuzz's default
+tolerance, for each of the seeds 0-3, so that every group holds 2-6
+instances, as the benchmark times them.
+
 The bytes depend on numpy and on the BLAS/LAPACK build (and the CPU
 kernel it picks), so a digest is only comparable on the platform it was
 recorded on; see PLATFORM.  Run with one BLAS thread:
@@ -76,6 +82,11 @@ COLUMNS = (
 )
 
 
+# the benchmark's fuzz shape: small and large dims, and its fuzz seeds
+BENCH_DIMS = ((2, 3, 4, 5, 6), (16, 32, 64))
+BENCH_SEEDS = (0, 1, 2, 3)
+
+
 def platform() -> dict:
     """The numpy version and BLAS/LAPACK builds the bytes depend on."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
@@ -96,6 +107,19 @@ def fuzz_digest(check_id: str, p_set: str, dims, trials: int) -> str:
     result = fuzz.run_fuzz(check_id, trials=trials, dims=dims, p_values=p_values,
                            seed=SEED, tol_rel=fuzz.FUZZ_TOL_REL)
     return _sha16([report.to_json_dict() for report in result.reports])
+
+
+def bench_shape_digest(dims) -> str:
+    """Digest of the reports of every non-radius check on the benchmark's shape."""
+    reports = []
+    for check_id in sorted(checks.REGISTRY):
+        if check_id == "radius_chain":
+            continue
+        p_values = checks.REGISTRY[check_id].default_p
+        for seed in BENCH_SEEDS:
+            reports += fuzz.run_fuzz(check_id, trials=len(p_values) * len(dims), dims=dims,
+                                     p_values=p_values, seed=seed).reports
+    return _sha16([report.to_json_dict() for report in reports])
 
 
 def repro_digest() -> str:
@@ -171,6 +195,9 @@ def table() -> str:
                  f"| `{json_digest}` | `{csv_digest}` |" + " |" * (len(COLUMNS) - 2))
     lines.append(f"| `repro --json` file | `{cli_repro_digest()}` |"
                  + " |" * (len(COLUMNS) - 1))
+    lines.append("| benchmark fuzz shape, dims 2-6 and 16-64 | "
+                 + " | ".join(f"`{bench_shape_digest(dims)}`" for dims in BENCH_DIMS)
+                 + " |" * (len(COLUMNS) - len(BENCH_DIMS)))
     lines += ["", "| check | `eval` stdout |", "|---|---|"]
     lines += [f"| `{check_id}` | `{eval_digest(check_id)}` |"
               for check_id in sorted(checks.REGISTRY)]

@@ -988,6 +988,106 @@ def test_order_gate_is_homogeneous(s):
     assert rep.hypothesis_note.startswith("A is not below B")
 
 
+# (check, its gate's (lo, hi) -> instance fields): lo <= hi is the gate
+_GATES = {
+    "lowner_heinz": lambda lo, hi: {"A": lo, "B": hi},
+    "mond_pecaric": lambda lo, hi: {"A": hi, "B": lo, "x": np.eye(3)[2]},
+    "lh_extension": lambda lo, hi: {"A": lo[0, 0] * np.diag([0.5, 1.0, 0.25]), "B": hi},
+    "mn2012": lambda lo, hi: {"A": lo[0, 0] * np.diag([0.5, 1.0, 0.25]), "B": hi},
+}
+
+
+def _gate_family(check_id, tol_rel):
+    """(lo, hi, instance) with min eig(hi - lo) 0, -0.1 tol and -10 tol at the
+    scales 2^k, k in {-20, 0, 20}, tol = tol_rel * max(||lo||, ||hi||)."""
+    out = []
+    for k in (-20, 0, 20):
+        s = 2.0 ** k
+        # ||A|| I for the norm-dominance gates, A itself for the others
+        lo = s * (np.eye(3) if check_id in ("lh_extension", "mn2012")
+                  else np.diag([1.0, 1.0, 0.5]))
+        for shift in (0.0, -0.1, -10.0):
+            hi = np.diag([s + shift * tol_rel * 3.0 * s, 2.0 * s, 3.0 * s])
+            fields = _GATES[check_id](lo, hi)
+            out.append((lo, hi, checks.InstanceSpec(p=0.5, **fields)))
+    return out
+
+
+@pytest.mark.parametrize("check_id", sorted(_GATES))
+def test_order_gate_boundary_matches_loewner_compare(check_id):
+    # the gates take their norms only for a negative gap; the note must
+    # still say what loewner_compare's full rule says, alone and in a group
+    tol_rel = linalg.DEFAULT_TOL_REL
+    family = _gate_family(check_id, tol_rel)
+    grouped = checks.REGISTRY[check_id].group([inst for *_, inst in family], tol_rel)
+    holds = []
+    for (lo, hi, inst), in_group in zip(family, grouped):
+        alone = checks.run_check(check_id, inst, tol_rel=tol_rel)
+        is_le = linalg.loewner_compare(lo, hi, tol_rel).is_le
+        holds.append(is_le)
+        assert (alone.hypothesis_note == "") == is_le, (alone.hypothesis_note, lo, hi)
+        assert in_group.to_json_dict() == alone.to_json_dict()
+    assert holds == [True, True, False] * 3
+
+
+def test_order_gate_takes_norms_only_for_negative_gaps(monkeypatch):
+    solved = []
+    gram_spectrum = linalg.Spectra.gram_spectrum
+
+    def spy(self, a):
+        solved.append(a.copy())
+        return gram_spectrum(self, a)
+
+    monkeypatch.setattr(linalg.Spectra, "gram_spectrum", spy)
+    lo = np.array([_spd_pair(3, trial)[0] for trial in range(4)])
+    hi = lo + np.diag([1e-3, 1.0, 2.0])
+    assert checks._order(linalg.Spectra(), lo, hi, 1e-9, ("A", "B")) == [""] * 4
+    assert not solved
+    reps = checks.REGISTRY["lowner_heinz"].group(
+        [checks.InstanceSpec(A=x, B=y, p=0.5) for x, y in zip(lo, hi)], 1e-9)
+    assert [rep.verdict for rep in reps] == [checks.HOLDS] * 4 and not solved
+    hi[[1, 3]] -= 2e-3 * np.eye(3)      # rows 1 and 3 break the order
+    notes = checks._order(linalg.Spectra(), lo, hi, 1e-9, ("A", "B"))
+    assert [bool(note) for note in notes] == [False, True, False, True]
+    assert len(solved) == 1
+    assert np.array_equal(solved[0], np.array((lo[[1, 3]], hi[[1, 3]])))
+
+
+def test_finish_gaps_and_tolerances_match_separate_solves():
+    # one stacked solve of the differences and the side Grams against one
+    # eigvals per part and one norm_op per side, on the rescale path too
+    rng = np.random.default_rng(3)
+
+    def sym(n, scale):
+        m = rng.standard_normal((2, n, n))
+        return scale * (m + m.swapaxes(-1, -2))
+
+    big, tiny, unit = sym(3, 2.0 ** 500), sym(3, 2.0 ** -500), sym(3, 1.0)
+    small = sym(2, 1.0)
+    part_specs = [("big", big, big + unit, [0, 1]),
+                  ("tiny", tiny, unit, [0, 1]),
+                  ("shared", unit, big, [0, 1]),
+                  ("other_shape", small, 2.0 * small, [1, 0]),
+                  ("scalar", [1.0, 2.0], [3.0, 1.0], [0, 1])]
+    tol_rel = 1e-9
+    reports = checks._finish("x", linalg.Spectra(), tol_rel, part_specs, [{}, {}])
+    mags = [[], []]
+    for name, lhs, rhs, rows in part_specs:
+        if isinstance(lhs, list):
+            gaps = [y - x for x, y in zip(lhs, rhs)]
+            norms = [[abs(x) for x in lhs], [abs(y) for y in rhs]]
+        else:
+            gaps = linalg.Spectra().eigvals(rhs - lhs)[:, 0].tolist()
+            norms = [linalg.Spectra().norm_op(x).tolist() for x in (lhs, rhs)]
+        for j, i in enumerate(rows):
+            part = next(part for part in reports[i].parts if part.name == name)
+            assert part.gap_min_eig.hex() == gaps[j].hex()
+            mags[i] += norms[0][j], norms[1][j]
+    for rep, m in zip(reports, mags):
+        assert rep.tol_used.hex() == linalg._unit_scaled(tol_rel, *m).hex()
+    assert reports[0].tol_used > tol_rel * 2.0 ** 490    # the norms of the rescaled sides
+
+
 def test_report_tol_used_scales_with_operands():
     big = 1e6 * np.eye(2)
     rep = checks.run_check("lowner_heinz", _inst(big, big + np.eye(2), p=0.5),

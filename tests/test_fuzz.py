@@ -481,6 +481,7 @@ def test_the_fuzz_path_runs_no_input_check(monkeypatch):
         raise AssertionError("an input check ran on the fuzz path")
 
     monkeypatch.setattr(inputs, "numbers", refuse)
+    monkeypatch.setattr(inputs, "floats", refuse)
     monkeypatch.setattr(linalg, "as_square", refuse)
     monkeypatch.setattr(checks.InstanceSpec, "__post_init__", refuse)
     for kind in maps.KINDS:

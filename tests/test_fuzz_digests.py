@@ -2,7 +2,7 @@
 
 The digests come from `tests/fuzz_digests.py` (its docstring gives the
 recipe).  A change that moves one byte of any fuzz report, of the fuzz
-witness sidecar, of the files `fuzz --json --csv` and `repro --json`
+witness sidecar, of the benchmark's fuzz shape, of the files `fuzz --json --csv` and `repro --json`
 write or of `eval` output fails here.
 The bytes depend on the numpy and BLAS/LAPACK build, so on any other
 platform the test is skipped rather than failed.
@@ -44,6 +44,8 @@ WITNESS_DIGEST = "481e9948092e5765"
 # the --json and --csv files of fuzz_digests.cli_fuzz_digests
 CLI_FUZZ_DIGESTS = ("04ba238008b794f9", "354d4653aaf85ef6")
 CLI_REPRO_DIGEST = "61ac893add96d9f1"
+# fuzz_digests.bench_shape_digest over each of fuzz_digests.BENCH_DIMS
+BENCH_SHAPE_DIGESTS = ("cba74fe7e97779ea", "396ce7f360f4750e")
 # check -> digest of `opineq eval` stdout on its fuzz_digests.eval_digest instance
 EVAL_DIGESTS = {
     "ando_converse": "58e26bcb2f890208",
@@ -94,6 +96,11 @@ def test_witness_sidecar_digest():
 
 def test_cli_fuzz_file_digests():
     assert fuzz_digests.cli_fuzz_digests() == CLI_FUZZ_DIGESTS
+
+
+@pytest.mark.parametrize("k", range(len(BENCH_SHAPE_DIGESTS)))
+def test_bench_shape_digests(k):
+    assert fuzz_digests.bench_shape_digest(fuzz_digests.BENCH_DIMS[k]) == BENCH_SHAPE_DIGESTS[k]
 
 
 def test_cli_repro_file_digest():

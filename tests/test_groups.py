@@ -147,3 +147,11 @@ def test_a_group_raises_where_a_violated_instance_alone_leaves_its_sides():
     got = fuzz._run(info, [violated, valid], TOL)
     assert [rep.verdict for rep in got] == [checks.HYPOTHESIS_VIOLATED, checks.HOLDS]
     assert got[0].hypothesis_note.endswith("; sides not evaluated")
+
+
+@pytest.mark.parametrize("check_id", ["norm_chain", "lowner_heinz"])
+def test_a_group_of_mixed_dims_raises_value_error(check_id):
+    insts = [fuzz.sample_instance(check_id, dim, 3, checks.REGISTRY[check_id].default_p[0], 0)
+             for dim in (2, 3)]
+    with pytest.raises(ValueError):
+        checks.REGISTRY[check_id].group(insts, TOL)

@@ -294,6 +294,18 @@ def test_constructors_reject_non_finite_entries(bad):
         maps.MapSpec.from_json_dict({"kind": "compression", "isometry": iso.tolist()})
 
 
+@pytest.mark.parametrize("x", [[["1", 0], [0, 1]], [[True, 0.0], [0.0, 1.0]],
+                               [[1.0, 0.0], [0.0]], [[1j, 0.0], [0.0, 1.0]]])
+def test_apply_map_refuses_what_inputs_floats_refuses(x):
+    with pytest.raises(SchemaError):
+        maps.apply_map(maps.MapSpec.normalized_trace(2), x)
+
+
+def test_apply_map_reads_a_list_of_numbers():
+    out = maps.apply_map(maps.MapSpec.normalized_trace(2), [[1, 0.0], [0.0, 3]])
+    assert out.dtype == np.float64 and out.tolist() == [[2.0]]
+
+
 def test_apply_map_rejects_non_finite_input():
     spec = maps.MapSpec.normalized_trace(2)
     with pytest.raises(ValueError):
