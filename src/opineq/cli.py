@@ -17,7 +17,12 @@ Four subcommands:
 
 Usage errors exit 2 with argparse's message: an unknown subcommand, a
 missing --check or --input, a non-integer --trials or --seed, a
-non-numeric --tol and an unknown --example.
+non-numeric --tol and an unknown --example.  main reads plain argv, a
+subcommand and its options each given once in full, from the Actions its
+parser declares (_plain_args), and hands anything else, every usage error
+among it, to argparse; both give the same Namespace.  eval reads its
+instance file as bytes and decodes it as a text-mode read would: UTF-8,
+with \r\n and \r read as \n.
 
 The environment variable OPINEQ_TOL overrides the relative tolerance for
 fuzz and eval; an explicit --tol beats the environment.  Every JSON
@@ -269,14 +274,16 @@ def cmd_fuzz(args) -> int:
 def cmd_eval(args) -> int:
     tol = _resolve_tol(args.tol, linalg.DEFAULT_TOL_REL)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
     except UnicodeDecodeError as exc:
         print(f"error: {args.input} is not valid UTF-8: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    if "\r" in text:   # text mode's universal newlines; a scan is cheaper than two replaces
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply
@@ -299,8 +306,29 @@ def cmd_list(_args) -> int:
 # parser / entry point
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps, from the Action each add_argument call
+    returns, what _plain_args reads: each option by its full strings, the
+    default of each dest, and the required options.  An option whose default
+    is SUPPRESS, such as -h, is left out, so argv that gives it falls back to
+    parse_args."""
+
+    def __init__(self, **kwargs):
+        self.options, self.defaults, self.required = {}, {}, []
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:
+            self.options.update(dict.fromkeys(action.option_strings, action))
+            self.defaults.setdefault(action.dest, action.default)
+            if action.required:
+                self.required.append(action)
+        return action
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opineq",
         description="numerical verification of operator entropy and "
                     "power inequalities")
@@ -339,21 +367,67 @@ def build_parser() -> argparse.ArgumentParser:
                          "or OPINEQ_TOL)")
 
     sub.add_parser("list", help="print the check registry")
+    parser.commands = sub.choices      # name -> its _Parser, for _plain_args
     return parser
 
 
 _parser = None
 
 
+def _plain_args(argv):
+    """The Namespace that _parser.parse_args(argv) returns, for argv of the
+    form [command, --option value | --flag, ...] in which each option of
+    that command's parser is given at most once, by a full option string,
+    with a value that does not start with "-", that its type accepts and
+    that lies in its choices, and every required option is given.  For
+    any other argv, None: parse_args then reads it, and owns every usage
+    message, help text and exit 2.  It models store and store_true options
+    only; tests/test_cli.py holds build_parser to them."""
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = dict(command.defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = command.options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if type(value) is not str or value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not seen.issuperset(command.required):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  The parser is built on the first call and kept
-    for the process; cmd_<command> is looked up when called.  An
-    OpineqError that a subcommand raises is reported on stderr and exits
-    EXIT_SCHEMA (repro handles its own, and exits EXIT_ERROR)."""
+    for the process; cmd_<command> is looked up when called.  Plain argv
+    (see _plain_args) is read from the options each subcommand's parser
+    declares, without argparse's general parse; anything else goes through
+    parse_args.  Either way the Namespace is the same.  An OpineqError that
+    a subcommand raises is reported on stderr and exits EXIT_SCHEMA (repro
+    handles its own, and exits EXIT_ERROR)."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command](args)
     except OpineqError as exc:

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import io
 import json
 import re
 import shutil
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opineq import checks, cli, fuzz, repro
 from test_checks import OVERFLOW_UNDER_VIOLATED
@@ -150,6 +152,196 @@ def test_argparse_errors_repeat_on_the_cached_parser(argv, message, capsys):
         errs.append(capsys.readouterr().err)
     assert message in errs[0]
     assert errs[0] == errs[1]
+
+
+# ----------------------------------------------------------------------
+# plain argv: the Namespace parse_args returns, read without argparse
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def parser(monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", parser)
+    return parser
+
+
+def _fields(namespace):
+    """A Namespace's values with their types and spellings, so that
+    1 != 1.0 != True and nan == nan."""
+    return {key: (type(value), repr(value)) for key, value in vars(namespace).items()}
+
+
+# one sample value for each option that takes one, and each flag alone
+REPRO_OPTIONS = [("--example", "E3ii"), ("--json", "repro.json")]
+FUZZ_OPTIONS = [("--trials", "7"), ("--dim", "2,4"), ("--p", "0.5,2"), ("--seed", "11"),
+                ("--tol", "1e-6"), ("--json", "runs.json"), ("--csv", "runs.csv"),
+                ("--stop-on-fail",)]
+EVAL_OPTIONS = [("--tol", "0")]
+FUZZ_REQUIRED = ["fuzz", "--check", "power_norm"]
+EVAL_REQUIRED = ["eval", "--check", "lowner_heinz", "--input", "inst.json"]
+
+PLAIN_ARGV = [
+    ["list"], ["repro"], FUZZ_REQUIRED, EVAL_REQUIRED,
+    *[["repro", *option] for option in REPRO_OPTIONS],
+    *[FUZZ_REQUIRED + list(option) for option in FUZZ_OPTIONS],
+    *[EVAL_REQUIRED + list(option) for option in EVAL_OPTIONS],
+    ["repro", *[token for option in REPRO_OPTIONS for token in option]],
+    FUZZ_REQUIRED + [token for option in FUZZ_OPTIONS for token in option],
+    ["fuzz", *[token for option in reversed(FUZZ_OPTIONS) for token in option],
+     "--check", "power_norm"],
+    ["eval", "--tol", "1e-3", "--input", "inst.json", "--check", "lowner_heinz"],
+    # what the benchmark sends
+    ["eval", "--check", "lowner_heinz", "--input", "/work/lh-s3-p2-d4-t17.json",
+     "--tol", "1e-08"],
+    ["fuzz", "--check", "reverse_monotonicity", "--seed", "3", "--dim", "16,32",
+     "--csv", "map-s3.csv", "--trials", "24", "--json", "map-s3.json"],
+    ["fuzz", "--check", "lowner_heinz", "--seed", "3", "--p", "2", "--trials", "250",
+     "--json", "lh-s3.json"],
+    ["repro", "--json", "repro.json"],
+    # values argparse reads as values: empty, spaced, numeric spellings
+    ["repro", "--json", ""], FUZZ_REQUIRED + ["--dim", " 2-6 ", "--tol", "inf"],
+    FUZZ_REQUIRED + ["--trials", "0", "--seed", "+3", "--tol", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV, ids=" ".join)
+def test_plain_argv_reads_as_parse_args_reads_it(argv, parser, monkeypatch):
+    expected = _fields(parser.parse_args(argv))
+    assert _fields(cli._plain_args(argv)) == expected
+    ran = []
+    monkeypatch.setattr(parser, "parse_args", lambda *a: pytest.fail("parse_args ran"))
+    monkeypatch.setattr(cli, "cmd_" + argv[0], lambda args: ran.append(_fields(args)) or 0)
+    assert cli.main(argv) == 0
+    assert ran == [expected]
+
+
+FALLBACK_ARGV = [
+    # an unknown or missing command
+    [], ["frobnicate"], ["--check", "x"],
+    # help
+    ["-h"], ["--help"], ["list", "-h"], ["repro", "--help"], EVAL_REQUIRED + ["-h"],
+    # an abbreviation
+    ["fuzz", "--che", "power_norm"], FUZZ_REQUIRED + ["--stop"], ["repro", "--ex", "E1"],
+    ["eval", "--check", "lowner_heinz", "--in", "inst.json"],
+    # --opt=value
+    ["eval", "--check=lowner_heinz", "--input", "inst.json"],
+    FUZZ_REQUIRED + ["--seed=3"], ["repro", "--example=E1"],
+    # a repeated option
+    FUZZ_REQUIRED + ["--check", "norm_chain"], FUZZ_REQUIRED + ["--stop-on-fail"] * 2,
+    # a value that starts with -
+    FUZZ_REQUIRED + ["--seed", "-3"], FUZZ_REQUIRED + ["--p", "-1,2"],
+    FUZZ_REQUIRED + ["--tol", "-1"], ["eval", "--check", "lowner_heinz", "--input", "-"],
+    FUZZ_REQUIRED + ["--json", "--csv", "runs.csv"], FUZZ_REQUIRED + ["--json", "--"],
+    # a type that raises
+    FUZZ_REQUIRED + ["--trials", "many"], FUZZ_REQUIRED + ["--seed", ""],
+    FUZZ_REQUIRED + ["--trials", "1.5"], EVAL_REQUIRED + ["--tol", "tiny"],
+    # a value outside choices
+    ["repro", "--example", "E9"], ["repro", "--example", "e1"],
+    # a missing required option, or a missing value
+    ["fuzz"], ["eval", "--input", "inst.json"], ["eval", "--check", "lowner_heinz"],
+    ["fuzz", "--check"], FUZZ_REQUIRED + ["--trials"],
+    # an extra token
+    ["list", "extra"], ["repro", "E1"], EVAL_REQUIRED + ["stray"],
+    ["eval", "lowner_heinz", "--check", "lowner_heinz", "--input", "inst.json"],
+    # an option of another command
+    ["repro", "--check", "power_norm"], ["list", "--json", "out.json"],
+]
+
+
+@pytest.mark.parametrize("argv", FALLBACK_ARGV, ids=repr)
+def test_other_argv_falls_back_to_parse_args(argv, parser, monkeypatch, capsys):
+    assert cli._plain_args(argv) is None
+
+    def outcome(call):
+        try:
+            result = call(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, *capsys.readouterr()
+
+    ran = []
+    for command in parser.commands:
+        monkeypatch.setattr(cli, "cmd_" + command, lambda args: ran.append(_fields(args)) or 0)
+    direct, through_main = outcome(parser.parse_args), outcome(cli.main)
+    if isinstance(direct[0], argparse.Namespace):      # argparse reads it; main runs it
+        assert ran == [_fields(direct[0])] and through_main == (0, "", "")
+    else:
+        assert through_main == direct and not ran
+
+
+_COMMANDS = ["repro", "fuzz", "eval", "list", "help", "frobnicate"]
+_OPTIONS = ["--example", "--json", "--check", "--trials", "--dim", "--p", "--seed", "--tol",
+            "--csv", "--stop-on-fail", "--input", "-h", "--help"]
+_OTHER_TOKENS = ["--ex", "--che", "--tr", "--stop", "--in", "--t", "--s", "--j", "--c", "-",
+                 "--", "--check=power_norm", "--seed=3", "--p=2", "--example=E1", "--tol=0"]
+_VALUES = ["E1", "E9", "power_norm", "3", "-3", "0", "1.5", "1e-8", "nan", "x", "2-6", "2,4",
+           "-1,2", "", " 7 ", "inst.json", "--json"]
+_TOKENS = _COMMANDS + _OPTIONS + _OTHER_TOKENS + _VALUES
+
+
+def _edited(argv, edits):
+    """argv after each edit (where, token): insert the token at where, or
+    put it in place of the token there, or drop that token."""
+    argv = list(argv)
+    for kind, where, token in edits:
+        where %= len(argv) + 1
+        if kind == "insert":
+            argv.insert(where, token)
+        elif where < len(argv):
+            argv[where:where + 1] = [token] if kind == "replace" else []
+    return argv
+
+
+# argv of the plain shapes above, and edits of them by a few tokens
+_ARGV = st.builds(_edited, st.sampled_from(PLAIN_ARGV), st.lists(
+    st.tuples(st.sampled_from(["insert", "replace", "drop"]), st.integers(0, 30),
+              st.sampled_from(_TOKENS)), max_size=3))
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ARGV)
+def test_plain_argv_never_reads_otherwise_than_parse_args(parser, argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"plain path took argv that parse_args refuses: {argv}")
+        assert _fields(plain) == _fields(expected)
+
+
+def test_every_declared_option_is_one_the_plain_path_models(monkeypatch):
+    # every action that build_parser declares: an option (no positional),
+    # nargs None or 0, action store, store_true or help, and no string
+    # default that argparse would convert through its type
+    declared, add = [], argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        action = add(self, *args, **kwargs)
+        declared.append((self, action, kwargs.get("action", "store")))
+        return action
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    parser = cli.build_parser()
+    monkeypatch.undo()
+    commands = set(parser.commands.values())
+    assert declared
+    for container, action, kind in declared:
+        where = (container.prog, action.option_strings, action.dest)
+        assert kind in ("store", "store_true", "help"), where
+        assert action.option_strings and action.nargs in (None, 0), where
+        assert not (isinstance(action.default, str) and action.type is not None), where
+        # the top-level parser declares only its -h, which plain argv never gives
+        assert container in commands or action.default is argparse.SUPPRESS, where
+    # what add_argument does not declare (set_defaults, an argument group)
+    # shows in a namespace: with its required options given, every command
+    # reads as parse_args reads it
+    monkeypatch.setattr(cli, "_parser", parser)
+    for name, command in parser.commands.items():
+        argv = [name, *[token for action in command.required
+                        for token in (action.option_strings[0], "x")]]
+        assert _fields(cli._plain_args(argv)) == _fields(parser.parse_args(argv)), name
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +499,70 @@ def test_eval_non_utf8_file_is_malformed_input(tmp_path, capsys):
     assert cli.main(["eval", "--check", "lowner_heinz",
                      "--input", str(path)]) == cli.EXIT_SCHEMA
     assert "is not valid UTF-8" in capsys.readouterr().err
+
+
+def _text_mode_open(path, mode="r", **kwargs):
+    """open for eval's reference read: the bytes of what a text-mode read
+    of path gives, or the error that read raises."""
+    assert mode == "rb"
+    with open(path, encoding="utf-8") as fh:
+        return io.BytesIO(fh.read().encode("utf-8"))
+
+
+_HOLDS_TEXT = json.dumps(HOLDS_INST, indent=2)
+_LATER_LINE_ERROR = _HOLDS_TEXT.replace('"p": 0.5', '"p": 0.5,')   # a trailing comma
+
+
+@pytest.mark.parametrize("payload", [
+    _LATER_LINE_ERROR.replace("\n", "\r\n").encode(),
+    _LATER_LINE_ERROR.replace("\n", "\r").encode(),
+    _LATER_LINE_ERROR.replace("\n", "\r", 3).replace("\n", "\r\n", 2).encode(),
+    b'{"A": [[1.0]], "p": 0.5, "f": "exp\r\n"}',         # a raw newline in a string
+    b"\xef\xbb\xbf" + _HOLDS_TEXT.encode(),                # a UTF-8 BOM
+    b'{"A": [[1.0]], "p": 0.5' + b" " * 10_000 + b"\xff}",   # past the first 8,192 bytes
+    b'{"A": [[1.0]], "p": 0.5' + b"\r\n" * 5_000 + b"\xe2\x89}",   # and a truncated one
+    b"\r\n".join([b'{"A": [[1.0, 0.0], [0.0, 2.0]],', b'"B": [[4.0, 0.0], [0.0, 9.0]],',
+                   b'"p": 0.5}']),
+    _HOLDS_TEXT.replace("\n", "\r").encode(),
+], ids=["crlf", "cr", "mixed", "cr in string", "bom", "invalid byte", "truncated",
+        "valid crlf", "valid cr"])
+def test_eval_reads_the_file_as_a_text_mode_read_does(payload, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(payload)
+    argv = ["eval", "--check", "lowner_heinz", "--input", str(path)]
+    got = (cli.main(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "open", _text_mode_open, raising=False)
+    assert (cli.main(argv), *capsys.readouterr()) == got
+
+
+def test_eval_error_positions_read_through_translated_newlines(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(_LATER_LINE_ERROR.replace("\n", "\r\n").encode())
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", str(path)]) == cli.EXIT_SCHEMA
+    line = _LATER_LINE_ERROR.count("\n") + 1
+    assert f"line {line} column 1 (char {len(_LATER_LINE_ERROR) - 1})" in capsys.readouterr().err
+    path.write_bytes(b'{"A": [[1.0]], "p": 0.5' + b" " * 10_000 + b"\xff}")
+    assert cli.main(["eval", "--check", "lowner_heinz", "--input", str(path)]) == cli.EXIT_SCHEMA
+    assert "in position 10023: invalid start byte" in capsys.readouterr().err
+
+
+def test_eval_directory_input_is_an_io_error(tmp_path, monkeypatch, capsys):
+    argv = ["eval", "--check", "lowner_heinz", "--input", str(tmp_path)]
+    got = (cli.main(argv), *capsys.readouterr())
+    assert got[0] == cli.EXIT_IO and got[1] == "" and "cannot read" in got[2]
+    monkeypatch.setattr(cli, "open", _text_mode_open, raising=False)
+    assert (cli.main(argv), *capsys.readouterr()) == got
+
+
+def test_eval_crlf_instance_prints_the_report_of_its_lf_twin(tmp_path, capsys):
+    outs = []
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "inst.json"
+        path.write_bytes(json.dumps(FAILS_INST, indent=2).replace("\n", newline).encode())
+        assert cli.main(["eval", "--check", "lowner_heinz", "--input", str(path)]) == \
+            cli.EXIT_FAIL
+        outs.append(capsys.readouterr())
+    assert outs[0].err == "" and outs == [outs[0]] * 3
 
 
 # json.loads gives up near 990 brackets with a RecursionError; shallower
