@@ -19,8 +19,10 @@ spectra of the operands with a declared sign, and returns its parts; a
 check with hypotheses returns them as a function with one note per
 instance ("" when its hypotheses hold), and the entry runs the function
 under the one guard for sides that a violated hypothesis leaves
-undefined.  _finish builds the reports with the one linalg.Spectra the
-body ran on.
+undefined.  A check that takes a map returns, in place of its parts,
+the stacks it maps and its image stage (_Mapped), which builds the
+parts from their images.  _finish builds the reports with the one
+linalg.Spectra the body ran on.
 
 A rule that several checks share has one helper: _windowed is the
 paper's windowed correction (m^{p-1} - M^{p-1}) Phi(B - A),
@@ -28,16 +30,19 @@ _unit_windows and _outer_windows the spectral windows (means._unit_window
 decides the unit window), _order an order hypothesis X <= Y as its notes.
 
 Each check has one implementation, which takes a group of instances of
-one dimension and returns their reports in order (CheckInfo.group).  Its
-matrix work runs on stacks with one matrix per instance, and every
-stacked call gives each instance the bits it gets alone; exponents,
-windows, notes and branch choices stay per instance.  The public
-check_* functions, CheckInfo.runner and run_check are the group of one;
-fuzz.run_fuzz checks each dim of a chunk as one group.  A group raises
-whenever one of its instances would raise alone; only a group of one
-says which instance it is and what it raises.  A group may also raise
-where no instance alone would (an entropy at p = 1 alone needs no
-A^{1/2}); fuzz.run_fuzz then reruns its trials one at a time.
+any dimensions and returns their reports in order (CheckInfo.group).
+The body's operand work runs once per dim, on stacks with one matrix
+per instance of that dim; a mapped check's images run once per image
+size, stacked across the dims, and one _finish assembles every part of
+the group.  Every stacked call gives each instance the bits it gets
+alone; exponents, windows, notes and branch choices stay per instance.
+The public check_* functions, CheckInfo.runner and run_check are the
+group of one; fuzz.run_fuzz checks each chunk as one group.  A group
+raises whenever one of its instances would raise alone; only a group of
+one says which instance it is and what it raises.  A group may also
+raise where no instance alone would (an entropy at p = 1 alone needs no
+A^{1/2}); fuzz.run_fuzz then checks the chunk's dims as groups, and a
+raising dim's trials one at a time.
 
 Verdict semantics:
 
@@ -174,7 +179,8 @@ def _split(values: list, stacks) -> list:
 def _finish(check_id, spectra, tol_rel, part_specs, params, note=None):
     """Assemble a group's CheckReports from (name, lhs, rhs, rows) parts.
 
-    _check's group calls it with the check body's parts.  params and
+    _check's group calls it once, with the parts of every dim and image
+    size of the group, rows indexing the whole group.  params and
     note hold one entry per instance of the group; an instance's
     hypotheses hold when its note is "" (note None: they all hold).  A
     part's lhs and rhs hold one side per instance in rows, its list of
@@ -372,10 +378,11 @@ _REQUIRED_KEYS = ("A", "p")   # of an instance file; the other keys are optional
 class CheckInfo:
     """Registry entry: how to run a check and what it needs.
 
-    group(insts, tol_rel, spectra=None) checks instances of one dimension
-    and returns their reports in order.  It runs on spectra, a
+    group(insts, tol_rel, spectra=None) checks instances of any
+    dimensions in one group, operands per dim and images per size, and
+    returns their reports in order.  It runs on spectra, a
     linalg.Spectra that the caller may share with other work on the same
-    stacks (fuzz.run_fuzz: a chunk's sampler and its groups), or on a
+    stacks (fuzz.run_fuzz: a chunk's sampler and its group), or on a
     fresh one when spectra is None.  runner(inst, tol_rel=...) is its
     group of one, on a fresh Spectra.
     """
@@ -394,7 +401,8 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
            nonzero: bool = False, mapped: bool = False, signs=None):
     """Register the decorated body as a check: its one entry.
 
-    The check's group raises for the first of: what operands (_pair,
+    The check's group takes each dim's instances in turn, in the order
+    the dims first occur, and raises for the first of: what operands (_pair,
     _symmetric or _square) rejects, a missing B, a nonsymmetric A and a
     nonsymmetric B in that order; a p outside domain, an interval such as
     "(0, 1]" whose closed ends admit _P_EPS of slack ("(-inf, inf)"
@@ -409,16 +417,21 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
     "map"} and calls body(insts, sp, tol_rel, a, b, ps, phis, params,
     lams) with the group's linalg.Spectra sp (CheckInfo.group) and lams
     those spectra; b is None for one operand and phis None unless mapped.
-    The body adds its own params and returns its part specs, which the
-    group hands to _finish.
+    The body adds its own params and returns its part specs over that
+    dim's instances.  A mapped check's body returns a _Mapped instead:
+    the group applies each instance's map to the stacks, stacks the
+    images of one shape across the dims and runs the stage once per
+    shape.  The group hands every part, its rows now the group's, to one
+    _finish.
 
     A check with hypotheses returns (sides, note) instead: one note per
-    instance of the group, "" where its hypotheses hold, and a function
-    that builds the part specs.  The group guards the sides that a
-    violated hypothesis may leave undefined: in a group of one, an
-    OpineqError or ArithmeticError (a value leaving the float range) from
-    sides() propagates under valid hypotheses and otherwise leaves the
-    sides unevaluated, said in the note; a larger group raises it.
+    instance of the dim, "" where its hypotheses hold, and a function
+    that builds the part specs (or the _Mapped).  The group guards the
+    sides that a violated hypothesis may leave undefined: in a group of
+    one, an OpineqError or ArithmeticError (a value leaving the float
+    range) from sides() or the image stage propagates under valid
+    hypotheses and otherwise leaves the sides unevaluated, said in the
+    note; a larger group raises it.
 
     The group is every check's one exit for values that leave the float
     range.  It runs all of this with numpy overflow raising, and turns any
@@ -433,50 +446,64 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
     hi = hi + _P_EPS if domain[-1] == "]" else math.nextafter(hi, -math.inf)
 
     def register(body):
+        def run_body(insts, sp, tol_rel):
+            """(params, phis, out): one dim's instances validated, and body's out."""
+            a, b = operands(insts)
+            ps = [inst.p for inst in insts]
+            for p in ps:
+                if not lo <= p <= hi:
+                    raise DomainError(f"{check_id} requires p in {domain}, got p={p}")
+                if nonzero and p == 0.0:
+                    raise ZeroParameter(f"{check_id} is undefined at p=0")
+            phis = None
+            if mapped:
+                n = a.shape[-1]
+                phis = [maps.MapSpec.normalized_trace(n) if inst.map is None else inst.map
+                        for inst in insts]
+                for phi in phis:
+                    if phi.in_dim != n:
+                        raise DimensionMismatch(f"map expects input dimension "
+                                                f"{phi.in_dim}, matrices are {n}x{n}")
+            labels = [x for x in "AB" if x in signs]
+            lams = _eigvals(sp, *(b if x == "B" else a for x in labels)) if labels else []
+            for x, lam in zip(labels, lams):
+                least = min(lam[:, 0].tolist())
+                if signs[x] == "pd" and least <= 0.0:
+                    raise NotPositiveDefinite(f"{x} must be positive definite; "
+                                              f"smallest eigenvalue is {least:.6g}")
+                if signs[x] == "psd":
+                    linalg._require_floor(lam, False, f"{x} must be positive semidefinite;"
+                                          " smallest eigenvalue is {lo:.6g}")
+            params = [{"p": p, "m": None, "M": None,
+                       "map": None if phis is None else phis[i].to_json_dict()}
+                      for i, p in enumerate(ps)]
+            return params, phis, body(insts, sp, tol_rel, a, b, ps, phis, params, lams)
+
         def group(insts, tol_rel, spectra=None):
             sp = linalg.Spectra() if spectra is None else spectra
             try:
                 with np.errstate(over="raise"):
-                    a, b = operands(insts)
-                    ps = [inst.p for inst in insts]
-                    for p in ps:
-                        if not lo <= p <= hi:
-                            raise DomainError(f"{check_id} requires p in {domain}, got p={p}")
-                        if nonzero and p == 0.0:
-                            raise ZeroParameter(f"{check_id} is undefined at p=0")
-                    phis = None
-                    if mapped:
-                        n = a.shape[-1]
-                        phis = [maps.MapSpec.normalized_trace(n) if inst.map is None
-                                else inst.map for inst in insts]
-                        for phi in phis:
-                            if phi.in_dim != n:
-                                raise DimensionMismatch(f"map expects input dimension "
-                                                        f"{phi.in_dim}, matrices are {n}x{n}")
-                    labels = [x for x in "AB" if x in signs]
-                    lams = _eigvals(sp, *(b if x == "B" else a for x in labels)) if labels else []
-                    for x, lam in zip(labels, lams):
-                        least = min(lam[:, 0].tolist())
-                        if signs[x] == "pd" and least <= 0.0:
-                            raise NotPositiveDefinite(f"{x} must be positive definite; "
-                                                      f"smallest eigenvalue is {least:.6g}")
-                        if signs[x] == "psd":
-                            linalg._require_floor(lam, False, f"{x} must be positive semidefinite;"
-                                                  " smallest eigenvalue is {lo:.6g}")
-                    params = [{"p": p, "m": None, "M": None,
-                               "map": None if phis is None else phis[i].to_json_dict()}
-                              for i, p in enumerate(ps)]
-                    out = body(insts, sp, tol_rel, a, b, ps, phis, params, lams)
-                    note = None
-                    if isinstance(out, tuple):
-                        sides, note = out
-                        try:
-                            out = sides()
-                        except (OpineqError, ArithmeticError):
-                            if len(insts) > 1 or not note[0]:
-                                raise
-                            out, note = [], [note[0] + "; sides not evaluated"]
-                    return _finish(check_id, sp, tol_rel, out, params, note)
+                    by_dim: dict[int, list] = {}
+                    for i, inst in enumerate(insts):
+                        by_dim.setdefault(len(inst.A), []).append(i)
+                    params, note, outs = [None] * len(insts), [""] * len(insts), []
+                    for rows in by_dim.values():
+                        sub = insts if len(by_dim) == 1 else [insts[i] for i in rows]
+                        sub_params, phis, out = run_body(sub, sp, tol_rel)
+                        if isinstance(out, tuple):
+                            out, sub_note = out
+                            for i, text in zip(rows, sub_note):
+                                note[i] = text
+                        for i, par in zip(rows, sub_params):
+                            params[i] = par
+                        outs.append((rows, phis, out))
+                    try:
+                        part_specs = _parts(sp, [inst.p for inst in insts], params, outs)
+                    except (OpineqError, ArithmeticError):
+                        if len(insts) > 1 or not note[0]:
+                            raise
+                        part_specs, note = [], [note[0] + "; sides not evaluated"]
+                    return _finish(check_id, sp, tol_rel, part_specs, params, note)
             except ArithmeticError as exc:
                 raise NotFinite(f"{check_id}: a value leaves the float range ({exc})") from exc
 
@@ -537,23 +564,61 @@ def _branch(part_specs, name, lhs, rhs, rows, keep):
         part_specs.append((name, lhs, rhs, [rows[j] for j in sel]))
 
 
-def _images(phis, *stacks):
-    """Apply each instance's map to all of its matrices in one call.
+@dataclasses.dataclass(frozen=True)
+class _Mapped:
+    """What a mapped check's body returns in place of its parts: the
+    stacks that each instance's map takes, flags (one value per instance
+    that the stage reads, or None) and the stage, which builds the parts
+    from the images: stage(sp, rows, ps, params, flags, *images) for the
+    instances of rows, with one (len(rows), k, k) stack of images per
+    stack, and ps, params and flags indexed by the group's rows."""
 
-    Yields (rows, images) per image size k: the indices of the instances
-    whose maps give k x k images, and one (len(rows), k, k) stack of
-    images for each stack given.
-    """
-    if len(phis) == 1:
-        yield [0], list(maps.apply_map(phis[0], np.concatenate(stacks))[:, None])
-        return
-    inputs = np.stack(stacks, axis=1)
-    out = [maps.apply_map(phi, x) for phi, x in zip(phis, inputs)]
-    by_size: dict[int, list] = {}
-    for i, img in enumerate(out):
-        by_size.setdefault(img.shape[-1], []).append(i)
-    for rows in by_size.values():
-        yield rows, list(np.stack([out[i] for i in rows], axis=1))
+    stage: Callable
+    stacks: tuple
+    flags: list | None = None
+
+
+def _parts(sp, ps, params, outs) -> list:
+    """The group's part specs from outs, (rows, phis, out) per dim: out
+    is a list of part specs over that dim's instances, a _Mapped, or a
+    function returning one of these (the sides of a check with
+    hypotheses).  Rows become the group's; a mapped check's images go
+    through _image_parts."""
+    part_specs, staged = [], []
+    for rows, phis, out in outs:
+        out = out() if callable(out) else out
+        if isinstance(out, _Mapped):
+            staged.append((rows, phis, out))
+        elif len(outs) == 1:
+            part_specs += out
+        else:
+            part_specs += [(name, lhs, rhs, [rows[j] for j in local])
+                           for name, lhs, rhs, local in out]
+    return part_specs + _image_parts(sp, ps, params, staged) if staged else part_specs
+
+
+def _image_parts(sp, ps, params, staged) -> list:
+    """The parts of a mapped check's group from staged, (rows, phis,
+    _Mapped) per dim.  Each instance's map takes all of its stacks in one
+    call; the images of one shape, across the group's dims, are stacked
+    and the stage runs once per shape on their rows."""
+    if len(ps) == 1:
+        (_, phis, out), = staged
+        images = maps.apply_map(phis[0], np.concatenate(out.stacks))[:, None]
+        return out.stage(sp, [0], ps, params, out.flags, *images)
+    images, flags = [None] * len(ps), [None] * len(ps)
+    for rows, phis, out in staged:
+        x = np.stack(out.stacks, axis=1)
+        for j, (i, phi) in enumerate(zip(rows, phis)):
+            images[i] = maps.apply_map(phi, x[j])
+            flags[i] = None if out.flags is None else out.flags[j]
+    by_shape: dict[tuple, list] = {}
+    for i, img in enumerate(images):
+        by_shape.setdefault(img.shape, []).append(i)
+    stage = staged[0][2].stage
+    return [spec for rows in by_shape.values()
+            for spec in stage(sp, rows, ps, params, flags,
+                              *np.stack([images[i] for i in rows], axis=1))]
 
 
 def _outer_windows(insts, params, *lams) -> list:
@@ -687,13 +752,16 @@ def check_info_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     is needed, so the hypotheses reduce to positive definiteness and a
     valid map; at p = 1 both directions are evaluated (they coincide).
     """
-    t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
+    return _Mapped(_monotone_images, (a, b, means.tsallis_entropy(a, b, ps, spectra=sp)))
+
+
+def _monotone_images(sp, rows, ps, params, flags, pa, pb, mapped):
+    """info_monotonicity's parts from the images of A, B and T_p(A|B)."""
+    q = [ps[i] for i in rows]
+    t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
     part_specs = []
-    for rows, (pa, pb, mapped) in _images(phis, a, b, t_in):
-        q = [ps[i] for i in rows]
-        t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
-        _branch(part_specs, "entropy_monotone", mapped, t_out, rows, [p <= 1.0 for p in q])
-        _branch(part_specs, "entropy_reversed", t_out, mapped, rows, [p >= 1.0 for p in q])
+    _branch(part_specs, "entropy_monotone", mapped, t_out, rows, [p <= 1.0 for p in q])
+    _branch(part_specs, "entropy_reversed", t_out, mapped, rows, [p >= 1.0 for p in q])
     return part_specs
 
 
@@ -711,19 +779,20 @@ def check_reverse_monotonicity(insts, sp, tol_rel, a, b, ps, phis, params, lams)
     """
     note = _unit_windows(insts, means._inner_spectrum(a, b, sp), params, additive_term_norm=None)
 
-    def sides():
-        t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
-        part_specs = []
-        for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
-            q = [ps[i] for i in rows]
-            t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
-            term, term_rev = _windowed(sp, params, rows, phi_diff, "additive_term_norm", False)
-            _branch(part_specs, "additive_upper", t_out, mapped + term, rows,
-                    [p <= 1.0 for p in q])
-            _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
-                    [p >= 1.0 for p in q])
-        return part_specs
-    return sides, note
+    return (lambda: _Mapped(_reverse_images,
+                            (a, b, means.tsallis_entropy(a, b, ps, spectra=sp), b - a)), note)
+
+
+def _reverse_images(sp, rows, ps, params, flags, pa, pb, mapped, phi_diff):
+    """reverse_monotonicity's parts from the images of A, B, T_p(A|B) and B - A."""
+    q = [ps[i] for i in rows]
+    t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
+    term, term_rev = _windowed(sp, params, rows, phi_diff, "additive_term_norm", False)
+    part_specs = []
+    _branch(part_specs, "additive_upper", t_out, mapped + term, rows, [p <= 1.0 for p in q])
+    _branch(part_specs, "additive_upper_reversed", mapped, t_out + term_rev, rows,
+            [p >= 1.0 for p in q])
+    return part_specs
 
 
 @_check("ando_converse",
@@ -741,15 +810,16 @@ def check_ando_converse(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """
     note = _unit_windows(insts, means._inner_spectrum(a, b, sp), params, additive_term_norm=None)
 
-    def sides():
-        mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
-        part_specs = []
-        for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, mean_in, b - a):
-            mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
-            _converse_parts(sp, part_specs, "mean_additive", params, rows,
-                            mapped, mean_out, phi_diff)
-        return part_specs
-    return sides, note
+    return (lambda: _Mapped(_ando_images,
+                            (a, b, means.weighted_mean(a, b, ps, spectra=sp).value, b - a)), note)
+
+
+def _ando_images(sp, rows, ps, params, flags, pa, pb, mapped, phi_diff):
+    """ando_converse's parts from the images of A, B, A #_p B and B - A."""
+    mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
+    part_specs = []
+    _converse_parts(sp, part_specs, "mean_additive", params, rows, mapped, mean_out, phi_diff)
+    return part_specs
 
 
 @_check("density_trace",
@@ -815,23 +885,27 @@ def check_furuta_bounds(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     t_in = means.tsallis_entropy(a, b, ps, spectra=sp)
     holds = [not means._unit_window(*edges, par["m"])[2]
              for edges, par in zip(linalg._edges(means._inner_spectrum(a, b, sp)), params)]
-    part_specs = []
-    for rows, (pa, pb, mapped, phi_diff) in _images(phis, a, b, t_in, b - a):
-        q = [ps[i] for i in rows]
-        t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
-        k_term = (_col([(1.0 - params[i]["kantorovich_K"]) / ps[i] for i in rows])
-                  * means.weighted_mean(pa, pb, q, spectra=sp).value)
-        f_term = _col([params[i]["furuta_F"] for i in rows]) * pa
-        part_specs += [("kantorovich_upper", t_out, mapped + k_term, rows),
-                       ("linear_upper", t_out, mapped + f_term, rows)]
-        for i, kn, fn in zip(rows, *_norms(sp, k_term, f_term)):
-            params[i]["kantorovich_term_norm"] = kn
-            params[i]["linear_term_norm"] = fn
-        keep = [j for j, i in enumerate(rows) if holds[i]]
-        if keep:
-            rows = [rows[j] for j in keep]
-            s_term = _windowed(sp, params, rows, phi_diff[keep], "windowed_term_norm", False)[0]
-            part_specs.append(("windowed_upper", t_out[keep], mapped[keep] + s_term, rows))
+    return _Mapped(_furuta_images, (a, b, t_in, b - a), holds)
+
+
+def _furuta_images(sp, rows, ps, params, holds, pa, pb, mapped, phi_diff):
+    """furuta_bounds' parts from the images of A, B, T_p(A|B) and B - A; the
+    windowed part for the instances whose unit window holds."""
+    q = [ps[i] for i in rows]
+    t_out = means.tsallis_entropy(pa, pb, q, spectra=sp)
+    k_term = (_col([(1.0 - params[i]["kantorovich_K"]) / ps[i] for i in rows])
+              * means.weighted_mean(pa, pb, q, spectra=sp).value)
+    f_term = _col([params[i]["furuta_F"] for i in rows]) * pa
+    part_specs = [("kantorovich_upper", t_out, mapped + k_term, rows),
+                  ("linear_upper", t_out, mapped + f_term, rows)]
+    for i, kn, fn in zip(rows, *_norms(sp, k_term, f_term)):
+        params[i]["kantorovich_term_norm"] = kn
+        params[i]["linear_term_norm"] = fn
+    keep = [j for j, i in enumerate(rows) if holds[i]]
+    if keep:
+        rows = [rows[j] for j in keep]
+        s_term = _windowed(sp, params, rows, phi_diff[keep], "windowed_term_norm", False)[0]
+        part_specs.append(("windowed_upper", t_out[keep], mapped[keep] + s_term, rows))
     return part_specs
 
 
@@ -856,17 +930,21 @@ def check_seo_bound(insts, sp, tol_rel, a, b, ps, phis, params, lams):
              for edges, par in zip(linalg._edges(lam), params)]
     mean_in = means.weighted_mean(a, b, ps, spectra=sp).value
     extra = (b - a,) if any(holds) else ()
-    part_specs = []
-    for rows, (pa, pb, mapped, *phi_diff) in _images(phis, a, b, mean_in, *extra):
-        mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
-        seo_term = _col([-params[i]["seo_C"] for i in rows]) * pa
-        part_specs.append(("seo_upper", mean_out, mapped + seo_term, rows))
-        for i, value in zip(rows, sp.norm_op(seo_term).tolist()):
-            params[i]["seo_term_norm"] = value
-        keep = [j for j, i in enumerate(rows) if holds[i]]
-        if keep:
-            _windowed(sp, params, [rows[j] for j in keep], phi_diff[0][keep],
-                      "windowed_term_norm", True)
+    return _Mapped(_seo_images, (a, b, mean_in, *extra), holds)
+
+
+def _seo_images(sp, rows, ps, params, holds, pa, pb, mapped, *phi_diff):
+    """seo_bound's part from the images of A, B and A #_p B; the windowed
+    term's norm, from the image of B - A, where the unit window holds."""
+    mean_out = means.weighted_mean(pa, pb, [ps[i] for i in rows], spectra=sp).value
+    seo_term = _col([-params[i]["seo_C"] for i in rows]) * pa
+    part_specs = [("seo_upper", mean_out, mapped + seo_term, rows)]
+    for i, value in zip(rows, sp.norm_op(seo_term).tolist()):
+        params[i]["seo_term_norm"] = value
+    keep = [j for j, i in enumerate(rows) if holds[i]]
+    if keep:
+        _windowed(sp, params, [rows[j] for j in keep], phi_diff[0][keep],
+                  "windowed_term_norm", True)
     return part_specs
 
 
@@ -1266,13 +1344,15 @@ def check_power_corollary(insts, sp, tol_rel, a, b, ps, phis, params, lams):
     """
     note = _unit_windows(insts, lams[0], params, additive_term_norm=None)
 
-    def sides():
-        part_specs = []
-        for rows, (pa, phi_pow) in _images(phis, a, sp.power(a, ps)):
-            _converse_parts(sp, part_specs, "image_power", params, rows, phi_pow,
-                            sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
-        return part_specs
-    return sides, note
+    return (lambda: _Mapped(_power_images, (a, sp.power(a, ps)))), note
+
+
+def _power_images(sp, rows, ps, params, flags, pa, phi_pow):
+    """power_corollary's parts from the images of A and A^p."""
+    part_specs = []
+    _converse_parts(sp, part_specs, "image_power", params, rows, phi_pow,
+                    sp.power(pa, [ps[i] for i in rows]), pa - np.eye(pa.shape[-1]))
+    return part_specs
 
 
 __all__ += [info.runner.__name__ for info in REGISTRY.values()]

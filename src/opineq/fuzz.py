@@ -17,15 +17,17 @@ algebra runs stacked (sampling._Batch); a trial's instance is the same
 bits whatever plan it is part of.  sample_instance is a plan of one;
 run_fuzz samples its schedule in chunks sized by the run's largest dim.
 
-Each chunk is then checked in groups, one per dim: the check runs its
-matrix work stacked over the group (see checks.CheckInfo.group), and a
-stacked call gives every trial the bits it would get alone, so a
-trial's report does not depend on its group either.  A group that
-raises is checked again one trial at a time, and run_fuzz reads the
-outcomes in trial order.  A chunk's sampler and its groups run on one
+Each chunk is then checked in one group: the check runs its operand
+work stacked per dim and its maps' images stacked per image size,
+across the chunk's dims (see checks.CheckInfo.group), and a stacked
+call gives every trial the bits it would get alone, so a trial's report
+does not depend on its group either.  When the chunk's group raises,
+each dim's trials are checked again as a group, and those of a dim
+whose group raises one trial at a time; run_fuzz reads the outcomes in
+trial order.  A chunk's sampler and its group run on one
 linalg.Spectra, which keeps every eigensolve for the chunk: the
-decomposition of A behind a sandwich sample is the one the check of
-that dim's group takes, since it is the same trials in the same order.
+decomposition of A behind a sandwich sample is the one the check takes
+for that dim, since it is the same trials in the same order.
 """
 
 from __future__ import annotations
@@ -280,28 +282,32 @@ def _chunks(trials: int, size: int, stop_on_fail: bool):
 
 def _outcomes(info, plan, instances, tol_rel, spectra=None) -> list:
     """Each planned trial's report, or the exception its check raised, in
-    plan order; the trials of one dim run through the check as one group,
-    every group on spectra (see CheckInfo.group)."""
+    plan order.  The chunk runs through the check as one group on spectra
+    (see CheckInfo.group); when that raises, the trials of each dim run
+    as one group, and those of a dim whose group raises one at a time."""
     by_dim: dict[int, list] = {}
     for j, (_, dim, _) in enumerate(plan):
         by_dim.setdefault(dim, []).append(j)
-    out = [None] * len(plan)
-    for rows in by_dim.values():
-        group = [instances[j] for j in rows]
-        for j, outcome in zip(rows, _run(info, group, tol_rel, spectra)):
-            out[j] = outcome
-    return out
+    return _run(info, instances, tol_rel, spectra, list(by_dim.values()))
 
 
-def _run(info, group, tol_rel, spectra=None) -> list:
-    """The check's reports on a group; when the group raises, each
-    instance's report or exception, run alone."""
+def _run(info, group, tol_rel, spectra=None, subsets=None) -> list:
+    """The check's reports on a group; when the group raises, the
+    outcomes of subsets (lists of indices into group, each run as a
+    group the same way), or, with one subset or none, each instance's
+    report or exception, run alone."""
     try:
         return info.group(group, tol_rel, spectra)
     except Exception as exc:  # an outcome: run_fuzz raises it in trial order
         if len(group) == 1:
             return [exc]
-        return [_run(info, [inst], tol_rel, spectra)[0] for inst in group]
+    if subsets is None or len(subsets) == 1:
+        subsets = [[j] for j in range(len(group))]
+    out = [None] * len(group)
+    for rows in subsets:
+        for j, outcome in zip(rows, _run(info, [group[j] for j in rows], tol_rel, spectra)):
+            out[j] = outcome
+    return out
 
 
 def _checked(info, sampler, seed, plans, tol_rel):
@@ -333,8 +339,8 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     512 (a default 1,000-trial run at dims 2-6 takes two chunks), each
     sampled and checked on one linalg.Spectra.  With stop_on_fail the
     chunks start at 64 trials and double up to that size.  Each chunk
-    is checked in groups, one per dim, before its outcomes are read in
-    trial order: the first trial whose check raised re-raises that
+    is checked as one group before its outcomes are read in trial
+    order: the first trial whose check raised re-raises that
     exception, unless stop_on_fail has ended the run at an earlier
     FAILS.  The outcomes after that FAILS, in its chunk, are computed
     and dropped: fewer than 64 when it falls among the first 64 trials,

@@ -58,8 +58,7 @@ class MapSpec:
 
     @classmethod
     def compression(cls, isometry) -> "MapSpec":
-        inputs.numbers("isometry", isometry)
-        v = np.asarray(isometry, dtype=float)
+        v = inputs.floats("isometry", isometry)
         if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] < 1:
             raise InvalidSpec(f"isometry must be n x k with 1 <= k <= n, got {v.shape}")
         if not np.isfinite(v).all():
@@ -76,8 +75,12 @@ class MapSpec:
         n = inputs.integer(n, "dim")
         if n < 1:
             raise InvalidSpec("pinching needs dimension >= 1")
-        blocks = tuple(tuple(inputs.integer(i, "partition index") for i in blk)
-                       for blk in partition)
+        try:
+            blocks = tuple(tuple(inputs.integer(i, "partition index") for i in blk)
+                           for blk in partition)
+        except TypeError:   # partition, or one of its blocks, is not a sequence
+            raise InvalidSpec(f"partition must be a sequence of index sequences, "
+                              f"got {partition!r}") from None
         seen = [i for blk in blocks for i in blk]
         if sorted(seen) != list(range(n)):
             raise InvalidSpec(
@@ -89,10 +92,12 @@ class MapSpec:
 
     @classmethod
     def mixed_unitary(cls, weights, unitaries) -> "MapSpec":
-        inputs.numbers("weights", weights)
-        inputs.numbers("unitaries", unitaries)
-        w = np.asarray(weights, dtype=float)
-        us = tuple(np.asarray(u, dtype=float) for u in unitaries)
+        w = inputs.floats("weights", weights)
+        try:
+            us = tuple(inputs.floats("unitaries", u) for u in unitaries)
+        except TypeError:   # unitaries is not a sequence
+            raise InvalidSpec(f"unitaries must be a sequence of matrices, "
+                              f"got {unitaries!r}") from None
         if w.ndim != 1 or len(us) != w.size or w.size < 1:
             raise InvalidSpec("need one weight per unitary")
         if not np.isfinite(w).all():

@@ -31,12 +31,17 @@ recorded on; see PLATFORM.  Run with one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/fuzz_digests.py
 
-prints the digest table in the layout CHANGES.md uses.
+prints the digest table in the layout CHANGES.md uses, and then, for the
+benchmark's fuzz shape at each of BENCH_DIMS, the check-group calls and
+the stacked eigh and eigvalsh calls (and the matrices they solve) per
+trial, counted by wrapping CheckInfo.group and numpy's two solvers.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -109,8 +114,8 @@ def fuzz_digest(check_id: str, p_set: str, dims, trials: int) -> str:
     return _sha16([report.to_json_dict() for report in result.reports])
 
 
-def bench_shape_digest(dims) -> str:
-    """Digest of the reports of every non-radius check on the benchmark's shape."""
+def _bench_shape_reports(dims) -> list:
+    """The reports of every non-radius check on the benchmark's shape."""
     reports = []
     for check_id in sorted(checks.REGISTRY):
         if check_id == "radius_chain":
@@ -119,7 +124,39 @@ def bench_shape_digest(dims) -> str:
         for seed in BENCH_SEEDS:
             reports += fuzz.run_fuzz(check_id, trials=len(p_values) * len(dims), dims=dims,
                                      p_values=p_values, seed=seed).reports
-    return _sha16([report.to_json_dict() for report in reports])
+    return reports
+
+
+def bench_shape_digest(dims) -> str:
+    """Digest of the reports of every non-radius check on the benchmark's shape."""
+    return _sha16([report.to_json_dict() for report in _bench_shape_reports(dims)])
+
+
+def bench_shape_counts(dims) -> dict:
+    """Per trial of the benchmark's shape at dims: CheckInfo.group calls,
+    and numpy's eigh and eigvalsh calls with the matrices they solve."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[f"{name} calls"] += 1
+            if name != "group":
+                counts[f"{name} matrices"] += args[0].size // args[0].shape[-1] ** 2
+            return fn(*args, **kwargs)
+        return wrapper
+
+    registry, solvers = dict(checks.REGISTRY), (np.linalg.eigh, np.linalg.eigvalsh)
+    try:
+        for check_id, info in registry.items():
+            checks.REGISTRY[check_id] = dataclasses.replace(
+                info, group=counting("group", info.group))
+        np.linalg.eigh, np.linalg.eigvalsh = (counting(fn.__name__, fn) for fn in solvers)
+        trials = len(_bench_shape_reports(dims))
+    finally:
+        checks.REGISTRY.update(registry)
+        np.linalg.eigh, np.linalg.eigvalsh = solvers
+    names = ("group calls", "eigh calls", "eigh matrices", "eigvalsh calls", "eigvalsh matrices")
+    return {name: counts[name] / trials for name in names}
 
 
 def repro_digest() -> str:
@@ -204,6 +241,18 @@ def table() -> str:
     return "\n".join(lines)
 
 
+def counts_table() -> str:
+    counts = [bench_shape_counts(dims) for dims in BENCH_DIMS]
+    lines = ["| per trial, benchmark fuzz shape | "
+             + " | ".join(f"dims {dims[0]}-{dims[-1]}" for dims in BENCH_DIMS) + " |",
+             "|---|" + "---|" * len(BENCH_DIMS)]
+    lines += [f"| {name} | " + " | ".join(f"{c[name]:.3f}" for c in counts) + " |"
+              for name in counts[0]]
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
     print(f"platform: {platform()}")
     print(table())
+    print()
+    print(counts_table())

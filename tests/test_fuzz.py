@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fuzz_digests
 import opineq
 from opineq import checks, cli, fuzz, inputs, linalg, maps, means
 from opineq.errors import InvalidSpec, NotPositiveDefinite, SchemaError, UnknownCheck
@@ -235,7 +236,6 @@ def _recording(monkeypatch, check_id, seen, canned=None):
     info = checks.REGISTRY[check_id]
 
     def group(insts, tol_rel, spectra=None):
-        assert len({inst.A.shape for inst in insts}) == 1
         seen.append(list(insts))
         if canned is None:
             return info.group(insts, tol_rel, spectra)
@@ -280,15 +280,43 @@ def test_run_fuzz_checks_the_instances_sample_instance_builds(monkeypatch, check
 
 def test_a_chunk_at_max_dim_is_64_trials(monkeypatch):
     # trials alternate dims 2 and MAX_DIM: the first chunk holds 64 trials,
-    # two groups of 32, and the second the last trial alone
+    # checked as one group, and the second the last trial alone
     seen = []
     _recording(monkeypatch, "norm_chain", seen,
                checks.run_check("norm_chain", fuzz.sample_instance("norm_chain", 2, 0, 1.0, 0)))
     fuzz.run_fuzz("norm_chain", trials=65, dims=(2, inputs.MAX_DIM), p_values=(1.0,))
-    assert [len(group) for group in seen] == [32, 32, 1]
+    assert [len(group) for group in seen] == [64, 1]
+    assert [len({len(inst.A) for inst in group}) for group in seen] == [2, 1]
     assert fuzz._chunk_size((inputs.MAX_DIM,)) == 64
     assert fuzz._chunk_size((16, 32)) == 256
     assert fuzz._chunk_size((2, 3, 4, 5, 6)) == 512
+
+
+@pytest.mark.parametrize("dims", fuzz_digests.BENCH_DIMS)
+@pytest.mark.parametrize("check_id", sorted(checks.REGISTRY))
+def test_a_bench_shaped_run_checks_its_chunk_in_one_group(monkeypatch, check_id, dims):
+    # one full schedule of the registry exponents over the dims, as the
+    # benchmark runs it: one chunk, and one group call holding every trial
+    seen = []
+    _recording(monkeypatch, check_id, seen)
+    ps = checks.REGISTRY[check_id].default_p
+    fuzz.run_fuzz(check_id, trials=len(ps) * len(dims), dims=dims, p_values=ps, seed=0)
+    assert [len(group) for group in seen] == [len(ps) * len(dims)]
+    assert {len(inst.A) for inst in seen[0]} == set(dims)
+
+
+def test_the_digest_script_counts_one_group_call_per_bench_shaped_run():
+    # the counts tests/fuzz_digests.py prints: each check's run over the
+    # small dims is one chunk, checked in one group call; the wrapped
+    # registry and solvers are put back
+    registry, eigh = dict(checks.REGISTRY), np.linalg.eigh
+    counts = fuzz_digests.bench_shape_counts(fuzz_digests.BENCH_DIMS[0])
+    runs = [check_id for check_id in checks.REGISTRY if check_id != "radius_chain"]
+    trials = sum(len(checks.REGISTRY[c].default_p) for c in runs) * 5
+    assert counts["group calls"] * trials == pytest.approx(len(runs))
+    assert 0 < counts["eigh calls"] < counts["eigh matrices"]
+    assert 0 < counts["eigvalsh calls"] < counts["eigvalsh matrices"]
+    assert checks.REGISTRY == registry and np.linalg.eigh is eigh
 
 
 @pytest.mark.parametrize("seed, p, first, checked", [(8, 2.0, 7, 64), (3, 1.5, 74, 192),
@@ -345,8 +373,9 @@ def _failing_group(monkeypatch, check_id, failing):
 
 
 def test_the_first_exception_in_trial_order_is_raised(monkeypatch):
-    # trial 5 (dim 2) is checked in the first group, trial 3 (dim 5) in a
-    # later one; the run raises trial 3's error, the first in trial order
+    # the chunk's group raises, and so do its dims' groups: dim 2, which
+    # holds trial 5, before dim 5, which holds trial 3; the run raises
+    # trial 3's error, the first in trial order
     _failing_group(monkeypatch, "lowner_heinz", {5: "five", 3: "three"})
     with pytest.raises(RuntimeError, match="three"):
         fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))

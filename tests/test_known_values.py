@@ -25,11 +25,15 @@ The map families put the identity (a pinching with one block) and the
 normalized trace in place of the sampled map: the mapped pair checks on
 B = cA at every c and k, and power_corollary on 2^k A.
 
+The degenerate family runs B = cA at the exponents p = 0 and p = 1,
+at every c and k, for each two-operand check whose domain admits them:
+A^0 = I, A #_1 B = B and T_1(A|B) = B - A keep the family's verdicts.
+
 EXCLUDED lists the cases that fail today, each with the ROADMAP item
 that mends it.  They run as strict expected failures, so a case that a
 change mends fails the suite until it leaves the table.  The rest of
-item 12's families, the degenerate exponents and the other closed-form
-sides, are still to come.
+item 12, each side asserted against its closed form within a bound, is
+still to come.
 """
 
 import dataclasses
@@ -40,7 +44,7 @@ import numpy as np
 import pytest
 
 from opineq import checks, fuzz, linalg, maps
-from opineq.errors import NotDensity, SingularDifference
+from opineq.errors import DomainError, NotDensity, SingularDifference, ZeroParameter
 
 SEED = 11
 TRIALS = ((0, 3), (1, 4), (2, 5))     # (trial, dim)
@@ -91,6 +95,8 @@ EXCLUDED = {
        for check_id in ("info_monotonicity", "reverse_monotonicity")
        for c in (1.0, C_NEAR) for k in (20, 60)},
     ("furuta_bounds", C_NEAR, 60, "trace"): "item 8b: as (furuta_bounds, 1 + 1e-9, 60)",
+    **{(check_id, C_NEAR, 60, "p=1"): "item 8b: as (furuta_bounds, 1 + 1e-9, 60)"
+       for check_id in ("info_monotonicity", "reverse_monotonicity", "furuta_bounds")},
     **{("seo_bound", 2.0, k, phi): "item 11: as (seo_bound, 2, 0)"
        for k in (0, 20, 60) for phi in ("identity", "trace")},
 }
@@ -218,6 +224,22 @@ POWER_MAP_FAMILY = [(check_id, k, phi) for check_id in MAPPED_CHECKS
                     if check_id not in PAIR_CHECKS for k in KS for phi in MAPS]
 
 
+def _admits(check_id, p):
+    """Whether the check's domain admits the exponent p."""
+    try:
+        checks.run_check(check_id, fuzz.sample_instance(check_id, 2, SEED, p, 0))
+    except (DomainError, ZeroParameter):
+        return False
+    return True
+
+
+# the degenerate exponents, by their label in a case
+DEGENERATE_PS = {"p=0": 0.0, "p=1": 1.0}
+DEGENERATE_FAMILY = [(check_id, c, k, label) for check_id in PAIR_CHECKS
+                     for label, p in DEGENERATE_PS.items() if _admits(check_id, p)
+                     for c in CS for k in KS]
+
+
 def _cases(family):
     """family's cases, each one EXCLUDED lists as a strict expected failure."""
     return [pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=EXCLUDED[case]))
@@ -226,8 +248,9 @@ def _cases(family):
 
 def test_exclusions_name_cases_of_the_family():
     assert set(EXCLUDED) <= {*FAMILY, *WINDOW_FAMILY, *RADIUS_FAMILY, *RADIUS_2X2_FAMILY,
-                             *MAP_FAMILY, *POWER_MAP_FAMILY}
+                             *MAP_FAMILY, *POWER_MAP_FAMILY, *DEGENERATE_FAMILY}
     assert len(MAP_FAMILY) == 150 and len(POWER_MAP_FAMILY) == 10
+    assert len(DEGENERATE_FAMILY) == 18 * len(CS) * len(KS)
 
 
 @pytest.mark.parametrize("check_id, c, k", _cases(FAMILY))
@@ -241,6 +264,21 @@ def test_equality_family_verdicts(check_id, c, k):
             want = _expected(check_id, inst.A, c, k)
             if got != want:
                 wrong.append((trial, dim, p, got, want))
+    assert not wrong
+
+
+@pytest.mark.parametrize("check_id, c, k, label", _cases(DEGENERATE_FAMILY))
+def test_degenerate_exponent_verdicts(check_id, c, k, label):
+    # A^0 = I, A #_1 B = B and T_1(A|B) = B - A keep the family's verdicts
+    p = DEGENERATE_PS[label]
+    wrong = []
+    for trial, dim in TRIALS:
+        inst = fuzz.sample_instance(check_id, dim, SEED, p, trial)
+        a = np.ldexp(inst.A, k)
+        got = _outcome(check_id, dataclasses.replace(inst, A=a, B=c * a))
+        want = _expected(check_id, inst.A, c, k)
+        if got != want:
+            wrong.append((trial, dim, got, want))
     assert not wrong
 
 

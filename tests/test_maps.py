@@ -162,6 +162,32 @@ def test_mixed_unitary_rejects_a_0d_unitary():
                                      "unitaries": [5]})
 
 
+# (id, constructor call, its JSON object, the error): the library path raised
+# a bare numpy ValueError for a ragged array and a TypeError for a partition,
+# a block or a list of unitaries that is not a sequence
+MALFORMED_MAPS = [pytest.param(*row[1:], id=row[0]) for row in [
+    ("ragged-isometry", lambda: maps.MapSpec.compression([[1.0, 0.0], [0.0]]),
+     {"kind": "compression", "isometry": [[1.0, 0.0], [0.0]]}, SchemaError),
+    ("ragged-unitary", lambda: maps.MapSpec.mixed_unitary([1.0], [[[1.0, 0.0], [0.0]]]),
+     {"kind": "mixed_unitary", "weights": [1.0], "unitaries": [[[1.0, 0.0], [0.0]]]},
+     SchemaError),
+    ("partition-not-a-sequence", lambda: maps.MapSpec.pinching(3, 3),
+     {"kind": "pinching", "partition": 3, "dim": 3}, InvalidSpec),
+    ("block-not-a-sequence", lambda: maps.MapSpec.pinching([0, [1, 2]], 3),
+     {"kind": "pinching", "partition": [0, [1, 2]], "dim": 3}, InvalidSpec),
+    ("unitaries-not-a-sequence", lambda: maps.MapSpec.mixed_unitary([1.0], 5),
+     {"kind": "mixed_unitary", "weights": [1.0], "unitaries": 5}, InvalidSpec),
+]]
+
+
+@pytest.mark.parametrize("build, obj, error", MALFORMED_MAPS)
+def test_constructors_refuse_malformed_arrays_and_partitions(build, obj, error):
+    with pytest.raises(error):
+        build()
+    with pytest.raises(error):
+        maps.MapSpec.from_json_dict(obj)
+
+
 @pytest.mark.parametrize("obj", [
     {"kind": "normalized_trace", "dim": 2.9},
     {"kind": "normalized_trace", "dim": -0.5},
