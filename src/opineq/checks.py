@@ -41,8 +41,8 @@ group of one; fuzz.run_fuzz checks each chunk as one group.  A group
 raises whenever one of its instances would raise alone; only a group of
 one says which instance it is and what it raises.  A group may also
 raise where no instance alone would (an entropy at p = 1 alone needs no
-A^{1/2}); fuzz.run_fuzz then checks the chunk's dims as groups, and a
-raising dim's trials one at a time.
+A^{1/2}); a raising chunk's trials are checked one at a time
+(fuzz._outcomes).
 
 Verdict semantics:
 
@@ -488,8 +488,7 @@ def _check(check_id: str, description: str, default_p, domain: str, operands,
                         by_dim.setdefault(len(inst.A), []).append(i)
                     params, note, outs = [None] * len(insts), [""] * len(insts), []
                     for rows in by_dim.values():
-                        sub = insts if len(by_dim) == 1 else [insts[i] for i in rows]
-                        sub_params, phis, out = run_body(sub, sp, tol_rel)
+                        sub_params, phis, out = run_body([insts[i] for i in rows], sp, tol_rel)
                         if isinstance(out, tuple):
                             out, sub_note = out
                             for i, text in zip(rows, sub_note):
@@ -589,8 +588,6 @@ def _parts(sp, ps, params, outs) -> list:
         out = out() if callable(out) else out
         if isinstance(out, _Mapped):
             staged.append((rows, phis, out))
-        elif len(outs) == 1:
-            part_specs += out
         else:
             part_specs += [(name, lhs, rhs, [rows[j] for j in local])
                            for name, lhs, rhs, local in out]

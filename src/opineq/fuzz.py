@@ -21,10 +21,11 @@ Each chunk is then checked in one group: the check runs its operand
 work stacked per dim and its maps' images stacked per image size,
 across the chunk's dims (see checks.CheckInfo.group), and a stacked
 call gives every trial the bits it would get alone, so a trial's report
-does not depend on its group either.  When the chunk's group raises,
-each dim's trials are checked again as a group, and those of a dim
-whose group raises one trial at a time; run_fuzz reads the outcomes in
-trial order.  A chunk's sampler and its group run on one
+does not depend on its group either.  A raising chunk's trials are
+checked one at a time, so each trial's outcome, report or OpineqError,
+is its outcome alone; run_fuzz reads the outcomes in trial order.  Only
+the errors a check documents are caught: anything else is a defect and
+propagates.  A chunk's sampler and its group run on one
 linalg.Spectra, which keeps every eigensolve for the chunk: the
 decomposition of A behind a sandwich sample is the one the check takes
 for that dim, since it is the same trials in the same order.
@@ -39,7 +40,7 @@ import time
 import numpy as np
 
 from . import checks, inputs, linalg, maps, sampling
-from .errors import InvalidSpec, UnknownCheck
+from .errors import InvalidSpec, OpineqError, UnknownCheck
 from .linalg import FUZZ_TOL_REL   # named in linalg's tolerance policy
 
 __all__ = ["FUZZ_TOL_REL", "FuzzResult", "run_fuzz", "sample_instance"]
@@ -280,33 +281,22 @@ def _chunks(trials: int, size: int, stop_on_fail: bool):
         start, n = start + n, min(2 * n, size)
 
 
-def _outcomes(info, plan, instances, tol_rel, spectra=None) -> list:
-    """Each planned trial's report, or the exception its check raised, in
-    plan order.  The chunk runs through the check as one group on spectra
-    (see CheckInfo.group); when that raises, the trials of each dim run
-    as one group, and those of a dim whose group raises one at a time."""
-    by_dim: dict[int, list] = {}
-    for j, (_, dim, _) in enumerate(plan):
-        by_dim.setdefault(dim, []).append(j)
-    return _run(info, instances, tol_rel, spectra, list(by_dim.values()))
-
-
-def _run(info, group, tol_rel, spectra=None, subsets=None) -> list:
-    """The check's reports on a group; when the group raises, the
-    outcomes of subsets (lists of indices into group, each run as a
-    group the same way), or, with one subset or none, each instance's
-    report or exception, run alone."""
+def _outcomes(info, instances, tol_rel, spectra=None) -> list:
+    """Each instance's report, or the OpineqError its check raised, in
+    order.  The chunk runs through the check as one group on spectra
+    (see CheckInfo.group); when that raises an OpineqError, each instance
+    is checked alone.  Any other exception is a defect and propagates:
+    the group turns every ArithmeticError into NotFinite."""
     try:
-        return info.group(group, tol_rel, spectra)
-    except Exception as exc:  # an outcome: run_fuzz raises it in trial order
-        if len(group) == 1:
-            return [exc]
-    if subsets is None or len(subsets) == 1:
-        subsets = [[j] for j in range(len(group))]
-    out = [None] * len(group)
-    for rows in subsets:
-        for j, outcome in zip(rows, _run(info, [group[j] for j in rows], tol_rel, spectra)):
-            out[j] = outcome
+        return info.group(instances, tol_rel, spectra)
+    except OpineqError:
+        pass
+    out = []
+    for inst in instances:
+        try:
+            out += info.group([inst], tol_rel, spectra)
+        except OpineqError as exc:   # an outcome: run_fuzz raises it in trial order
+            out.append(exc)
     return out
 
 
@@ -317,7 +307,7 @@ def _checked(info, sampler, seed, plans, tol_rel):
     for plan in plans:
         spectra = linalg.Spectra()
         instances = sampler(seed, plan, spectra)
-        yield from zip(plan, instances, _outcomes(info, plan, instances, tol_rel, spectra))
+        yield from zip(plan, instances, _outcomes(info, instances, tol_rel, spectra))
 
 
 def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
@@ -339,13 +329,15 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
     512 (a default 1,000-trial run at dims 2-6 takes two chunks), each
     sampled and checked on one linalg.Spectra.  With stop_on_fail the
     chunks start at 64 trials and double up to that size.  Each chunk
-    is checked as one group before its outcomes are read in trial
-    order: the first trial whose check raised re-raises that
-    exception, unless stop_on_fail has ended the run at an earlier
-    FAILS.  The outcomes after that FAILS, in its chunk, are computed
-    and dropped: fewer than 64 when it falls among the first 64 trials,
-    as with chunks of 64, and fewer than its chunk's size after that, so
-    the run checks at most twice the trials chunks of 64 would.
+    is checked as one group, and a raising chunk's trials one at a
+    time, before its outcomes are read in trial order: the first trial
+    whose check raised an OpineqError re-raises it, unless stop_on_fail
+    has ended the run at an earlier FAILS; any other exception
+    propagates at once.  The outcomes after that FAILS, in its chunk,
+    are computed and dropped: fewer than 64 when it falls among the
+    first 64 trials, as with chunks of 64, and fewer than its chunk's
+    size after that, so the run checks at most twice the trials chunks
+    of 64 would.
     """
     info = checks.resolve_check(check_id)
     trials, seed = inputs.integer(trials, "trials"), inputs.integer(seed, "seed")
@@ -379,7 +371,7 @@ def run_fuzz(check_id: str, *, trials: int, dims=(2, 3, 4, 5, 6),
               for t in range(lo, hi)]
              for lo, hi in _chunks(trials, _chunk_size(dims), stop_on_fail))
     for (trial, dim, p), inst, report in _checked(info, sampler, seed, plans, tol_rel):
-        if isinstance(report, Exception):
+        if isinstance(report, OpineqError):
             raise report
         # a fresh report, so its params are the run's to extend
         report.params.update(seed=int(seed), trial=int(trial), dim=int(dim))

@@ -11,7 +11,8 @@ import pytest
 import fuzz_digests
 import opineq
 from opineq import checks, cli, fuzz, inputs, linalg, maps, means
-from opineq.errors import InvalidSpec, NotPositiveDefinite, SchemaError, UnknownCheck
+from opineq.errors import (InvalidSpec, NoConvergence, NotPositiveDefinite, SchemaError,
+                           UnknownCheck)
 
 
 def _dump(result):
@@ -355,9 +356,10 @@ def test_stop_on_fail_run_is_a_prefix_of_the_full_run(seed, p):
 # ----------------------------------------------------------------------
 
 def _failing_group(monkeypatch, check_id, failing):
-    """Make the check raise RuntimeError(label) for the instances of the
-    trials in failing, {trial: label}, sampled as run_fuzz samples them
-    with seed 8, p = 2 and the default dims."""
+    """Make the check raise NoConvergence(label), an error a check
+    documents, for the instances of the trials in failing, {trial: label},
+    sampled as run_fuzz samples them with seed 8, p = 2 and the default
+    dims."""
     info = checks.REGISTRY[check_id]
     dims = (2, 3, 4, 5, 6)
     bad = {fuzz.sample_instance(check_id, dims[t % len(dims)], 8, 2.0, t).A.tobytes(): label
@@ -366,18 +368,18 @@ def _failing_group(monkeypatch, check_id, failing):
     def group(insts, tol_rel, spectra=None):
         for inst in insts:
             if inst.A.tobytes() in bad:
-                raise RuntimeError(bad[inst.A.tobytes()])
+                raise NoConvergence(bad[inst.A.tobytes()])
         return info.group(insts, tol_rel, spectra)
 
     monkeypatch.setitem(checks.REGISTRY, check_id, dataclasses.replace(info, group=group))
 
 
 def test_the_first_exception_in_trial_order_is_raised(monkeypatch):
-    # the chunk's group raises, and so do its dims' groups: dim 2, which
-    # holds trial 5, before dim 5, which holds trial 3; the run raises
-    # trial 3's error, the first in trial order
+    # the chunk's group raises, and its trials are checked one at a time:
+    # trials 3 (dim 5) and 5 (dim 2) raise, and the run raises trial 3's
+    # error, the first in trial order
     _failing_group(monkeypatch, "lowner_heinz", {5: "five", 3: "three"})
-    with pytest.raises(RuntimeError, match="three"):
+    with pytest.raises(NoConvergence, match="three"):
         fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))
 
 
@@ -388,7 +390,7 @@ def test_stop_on_fail_before_an_error_returns(monkeypatch):
     stopped = fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,),
                             stop_on_fail=True)
     assert stopped.trials == 8 and stopped.reports[-1].verdict == checks.FAILS
-    with pytest.raises(RuntimeError, match="nine"):
+    with pytest.raises(NoConvergence, match="nine"):
         fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))
 
 
@@ -396,13 +398,56 @@ def test_an_erroring_trial_leaves_the_others_reports(monkeypatch):
     plan = [(t, (2, 3)[t % 2], 2.0) for t in range(10)]
     instances = fuzz.FUZZ_SAMPLERS["lowner_heinz"](8, plan)
     info = checks.REGISTRY["lowner_heinz"]
-    clean = fuzz._outcomes(info, plan, instances, fuzz.FUZZ_TOL_REL)
+    clean = fuzz._outcomes(info, instances, fuzz.FUZZ_TOL_REL)
     broken = dataclasses.replace(instances[4], B=-instances[4].B)   # B not PSD
-    got = fuzz._outcomes(info, plan, instances[:4] + [broken] + instances[5:],
-                         fuzz.FUZZ_TOL_REL)
+    got = fuzz._outcomes(info, instances[:4] + [broken] + instances[5:], fuzz.FUZZ_TOL_REL)
     assert isinstance(got[4], NotPositiveDefinite)
     assert [r.to_json_dict() for r in got[:4] + got[5:]] == \
         [r.to_json_dict() for r in clean[:4] + clean[5:]]
+
+
+def test_a_raising_chunk_checks_each_trial_alone_in_trial_order(monkeypatch):
+    # trial 9 raises: the chunk of 12 trials makes one group call, then
+    # one call per trial, in trial order
+    _failing_group(monkeypatch, "lowner_heinz", {9: "nine"})
+    seen = []
+    _recording(monkeypatch, "lowner_heinz", seen)
+    with pytest.raises(NoConvergence, match="nine"):
+        fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))
+    assert [len(group) for group in seen] == [12] + [1] * 12
+    assert [group[0] for group in seen[1:]] == seen[0]
+
+
+def test_an_error_only_a_stacked_group_raises_propagates(monkeypatch):
+    # a TypeError that no instance alone raises is a defect of the stacked
+    # path, not a trial's outcome: the run raises it instead of checking
+    # the trials alone
+    info = checks.REGISTRY["lowner_heinz"]
+
+    def group(insts, tol_rel, spectra=None):
+        if len(insts) > 1:
+            raise TypeError("stacked")
+        return info.group(insts, tol_rel, spectra)
+
+    monkeypatch.setitem(checks.REGISTRY, "lowner_heinz", dataclasses.replace(info, group=group))
+    with pytest.raises(TypeError, match="stacked"):
+        fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,))
+
+
+def test_no_handler_in_the_package_catches_every_exception():
+    # a check documents its errors as OpineqErrors (its group turns an
+    # ArithmeticError into NotFinite), so a handler of Exception,
+    # BaseException or a bare except would take a defect for an outcome
+    broad = {"Exception", "BaseException"}
+    found = []
+    for path in sorted(Path(opineq.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or broad & {getattr(t, "id", None) for t in types}:
+                found.append((path.name, node.lineno))
+    assert not found, f"handlers that catch every exception: {found}"
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,9 @@ hands each chunk to the check as one group.  These tests build groups
 that mix every registry and boundary exponent, every map kind,
 compressions to different sizes, instances whose hypotheses fail and
 dims from 1 to 16, and require the group's reports to equal, float for
-float, the reports of its instances checked one at a time.  When a
-chunk's group raises, fuzz._outcomes checks each of its dims as a group
-and then the trials of a raising dim one at a time, which gives the
-outcomes a group per dim gives.
+float, the reports of its instances checked one at a time.  A raising
+chunk's trials are checked one at a time (fuzz._outcomes), so each
+trial's outcome, report or OpineqError, is its outcome alone.
 """
 
 import dataclasses
@@ -19,7 +18,7 @@ import pytest
 
 import fuzz_digests
 from opineq import checks, fuzz, linalg, maps, sampling
-from opineq.errors import NotFinite, NotPositiveDefinite, NotSymmetric
+from opineq.errors import NotFinite, NotPositiveDefinite, NotSymmetric, OpineqError
 
 TOL = fuzz.FUZZ_TOL_REL
 DIM = 4
@@ -203,7 +202,7 @@ def test_a_group_may_raise_where_no_instance_alone_does():
     spd, flat = _entropy_pair()
     with pytest.raises(NotPositiveDefinite):
         info.group([spd, flat], TOL)
-    got = fuzz._run(info, [spd, flat], TOL)
+    got = fuzz._outcomes(info, [spd, flat], TOL)
     assert [rep.to_json_dict() for rep in got] == \
         [info.runner(inst, tol_rel=TOL).to_json_dict() for inst in (spd, flat)]
     assert [rep.verdict for rep in got] == [checks.HOLDS, checks.HOLDS]
@@ -215,7 +214,7 @@ def test_a_group_raises_where_a_violated_instance_alone_leaves_its_sides():
     violated, valid = _overflow_pair()
     with pytest.raises(NotFinite):
         info.group([violated, valid], TOL)
-    got = fuzz._run(info, [violated, valid], TOL)
+    got = fuzz._outcomes(info, [violated, valid], TOL)
     assert [rep.verdict for rep in got] == [checks.HYPOTHESIS_VIOLATED, checks.HOLDS]
     assert got[0].hypothesis_note.endswith("; sides not evaluated")
 
@@ -228,16 +227,17 @@ def test_a_group_of_mixed_dims_gives_every_instance_its_report_alone(check_id):
         [info.runner(inst, tol_rel=TOL).to_json_dict() for inst in insts]
 
 
-def _per_dim_outcomes(info, plan, instances, tol_rel, spectra=None):
-    """The outcomes of a chunk checked as one group per dim, in plan
-    order, the trials of a dim whose group raises one at a time: the rule
-    that one group per chunk must reproduce."""
-    out = [None] * len(plan)
-    for dim in dict.fromkeys(d for _, d, _ in plan):
-        rows = [j for j, (_, d, _) in enumerate(plan) if d == dim]
-        for j, outcome in zip(rows, fuzz._run(info, [instances[j] for j in rows],
-                                              tol_rel, spectra)):
-            out[j] = outcome
+def _alone_outcomes(info, instances, tol_rel, spectra=None):
+    """Each instance's outcome checked alone, in order: its report or the
+    OpineqError it raises.  One group per dim gives the same outcomes: a
+    group raises whenever one of its instances would raise alone, and
+    otherwise gives each instance the report it gets alone."""
+    out = []
+    for inst in instances:
+        try:
+            out += info.group([inst], tol_rel, spectra)
+        except OpineqError as exc:
+            out.append(exc)
     return out
 
 
@@ -255,7 +255,7 @@ def _nonsymmetric(inst):
 def test_a_raising_pair_in_a_mixed_chunk_gives_the_outcomes_of_groups_per_dim(check_id):
     # the pair sits among sampled trials at dims 2, 3 and DIM, with a trial
     # of another dim that raises alone; the chunk's group raises, and the
-    # outcomes, exceptions included, are those of one group per dim
+    # outcomes, exceptions included, are those of each trial alone
     info, sampler = checks.REGISTRY[check_id], fuzz.FUZZ_SAMPLERS[check_id]
     pair, error = RAISING_PAIRS[check_id]
     first, second = pair()
@@ -268,8 +268,8 @@ def test_a_raising_pair_in_a_mixed_chunk_gives_the_outcomes_of_groups_per_dim(ch
     instances[other] = _nonsymmetric(instances[other])
     with pytest.raises(error):      # the pair raises without the other trial too
         info.group([inst for j, inst in enumerate(instances) if j != other], TOL)
-    got = fuzz._outcomes(info, plan, instances, TOL)
-    assert _read(got) == _read(_per_dim_outcomes(info, plan, instances, TOL))
+    got = fuzz._outcomes(info, instances, TOL)
+    assert _read(got) == _read(_alone_outcomes(info, instances, TOL))
     assert isinstance(got[other], NotSymmetric)
     assert [x.to_json_dict() for x in (got[at[1]], got[at[3]])] == \
         [info.runner(inst, tol_rel=TOL).to_json_dict() for inst in (first, second)]
@@ -289,7 +289,7 @@ def test_a_stop_on_fail_run_over_a_raising_chunk_reads_the_reports_of_groups_per
 
     monkeypatch.setitem(fuzz.FUZZ_SAMPLERS, "lowner_heinz", injected)
     runs = []
-    for outcomes in (fuzz._outcomes, _per_dim_outcomes):
+    for outcomes in (fuzz._outcomes, _alone_outcomes):
         monkeypatch.setattr(fuzz, "_outcomes", outcomes)
         result = fuzz.run_fuzz("lowner_heinz", trials=12, seed=8, p_values=(2.0,),
                                stop_on_fail=True)
